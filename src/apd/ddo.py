@@ -35,11 +35,7 @@ class Graph:
 
     @property
     def degrees(self):
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(_edge_array(self).ravel(), minlength=self.n)
 
     def is_connected(self):
         if self.n == 0:
@@ -56,6 +52,11 @@ class Graph:
                     seen.add(nb)
                     stack.append(nb)
         return len(seen) == self.n
+
+
+def _edge_array(graph):
+    """The edge list as an ``(|E|, 2)`` integer array, in edge order."""
+    return np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
 
 
 def path_graph(n):
@@ -87,8 +88,8 @@ def random_geometric_graph(n, radius, seed, max_tries=200):
         points = rng.random((n, 2))
         diff = points[:, None, :] - points[None, :, :]
         close = np.einsum("ijk,ijk->ij", diff, diff) <= radius * radius
-        edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if close[i, j])
-        graph = Graph(n, edges)
+        rows, cols = np.nonzero(np.triu(close, 1))  # row-major: (i, j), i < j
+        graph = Graph(n, tuple(zip(rows.tolist(), cols.tolist())))
         if graph.is_connected():
             return graph
     raise ValueError(f"no connected geometric graph after {max_tries} draws; "
@@ -99,11 +100,10 @@ def graph_laplacian(graph):
     """Sparse combinatorial Laplacian; requires a connected graph."""
     if not graph.is_connected():
         raise ValueError("graph must be connected")
-    rows, cols, vals = [], [], []
-    for i, j in graph.edges:
-        rows += [i, j, i, j]
-        cols += [j, i, i, j]
-        vals += [-1.0, -1.0, 1.0, 1.0]
+    i, j = _edge_array(graph).T
+    rows = np.concatenate([i, j, i, j])
+    cols = np.concatenate([j, i, i, j])
+    vals = np.repeat([-1.0, -1.0, 1.0, 1.0], len(i))
     return sp.csr_matrix((vals, (rows, cols)), shape=(graph.n, graph.n))
 
 
@@ -114,12 +114,10 @@ def graph_incidence(graph):
     ``j`` for the edge ``(i, j)``, so ``(B X)_e = x_i - x_j``, which is
     exactly zero when the two rows of ``X`` are equal.
     """
-    rows, cols, vals = [], [], []
-    for e, (i, j) in enumerate(graph.edges):
-        rows += [e, e]
-        cols += [i, j]
-        vals += [1.0, -1.0]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(graph.edges), graph.n))
+    ends = _edge_array(graph)
+    rows = np.repeat(np.arange(len(ends)), 2)
+    vals = np.tile([1.0, -1.0], len(ends))
+    return sp.csr_matrix((vals, (rows, ends.ravel())), shape=(len(ends), graph.n))
 
 
 def laplacian_max_eigenvalue(laplacian, tol=1e-10, seed=0):
@@ -165,6 +163,17 @@ def mixing_matrix(graph):
 # problems
 # ---------------------------------------------------------------------------
 
+def _rowwise_matvec(mats, vecs):
+    """``mats[i] @ vecs[i]`` for every node ``i``.
+
+    A batched ``matmul`` makes the same BLAS call per node as the per-node
+    products of ``local_gradient``, so the stacked gradient equals theirs
+    bit for bit and the runs take the same iterates (``einsum`` sums in
+    another order).
+    """
+    return np.matmul(mats, vecs[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class DdoProblem:
     """Average-of-local-objectives problem over a graph.
@@ -174,6 +183,13 @@ class DdoProblem:
     incidence matrix ``B``, so it is exactly zero on consensus iterates. The
     symmetric square root ``L^{1/2}`` is never formed. ``mu``/``lip`` are the
     global constants of the averaged objective.
+
+    ``local_data`` holds one tuple per node and is the single source of the
+    node data: ``(design, target)`` for least squares, ``(features, label,
+    ridge)`` for logistic. ``value`` and ``gradient`` evaluate every node at
+    once on a stacked view of it, built on first use: design ``(n, s, m)``
+    and target ``(n, s)``, or features ``(n, m)``, labels ``(n,)`` and
+    ridge ``(n,)``. ``local_value``/``local_gradient`` evaluate one node.
     """
 
     graph: Graph
@@ -208,15 +224,41 @@ class DdoProblem:
         margin = label * float(features @ x)
         return -label * features / (1.0 + np.exp(margin)) + ridge * x
 
+    @cached_property
+    def _stacked(self):
+        if self.kind == "least_squares":
+            return (np.stack([design for design, _ in self.local_data]),
+                    np.stack([target for _, target in self.local_data]))
+        return (np.stack([features for features, _, _ in self.local_data]),
+                np.array([label for _, label, _ in self.local_data], dtype=float),
+                np.array([ridge for _, _, ridge in self.local_data], dtype=float))
+
     def value(self, stacked):
-        return sum(self.local_value(i, stacked[i]) for i in range(self.n_nodes)) \
-            / self.n_nodes
+        if self.kind == "least_squares":
+            res = self._residuals(stacked)
+            return 0.5 * float(np.sum(res * res)) / self.n_nodes
+        _, _, ridge = self._stacked
+        total = np.logaddexp(0.0, -self._margins(stacked)) \
+            + 0.5 * ridge * np.einsum("nm,nm->n", stacked, stacked)
+        return float(total.sum()) / self.n_nodes
 
     def gradient(self, stacked):
-        grad = np.empty_like(stacked)
-        for i in range(self.n_nodes):
-            grad[i] = self.local_gradient(i, stacked[i])
+        if self.kind == "least_squares":
+            design, _ = self._stacked
+            grad = _rowwise_matvec(design.transpose(0, 2, 1), self._residuals(stacked))
+            return grad / self.n_nodes
+        features, labels, ridge = self._stacked
+        grad = -labels[:, None] * features / (1.0 + np.exp(self._margins(stacked)))[:, None] \
+            + ridge[:, None] * stacked
         return grad / self.n_nodes
+
+    def _residuals(self, stacked):
+        design, target = self._stacked
+        return _rowwise_matvec(design, stacked) - target
+
+    def _margins(self, stacked):
+        features, labels, _ = self._stacked
+        return labels * _rowwise_matvec(features[:, None, :], stacked)[:, 0]
 
     @cached_property
     def _incidence_t(self):
@@ -273,23 +315,17 @@ def reference_objective(problem, tol=1e-12, max_iter=200):
     m = problem.block_size
     n = problem.n_nodes
     if problem.kind == "least_squares":
-        gram = np.zeros((m, m))
-        rhs = np.zeros(m)
-        for design, target in problem.local_data:
-            gram += design.T @ design
-            rhs += design.T @ target
-        x = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+        design, target = problem._stacked
+        rows = design.reshape(-1, m)  # all nodes' samples as one design
+        x = np.linalg.lstsq(rows.T @ rows, rows.T @ target.ravel(), rcond=None)[0]
     else:
+        features, labels, ridge = problem._stacked
+        ridge_sum = float(ridge.sum())
         x = np.zeros(m)
         for _ in range(max_iter):
-            grad = np.zeros(m)
-            hess = np.zeros((m, m))
-            for features, label, ridge in problem.local_data:
-                margin = label * float(features @ x)
-                sig = 1.0 / (1.0 + np.exp(margin))
-                grad += -label * features * sig + ridge * x
-                hess += np.outer(features, features) * sig * (1.0 - sig) \
-                    + ridge * np.eye(m)
+            sig = 1.0 / (1.0 + np.exp(labels * (features @ x)))
+            grad = -(labels * sig) @ features + ridge_sum * x
+            hess = (features.T * (sig * (1.0 - sig))) @ features + ridge_sum * np.eye(m)
             if np.linalg.norm(grad) / n <= tol:
                 break
             x = x - np.linalg.solve(hess, grad)

@@ -24,7 +24,12 @@ LYAPUNOV_NOISE_FLOOR = 5e-13
 
 
 def format_value(value):
-    """CSV cell formatting: 17 significant digits, round-trip exact."""
+    """CSV cell formatting: 17 significant digits, round-trip exact.
+
+    Strings (such as a method name) pass through unchanged.
+    """
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"

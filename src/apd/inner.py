@@ -327,8 +327,10 @@ def stationary_iteration_step(operator, eps, state, s, method):
     """One Jacobi or Gauss-Seidel sweep on the bordered system.
 
     ``state`` is the pair ``(v1, v2)``; Jacobi updates every block from the
-    old values, Gauss-Seidel updates the coarse coefficient first and then
-    the blocks in index order using already-updated neighbors.
+    old values. Gauss-Seidel is one sparse triangular solve with the lower
+    triangle of the bordered matrix: the coarse coefficient (row 0) is
+    updated first, then the blocks in index order using already-updated
+    neighbors.
     """
     if method not in ("jacobi", "gs"):
         raise ValueError(f"unknown stationary method {method!r}")
@@ -340,34 +342,61 @@ def stationary_iteration_step(operator, eps, state, s, method):
     diag = operator.diagonal()
     if np.any(eps + diag <= 0):
         raise ValueError("nonpositive diagonal in the bordered system")
-    v1_new = (s.sum(axis=0) - eps * v2.sum(axis=0)) / (eps * q)
     if method == "jacobi":
+        v1_new = (s.sum(axis=0) - eps * v2.sum(axis=0)) / (eps * q)
         off = operator @ v2 - _col(diag, v2) * v2
         v2_new = (s - eps * _broadcast(v1, v2) - off) / _col(eps + diag, v2)
         return v1_new, v2_new
-    v2_new = v2.copy()
-    indptr, indices, data = operator.indptr, operator.indices, operator.data
-    for i in range(q):
-        acc = s[i] - eps * v1_new
-        for ptr in range(indptr[i], indptr[i + 1]):
-            j = indices[ptr]
-            if j != i:
-                acc = acc - data[ptr] * v2_new[j]
-        v2_new[i] = acc / (eps + diag[i])
-    return v1_new, v2_new
+    forward, _ = _gs_sweeps(_bordered_matrix(operator, eps))
+    x = forward(_bordered_vector(v1, v2), _bordered_rhs(s))
+    return x[0], x[1:]
 
 
 def _broadcast(v1, v2):
     return v1 if v2.ndim == 1 else np.asarray(v1)[None, :]
 
 
+def _bordered_vector(v1, v2):
+    """Stack the coarse coefficient on top of the fine vector: row 0 is ``v1``."""
+    return np.concatenate([np.broadcast_to(v1, (1,) + v2.shape[1:]), v2])
+
+
+def _bordered_rhs(s):
+    return np.concatenate([s.sum(axis=0, keepdims=True), s])
+
+
 def _bordered_matrix(operator, eps):
+    """``[[eps q, eps 1'], [eps 1, eps I + A]]`` assembled in one COO pass."""
     q = operator.shape[0]
-    ones = np.ones((q, 1))
-    top = sp.hstack([sp.csr_matrix([[eps * q]]), eps * ones.T])
-    bottom = sp.hstack([eps * sp.csr_matrix(ones),
-                        operator + eps * sp.identity(q, format="csr")])
-    return sp.vstack([top, bottom]).tocsr()
+    coo = operator.tocoo()
+    fine = np.arange(1, q + 1)
+    coarse = np.zeros(q, dtype=fine.dtype)
+    rows = np.concatenate([[0], coarse, fine, coo.row + 1, fine])
+    cols = np.concatenate([[0], fine, coarse, coo.col + 1, fine])
+    vals = np.concatenate([[eps * q], np.full(2 * q, eps), coo.data, np.full(q, eps)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(q + 1, q + 1))
+
+
+def _gs_sweeps(matrix):
+    """Forward and backward Gauss-Seidel sweeps ``(x, b) -> x_new`` on ``matrix``.
+
+    Each sweep is one sparse triangular solve: the forward one takes the
+    lower triangle and so updates row 0 (on a bordered matrix, the coarse
+    coefficient) first, the backward one takes the upper triangle and
+    updates it last.
+    """
+    lower = sp.tril(matrix, 0, format="csr")
+    upper = sp.triu(matrix, 0, format="csr")
+    strict_lower = sp.tril(matrix, -1, format="csr")
+    strict_upper = sp.triu(matrix, 1, format="csr")
+
+    def forward(x, b):
+        return spsolve_triangular(lower, b - strict_upper @ x, lower=True)
+
+    def backward(x, b):
+        return spsolve_triangular(upper, b - strict_lower @ x, lower=False)
+
+    return forward, backward
 
 
 def _sgs_preconditioner(bordered):
@@ -411,38 +440,30 @@ def _converged(system, v1, v2, tol, s_norm):
 
 
 def _augmented_stationary(system, method, tol, i_max, s_norm):
-    v1 = np.zeros(system.s.shape[1]) if system.s.ndim == 2 else 0.0
-    v2 = np.zeros_like(system.s)
+    """Jacobi, Gauss-Seidel or symmetric Gauss-Seidel from a zero start.
+
+    The Gauss-Seidel sweeps are sparse triangular solves with the triangles
+    of the bordered matrix, split once per solve; ``sgs`` runs a forward and
+    then a backward sweep per iteration, so the coarse coefficient is
+    updated first and last.
+    """
+    shat = _bordered_rhs(system.s)
+    if method == "jacobi":
+        def sweep(x):
+            return _bordered_vector(*stationary_iteration_step(
+                system.operator, system.eps, (x[0], x[1:]), system.s, "jacobi"))
+    else:
+        forward, backward = _gs_sweeps(_bordered_matrix(system.operator, system.eps))
+
+        def sweep(x):
+            x = forward(x, shat)
+            return backward(x, shat) if method == "sgs" else x
+    x = np.zeros_like(shat)
     for it in range(i_max):
-        if _converged(system, v1, v2, tol, s_norm):
-            return system.recover(v1, v2), it, True
-        if method == "sgs":
-            v1, v2 = stationary_iteration_step(system.operator, system.eps,
-                                               (v1, v2), system.s, "gs")
-            v1, v2 = _gs_backward(system, (v1, v2))
-        else:
-            v1, v2 = stationary_iteration_step(system.operator, system.eps,
-                                               (v1, v2), system.s, method)
-    return system.recover(v1, v2), i_max, _converged(system, v1, v2, tol, s_norm)
-
-
-def _gs_backward(system, state):
-    """Backward Gauss-Seidel sweep: blocks in reverse order, coarse last."""
-    operator, eps, s = system.operator, system.eps, system.s
-    v1, v2 = state
-    v2 = np.array(v2, dtype=float)
-    q = operator.shape[0]
-    diag = operator.diagonal()
-    indptr, indices, data = operator.indptr, operator.indices, operator.data
-    for i in range(q - 1, -1, -1):
-        acc = s[i] - eps * v1
-        for ptr in range(indptr[i], indptr[i + 1]):
-            j = indices[ptr]
-            if j != i:
-                acc = acc - data[ptr] * v2[j]
-        v2[i] = acc / (eps + diag[i])
-    v1_new = (s.sum(axis=0) - eps * v2.sum(axis=0)) / (eps * q)
-    return v1_new, v2
+        if _converged(system, x[0], x[1:], tol, s_norm):
+            return system.recover(x[0], x[1:]), it, True
+        x = sweep(x)
+    return system.recover(x[0], x[1:]), i_max, _converged(system, x[0], x[1:], tol, s_norm)
 
 
 def _augmented_pcg(system, method, tol, i_max, s_norm, warm):
@@ -452,7 +473,7 @@ def _augmented_pcg(system, method, tol, i_max, s_norm, warm):
         minv = jacobi_preconditioner(bordered.diagonal())
     else:
         minv = _sgs_preconditioner(bordered)
-    shat = np.concatenate([s.sum(axis=0, keepdims=True), s])
+    shat = _bordered_rhs(s)
     d = np.zeros_like(shat)
     if warm is not None:
         d[1:] = np.asarray(warm, dtype=float)
@@ -524,10 +545,7 @@ def plain_iteration_solve(operator, eps, s, method="jacobi", tol=1e-6, i_max=100
     q = operator.shape[0]
     diag = operator.diagonal()
     v = np.zeros_like(s)
-    lower = (sp.tril(operator, 0) + eps * sp.identity(q)).tocsr()
-    upper = (sp.triu(operator, 0) + eps * sp.identity(q)).tocsr()
-    strict_upper = sp.triu(operator, 1).tocsr()
-    strict_lower = sp.tril(operator, -1).tocsr()
+    forward, backward = _gs_sweeps((operator + eps * sp.identity(q)).tocsr())
     for it in range(i_max):
         res = s - (eps * v + operator @ v)
         if float(np.linalg.norm(res)) <= tol * s_norm:
@@ -535,10 +553,9 @@ def plain_iteration_solve(operator, eps, s, method="jacobi", tol=1e-6, i_max=100
         if method == "jacobi":
             off = operator @ v - _col(diag, v) * v
             v = (s - off) / _col(eps + diag, v)
-        elif method == "gs":
-            v = spsolve_triangular(lower, s - strict_upper @ v, lower=True)
-        else:  # sgs
-            v = spsolve_triangular(lower, s - strict_upper @ v, lower=True)
-            v = spsolve_triangular(upper, s - strict_lower @ v, lower=False)
+        else:
+            v = forward(v, s)
+            if method == "sgs":
+                v = backward(v, s)
     res = s - (eps * v + operator @ v)
     return v, i_max, float(np.linalg.norm(res)) <= tol * s_norm

@@ -71,6 +71,30 @@ def test_mixing_matrix_path():
     assert eig[0] >= 0.5 - 1e-9
 
 
+def comprehension_geometric_graph(n, radius, seed, max_tries=200):
+    """The geometric graph with its edges found pair by pair, in row-major order."""
+    rng = np.random.default_rng(seed)
+    for _ in range(max_tries):
+        points = rng.random((n, 2))
+        diff = points[:, None, :] - points[None, :, :]
+        close = np.einsum("ijk,ijk->ij", diff, diff) <= radius * radius
+        graph = Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                               if close[i, j]))
+        if graph.is_connected():
+            return graph
+    raise AssertionError("no connected draw")
+
+
+@pytest.mark.parametrize("n,radius,seed", [(12, 0.6, 1), (15, 0.5, 1), (40, 0.3, 7),
+                                           (400, 0.11, 11)])
+def test_geometric_edges_match_pairwise_comprehension(n, radius, seed):
+    graph = random_geometric_graph(n, radius, seed)
+    expected = comprehension_geometric_graph(n, radius, seed)
+    assert graph.edges == expected.edges
+    assert all(type(i) is int and type(j) is int for i, j in graph.edges)
+    np.testing.assert_array_equal(graph.degrees, graph_laplacian(graph).diagonal())
+
+
 def test_consensus_null_space_blockwise():
     graph = random_geometric_graph(12, 0.5, 3)
     prob = build_ddo_problem(graph, 4, "least_squares", seed=0)
@@ -129,6 +153,37 @@ def test_gradient_matches_finite_differences():
                 shift[i, j] = 1e-6
                 fd = (prob.value(x + shift) - prob.value(x - shift)) / 2e-6
                 assert abs(fd - grad[i, j]) <= 1e-6
+
+
+def per_node_value(prob, x):
+    return sum(prob.local_value(i, x[i]) for i in range(prob.n_nodes)) / prob.n_nodes
+
+
+def per_node_gradient(prob, x):
+    return np.array([prob.local_gradient(i, x[i]) for i in range(prob.n_nodes)]) \
+        / prob.n_nodes
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+def test_stacked_objective_matches_per_node_sums(kind):
+    graph = random_geometric_graph(30, 0.4, 2)
+    prob = build_ddo_problem(graph, 4, kind, seed=3)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        x = 2.0 * rng.standard_normal((30, 4))
+        assert prob.value(x) == pytest.approx(per_node_value(prob, x), rel=1e-12)
+        np.testing.assert_allclose(prob.gradient(x), per_node_gradient(prob, x),
+                                   rtol=1e-12, atol=1e-15)
+
+
+def test_stacked_objective_sees_replaced_local_data():
+    prob, x_hat = shared_minimizer_problem()
+    stacked = np.tile(x_hat, (prob.n_nodes, 1))
+    assert prob.value(stacked) == pytest.approx(0.0, abs=1e-20)
+    x = np.random.default_rng(10).standard_normal(stacked.shape)
+    assert prob.value(x) == pytest.approx(per_node_value(prob, x), rel=1e-12)
+    fresh = build_ddo_problem(prob.graph, 3, "least_squares", seed=0)
+    assert fresh.value(x) != pytest.approx(prob.value(x), rel=1e-6)
 
 
 def shared_minimizer_problem(m=3):

@@ -2,14 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import apd
-from apd.ddo import graph_laplacian, path_graph
+from apd.ddo import graph_laplacian, path_graph, random_geometric_graph
 from apd.inner import (
     AUGMENTED_METHODS,
     DualMapContext,
     InnerSolveError,
     SpdSystem,
+    _bordered_matrix,
     assemble_saddle_subproblem,
     augmented_consensus_solve,
     eval_dual_map,
@@ -365,6 +367,46 @@ def test_stationary_fixed_point_both_methods():
         v1, v2 = stationary_iteration_step(lap, eps, (sol[0], sol[1:]), s, method)
         assert v1 == pytest.approx(sol[0], abs=1e-10)
         np.testing.assert_allclose(v2, sol[1:], atol=1e-10)
+
+
+def dense_bordered(lap, eps):
+    q = lap.shape[0]
+    bordered = np.zeros((q + 1, q + 1))
+    bordered[0, 0] = eps * q
+    bordered[0, 1:] = eps
+    bordered[1:, 0] = eps
+    bordered[1:, 1:] = eps * np.eye(q) + lap.toarray()
+    return bordered
+
+
+@pytest.mark.parametrize("eps", [0.05, 1e-6])
+def test_bordered_matrix_matches_dense(eps):
+    for lap in (graph_laplacian(path_graph(4)),
+                graph_laplacian(random_geometric_graph(20, 0.4, 3))):
+        bordered = _bordered_matrix(lap, eps)
+        assert bordered.format == "csr"
+        np.testing.assert_array_equal(bordered.toarray(), dense_bordered(lap, eps))
+
+
+@pytest.mark.parametrize("cols", [None, 3])
+@pytest.mark.parametrize("sweeps", [1, 2])
+def test_sgs_iterations_match_dense_gauss_seidel(cols, sweeps):
+    lap = graph_laplacian(random_geometric_graph(20, 0.4, 3))
+    eps = 1e-3
+    rng = np.random.default_rng(14)
+    s = rng.standard_normal(20 if cols is None else (20, cols))
+    v, iters, _ = augmented_consensus_solve(lap, eps, s, method="sgs",
+                                            tol=1e-15, i_max=sweeps)
+    assert iters == sweeps
+    bordered = dense_bordered(lap, eps)
+    shat = np.concatenate([s.sum(axis=0, keepdims=True), s])
+    x = np.zeros_like(shat)
+    for _ in range(sweeps):  # forward sweep (coarse row first), then backward
+        x = scipy.linalg.solve_triangular(np.tril(bordered), shat - np.triu(bordered, 1) @ x,
+                                          lower=True)
+        x = scipy.linalg.solve_triangular(np.triu(bordered), shat - np.tril(bordered, -1) @ x,
+                                          lower=False)
+    np.testing.assert_allclose(v, x[1:] + x[0], rtol=1e-12, atol=1e-12)
 
 
 def test_gs_differs_from_jacobi_with_updated_neighbors():
