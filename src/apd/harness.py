@@ -47,10 +47,6 @@ def emit_csv(records, path):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def emit_csv_header_only(fields, path):
-    _atomic_write(path, ",".join(fields) + "\n")
-
-
 def _atomic_write(path, text):
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)

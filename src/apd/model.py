@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -147,6 +148,34 @@ class ProblemInstance:
         return self.nonsmooth.is_zero_over_whole_space
 
 
+class PointValues:
+    """Objective value ``f(x)`` and constraint residual ``A x - b`` of one point.
+
+    Each is computed on first use and then kept, so the diagnostics of an
+    iterate pay for them once however many of them read them. ``x`` must not
+    change while the object is in use.
+    """
+
+    def __init__(self, problem, x):
+        self.problem = problem
+        self.x = x
+
+    @cached_property
+    def fval(self):
+        return self.problem.objective(self.x)
+
+    @cached_property
+    def residual(self):
+        return self.problem.constraint.residual(self.x)
+
+    def lagrangian(self, lam, beta):
+        """Augmented Lagrangian at ``x``; ``inf`` outside the feasible set."""
+        if not np.isfinite(self.fval):
+            return np.inf
+        res = self.residual
+        return self.fval + 0.5 * beta * float(res @ res) + float(lam @ res)
+
+
 def evaluate_augmented_lagrangian(problem, x, lam, beta):
     """Augmented Lagrangian ``f(x) + (beta/2)|Ax-b|^2 + <lam, Ax-b>``.
 
@@ -160,25 +189,24 @@ def evaluate_augmented_lagrangian(problem, x, lam, beta):
         raise ValueError("x has the wrong dimension")
     if lam.shape != (problem.constraint.rows,):
         raise ValueError("lambda has the wrong dimension")
-    fval = problem.objective(x)
-    if not np.isfinite(fval):
-        return np.inf
-    res = problem.constraint.residual(x)
-    return fval + 0.5 * beta * float(res @ res) + float(lam @ res)
+    return PointValues(problem, x).lagrangian(lam, beta)
 
 
-def kkt_residual(problem, x, lam):
+def kkt_residual(problem, x, lam, residual=None):
     """Feasibility and stationarity residuals at ``(x, lam)``.
 
     Stationarity is the plain gradient norm for smooth unconstrained
     objectives and otherwise the prox-gradient residual at unit step:
-    ``|x - prox_g(1, x - (grad h(x) + A' lam))|``.
+    ``|x - prox_g(1, x - (grad h(x) + A' lam))|``. ``residual`` may pass
+    ``A x - b`` when the caller already holds it.
     """
     x = np.asarray(x, dtype=float)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if x.shape != (problem.constraint.cols,) or lam.shape != (problem.constraint.rows,):
         raise ValueError("dimension mismatch")
-    feas = float(np.linalg.norm(problem.constraint.residual(x)))
+    if residual is None:
+        residual = problem.constraint.residual(x)
+    feas = float(np.linalg.norm(residual))
     grad = problem.smooth.gradient(x) + problem.constraint.apply_adjoint(lam)
     if problem.is_smooth_unconstrained:
         stat = float(np.linalg.norm(grad))

@@ -126,10 +126,6 @@ class QuadraticObjective(SmoothOracle):
     def is_quadratic(self):
         return True
 
-    @property
-    def is_diagonal(self):
-        return self.diag is not None
-
 
 class LeastSquaresObjective(QuadraticObjective):
     """``h(x) = |Bx - d|^2 / 2 + ridge |x|^2 / 2`` as an explicit quadratic."""

@@ -16,7 +16,7 @@ from .inner import (
     pcg_solve,
     ssn_solve,
 )
-from .model import NoReferenceError, solve_reference_saddle
+from .model import NoReferenceError, PointValues, solve_reference_saddle
 from .oracles import UnsupportedOracleError, ZeroProx
 from .schedule import ScalingState, StepRule, advance_scaling, step_size
 
@@ -38,6 +38,11 @@ class IterateState:
 
     ``y`` holds the interpolation point of the forward-backward schemes and
     ``inner_iters`` the inner-solver work that produced this iterate.
+    ``v_residual`` carries ``A v - b`` from a ``semi_apd`` or ``ex_apdfb``
+    step, which computes it for the multiplier update; the next such step
+    reuses it for ``lam_hat`` instead of applying ``A`` again. A state built
+    without it (``None``) has it recomputed, so a state whose ``v`` is
+    replaced must drop it.
     """
 
     x: np.ndarray
@@ -46,6 +51,7 @@ class IterateState:
     scaling: ScalingState
     y: np.ndarray = None
     inner_iters: int = 0
+    v_residual: np.ndarray = None
 
 
 @dataclass
@@ -114,6 +120,12 @@ def _shifted_multiplier(state, problem):
     return state.lam - problem.constraint.residual(state.x) / state.scaling.theta
 
 
+def _v_residual(state, constraint):
+    if state.v_residual is not None:
+        return state.v_residual
+    return constraint.residual(state.v)
+
+
 def lambda_invariant(state, problem):
     """The conserved quantity ``lam_k - (A x_k - b) / theta_k``."""
     return _shifted_multiplier(state, problem)
@@ -124,6 +136,9 @@ def _solve_spd_absolute(system, tol_abs, i_max, d0=None):
     start = np.zeros(system.dim) if d0 is None else np.asarray(d0, dtype=float)
     r = system.rhs - system.apply(start)
     delta0 = float(r @ system.apply_minv(r))
+    if not np.isfinite(delta0):
+        raise InnerSolveError(f"PCG start residual is not finite (delta={delta0})",
+                              float(np.sqrt(abs(delta0))))
     if np.sqrt(max(delta0, 0.0)) <= tol_abs:
         return PcgResult(start.copy(), 0, True, delta0, delta0)
     eps = min(max(tol_abs / np.sqrt(delta0), _EPS_REL_MIN), 0.9)
@@ -229,16 +244,17 @@ def semi_apd_step(state, problem, alpha):
     beta = problem.effective_beta
     mu_beta = problem.mu_beta
     constraint = problem.constraint
-    lam_hat = state.lam + (alpha / sc.theta) * constraint.residual(state.v)
+    lam_hat = state.lam + (alpha / sc.theta) * _v_residual(state, constraint)
     tau = sc.gamma + mu_beta * alpha + sc.gamma * alpha
     y = ((sc.gamma + mu_beta * alpha) * state.x + sc.gamma * alpha * state.v) / tau
     eta = alpha ** 2 / tau
     point = y - eta * constraint.apply_adjoint(lam_hat)
     x_next = _prox_full_objective(problem, eta, point, beta)
     v_next = x_next + (x_next - state.x) / alpha
-    lam_next = state.lam + (alpha / sc.theta) * constraint.residual(v_next)
+    v_residual = constraint.residual(v_next)
+    lam_next = state.lam + (alpha / sc.theta) * v_residual
     return IterateState(x_next, v_next, lam_next,
-                        advance_scaling(sc, alpha, mu_beta))
+                        advance_scaling(sc, alpha, mu_beta), v_residual=v_residual)
 
 
 def semi_apdfb_step(state, problem, alpha, inner=None):
@@ -307,44 +323,53 @@ def ex_apdfb_step(state, problem, alpha):
     tau = sc.gamma + mu_beta * alpha
     w = (sc.gamma * state.v + mu_beta * alpha * y) / tau
     eta = alpha / tau
-    lam_hat = state.lam + (alpha / sc.theta) * constraint.residual(state.v)
+    lam_hat = state.lam + (alpha / sc.theta) * _v_residual(state, constraint)
     point = w - eta * (problem.smooth_beta_gradient(y, beta)
                        + constraint.apply_adjoint(lam_hat))
     v_next = problem.nonsmooth.prox(eta, point)
     x_next = (state.x + alpha * v_next) / (1.0 + alpha)
-    lam_next = state.lam + (alpha / sc.theta) * constraint.residual(v_next)
+    v_residual = constraint.residual(v_next)
+    lam_next = state.lam + (alpha / sc.theta) * v_residual
     return IterateState(x_next, v_next, lam_next,
-                        advance_scaling(sc, alpha, mu_beta), y=y)
+                        advance_scaling(sc, alpha, mu_beta), y=y,
+                        v_residual=v_residual)
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def discrete_lyapunov(state, problem, saddle, beta=None):
-    """Gap-plus-distances merit, nonnegative at any true saddle point."""
-    from .model import evaluate_augmented_lagrangian
+def discrete_lyapunov(state, problem, saddle, beta=None, at_x=None, at_star=None):
+    """Gap-plus-distances merit, nonnegative at any true saddle point.
 
+    ``at_x`` and ``at_star`` may pass the :class:`~apd.model.PointValues` of
+    ``state.x`` and ``saddle.x_star`` when the caller already holds them.
+    """
     beta = problem.effective_beta if beta is None else beta
-    gap = (evaluate_augmented_lagrangian(problem, state.x, saddle.lambda_star, beta)
-           - evaluate_augmented_lagrangian(problem, saddle.x_star, state.lam, beta))
+    at_x = PointValues(problem, state.x) if at_x is None else at_x
+    at_star = PointValues(problem, saddle.x_star) if at_star is None else at_star
+    gap = (at_x.lagrangian(saddle.lambda_star, beta)
+           - at_star.lagrangian(state.lam, beta))
     dv = state.v - saddle.x_star
     dlam = state.lam - saddle.lambda_star
     return (gap + 0.5 * state.scaling.gamma * float(dv @ dv)
             + 0.5 * state.scaling.theta * float(dlam @ dlam))
 
 
-def residual_metrics(problem, x, lam, saddle=None):
-    """``(|f - f*|, |Ax - b|, Lagrangian gap)``; gaps are nan without a saddle."""
-    from .model import evaluate_augmented_lagrangian
+def residual_metrics(problem, x, lam, saddle=None, at_x=None, at_star=None):
+    """``(|f - f*|, |Ax - b|, Lagrangian gap)``; gaps are nan without a saddle.
 
-    feasibility = float(np.linalg.norm(problem.constraint.residual(x)))
+    ``at_x`` and ``at_star`` may pass the :class:`~apd.model.PointValues` of
+    ``x`` and ``saddle.x_star`` when the caller already holds them.
+    """
+    at_x = PointValues(problem, x) if at_x is None else at_x
+    feasibility = float(np.linalg.norm(at_x.residual))
     if saddle is None:
         return np.nan, feasibility, np.nan
-    obj_gap = abs(problem.objective(x) - saddle.f_star)
-    lagrangian_gap = (
-        evaluate_augmented_lagrangian(problem, x, saddle.lambda_star, 0.0)
-        - evaluate_augmented_lagrangian(problem, saddle.x_star, lam, 0.0))
+    at_star = PointValues(problem, saddle.x_star) if at_star is None else at_star
+    obj_gap = abs(at_x.fval - saddle.f_star)
+    lagrangian_gap = (at_x.lagrangian(saddle.lambda_star, 0.0)
+                      - at_star.lagrangian(lam, 0.0))
     if lagrangian_gap < -1e-10 * max(1.0, abs(saddle.f_star)):
         raise SaddleReferenceError(
             f"negative Lagrangian gap {lagrangian_gap:.3e}: reference saddle "
@@ -401,6 +426,9 @@ def run_solver(problem, config):
     reference saddle point is available (otherwise over the KKT residual),
     at ``max_iter``, or when the decay factor underflows. Deterministic for
     a fixed configuration; wall clocks are recorded only with ``timing``.
+
+    Each iterate's residual ``A x - b`` is formed once and feeds its record
+    and the stop test; the values at ``x*`` are formed once per run.
     """
     from .model import kkt_residual
 
@@ -412,9 +440,11 @@ def run_solver(problem, config):
             reference = solve_reference_saddle(problem)
         except (NoReferenceError, UnsupportedOracleError):
             reference = None
+    at_star = PointValues(problem, reference.x_star) if reference is not None else None
     rule = make_step_rule(problem, config)
     state = initial_state(problem, config)
-    records = [_record(0, 0.0, state, problem, reference)]
+    records = [_record(0, 0.0, state, problem, reference,
+                       PointValues(problem, state.x), at_star)]
     status = "max_iter"
     floor = _THETA_RUN_FLOOR.get(config.scheme, _THETA_RUN_FLOOR_DEFAULT)
     for k in range(config.max_iter):
@@ -425,25 +455,31 @@ def run_solver(problem, config):
         started = time.perf_counter_ns() if config.timing else 0
         state = _take_step(state, problem, alpha, config)
         elapsed = time.perf_counter_ns() - started if config.timing else 0
-        records.append(_record(k + 1, alpha, state, problem, reference, elapsed))
+        at_x = PointValues(problem, state.x)
+        rec = _record(k + 1, alpha, state, problem, reference, at_x, at_star, elapsed)
+        records.append(rec)
         if config.stop_tol > 0:
-            rec = records[-1]
             if reference is not None:
                 done = rec.obj_gap + rec.feasibility <= config.stop_tol
             else:
-                feas, stat = kkt_residual(problem, state.x, state.lam)
-                done = feas + stat <= config.stop_tol
+                # feas + stat <= stop_tol needs feas <= stop_tol, and feas is
+                # the record's feasibility: stationarity is only formed then
+                done = rec.feasibility <= config.stop_tol
+                if done:
+                    feas, stat = kkt_residual(problem, state.x, state.lam,
+                                              residual=at_x.residual)
+                    done = feas + stat <= config.stop_tol
             if done:
                 status = "converged"
                 break
     return SolverRun(records, status, state, reference)
 
 
-def _record(k, alpha, state, problem, reference, wall_ns=0):
+def _record(k, alpha, state, problem, reference, at_x, at_star, wall_ns=0):
     obj_gap, feasibility, lagrangian_gap = residual_metrics(
-        problem, state.x, state.lam, reference)
-    lyap = discrete_lyapunov(state, problem, reference) if reference is not None \
-        else np.nan
+        problem, state.x, state.lam, reference, at_x=at_x, at_star=at_star)
+    lyap = discrete_lyapunov(state, problem, reference, at_x=at_x, at_star=at_star) \
+        if reference is not None else np.nan
     return IterationRecord(
         k=k, alpha=alpha, theta=state.scaling.theta, gamma=state.scaling.gamma,
         obj_gap=obj_gap, feasibility=feasibility, lagrangian_gap=lagrangian_gap,

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import apd
 from apd.cli import main
 
 
@@ -27,3 +29,71 @@ def test_ddo_writes_records(tmp_path, algo):
     lines = read_lines(csv)
     assert lines[0] == "k,obj_gap,consensus_residual,inner_iters,wall_ns"
     assert len(lines) == 22  # header plus records k = 0..20
+
+
+def write_problem(path, kind):
+    """Tiny seeded problem file: diagonal QP (has a reference saddle) or lasso."""
+    rng = np.random.default_rng(7)
+    amat = rng.standard_normal((2, 6))
+    constraint = apd.MatrixConstraint(amat, rng.standard_normal(2))
+    if kind == "quadratic":
+        problem = apd.ProblemInstance(apd.QuadraticObjective(rng.uniform(0.5, 2.0, 6)),
+                                      apd.ZeroProx(), constraint)
+    else:
+        problem = apd.ProblemInstance(apd.QuadraticObjective(np.ones(6)),
+                                      apd.L1Prox(0.3), constraint)
+    apd.save_problem(problem, path)
+    return str(path)
+
+
+def test_solve_stops_on_the_kkt_residual(tmp_path, capsys):
+    problem = write_problem(tmp_path / "lasso.txt", "lasso")
+    csv = tmp_path / "solve.csv"
+    code = main(["solve", "--problem", problem, "--scheme", "ex_apdfb",
+                 "--max-iter", "3000", "--stop-tol", "1e-4", "--csv", str(csv)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("ex_apdfb: status=converged k=")
+    k = int(out.split("k=")[1].split()[0])
+    lines = read_lines(csv)
+    assert lines[0] == ("k,alpha,theta,gamma,obj_gap,feasibility,lagrangian_gap,"
+                        "lyapunov,inner_iters,wall_ns")
+    assert len(lines) == k + 2  # header plus records k = 0..k
+
+
+def test_flow_writes_one_row_per_step(tmp_path):
+    problem = write_problem(tmp_path / "qp.txt", "quadratic")
+    csv = tmp_path / "flow.csv"
+    code = main(["flow", "--problem", problem, "--h", "0.01", "--T", "0.5",
+                 "--csv", str(csv)])
+    assert code == 0
+    lines = read_lines(csv)
+    assert lines[0] == "t,E,feasibility,theta,gamma"
+    assert len(lines) == 52  # header plus t = 0, 0.01, ..., 0.5
+
+
+def test_compare_summarizes_each_scheme(tmp_path, capsys):
+    problem = write_problem(tmp_path / "qp.txt", "quadratic")
+    out_dir = tmp_path / "out"
+    code = main(["compare", "--problem", problem, "--schemes", "semi_apd,ex_apdfb",
+                 "--max-iter", "200", "--out-dir", str(out_dir), "--jobs", "1"])
+    assert code == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == ["semi_apd", "ex_apdfb"]
+    summary = read_lines(out_dir / "summary.csv")
+    assert [line.split(",")[:2] for line in summary[1:]] == [["semi_apd", "max_iter"],
+                                                             ["ex_apdfb", "max_iter"]]
+    for scheme in ("semi_apd", "ex_apdfb"):
+        assert len(read_lines(out_dir / f"qp_{scheme}.csv")) == 202
+
+
+def test_audit_passes_a_solver_csv(tmp_path, capsys):
+    problem = write_problem(tmp_path / "qp.txt", "quadratic")
+    csv = tmp_path / "solve.csv"
+    assert main(["solve", "--problem", problem, "--scheme", "implicit",
+                 "--max-iter", "20", "--csv", str(csv)]) == 0
+    capsys.readouterr()
+    code = main(["audit", "--csv", str(csv), "--scheme", "implicit"])
+    assert capsys.readouterr().out == ("audit: checked=20 contraction_violations=0 "
+                                       "theta_bound_violations=0\n")
+    assert code == 0

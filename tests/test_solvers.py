@@ -1,18 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import contraction_violations, planted_lasso
 
 import apd
-from apd.inner import InnerSolveError
+from apd.inner import InnerSolveError, SpdSystem
+from apd.model import LinearConstraint
 from apd.schedule import ScalingState
 from apd.solvers import (
     IterateState,
+    IterationRecord,
     SaddleReferenceError,
     SolverConfig,
+    _solve_spd_absolute,
     discrete_lyapunov,
     ex_apdfb_step,
     implicit_apd_step,
+    initial_state,
     lambda_invariant,
+    make_step_rule,
     residual_metrics,
     run_solver,
     semi_apd_step,
@@ -347,3 +354,154 @@ def test_scale_exhaustion_status(qp1):
     assert run.status == "scale_exhausted"
     assert len(run.records) < 100  # retired well before max_iter
     assert run.records[-1].theta < 1e-10
+
+
+def test_inner_pcg_names_a_non_finite_start_residual():
+    system = SpdSystem(lambda d: d, np.array([np.nan, 1.0]))
+    with pytest.raises(InnerSolveError, match="not finite") as info:
+        _solve_spd_absolute(system, 1e-8, 100)
+    assert np.isnan(info.value.residual)
+
+
+# ---------------------------------------------------------------------------
+# one residual per iterate: operation counts and bit-identity of the run loop
+# ---------------------------------------------------------------------------
+
+class CountingConstraint(LinearConstraint):
+    """Forwards to a constraint and counts ``A`` and ``A'`` applications."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rows, self.cols = inner.rows, inner.cols
+        self.op_norm, self.sigma_min = inner.op_norm, inner.sigma_min
+        self.applies = self.adjoints = 0
+
+    @property
+    def rhs(self):
+        return self.inner.rhs
+
+    def apply(self, x):
+        self.applies += 1
+        return self.inner.apply(x)
+
+    def apply_adjoint(self, lam):
+        self.adjoints += 1
+        return self.inner.apply_adjoint(lam)
+
+    def matrix(self):
+        return self.inner.matrix()
+
+
+class CountingQuadratic(apd.QuadraticObjective):
+    grads = 0
+
+    def gradient(self, x):
+        self.grads += 1
+        return super().gradient(x)
+
+
+def counting_lasso():
+    p, _ = planted_lasso(3, ridge=0.5)
+    smooth = CountingQuadratic(p.smooth.dense, p.smooth.linear, mu=p.smooth.mu,
+                               lip=p.smooth.lip)
+    return apd.ProblemInstance(smooth, p.nonsmooth, CountingConstraint(p.constraint))
+
+
+def box_qp(counting=False):
+    rng = np.random.default_rng(4)
+    n, m = 12, 4
+    amat = rng.standard_normal((m, n))
+    constraint = apd.MatrixConstraint(amat, amat @ rng.uniform(-0.5, 0.5, n))
+    smooth_type = CountingQuadratic if counting else apd.QuadraticObjective
+    return apd.ProblemInstance(smooth_type(rng.uniform(0.5, 2.0, n), rng.standard_normal(n)),
+                               apd.ZeroProx(apd.Box(-np.ones(n), np.ones(n))),
+                               CountingConstraint(constraint) if counting else constraint)
+
+
+@pytest.mark.parametrize("scheme, make, per_iter", [
+    ("ex_apdfb", counting_lasso, (2, 1, 1)),
+    ("semi_apd", lambda: box_qp(counting=True), (2, 1, 0)),
+], ids=["ex_apdfb", "semi_apd"])
+def test_run_loop_operation_counts(scheme, make, per_iter):
+    # below the tolerance only the stop test's stationarity would add work
+    tol = 1e-12
+    counts = []
+    for iters in (5, 15):
+        problem = make()
+        run = run_solver(problem, SolverConfig(scheme=scheme, max_iter=iters, stop_tol=tol))
+        assert run.reference is None and run.status == "max_iter"
+        assert min(rec.feasibility for rec in run.records) > tol
+        constraint = problem.constraint
+        counts.append(np.array([constraint.applies, constraint.adjoints,
+                                problem.smooth.grads]))
+    np.testing.assert_array_equal((counts[1] - counts[0]) / 10, per_iter)
+
+
+def _fields(rec):
+    return tuple(None if value != value else value for value in dataclasses.astuple(rec))
+
+
+def loop_by_hand(problem, config):
+    """``run_solver`` written out with the public pieces: every state drops the
+    carried residual, and the diagnostics and the KKT residual are formed
+    from scratch on every iteration."""
+    steps = {
+        "implicit": lambda s, a: implicit_apd_step(s, problem, a, config.inner),
+        "semi_apd": lambda s, a: semi_apd_step(s, problem, a),
+        "semi_apdfb": lambda s, a: semi_apdfb_step(s, problem, a, config.inner),
+        "ex_apdfb": lambda s, a: ex_apdfb_step(s, problem, a),
+    }
+    reference = config.reference
+    if reference is None:
+        try:
+            reference = apd.solve_reference_saddle(problem)
+        except apd.NoReferenceError:
+            reference = None
+    rule = make_step_rule(problem, config)
+    state = initial_state(problem, config)
+    records = []
+    for k in range(config.max_iter + 1):
+        if k > 0:
+            alpha = apd.step_size(rule, state.scaling)
+            state = dataclasses.replace(steps[config.scheme](state, alpha),
+                                        v_residual=None)
+        else:
+            alpha = 0.0
+        obj_gap, feas, lgap = residual_metrics(problem, state.x, state.lam, reference)
+        lyap = (discrete_lyapunov(state, problem, reference)
+                if reference is not None else np.nan)
+        records.append(IterationRecord(k, alpha, state.scaling.theta,
+                                       state.scaling.gamma, obj_gap, feas, lgap,
+                                       lyap, state.inner_iters, 0))
+        if k > 0:
+            total = (obj_gap + feas if reference is not None
+                     else sum(apd.kkt_residual(problem, state.x, state.lam)))
+            if total <= config.stop_tol:
+                return records, state, "converged"
+    return records, state, "max_iter"
+
+
+@pytest.mark.parametrize("case", ["qp1-implicit", "qp1-semi_apd", "qp1-semi_apdfb",
+                                  "qp1-ex_apdfb", "lasso-semi_apdfb", "lasso-ex_apdfb",
+                                  "box-semi_apd", "box-semi_apdfb", "bp-implicit"])
+def test_run_loop_matches_loop_by_hand(case, qp1):
+    name, scheme = case.split("-")
+    if name == "qp1":
+        problem = qp1
+    elif name == "lasso":
+        problem = planted_lasso(3, ridge=0.5)[0]
+    elif name == "box":
+        problem = box_qp()
+    else:
+        amat = np.random.default_rng(5).standard_normal((3, 8))
+        problem = apd.ProblemInstance(
+            apd.ZeroObjective(8), apd.L1Prox(1.0),
+            apd.MatrixConstraint(amat, amat @ np.eye(8)[2]))
+    config = SolverConfig(scheme=scheme, max_iter=3000, stop_tol=1e-4)
+    run = run_solver(problem, config)
+    records, state, status = loop_by_hand(problem, config)
+    assert run.status == status == "converged"
+    assert [_fields(r) for r in run.records] == [_fields(r) for r in records]
+    for got, want in ((run.state.x, state.x), (run.state.v, state.v),
+                      (run.state.lam, state.lam)):
+        assert np.array_equal(got, want)
