@@ -16,13 +16,11 @@ from .model import (
     kkt_residual,
     load_problem,
     operator_norm_estimate,
-    prox_over_set,
     save_problem,
     solve_reference_saddle,
 )
 from .oracles import (
     L1Prox,
-    LeastSquaresObjective,
     LogisticObjective,
     ProxFunction,
     QuadraticObjective,
@@ -35,7 +33,6 @@ from .oracles import (
 from .schedule import ScalingState, StepRule, advance_scaling, step_size, theta_upper_bound
 from .sets import Box, HalfSpace, RealSpace
 from .solvers import (
-    InnerConfig,
     IterateState,
     IterationRecord,
     SolverConfig,
@@ -51,11 +48,9 @@ from .solvers import (
 __all__ = [
     "Box",
     "HalfSpace",
-    "InnerConfig",
     "IterateState",
     "IterationRecord",
     "L1Prox",
-    "LeastSquaresObjective",
     "LogisticObjective",
     "MatrixConstraint",
     "NoReferenceError",
@@ -79,7 +74,6 @@ __all__ = [
     "kkt_residual",
     "load_problem",
     "operator_norm_estimate",
-    "prox_over_set",
     "residual_metrics",
     "run_solver",
     "save_problem",

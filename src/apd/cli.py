@@ -152,7 +152,7 @@ def _cmd_audit(args):
     rule = None
     if args.scheme:
         rule = StepRule(args.scheme, norm_a=args.norm_a, lip_beta=args.l_beta,
-                        mu_beta=args.mu_beta, alpha=args.alpha)
+                        alpha=args.alpha)
     report = audit_records(rows, rule, args.gamma0 if rule else None, args.mu_beta)
     print(f"audit: checked={report.checked} "
           f"contraction_violations={report.contraction_violations} "

@@ -13,6 +13,10 @@ import scipy.sparse as sp
 from .inner import InnerSolveError, augmented_consensus_solve
 from .model import operator_norm_estimate
 
+# the momentum solve's tolerance floor and iteration cap
+_INNER_TOL_FLOOR = 1e-12
+_INNER_I_MAX = 100000
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -347,7 +351,7 @@ class ApdDdoState:
     inner_iters: int = 0
 
 
-def apd_ddo_step(state, problem, inner_tol_floor=1e-12, i_max=100000):
+def apd_ddo_step(state, problem):
     """One step of the primal-dual scheme specialized to consensus problems.
 
     The multiplier is eliminated through the conserved relation against the
@@ -366,10 +370,10 @@ def apd_ddo_step(state, problem, inner_tol_floor=1e-12, i_max=100000):
     eps_k = tau * state.theta / alpha ** 2
     ax = problem.consensus_apply(state.x)
     s = eps_k * z - ax / alpha
-    tol = max(float(np.linalg.norm(ax)) / 10.0, inner_tol_floor)
+    tol = max(float(np.linalg.norm(ax)) / 10.0, _INNER_TOL_FLOOR)
     tol = min(tol, 0.5)
     v_next, iters, converged = augmented_consensus_solve(
-        problem.laplacian, eps_k, s, method="pcg_jacobi", tol=tol, i_max=i_max,
+        problem.laplacian, eps_k, s, method="pcg_jacobi", tol=tol, i_max=_INNER_I_MAX,
         warm=state.v)
     if not converged:
         # near the floating-point floor the solver can stall a hair above a
@@ -473,8 +477,7 @@ class DdoRun:
     f_ref: float
 
 
-def run_ddo(problem, algo, max_iter, stop_tol=0.0, gamma0=None, f_ref=None,
-            timing=False, seed=0):
+def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     """Run one decentralized algorithm and record per-iteration diagnostics.
 
     ``algo`` is one of ``apd``, ``extra``, ``aqp``; the quadratic-penalty
@@ -486,16 +489,26 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, gamma0=None, f_ref=None,
     n, m = problem.n_nodes, problem.block_size
     x0 = np.zeros((n, m))
     mixing = mixing_matrix(problem.graph) if algo in ("extra", "aqp") else None
+    # each step returns the next state and its inner iterations
     if algo == "apd":
-        state = ApdDdoState(x=x0, v=x0.copy(), theta=1.0,
-                            gamma=gamma0 if gamma0 else problem.lip)
+        state = ApdDdoState(x=x0, v=x0.copy(), theta=1.0, gamma=problem.lip)
+
+        def step(state):
+            state = apd_ddo_step(state, problem)
+            return state, state.inner_iters
     elif algo == "extra":
         state = ExtraState(x=x0)
         alpha = extra_step_size(problem, mixing, strongly_convex=problem.mu > 0)
+
+        def step(state):
+            return extra_step(state, problem, mixing, alpha), 0
     elif algo == "aqp":
         state = AqpState(x=x0, x_prev=x0.copy())
         penalty = aqp_penalty_operator(mixing)
         variant = "strongly_convex" if problem.mu > 0 else "convex"
+
+        def step(state):
+            return aqp_step(state, problem, penalty, variant), 0
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
 
@@ -508,19 +521,11 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, gamma0=None, f_ref=None,
     status = "max_iter"
     for k in range(max_iter):
         started = time.perf_counter_ns() if timing else 0
-        if algo == "apd":
-            try:
-                state = apd_ddo_step(state, problem)
-            except InnerSolveError:
-                status = "inner_limit"  # inner solves hit the precision floor
-                break
-            inner = state.inner_iters
-        elif algo == "extra":
-            state = extra_step(state, problem, mixing, alpha)
-            inner = 0
-        else:
-            state = aqp_step(state, problem, penalty, variant)
-            inner = 0
+        try:
+            state, inner = step(state)
+        except InnerSolveError:
+            status = "inner_limit"  # apd's inner solves hit the precision floor
+            break
         wall = time.perf_counter_ns() - started if timing else 0
         records.append(snapshot(k + 1, inner, wall))
         rec = records[-1]

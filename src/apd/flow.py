@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import evaluate_augmented_lagrangian
+from .model import PointValues, lyapunov_value
 
 
 class FlowDivergenceError(RuntimeError):
@@ -87,15 +87,10 @@ def integrate_flow(state0, problem, h, horizon):
     return trajectory
 
 
-def continuous_lyapunov(state, problem, saddle):
-    """Lyapunov value combining the primal-dual gap with scaled distances."""
-    beta = problem.effective_beta
-    gap = (evaluate_augmented_lagrangian(problem, state.x, saddle.lambda_star, beta)
-           - evaluate_augmented_lagrangian(problem, saddle.x_star, state.lam, beta))
-    dv = state.v - saddle.x_star
-    dlam = state.lam - saddle.lambda_star
-    return (gap + 0.5 * state.gamma * float(dv @ dv)
-            + 0.5 * state.theta * float(dlam @ dlam))
+def continuous_lyapunov(state, problem, saddle, at_x=None, at_star=None):
+    """:func:`~apd.model.lyapunov_value` of a flow state."""
+    return lyapunov_value(problem, saddle, state.x, state.v, state.lam, state.gamma,
+                          state.theta, at_x=at_x, at_star=at_star)
 
 
 @dataclass
@@ -108,13 +103,19 @@ class FlowRecord:
 
 
 def flow_records(trajectory, problem, saddle):
-    """Per-state diagnostics rows for a computed trajectory."""
+    """Per-state diagnostics rows for a computed trajectory.
+
+    Each state's residual ``A x - b`` is formed once and feeds both its
+    Lyapunov value and its feasibility; the values at ``x*`` are formed once.
+    """
+    at_star = PointValues(problem, saddle.x_star)
     rows = []
     for state in trajectory:
+        at_x = PointValues(problem, state.x)
         rows.append(FlowRecord(
             t=state.t,
-            E=continuous_lyapunov(state, problem, saddle),
-            feasibility=float(np.linalg.norm(problem.constraint.residual(state.x))),
+            E=continuous_lyapunov(state, problem, saddle, at_x=at_x, at_star=at_star),
+            feasibility=float(np.linalg.norm(at_x.residual)),
             theta=state.theta,
             gamma=state.gamma))
     return rows

@@ -162,11 +162,6 @@ def eval_dual_merit(ctx, lam):
             + ctx.alpha * envelope)
 
 
-def gen_jacobian_prox(g, t, u):
-    """Diagonal Clarke generalized Jacobian of ``prox_{t g}`` at ``u``."""
-    return g.prox_jacobian(t, u)
-
-
 def assemble_saddle_subproblem(ctx, lam_prev):
     """Dual and primal SPD reductions of the linear saddle subproblem.
 
@@ -232,7 +227,7 @@ def ssn_solve(ctx, lam0, nu=0.25, delta=0.5, tol=1e-10, max_newton=50,
         if rnorm <= tol:
             return SsnResult(lam, j, True, history, pcg_total)
         u = ctx.z - ctx.t * ctx.constraint.apply_adjoint(lam)
-        diag = gen_jacobian_prox(ctx.g, ctx.t, u)
+        diag = ctx.g.prox_jacobian(ctx.t, u)
         coeff = ctx.alpha * ctx.t
 
         def apply_h(d, diag=diag, coeff=coeff):

@@ -176,6 +176,25 @@ class PointValues:
         return self.fval + 0.5 * beta * float(res @ res) + float(lam @ res)
 
 
+def lyapunov_value(problem, saddle, x, v, lam, gamma, theta, beta=None, at_x=None,
+                   at_star=None):
+    """Lyapunov function of the flow and of every scheme, nonnegative at any
+    true saddle point: the gap ``L(x, lam*) - L(x*, lam)`` of the augmented
+    Lagrangian plus ``gamma/2 |v - x*|^2 + theta/2 |lam - lam*|^2``.
+
+    ``beta`` defaults to the problem's effective weight. ``at_x`` and
+    ``at_star`` may pass the :class:`PointValues` of ``x`` and
+    ``saddle.x_star`` when the caller already holds them.
+    """
+    beta = problem.effective_beta if beta is None else beta
+    at_x = PointValues(problem, x) if at_x is None else at_x
+    at_star = PointValues(problem, saddle.x_star) if at_star is None else at_star
+    gap = at_x.lagrangian(saddle.lambda_star, beta) - at_star.lagrangian(lam, beta)
+    dv = v - saddle.x_star
+    dlam = lam - saddle.lambda_star
+    return gap + 0.5 * gamma * float(dv @ dv) + 0.5 * theta * float(dlam @ dlam)
+
+
 def evaluate_augmented_lagrangian(problem, x, lam, beta):
     """Augmented Lagrangian ``f(x) + (beta/2)|Ax-b|^2 + <lam, Ax-b>``.
 
@@ -213,13 +232,6 @@ def kkt_residual(problem, x, lam, residual=None):
     else:
         stat = float(np.linalg.norm(x - problem.nonsmooth.prox(1.0, x - grad)))
     return feas, stat
-
-
-def prox_over_set(g, eta, x):
-    """Proximal map of ``g`` over its feasible set at parameter ``eta > 0``."""
-    if eta <= 0:
-        raise ValueError("prox parameter must be positive")
-    return g.prox(eta, np.asarray(x, dtype=float))
 
 
 def operator_norm_estimate(constraint, tol=1e-10, max_iter=500, seed=0):

@@ -127,22 +127,6 @@ class QuadraticObjective(SmoothOracle):
         return True
 
 
-class LeastSquaresObjective(QuadraticObjective):
-    """``h(x) = |Bx - d|^2 / 2 + ridge |x|^2 / 2`` as an explicit quadratic."""
-
-    def __init__(self, design, target, ridge=0.0):
-        design = np.asarray(design, dtype=float)
-        target = np.asarray(target, dtype=float)
-        quad = design.T @ design + ridge * np.eye(design.shape[1])
-        super().__init__(quad, linear=-design.T @ target)
-        self.design = design
-        self.target = target
-        self.offset = 0.5 * float(target @ target)
-
-    def value(self, x):
-        return super().value(x) + self.offset
-
-
 class LogisticObjective(SmoothOracle):
     """Binary logistic loss ``sum_j ln(1 + exp(-b_j <t_j, x>)) + ridge |x|^2 / 2``."""
 

@@ -53,7 +53,6 @@ class StepRule:
     variant: str
     norm_a: float = 0.0
     lip_beta: float = 0.0
-    mu_beta: float = 0.0
     alpha: float = 1.0  # free step for the implicit scheme
 
     def __post_init__(self):

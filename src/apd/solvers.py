@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,11 +16,12 @@ from .inner import (
     pcg_solve,
     ssn_solve,
 )
-from .model import NoReferenceError, PointValues, solve_reference_saddle
+from .model import NoReferenceError, PointValues, lyapunov_value, solve_reference_saddle
 from .oracles import UnsupportedOracleError, ZeroProx
 from .schedule import ScalingState, StepRule, advance_scaling, step_size
 
 _EPS_REL_MIN = 1e-13
+_MAX_NEWTON = 100  # semi-smooth Newton iterations per inner solve
 # the implicit subproblem adds A'A/theta to a dense matrix, which turns
 # exactly singular once 1/theta crosses 2^53; the other schemes only ever
 # form theta-ratios and can run the scale far further down
@@ -55,26 +56,6 @@ class IterateState:
 
 
 @dataclass
-class InnerConfig:
-    """Inner-solver tolerances: targets shrink with the decay factor.
-
-    The working tolerance is ``max(min(tol_cap, theta * tol_scale),
-    tol_floor)``; the floor exists because doubles cannot certify relative
-    residuals much below 1e-13.
-    """
-
-    tol_cap: float = 1e-10
-    tol_scale: float = 1e-6
-    tol_floor: float = 1e-12
-    warm_start: bool = True
-    max_newton: int = 100
-    pcg_i_max: int = 0  # 0 -> sized from the system dimension
-
-    def tolerance(self, theta):
-        return max(min(self.tol_cap, theta * self.tol_scale), self.tol_floor)
-
-
-@dataclass
 class SolverConfig:
     scheme: str
     gamma0: float = 1.0
@@ -82,11 +63,7 @@ class SolverConfig:
     max_iter: int = 1000
     stop_tol: float = 0.0
     alpha: float = 1.0  # free step size of the implicit scheme
-    inner: InnerConfig = field(default_factory=InnerConfig)
     reference: object = None  # SaddlePoint, or None to auto-detect
-    x0: np.ndarray = None
-    v0: np.ndarray = None
-    lam0: np.ndarray = None
     timing: bool = False
 
 
@@ -126,9 +103,10 @@ def _v_residual(state, constraint):
     return constraint.residual(state.v)
 
 
-def lambda_invariant(state, problem):
-    """The conserved quantity ``lam_k - (A x_k - b) / theta_k``."""
-    return _shifted_multiplier(state, problem)
+def _inner_tolerance(theta):
+    """Inner-solve target: shrinks with the decay factor down to a floor,
+    because doubles cannot certify relative residuals much below 1e-13."""
+    return max(min(1e-10, theta * 1e-6), 1e-12)
 
 
 def _solve_spd_absolute(system, tol_abs, i_max, d0=None):
@@ -187,7 +165,7 @@ def _prox_full_objective(problem, eta, point, beta):
 # scheme steps
 # ---------------------------------------------------------------------------
 
-def implicit_apd_step(state, problem, alpha, inner=None):
+def implicit_apd_step(state, problem, alpha):
     """Fully implicit step; runs with ``mu_beta = 0`` and ``beta = 0``.
 
     Quadratic unconstrained objectives get an exact dense subproblem solve;
@@ -196,7 +174,6 @@ def implicit_apd_step(state, problem, alpha, inner=None):
     """
     if alpha <= 0:
         raise ValueError("step size must be positive")
-    inner = inner or InnerConfig()
     sc = state.scaling
     theta_next = sc.theta / (1.0 + alpha)
     tau = sc.gamma * (1.0 + alpha)
@@ -218,9 +195,8 @@ def implicit_apd_step(state, problem, alpha, inner=None):
         r = theta_next * shifted - constraint.rhs
         ctx = DualMapContext(theta_next, 1.0, eta, y, constraint,
                              problem.nonsmooth, r=r)
-        tol = inner.tolerance(sc.theta) * (1.0 + float(np.linalg.norm(r)))
-        warm = state.lam if inner.warm_start else np.zeros_like(state.lam)
-        result = ssn_solve(ctx, warm, tol=tol, max_newton=inner.max_newton)
+        tol = _inner_tolerance(sc.theta) * (1.0 + float(np.linalg.norm(r)))
+        result = ssn_solve(ctx, state.lam, tol=tol, max_newton=_MAX_NEWTON)
         if not result.converged:
             raise InnerSolveError("implicit subproblem Newton solve failed",
                                   result.residual_norms[-1])
@@ -257,7 +233,7 @@ def semi_apd_step(state, problem, alpha):
                         advance_scaling(sc, alpha, mu_beta), v_residual=v_residual)
 
 
-def semi_apdfb_step(state, problem, alpha, inner=None):
+def semi_apdfb_step(state, problem, alpha):
     """Corrected semi-implicit forward-backward step.
 
     The coupled ``(lam, v)`` subproblem reduces to a linear SPD system when
@@ -267,7 +243,6 @@ def semi_apdfb_step(state, problem, alpha, inner=None):
     """
     if alpha <= 0:
         raise ValueError("step size must be positive")
-    inner = inner or InnerConfig()
     sc = state.scaling
     beta = problem.effective_beta
     mu_beta = problem.mu_beta
@@ -279,26 +254,23 @@ def semi_apdfb_step(state, problem, alpha, inner=None):
     z = w - t * problem.smooth_beta_gradient(y, beta)
     ctx = DualMapContext.for_step(sc.theta, alpha, t, z, constraint,
                                   problem.nonsmooth, state.lam)
-    tol = inner.tolerance(sc.theta)
+    tol = _inner_tolerance(sc.theta)
     if problem.is_smooth_unconstrained:
         dual, primal = assemble_saddle_subproblem(ctx, state.lam)
-        i_max = inner.pcg_i_max or 30 * max(dual.dim, primal.dim) + 200
+        i_max = 30 * max(dual.dim, primal.dim) + 200
         if dual.dim <= primal.dim:
-            warm = state.lam if inner.warm_start else None
-            result = _solve_spd_absolute(dual, tol * _inner_scale(dual), i_max, warm)
+            result = _solve_spd_absolute(dual, tol * _inner_scale(dual), i_max, state.lam)
             v_next = z - t * constraint.apply_adjoint(result.solution)
         else:
-            warm = state.v if inner.warm_start else None
-            result = _solve_spd_absolute(primal, tol * _inner_scale(primal), i_max, warm)
+            result = _solve_spd_absolute(primal, tol * _inner_scale(primal), i_max, state.v)
             v_next = result.solution
         if not result.converged:
             raise InnerSolveError("saddle subproblem PCG did not converge",
                                   np.sqrt(max(result.delta, 0.0)))
         inner_iters = result.iterations
     else:
-        warm = state.lam if inner.warm_start else np.zeros_like(state.lam)
         tol_abs = tol * (1.0 + float(np.linalg.norm(ctx.r)))
-        result = ssn_solve(ctx, warm, tol=tol_abs, max_newton=inner.max_newton)
+        result = ssn_solve(ctx, state.lam, tol=tol_abs, max_newton=_MAX_NEWTON)
         if not result.converged:
             raise InnerSolveError("dual Newton solve failed",
                                   result.residual_norms[-1])
@@ -340,20 +312,9 @@ def ex_apdfb_step(state, problem, alpha):
 # ---------------------------------------------------------------------------
 
 def discrete_lyapunov(state, problem, saddle, beta=None, at_x=None, at_star=None):
-    """Gap-plus-distances merit, nonnegative at any true saddle point.
-
-    ``at_x`` and ``at_star`` may pass the :class:`~apd.model.PointValues` of
-    ``state.x`` and ``saddle.x_star`` when the caller already holds them.
-    """
-    beta = problem.effective_beta if beta is None else beta
-    at_x = PointValues(problem, state.x) if at_x is None else at_x
-    at_star = PointValues(problem, saddle.x_star) if at_star is None else at_star
-    gap = (at_x.lagrangian(saddle.lambda_star, beta)
-           - at_star.lagrangian(state.lam, beta))
-    dv = state.v - saddle.x_star
-    dlam = state.lam - saddle.lambda_star
-    return (gap + 0.5 * state.scaling.gamma * float(dv @ dv)
-            + 0.5 * state.scaling.theta * float(dlam @ dlam))
+    """:func:`~apd.model.lyapunov_value` of an iterate and its scaling pair."""
+    return lyapunov_value(problem, saddle, state.x, state.v, state.lam,
+                          state.scaling.gamma, state.scaling.theta, beta, at_x, at_star)
 
 
 def residual_metrics(problem, x, lam, saddle=None, at_x=None, at_star=None):
@@ -381,42 +342,16 @@ def residual_metrics(problem, x, lam, saddle=None, at_x=None, at_star=None):
 # run loop
 # ---------------------------------------------------------------------------
 
-_STEP_NEEDS_INNER = {"implicit", "semi_apdfb"}
-
-
 def make_step_rule(problem, config):
-    if config.scheme == "implicit":
-        return StepRule("implicit", alpha=config.alpha)
-    if config.scheme == "semi_apd":
-        return StepRule("semi_apd", norm_a=problem.constraint.op_norm,
-                        mu_beta=problem.mu_beta)
-    if config.scheme == "semi_apdfb":
-        return StepRule("semi_apdfb", norm_a=problem.constraint.op_norm,
-                        lip_beta=problem.lip_beta, mu_beta=problem.mu_beta)
-    if config.scheme == "ex_apdfb":
-        return StepRule("ex_apdfb", norm_a=problem.constraint.op_norm,
-                        lip_beta=problem.lip_beta, mu_beta=problem.mu_beta)
-    raise ValueError(f"unknown scheme {config.scheme!r}")
+    """Step rule of ``config.scheme``; each rule reads only its own constants."""
+    return StepRule(config.scheme, norm_a=problem.constraint.op_norm,
+                    lip_beta=problem.lip_beta, alpha=config.alpha)
 
 
 def initial_state(problem, config):
-    n = problem.constraint.cols
-    m = problem.constraint.rows
-    x0 = problem.nonsmooth.prox(1.0, np.zeros(n)) if config.x0 is None \
-        else np.asarray(config.x0, dtype=float)
-    v0 = x0.copy() if config.v0 is None else np.asarray(config.v0, dtype=float)
-    lam0 = np.zeros(m) if config.lam0 is None else np.asarray(config.lam0, dtype=float)
-    return IterateState(x0, v0, lam0, ScalingState(1.0, config.gamma0, 0))
-
-
-def _take_step(state, problem, alpha, config):
-    if config.scheme == "implicit":
-        return implicit_apd_step(state, problem, alpha, config.inner)
-    if config.scheme == "semi_apd":
-        return semi_apd_step(state, problem, alpha)
-    if config.scheme == "semi_apdfb":
-        return semi_apdfb_step(state, problem, alpha, config.inner)
-    return ex_apdfb_step(state, problem, alpha)
+    x0 = problem.nonsmooth.prox(1.0, np.zeros(problem.constraint.cols))
+    return IterateState(x0, x0.copy(), np.zeros(problem.constraint.rows),
+                        ScalingState(1.0, config.gamma0, 0))
 
 
 def run_solver(problem, config):
@@ -434,6 +369,10 @@ def run_solver(problem, config):
 
     if config.scheme == "implicit" and problem.beta != 0.0:
         problem = dataclasses.replace(problem, beta=0.0)
+    rule = make_step_rule(problem, config)
+    # looked up per run, so a step function replaced on the module is the one called
+    take_step = {"implicit": implicit_apd_step, "semi_apd": semi_apd_step,
+                 "semi_apdfb": semi_apdfb_step, "ex_apdfb": ex_apdfb_step}[config.scheme]
     reference = config.reference
     if reference is None:
         try:
@@ -441,7 +380,6 @@ def run_solver(problem, config):
         except (NoReferenceError, UnsupportedOracleError):
             reference = None
     at_star = PointValues(problem, reference.x_star) if reference is not None else None
-    rule = make_step_rule(problem, config)
     state = initial_state(problem, config)
     records = [_record(0, 0.0, state, problem, reference,
                        PointValues(problem, state.x), at_star)]
@@ -453,7 +391,7 @@ def run_solver(problem, config):
             status = "scale_exhausted"
             break
         started = time.perf_counter_ns() if config.timing else 0
-        state = _take_step(state, problem, alpha, config)
+        state = take_step(state, problem, alpha)
         elapsed = time.perf_counter_ns() - started if config.timing else 0
         at_x = PointValues(problem, state.x)
         rec = _record(k + 1, alpha, state, problem, reference, at_x, at_star, elapsed)

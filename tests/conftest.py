@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import apd
+from apd.model import LinearConstraint
 
 
 @pytest.fixture
@@ -50,6 +51,31 @@ def planted_lasso(seed, ridge=0.0, n=40, m=10, rows=25, weight=0.2, support=12):
     feas, stat = apd.kkt_residual(problem, x_star, lam_star)
     assert feas < 1e-12 and stat < 1e-12
     return problem, saddle
+
+
+class CountingConstraint(LinearConstraint):
+    """Forwards to a constraint and counts ``A`` and ``A'`` applications."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rows, self.cols = inner.rows, inner.cols
+        self.op_norm, self.sigma_min = inner.op_norm, inner.sigma_min
+        self.applies = self.adjoints = 0
+
+    @property
+    def rhs(self):
+        return self.inner.rhs
+
+    def apply(self, x):
+        self.applies += 1
+        return self.inner.apply(x)
+
+    def apply_adjoint(self, lam):
+        self.adjoints += 1
+        return self.inner.apply_adjoint(lam)
+
+    def matrix(self):
+        return self.inner.matrix()
 
 
 def contraction_violations(records, slack=1e-9):

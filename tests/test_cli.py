@@ -97,3 +97,19 @@ def test_audit_passes_a_solver_csv(tmp_path, capsys):
     assert capsys.readouterr().out == ("audit: checked=20 contraction_violations=0 "
                                        "theta_bound_violations=0\n")
     assert code == 0
+
+
+def test_audit_checks_the_semi_apd_theta_bound(tmp_path, capsys):
+    problem = write_problem(tmp_path / "qp.txt", "quadratic")
+    loaded = apd.load_problem(problem)
+    assert loaded.mu_beta > 0  # gamma moves, so the bound uses gamma_min < gamma0
+    csv = tmp_path / "solve.csv"
+    assert main(["solve", "--problem", problem, "--scheme", "semi_apd",
+                 "--max-iter", "40", "--csv", str(csv)]) == 0
+    capsys.readouterr()
+    code = main(["audit", "--csv", str(csv), "--scheme", "semi_apd",
+                 "--norm-a", repr(loaded.constraint.op_norm),
+                 "--mu-beta", repr(loaded.mu_beta)])
+    assert capsys.readouterr().out == ("audit: checked=40 contraction_violations=0 "
+                                       "theta_bound_violations=0\n")
+    assert code == 0

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import CountingConstraint
 
 import apd
 from apd.flow import (
     FlowDivergenceError,
     FlowState,
     continuous_lyapunov,
+    flow_records,
     flow_rhs,
     integrate_flow,
 )
@@ -109,3 +113,13 @@ def test_divergence_reports_last_finite_state():
     with pytest.raises(FlowDivergenceError) as info:
         integrate_flow(start, p, 0.01, 10.0)
     assert np.all(np.isfinite(info.value.last_state.x))
+
+
+def test_flow_records_apply_the_constraint_once_per_state(qp1, qp1_saddle):
+    trajectory = integrate_flow(zeros_state(), qp1, 0.01, 0.1)
+    counting = dataclasses.replace(qp1, constraint=CountingConstraint(qp1.constraint))
+    rows = flow_records(trajectory, counting, qp1_saddle)
+    assert len(rows) == len(trajectory) == 11
+    # A x - b once per state for E and feasibility, A x* - b once per trajectory
+    assert counting.constraint.applies == len(trajectory) + 1
+    assert rows == flow_records(trajectory, qp1, qp1_saddle)

@@ -16,7 +16,6 @@ from apd.inner import (
     augmented_consensus_solve,
     eval_dual_map,
     eval_dual_merit,
-    gen_jacobian_prox,
     pcg_solve,
     plain_iteration_solve,
     ssn_solve,
@@ -208,12 +207,12 @@ def test_merit_strong_convexity_at_solution():
 
 def test_gen_jacobian_examples():
     np.testing.assert_allclose(
-        gen_jacobian_prox(L1Prox(1.0), 1.0, np.array([2.0, 0.5, -3.0])),
+        L1Prox(1.0).prox_jacobian(1.0, np.array([2.0, 0.5, -3.0])),
         [1.0, 0.0, 1.0])
-    np.testing.assert_allclose(gen_jacobian_prox(ZeroProx(), 1.0, np.zeros(3)),
+    np.testing.assert_allclose(ZeroProx().prox_jacobian(1.0, np.zeros(3)),
                                np.ones(3))
     np.testing.assert_allclose(
-        gen_jacobian_prox(L1Prox(1.0), 1.0, np.array([1.0])), [0.0])
+        L1Prox(1.0).prox_jacobian(1.0, np.array([1.0])), [0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_realized_theta_below_bound():
                             ("ex_apdfb", {"norm_a": 1.3, "lip_beta": 2.0})]:
         for mu_beta in (0.0, 0.4):
             gamma0 = rng.uniform(0.5, 2.0)
-            rule = StepRule(variant, mu_beta=mu_beta, **kwargs)
+            rule = StepRule(variant, **kwargs)
             state = ScalingState(1.0, gamma0, 0)
             gmin, gmax = min(gamma0, mu_beta), max(gamma0, mu_beta)
             for _ in range(300):
@@ -77,7 +77,7 @@ def test_realized_theta_below_bound():
 
 def test_gamma_theta_coupling():
     # gamma_k >= gamma0 * theta_k always; equality when mu_beta = 0
-    rule = StepRule("semi_apd", norm_a=1.0, mu_beta=0.3)
+    rule = StepRule("semi_apd", norm_a=1.0)
     state = ScalingState(1.0, 2.0, 0)
     for _ in range(200):
         state = advance_scaling(state, step_size(rule, state), 0.3)

@@ -1,25 +1,20 @@
 import numpy as np
 import pytest
 
-from apd import Box, HalfSpace, L1Prox, QuadraticProx, RealSpace, ZeroProx, prox_over_set
+from apd import Box, HalfSpace, L1Prox, QuadraticProx, RealSpace, ZeroProx
 from apd.oracles import UnsupportedOracleError
 
 
 def test_soft_threshold_examples():
     g = L1Prox(1.0)
-    assert prox_over_set(g, 1.0, np.array([2.0])) == pytest.approx(1.0)
-    assert prox_over_set(g, 1.0, np.array([0.5])) == pytest.approx(0.0)
+    assert g.prox(1.0, np.array([2.0])) == pytest.approx(1.0)
+    assert g.prox(1.0, np.array([0.5])) == pytest.approx(0.0)
 
 
 def test_box_projection_example():
     g = ZeroProx(Box(np.zeros(3), np.ones(3)))
-    out = prox_over_set(g, 0.3, np.array([-1.0, 0.4, 7.0]))
+    out = g.prox(0.3, np.array([-1.0, 0.4, 7.0]))
     np.testing.assert_allclose(out, [0.0, 0.4, 1.0])
-
-
-def test_prox_requires_positive_parameter():
-    with pytest.raises(ValueError):
-        prox_over_set(L1Prox(1.0), 0.0, np.zeros(2))
 
 
 def test_halfspace_projection():

@@ -2,12 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import contraction_violations, planted_lasso
+from conftest import CountingConstraint, contraction_violations, planted_lasso
 
 import apd
 from apd.inner import InnerSolveError, SpdSystem
-from apd.model import LinearConstraint
-from apd.schedule import ScalingState
+from apd.schedule import SCHEMES, ScalingState
 from apd.solvers import (
     IterateState,
     IterationRecord,
@@ -18,7 +17,6 @@ from apd.solvers import (
     ex_apdfb_step,
     implicit_apd_step,
     initial_state,
-    lambda_invariant,
     make_step_rule,
     residual_metrics,
     run_solver,
@@ -46,7 +44,8 @@ def test_implicit_step_example(qp1):
     np.testing.assert_allclose(out.x, np.full(2, 1 / 7), atol=1e-14)
     np.testing.assert_allclose(out.v, np.full(2, 2 / 7), atol=1e-14)
     np.testing.assert_allclose(out.lam, [-3 / 7], atol=1e-14)
-    np.testing.assert_allclose(lambda_invariant(out, qp1), [1.0], atol=1e-13)
+    invariant = out.lam - qp1.constraint.residual(out.x) / out.scaling.theta
+    np.testing.assert_allclose(invariant, [1.0], atol=1e-13)
 
 
 def test_implicit_fixed_point(qp1, qp1_saddle):
@@ -287,8 +286,20 @@ def test_run_lambda_invariant_held(qp1):
         problem = qp1
         run = run_solver(problem, cfg)
         state = run.state
-        inv = lambda_invariant(state, problem)
+        inv = state.lam - problem.constraint.residual(state.x) / state.scaling.theta
         np.testing.assert_allclose(inv, [1.0], rtol=1e-9)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_solver_has_a_step_for_every_listed_scheme(scheme, qp1):
+    run = run_solver(qp1, SolverConfig(scheme=scheme, max_iter=5))
+    assert run.status == "max_iter"
+    assert [rec.k for rec in run.records] == list(range(6))
+
+
+def test_run_solver_names_an_unknown_scheme(qp1):
+    with pytest.raises(ValueError, match="'newton'"):
+        run_solver(qp1, SolverConfig(scheme="newton"))
 
 
 def test_run_zero_iterations(qp1):
@@ -367,31 +378,6 @@ def test_inner_pcg_names_a_non_finite_start_residual():
 # one residual per iterate: operation counts and bit-identity of the run loop
 # ---------------------------------------------------------------------------
 
-class CountingConstraint(LinearConstraint):
-    """Forwards to a constraint and counts ``A`` and ``A'`` applications."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.rows, self.cols = inner.rows, inner.cols
-        self.op_norm, self.sigma_min = inner.op_norm, inner.sigma_min
-        self.applies = self.adjoints = 0
-
-    @property
-    def rhs(self):
-        return self.inner.rhs
-
-    def apply(self, x):
-        self.applies += 1
-        return self.inner.apply(x)
-
-    def apply_adjoint(self, lam):
-        self.adjoints += 1
-        return self.inner.apply_adjoint(lam)
-
-    def matrix(self):
-        return self.inner.matrix()
-
-
 class CountingQuadratic(apd.QuadraticObjective):
     grads = 0
 
@@ -446,9 +432,9 @@ def loop_by_hand(problem, config):
     carried residual, and the diagnostics and the KKT residual are formed
     from scratch on every iteration."""
     steps = {
-        "implicit": lambda s, a: implicit_apd_step(s, problem, a, config.inner),
+        "implicit": lambda s, a: implicit_apd_step(s, problem, a),
         "semi_apd": lambda s, a: semi_apd_step(s, problem, a),
-        "semi_apdfb": lambda s, a: semi_apdfb_step(s, problem, a, config.inner),
+        "semi_apdfb": lambda s, a: semi_apdfb_step(s, problem, a),
         "ex_apdfb": lambda s, a: ex_apdfb_step(s, problem, a),
     }
     reference = config.reference
