@@ -176,17 +176,16 @@ class PointValues:
         return self.fval + 0.5 * beta * float(res @ res) + float(lam @ res)
 
 
-def lyapunov_value(problem, saddle, x, v, lam, gamma, theta, beta=None, at_x=None,
-                   at_star=None):
+def lyapunov_value(problem, saddle, x, v, lam, gamma, theta, at_x=None, at_star=None):
     """Lyapunov function of the flow and of every scheme, nonnegative at any
     true saddle point: the gap ``L(x, lam*) - L(x*, lam)`` of the augmented
     Lagrangian plus ``gamma/2 |v - x*|^2 + theta/2 |lam - lam*|^2``.
 
-    ``beta`` defaults to the problem's effective weight. ``at_x`` and
+    The augmentation weight is the problem's effective one. ``at_x`` and
     ``at_star`` may pass the :class:`PointValues` of ``x`` and
     ``saddle.x_star`` when the caller already holds them.
     """
-    beta = problem.effective_beta if beta is None else beta
+    beta = problem.effective_beta
     at_x = PointValues(problem, x) if at_x is None else at_x
     at_star = PointValues(problem, saddle.x_star) if at_star is None else at_star
     gap = at_x.lagrangian(saddle.lambda_star, beta) - at_star.lagrangian(lam, beta)

@@ -311,10 +311,10 @@ def ex_apdfb_step(state, problem, alpha):
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def discrete_lyapunov(state, problem, saddle, beta=None, at_x=None, at_star=None):
+def discrete_lyapunov(state, problem, saddle, at_x=None, at_star=None):
     """:func:`~apd.model.lyapunov_value` of an iterate and its scaling pair."""
     return lyapunov_value(problem, saddle, state.x, state.v, state.lam,
-                          state.scaling.gamma, state.scaling.theta, beta, at_x, at_star)
+                          state.scaling.gamma, state.scaling.theta, at_x, at_star)
 
 
 def residual_metrics(problem, x, lam, saddle=None, at_x=None, at_star=None):
