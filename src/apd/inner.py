@@ -162,39 +162,6 @@ def eval_dual_merit(ctx, lam):
             + ctx.alpha * envelope)
 
 
-def assemble_saddle_subproblem(ctx, lam_prev):
-    """Dual and primal SPD reductions of the linear saddle subproblem.
-
-    Valid when ``g = 0`` over the whole space; the caller picks the smaller
-    system. Both carry Jacobi preconditioners built from the dense constraint.
-    """
-    amat = ctx.constraint.matrix()
-    m, n = amat.shape
-    lam_prev = np.asarray(lam_prev, dtype=float)
-    coeff = ctx.alpha * ctx.t
-
-    dual_rhs = ctx.theta * lam_prev + ctx.alpha * (
-        ctx.constraint.apply(ctx.z) - ctx.constraint.rhs)
-    dual_diag = ctx.theta + coeff * np.sum(amat * amat, axis=1)
-    dual = SpdSystem(
-        apply=lambda lam: ctx.theta * lam + coeff * (amat @ (amat.T @ lam)),
-        rhs=dual_rhs,
-        apply_minv=jacobi_preconditioner(dual_diag),
-        dim=m,
-    )
-
-    primal_rhs = ctx.theta * ctx.z - ctx.t * ctx.constraint.apply_adjoint(
-        ctx.theta * lam_prev - ctx.alpha * ctx.constraint.rhs)
-    primal_diag = ctx.theta + coeff * np.sum(amat * amat, axis=0)
-    primal = SpdSystem(
-        apply=lambda v: ctx.theta * v + coeff * (amat.T @ (amat @ v)),
-        rhs=primal_rhs,
-        apply_minv=jacobi_preconditioner(primal_diag),
-        dim=n,
-    )
-    return dual, primal
-
-
 @dataclass
 class SsnResult:
     lam: np.ndarray

@@ -62,6 +62,24 @@ class LinearConstraint:
         """Dense matrix when available; raises otherwise."""
         raise UnsupportedOracleError(f"{type(self).__name__} has no dense form")
 
+    @cached_property
+    def gram_factor(self):
+        """Eigenpairs ``(s, U)`` of the smaller Gram matrix ``G = U diag(s) U'``:
+        ``A A'`` when ``rows <= cols``, else ``A'A``.
+
+        ``A`` never changes, so this is computed from :meth:`matrix` on first
+        use and kept; matrix-free constraints raise as :meth:`matrix` does.
+        """
+        amat = self.matrix()
+        s, u = np.linalg.eigh(amat @ amat.T if self.rows <= self.cols else amat.T @ amat)
+        return np.maximum(s, 0.0), u  # a Gram matrix has no negative eigenvalue
+
+    def solve_shifted_gram(self, shift, scale, rhs):
+        """``(shift I + scale G)^{-1} rhs`` for the Gram matrix ``G`` of
+        :attr:`gram_factor`: two matvecs with its eigenvectors."""
+        s, u = self.gram_factor
+        return u @ ((u.T @ rhs) / (shift + scale * s))
+
 
 class MatrixConstraint(LinearConstraint):
     def __init__(self, matrix, rhs, sigma_min=0.0, op_norm=None):

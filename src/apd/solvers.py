@@ -7,24 +7,19 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
-from .inner import (
-    DualMapContext,
-    InnerSolveError,
-    PcgResult,
-    assemble_saddle_subproblem,
-    pcg_solve,
-    ssn_solve,
-)
+# pcg_solve is unused here but stays bound: tracers wrap it by module attribute
+from .inner import DualMapContext, InnerSolveError, pcg_solve, ssn_solve  # noqa: F401
 from .model import NoReferenceError, PointValues, lyapunov_value, solve_reference_saddle
 from .oracles import UnsupportedOracleError, ZeroProx
 from .schedule import ScalingState, StepRule, advance_scaling, step_size
 
-_EPS_REL_MIN = 1e-13
 _MAX_NEWTON = 100  # semi-smooth Newton iterations per inner solve
-# the implicit subproblem adds A'A/theta to a dense matrix, which turns
-# exactly singular once 1/theta crosses 2^53; the other schemes only ever
-# form theta-ratios and can run the scale far further down
+# the implicit multiplier is the shifted one plus (A x' - b)/theta', so its
+# rounding error grows like 1/theta': about 3e-12/theta' on a dense 100x400 QP,
+# whose run aborts on a negative Lagrangian gap near theta' = 6e-17 without
+# this floor, while x stays accurate; the other schemes run to the default
 _THETA_RUN_FLOOR = {"implicit": 1e-13}
 _THETA_RUN_FLOOR_DEFAULT = 1e-140
 
@@ -109,23 +104,12 @@ def _inner_tolerance(theta):
     return max(min(1e-10, theta * 1e-6), 1e-12)
 
 
-def _solve_spd_absolute(system, tol_abs, i_max, d0=None):
-    """PCG driven to an absolute preconditioned-residual target."""
-    start = np.zeros(system.dim) if d0 is None else np.asarray(d0, dtype=float)
-    r = system.rhs - system.apply(start)
-    delta0 = float(r @ system.apply_minv(r))
-    if not np.isfinite(delta0):
-        raise InnerSolveError(f"PCG start residual is not finite (delta={delta0})",
-                              float(np.sqrt(abs(delta0))))
-    if np.sqrt(max(delta0, 0.0)) <= tol_abs:
-        return PcgResult(start.copy(), 0, True, delta0, delta0)
-    eps = min(max(tol_abs / np.sqrt(delta0), _EPS_REL_MIN), 0.9)
-    return pcg_solve(system, eps, i_max, d0=start)
-
-
-def _inner_scale(system):
-    r = system.apply_minv(system.rhs)
-    return 1.0 + float(np.sqrt(max(system.rhs @ r, 0.0)))
+def _finite(rhs, what):
+    """``rhs`` itself; an exact solve must not carry a NaN or inf into the run."""
+    if not np.all(np.isfinite(rhs)):
+        raise InnerSolveError(f"{what} right side is not finite",
+                              float(np.linalg.norm(rhs)))
+    return rhs
 
 
 def _prox_full_objective(problem, eta, point, beta):
@@ -168,9 +152,12 @@ def _prox_full_objective(problem, eta, point, beta):
 def implicit_apd_step(state, problem, alpha):
     """Fully implicit step; runs with ``mu_beta = 0`` and ``beta = 0``.
 
-    Quadratic unconstrained objectives get an exact dense subproblem solve;
-    pure prox objectives go through the dual nonlinear equation and
-    semi-smooth Newton.
+    Quadratic unconstrained objectives get an exact range-space solve: with
+    ``D = Q + I/eta`` and ``g = y/eta - c - A' shifted``, an m-by-m Cholesky
+    solves ``(A D^-1 A' + theta' I) mu = A D^-1 g - b`` and
+    ``x' = D^-1 (g - A' mu)``. ``D^-1`` is elementwise for a diagonal ``Q``
+    and a Cholesky solve for a dense one. Pure prox objectives go through the
+    dual nonlinear equation and semi-smooth Newton.
     """
     if alpha <= 0:
         raise ValueError("step size must be positive")
@@ -183,14 +170,19 @@ def implicit_apd_step(state, problem, alpha):
     constraint = problem.constraint
     inner_iters = 0
     if problem.smooth.is_quadratic and problem.is_smooth_unconstrained:
-        amat = constraint.matrix()
-        n = amat.shape[1]
-        w = y - eta * constraint.apply_adjoint(shifted)
-        h = (problem.smooth.hessian_matrix() + (amat.T @ amat) / theta_next
-             + np.eye(n) / eta)
-        rhs = (-problem.smooth.linear_term()
-               + constraint.apply_adjoint(constraint.rhs) / theta_next + w / eta)
-        x_next = np.linalg.solve(h, rhs)
+        smooth, amat = problem.smooth, constraint.matrix()
+        g = y / eta - smooth.linear_term() - constraint.apply_adjoint(shifted)
+        stacked = np.column_stack([amat.T, g])
+        diagonal = getattr(smooth, "diag", None)
+        if diagonal is not None:
+            dinv = stacked / (diagonal + 1.0 / eta)[:, None]
+        else:
+            dinv = cho_solve(cho_factor(smooth.hessian_matrix()
+                                        + np.eye(constraint.cols) / eta), stacked)
+        dinv_at, dinv_g = dinv[:, :-1], dinv[:, -1]
+        rhs = _finite(constraint.apply(dinv_g) - constraint.rhs, "implicit subproblem")
+        schur = amat @ dinv_at + theta_next * np.eye(constraint.rows)
+        x_next = dinv_g - dinv_at @ cho_solve(cho_factor(schur), rhs)
     elif problem.smooth.is_zero:
         r = theta_next * shifted - constraint.rhs
         ctx = DualMapContext(theta_next, 1.0, eta, y, constraint,
@@ -236,10 +228,13 @@ def semi_apd_step(state, problem, alpha):
 def semi_apdfb_step(state, problem, alpha):
     """Corrected semi-implicit forward-backward step.
 
-    The coupled ``(lam, v)`` subproblem reduces to a linear SPD system when
-    the nonsmooth part vanishes over the whole space (solved by PCG on the
-    smaller of the dual/primal reductions) and otherwise to the dual
-    nonlinear equation (solved by semi-smooth Newton).
+    When the nonsmooth part vanishes over the whole space, the coupled
+    ``(lam, v)`` subproblem reduces to the dual system
+    ``(theta I + alpha t A A') lam = theta lam_prev + alpha (A z - b)`` or,
+    when ``A`` has more rows than columns, to the primal one
+    ``(theta I + alpha t A'A) v = theta z - t A'(theta lam_prev - alpha b)``;
+    either is solved exactly through the constraint's Gram factor. Otherwise
+    it reduces to the dual nonlinear equation (solved by semi-smooth Newton).
     """
     if alpha <= 0:
         raise ValueError("step size must be positive")
@@ -252,24 +247,22 @@ def semi_apdfb_step(state, problem, alpha):
     w = (sc.gamma * state.v + mu_beta * alpha * y) / tau
     t = alpha / tau
     z = w - t * problem.smooth_beta_gradient(y, beta)
-    ctx = DualMapContext.for_step(sc.theta, alpha, t, z, constraint,
-                                  problem.nonsmooth, state.lam)
-    tol = _inner_tolerance(sc.theta)
+    inner_iters = 0
     if problem.is_smooth_unconstrained:
-        dual, primal = assemble_saddle_subproblem(ctx, state.lam)
-        i_max = 30 * max(dual.dim, primal.dim) + 200
-        if dual.dim <= primal.dim:
-            result = _solve_spd_absolute(dual, tol * _inner_scale(dual), i_max, state.lam)
-            v_next = z - t * constraint.apply_adjoint(result.solution)
+        if constraint.rows <= constraint.cols:
+            rhs = sc.theta * state.lam + alpha * constraint.residual(z)
+            lam = constraint.solve_shifted_gram(
+                sc.theta, alpha * t, _finite(rhs, "saddle subproblem"))
+            v_next = z - t * constraint.apply_adjoint(lam)
         else:
-            result = _solve_spd_absolute(primal, tol * _inner_scale(primal), i_max, state.v)
-            v_next = result.solution
-        if not result.converged:
-            raise InnerSolveError("saddle subproblem PCG did not converge",
-                                  np.sqrt(max(result.delta, 0.0)))
-        inner_iters = result.iterations
+            rhs = sc.theta * z - t * constraint.apply_adjoint(
+                sc.theta * state.lam - alpha * constraint.rhs)
+            v_next = constraint.solve_shifted_gram(
+                sc.theta, alpha * t, _finite(rhs, "saddle subproblem"))
     else:
-        tol_abs = tol * (1.0 + float(np.linalg.norm(ctx.r)))
+        ctx = DualMapContext.for_step(sc.theta, alpha, t, z, constraint,
+                                      problem.nonsmooth, state.lam)
+        tol_abs = _inner_tolerance(sc.theta) * (1.0 + float(np.linalg.norm(ctx.r)))
         result = ssn_solve(ctx, state.lam, tol=tol_abs, max_newton=_MAX_NEWTON)
         if not result.converged:
             raise InnerSolveError("dual Newton solve failed",

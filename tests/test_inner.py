@@ -12,7 +12,6 @@ from apd.inner import (
     InnerSolveError,
     SpdSystem,
     _bordered_matrix,
-    assemble_saddle_subproblem,
     augmented_consensus_solve,
     eval_dual_map,
     eval_dual_merit,
@@ -21,6 +20,7 @@ from apd.inner import (
     ssn_solve,
     stationary_iteration_step,
 )
+from apd.model import LinearConstraint
 from apd.oracles import L1Prox, UnsupportedOracleError, ZeroProx
 
 
@@ -88,38 +88,54 @@ def _context(theta=1.0, alpha=1.0, t=1.0, z=(1.0, 1.0), lam=(0.0,)):
                                    ZeroProx(), np.array(lam))
 
 
-def test_assemble_saddle_example():
-    ctx = _context()
-    dual, primal = assemble_saddle_subproblem(ctx, np.zeros(1))
-    np.testing.assert_allclose(dual.apply(np.array([1.0])), [3.0])  # theta + a t AA'
-    np.testing.assert_allclose(dual.rhs, [1.0])                     # alpha (A z - b)
-    assert dual.dim == 1 and primal.dim == 2
+def test_shifted_gram_solve_example():
+    constraint = apd.MatrixConstraint([[1.0, 1.0]], [1.0])
+    s, u = constraint.gram_factor
+    np.testing.assert_allclose(s, [2.0])  # AA' = 2: the dual side is the smaller
+    assert u.shape == (1, 1)
+    # (theta + alpha t AA') lam = alpha (A z - b) at theta = alpha = t = 1, z = (1, 1)
+    np.testing.assert_allclose(constraint.solve_shifted_gram(1.0, 1.0, [1.0]), [1 / 3])
 
 
 def test_dual_primal_reductions_consistent():
-    rng = np.random.default_rng(5)
-    amat = rng.standard_normal((3, 6))
-    constraint = apd.MatrixConstraint(amat, rng.standard_normal(3))
-    lam_prev = rng.standard_normal(3)
-    ctx = DualMapContext.for_step(0.42, 0.8, 0.31, rng.standard_normal(6),
-                                  constraint, ZeroProx(), lam_prev)
-    dual, primal = assemble_saddle_subproblem(ctx, lam_prev)
-    lam_sol = pcg_solve(dual, 1e-13, 200).solution
-    v_from_dual = ctx.z - ctx.t * constraint.apply_adjoint(lam_sol)
-    v_sol = pcg_solve(primal, 1e-13, 200).solution
-    lam_from_primal = lam_prev + (ctx.alpha / ctx.theta) * (
-        constraint.apply(v_sol) - constraint.rhs)
-    np.testing.assert_allclose(v_from_dual, v_sol, atol=1e-9)
-    np.testing.assert_allclose(lam_sol, lam_from_primal, atol=1e-9)
+    # the 3x6 constraint factors AA' (dual side), the 6x3 one A'A (primal side);
+    # each is checked against a dense solve of the other reduction
+    theta, alpha, t = 0.42, 0.8, 0.31
+    for m, n in ((3, 6), (6, 3)):
+        rng = np.random.default_rng(5)
+        amat = rng.standard_normal((m, n))
+        constraint = apd.MatrixConstraint(amat, rng.standard_normal(m))
+        lam_prev, z = rng.standard_normal(m), rng.standard_normal(n)
+        dual_rhs = theta * lam_prev + alpha * constraint.residual(z)
+        primal_rhs = theta * z - t * amat.T @ (theta * lam_prev - alpha * constraint.rhs)
+        dual = theta * np.eye(m) + alpha * t * amat @ amat.T
+        primal = theta * np.eye(n) + alpha * t * amat.T @ amat
+        if m <= n:
+            lam = constraint.solve_shifted_gram(theta, alpha * t, dual_rhs)
+            v = np.linalg.solve(primal, primal_rhs)
+        else:
+            lam = np.linalg.solve(dual, dual_rhs)
+            v = constraint.solve_shifted_gram(theta, alpha * t, primal_rhs)
+        np.testing.assert_allclose(z - t * amat.T @ lam, v, atol=1e-9)
+        np.testing.assert_allclose(
+            lam, lam_prev + (alpha / theta) * constraint.residual(v), atol=1e-9)
 
 
-def test_assemble_saddle_zero_operator_decouples():
-    constraint = apd.MatrixConstraint(np.zeros((2, 3)), np.zeros(2), op_norm=0.0)
-    ctx = DualMapContext.for_step(0.6, 1.0, 1.0, np.ones(3), constraint,
-                                  ZeroProx(), np.zeros(2))
-    dual, primal = assemble_saddle_subproblem(ctx, np.zeros(2))
-    np.testing.assert_allclose(dual.apply(np.ones(2)), 0.6 * np.ones(2))
-    np.testing.assert_allclose(primal.apply(np.ones(3)), 0.6 * np.ones(3))
+def test_shifted_gram_solve_zero_operator_decouples():
+    for shape in ((2, 3), (3, 2)):
+        constraint = apd.MatrixConstraint(np.zeros(shape), np.zeros(shape[0]), op_norm=0.0)
+        side = min(shape)
+        np.testing.assert_allclose(constraint.gram_factor[0], np.zeros(side))
+        np.testing.assert_allclose(constraint.solve_shifted_gram(0.6, 1.0, np.ones(side)),
+                                   np.ones(side) / 0.6)
+
+
+def test_gram_factor_of_a_matrix_free_constraint_raises():
+    class MatrixFree(LinearConstraint):
+        rows, cols = 1, 2
+
+    with pytest.raises(UnsupportedOracleError, match="no dense form"):
+        MatrixFree().gram_factor
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,14 @@ import pytest
 from conftest import CountingConstraint, contraction_violations, planted_lasso
 
 import apd
-from apd.inner import InnerSolveError, SpdSystem
+from apd.harness import audit_records
+from apd.inner import InnerSolveError
 from apd.schedule import SCHEMES, ScalingState
 from apd.solvers import (
     IterateState,
     IterationRecord,
     SaddleReferenceError,
     SolverConfig,
-    _solve_spd_absolute,
     discrete_lyapunov,
     ex_apdfb_step,
     implicit_apd_step,
@@ -80,6 +80,57 @@ def test_implicit_dual_route_matches_dense_on_projection_problem():
                    bounds=[(-0.2, 2.0)] * 3, method="L-BFGS-B",
                    options={"ftol": 1e-15, "gtol": 1e-12})
     np.testing.assert_allclose(out.x, ref.x, atol=1e-6)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_implicit_quadratic_step_matches_full_space_solve(dense):
+    rng = np.random.default_rng(21)
+    n, m = 9, 4
+    amat = rng.standard_normal((m, n))
+    if dense:
+        root = rng.standard_normal((n, n))
+        quad = root @ root.T / n
+    else:
+        quad = rng.uniform(0.1, 2.0, n)
+    c = rng.standard_normal(n)
+    p = apd.ProblemInstance(apd.QuadraticObjective(quad, c), apd.ZeroProx(),
+                            apd.MatrixConstraint(amat, rng.standard_normal(m)))
+    theta, gamma, alpha = 0.3, 0.7, 0.8
+    x, v, lam = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(m)
+    out = implicit_apd_step(IterateState(x, v, lam, ScalingState(theta, gamma, 2)), p, alpha)
+    theta_next = theta / (1 + alpha)
+    eta = alpha ** 2 / (gamma * (1 + alpha))
+    y = (x + alpha * v) / (1 + alpha)
+    shifted = lam - p.constraint.residual(x) / theta
+    h = p.smooth.hessian_matrix() + amat.T @ amat / theta_next + np.eye(n) / eta
+    rhs = -c + amat.T @ p.constraint.rhs / theta_next + y / eta - amat.T @ shifted
+    x_ref = np.linalg.solve(h, rhs)
+    np.testing.assert_allclose(out.x, x_ref, rtol=1e-10)
+    np.testing.assert_allclose(
+        out.lam, shifted + p.constraint.residual(x_ref) / theta_next, rtol=1e-10)
+
+
+def defect2_qp():
+    """Dense QP on which the full-space implicit solve lost accuracy as theta -> 0."""
+    rng = np.random.default_rng(0)
+    n, m = 400, 100
+    amat = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    q = rng.uniform(0.1, 2.0, n)
+    return apd.ProblemInstance(apd.QuadraticObjective(q), apd.ZeroProx(),
+                               apd.MatrixConstraint(amat, b, op_norm=np.linalg.norm(amat, 2)))
+
+
+def test_implicit_converges_on_a_dense_qp_without_contraction_violations():
+    run = run_solver(defect2_qp(), SolverConfig(scheme="implicit", stop_tol=1e-8))
+    assert run.status == "converged"
+    assert audit_records(run.records).contraction_violations == 0
+
+
+def test_implicit_run_past_convergence_ends_near_its_best():
+    run = run_solver(defect2_qp(), SolverConfig(scheme="implicit", stop_tol=0.0))
+    errors = [rec.obj_gap + rec.feasibility for rec in run.records]
+    assert errors[-1] <= 10 * min(errors)
 
 
 def test_implicit_rejects_general_composite(qp1):
@@ -150,6 +201,29 @@ def test_semi_apdfb_matches_brute_force_joint_solve(qp1):
     np.testing.assert_allclose(out.v, sol[:2], atol=1e-10)
     np.testing.assert_allclose(out.lam, sol[2:], atol=1e-10)
     np.testing.assert_allclose(out.x, (np.zeros(2) + alpha * sol[:2]) / 2, atol=1e-10)
+
+
+def test_semi_apdfb_dual_and_primal_routes_match_joint_solve():
+    # 2x5 takes the dual Gram route, 5x2 the primal one
+    for m, n in ((2, 5), (5, 2)):
+        rng = np.random.default_rng(17)
+        amat = rng.standard_normal((m, n))
+        p = apd.ProblemInstance(apd.QuadraticObjective(rng.uniform(0.5, 2.0, n),
+                                                       rng.standard_normal(n)),
+                                apd.ZeroProx(),
+                                apd.MatrixConstraint(amat, rng.standard_normal(m)))
+        theta, gamma, alpha = 0.4, 0.9, 0.7
+        x, v, lam = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(m)
+        out = semi_apdfb_step(IterateState(x, v, lam, ScalingState(theta, gamma, 1)), p, alpha)
+        y = (x + alpha * v) / (1 + alpha)
+        tau = gamma + p.mu_beta * alpha
+        t = alpha / tau
+        z = (gamma * v + p.mu_beta * alpha * y) / tau - t * p.smooth.gradient(y)
+        joint = np.block([[np.eye(n), t * amat.T], [-alpha * amat, theta * np.eye(m)]])
+        sol = np.linalg.solve(joint, np.concatenate(
+            [z, theta * lam - alpha * p.constraint.rhs]))
+        np.testing.assert_allclose(out.v, sol[:n], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out.lam, sol[n:], rtol=1e-10, atol=1e-12)
 
 
 def test_semi_apdfb_fixed_point(qp1, qp1_saddle):
@@ -367,11 +441,18 @@ def test_scale_exhaustion_status(qp1):
     assert run.records[-1].theta < 1e-10
 
 
-def test_inner_pcg_names_a_non_finite_start_residual():
-    system = SpdSystem(lambda d: d, np.array([np.nan, 1.0]))
-    with pytest.raises(InnerSolveError, match="not finite") as info:
-        _solve_spd_absolute(system, 1e-8, 100)
-    assert np.isnan(info.value.residual)
+def test_exact_subproblem_names_a_non_finite_right_side(qp1):
+    # a NaN multiplier stops the step instead of running on through the solve
+    tall = apd.ProblemInstance(apd.QuadraticObjective(np.ones(1)), apd.ZeroProx(),
+                               apd.MatrixConstraint([[1.0], [2.0]], [1.0, 2.0]))
+    for problem in (qp1, tall):
+        state = IterateState(np.zeros(problem.dim), np.zeros(problem.dim),
+                             np.full(problem.constraint.rows, np.nan),
+                             ScalingState(1.0, 1.0, 0))
+        for step in (implicit_apd_step, semi_apdfb_step):
+            with pytest.raises(InnerSolveError, match="not finite") as info:
+                step(state, problem, 1.0)
+            assert np.isnan(info.value.residual)
 
 
 # ---------------------------------------------------------------------------
