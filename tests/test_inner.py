@@ -108,13 +108,11 @@ def test_dual_primal_reductions_consistent():
         lam_prev, z = rng.standard_normal(m), rng.standard_normal(n)
         dual_rhs = theta * lam_prev + alpha * constraint.residual(z)
         primal_rhs = theta * z - t * amat.T @ (theta * lam_prev - alpha * constraint.rhs)
-        dual = theta * np.eye(m) + alpha * t * amat @ amat.T
-        primal = theta * np.eye(n) + alpha * t * amat.T @ amat
         if m <= n:
             lam = constraint.solve_shifted_gram(theta, alpha * t, dual_rhs)
-            v = np.linalg.solve(primal, primal_rhs)
+            v = np.linalg.solve(theta * np.eye(n) + alpha * t * amat.T @ amat, primal_rhs)
         else:
-            lam = np.linalg.solve(dual, dual_rhs)
+            lam = np.linalg.solve(theta * np.eye(m) + alpha * t * amat @ amat.T, dual_rhs)
             v = constraint.solve_shifted_gram(theta, alpha * t, primal_rhs)
         np.testing.assert_allclose(z - t * amat.T @ lam, v, atol=1e-9)
         np.testing.assert_allclose(
