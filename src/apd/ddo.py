@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .inner import InnerSolveError, augmented_consensus_solve
+from .inner import BorderedPattern, InnerSolveError, augmented_consensus_solve
 from .model import operator_norm_estimate
 
 # the momentum solve's tolerance floor and iteration cap
@@ -144,8 +144,16 @@ def laplacian_max_eigenvalue(laplacian, tol=1e-10, seed=0):
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    w: np.ndarray
-    w_hat: np.ndarray
+    """Mixing matrix ``w``, ``w_hat = (I + w) / 2`` and the smallest
+    eigenvalue of ``w_hat``.
+
+    :func:`mixing_matrix` gives ``w`` and ``w_hat`` as CSR matrices with the
+    graph's pattern plus the diagonal. :func:`extra_step` only multiplies by
+    them, so a dense pair works there too.
+    """
+
+    w: sp.csr_matrix
+    w_hat: sp.csr_matrix
     lam_min_w_hat: float
 
 
@@ -153,14 +161,15 @@ def mixing_matrix(graph):
     """Doubly stochastic ``W = I - L / lambda_max(L)`` and ``(I + W) / 2``.
 
     The spectrum of ``W`` sits in ``[0, 1]`` with a simple eigenvalue 1, so
-    the halved matrix is bounded below by one half exactly.
+    the halved matrix is bounded below by one half exactly. Both matrices
+    are CSR, built from the sparse Laplacian without a dense n-by-n array.
     """
-    lap = graph_laplacian(graph).toarray()
+    lap = graph_laplacian(graph)
+    eye = sp.identity(graph.n, format="csr")
     if graph.n == 1:
-        return MixingMatrix(np.ones((1, 1)), np.ones((1, 1)), 1.0)
-    top = laplacian_max_eigenvalue(sp.csr_matrix(lap))
-    w = np.eye(graph.n) - lap / top
-    return MixingMatrix(w, 0.5 * (np.eye(graph.n) + w), 0.5)
+        return MixingMatrix(eye, eye, 1.0)
+    w = eye - lap / laplacian_max_eigenvalue(lap)
+    return MixingMatrix(w, 0.5 * (eye + w), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +274,11 @@ class DdoProblem:
         return labels * _rowwise_matvec(features[:, None, :], stacked)[:, 0]
 
     @cached_property
+    def bordered_laplacian(self):
+        """:class:`~apd.inner.BorderedPattern` of the Laplacian, assembled on first use."""
+        return BorderedPattern(self.laplacian)
+
+    @cached_property
     def _incidence_t(self):
         # a CSR copy of B' applies about twice as fast as the CSC view B.T
         return self.incidence.T.tocsr()
@@ -359,7 +373,9 @@ def apd_ddo_step(state, problem):
     ``B'(B x)`` through the incidence matrix, never ``L^{1/2}``): the
     momentum solve is the nearly singular system ``(eps_k I + A) v = s_k``
     handled by the augmented solver with PCG-Jacobi at tolerance
-    ``|A x_k| / 10``.
+    ``|A x_k| / 10``. The solve takes the problem's
+    :attr:`DdoProblem.bordered_laplacian`, assembled once per problem, so a
+    step forms the bordered matrix for ``eps_k`` as one new data array.
     """
     mu, lip = problem.mu, problem.lip
     alpha = np.sqrt(state.gamma / lip)
@@ -373,7 +389,7 @@ def apd_ddo_step(state, problem):
     tol = max(float(np.linalg.norm(ax)) / 10.0, _INNER_TOL_FLOOR)
     tol = min(tol, 0.5)
     v_next, iters, converged = augmented_consensus_solve(
-        problem.laplacian, eps_k, s, method="pcg_jacobi", tol=tol, i_max=_INNER_I_MAX,
+        problem.bordered_laplacian, eps_k, s, method="pcg_jacobi", tol=tol, i_max=_INNER_I_MAX,
         warm=state.v)
     if not converged:
         # near the floating-point floor the solver can stall a hair above a
@@ -426,8 +442,8 @@ class AqpState:
 
 
 def aqp_penalty_operator(mixing):
-    """Consensus penalty ``(I - W) / 2`` used by both quadratic-penalty variants."""
-    return 0.5 * (np.eye(mixing.w.shape[0]) - mixing.w)
+    """Consensus penalty ``(I - W) / 2`` of both quadratic-penalty variants, as CSR."""
+    return 0.5 * (sp.identity(mixing.w.shape[0], format="csr") - mixing.w)
 
 
 def aqp_step(state, problem, penalty, variant="convex"):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.sparse.linalg import splu
 
 from .oracles import UnsupportedOracleError
 
@@ -255,6 +255,45 @@ def _col(vec, like):
     return vec[:, None] if like.ndim == 2 else vec
 
 
+class BorderedPattern:
+    """``[[eps q, eps 1'], [eps 1, eps I + A]]`` for every ``eps``, assembled once.
+
+    The CSR pattern of the bordered matrix does not depend on ``eps``, so it
+    is built once from ``A``, with two data arrays: ``base`` holds the
+    entries of ``A`` (zero in the eps slots) and ``weight`` holds ``q`` at
+    the corner and 1 on the borders and the fine diagonal. The matrix for
+    one ``eps`` has data ``base + eps * weight``; every slot adds at most one
+    entry of ``A`` to at most one eps term, so it equals a one-pass assembly
+    of the same entries bit for bit.
+    """
+
+    def __init__(self, operator):
+        self.operator = _as_sparse(operator)
+        q = self.operator.shape[0]
+        coo = self.operator.tocoo()
+        fine = np.arange(1, q + 1)
+        coarse = np.zeros(q, dtype=fine.dtype)
+        # slots: corner, top border, left border, A, fine diagonal
+        rows = np.concatenate([[0], coarse, fine, coo.row + 1, fine])
+        cols = np.concatenate([[0], fine, coarse, coo.col + 1, fine])
+        base = np.concatenate([np.zeros(1 + 2 * q), coo.data, np.zeros(q)])
+        weight = np.concatenate([[q], np.ones(2 * q), np.zeros(coo.nnz), np.ones(q)])
+        shape = (q + 1, q + 1)
+        self._base = sp.csr_matrix((base, (rows, cols)), shape=shape)
+        # same rows and columns, so the same canonical pattern
+        self._weight = sp.csr_matrix((weight, (rows, cols)), shape=shape).data
+
+    def matrix(self, eps):
+        """The bordered CSR matrix for ``eps``.
+
+        It shares the pattern's ``indices`` and ``indptr`` arrays, so it must
+        not be changed in place.
+        """
+        base = self._base
+        return sp.csr_matrix((base.data + eps * self._weight, base.indices, base.indptr),
+                             shape=base.shape)
+
+
 @dataclass
 class AugmentedSystem:
     """Bordered enlargement of ``(eps I + A) v = s`` for null space span{1}.
@@ -262,18 +301,24 @@ class AugmentedSystem:
     The operator is ``[[eps q, eps 1'], [eps 1, eps I + A]]`` acting on a
     coarse coefficient plus the fine vector; any solution recovers
     ``v = v1 * 1 + v2``. A right-hand side with several columns means that
-    many independent systems sharing the operator.
+    many independent systems sharing the operator. ``pattern`` is a
+    :class:`BorderedPattern` of ``A``, or ``A`` itself, assembled here.
     """
 
-    operator: sp.csr_matrix
+    pattern: BorderedPattern
     eps: float
     s: np.ndarray
 
     def __post_init__(self):
-        self.operator = _as_sparse(self.operator)
+        if not isinstance(self.pattern, BorderedPattern):
+            self.pattern = BorderedPattern(self.pattern)
         self.s = np.asarray(self.s, dtype=float)
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+
+    @property
+    def operator(self):
+        return self.pattern.operator
 
     def recover(self, v1, v2):
         return v1 + v2 if np.ndim(v1) == 0 else np.asarray(v1)[None, :] + v2
@@ -309,7 +354,7 @@ def stationary_iteration_step(operator, eps, state, s, method):
         off = operator @ v2 - _col(diag, v2) * v2
         v2_new = (s - eps * _broadcast(v1, v2) - off) / _col(eps + diag, v2)
         return v1_new, v2_new
-    forward, _ = _gs_sweeps(_bordered_matrix(operator, eps))
+    forward, _ = _gs_sweeps(BorderedPattern(operator).matrix(eps))
     x = forward(_bordered_vector(v1, v2), _bordered_rhs(s))
     return x[0], x[1:]
 
@@ -327,36 +372,40 @@ def _bordered_rhs(s):
     return np.concatenate([s.sum(axis=0, keepdims=True), s])
 
 
-def _bordered_matrix(operator, eps):
-    """``[[eps q, eps 1'], [eps 1, eps I + A]]`` assembled in one COO pass."""
-    q = operator.shape[0]
-    coo = operator.tocoo()
-    fine = np.arange(1, q + 1)
-    coarse = np.zeros(q, dtype=fine.dtype)
-    rows = np.concatenate([[0], coarse, fine, coo.row + 1, fine])
-    cols = np.concatenate([[0], fine, coarse, coo.col + 1, fine])
-    vals = np.concatenate([[eps * q], np.full(2 * q, eps), coo.data, np.full(q, eps)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(q + 1, q + 1))
+def _triangle_factors(matrix):
+    """SuperLU factors of the lower and the upper triangle of ``matrix``.
+
+    With the natural ordering and diagonal pivots SuperLU keeps each
+    triangle as it is: both permutations are the identity and the factors
+    add no fill, so a ``solve`` is one sparse triangular solve. A zero on
+    the diagonal raises ``numpy.linalg.LinAlgError``; it is checked here
+    because SuperLU would raise a bare ``RuntimeError``.
+    """
+    if np.any(matrix.diagonal() == 0):
+        raise np.linalg.LinAlgError("A is singular: zero entry on diagonal.")
+    triangles = (sp.tril(matrix, 0, format="csc"), sp.triu(matrix, 0, format="csc"))
+    return tuple(splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True}) for tri in triangles)
 
 
 def _gs_sweeps(matrix):
     """Forward and backward Gauss-Seidel sweeps ``(x, b) -> x_new`` on ``matrix``.
 
-    Each sweep is one sparse triangular solve: the forward one takes the
+    Both triangles are factored here, once, so each sweep is one sparse
+    product and one triangular solve: the forward sweep solves with the
     lower triangle and so updates row 0 (on a bordered matrix, the coarse
-    coefficient) first, the backward one takes the upper triangle and
-    updates it last.
+    coefficient) first, the backward one solves with the upper triangle and
+    updates it last. ``x`` and ``b`` may have several columns.
     """
-    lower = sp.tril(matrix, 0, format="csr")
-    upper = sp.triu(matrix, 0, format="csr")
+    lower, upper = _triangle_factors(matrix)
     strict_lower = sp.tril(matrix, -1, format="csr")
     strict_upper = sp.triu(matrix, 1, format="csr")
 
     def forward(x, b):
-        return spsolve_triangular(lower, b - strict_upper @ x, lower=True)
+        return lower.solve(b - strict_upper @ x)
 
     def backward(x, b):
-        return spsolve_triangular(upper, b - strict_lower @ x, lower=False)
+        return upper.solve(b - strict_lower @ x)
 
     return forward, backward
 
@@ -364,13 +413,11 @@ def _gs_sweeps(matrix):
 def _sgs_preconditioner(bordered):
     # one symmetric sweep (D+L) D^{-1} (D+U), applied in factored form
     diag = bordered.diagonal()
-    lower = sp.tril(bordered, 0).tocsr()
-    upper = sp.triu(bordered, 0).tocsr()
+    lower, upper = _triangle_factors(bordered)
 
     def apply_minv(r):
-        y = spsolve_triangular(lower, r, lower=True)
-        y = _col(diag, np.asarray(y)) * y
-        return spsolve_triangular(upper, y, lower=False)
+        y = lower.solve(r)
+        return upper.solve(_col(diag, y) * y)
 
     return apply_minv
 
@@ -384,11 +431,16 @@ def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
     system, which is the quantity outer solvers consume, or at ``i_max``.
     ``s`` may have several columns (independent systems sharing A).
 
+    ``operator`` is ``A`` as a matrix, or a :class:`BorderedPattern` of it:
+    a caller that solves with one ``A`` for many ``eps`` builds the pattern
+    once and passes it, and the bordered matrix for each ``eps`` is then
+    only a new data array.
+
     Returns ``(v, iterations, converged)``.
     """
     if method not in AUGMENTED_METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {AUGMENTED_METHODS}")
-    system = AugmentedSystem(_as_sparse(operator), eps, s)
+    system = AugmentedSystem(operator, eps, s)
     s_norm = float(np.linalg.norm(system.s))
     if s_norm == 0.0:
         return np.zeros_like(system.s), 0, True
@@ -404,10 +456,10 @@ def _converged(system, v1, v2, tol, s_norm):
 def _augmented_stationary(system, method, tol, i_max, s_norm):
     """Jacobi, Gauss-Seidel or symmetric Gauss-Seidel from a zero start.
 
-    The Gauss-Seidel sweeps are sparse triangular solves with the triangles
-    of the bordered matrix, split once per solve; ``sgs`` runs a forward and
-    then a backward sweep per iteration, so the coarse coefficient is
-    updated first and last.
+    The Gauss-Seidel sweeps are triangular solves with the triangles of the
+    bordered matrix, factored once per solve (:func:`_gs_sweeps`); ``sgs``
+    runs a forward and then a backward sweep per iteration, so the coarse
+    coefficient is updated first and last.
     """
     shat = _bordered_rhs(system.s)
     if method == "jacobi":
@@ -415,7 +467,7 @@ def _augmented_stationary(system, method, tol, i_max, s_norm):
             return _bordered_vector(*stationary_iteration_step(
                 system.operator, system.eps, (x[0], x[1:]), system.s, "jacobi"))
     else:
-        forward, backward = _gs_sweeps(_bordered_matrix(system.operator, system.eps))
+        forward, backward = _gs_sweeps(system.pattern.matrix(system.eps))
 
         def sweep(x):
             x = forward(x, shat)
@@ -430,7 +482,7 @@ def _augmented_stationary(system, method, tol, i_max, s_norm):
 
 def _augmented_pcg(system, method, tol, i_max, s_norm, warm):
     s = system.s
-    bordered = _bordered_matrix(system.operator, system.eps)
+    bordered = system.pattern.matrix(system.eps)
     if method == "pcg_jacobi":
         minv = jacobi_preconditioner(bordered.diagonal())
     else:
@@ -507,7 +559,8 @@ def plain_iteration_solve(operator, eps, s, method="jacobi", tol=1e-6, i_max=100
     q = operator.shape[0]
     diag = operator.diagonal()
     v = np.zeros_like(s)
-    forward, backward = _gs_sweeps((operator + eps * sp.identity(q)).tocsr())
+    if method != "jacobi":
+        forward, backward = _gs_sweeps((operator + eps * sp.identity(q)).tocsr())
     for it in range(i_max):
         res = s - (eps * v + operator @ v)
         if float(np.linalg.norm(res)) <= tol * s_norm:

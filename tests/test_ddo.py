@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from apd.ddo import (
     ApdDdoState,
     AqpState,
+    DdoRecord,
     ExtraState,
     Graph,
+    MixingMatrix,
     apd_ddo_step,
     aqp_penalty_operator,
     aqp_step,
@@ -21,6 +24,7 @@ from apd.ddo import (
     reference_objective,
     run_ddo,
 )
+from apd.inner import BorderedPattern, augmented_consensus_solve
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +68,10 @@ def test_mixing_matrix_path():
     expected = np.array([[2 / 3, 1 / 3, 0.0],
                          [1 / 3, 1 / 3, 1 / 3],
                          [0.0, 1 / 3, 2 / 3]])
-    np.testing.assert_allclose(mix.w, expected, atol=1e-9)
+    np.testing.assert_allclose(mix.w.toarray(), expected, atol=1e-9)
     np.testing.assert_allclose(mix.w @ np.ones(3), np.ones(3), atol=1e-12)
     assert mix.lam_min_w_hat == 0.5
-    eig = np.linalg.eigvalsh(mix.w_hat)
+    eig = np.linalg.eigvalsh(mix.w_hat.toarray())
     assert eig[0] >= 0.5 - 1e-9
 
 
@@ -306,6 +310,31 @@ def test_extra_fixed_point():
     np.testing.assert_allclose(out.x, stacked, atol=1e-12)
 
 
+def test_sparse_mixing_matches_dense_over_fifty_steps():
+    graph = random_geometric_graph(40, 0.3, 6)
+    mix = mixing_matrix(graph)
+    penalty = aqp_penalty_operator(mix)
+    assert (mix.w.format, mix.w_hat.format, penalty.format) == ("csr", "csr", "csr")
+    assert mixing_matrix(Graph(1, ())).w.format == "csr"
+    dense = MixingMatrix(mix.w.toarray(), mix.w_hat.toarray(), mix.lam_min_w_hat)
+    dense_penalty = 0.5 * (np.eye(graph.n) - dense.w)
+    x0 = np.random.default_rng(6).standard_normal((graph.n, 3))
+    for kind in ("least_squares", "logistic"):
+        prob = build_ddo_problem(graph, 3, kind, seed=6)
+        alpha = extra_step_size(prob, mix, strongly_convex=prob.mu > 0)
+        sparse_state, dense_state = ExtraState(x=x0), ExtraState(x=x0)
+        for _ in range(50):
+            sparse_state = extra_step(sparse_state, prob, mix, alpha)
+            dense_state = extra_step(dense_state, prob, dense, alpha)
+            np.testing.assert_allclose(sparse_state.x, dense_state.x, rtol=0, atol=1e-12)
+        for variant in ("convex", "strongly_convex"):
+            sparse_state = dense_state = AqpState(x=x0, x_prev=x0)
+            for _ in range(50):
+                sparse_state = aqp_step(sparse_state, prob, penalty, variant)
+                dense_state = aqp_step(dense_state, prob, dense_penalty, variant)
+                np.testing.assert_allclose(sparse_state.x, dense_state.x, rtol=0, atol=1e-12)
+
+
 def test_aqp_theta_recursion_golden_ratio():
     prob, _ = shared_minimizer_problem()
     penalty = aqp_penalty_operator(mixing_matrix(prob.graph))
@@ -372,6 +401,51 @@ def test_run_ddo_decay_and_orders():
         med_early = np.median(gaps[10:60])
         med_late = np.median(gaps[-50:])
         assert med_late < med_early
+
+
+class DenseBordered(BorderedPattern):
+    """Assembles the bordered matrix afresh from a dense array at every call."""
+
+    def matrix(self, eps):
+        q = self.operator.shape[0]
+        border = np.full(q, eps)
+        return sp.csr_matrix(np.block([
+            [np.array([[eps * q]]), border[None, :]],
+            [border[:, None], eps * np.eye(q) + self.operator.toarray()]]))
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+def test_run_ddo_apd_matches_a_loop_that_assembles_every_step(kind):
+    prob = build_ddo_problem(random_geometric_graph(30, 0.4, 2), 3, kind, seed=5)
+    steps = 20
+    run = run_ddo(prob, "apd", steps)
+    assert run.status == "max_iter"
+    # apd_ddo_step written out, with a fresh bordered assembly in every solve
+    mu, lip = prob.mu, prob.lip
+    x = np.zeros((30, 3))
+    v, theta, gamma = x.copy(), 1.0, lip
+
+    def record(k, inner):
+        return DdoRecord(k, abs(prob.value(x) - run.f_ref), prob.consensus_residual(x),
+                         inner, 0)
+
+    records = [record(0, 0)]
+    for k in range(steps):
+        alpha = np.sqrt(gamma / lip)
+        tau = gamma + mu * alpha
+        y = (x + alpha * v) / (1.0 + alpha)
+        w = (gamma * v + mu * alpha * y) / tau
+        z = w - (alpha / tau) * prob.gradient(y)
+        eps_k = tau * theta / alpha ** 2
+        ax = prob.consensus_apply(x)
+        tol = min(max(float(np.linalg.norm(ax)) / 10.0, 1e-12), 0.5)
+        v, iters, _ = augmented_consensus_solve(
+            DenseBordered(prob.laplacian), eps_k, eps_k * z - ax / alpha,
+            method="pcg_jacobi", tol=tol, i_max=100000, warm=v)
+        x = (x + alpha * v) / (1.0 + alpha)
+        theta, gamma = theta / (1.0 + alpha), (gamma + mu * alpha) / (1.0 + alpha)
+        records.append(record(k + 1, iters))
+    assert run.records == records
 
 
 def test_run_ddo_rejects_unknown_algo():

@@ -3,15 +3,17 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import apd
-from apd.ddo import graph_laplacian, path_graph, random_geometric_graph
+from apd.ddo import Graph, graph_laplacian, path_graph, random_geometric_graph
 from apd.inner import (
     AUGMENTED_METHODS,
+    BorderedPattern,
     DualMapContext,
     InnerSolveError,
     SpdSystem,
-    _bordered_matrix,
+    _triangle_factors,
     augmented_consensus_solve,
     eval_dual_map,
     eval_dual_merit,
@@ -346,13 +348,13 @@ def test_augmented_zero_rhs():
 def test_augmented_matches_dense_oracle(method):
     lap = graph_laplacian(path_graph(3))
     rng = np.random.default_rng(11)
-    s = rng.standard_normal(3)
     eps = 1e-8 if method.startswith("pcg") else 1e-2  # stationary jacobi stalls small
-    v, _, ok = augmented_consensus_solve(lap, eps, s, method=method,
-                                         tol=1e-9, i_max=500000)
-    assert ok
-    dense = np.linalg.solve(eps * np.eye(3) + lap.toarray(), s)
-    assert np.linalg.norm(v - dense) / np.linalg.norm(dense) <= 1e-6
+    for s in (rng.standard_normal(3), rng.standard_normal((3, 3))):  # 1-D and 3 columns
+        v, _, ok = augmented_consensus_solve(lap, eps, s, method=method,
+                                             tol=1e-9, i_max=500000)
+        assert ok
+        dense = np.linalg.solve(eps * np.eye(3) + lap.toarray(), s)
+        assert np.linalg.norm(v - dense) / np.linalg.norm(dense) <= 1e-6
 
 
 def test_stationary_jacobi_step_example():
@@ -396,9 +398,32 @@ def dense_bordered(lap, eps):
 def test_bordered_matrix_matches_dense(eps):
     for lap in (graph_laplacian(path_graph(4)),
                 graph_laplacian(random_geometric_graph(20, 0.4, 3))):
-        bordered = _bordered_matrix(lap, eps)
-        assert bordered.format == "csr"
-        np.testing.assert_array_equal(bordered.toarray(), dense_bordered(lap, eps))
+        pattern = BorderedPattern(lap)
+        for value in (eps, 12.5, eps):  # one pattern serves every eps, in any order
+            bordered = pattern.matrix(value)
+            assert bordered.format == "csr"
+            np.testing.assert_array_equal(bordered.toarray(), dense_bordered(lap, value))
+
+
+def test_triangle_factors_keep_the_triangles_without_fill():
+    # the benchmark's consensus graph: 400 nodes, radius 0.11, eps 1e-6
+    lap = graph_laplacian(random_geometric_graph(400, 0.11, 5))
+    bordered = BorderedPattern(lap).matrix(1e-6)
+    size = bordered.shape[0]
+    lower, upper = _triangle_factors(bordered)
+    for factor in (lower, upper):
+        np.testing.assert_array_equal(factor.perm_r, np.arange(size))
+        np.testing.assert_array_equal(factor.perm_c, np.arange(size))
+    # unit-lower L times diagonal U, and identity L times upper U
+    assert (lower.L.nnz, lower.U.nnz) == (sp.tril(bordered).nnz, size)
+    assert (upper.L.nnz, upper.U.nnz) == (size, sp.triu(bordered).nnz)
+
+
+@pytest.mark.parametrize("method", ["gs", "sgs"])
+def test_zero_diagonal_triangle_raises_linalg_error(method):
+    lap = graph_laplacian(Graph(1, ()))
+    with pytest.raises(np.linalg.LinAlgError):
+        plain_iteration_solve(lap, 0.0, np.ones(1), method)
 
 
 @pytest.mark.parametrize("cols", [None, 3])
