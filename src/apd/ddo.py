@@ -124,32 +124,15 @@ def graph_incidence(graph):
     return sp.csr_matrix((vals, (rows, ends.ravel())), shape=(len(ends), graph.n))
 
 
-def laplacian_max_eigenvalue(laplacian, tol=1e-10, seed=0):
-    """Largest Laplacian eigenvalue by power iteration (symmetric PSD)."""
-
-    class _SymmetricOp:
-        rows = laplacian.shape[0]
-        cols = laplacian.shape[1]
-
-        @staticmethod
-        def apply(x):
-            return laplacian @ x
-
-        @staticmethod
-        def apply_adjoint(x):
-            return laplacian @ x
-
-    return operator_norm_estimate(_SymmetricOp, tol=tol, max_iter=10000, seed=seed)
-
-
 @dataclass(frozen=True)
 class MixingMatrix:
     """Mixing matrix ``w``, ``w_hat = (I + w) / 2`` and the smallest
     eigenvalue of ``w_hat``.
 
-    :func:`mixing_matrix` gives ``w`` and ``w_hat`` as CSR matrices with the
-    graph's pattern plus the diagonal. :func:`extra_step` only multiplies by
-    them, so a dense pair works there too.
+    :func:`mixing_matrix` builds them from the graph's incidence matrix as
+    CSR matrices with the graph's pattern plus the diagonal.
+    :func:`extra_step` only multiplies by them, so a dense pair works there
+    too.
     """
 
     w: sp.csr_matrix
@@ -157,18 +140,22 @@ class MixingMatrix:
     lam_min_w_hat: float
 
 
-def mixing_matrix(graph):
-    """Doubly stochastic ``W = I - L / lambda_max(L)`` and ``(I + W) / 2``.
+def mixing_matrix(incidence):
+    """Doubly stochastic ``W = I - L / lambda_max(L)`` and ``(I + W) / 2``
+    from the signed incidence matrix ``B`` of :func:`graph_incidence`.
 
-    The spectrum of ``W`` sits in ``[0, 1]`` with a simple eigenvalue 1, so
-    the halved matrix is bounded below by one half exactly. Both matrices
-    are CSR, built from the sparse Laplacian without a dense n-by-n array.
+    ``L = B'B`` is an integer product, so it equals :func:`graph_laplacian`,
+    and ``lambda_max(L) = |B|_2^2`` comes from :func:`operator_norm_estimate`,
+    an upper bound. The spectrum of ``W`` therefore sits in ``[0, 1]`` with a
+    simple eigenvalue 1, and the halved matrix is bounded below by one half.
+    Both matrices are CSR; only the norm bound forms a dense Gram matrix.
     """
-    lap = graph_laplacian(graph)
-    eye = sp.identity(graph.n, format="csr")
-    if graph.n == 1:
+    n = incidence.shape[1]
+    eye = sp.identity(n, format="csr")
+    if n == 1:
         return MixingMatrix(eye, eye, 1.0)
-    w = eye - lap / laplacian_max_eigenvalue(lap)
+    lap = (incidence.T @ incidence).tocsr()
+    w = eye - lap / operator_norm_estimate(incidence) ** 2
     return MixingMatrix(w, 0.5 * (eye + w), 0.5)
 
 
@@ -504,7 +491,7 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
         f_ref, _ = reference_objective(problem)
     n, m = problem.n_nodes, problem.block_size
     x0 = np.zeros((n, m))
-    mixing = mixing_matrix(problem.graph) if algo in ("extra", "aqp") else None
+    mixing = mixing_matrix(problem.incidence) if algo in ("extra", "aqp") else None
     # each step returns the next state and its inner iterations
     if algo == "apd":
         state = ApdDdoState(x=x0, v=x0.copy(), theta=1.0, gamma=problem.lip)

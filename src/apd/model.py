@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .oracles import (
     L1Prox,
@@ -19,14 +20,6 @@ from .oracles import (
 from .sets import RealSpace
 
 
-class NormEstimateError(RuntimeError):
-    """Power iteration failed to converge; carries the last estimate."""
-
-    def __init__(self, message, estimate):
-        super().__init__(message)
-        self.estimate = estimate
-
-
 class NoReferenceError(RuntimeError):
     """The problem has no closed-form reference saddle point."""
 
@@ -36,8 +29,10 @@ class LinearConstraint:
 
     Implementations provide matrix-free ``apply``/``apply_adjoint`` so sparse
     operators (e.g. graph Laplacian blocks) plug into every solver unchanged.
-    ``sigma_min`` is declared, never estimated: it stays 0 unless the user
-    asserts full column rank, in which case augmentation is allowed to use it.
+    ``op_norm`` must be an upper bound on ``|A|_2``, because the step rules
+    and the theta certificates assume one. ``sigma_min`` is declared, never
+    estimated: it stays 0 unless the user asserts full column rank, in which
+    case augmentation is allowed to use it.
     """
 
     rows = 0
@@ -70,8 +65,7 @@ class LinearConstraint:
         ``A`` never changes, so this is computed from :meth:`matrix` on first
         use and kept; matrix-free constraints raise as :meth:`matrix` does.
         """
-        amat = self.matrix()
-        s, u = np.linalg.eigh(amat @ amat.T if self.rows <= self.cols else amat.T @ amat)
+        s, u = np.linalg.eigh(_smaller_gram(self.matrix()))
         return np.maximum(s, 0.0), u  # a Gram matrix has no negative eigenvalue
 
     def solve_shifted_gram(self, shift, scale, rhs):
@@ -81,6 +75,14 @@ class LinearConstraint:
         return u @ ((u.T @ rhs) / (shift + scale * s))
 
 
+def _smaller_gram(matrix):
+    """The smaller Gram matrix of a dense or sparse ``M`` as a dense array:
+    ``M M'`` when ``M`` has no more rows than columns, else ``M'M``."""
+    rows, cols = matrix.shape
+    gram = matrix @ matrix.T if rows <= cols else matrix.T @ matrix
+    return gram.toarray() if sp.issparse(gram) else gram
+
+
 class MatrixConstraint(LinearConstraint):
     def __init__(self, matrix, rhs, sigma_min=0.0, op_norm=None):
         self._matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -88,9 +90,11 @@ class MatrixConstraint(LinearConstraint):
         self.rows, self.cols = self._matrix.shape
         if self._rhs.shape != (self.rows,):
             raise ValueError("rhs length does not match the number of rows")
+        if not np.isfinite(self._matrix).all():
+            raise ValueError("constraint matrix A holds NaN or inf")
         self.sigma_min = float(sigma_min)
         if op_norm is None:
-            op_norm = operator_norm_estimate(self)
+            op_norm = operator_norm_estimate(self._matrix)
         self.op_norm = float(op_norm)
 
     @property
@@ -251,32 +255,20 @@ def kkt_residual(problem, x, lam, residual=None):
     return feas, stat
 
 
-def operator_norm_estimate(constraint, tol=1e-10, max_iter=500, seed=0):
-    """Spectral norm of ``A`` by power iteration on ``A'A``.
+def operator_norm_estimate(matrix):
+    """Upper bound on the spectral norm ``|M|_2`` of a dense or sparse matrix.
 
-    Deterministic for a fixed ``seed``. Raises :class:`NormEstimateError`
-    (carrying the last estimate) if the value has not settled within
-    ``max_iter`` sweeps.
+    ``|M|_2^2`` is the largest eigenvalue of the smaller Gram matrix ``G``
+    (``M M'`` or ``M'M``), taken with ``eigvalsh``. Forming ``G`` with inner
+    dimension ``k`` perturbs it by at most ``k eps trace(G)`` in 2-norm, and
+    ``eigvalsh`` of the order-``d`` result errs by a small multiple of
+    ``d eps |G|_2``; the value is raised by ``2 (k + d) eps trace(G)`` to
+    cover both, where ``k + d`` is the number of rows plus columns of ``M``.
+    A zero matrix gives ``0.0``.
     """
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(constraint.cols)
-    nu = np.linalg.norm(u)
-    if nu == 0:
-        raise ValueError("degenerate start vector")
-    u /= nu
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = constraint.apply_adjoint(constraint.apply(u))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            raise ValueError("operator appears to be zero")
-        sigma_new = np.sqrt(nw)  # |A'A u| -> sigma^2 for unit u
-        u = w / nw
-        if abs(sigma_new - sigma) <= tol * sigma_new:
-            return float(sigma_new)
-        sigma = sigma_new
-    raise NormEstimateError(
-        f"power iteration did not settle within {max_iter} sweeps", float(sigma))
+    gram = _smaller_gram(matrix)
+    slack = 2.0 * sum(matrix.shape) * np.finfo(float).eps * float(np.trace(gram))
+    return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0) + slack))
 
 
 def solve_reference_saddle(problem):

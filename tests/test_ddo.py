@@ -16,6 +16,7 @@ from apd.ddo import (
     cycle_graph,
     extra_step,
     extra_step_size,
+    graph_incidence,
     graph_laplacian,
     grid_graph,
     mixing_matrix,
@@ -64,7 +65,7 @@ def test_disconnected_graph_rejected():
 
 
 def test_mixing_matrix_path():
-    mix = mixing_matrix(path_graph(3))
+    mix = mixing_matrix(graph_incidence(path_graph(3)))
     expected = np.array([[2 / 3, 1 / 3, 0.0],
                          [1 / 3, 1 / 3, 1 / 3],
                          [0.0, 1 / 3, 2 / 3]])
@@ -73,6 +74,13 @@ def test_mixing_matrix_path():
     assert mix.lam_min_w_hat == 0.5
     eig = np.linalg.eigvalsh(mix.w_hat.toarray())
     assert eig[0] >= 0.5 - 1e-9
+
+
+def test_mixing_matrix_is_psd_on_a_benchmark_size_graph():
+    # ROADMAP defect 4: W = I - L / lambda_max(L) needs lambda_max(L) from above
+    mix = mixing_matrix(graph_incidence(random_geometric_graph(400, 0.11, 11)))
+    assert np.linalg.eigvalsh(mix.w.toarray()).min() >= 0
+    assert np.linalg.eigvalsh(mix.w_hat.toarray()).min() >= mix.lam_min_w_hat
 
 
 def comprehension_geometric_graph(n, radius, seed, max_tries=200):
@@ -263,7 +271,7 @@ def test_extra_transcript_matches_reimplementation():
     # complete graph on two nodes, scalar quadratic locals
     graph = path_graph(2)
     prob = build_ddo_problem(graph, 1, "least_squares", seed=3, samples=3)
-    mix = mixing_matrix(graph)
+    mix = mixing_matrix(graph_incidence(graph))
     alpha = extra_step_size(prob, mix)
     state = ExtraState(x=np.zeros((2, 1)))
     xs = [state.x]
@@ -302,7 +310,7 @@ def test_extra_identity_mixing_is_gradient_descent():
 
 def test_extra_fixed_point():
     prob, x_hat = shared_minimizer_problem()
-    mix = mixing_matrix(prob.graph)
+    mix = mixing_matrix(prob.incidence)
     stacked = np.tile(x_hat, (4, 1))
     state = ExtraState(x=stacked.copy(), x_prev=stacked.copy(),
                        grad_prev=prob.gradient(stacked), k=1)
@@ -312,10 +320,10 @@ def test_extra_fixed_point():
 
 def test_sparse_mixing_matches_dense_over_fifty_steps():
     graph = random_geometric_graph(40, 0.3, 6)
-    mix = mixing_matrix(graph)
+    mix = mixing_matrix(graph_incidence(graph))
     penalty = aqp_penalty_operator(mix)
     assert (mix.w.format, mix.w_hat.format, penalty.format) == ("csr", "csr", "csr")
-    assert mixing_matrix(Graph(1, ())).w.format == "csr"
+    assert mixing_matrix(graph_incidence(Graph(1, ()))).w.format == "csr"
     dense = MixingMatrix(mix.w.toarray(), mix.w_hat.toarray(), mix.lam_min_w_hat)
     dense_penalty = 0.5 * (np.eye(graph.n) - dense.w)
     x0 = np.random.default_rng(6).standard_normal((graph.n, 3))
@@ -337,7 +345,7 @@ def test_sparse_mixing_matches_dense_over_fifty_steps():
 
 def test_aqp_theta_recursion_golden_ratio():
     prob, _ = shared_minimizer_problem()
-    penalty = aqp_penalty_operator(mixing_matrix(prob.graph))
+    penalty = aqp_penalty_operator(mixing_matrix(prob.incidence))
     state = AqpState(x=np.zeros((4, 3)), x_prev=np.zeros((4, 3)))
     out = aqp_step(state, prob, penalty, "strongly_convex")
     assert out.theta_prev == pytest.approx((np.sqrt(5) - 1) / 2)
@@ -345,7 +353,7 @@ def test_aqp_theta_recursion_golden_ratio():
 
 def test_aqp_first_step_has_no_momentum():
     prob, _ = shared_minimizer_problem()
-    penalty = aqp_penalty_operator(mixing_matrix(prob.graph))
+    penalty = aqp_penalty_operator(mixing_matrix(prob.incidence))
     rng = np.random.default_rng(12)
     x = rng.standard_normal((4, 3))
     x_prev = rng.standard_normal((4, 3))  # must be ignored at k = 1
@@ -356,7 +364,7 @@ def test_aqp_first_step_has_no_momentum():
 
 def test_aqp_fixed_points_both_variants():
     prob, x_hat = shared_minimizer_problem()
-    penalty = aqp_penalty_operator(mixing_matrix(prob.graph))
+    penalty = aqp_penalty_operator(mixing_matrix(prob.incidence))
     stacked = np.tile(x_hat, (4, 1))
     for variant in ("convex", "strongly_convex"):
         state = AqpState(x=stacked.copy(), x_prev=stacked.copy())

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apd
-from apd.model import NoReferenceError, NormEstimateError
+from apd.ddo import graph_incidence, random_geometric_graph
+from apd.model import NoReferenceError
 from conftest import planted_lasso
 
 
@@ -56,22 +59,68 @@ def test_kkt_residual_composite_uses_prox_residual():
 
 
 def test_operator_norm_examples():
-    assert apd.operator_norm_estimate(
-        apd.MatrixConstraint([[1.0, 1.0]], [0.0], op_norm=0.0)) == pytest.approx(np.sqrt(2))
-    eye3 = apd.MatrixConstraint(np.eye(3), np.zeros(3), op_norm=0.0)
-    assert apd.operator_norm_estimate(eye3) == pytest.approx(1.0)
-    diag = apd.MatrixConstraint(np.diag([3.0, 1.0]), np.zeros(2), op_norm=0.0)
-    assert apd.operator_norm_estimate(diag) == pytest.approx(3.0, rel=1e-8)
+    assert apd.operator_norm_estimate(np.array([[1.0, 1.0]])) == pytest.approx(np.sqrt(2))
+    assert apd.operator_norm_estimate(np.eye(3)) == pytest.approx(1.0)
+    assert apd.operator_norm_estimate(np.diag([3.0, 1.0])) == pytest.approx(3.0, rel=1e-8)
 
 
-def test_operator_norm_deterministic_and_failing():
-    c = apd.MatrixConstraint(np.diag([3.0, 1.0]), np.zeros(2), op_norm=0.0)
-    a = apd.operator_norm_estimate(c, seed=7)
-    b = apd.operator_norm_estimate(c, seed=7)
-    assert a == b
-    with pytest.raises(NormEstimateError) as info:
-        apd.operator_norm_estimate(c, tol=0.0, max_iter=3)
-    assert info.value.estimate > 0
+def _orthonormal(rng, rows, cols):
+    return np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+
+
+@st.composite
+def norm_inputs(draw):
+    """Dense Gaussian, rank-deficient, ill-conditioned, single-row or -column
+    and zero matrices, and sparse incidence matrices of geometric graphs."""
+    kind = draw(st.sampled_from(
+        ["gaussian", "rank_deficient", "ill_conditioned", "row", "column", "zero", "incidence"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    if kind == "row":
+        rows = 1
+    elif kind == "column":
+        cols = 1
+    elif kind == "zero":
+        return np.zeros((rows, cols))
+    elif kind == "incidence":
+        nodes = draw(st.integers(2, 60))
+        radius = draw(st.floats(0.5, 1.5))
+        return graph_incidence(random_geometric_graph(nodes, radius, draw(st.integers(0, 999))))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    if kind in ("rank_deficient", "ill_conditioned"):
+        k = min(rows, cols)
+        if kind == "rank_deficient":
+            k = draw(st.integers(1, k))
+            s = rng.uniform(0.5, 2.0, k)
+        else:
+            s = np.logspace(0, -12, k)
+        return scale * (_orthonormal(rng, rows, k) * s) @ _orthonormal(rng, cols, k).T
+    return scale * rng.standard_normal((rows, cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(norm_inputs())
+def test_operator_norm_is_a_tight_upper_bound(matrix):
+    exact = np.linalg.norm(matrix.toarray() if hasattr(matrix, "toarray") else matrix, 2)
+    bound = apd.operator_norm_estimate(matrix)
+    if exact == 0.0:
+        assert bound == 0.0
+    assert exact <= bound <= (1 + 1e-9) * exact
+
+
+def test_default_op_norm_bounds_gaussian_matrices():
+    # ROADMAP defect 4: every 250 x 1000 N(0, 1) draw builds with an upper bound
+    for seed in range(10):
+        amat = np.random.default_rng(seed).standard_normal((250, 1000))
+        assert apd.MatrixConstraint(amat, np.zeros(250)).op_norm >= np.linalg.norm(amat, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_constraint_rejects_non_finite_entries(bad):
+    amat = np.eye(3)
+    amat[1, 2] = bad
+    with pytest.raises(ValueError, match="constraint matrix A holds NaN or inf"):
+        apd.MatrixConstraint(amat, np.zeros(3))
 
 
 def test_reference_saddle_examples(qp1):

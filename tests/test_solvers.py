@@ -121,6 +121,24 @@ def defect2_qp():
                                apd.MatrixConstraint(amat, b, op_norm=np.linalg.norm(amat, 2)))
 
 
+def test_implicit_and_semi_apdfb_do_not_read_op_norm():
+    # a benchmark-size QP: the default op_norm bound and the exact |A|_2
+    # must give the same runs
+    rng = np.random.default_rng(0)
+    amat = rng.standard_normal((250, 1000))
+    b = rng.standard_normal(250)
+    objective = apd.QuadraticObjective(rng.uniform(0.1, 2.0, 1000))
+    problems = [apd.ProblemInstance(objective, apd.ZeroProx(), constraint) for constraint in
+                (apd.MatrixConstraint(amat, b),
+                 apd.MatrixConstraint(amat, b, op_norm=np.linalg.norm(amat, 2)))]
+    reference = apd.solve_reference_saddle(problems[0])
+    for scheme in ("implicit", "semi_apdfb"):
+        config = SolverConfig(scheme, max_iter=2000, stop_tol=1e-8, reference=reference)
+        default, exact = (run_solver(problem, config) for problem in problems)
+        assert default.status == "converged"
+        assert default.records == exact.records
+
+
 def test_implicit_converges_on_a_dense_qp_without_contraction_violations():
     run = run_solver(defect2_qp(), SolverConfig(scheme="implicit", stop_tol=1e-8))
     assert run.status == "converged"
