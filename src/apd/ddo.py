@@ -1,5 +1,6 @@
-"""Decentralized consensus optimization on graphs: the primal-dual scheme
-with the augmented inner solver, plus the Extra and AQP baselines."""
+"""Decentralized consensus optimization on graphs: the primal-dual scheme,
+which is :func:`~apd.solvers.semi_apdfb_step` on the graph's
+:class:`IncidenceConstraint`, plus the Extra and AQP baselines."""
 
 from __future__ import annotations
 
@@ -8,14 +9,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
-from .inner import BorderedPattern, InnerSolveError, augmented_consensus_solve
-from .model import operator_norm_estimate
-
-# the momentum solve's tolerance floor and iteration cap
-_INNER_TOL_FLOOR = 1e-12
-_INNER_I_MAX = 100000
+from . import solvers
+# augmented_consensus_solve is unused here but stays bound: tracers wrap it by module attribute
+from .inner import augmented_consensus_solve  # noqa: F401
+from .model import LinearConstraint, ProblemInstance, _smaller_gram, operator_norm_estimate
+from .oracles import ZeroProx
+from .schedule import ScalingState, StepRule, step_size
 
 
 @dataclass(frozen=True)
@@ -205,6 +207,10 @@ class DdoProblem:
     def n_nodes(self):
         return self.graph.n
 
+    @property
+    def dim(self):
+        return self.graph.n * self.block_size
+
     def local_value(self, i, x):
         data = self.local_data[i]
         if self.kind == "least_squares":
@@ -259,11 +265,6 @@ class DdoProblem:
     def _margins(self, stacked):
         features, labels, _ = self._stacked
         return labels * _rowwise_matvec(features[:, None, :], stacked)[:, 0]
-
-    @cached_property
-    def bordered_laplacian(self):
-        """:class:`~apd.inner.BorderedPattern` of the Laplacian, assembled on first use."""
-        return BorderedPattern(self.laplacian)
 
     @cached_property
     def _incidence_t(self):
@@ -339,59 +340,55 @@ def reference_objective(problem, tol=1e-12, max_iter=200):
 
 
 # ---------------------------------------------------------------------------
-# algorithm states and steps
+# the consensus constraint and the algorithm steps
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ApdDdoState:
-    x: np.ndarray
-    v: np.ndarray
-    theta: float
-    gamma: float
-    k: int = 0
-    inner_iters: int = 0
+class IncidenceConstraint(LinearConstraint):
+    """The consensus constraint ``A = B kron I_m``, ``b = 0``, of a problem's
+    signed incidence matrix ``B`` on its ``(n, m)`` node stacks flattened row
+    by row. It takes the stacks as they are: :meth:`apply` is ``B X`` and
+    :meth:`apply_adjoint` is ``B' Lam``; no ``kron(B, I)`` or dense ``B``."""
+
+    rhs = 0.0
+
+    def __init__(self, problem):
+        self.incidence, self._incidence_t = problem.incidence, problem._incidence_t
+        self.rows, self.cols = problem.incidence.shape[0] * problem.block_size, problem.dim
+
+    @cached_property
+    def op_norm(self):
+        return operator_norm_estimate(self.incidence)  # |B kron I|_2 = |B|_2
+
+    def apply(self, x):
+        return self.incidence @ x
+
+    def apply_adjoint(self, lam):
+        return self._incidence_t @ lam
+
+    @cached_property
+    def gram_factor(self):
+        """Eigenpairs ``(s, U)`` of the smaller Gram matrix of ``B``; that of
+        ``A`` is its Kronecker product with ``I_m``. On the ``B'B = L`` side
+        the constant eigenvector (``ker L``) is left out, so the solve is
+        exact on right sides orthogonal to ``ker A``, which are the ones the
+        primal ``semi_apdfb`` reduction passes: it never divides a rounding
+        residue in ``ker A`` by a vanishing shift."""
+        s, u = scipy.linalg.eigh(_smaller_gram(self.incidence), driver="evr",
+                                 overwrite_a=True)
+        if self.rows > self.cols:
+            s, u = s[1:], u[:, 1:]  # eigh sorts ascending: the first pair spans ker L
+        return np.maximum(s, 0.0), u
+
+    def solve_shifted_gram(self, shift, scale, rhs):
+        s, u = self.gram_factor
+        return u @ ((u.T @ rhs) / (shift + scale * s)[:, None])
 
 
-def apd_ddo_step(state, problem):
-    """One step of the primal-dual scheme specialized to consensus problems.
-
-    The multiplier is eliminated through the conserved relation against the
-    square-root constraint, so the update only applies the Laplacian (as
-    ``B'(B x)`` through the incidence matrix, never ``L^{1/2}``): the
-    momentum solve is the nearly singular system ``(eps_k I + A) v = s_k``
-    handled by the augmented solver with PCG-Jacobi at tolerance
-    ``|A x_k| / 10``. The solve takes the problem's
-    :attr:`DdoProblem.bordered_laplacian`, assembled once per problem, so a
-    step forms the bordered matrix for ``eps_k`` as one new data array.
-    """
-    mu, lip = problem.mu, problem.lip
-    alpha = np.sqrt(state.gamma / lip)
-    tau = state.gamma + mu * alpha
-    y = (state.x + alpha * state.v) / (1.0 + alpha)
-    w = (state.gamma * state.v + mu * alpha * y) / tau
-    z = w - (alpha / tau) * problem.gradient(y)
-    eps_k = tau * state.theta / alpha ** 2
-    ax = problem.consensus_apply(state.x)
-    s = eps_k * z - ax / alpha
-    tol = max(float(np.linalg.norm(ax)) / 10.0, _INNER_TOL_FLOOR)
-    tol = min(tol, 0.5)
-    v_next, iters, converged = augmented_consensus_solve(
-        problem.bordered_laplacian, eps_k, s, method="pcg_jacobi", tol=tol, i_max=_INNER_I_MAX,
-        warm=state.v)
-    if not converged:
-        # near the floating-point floor the solver can stall a hair above a
-        # tight target; a bounded slack keeps legitimate long runs alive
-        residual = float(np.linalg.norm(
-            s - (eps_k * v_next + problem.consensus_apply(v_next))))
-        if residual > 10.0 * tol * float(np.linalg.norm(s)):
-            raise InnerSolveError("augmented consensus solve did not converge",
-                                  residual)
-    x_next = (state.x + alpha * v_next) / (1.0 + alpha)
-    return ApdDdoState(
-        x=x_next, v=v_next,
-        theta=state.theta / (1.0 + alpha),
-        gamma=(state.gamma + mu * alpha) / (1.0 + alpha),
-        k=state.k + 1, inner_iters=iters)
+def apd_ddo_step(state, instance, alpha):
+    """One decentralized primal-dual step: :func:`~apd.solvers.semi_apdfb_step`
+    on ``instance``, the :class:`IncidenceConstraint` problem of
+    :func:`run_ddo`. It stays a named step, so tracers see the ``ddo`` layer."""
+    return solvers.semi_apdfb_step(state, instance, alpha)
 
 
 @dataclass
@@ -476,16 +473,21 @@ class DdoRecord:
 @dataclass
 class DdoRun:
     records: list
-    status: str
+    status: str  # converged | max_iter | scale_exhausted
     f_ref: float
 
 
 def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     """Run one decentralized algorithm and record per-iteration diagnostics.
 
-    ``algo`` is one of ``apd``, ``extra``, ``aqp``; the quadratic-penalty
-    and Extra step sizes switch automatically on ``mu > 0``. The objective
-    gap is measured against a direct centralized solve (``f_ref``).
+    ``algo`` is one of ``apd``, ``extra``, ``aqp``. ``apd`` runs
+    :func:`apd_ddo_step` with ``problem`` as the smooth part and its
+    :class:`IncidenceConstraint`, built and factored once per call, from
+    ``gamma0 = lip`` with step size ``sqrt(gamma / lip)``. The
+    quadratic-penalty and Extra step sizes switch on ``mu > 0``. Stops when
+    the objective gap against a centralized solve (``f_ref``) plus ``|L X|``
+    reaches ``stop_tol``, at ``max_iter``, or when the decay factor
+    underflows (``apd``, ``scale_exhausted``).
     """
     if f_ref is None:
         f_ref, _ = reference_objective(problem)
@@ -494,10 +496,13 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     mixing = mixing_matrix(problem.incidence) if algo in ("extra", "aqp") else None
     # each step returns the next state and its inner iterations
     if algo == "apd":
-        state = ApdDdoState(x=x0, v=x0.copy(), theta=1.0, gamma=problem.lip)
+        instance = ProblemInstance(problem, ZeroProx(), IncidenceConstraint(problem))
+        rule = StepRule("semi_apdfb", lip_beta=problem.lip)
+        lam0 = np.zeros((problem.incidence.shape[0], m))
+        state = solvers.IterateState(x0, x0.copy(), lam0, ScalingState(1.0, problem.lip, 0))
 
         def step(state):
-            state = apd_ddo_step(state, problem)
+            state = apd_ddo_step(state, instance, step_size(rule, state.scaling))
             return state, state.inner_iters
     elif algo == "extra":
         state = ExtraState(x=x0)
@@ -523,12 +528,11 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     records = [snapshot(0, 0, 0)]
     status = "max_iter"
     for k in range(max_iter):
-        started = time.perf_counter_ns() if timing else 0
-        try:
-            state, inner = step(state)
-        except InnerSolveError:
-            status = "inner_limit"  # apd's inner solves hit the precision floor
+        if algo == "apd" and state.scaling.exhausted:
+            status = "scale_exhausted"
             break
+        started = time.perf_counter_ns() if timing else 0
+        state, inner = step(state)
         wall = time.perf_counter_ns() - started if timing else 0
         records.append(snapshot(k + 1, inner, wall))
         rec = records[-1]

@@ -161,8 +161,8 @@ class ExperimentConfig:
     """Flat key-value experiment description.
 
     Keys: ``problem.file``, ``schemes`` (comma list), ``gamma0``, ``beta``,
-    ``max_iter``, ``stop_tol``, ``step.alpha``, ``seed``, ``out.dir``,
-    ``jobs``, ``fit.window``, ``fit.mode``.
+    ``max_iter``, ``stop_tol``, ``step.alpha``, ``out.dir``, ``jobs``,
+    ``fit.window``, ``fit.mode``.
     """
 
     problem_file: str = ""
@@ -172,7 +172,6 @@ class ExperimentConfig:
     max_iter: int = 1000
     stop_tol: float = 0.0
     alpha: float = 1.0
-    seed: int = 0
     out_dir: str = "."
     jobs: int = 1
     fit_window: float = 0.5
@@ -187,7 +186,6 @@ _KEY_MAP = {
     "max_iter": ("max_iter", int),
     "stop_tol": ("stop_tol", float),
     "step.alpha": ("alpha", float),
-    "seed": ("seed", int),
     "out.dir": ("out_dir", str),
     "jobs": ("jobs", int),
     "fit.window": ("fit_window", float),

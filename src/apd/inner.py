@@ -423,7 +423,7 @@ def _sgs_preconditioner(bordered):
 
 
 def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
-                              tol=1e-6, i_max=100000, warm=None):
+                              tol=1e-6, i_max=100000):
     """Solve ``(eps I + A) v = s`` through the bordered augmented system.
 
     ``A`` must be symmetric positive semidefinite with null space span{1}.
@@ -446,7 +446,7 @@ def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
         return np.zeros_like(system.s), 0, True
     if method in ("jacobi", "gs", "sgs"):
         return _augmented_stationary(system, method, tol, i_max, s_norm)
-    return _augmented_pcg(system, method, tol, i_max, s_norm, warm)
+    return _augmented_pcg(system, method, tol, i_max, s_norm)
 
 
 def _converged(system, v1, v2, tol, s_norm):
@@ -480,7 +480,7 @@ def _augmented_stationary(system, method, tol, i_max, s_norm):
     return system.recover(x[0], x[1:]), i_max, _converged(system, x[0], x[1:], tol, s_norm)
 
 
-def _augmented_pcg(system, method, tol, i_max, s_norm, warm):
+def _augmented_pcg(system, method, tol, i_max, s_norm):
     s = system.s
     bordered = system.pattern.matrix(system.eps)
     if method == "pcg_jacobi":
@@ -489,8 +489,6 @@ def _augmented_pcg(system, method, tol, i_max, s_norm, warm):
         minv = _sgs_preconditioner(bordered)
     shat = _bordered_rhs(s)
     d = np.zeros_like(shat)
-    if warm is not None:
-        d[1:] = np.asarray(warm, dtype=float)
     r = shat - bordered @ d
     p = minv(r)
     delta = _dot_cols(r, p)

@@ -229,12 +229,13 @@ def semi_apdfb_step(state, problem, alpha):
     """Corrected semi-implicit forward-backward step.
 
     When the nonsmooth part vanishes over the whole space, the coupled
-    ``(lam, v)`` subproblem reduces to the dual system
-    ``(theta I + alpha t A A') lam = theta lam_prev + alpha (A z - b)`` or,
-    when ``A`` has more rows than columns, to the primal one
-    ``(theta I + alpha t A'A) v = theta z - t A'(theta lam_prev - alpha b)``;
-    either is solved exactly through the constraint's Gram factor. Otherwise
-    it reduces to the dual nonlinear equation (solved by semi-smooth Newton).
+    ``(lam, v)`` subproblem is solved exactly through the constraint's Gram
+    factor. With ``r = theta lam_prev + alpha (A z - b)`` it is the dual
+    system ``v = z - t A' (theta I + alpha t A A')^{-1} r`` or, when ``A``
+    has more rows than columns, its push-through form
+    ``v = z - t (theta I + alpha t A'A)^{-1} A' r``, whose solve sees only a
+    right side in the range of ``A'``. Otherwise it reduces to the dual
+    nonlinear equation (solved by semi-smooth Newton).
     """
     if alpha <= 0:
         raise ValueError("step size must be positive")
@@ -249,16 +250,14 @@ def semi_apdfb_step(state, problem, alpha):
     z = w - t * problem.smooth_beta_gradient(y, beta)
     inner_iters = 0
     if problem.is_smooth_unconstrained:
+        rhs = _finite(sc.theta * state.lam + alpha * constraint.residual(z),
+                      "saddle subproblem")
         if constraint.rows <= constraint.cols:
-            rhs = sc.theta * state.lam + alpha * constraint.residual(z)
-            lam = constraint.solve_shifted_gram(
-                sc.theta, alpha * t, _finite(rhs, "saddle subproblem"))
+            lam = constraint.solve_shifted_gram(sc.theta, alpha * t, rhs)
             v_next = z - t * constraint.apply_adjoint(lam)
         else:
-            rhs = sc.theta * z - t * constraint.apply_adjoint(
-                sc.theta * state.lam - alpha * constraint.rhs)
-            v_next = constraint.solve_shifted_gram(
-                sc.theta, alpha * t, _finite(rhs, "saddle subproblem"))
+            v_next = z - t * constraint.solve_shifted_gram(
+                sc.theta, alpha * t, constraint.apply_adjoint(rhs))
     else:
         ctx = DualMapContext.for_step(sc.theta, alpha, t, z, constraint,
                                       problem.nonsmooth, state.lam)

@@ -31,6 +31,14 @@ def test_ddo_writes_records(tmp_path, algo):
     assert len(lines) == 22  # header plus records k = 0..20
 
 
+def test_ddo_apd_logistic_reaches_a_tight_tolerance(tmp_path, capsys):
+    code = main(["ddo", "--graph", "geometric:12:0.5:3", "--m", "2", "--model", "logistic",
+                 "--algo", "apd", "--max-iter", "500", "--stop-tol", "1e-9",
+                 "--csv", str(tmp_path / "ddo.csv")])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("ddo/apd: status=converged k=")
+
+
 def write_problem(path, kind):
     """Tiny seeded problem file: diagonal QP (has a reference saddle) or lasso."""
     rng = np.random.default_rng(7)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from apd import solvers
 from apd.ddo import (
-    ApdDdoState,
     AqpState,
     DdoRecord,
     ExtraState,
     Graph,
+    IncidenceConstraint,
     MixingMatrix,
     apd_ddo_step,
     aqp_penalty_operator,
@@ -25,7 +25,9 @@ from apd.ddo import (
     reference_objective,
     run_ddo,
 )
-from apd.inner import BorderedPattern, augmented_consensus_solve
+from apd.model import MatrixConstraint, ProblemInstance
+from apd.oracles import SmoothOracle, ZeroProx
+from apd.schedule import ScalingState
 
 
 # ---------------------------------------------------------------------------
@@ -216,55 +218,75 @@ def shared_minimizer_problem(m=3):
 # algorithm steps
 # ---------------------------------------------------------------------------
 
+def apd_instance(prob):
+    return ProblemInstance(prob, ZeroProx(), IncidenceConstraint(prob))
+
+
+def apd_start(prob, x, v):
+    """An iterate with ``gamma0 = lip`` and ``theta lam = A x`` at ``theta = 1``."""
+    return solvers.IterateState(x, v, prob.incidence @ x, ScalingState(1.0, prob.lip, 0))
+
+
+def apd_alpha(prob, state):
+    return np.sqrt(state.scaling.gamma / prob.lip)
+
+
 def test_apd_fixed_point_at_shared_minimizer():
     prob, x_hat = shared_minimizer_problem()
     stacked = np.tile(x_hat, (4, 1))
-    state = ApdDdoState(x=stacked.copy(), v=stacked.copy(), theta=1.0,
-                        gamma=prob.lip)
-    out = apd_ddo_step(state, prob)
+    state = apd_start(prob, stacked.copy(), stacked.copy())
+    out = apd_ddo_step(state, apd_instance(prob), apd_alpha(prob, state))
     np.testing.assert_allclose(out.x, stacked, atol=1e-10)
     np.testing.assert_allclose(out.v, stacked, atol=1e-10)
+    np.testing.assert_allclose(out.lam, 0.0, atol=1e-10)
 
 
-def test_apd_step_matches_dense_solve_p3():
-    graph = path_graph(3)
-    prob = build_ddo_problem(graph, 1, "least_squares", seed=4, samples=2)
-    rng = np.random.default_rng(6)
-    x0 = rng.standard_normal((3, 1))
-    state = ApdDdoState(x=x0, v=x0.copy(), theta=1.0, gamma=prob.lip)
-    out = apd_ddo_step(state, prob)
-    alpha = np.sqrt(state.gamma / prob.lip)
-    tau = state.gamma + prob.mu * alpha
-    y = (x0 + alpha * x0) / (1 + alpha)
-    w = (state.gamma * x0 + prob.mu * alpha * y) / tau
-    z = w - (alpha / tau) * prob.gradient(y)
-    eps = tau * 1.0 / alpha ** 2
-    s = eps * z - prob.consensus_apply(x0) / alpha
-    dense = np.linalg.solve(eps * np.eye(3) + graph_laplacian(graph).toarray(), s)
-    tol = np.linalg.norm(prob.consensus_apply(x0)) / 10.0
-    assert np.linalg.norm(out.v - dense) <= tol * np.linalg.norm(s) * 1.1 \
-        / min(eps, 1.0) + 1e-8
+class FlatSmooth(SmoothOracle):
+    """A :class:`~apd.ddo.DdoProblem` on flattened node stacks."""
+
+    def __init__(self, prob):
+        self.prob = prob
+        self.mu, self.lip, self.dim = prob.mu, prob.lip, prob.dim
+
+    def gradient(self, x):
+        return self.prob.gradient(x.reshape(self.prob.n_nodes, -1)).ravel()
+
+
+@pytest.mark.parametrize("graph,kind", [
+    pytest.param(random_geometric_graph(12, 0.5, 3), "logistic", id="geometric"),  # |E| > n
+    pytest.param(path_graph(5), "least_squares", id="path"),  # a tree: |E| < n, dual branch
+    pytest.param(Graph(1, ()), "least_squares", id="single"),
+])
+def test_apd_steps_match_semi_apdfb_on_dense_kron(graph, kind):
+    m = 2
+    prob = build_ddo_problem(graph, m, kind, seed=4)
+    kron = np.kron(graph_incidence(graph).toarray(), np.eye(m))
+    dense = ProblemInstance(FlatSmooth(prob), ZeroProx(),
+                            MatrixConstraint(kron, np.zeros(kron.shape[0])))
+    instance = apd_instance(prob)
+    assert instance.constraint.op_norm >= np.linalg.norm(kron, 2)
+    x0 = np.random.default_rng(6).standard_normal((graph.n, m))
+    state = apd_start(prob, x0, x0.copy())
+    flat = solvers.IterateState(x0.ravel(), x0.ravel(), state.lam.ravel(), state.scaling)
+    for _ in range(5):
+        alpha = apd_alpha(prob, state)
+        state = apd_ddo_step(state, instance, alpha)
+        flat = solvers.semi_apdfb_step(flat, dense, alpha)
+        for got, want in ((state.x, flat.x), (state.v, flat.v), (state.lam, flat.lam)):
+            assert np.linalg.norm(got.ravel() - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_apd_multiplier_elimination_bookkeeping():
-    # implicit multiplier lam_k = sqrt(A) x_k / theta_k: its squared norm
-    # theta^-2 x'Ax must follow the recursion driven only by A-applications
-    graph = cycle_graph(5)
-    prob = build_ddo_problem(graph, 2, "least_squares", seed=8)
-    rng = np.random.default_rng(8)
-    x0 = rng.standard_normal((5, 2))
-    state = ApdDdoState(x=x0, v=np.zeros((5, 2)), theta=1.0, gamma=prob.lip)
-    for _ in range(5):
-        prev = state
-        state = apd_ddo_step(state, prob)
-        alpha = np.sqrt(prev.gamma / prob.lip)
-        lam_sq_prev = np.sum(prev.x * (prob.consensus_apply(prev.x))) / prev.theta ** 2
-        lam_sq_next = np.sum(state.x * (prob.consensus_apply(state.x))) / state.theta ** 2
-        cross = np.sum(prev.x * prob.consensus_apply(state.v)) / prev.theta
-        vav = np.sum(state.v * prob.consensus_apply(state.v))
-        recursion = (lam_sq_prev + 2 * (alpha / prev.theta) * cross
-                     + (alpha / prev.theta) ** 2 * vav)
-        assert lam_sq_next == pytest.approx(recursion, rel=1e-9, abs=1e-9)
+    # the relation theta_k lam_k = A x_k that lets the multiplier be eliminated
+    for graph in (random_geometric_graph(12, 0.5, 3), cycle_graph(5)):
+        prob = build_ddo_problem(graph, 2, "least_squares", seed=8)
+        instance = apd_instance(prob)
+        state = apd_start(prob, np.random.default_rng(8).standard_normal((graph.n, 2)),
+                          np.zeros((graph.n, 2)))
+        for _ in range(10):
+            state = apd_ddo_step(state, instance, apd_alpha(prob, state))
+            np.testing.assert_allclose(state.scaling.theta * state.lam,
+                                       prob.incidence @ state.x, rtol=1e-9, atol=1e-12)
 
 
 def test_extra_transcript_matches_reimplementation():
@@ -411,49 +433,49 @@ def test_run_ddo_decay_and_orders():
         assert med_late < med_early
 
 
-class DenseBordered(BorderedPattern):
-    """Assembles the bordered matrix afresh from a dense array at every call."""
-
-    def matrix(self, eps):
-        q = self.operator.shape[0]
-        border = np.full(q, eps)
-        return sp.csr_matrix(np.block([
-            [np.array([[eps * q]]), border[None, :]],
-            [border[:, None], eps * np.eye(q) + self.operator.toarray()]]))
-
-
 @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
-def test_run_ddo_apd_matches_a_loop_that_assembles_every_step(kind):
+def test_run_ddo_apd_matches_a_loop_of_semi_apdfb_steps(kind):
     prob = build_ddo_problem(random_geometric_graph(30, 0.4, 2), 3, kind, seed=5)
     steps = 20
     run = run_ddo(prob, "apd", steps)
     assert run.status == "max_iter"
-    # apd_ddo_step written out, with a fresh bordered assembly in every solve
-    mu, lip = prob.mu, prob.lip
-    x = np.zeros((30, 3))
-    v, theta, gamma = x.copy(), 1.0, lip
+    instance = apd_instance(prob)
+    state = apd_start(prob, np.zeros((30, 3)), np.zeros((30, 3)))
 
-    def record(k, inner):
-        return DdoRecord(k, abs(prob.value(x) - run.f_ref), prob.consensus_residual(x),
-                         inner, 0)
+    def record(k):
+        return DdoRecord(k, abs(prob.value(state.x) - run.f_ref),
+                         prob.consensus_residual(state.x), 0, 0)
 
-    records = [record(0, 0)]
+    records = [record(0)]
     for k in range(steps):
-        alpha = np.sqrt(gamma / lip)
-        tau = gamma + mu * alpha
-        y = (x + alpha * v) / (1.0 + alpha)
-        w = (gamma * v + mu * alpha * y) / tau
-        z = w - (alpha / tau) * prob.gradient(y)
-        eps_k = tau * theta / alpha ** 2
-        ax = prob.consensus_apply(x)
-        tol = min(max(float(np.linalg.norm(ax)) / 10.0, 1e-12), 0.5)
-        v, iters, _ = augmented_consensus_solve(
-            DenseBordered(prob.laplacian), eps_k, eps_k * z - ax / alpha,
-            method="pcg_jacobi", tol=tol, i_max=100000, warm=v)
-        x = (x + alpha * v) / (1.0 + alpha)
-        theta, gamma = theta / (1.0 + alpha), (gamma + mu * alpha) / (1.0 + alpha)
-        records.append(record(k + 1, iters))
+        state = solvers.semi_apdfb_step(state, instance, apd_alpha(prob, state))
+        records.append(record(k + 1))
     assert run.records == records
+
+
+def defect8_problem():
+    return build_ddo_problem(random_geometric_graph(12, 0.5, 3), 2, "logistic", seed=0)
+
+
+def test_run_ddo_apd_logistic_reaches_a_tight_tolerance():
+    # the inexact inner solve this replaced stopped at k=25 with 3.0e-8
+    run = run_ddo(defect8_problem(), "apd", 500, stop_tol=1e-9)
+    last = run.records[-1]
+    assert run.status == "converged"
+    assert last.obj_gap + last.consensus_residual <= 1e-9
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(defect8_problem, id="geometric12"),
+    pytest.param(lambda: build_ddo_problem(random_geometric_graph(30, 0.4, 0), 2,
+                                           "logistic", seed=0), id="geometric30"),
+])
+def test_run_ddo_apd_far_past_convergence_ends_near_its_best(make):
+    run = run_ddo(make(), "apd", 5000)
+    assert run.status == "scale_exhausted"
+    measures = [r.obj_gap + r.consensus_residual for r in run.records]
+    assert np.all(np.isfinite(measures))
+    assert measures[-1] <= 10.0 * min(measures)
 
 
 def test_run_ddo_rejects_unknown_algo():
