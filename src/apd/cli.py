@@ -20,7 +20,7 @@ from .harness import (
     run_experiment,
 )
 from .inner import BorderedPattern, augmented_consensus_solve, plain_iteration_solve
-from .model import load_problem, solve_reference_saddle
+from .model import NoReferenceError, load_problem, solve_reference_saddle
 from .schedule import SCHEMES, StepRule
 from .solvers import SolverConfig, run_solver
 
@@ -57,7 +57,10 @@ def _cmd_solve(args):
 
 def _cmd_flow(args):
     problem = load_problem(args.problem)
-    saddle = solve_reference_saddle(problem)
+    try:
+        saddle = solve_reference_saddle(problem)
+    except NoReferenceError as exc:
+        raise SystemExit(f"flow needs a reference saddle point: {exc}") from None
     n = problem.constraint.cols
     m = problem.constraint.rows
     state0 = FlowState(np.zeros(n), np.zeros(n), np.zeros(m), 1.0, args.gamma0, 0.0)

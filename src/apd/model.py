@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .oracles import (
@@ -39,6 +40,7 @@ class LinearConstraint:
     cols = 0
     op_norm = 0.0
     sigma_min = 0.0
+    _gram = None  # the smaller Gram matrix, when construction formed it already
 
     @property
     def rhs(self):
@@ -64,8 +66,11 @@ class LinearConstraint:
 
         ``A`` never changes, so this is computed from :meth:`matrix` on first
         use and kept; matrix-free constraints raise as :meth:`matrix` does.
+        A Gram matrix kept from construction is used and then dropped.
         """
-        s, u = np.linalg.eigh(_smaller_gram(self.matrix()))
+        gram = _smaller_gram(self.matrix()) if self._gram is None else self._gram
+        self._gram = None
+        s, u = np.linalg.eigh(gram)
         return np.maximum(s, 0.0), u  # a Gram matrix has no negative eigenvalue
 
     def solve_shifted_gram(self, shift, scale, rhs):
@@ -94,7 +99,8 @@ class MatrixConstraint(LinearConstraint):
             raise ValueError("constraint matrix A holds NaN or inf")
         self.sigma_min = float(sigma_min)
         if op_norm is None:
-            op_norm = operator_norm_estimate(self._matrix)
+            self._gram = _smaller_gram(self._matrix)
+            op_norm = operator_norm_estimate(self._matrix, gram=self._gram)
         self.op_norm = float(op_norm)
 
     @property
@@ -175,12 +181,15 @@ class PointValues:
 
     Each is computed on first use and then kept, so the diagnostics of an
     iterate pay for them once however many of them read them. ``x`` must not
-    change while the object is in use.
+    change while the object is in use. ``residual`` may pass ``A x - b``
+    when the caller already holds it.
     """
 
-    def __init__(self, problem, x):
+    def __init__(self, problem, x, residual=None):
         self.problem = problem
         self.x = x
+        if residual is not None:
+            self.residual = residual  # set on the instance, so never recomputed
 
     @cached_property
     def fval(self):
@@ -255,7 +264,7 @@ def kkt_residual(problem, x, lam, residual=None):
     return feas, stat
 
 
-def operator_norm_estimate(matrix):
+def operator_norm_estimate(matrix, gram=None):
     """Upper bound on the spectral norm ``|M|_2`` of a dense or sparse matrix.
 
     ``|M|_2^2`` is the largest eigenvalue of the smaller Gram matrix ``G``
@@ -264,37 +273,108 @@ def operator_norm_estimate(matrix):
     ``eigvalsh`` of the order-``d`` result errs by a small multiple of
     ``d eps |G|_2``; the value is raised by ``2 (k + d) eps trace(G)`` to
     cover both, where ``k + d`` is the number of rows plus columns of ``M``.
-    A zero matrix gives ``0.0``.
+    A zero matrix gives ``0.0``. ``gram`` may pass ``G`` when the caller
+    already holds it.
     """
-    gram = _smaller_gram(matrix)
+    gram = _smaller_gram(matrix) if gram is None else gram
     slack = 2.0 * sum(matrix.shape) * np.finfo(float).eps * float(np.trace(gram))
     return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0) + slack))
+
+
+def quadratic_term(smooth):
+    """``Q`` of a quadratic ``h``: the vector of its diagonal when it keeps
+    one, else its dense Hessian."""
+    diag = getattr(smooth, "diag", None)
+    return diag if diag is not None else smooth.hessian_matrix()
+
+
+class RangeSpaceSystem:
+    """The saddle system ``[D A'; A -theta I] (x, mu) = (g, b)`` with
+    ``D = Q + shift I`` positive definite and ``theta >= 0``, solved by the
+    range-space method (Nocedal & Wright, *Numerical Optimization*, 16.2).
+
+    With ``D = R'R`` and ``B = A R^-1`` (``R = D^1/2`` for a diagonal ``Q``,
+    the Cholesky factor for a dense one), the Schur complement
+    ``S = A D^-1 A' + theta I`` is the symmetric rank-k product ``B B'`` plus
+    ``theta`` on its diagonal, factored once by Cholesky. Then
+    ``mu = S^-1 (A D^-1 g - b)`` and ``x = D^-1 (g - A' mu)``. ``quad`` is
+    ``Q`` as in :func:`quadratic_term`; ``A`` must have a dense form.
+    Raises ``LinAlgError`` when ``D`` or ``S`` is not positive definite.
+    """
+
+    def __init__(self, constraint, quad, shift, theta):
+        self.constraint = constraint
+        amat = constraint.matrix()
+        if quad.ndim == 1:
+            self._diag, self._factor = quad + shift, None
+            if not np.all(self._diag > 0):
+                raise np.linalg.LinAlgError("D is not positive definite")
+            root = amat / np.sqrt(self._diag)
+        else:
+            dmat = np.array(quad, dtype=float)
+            dmat.flat[::dmat.shape[0] + 1] += shift
+            self._diag, self._factor = None, sla.cholesky(dmat, overwrite_a=True)
+            root = sla.solve_triangular(self._factor, amat.T, trans="T").T
+        schur = root @ root.T  # BLAS syrk: half the flops of a general product
+        schur.flat[::schur.shape[0] + 1] += theta
+        self._schur = sla.cho_factor(schur, overwrite_a=True)
+
+    def _solve_d(self, v):
+        if self._factor is None:
+            return v / self._diag
+        return sla.cho_solve((self._factor, False), v)
+
+    def multiplier(self, rhs):
+        """``S^-1 rhs``."""
+        return sla.cho_solve(self._schur, rhs)
+
+    def primal(self, g, mu):
+        """``D^-1 (g - A' mu)``."""
+        return self._solve_d(g - self.constraint.apply_adjoint(mu))
+
+    def solve(self, g, b):
+        """``(x, mu)`` of the saddle system."""
+        mu = self.multiplier(self.constraint.apply(self._solve_d(g)) - b)
+        return self.primal(g, mu), mu
 
 
 def solve_reference_saddle(problem):
     """Reference saddle point for quadratic unconstrained-set instances.
 
-    Solves the dense KKT system ``[Q A'; A 0] (x, lam) = (-c, b)`` and checks
-    the result to 1e-10. Only quadratic ``h`` with ``g = 0`` over the whole
-    space and full-row-rank dense ``A`` are supported.
+    Solves ``[Q A'; A 0] (x, lam) = (-c, b)`` with :class:`RangeSpaceSystem`
+    (no shift, ``theta = 0``), takes one refinement step
+    ``lam += S^-1 (A x - b)`` with ``x`` recovered from the new ``lam``, and
+    checks the KKT residual to 1e-10. When ``h`` is not strongly convex
+    (``mu = 0``), ``Q`` is replaced by ``Q + rho A'A`` and ``c`` by
+    ``c - rho A'b``: on ``Ax = b`` this changes neither the minimizer nor its
+    multiplier, and the new matrix is positive definite when ``Q`` is on
+    ``null(A)``, so every instance with a nonsingular KKT matrix has a
+    reference. Only quadratic ``h`` with ``g = 0`` over the whole space and
+    a dense ``A`` of full row rank are supported.
     """
     if not (problem.smooth.is_quadratic and problem.is_smooth_unconstrained):
         raise NoReferenceError("no closed-form reference for this problem")
+    smooth, constraint = problem.smooth, problem.constraint
     try:
-        amat = problem.constraint.matrix()
+        amat = constraint.matrix()
     except UnsupportedOracleError as exc:
         raise NoReferenceError("reference solve needs a dense constraint") from exc
-    n, m = problem.constraint.cols, problem.constraint.rows
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = problem.smooth.hessian_matrix()
-    kkt[:n, n:] = amat.T
-    kkt[n:, :n] = amat
-    rhs = np.concatenate([-problem.smooth.linear_term(), problem.constraint.rhs])
+    if constraint.rows > constraint.cols:
+        raise NoReferenceError("A has more rows than columns, so no full row rank")
+    g = -smooth.linear_term()
+    if smooth.mu > 0:
+        quad = quadratic_term(smooth)
+    else:
+        rho = (smooth.lip or 1.0) / (constraint.op_norm ** 2 or 1.0)
+        quad = smooth.hessian_matrix() + rho * (amat.T @ amat)
+        g = g + rho * constraint.apply_adjoint(constraint.rhs)
     try:
-        sol = np.linalg.solve(kkt, rhs)
+        system = RangeSpaceSystem(constraint, quad, 0.0, 0.0)
     except np.linalg.LinAlgError as exc:
         raise NoReferenceError(f"singular KKT system: {exc}") from exc
-    x_star, lam_star = sol[:n], sol[n:]
+    x_star, lam_star = system.solve(g, constraint.rhs)
+    lam_star = lam_star + system.multiplier(constraint.residual(x_star))
+    x_star = system.primal(g, lam_star)
     feas, stat = kkt_residual(problem, x_star, lam_star)
     if feas > 1e-10 or stat > 1e-10:
         raise NoReferenceError(

@@ -7,11 +7,17 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 # pcg_solve is unused here but stays bound: tracers wrap it by module attribute
 from .inner import DualMapContext, InnerSolveError, pcg_solve, ssn_solve  # noqa: F401
-from .model import NoReferenceError, PointValues, lyapunov_value, solve_reference_saddle
+from .model import (
+    NoReferenceError,
+    PointValues,
+    RangeSpaceSystem,
+    lyapunov_value,
+    quadratic_term,
+    solve_reference_saddle,
+)
 from .oracles import UnsupportedOracleError, ZeroProx
 from .schedule import ScalingState, StepRule, advance_scaling, step_size
 
@@ -36,9 +42,12 @@ class IterateState:
     ``inner_iters`` the inner-solver work that produced this iterate.
     ``v_residual`` carries ``A v - b`` from a ``semi_apd`` or ``ex_apdfb``
     step, which computes it for the multiplier update; the next such step
-    reuses it for ``lam_hat`` instead of applying ``A`` again. A state built
-    without it (``None``) has it recomputed, so a state whose ``v`` is
-    replaced must drop it.
+    reuses it for ``lam_hat`` instead of applying ``A`` again.
+    ``x_residual`` carries ``A x - b`` from an ``implicit`` step, which
+    computes it for the multiplier; the run loop's record and the next
+    step's shifted multiplier reuse it. A state built without them
+    (``None``) has them recomputed, so a state whose ``v`` or ``x`` is
+    replaced must drop the matching one.
     """
 
     x: np.ndarray
@@ -48,6 +57,7 @@ class IterateState:
     y: np.ndarray = None
     inner_iters: int = 0
     v_residual: np.ndarray = None
+    x_residual: np.ndarray = None
 
 
 @dataclass
@@ -88,14 +98,9 @@ class SolverRun:
 # shared pieces
 # ---------------------------------------------------------------------------
 
-def _shifted_multiplier(state, problem):
-    return state.lam - problem.constraint.residual(state.x) / state.scaling.theta
-
-
-def _v_residual(state, constraint):
-    if state.v_residual is not None:
-        return state.v_residual
-    return constraint.residual(state.v)
+def _residual(carried, constraint, point):
+    """``A point - b``: the one a state carries, else formed now."""
+    return carried if carried is not None else constraint.residual(point)
 
 
 def _inner_tolerance(theta):
@@ -152,12 +157,14 @@ def _prox_full_objective(problem, eta, point, beta):
 def implicit_apd_step(state, problem, alpha):
     """Fully implicit step; runs with ``mu_beta = 0`` and ``beta = 0``.
 
-    Quadratic unconstrained objectives get an exact range-space solve: with
-    ``D = Q + I/eta`` and ``g = y/eta - c - A' shifted``, an m-by-m Cholesky
-    solves ``(A D^-1 A' + theta' I) mu = A D^-1 g - b`` and
-    ``x' = D^-1 (g - A' mu)``. ``D^-1`` is elementwise for a diagonal ``Q``
-    and a Cholesky solve for a dense one. Pure prox objectives go through the
-    dual nonlinear equation and semi-smooth Newton.
+    Quadratic unconstrained objectives get an exact range-space solve
+    (:class:`~apd.model.RangeSpaceSystem`): with ``D = Q + I/eta`` and
+    ``g = y/eta - c - A' shifted``, the subproblem is
+    ``[D A'; A -theta' I] (x', mu) = (g, b)``, one Cholesky of the m-by-m
+    Schur complement ``A D^-1 A' + theta' I``. Pure prox objectives go
+    through the dual nonlinear equation and semi-smooth Newton. The
+    multiplier is ``shifted + (A x' - b)/theta'``; its residual ``A x' - b``
+    is carried on the new state.
     """
     if alpha <= 0:
         raise ValueError("step size must be positive")
@@ -166,23 +173,15 @@ def implicit_apd_step(state, problem, alpha):
     tau = sc.gamma * (1.0 + alpha)
     y = (state.x + alpha * state.v) / (1.0 + alpha)
     eta = alpha ** 2 / tau
-    shifted = _shifted_multiplier(state, problem)
     constraint = problem.constraint
+    shifted = state.lam - _residual(state.x_residual, constraint, state.x) / sc.theta
     inner_iters = 0
     if problem.smooth.is_quadratic and problem.is_smooth_unconstrained:
-        smooth, amat = problem.smooth, constraint.matrix()
-        g = y / eta - smooth.linear_term() - constraint.apply_adjoint(shifted)
-        stacked = np.column_stack([amat.T, g])
-        diagonal = getattr(smooth, "diag", None)
-        if diagonal is not None:
-            dinv = stacked / (diagonal + 1.0 / eta)[:, None]
-        else:
-            dinv = cho_solve(cho_factor(smooth.hessian_matrix()
-                                        + np.eye(constraint.cols) / eta), stacked)
-        dinv_at, dinv_g = dinv[:, :-1], dinv[:, -1]
-        rhs = _finite(constraint.apply(dinv_g) - constraint.rhs, "implicit subproblem")
-        schur = amat @ dinv_at + theta_next * np.eye(constraint.rows)
-        x_next = dinv_g - dinv_at @ cho_solve(cho_factor(schur), rhs)
+        smooth = problem.smooth
+        g = _finite(y / eta - smooth.linear_term() - constraint.apply_adjoint(shifted),
+                    "implicit subproblem")
+        system = RangeSpaceSystem(constraint, quadratic_term(smooth), 1.0 / eta, theta_next)
+        x_next, _ = system.solve(g, constraint.rhs)
     elif problem.smooth.is_zero:
         r = theta_next * shifted - constraint.rhs
         ctx = DualMapContext(theta_next, 1.0, eta, y, constraint,
@@ -199,9 +198,10 @@ def implicit_apd_step(state, problem, alpha):
             "implicit subproblem needs a quadratic objective or a pure prox part",
             np.nan)
     v_next = x_next + (x_next - state.x) / alpha
-    lam_next = shifted + constraint.residual(x_next) / theta_next
-    return IterateState(x_next, v_next, lam_next,
-                        advance_scaling(sc, alpha, 0.0), inner_iters=inner_iters)
+    x_residual = constraint.residual(x_next)
+    lam_next = shifted + x_residual / theta_next
+    return IterateState(x_next, v_next, lam_next, advance_scaling(sc, alpha, 0.0),
+                        inner_iters=inner_iters, x_residual=x_residual)
 
 
 def semi_apd_step(state, problem, alpha):
@@ -212,7 +212,7 @@ def semi_apd_step(state, problem, alpha):
     beta = problem.effective_beta
     mu_beta = problem.mu_beta
     constraint = problem.constraint
-    lam_hat = state.lam + (alpha / sc.theta) * _v_residual(state, constraint)
+    lam_hat = state.lam + (alpha / sc.theta) * _residual(state.v_residual, constraint, state.v)
     tau = sc.gamma + mu_beta * alpha + sc.gamma * alpha
     y = ((sc.gamma + mu_beta * alpha) * state.x + sc.gamma * alpha * state.v) / tau
     eta = alpha ** 2 / tau
@@ -287,7 +287,7 @@ def ex_apdfb_step(state, problem, alpha):
     tau = sc.gamma + mu_beta * alpha
     w = (sc.gamma * state.v + mu_beta * alpha * y) / tau
     eta = alpha / tau
-    lam_hat = state.lam + (alpha / sc.theta) * _v_residual(state, constraint)
+    lam_hat = state.lam + (alpha / sc.theta) * _residual(state.v_residual, constraint, state.v)
     point = w - eta * (problem.smooth_beta_gradient(y, beta)
                        + constraint.apply_adjoint(lam_hat))
     v_next = problem.nonsmooth.prox(eta, point)
@@ -354,8 +354,9 @@ def run_solver(problem, config):
     at ``max_iter``, or when the decay factor underflows. Deterministic for
     a fixed configuration; wall clocks are recorded only with ``timing``.
 
-    Each iterate's residual ``A x - b`` is formed once and feeds its record
-    and the stop test; the values at ``x*`` are formed once per run.
+    Each iterate's residual ``A x - b`` is formed once (by the step, when it
+    carries one) and feeds its record and the stop test; the values at
+    ``x*`` are formed once per run.
     """
     from .model import kkt_residual
 
@@ -385,7 +386,7 @@ def run_solver(problem, config):
         started = time.perf_counter_ns() if config.timing else 0
         state = take_step(state, problem, alpha)
         elapsed = time.perf_counter_ns() - started if config.timing else 0
-        at_x = PointValues(problem, state.x)
+        at_x = PointValues(problem, state.x, state.x_residual)
         rec = _record(k + 1, alpha, state, problem, reference, at_x, at_star, elapsed)
         records.append(rec)
         if config.stop_tol > 0:

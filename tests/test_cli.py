@@ -80,6 +80,15 @@ def test_flow_writes_one_row_per_step(tmp_path):
     assert len(lines) == 52  # header plus t = 0, 0.01, ..., 0.5
 
 
+def test_flow_without_a_reference_exits_with_one_line(tmp_path):
+    problem = write_problem(tmp_path / "lasso.txt", "lasso")
+    with pytest.raises(SystemExit) as info:
+        main(["flow", "--problem", problem, "--h", "0.01", "--T", "0.1",
+              "--csv", str(tmp_path / "flow.csv")])
+    assert info.value.code == ("flow needs a reference saddle point: "
+                               "no closed-form reference for this problem")
+
+
 def test_compare_summarizes_each_scheme(tmp_path, capsys):
     problem = write_problem(tmp_path / "qp.txt", "quadratic")
     out_dir = tmp_path / "out"

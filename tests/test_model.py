@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apd
+from apd import model
 from apd.ddo import graph_incidence, random_geometric_graph
-from apd.model import NoReferenceError
+from apd.model import NoReferenceError, RangeSpaceSystem
 from conftest import planted_lasso
 
 
@@ -115,6 +116,20 @@ def test_default_op_norm_bounds_gaussian_matrices():
         assert apd.MatrixConstraint(amat, np.zeros(250)).op_norm >= np.linalg.norm(amat, 2)
 
 
+def test_matrix_constraint_forms_its_gram_matrix_once(monkeypatch):
+    # the product the default op_norm bound forms is the one the factor takes
+    calls = []
+    smaller_gram = model._smaller_gram
+    monkeypatch.setattr(model, "_smaller_gram",
+                        lambda matrix: calls.append(matrix.shape) or smaller_gram(matrix))
+    amat = np.random.default_rng(2).standard_normal((3, 5))
+    for op_norm in (None, 10.0):
+        calls.clear()
+        s, u = apd.MatrixConstraint(amat, np.zeros(3), op_norm=op_norm).gram_factor
+        assert calls == [(3, 5)]
+        np.testing.assert_allclose((u * s) @ u.T, amat @ amat.T, atol=1e-12)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_matrix_constraint_rejects_non_finite_entries(bad):
     amat = np.eye(3)
@@ -139,6 +154,84 @@ def test_reference_saddle_examples(qp1):
     sp3 = apd.solve_reference_saddle(p3)
     np.testing.assert_allclose(sp3.x_star, [0.8, 0.2], atol=1e-12)
     np.testing.assert_allclose(sp3.lambda_star, [-0.8], atol=1e-12)
+
+
+def kkt_solve(amat, quad, g, b, shift=0.0, theta=0.0):
+    """The dense solve of ``[Q + shift I, A'; A, -theta I] (x, mu) = (g, b)``
+    that the range-space method replaced."""
+    m, n = amat.shape
+    dmat = (np.diag(quad) if quad.ndim == 1 else quad) + shift * np.eye(n)
+    sol = np.linalg.solve(np.block([[dmat, amat.T], [amat, -theta * np.eye(m)]]),
+                          np.concatenate([g, b]))
+    return sol[:n], sol[n:]
+
+
+def assert_close_in_norm(got, want, rtol):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_range_space_system_matches_the_kkt_solve(dense, theta):
+    rng = np.random.default_rng(11)
+    n, m = 30, 10
+    amat = rng.standard_normal((m, n))
+    if dense:
+        root = rng.standard_normal((n, n))
+        quad = root @ root.T / n
+    else:
+        quad = rng.uniform(0.1, 2.0, n)
+    g, b = rng.standard_normal(n), rng.standard_normal(m)
+    system = RangeSpaceSystem(apd.MatrixConstraint(amat, b), quad, 0.7, theta)
+    x, mu = system.solve(g, b)
+    x_ref, mu_ref = kkt_solve(amat, quad, g, b, 0.7, theta)
+    assert_close_in_norm(x, x_ref, 1e-10)
+    assert_close_in_norm(mu, mu_ref, 1e-10)
+
+
+def test_reference_saddle_on_a_benchmark_size_qp():
+    rng = np.random.default_rng(3)
+    amat = rng.standard_normal((250, 1000))
+    b = rng.standard_normal(250)
+    q = rng.uniform(0.1, 2.0, 1000)
+    p = apd.ProblemInstance(apd.QuadraticObjective(q), apd.ZeroProx(),
+                            apd.MatrixConstraint(amat, b))
+    sp = apd.solve_reference_saddle(p)
+    feas, stat = apd.kkt_residual(p, sp.x_star, sp.lambda_star)
+    assert feas <= 1e-12 and stat <= 1e-12
+    x_ref, lam_ref = kkt_solve(amat, q, np.zeros(1000), b)
+    assert_close_in_norm(sp.x_star, x_ref, 1e-10)
+    assert_close_in_norm(sp.lambda_star, lam_ref, 1e-10)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_reference_saddle_of_a_semidefinite_quadratic(dense):
+    # Q is singular but positive definite on null(A), so the KKT matrix is not
+    rng = np.random.default_rng(12)
+    n, m = 8, 3
+    amat = rng.standard_normal((m, n))
+    if dense:
+        root = rng.standard_normal((n, n - 1))
+        quad = root @ root.T
+    else:
+        quad = rng.uniform(0.1, 2.0, n)
+        quad[0] = 0.0  # the zero direction e_0 is not in null(A)
+    c, b = rng.standard_normal(n), rng.standard_normal(m)
+    p = apd.ProblemInstance(apd.QuadraticObjective(quad, c), apd.ZeroProx(),
+                            apd.MatrixConstraint(amat, b))
+    sp = apd.solve_reference_saddle(p)
+    x_ref, lam_ref = kkt_solve(amat, quad, -c, b)
+    assert_close_in_norm(sp.x_star, x_ref, 1e-10)
+    assert_close_in_norm(sp.lambda_star, lam_ref, 1e-10)
+
+
+def test_reference_saddle_rejects_a_tall_constraint():
+    # three consistent rows in R^2: x is fixed, the multiplier is not unique
+    amat = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    p = apd.ProblemInstance(apd.QuadraticObjective(np.ones(2)), apd.ZeroProx(),
+                            apd.MatrixConstraint(amat, amat @ [1.0, 2.0]))
+    with pytest.raises(NoReferenceError):
+        apd.solve_reference_saddle(p)
 
 
 def test_reference_saddle_rejects_nonquadratic():
