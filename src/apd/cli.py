@@ -150,9 +150,10 @@ def _cmd_compare(args):
 
 def _cmd_audit(args):
     columns = read_csv(args.csv)
-    rows = [SimpleNamespace(k=int(k), alpha=a, theta=t, lyapunov=ly)
-            for k, a, t, ly in zip(columns["k"], columns["alpha"],
-                                   columns["theta"], columns["lyapunov"])]
+    rows = [SimpleNamespace(k=int(k), epoch=int(e), alpha=a, theta=t, gamma=g, lyapunov=ly)
+            for k, e, a, t, g, ly in zip(columns["k"], columns["epoch"], columns["alpha"],
+                                         columns["theta"], columns["gamma"],
+                                         columns["lyapunov"])]
     rule = None
     if args.scheme:
         rule = StepRule(args.scheme, norm_a=args.norm_a, lip_beta=args.l_beta,

@@ -147,17 +147,17 @@ def mixing_matrix(incidence):
     from the signed incidence matrix ``B`` of :func:`graph_incidence`.
 
     ``L = B'B`` is an integer product, so it equals :func:`graph_laplacian`,
-    and ``lambda_max(L) = |B|_2^2`` comes from :func:`operator_norm_estimate`,
-    an upper bound. The spectrum of ``W`` therefore sits in ``[0, 1]`` with a
-    simple eigenvalue 1, and the halved matrix is bounded below by one half.
-    Both matrices are CSR; only the norm bound forms a dense Gram matrix.
+    and ``lambda_max(L) = |B|_2^2`` comes from :func:`operator_norm_estimate`
+    on a dense copy of that same ``L``, an upper bound. The spectrum of ``W``
+    therefore sits in ``[0, 1]`` with a simple eigenvalue 1, and the halved
+    matrix is bounded below by one half. Both matrices are CSR.
     """
     n = incidence.shape[1]
     eye = sp.identity(n, format="csr")
     if n == 1:
         return MixingMatrix(eye, eye, 1.0)
     lap = (incidence.T @ incidence).tocsr()
-    w = eye - lap / operator_norm_estimate(incidence) ** 2
+    w = eye - lap / operator_norm_estimate(incidence, gram=lap.toarray()) ** 2
     return MixingMatrix(w, 0.5 * (eye + w), 0.5)
 
 

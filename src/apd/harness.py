@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import load_problem
-from .schedule import theta_upper_bound
+from .schedule import restart_scaling, theta_upper_bound
 from .solvers import SolverConfig, make_step_rule, run_solver
 
 # Contraction and theta-bound checks run against these slacks; an extra
@@ -129,23 +129,34 @@ class AuditReport:
 def audit_records(records, rule=None, gamma0=None, mu_beta=0.0):
     """Re-check the contraction and decay certificates on recorded runs.
 
-    Contraction compares consecutive Lyapunov values against the recorded
-    step size; the decay bound needs the scheme's step rule and ``gamma0``.
-    Lyapunov values under the noise floor are skipped (cancellation noise).
+    Each epoch of a run is a fresh run of the scheme, so the certificates
+    hold inside an epoch and only the pair of records across a restart goes
+    unchecked. Contraction compares consecutive Lyapunov values against the
+    recorded step size; Lyapunov values under the noise floor are skipped
+    (cancellation noise). The decay bound needs the scheme's step rule and
+    ``gamma0``; it counts ``k`` from the epoch's start and takes the
+    ``gamma`` the epoch started with (:func:`~apd.schedule.restart_scaling`).
     """
     report = AuditReport()
     prev = None
     scale = max((r.lyapunov for r in records if np.isfinite(r.lyapunov)), default=1.0)
     floor = LYAPUNOV_NOISE_FLOOR * max(scale, 1.0)
+    decay = rule is not None and gamma0 is not None
+    start_k, start_gamma = 0, gamma0
     for rec in records:
-        if prev is not None and np.isfinite(rec.lyapunov) and np.isfinite(prev.lyapunov):
+        restarted = prev is not None and rec.epoch != prev.epoch
+        if restarted and decay:
+            start_k = prev.k
+            start_gamma = restart_scaling(rule.variant, mu_beta, prev.gamma, gamma0).gamma
+        if (prev is not None and not restarted and np.isfinite(rec.lyapunov)
+                and np.isfinite(prev.lyapunov)):
             report.checked += 1
             bound = prev.lyapunov / (1.0 + rec.alpha) * (1.0 + CONTRACTION_SLACK)
             if rec.lyapunov > bound + floor:
                 report.contraction_violations += 1
-        if rule is not None and gamma0 is not None:
-            gmin, gmax = min(gamma0, mu_beta), max(gamma0, mu_beta)
-            bound = theta_upper_bound(rule, rec.k, gamma0, gmin, gmax)
+        if decay:
+            gmin, gmax = min(start_gamma, mu_beta), max(start_gamma, mu_beta)
+            bound = theta_upper_bound(rule, rec.k - start_k, start_gamma, gmin, gmax)
             if rec.theta > bound * (1.0 + THETA_BOUND_SLACK):
                 report.theta_bound_violations += 1
         prev = rec

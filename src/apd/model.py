@@ -273,8 +273,9 @@ def operator_norm_estimate(matrix, gram=None):
     ``eigvalsh`` of the order-``d`` result errs by a small multiple of
     ``d eps |G|_2``; the value is raised by ``2 (k + d) eps trace(G)`` to
     cover both, where ``k + d`` is the number of rows plus columns of ``M``.
-    A zero matrix gives ``0.0``. ``gram`` may pass ``G`` when the caller
-    already holds it.
+    A zero matrix gives ``0.0``. ``gram`` may pass ``G``, or the other Gram
+    matrix, when the caller already holds it: both have the same largest
+    eigenvalue and trace, and the slack covers forming either.
     """
     gram = _smaller_gram(matrix) if gram is None else gram
     slack = 2.0 * sum(matrix.shape) * np.finfo(float).eps * float(np.trace(gram))

@@ -9,8 +9,6 @@ import numpy as np
 # Runs stop once the decay factor can no longer be represented meaningfully.
 SCALE_FLOOR = 1e-300
 
-SCHEMES = ("implicit", "semi_apd", "semi_apdfb", "ex_apdfb")
-
 
 @dataclass(frozen=True)
 class ScalingState:
@@ -56,7 +54,7 @@ class StepRule:
     alpha: float = 1.0  # free step for the implicit scheme
 
     def __post_init__(self):
-        if self.variant not in SCHEMES:
+        if self.variant not in SCHEME_TABLE:
             raise ValueError(f"unknown scheme {self.variant!r}")
 
     @property
@@ -64,24 +62,95 @@ class StepRule:
         return self.lip_beta + self.norm_a ** 2
 
 
-def step_size(rule, state):
-    """Step size prescribed by ``rule`` at the current scaling."""
-    if rule.variant == "implicit":
-        if rule.alpha <= 0:
-            raise ValueError("free step size must be positive")
-        return rule.alpha
-    if rule.variant == "semi_apd":
-        if rule.norm_a <= 0:
-            raise ValueError("semi_apd step needs a nonzero constraint operator")
-        return np.sqrt(state.theta * state.gamma) / rule.norm_a
-    if rule.variant == "semi_apdfb":
-        if rule.lip_beta <= 0:
-            raise ValueError("semi_apdfb step needs a positive smoothness constant")
-        return np.sqrt(state.gamma / rule.lip_beta)
-    # ex_apdfb
+# ---------------------------------------------------------------------------
+# step sizes and decay certificates, one pair per scheme
+# ---------------------------------------------------------------------------
+
+def _free_step(rule, state):
+    if rule.alpha <= 0:
+        raise ValueError("free step size must be positive")
+    return rule.alpha
+
+
+def _semi_apd_step(rule, state):
+    if rule.norm_a <= 0:
+        raise ValueError("semi_apd step needs a nonzero constraint operator")
+    return np.sqrt(state.theta * state.gamma) / rule.norm_a
+
+
+def _semi_apdfb_step(rule, state):
+    if rule.lip_beta <= 0:
+        raise ValueError("semi_apdfb step needs a positive smoothness constant")
+    return np.sqrt(state.gamma / rule.lip_beta)
+
+
+def _ex_apdfb_step(rule, state):
     if rule.s_beta <= 0:
         raise ValueError("ex_apdfb step needs lip_beta + |A|^2 > 0")
     return np.sqrt(state.theta * state.gamma / rule.s_beta)
+
+
+def _implicit_bound(rule, k, gamma0, gamma_min, gamma_max):
+    return (1.0 + rule.alpha) ** (-k)
+
+
+def _semi_apdfb_bound(rule, k, gamma0, gamma_min, gamma_max):
+    lip = rule.lip_beta
+    # telescoping 1/sqrt(theta): each increment is at least
+    # sqrt(gamma0) / q with q = 2 sqrt(lip) + sqrt(gamma_max)/2, since
+    # 1 + sqrt(1+a) <= 2 + a/2 and a_k <= sqrt(gamma_max/lip)
+    q = 2.0 * np.sqrt(lip) + 0.5 * np.sqrt(gamma_max)
+    sublinear = (q / (np.sqrt(gamma0) * k + q)) ** 2
+    linear = (1.0 + np.sqrt(gamma_min / lip)) ** (-k)
+    return min(sublinear, linear)
+
+
+def _accelerated_bound(q, k, gamma0, gamma_min):
+    sublinear = q / (np.sqrt(gamma0) * k + q)
+    accelerated = q ** 2 / (np.sqrt(gamma_min) * k + q) ** 2
+    return min(sublinear, accelerated)
+
+
+def _semi_apd_bound(rule, k, gamma0, gamma_min, gamma_max):
+    return _accelerated_bound(3.0 * rule.norm_a + np.sqrt(gamma_max), k, gamma0, gamma_min)
+
+
+def _ex_apdfb_bound(rule, k, gamma0, gamma_min, gamma_max):
+    return _accelerated_bound(3.0 * np.sqrt(rule.s_beta) + np.sqrt(gamma_max), k, gamma0,
+                              gamma_min)
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One row of :data:`SCHEME_TABLE`.
+
+    ``step`` names the scheme's step function in :mod:`apd.solvers`, which
+    looks it up there at call time. ``step_size(rule, scaling)`` is the step
+    rule and ``theta_bound(rule, k, gamma0, gamma_min, gamma_max)`` the
+    closed-form certificate ``theta_k <= bound`` for ``k >= 1``.
+    ``uses_mu_beta`` says whether the step advances the scaling pair with
+    the problem's ``mu_beta``; when it does not, it advances with 0 and
+    ``gamma`` decays with ``theta``.
+    """
+
+    step: str
+    step_size: object
+    theta_bound: object
+    uses_mu_beta: bool
+
+
+SCHEME_TABLE = {
+    "implicit": Scheme("implicit_apd_step", _free_step, _implicit_bound, False),
+    "semi_apd": Scheme("semi_apd_step", _semi_apd_step, _semi_apd_bound, True),
+    "semi_apdfb": Scheme("semi_apdfb_step", _semi_apdfb_step, _semi_apdfb_bound, True),
+    "ex_apdfb": Scheme("ex_apdfb_step", _ex_apdfb_step, _ex_apdfb_bound, True),
+}
+SCHEMES = tuple(SCHEME_TABLE)
+
+
+def step_size(rule, state):
+    """Step size prescribed by ``rule`` at the current scaling."""
+    return SCHEME_TABLE[rule.variant].step_size(rule, state)
 
 
 def theta_upper_bound(rule, k, gamma0, gamma_min, gamma_max):
@@ -90,21 +159,16 @@ def theta_upper_bound(rule, k, gamma0, gamma_min, gamma_max):
         raise ValueError("iteration index must be nonnegative")
     if k == 0:
         return 1.0
-    if rule.variant == "implicit":
-        return (1.0 + rule.alpha) ** (-k)
-    if rule.variant == "semi_apdfb":
-        lip = rule.lip_beta
-        # telescoping 1/sqrt(theta): each increment is at least
-        # sqrt(gamma0) / q with q = 2 sqrt(lip) + sqrt(gamma_max)/2, since
-        # 1 + sqrt(1+a) <= 2 + a/2 and a_k <= sqrt(gamma_max/lip)
-        q = 2.0 * np.sqrt(lip) + 0.5 * np.sqrt(gamma_max)
-        sublinear = (q / (np.sqrt(gamma0) * k + q)) ** 2
-        linear = (1.0 + np.sqrt(gamma_min / lip)) ** (-k)
-        return min(sublinear, linear)
-    if rule.variant == "semi_apd":
-        q = 3.0 * rule.norm_a + np.sqrt(gamma_max)
-    else:  # ex_apdfb
-        q = 3.0 * np.sqrt(rule.s_beta) + np.sqrt(gamma_max)
-    sublinear = q / (np.sqrt(gamma0) * k + q)
-    accelerated = q ** 2 / (np.sqrt(gamma_min) * k + q) ** 2
-    return min(sublinear, accelerated)
+    return SCHEME_TABLE[rule.variant].theta_bound(rule, k, gamma0, gamma_min, gamma_max)
+
+
+def restart_scaling(variant, mu_beta, gamma, gamma0):
+    """Scaling pair that starts a new epoch of ``variant`` after one that
+    ended at ``gamma``: ``theta = 1`` and ``k = 0``.
+
+    ``gamma`` is kept when the scheme advances it with ``mu_beta > 0`` (it
+    then tends to ``mu_beta`` and never decays); otherwise it decays with
+    ``theta`` and restarts at ``gamma0``.
+    """
+    keep = SCHEME_TABLE[variant].uses_mu_beta and mu_beta > 0
+    return ScalingState(1.0, gamma if keep else gamma0, 0)

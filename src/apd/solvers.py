@@ -19,15 +19,19 @@ from .model import (
     solve_reference_saddle,
 )
 from .oracles import UnsupportedOracleError, ZeroProx
-from .schedule import ScalingState, StepRule, advance_scaling, step_size
+from .schedule import (
+    SCHEME_TABLE,
+    ScalingState,
+    StepRule,
+    advance_scaling,
+    restart_scaling,
+    step_size,
+)
 
 _MAX_NEWTON = 100  # semi-smooth Newton iterations per inner solve
-# the implicit multiplier is the shifted one plus (A x' - b)/theta', so its
-# rounding error grows like 1/theta': about 3e-12/theta' on a dense 100x400 QP,
-# whose run aborts on a negative Lagrangian gap near theta' = 6e-17 without
-# this floor, while x stays accurate; the other schemes run to the default
-_THETA_RUN_FLOOR = {"implicit": 1e-13}
-_THETA_RUN_FLOOR_DEFAULT = 1e-140
+# c of the restart rule: an epoch ends at the first step that leaves theta
+# below it, so 1/theta never exceeds (1 + alpha)/c in any update
+_RESTART_THETA = 1e-2
 
 
 class SaddleReferenceError(RuntimeError):
@@ -45,7 +49,8 @@ class IterateState:
     reuses it for ``lam_hat`` instead of applying ``A`` again.
     ``x_residual`` carries ``A x - b`` from an ``implicit`` step, which
     computes it for the multiplier; the run loop's record and the next
-    step's shifted multiplier reuse it. A state built without them
+    step's shifted multiplier reuse it. A restarted state has ``v = x`` and
+    carries the one residual as both. A state built without them
     (``None``) has them recomputed, so a state whose ``v`` or ``x`` is
     replaced must drop the matching one.
     """
@@ -75,6 +80,7 @@ class SolverConfig:
 @dataclass
 class IterationRecord:
     k: int
+    epoch: int
     alpha: float
     theta: float
     gamma: float
@@ -89,7 +95,7 @@ class IterationRecord:
 @dataclass
 class SolverRun:
     records: list
-    status: str  # converged | max_iter | scale_exhausted
+    status: str  # converged | max_iter | precision_floor
     state: IterateState
     reference: object
 
@@ -349,23 +355,33 @@ def initial_state(problem, config):
 def run_solver(problem, config):
     """Run one scheme on one problem, recording per-iteration diagnostics.
 
-    Stops on ``stop_tol`` over objective gap plus feasibility when a
-    reference saddle point is available (otherwise over the KKT residual),
-    at ``max_iter``, or when the decay factor underflows. Deterministic for
+    The run is a sequence of epochs, each a fresh run of the scheme: once a
+    step leaves ``theta`` below ``_RESTART_THETA``, the next epoch starts
+    from ``(x, x, lam)`` with the scaling pair of
+    :func:`~apd.schedule.restart_scaling`. The stop measure is objective gap
+    plus feasibility when a reference saddle point is available, otherwise
+    the KKT residual (formed at epoch ends, and once feasibility is within
+    ``stop_tol``). The run ends with status
+
+    - ``converged`` when the measure is within ``stop_tol``;
+    - ``precision_floor`` when an epoch ends without lowering the measure
+      below every earlier epoch end: rounding, not the scheme, now sets the
+      accuracy. The returned state is then the best iterate measured;
+    - ``max_iter`` otherwise.
+
+    Every step is recorded, with the epoch it belongs to. Deterministic for
     a fixed configuration; wall clocks are recorded only with ``timing``.
 
     Each iterate's residual ``A x - b`` is formed once (by the step, when it
-    carries one) and feeds its record and the stop test; the values at
-    ``x*`` are formed once per run.
+    carries one) and feeds its record, the stop test and the restart; the
+    values at ``x*`` are formed once per run.
     """
     from .model import kkt_residual
 
     if config.scheme == "implicit" and problem.beta != 0.0:
         problem = dataclasses.replace(problem, beta=0.0)
     rule = make_step_rule(problem, config)
-    # looked up per run, so a step function replaced on the module is the one called
-    take_step = {"implicit": implicit_apd_step, "semi_apd": semi_apd_step,
-                 "semi_apdfb": semi_apdfb_step, "ex_apdfb": ex_apdfb_step}[config.scheme]
+    step_name = SCHEME_TABLE[config.scheme].step
     reference = config.reference
     if reference is None:
         try:
@@ -374,44 +390,54 @@ def run_solver(problem, config):
             reference = None
     at_star = PointValues(problem, reference.x_star) if reference is not None else None
     state = initial_state(problem, config)
-    records = [_record(0, 0.0, state, problem, reference,
+    records = [_record(0, 0, 0.0, state, problem, reference,
                        PointValues(problem, state.x), at_star)]
     status = "max_iter"
-    floor = _THETA_RUN_FLOOR.get(config.scheme, _THETA_RUN_FLOOR_DEFAULT)
+    epoch = 0
+    best, best_state, best_end = np.inf, state, np.inf
     for k in range(config.max_iter):
+        if state.scaling.theta < _RESTART_THETA:
+            epoch += 1
+            state = IterateState(state.x, state.x, state.lam,
+                                 restart_scaling(config.scheme, problem.mu_beta,
+                                                 state.scaling.gamma, config.gamma0),
+                                 v_residual=at_x.residual, x_residual=at_x.residual)
         alpha = step_size(rule, state.scaling)
-        if state.scaling.exhausted or state.scaling.theta / (1.0 + alpha) < floor:
-            status = "scale_exhausted"
-            break
         started = time.perf_counter_ns() if config.timing else 0
-        state = take_step(state, problem, alpha)
+        # looked up per step, so a step function replaced on the module is the one called
+        state = globals()[step_name](state, problem, alpha)
         elapsed = time.perf_counter_ns() - started if config.timing else 0
         at_x = PointValues(problem, state.x, state.x_residual)
-        rec = _record(k + 1, alpha, state, problem, reference, at_x, at_star, elapsed)
+        rec = _record(k + 1, epoch, alpha, state, problem, reference, at_x, at_star, elapsed)
         records.append(rec)
-        if config.stop_tol > 0:
-            if reference is not None:
-                done = rec.obj_gap + rec.feasibility <= config.stop_tol
-            else:
-                # feas + stat <= stop_tol needs feas <= stop_tol, and feas is
-                # the record's feasibility: stationarity is only formed then
-                done = rec.feasibility <= config.stop_tol
-                if done:
-                    feas, stat = kkt_residual(problem, state.x, state.lam,
-                                              residual=at_x.residual)
-                    done = feas + stat <= config.stop_tol
-            if done:
-                status = "converged"
+        epoch_end = state.scaling.theta < _RESTART_THETA
+        if reference is not None:
+            measure = rec.obj_gap + rec.feasibility
+        elif epoch_end or 0 < config.stop_tol and rec.feasibility <= config.stop_tol:
+            # feas + stat <= stop_tol needs feas <= stop_tol, so stationarity
+            # is formed only then and at epoch ends
+            measure = sum(kkt_residual(problem, state.x, state.lam, residual=at_x.residual))
+        else:
+            measure = np.inf
+        if measure < best:
+            best, best_state = measure, state
+        if config.stop_tol > 0 and measure <= config.stop_tol:
+            status = "converged"
+            break
+        if epoch_end:
+            if not measure < best_end:
+                status, state = "precision_floor", best_state
                 break
+            best_end = measure
     return SolverRun(records, status, state, reference)
 
 
-def _record(k, alpha, state, problem, reference, at_x, at_star, wall_ns=0):
+def _record(k, epoch, alpha, state, problem, reference, at_x, at_star, wall_ns=0):
     obj_gap, feasibility, lagrangian_gap = residual_metrics(
         problem, state.x, state.lam, reference, at_x=at_x, at_star=at_star)
     lyap = discrete_lyapunov(state, problem, reference, at_x=at_x, at_star=at_star) \
         if reference is not None else np.nan
     return IterationRecord(
-        k=k, alpha=alpha, theta=state.scaling.theta, gamma=state.scaling.gamma,
+        k=k, epoch=epoch, alpha=alpha, theta=state.scaling.theta, gamma=state.scaling.gamma,
         obj_gap=obj_gap, feasibility=feasibility, lagrangian_gap=lagrangian_gap,
         lyapunov=lyap, inner_iters=state.inner_iters, wall_ns=wall_ns)

@@ -64,7 +64,7 @@ def test_solve_stops_on_the_kkt_residual(tmp_path, capsys):
     assert out.startswith("ex_apdfb: status=converged k=")
     k = int(out.split("k=")[1].split()[0])
     lines = read_lines(csv)
-    assert lines[0] == ("k,alpha,theta,gamma,obj_gap,feasibility,lagrangian_gap,"
+    assert lines[0] == ("k,epoch,alpha,theta,gamma,obj_gap,feasibility,lagrangian_gap,"
                         "lyapunov,inner_iters,wall_ns")
     assert len(lines) == k + 2  # header plus records k = 0..k
 
@@ -111,7 +111,7 @@ def test_audit_passes_a_solver_csv(tmp_path, capsys):
                  "--max-iter", "20", "--csv", str(csv)]) == 0
     capsys.readouterr()
     code = main(["audit", "--csv", str(csv), "--scheme", "implicit"])
-    assert capsys.readouterr().out == ("audit: checked=20 contraction_violations=0 "
+    assert capsys.readouterr().out == ("audit: checked=18 contraction_violations=0 "
                                        "theta_bound_violations=0\n")
     assert code == 0
 
@@ -127,6 +127,6 @@ def test_audit_checks_the_semi_apd_theta_bound(tmp_path, capsys):
     code = main(["audit", "--csv", str(csv), "--scheme", "semi_apd",
                  "--norm-a", repr(loaded.constraint.op_norm),
                  "--mu-beta", repr(loaded.mu_beta)])
-    assert capsys.readouterr().out == ("audit: checked=40 contraction_violations=0 "
+    assert capsys.readouterr().out == ("audit: checked=39 contraction_violations=0 "
                                        "theta_bound_violations=0\n")
     assert code == 0
