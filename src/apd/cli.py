@@ -138,6 +138,8 @@ def _cmd_compare(args):
             gamma0=args.gamma0, beta=args.beta, max_iter=args.max_iter,
             stop_tol=args.stop_tol, alpha=args.alpha, out_dir=args.out_dir,
             jobs=args.jobs)
+    if not cfg.schemes:
+        raise SystemExit("compare needs at least one scheme")
     summaries = run_experiment(cfg)
     for s in summaries:
         line = (f"{s.scheme}: status={s.status} iters={s.iterations} "

@@ -26,10 +26,11 @@ LYAPUNOV_NOISE_FLOOR = 5e-13
 def format_value(value):
     """CSV cell formatting: 17 significant digits, round-trip exact.
 
-    Strings (such as a method name) pass through unchanged.
+    Strings (such as a method name) pass through with each ``,`` written as
+    ``;``, so a cell never splits into two columns.
     """
     if isinstance(value, str):
-        return value
+        return value.replace(",", ";")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
@@ -271,17 +272,5 @@ def run_experiment(cfg):
             summaries = list(pool.map(one, cfg.schemes))
     else:
         summaries = [one(s) for s in cfg.schemes]
-    _write_summary(summaries, os.path.join(cfg.out_dir, "summary.csv"))
+    emit_csv(summaries, os.path.join(cfg.out_dir, "summary.csv"))
     return summaries
-
-
-def _write_summary(summaries, path):
-    header = ["scheme", "status", "iterations", "final_obj_gap",
-              "final_feasibility", "slope", "r_squared", "violations", "error"]
-    lines = [",".join(header)]
-    for s in summaries:
-        lines.append(",".join([
-            s.scheme, s.status, str(s.iterations), format_value(s.final_obj_gap),
-            format_value(s.final_feasibility), format_value(s.slope),
-            format_value(s.r_squared), str(s.violations), s.error.replace(",", ";")]))
-    _atomic_write(path, "\n".join(lines) + "\n")

@@ -3,7 +3,7 @@ the robust augmented solver for nearly singular consensus systems."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -144,20 +144,18 @@ def eval_dual_map(ctx, lam):
 
 
 def eval_dual_merit(ctx, lam):
-    """Smooth merit whose gradient is the dual map.
+    """Smooth merit whose gradient is the dual map ``F``.
 
-    The Moreau envelope of the conjugate is computed from the primal prox
-    through Moreau's decomposition, so only the primal prox and a conjugate
-    value oracle are needed.
+    With ``u = z - t A' lam`` and ``p = prox_{t g}(u)`` it is
+    ``theta |lam|^2 / 2 - <r, lam> + alpha ((<u, p> - |p|^2 / 2) / t - g(p))``,
+    ``alpha`` times the Moreau envelope of ``g*`` at ``u / t``, written with
+    ``g`` itself (Li, Sun and Toh, SSNAL). It needs only ``g.prox`` and
+    ``g.value``, so it is finite for every prox function.
     """
-    if not ctx.g.has_conjugate:
-        raise UnsupportedOracleError("merit requires conjugate oracle")
     lam = np.asarray(lam, dtype=float)
-    point = ctx.z / ctx.t - ctx.constraint.apply_adjoint(lam)
-    prox_val = ctx.g.prox(ctx.t, ctx.t * point)
-    conj_point = point - prox_val / ctx.t  # prox of the conjugate, by Moreau
-    envelope = ctx.g.conjugate_value(conj_point) + 0.5 * ctx.t * float(
-        prox_val @ prox_val) / ctx.t ** 2
+    u = ctx.z - ctx.t * ctx.constraint.apply_adjoint(lam)
+    p = ctx.g.prox(ctx.t, u)
+    envelope = (float(u @ p) - 0.5 * float(p @ p)) / ctx.t - ctx.g.value(p)
     return (0.5 * ctx.theta * float(lam @ lam) - float(ctx.r @ lam)
             + ctx.alpha * envelope)
 
@@ -167,32 +165,37 @@ class SsnResult:
     lam: np.ndarray
     iterations: int
     converged: bool
-    residual_norms: list = field(default_factory=list)
-    pcg_iterations: int = 0
+    residual: float
 
 
-def ssn_solve(ctx, lam0, nu=0.25, delta=0.5, tol=1e-10, max_newton=50,
-              pcg_eps=1e-12, pcg_imax=None):
+# semi-smooth Newton: Armijo fraction and backtracking factor of the line
+# search, PCG tolerance and iteration limit (per row of A, plus a floor),
+# and Newton steps per solve
+_NU = 0.25
+_DELTA = 0.5
+_PCG_EPS = 1e-12
+_PCG_IMAX_PER_ROW, _PCG_IMAX_FLOOR = 20, 200
+_MAX_NEWTON = 100
+
+
+def ssn_solve(ctx, lam0, tol):
     """Globalized semi-smooth Newton on the dual map ``F``.
 
     Each iteration solves ``(theta I + alpha t A S A') d = -F(lam)`` by PCG
-    with a diagonal Clarke element ``S`` of the prox, then backtracks on the
-    merit with an Armijo test.
+    with a diagonal Clarke element ``S`` of the prox. A full step that
+    halves ``|F|`` is taken as it is; otherwise the step backtracks with an
+    Armijo test on the merit of :func:`eval_dual_merit`,
+    ``theta |lam|^2 / 2 - <r, lam> + alpha ((<u, p> - |p|^2 / 2) / t - g(p))``
+    with ``u = z - t A' lam`` and ``p = prox_{t g}(u)``, whose gradient is ``F``.
     """
-    if not (0 < nu < 0.5 and 0 < delta < 1):
-        raise ValueError("line-search parameters out of range")
     lam = np.asarray(lam0, dtype=float).copy()
     m = lam.size
-    pcg_imax = 20 * m + 200 if pcg_imax is None else pcg_imax
-    pcg_eps = min(max(pcg_eps, 1e-13), 0.5)
-    history = []
-    pcg_total = 0
+    pcg_limit = _PCG_IMAX_PER_ROW * m + _PCG_IMAX_FLOOR
     residual = eval_dual_map(ctx, lam)
     rnorm = float(np.linalg.norm(residual))
-    history.append(rnorm)
-    for j in range(max_newton):
+    for j in range(_MAX_NEWTON):
         if rnorm <= tol:
-            return SsnResult(lam, j, True, history, pcg_total)
+            return SsnResult(lam, j, True, rnorm)
         u = ctx.z - ctx.t * ctx.constraint.apply_adjoint(lam)
         diag = ctx.g.prox_jacobian(ctx.t, u)
         coeff = ctx.alpha * ctx.t
@@ -208,9 +211,7 @@ def ssn_solve(ctx, lam0, nu=0.25, delta=0.5, tol=1e-10, max_newton=50,
         except UnsupportedOracleError:
             minv = None
         system = SpdSystem(apply_h, -residual, apply_minv=minv, dim=m)
-        sol = pcg_solve(system, pcg_eps, pcg_imax)
-        pcg_total += sol.iterations
-        direction = sol.solution
+        direction = pcg_solve(system, _PCG_EPS, pcg_limit).solution
         # full steps contract the residual once the active set settles;
         # accepting them directly avoids merit-noise stalls near the solution
         full = lam + direction
@@ -218,23 +219,21 @@ def ssn_solve(ctx, lam0, nu=0.25, delta=0.5, tol=1e-10, max_newton=50,
         full_norm = float(np.linalg.norm(full_res))
         if full_norm <= 0.5 * rnorm:
             lam, residual, rnorm = full, full_res, full_norm
-            history.append(rnorm)
             continue
         merit = eval_dual_merit(ctx, lam)
         slope = float(residual @ direction)
         step = 1.0
         for _ in range(61):
             trial = lam + step * direction
-            if eval_dual_merit(ctx, trial) <= merit + nu * step * slope:
+            if eval_dual_merit(ctx, trial) <= merit + _NU * step * slope:
                 break
-            step *= delta
+            step *= _DELTA
         else:
             raise InnerSolveError("Newton line search exceeded 60 halvings", rnorm)
         lam = lam + step * direction
         residual = eval_dual_map(ctx, lam)
         rnorm = float(np.linalg.norm(residual))
-        history.append(rnorm)
-    return SsnResult(lam, max_newton, rnorm <= tol, history, pcg_total)
+    return SsnResult(lam, _MAX_NEWTON, rnorm <= tol, rnorm)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,15 @@ class ProxFunction:
 
     ``prox(eta, x)`` returns ``argmin_{y in set} g(y) + |y - x|^2 / (2 eta)``
     in closed form. ``value`` includes the set indicator (``inf`` outside).
+
+    The oracle contract:
+
+    - ``value`` and ``prox``: every scheme, and the merit of semi-smooth
+      Newton;
+    - ``prox_jacobian``: semi-smooth Newton (``implicit`` with a zero smooth
+      part, ``semi_apdfb`` unless ``g`` is zero over the whole space);
+    - ``conjugate_prox``: optional; the solvers never call it, and tests use
+      it only as an independent check of ``prox``.
     """
 
     feasible_set: ConvexSet = RealSpace()
@@ -175,10 +184,6 @@ class ProxFunction:
     def prox(self, eta, x):
         raise NotImplementedError
 
-    def conjugate_value(self, y):
-        """Conjugate of ``g + indicator(set)``; optional oracle."""
-        raise UnsupportedOracleError(f"{type(self).__name__} has no conjugate oracle")
-
     def conjugate_prox(self, eta, y):
         """Independent closed form of ``prox_{(g+ind)^*/eta}``; optional."""
         raise UnsupportedOracleError(f"{type(self).__name__} has no conjugate prox")
@@ -187,10 +192,6 @@ class ProxFunction:
         """Diagonal of one Clarke generalized Jacobian of ``prox(eta, .)`` at u."""
         raise UnsupportedOracleError(
             f"{type(self).__name__} has no separable prox Jacobian")
-
-    @property
-    def has_conjugate(self):
-        return True
 
     @property
     def is_zero_over_whole_space(self):
@@ -208,9 +209,6 @@ class ZeroProx(ProxFunction):
 
     def prox(self, eta, x):
         return self.feasible_set.project(np.asarray(x, dtype=float))
-
-    def conjugate_value(self, y):
-        return self.feasible_set.support(y)
 
     def conjugate_prox(self, eta, y):
         if self.feasible_set.is_whole_space:
@@ -252,13 +250,6 @@ class L1Prox(ProxFunction):
     def prox(self, eta, x):
         shrunk = soft_threshold(np.asarray(x, dtype=float), eta * self.weight)
         return self.feasible_set.project(shrunk)
-
-    def conjugate_value(self, y):
-        if not self.feasible_set.is_whole_space:
-            raise UnsupportedOracleError("l1 conjugate only over the whole space")
-        y = np.asarray(y, dtype=float)
-        bound = self.weight + _conj_slack(self.weight)
-        return 0.0 if np.all(np.abs(y) <= bound) else np.inf
 
     def conjugate_prox(self, eta, y):
         if not self.feasible_set.is_whole_space:
@@ -302,11 +293,3 @@ class QuadraticProx(ProxFunction):
             inside = self.feasible_set.interior_mask(u * slope)
             slope = np.where(inside, slope, 0.0)
         return slope * np.ones_like(u)
-
-    @property
-    def has_conjugate(self):
-        return False
-
-
-def _conj_slack(scale):
-    return 1e-7 * (1.0 + scale)

@@ -1,13 +1,8 @@
-"""Simple closed convex sets with exact projections and support functions."""
+"""Simple closed convex sets with exact projections."""
 
 from __future__ import annotations
 
 import numpy as np
-
-# Indicator-type support functions get evaluated at points produced by Moreau
-# decomposition, which land in their domain up to roundoff; this slack absorbs
-# that noise while still rejecting genuinely infeasible arguments.
-_FEAS_SLACK = 1e-7
 
 
 class ConvexSet:
@@ -19,10 +14,6 @@ class ConvexSet:
     def contains(self, x, tol=1e-10):
         x = np.asarray(x, dtype=float)
         return bool(np.linalg.norm(self.project(x) - x) <= tol * (1.0 + np.linalg.norm(x)))
-
-    def support(self, y):
-        """Support function ``sup { <y, x> : x in the set }``."""
-        raise NotImplementedError(f"{type(self).__name__} has no closed-form support function")
 
     @property
     def is_whole_space(self):
@@ -37,10 +28,6 @@ class RealSpace(ConvexSet):
 
     def contains(self, x, tol=1e-10):
         return True
-
-    def support(self, y):
-        y = np.asarray(y, dtype=float)
-        return 0.0 if (y.size == 0 or np.max(np.abs(y)) <= _FEAS_SLACK) else np.inf
 
     @property
     def is_whole_space(self):
@@ -58,13 +45,6 @@ class Box(ConvexSet):
 
     def project(self, x):
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
-
-    def support(self, y):
-        y = np.asarray(y, dtype=float)
-        val = np.where(y >= 0, self.upper * y, self.lower * y)
-        # 0 * inf from an unbounded coordinate with (numerically) zero weight
-        val = np.where(np.abs(y) <= _FEAS_SLACK, 0.0, val)
-        return float(np.sum(val))
 
     def interior_mask(self, x):
         x = np.asarray(x, dtype=float)
@@ -87,15 +67,3 @@ class HalfSpace(ConvexSet):
         if excess <= 0.0:
             return x
         return x - (excess / self._nn) * self.normal
-
-    def support(self, y):
-        # finite only on the ray {t * normal : t >= 0}, where it equals t * offset
-        y = np.asarray(y, dtype=float)
-        t = (self.normal @ y) / self._nn
-        scale = np.linalg.norm(y) + 1.0
-        if t < -_FEAS_SLACK * scale:
-            return np.inf
-        t = max(t, 0.0)
-        if np.linalg.norm(y - t * self.normal) > _FEAS_SLACK * scale:
-            return np.inf
-        return t * self.offset

@@ -28,7 +28,6 @@ from .schedule import (
     step_size,
 )
 
-_MAX_NEWTON = 100  # semi-smooth Newton iterations per inner solve
 # c of the restart rule: an epoch ends at the first step that leaves theta
 # below it, so 1/theta never exceeds (1 + alpha)/c in any update
 _RESTART_THETA = 1e-2
@@ -193,10 +192,9 @@ def implicit_apd_step(state, problem, alpha):
         ctx = DualMapContext(theta_next, 1.0, eta, y, constraint,
                              problem.nonsmooth, r=r)
         tol = _inner_tolerance(sc.theta) * (1.0 + float(np.linalg.norm(r)))
-        result = ssn_solve(ctx, state.lam, tol=tol, max_newton=_MAX_NEWTON)
+        result = ssn_solve(ctx, state.lam, tol)
         if not result.converged:
-            raise InnerSolveError("implicit subproblem Newton solve failed",
-                                  result.residual_norms[-1])
+            raise InnerSolveError("implicit subproblem Newton solve failed", result.residual)
         x_next = ctx.primal_point(result.lam)
         inner_iters = result.iterations
     else:
@@ -268,10 +266,9 @@ def semi_apdfb_step(state, problem, alpha):
         ctx = DualMapContext.for_step(sc.theta, alpha, t, z, constraint,
                                       problem.nonsmooth, state.lam)
         tol_abs = _inner_tolerance(sc.theta) * (1.0 + float(np.linalg.norm(ctx.r)))
-        result = ssn_solve(ctx, state.lam, tol=tol_abs, max_newton=_MAX_NEWTON)
+        result = ssn_solve(ctx, state.lam, tol_abs)
         if not result.converged:
-            raise InnerSolveError("dual Newton solve failed",
-                                  result.residual_norms[-1])
+            raise InnerSolveError("dual Newton solve failed", result.residual)
         v_next = ctx.primal_point(result.lam)
         inner_iters = result.iterations
     lam_next = state.lam + (alpha / sc.theta) * constraint.residual(v_next)

@@ -104,6 +104,15 @@ def test_compare_summarizes_each_scheme(tmp_path, capsys):
         assert len(read_lines(out_dir / f"qp_{scheme}.csv")) == 202
 
 
+def test_compare_without_schemes_exits_with_one_line(tmp_path):
+    problem = write_problem(tmp_path / "qp.txt", "quadratic")
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["compare", "--problem", problem, "--out-dir", str(out_dir)])
+    assert info.value.code == "compare needs at least one scheme"
+    assert not (out_dir / "summary.csv").exists()
+
+
 def test_audit_passes_a_solver_csv(tmp_path, capsys):
     problem = write_problem(tmp_path / "qp.txt", "quadratic")
     csv = tmp_path / "solve.csv"

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from apd.harness import ExperimentConfig, parse_experiment_config
+from apd.harness import ExperimentConfig, RunSummary, emit_csv, parse_experiment_config
 
 
 def write_config(tmp_path, text):
@@ -33,3 +35,13 @@ def test_parse_experiment_config_skips_comments_and_blank_lines(tmp_path):
 def test_parse_experiment_config_rejects_bad_lines(tmp_path, line, message):
     with pytest.raises(ValueError, match=message):
         parse_experiment_config(write_config(tmp_path, line + "\n"))
+
+
+def test_summary_csv_keeps_a_comma_in_a_cell_to_one_column(tmp_path):
+    path = tmp_path / "summary.csv"
+    emit_csv([RunSummary("semi_apd", "error", 0, math.nan, math.nan, math.nan, math.nan, 0,
+                         error="bad input, see above")], str(path))
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        "scheme,status,iterations,final_obj_gap,final_feasibility,slope,r_squared,"
+        "violations,error",
+        "semi_apd,error,0,nan,nan,nan,nan,0,bad input; see above"]

@@ -174,8 +174,11 @@ def test_merit_gradient_matches_map():
     rng = np.random.default_rng(4)
     amat = rng.standard_normal((3, 4))
     constraint = apd.MatrixConstraint(amat, rng.standard_normal(3))
-    for g in (ZeroProx(), L1Prox(0.3),
-              ZeroProx(apd.Box(-2 * np.ones(4), np.ones(4)))):
+    box = apd.Box(-2 * np.ones(4), np.ones(4))
+    for g in (ZeroProx(), L1Prox(0.3), ZeroProx(box), L1Prox(0.3, box),
+              apd.QuadraticProx(np.array([0.5, 1.0, 2.0, 0.0])),
+              apd.QuadraticProx(np.array([0.5, 1.0, 2.0, 0.0]), box),
+              ZeroProx(apd.HalfSpace(np.array([1.0, -1.0, 0.5, 2.0]), 0.3))):
         ctx = DualMapContext.for_step(0.8, 0.7, 0.6, rng.standard_normal(4),
                                       constraint, g, rng.standard_normal(3))
         for _ in range(25):
@@ -202,12 +205,22 @@ def test_merit_quadratic_case_matches_expansion():
         assert eval_dual_merit(ctx, lam) == pytest.approx(direct, rel=1e-12)
 
 
-def test_merit_requires_conjugate():
-    constraint = apd.MatrixConstraint([[1.0, 0.0]], [0.0])
-    ctx = DualMapContext.for_step(1.0, 1.0, 1.0, np.zeros(2), constraint,
-                                  apd.QuadraticProx(np.ones(2)), np.zeros(1))
-    with pytest.raises(UnsupportedOracleError, match="conjugate"):
-        eval_dual_merit(ctx, np.zeros(1))
+def test_merit_l1_case_matches_expansion():
+    # g = w |.|_1 over the whole space: p is the soft threshold of u at t w,
+    # and (<u, p> - |p|^2 / 2) / t - w |p|_1 = |p|^2 / (2 t)
+    weight = 0.4
+    constraint = apd.MatrixConstraint([[1.0, -2.0, 0.5], [0.3, 1.0, -1.0]], [0.2, -0.1])
+    ctx = DualMapContext.for_step(0.9, 0.7, 0.5, np.array([0.3, -1.2, 0.05]), constraint,
+                                  L1Prox(weight), np.array([0.4, -0.2]))
+    amat = constraint.matrix()
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        lam = rng.standard_normal(2)
+        u = ctx.z - ctx.t * (amat.T @ lam)
+        p = np.sign(u) * np.maximum(np.abs(u) - ctx.t * weight, 0.0)
+        direct = (0.5 * ctx.theta * float(lam @ lam) - float(ctx.r @ lam)
+                  + ctx.alpha * float(p @ p) / (2 * ctx.t))
+        assert eval_dual_merit(ctx, lam) == pytest.approx(direct, rel=1e-12)
 
 
 def test_merit_strong_convexity_at_solution():
@@ -317,12 +330,6 @@ def test_ssn_matches_enumeration_oracle_5d():
         oracle = enumeration_oracle(ctx, amat, weight)
         assert oracle is not None
         np.testing.assert_allclose(res.lam, oracle, atol=1e-8)
-
-
-def test_ssn_parameter_validation():
-    ctx = _context()
-    with pytest.raises(ValueError):
-        ssn_solve(ctx, np.zeros(1), nu=0.7)
 
 
 # ---------------------------------------------------------------------------

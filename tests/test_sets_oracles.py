@@ -25,19 +25,6 @@ def test_halfspace_projection():
     assert not hs.contains(np.array([2.0, 0.0]))
 
 
-def test_halfspace_support_on_ray_only():
-    hs = HalfSpace(np.array([2.0, 0.0]), 3.0)
-    assert hs.support(np.array([4.0, 0.0])) == pytest.approx(2.0 * 3.0)
-    assert hs.support(np.array([0.0, 1.0])) == np.inf
-    assert hs.support(np.array([-2.0, 0.0])) == np.inf
-
-
-def test_box_support_is_coordinatewise():
-    box = Box(np.array([-1.0, 0.0]), np.array([2.0, 3.0]))
-    assert box.support(np.array([1.0, -1.0])) == pytest.approx(2.0 + 0.0)
-    assert box.support(np.array([-1.0, 1.0])) == pytest.approx(1.0 + 3.0)
-
-
 def test_values_include_indicator():
     g = ZeroProx(Box(np.zeros(2), np.ones(2)))
     assert g.value(np.array([0.5, 0.5])) == 0.0
@@ -75,19 +62,6 @@ def test_halfspace_jacobian_not_separable():
     g = ZeroProx(HalfSpace(np.ones(2), 1.0))
     with pytest.raises(UnsupportedOracleError):
         g.prox_jacobian(1.0, np.zeros(2))
-
-
-def test_conjugates():
-    zero = ZeroProx()
-    assert zero.conjugate_value(np.zeros(3)) == 0.0
-    assert zero.conjugate_value(np.array([0.5, 0.0, 0.0])) == np.inf
-    l1 = L1Prox(2.0)
-    assert l1.conjugate_value(np.array([1.5, -2.0])) == 0.0
-    assert l1.conjugate_value(np.array([2.5, 0.0])) == np.inf
-    quad = QuadraticProx(np.ones(2))
-    assert not quad.has_conjugate
-    with pytest.raises(UnsupportedOracleError):
-        quad.conjugate_value(np.zeros(2))
 
 
 def test_firm_nonexpansiveness_sampled():

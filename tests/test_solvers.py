@@ -555,6 +555,25 @@ def test_basis_pursuit_implicit_converges(seed):
     assert sum(apd.kkt_residual(problem, run.state.x, run.state.lam)) <= 1e-5
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_boxed_basis_pursuit_implicit_converges(seed):
+    # an l1 prox over a box: the line search of semi-smooth Newton needs a
+    # merit built from g's prox and value alone, as the l1 conjugate over a
+    # box has no closed form
+    rng = np.random.default_rng(seed)
+    n, m = 120, 30
+    amat = rng.standard_normal((m, n))
+    amat /= np.linalg.norm(amat, 2)
+    planted = np.zeros(n)
+    planted[rng.choice(n, size=5, replace=False)] = rng.standard_normal(5)
+    box = apd.Box(-5 * np.ones(n), 5 * np.ones(n))
+    problem = apd.ProblemInstance(apd.ZeroObjective(n), apd.L1Prox(1.0, box),
+                                  apd.MatrixConstraint(amat, amat @ planted))
+    run = run_solver(problem, SolverConfig("implicit", max_iter=5000, stop_tol=1e-6))
+    assert run.status == "converged"
+    assert sum(apd.kkt_residual(problem, run.state.x, run.state.lam)) <= 1e-6
+
+
 @pytest.mark.parametrize("scheme", ["semi_apdfb", "implicit"])
 def test_multiplier_stays_accurate_far_past_convergence(scheme):
     # without restarts the multiplier update amplifies rounding by 1/theta:
