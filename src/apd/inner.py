@@ -1,5 +1,12 @@
 """Inner solvers: practical PCG, dual subproblems, semi-smooth Newton, and
-the robust augmented solver for nearly singular consensus systems."""
+the robust augmented solver for nearly singular consensus systems.
+
+Semi-smooth Newton solves each Newton system directly: one Cholesky of
+``theta I + alpha t C C'`` or, when ``C`` (the columns of ``A`` that the
+prox Jacobian keeps) has fewer columns than rows, of the smaller
+``theta I + alpha t C'C`` through Woodbury. PCG is one loop, used by the
+preconditioned consensus methods on the bordered system.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import splu
 
-from .oracles import UnsupportedOracleError
+from .model import _smaller_gram
 
 
 class InnerSolveError(RuntimeError):
@@ -28,18 +36,21 @@ class InnerSolveError(RuntimeError):
 class SpdSystem:
     """SPD system ``H d = e`` with an apply-only operator and preconditioner.
 
-    ``apply_minv`` applies the inverse preconditioner; identity when omitted.
+    ``rhs`` holds one right-hand side, or several as columns that share
+    ``H``. ``apply_minv`` applies the inverse preconditioner; identity when
+    omitted. ``rows`` selects the residual rows that the stop test measures;
+    all of them when omitted.
     """
 
     apply: callable
     rhs: np.ndarray
     apply_minv: callable = None
-    dim: int = 0
+    rows: slice = None
 
     def __post_init__(self):
         self.rhs = np.asarray(self.rhs, dtype=float)
-        if self.dim == 0:
-            self.dim = self.rhs.size
+        if self.rows is None:
+            self.rows = slice(None)
         if self.apply_minv is None:
             self.apply_minv = lambda r: r
 
@@ -49,43 +60,75 @@ class PcgResult:
     solution: np.ndarray
     iterations: int
     converged: bool
-    delta: float
-    delta0: float
 
 
-def pcg_solve(system, eps, i_max, d0=None):
-    """Preconditioned conjugate gradients with periodic residual refresh.
+def pcg_solve(system, tol, i_max):
+    """Preconditioned conjugate gradients from a zero start.
 
-    Stops when the preconditioned residual measure ``delta = <r, M^{-1} r>``
-    falls to ``eps^2`` times its initial value, refreshing the true residual
-    whenever the iteration index is divisible by 50.
+    Stops at ``i_max`` iterations or when ``|(e - H d)[rows]|`` falls to
+    ``tol |e[rows]|``, norms taken over every column at once. The test
+    passes only on a freshly computed residual: the recursed one is
+    refreshed whenever the iteration index is divisible by 50, and when it
+    passes the test, in which case the directions restart from the fresh
+    residual unless that passes too. Each column takes its own step; a
+    column whose direction has zero curvature takes step 0, and negative
+    curvature raises :class:`InnerSolveError`.
     """
-    if not (0 < eps < 1):
-        raise ValueError("pcg tolerance must lie in (0, 1)")
-    d = np.zeros(system.dim) if d0 is None else np.asarray(d0, dtype=float).copy()
-    r = system.rhs - system.apply(d)
-    p = system.apply_minv(r)
-    delta = float(r @ p)
-    delta0 = delta
+    if not tol >= 0:
+        raise ValueError("pcg tolerance must be nonnegative")
+    rhs, rows, minv = system.rhs, system.rows, system.apply_minv
+    target = tol * float(np.linalg.norm(rhs[rows]))
+    d = np.zeros_like(rhs)
+    r = rhs
+    p = minv(r)
+    delta = _dot_cols(r, p)
+    fresh = True
     i = 0
-    while i < i_max and delta > eps * eps * delta0:
+    while True:
+        size = float(np.linalg.norm(r[rows]))
+        if size <= target and not fresh:
+            # the recursed residual may drift; confirm on a fresh one
+            r = rhs - system.apply(d)
+            fresh = True
+            size = float(np.linalg.norm(r[rows]))
+            if size > target:
+                p = minv(r)
+                delta = _dot_cols(r, p)
+        if size <= target or i == i_max:
+            return PcgResult(d, i, size <= target)
         q = system.apply(p)
-        curvature = float(q @ p)
-        if curvature <= 0:
+        curvature = _dot_cols(q, p)
+        if np.any(curvature < 0):
             raise InnerSolveError("operator is not positive definite on the Krylov space",
-                                  np.sqrt(max(delta, 0.0)))
-        step = delta / curvature
-        d = d + step * p
+                                  size)
+        step = _safe_ratio(delta, curvature)
+        d = d + _scale_cols(step, p)
         if i % 50 == 0:
-            r = system.rhs - system.apply(d)
+            r = rhs - system.apply(d)
+            fresh = True
         else:
-            r = r - step * q
-        w = system.apply_minv(r)
-        delta_new = float(r @ w)
-        p = w + (delta_new / delta) * p
+            r = r - _scale_cols(step, q)
+            fresh = False
+        w = minv(r)
+        delta_new = _dot_cols(r, w)
+        p = w + _scale_cols(_safe_ratio(delta_new, delta), p)
         delta = delta_new
         i += 1
-    return PcgResult(d, i, delta <= eps * eps * delta0, delta, delta0)
+
+
+def _dot_cols(a, b):
+    return float(a @ b) if a.ndim == 1 else np.einsum("ij,ij->j", a, b)
+
+
+def _safe_ratio(num, den):
+    if np.ndim(den) == 0:
+        return num / den if den > 0 else 0.0
+    safe = np.where(den > 0, den, 1.0)
+    return np.where(den > 0, num / safe, 0.0)
+
+
+def _scale_cols(scale, vec):
+    return scale * vec if vec.ndim == 1 else np.asarray(scale)[None, :] * vec
 
 
 def jacobi_preconditioner(diagonal):
@@ -139,8 +182,14 @@ class DualMapContext:
 
 def eval_dual_map(ctx, lam):
     """The monotone dual map ``F`` at ``lam``."""
-    lam = np.asarray(lam, dtype=float)
-    return ctx.theta * lam - ctx.alpha * ctx.constraint.apply(ctx.primal_point(lam)) - ctx.r
+    return _dual_map(ctx, np.asarray(lam, dtype=float))[0]
+
+
+def _dual_map(ctx, lam):
+    """``F(lam)`` and the prox argument ``u = z - t A' lam`` it is built on."""
+    u = ctx.z - ctx.t * ctx.constraint.apply_adjoint(lam)
+    p = ctx.g.prox(ctx.t, u)
+    return ctx.theta * lam - ctx.alpha * ctx.constraint.apply(p) - ctx.r, u
 
 
 def eval_dual_merit(ctx, lam):
@@ -169,56 +218,40 @@ class SsnResult:
 
 
 # semi-smooth Newton: Armijo fraction and backtracking factor of the line
-# search, PCG tolerance and iteration limit (per row of A, plus a floor),
-# and Newton steps per solve
+# search, and Newton steps per solve
 _NU = 0.25
 _DELTA = 0.5
-_PCG_EPS = 1e-12
-_PCG_IMAX_PER_ROW, _PCG_IMAX_FLOOR = 20, 200
 _MAX_NEWTON = 100
 
 
 def ssn_solve(ctx, lam0, tol):
     """Globalized semi-smooth Newton on the dual map ``F``.
 
-    Each iteration solves ``(theta I + alpha t A S A') d = -F(lam)`` by PCG
-    with a diagonal Clarke element ``S`` of the prox. A full step that
-    halves ``|F|`` is taken as it is; otherwise the step backtracks with an
-    Armijo test on the merit of :func:`eval_dual_merit`,
+    Each iteration solves ``(theta I + alpha t A S A') d = -F(lam)`` exactly,
+    with a diagonal Clarke element ``S`` of the prox (see
+    :func:`_newton_direction`). A full step that halves ``|F|`` is taken as
+    it is; otherwise the step backtracks with an Armijo test on the merit of
+    :func:`eval_dual_merit`,
     ``theta |lam|^2 / 2 - <r, lam> + alpha ((<u, p> - |p|^2 / 2) / t - g(p))``
     with ``u = z - t A' lam`` and ``p = prox_{t g}(u)``, whose gradient is ``F``.
+    The constraint must have a dense form: on a matrix-free one,
+    ``constraint.matrix()`` raises ``UnsupportedOracleError``.
     """
+    amat = ctx.constraint.matrix()
     lam = np.asarray(lam0, dtype=float).copy()
-    m = lam.size
-    pcg_limit = _PCG_IMAX_PER_ROW * m + _PCG_IMAX_FLOOR
-    residual = eval_dual_map(ctx, lam)
+    residual, u = _dual_map(ctx, lam)
     rnorm = float(np.linalg.norm(residual))
     for j in range(_MAX_NEWTON):
         if rnorm <= tol:
             return SsnResult(lam, j, True, rnorm)
-        u = ctx.z - ctx.t * ctx.constraint.apply_adjoint(lam)
-        diag = ctx.g.prox_jacobian(ctx.t, u)
-        coeff = ctx.alpha * ctx.t
-
-        def apply_h(d, diag=diag, coeff=coeff):
-            atd = ctx.constraint.apply_adjoint(d)
-            return ctx.theta * d + coeff * ctx.constraint.apply(diag * atd)
-
-        try:
-            amat = ctx.constraint.matrix()
-            hdiag = ctx.theta + coeff * np.sum(amat * amat * diag[None, :], axis=1)
-            minv = jacobi_preconditioner(np.maximum(hdiag, ctx.theta))
-        except UnsupportedOracleError:
-            minv = None
-        system = SpdSystem(apply_h, -residual, apply_minv=minv, dim=m)
-        direction = pcg_solve(system, _PCG_EPS, pcg_limit).solution
+        direction = _newton_direction(ctx, amat, ctx.g.prox_jacobian(ctx.t, u), residual)
         # full steps contract the residual once the active set settles;
         # accepting them directly avoids merit-noise stalls near the solution
         full = lam + direction
-        full_res = eval_dual_map(ctx, full)
+        full_res, full_u = _dual_map(ctx, full)
         full_norm = float(np.linalg.norm(full_res))
         if full_norm <= 0.5 * rnorm:
-            lam, residual, rnorm = full, full_res, full_norm
+            lam, residual, u, rnorm = full, full_res, full_u, full_norm
             continue
         merit = eval_dual_merit(ctx, lam)
         slope = float(residual @ direction)
@@ -231,9 +264,35 @@ def ssn_solve(ctx, lam0, tol):
         else:
             raise InnerSolveError("Newton line search exceeded 60 halvings", rnorm)
         lam = lam + step * direction
-        residual = eval_dual_map(ctx, lam)
+        residual, u = _dual_map(ctx, lam)
         rnorm = float(np.linalg.norm(residual))
     return SsnResult(lam, _MAX_NEWTON, rnorm <= tol, rnorm)
+
+
+def _newton_direction(ctx, amat, slope, residual):
+    """``d`` with ``(theta I + c C C') d = -F`` by one Cholesky, ``c = alpha t``.
+
+    ``C = A_J diag(S_J)^{1/2}`` holds the active columns ``J = {j: S_jj > 0}``
+    of ``A`` (the second-order sparsity of Li, Sun and Toh's SSNAL). The
+    factored matrix is the smaller side, as in
+    :func:`~apd.model._smaller_gram`: ``theta I + c C C'`` (m×m) when
+    ``|J| >= m``, else ``theta I + c C'C`` (|J|×|J|) through Woodbury,
+    ``d = -(F - c C (theta I + c C'C)^{-1} C'F) / theta``. No active column
+    gives ``d = -F / theta``.
+    """
+    active = slope > 0
+    if not active.any():
+        return -residual / ctx.theta
+    cols = amat[:, active] * np.sqrt(slope[active])
+    coeff = ctx.alpha * ctx.t
+    kernel = _smaller_gram(cols)
+    kernel *= coeff
+    kernel.flat[::kernel.shape[0] + 1] += ctx.theta
+    factor = cho_factor(kernel, check_finite=False)
+    if kernel.shape[0] == residual.size:
+        return -cho_solve(factor, residual, check_finite=False)
+    y = cho_solve(factor, cols.T @ residual, check_finite=False)
+    return -(residual - coeff * (cols @ y)) / ctx.theta
 
 
 # ---------------------------------------------------------------------------
@@ -480,64 +539,18 @@ def _augmented_stationary(system, method, tol, i_max, s_norm):
 
 
 def _augmented_pcg(system, method, tol, i_max, s_norm):
-    s = system.s
     bordered = system.pattern.matrix(system.eps)
     if method == "pcg_jacobi":
         minv = jacobi_preconditioner(bordered.diagonal())
     else:
         minv = _sgs_preconditioner(bordered)
-    shat = _bordered_rhs(s)
-    d = np.zeros_like(shat)
-    r = shat - bordered @ d
-    p = minv(r)
-    delta = _dot_cols(r, p)
-    it = 0
-    fresh = True
     # rows 1.. of the bordered residual equal the original-system residual
-    while it < i_max:
-        if float(np.linalg.norm(r[1:])) <= tol * s_norm:
-            if fresh:
-                break
-            # recursed residual may drift; confirm before declaring victory
-            r = shat - bordered @ d
-            fresh = True
-            if float(np.linalg.norm(r[1:])) <= tol * s_norm:
-                break
-            w = minv(r)
-            delta = _dot_cols(r, w)
-            p = w
-        q = bordered @ p
-        curvature = _dot_cols(q, p)
-        step = _safe_ratio(delta, curvature)
-        d = d + _scale_cols(step, p)
-        if it % 50 == 0:
-            r = shat - bordered @ d
-            fresh = True
-        else:
-            r = r - _scale_cols(step, q)
-            fresh = False
-        w = minv(r)
-        delta_new = _dot_cols(r, w)
-        p = w + _scale_cols(_safe_ratio(delta_new, delta), p)
-        delta = delta_new
-        it += 1
+    spd = SpdSystem(lambda x: bordered @ x, _bordered_rhs(system.s), minv,
+                    rows=slice(1, None))
+    result = pcg_solve(spd, tol, i_max)
+    d = result.solution
     converged = _converged(system, d[0], d[1:], tol, s_norm)
-    return system.recover(d[0], d[1:]), it, converged
-
-
-def _dot_cols(a, b):
-    return float(a @ b) if a.ndim == 1 else np.einsum("ij,ij->j", a, b)
-
-
-def _safe_ratio(num, den):
-    if np.ndim(den) == 0:
-        return num / den if den > 0 else 0.0
-    safe = np.where(den > 0, den, 1.0)
-    return np.where(den > 0, num / safe, 0.0)
-
-
-def _scale_cols(scale, vec):
-    return scale * vec if vec.ndim == 1 else np.asarray(scale)[None, :] * vec
+    return system.recover(d[0], d[1:]), result.iterations, converged
 
 
 def plain_iteration_solve(operator, eps, s, method="jacobi", tol=1e-6, i_max=100000):

@@ -6,6 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import apd
+from apd import inner
 from apd.ddo import Graph, graph_laplacian, path_graph, random_geometric_graph
 from apd.inner import (
     AUGMENTED_METHODS,
@@ -13,10 +14,12 @@ from apd.inner import (
     DualMapContext,
     InnerSolveError,
     SpdSystem,
+    _newton_direction,
     _triangle_factors,
     augmented_consensus_solve,
     eval_dual_map,
     eval_dual_merit,
+    jacobi_preconditioner,
     pcg_solve,
     plain_iteration_solve,
     ssn_solve,
@@ -40,15 +43,15 @@ def test_pcg_eigenvector_rhs_one_iteration():
     h = np.array([[5.0, 2.0], [2.0, 5.0]])
     res = pcg_solve(SpdSystem(lambda d: h @ d, np.ones(2)), 1e-10, 100)
     np.testing.assert_allclose(res.solution, np.full(2, 1 / 7))
-    assert res.iterations == 1
+    assert res.iterations == 1 and res.converged
 
 
 def test_pcg_jacobi_preconditioned_diag():
     d = np.array([1.0, 4.0])
     res = pcg_solve(SpdSystem(lambda x: d * x, np.array([1.0, 4.0]),
-                              apply_minv=lambda r: r / d), 1e-10, 100)
+                              apply_minv=jacobi_preconditioner(d)), 1e-10, 100)
     np.testing.assert_allclose(res.solution, [1.0, 1.0])
-    assert res.iterations <= 2
+    assert res.iterations <= 2 and res.converged
 
 
 def test_pcg_nonconverged_status_carries_iterate():
@@ -58,6 +61,8 @@ def test_pcg_nonconverged_status_carries_iterate():
     assert not res.converged
     assert res.iterations == 3
     assert np.linalg.norm(res.solution) > 0
+    # the iterate is the third CG iterate: it beats the zero start
+    assert np.linalg.norm(h @ res.solution - rhs) < np.linalg.norm(rhs)
 
 
 def test_pcg_residual_bound_random_systems():
@@ -67,17 +72,59 @@ def test_pcg_residual_bound_random_systems():
         g = rng.standard_normal((n, n))
         h = g @ g.T + n * np.eye(n)
         e = rng.standard_normal(n)
-        eps = 10 ** rng.uniform(-8, -2)
+        tol = 10 ** rng.uniform(-8, -2)
         res = pcg_solve(SpdSystem(lambda x, h=h: h @ x, e,
                                   apply_minv=lambda r, h=h: r / np.diag(h)),
-                        eps, 500)
+                        tol, 500)
         assert res.converged
-        assert np.linalg.norm(h @ res.solution - e) <= 2 * eps * np.linalg.norm(e)
+        # the stop test passes only on a fresh residual, so it bounds the true one
+        assert np.linalg.norm(h @ res.solution - e) <= tol * np.linalg.norm(e)
 
 
 def test_pcg_tolerance_domain():
-    with pytest.raises(ValueError):
-        pcg_solve(SpdSystem(lambda d: d, np.ones(2)), 1.5, 10)
+    for tol in (-1e-8, np.nan):
+        with pytest.raises(ValueError):
+            pcg_solve(SpdSystem(lambda d: d, np.ones(2)), tol, 10)
+
+
+def test_pcg_columns_match_one_column_solves():
+    rng = np.random.default_rng(16)
+    n = 8
+    g = rng.standard_normal((n, n))
+    h = g @ g.T + n * np.eye(n)
+    minv = jacobi_preconditioner(np.diag(h))
+    # the last column is zero: its directions stay zero and take step 0
+    rhs = np.column_stack([rng.standard_normal((n, 2)), np.zeros(n)])
+    for i_max in (1, 2, 5, 60):
+        block = pcg_solve(SpdSystem(lambda x: h @ x, rhs, minv), 0.0, i_max)
+        assert block.iterations == i_max
+        for j in range(3):
+            single = pcg_solve(SpdSystem(lambda x: h @ x, rhs[:, j], minv), 0.0, i_max)
+            np.testing.assert_allclose(block.solution[:, j], single.solution,
+                                       rtol=1e-10, atol=1e-14)
+    np.testing.assert_array_equal(block.solution[:, 2], np.zeros(n))
+    np.testing.assert_allclose(h @ block.solution, rhs, atol=1e-12)
+
+
+def test_pcg_negative_curvature_raises():
+    with pytest.raises(InnerSolveError):
+        pcg_solve(SpdSystem(lambda d: -d, np.ones(3)), 1e-8, 10)
+
+
+@pytest.mark.parametrize("method", ["pcg_jacobi", "pcg_sgs"])
+def test_preconditioned_consensus_runs_on_pcg_solve(method, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return pcg_solve(*args, **kwargs)
+
+    monkeypatch.setattr(inner, "pcg_solve", counting)
+    lap = graph_laplacian(path_graph(5))
+    v, iters, ok = augmented_consensus_solve(lap, 1e-6, np.arange(5.0) - 1.0,
+                                             method=method, tol=1e-9)
+    assert ok and iters > 0 and len(calls) == 1
+    assert calls[0].rhs.shape == (6,)  # the bordered system
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +377,58 @@ def test_ssn_matches_enumeration_oracle_5d():
         oracle = enumeration_oracle(ctx, amat, weight)
         assert oracle is not None
         np.testing.assert_allclose(res.lam, oracle, atol=1e-8)
+
+
+def _slope_pattern(g, t, active, n):
+    """A prox argument ``u`` whose Jacobian ``g.prox_jacobian(t, u)`` is
+    positive exactly on the first ``active`` coordinates (box [-1, 1])."""
+    u = np.empty(n)
+    if isinstance(g, L1Prox):  # active: t w < |u| < 1 + t w
+        u[:active] = 0.5 + t * g.weight
+        inactive = np.tile([0.0, 5.0], n)[:n - active]  # below threshold, clipped
+    else:  # quadratic: |u| / (1 + t q) < 1
+        u[:active] = 0.3
+        inactive = np.full(n - active, 10.0)
+    u[active:] = inactive
+    return u * np.where(np.arange(n) % 2, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("active", [0, 3, 6, 10])
+def test_newton_direction_matches_dense_solve(active):
+    # m = 6: |J| < m (Woodbury on the |J| x |J| side, |J| = 0 included) and
+    # |J| >= m (Cholesky of the m x m side)
+    rng = np.random.default_rng(15 + active)
+    m, n = 6, 12
+    amat = rng.standard_normal((m, n))
+    constraint = apd.MatrixConstraint(amat, np.zeros(m))
+    box = apd.Box(-np.ones(n), np.ones(n))
+    for g in (L1Prox(0.5, box), apd.QuadraticProx(rng.uniform(0.5, 2.0, n), box)):
+        ctx = DualMapContext(0.3, 0.9, 0.4, rng.standard_normal(n), constraint, g)
+        slope = g.prox_jacobian(ctx.t, _slope_pattern(g, ctx.t, active, n))
+        assert np.count_nonzero(slope) == active
+        if isinstance(g, apd.QuadraticProx) and active:
+            assert np.all((slope[:active] > 0) & (slope[:active] < 1))  # fractional
+        residual = rng.standard_normal(m)
+        h = ctx.theta * np.eye(m) + ctx.alpha * ctx.t * (amat * slope) @ amat.T
+        expected = np.linalg.solve(h, -residual)
+        got = _newton_direction(ctx, amat, slope, residual)
+        assert (np.linalg.norm(got - expected)
+                <= 1e-12 * np.linalg.cond(h) * np.linalg.norm(expected))
+
+
+def test_ssn_on_a_matrix_free_constraint_raises():
+    class MatrixFree(LinearConstraint):
+        rows, cols = 1, 2
+
+        def apply(self, x):
+            return np.array([x[0] + x[1]])
+
+        def apply_adjoint(self, lam):
+            return np.array([lam[0], lam[0]])
+
+    ctx = DualMapContext(1.0, 1.0, 1.0, np.ones(2), MatrixFree(), L1Prox(0.1))
+    with pytest.raises(UnsupportedOracleError, match="no dense form"):
+        ssn_solve(ctx, np.zeros(1), tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
