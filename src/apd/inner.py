@@ -4,8 +4,13 @@ the robust augmented solver for nearly singular consensus systems.
 Semi-smooth Newton solves each Newton system directly: one Cholesky of
 ``theta I + alpha t C C'`` or, when ``C`` (the columns of ``A`` that the
 prox Jacobian keeps) has fewer columns than rows, of the smaller
-``theta I + alpha t C'C`` through Woodbury. PCG is one loop, used by the
-preconditioned consensus methods on the bordered system.
+``theta I + alpha t C'C`` through Woodbury.
+
+The consensus solvers take one right-side vector. Their stationary methods
+(Jacobi, Gauss-Seidel, symmetric Gauss-Seidel) are one sweep builder,
+:func:`_sweep`, run by one loop on the bordered matrix or on
+``eps I + A``; the preconditioned ones run the one PCG loop,
+:func:`pcg_solve`, on the bordered matrix.
 """
 
 from __future__ import annotations
@@ -36,10 +41,9 @@ class InnerSolveError(RuntimeError):
 class SpdSystem:
     """SPD system ``H d = e`` with an apply-only operator and preconditioner.
 
-    ``rhs`` holds one right-hand side, or several as columns that share
-    ``H``. ``apply_minv`` applies the inverse preconditioner; identity when
-    omitted. ``rows`` selects the residual rows that the stop test measures;
-    all of them when omitted.
+    ``rhs`` is one vector. ``apply_minv`` applies the inverse
+    preconditioner; identity when omitted. ``rows`` selects the residual
+    rows that the stop test measures; all of them when omitted.
     """
 
     apply: callable
@@ -63,16 +67,15 @@ class PcgResult:
 
 
 def pcg_solve(system, tol, i_max):
-    """Preconditioned conjugate gradients from a zero start.
+    """Preconditioned conjugate gradients on one right side, from a zero start.
 
     Stops at ``i_max`` iterations or when ``|(e - H d)[rows]|`` falls to
-    ``tol |e[rows]|``, norms taken over every column at once. The test
-    passes only on a freshly computed residual: the recursed one is
-    refreshed whenever the iteration index is divisible by 50, and when it
-    passes the test, in which case the directions restart from the fresh
-    residual unless that passes too. Each column takes its own step; a
-    column whose direction has zero curvature takes step 0, and negative
-    curvature raises :class:`InnerSolveError`.
+    ``tol |e[rows]|``. The test passes only on a freshly computed residual:
+    the recursed one is refreshed whenever the iteration index is divisible
+    by 50, and when it passes the test, in which case the directions restart
+    from the fresh residual unless that passes too. A direction with zero
+    curvature takes step 0, and negative curvature raises
+    :class:`InnerSolveError`.
     """
     if not tol >= 0:
         raise ValueError("pcg tolerance must be nonnegative")
@@ -81,7 +84,7 @@ def pcg_solve(system, tol, i_max):
     d = np.zeros_like(rhs)
     r = rhs
     p = minv(r)
-    delta = _dot_cols(r, p)
+    delta = float(r @ p)
     fresh = True
     i = 0
     while True:
@@ -93,42 +96,27 @@ def pcg_solve(system, tol, i_max):
             size = float(np.linalg.norm(r[rows]))
             if size > target:
                 p = minv(r)
-                delta = _dot_cols(r, p)
+                delta = float(r @ p)
         if size <= target or i == i_max:
             return PcgResult(d, i, size <= target)
         q = system.apply(p)
-        curvature = _dot_cols(q, p)
-        if np.any(curvature < 0):
+        curvature = float(q @ p)
+        if curvature < 0:
             raise InnerSolveError("operator is not positive definite on the Krylov space",
                                   size)
-        step = _safe_ratio(delta, curvature)
-        d = d + _scale_cols(step, p)
+        step = delta / curvature if curvature > 0 else 0.0
+        d = d + step * p
         if i % 50 == 0:
             r = rhs - system.apply(d)
             fresh = True
         else:
-            r = r - _scale_cols(step, q)
+            r = r - step * q
             fresh = False
         w = minv(r)
-        delta_new = _dot_cols(r, w)
-        p = w + _scale_cols(_safe_ratio(delta_new, delta), p)
+        delta_new = float(r @ w)
+        p = w + (delta_new / delta if delta > 0 else 0.0) * p
         delta = delta_new
         i += 1
-
-
-def _dot_cols(a, b):
-    return float(a @ b) if a.ndim == 1 else np.einsum("ij,ij->j", a, b)
-
-
-def _safe_ratio(num, den):
-    if np.ndim(den) == 0:
-        return num / den if den > 0 else 0.0
-    safe = np.where(den > 0, den, 1.0)
-    return np.where(den > 0, num / safe, 0.0)
-
-
-def _scale_cols(scale, vec):
-    return scale * vec if vec.ndim == 1 else np.asarray(scale)[None, :] * vec
 
 
 def jacobi_preconditioner(diagonal):
@@ -136,7 +124,7 @@ def jacobi_preconditioner(diagonal):
     if np.any(diagonal <= 0):
         raise ValueError("Jacobi preconditioner needs a positive diagonal")
     inv = 1.0 / diagonal
-    return lambda r: inv * r if r.ndim == 1 else inv[:, None] * r
+    return lambda r: inv * r
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +164,6 @@ class DualMapContext:
     def rho(self):
         return self.theta + self.alpha * self.t * self.constraint.op_norm ** 2
 
-    def primal_point(self, lam):
-        return self.g.prox(self.t, self.z - self.t * self.constraint.apply_adjoint(lam))
-
 
 def eval_dual_map(ctx, lam):
     """The monotone dual map ``F`` at ``lam``."""
@@ -186,10 +171,10 @@ def eval_dual_map(ctx, lam):
 
 
 def _dual_map(ctx, lam):
-    """``F(lam)`` and the prox argument ``u = z - t A' lam`` it is built on."""
+    """``F(lam)``, the prox argument ``u = z - t A' lam`` and ``p = prox_{t g}(u)``."""
     u = ctx.z - ctx.t * ctx.constraint.apply_adjoint(lam)
     p = ctx.g.prox(ctx.t, u)
-    return ctx.theta * lam - ctx.alpha * ctx.constraint.apply(p) - ctx.r, u
+    return ctx.theta * lam - ctx.alpha * ctx.constraint.apply(p) - ctx.r, u, p
 
 
 def eval_dual_merit(ctx, lam):
@@ -203,7 +188,11 @@ def eval_dual_merit(ctx, lam):
     """
     lam = np.asarray(lam, dtype=float)
     u = ctx.z - ctx.t * ctx.constraint.apply_adjoint(lam)
-    p = ctx.g.prox(ctx.t, u)
+    return _merit(ctx, lam, u, ctx.g.prox(ctx.t, u))
+
+
+def _merit(ctx, lam, u, p):
+    """The merit at ``lam`` from its prox argument ``u`` and prox point ``p``."""
     envelope = (float(u @ p) - 0.5 * float(p @ p)) / ctx.t - ctx.g.value(p)
     return (0.5 * ctx.theta * float(lam @ lam) - float(ctx.r @ lam)
             + ctx.alpha * envelope)
@@ -211,10 +200,13 @@ def eval_dual_merit(ctx, lam):
 
 @dataclass
 class SsnResult:
+    """The last iterate ``lam``; ``point`` is its prox point ``prox_{t g}(z - t A' lam)``."""
+
     lam: np.ndarray
     iterations: int
     converged: bool
     residual: float
+    point: np.ndarray
 
 
 # semi-smooth Newton: Armijo fraction and backtracking factor of the line
@@ -239,21 +231,21 @@ def ssn_solve(ctx, lam0, tol):
     """
     amat = ctx.constraint.matrix()
     lam = np.asarray(lam0, dtype=float).copy()
-    residual, u = _dual_map(ctx, lam)
+    residual, u, p = _dual_map(ctx, lam)
     rnorm = float(np.linalg.norm(residual))
     for j in range(_MAX_NEWTON):
         if rnorm <= tol:
-            return SsnResult(lam, j, True, rnorm)
+            return SsnResult(lam, j, True, rnorm, p)
         direction = _newton_direction(ctx, amat, ctx.g.prox_jacobian(ctx.t, u), residual)
         # full steps contract the residual once the active set settles;
         # accepting them directly avoids merit-noise stalls near the solution
         full = lam + direction
-        full_res, full_u = _dual_map(ctx, full)
+        full_res, full_u, full_p = _dual_map(ctx, full)
         full_norm = float(np.linalg.norm(full_res))
         if full_norm <= 0.5 * rnorm:
-            lam, residual, u, rnorm = full, full_res, full_u, full_norm
+            lam, residual, u, p, rnorm = full, full_res, full_u, full_p, full_norm
             continue
-        merit = eval_dual_merit(ctx, lam)
+        merit = _merit(ctx, lam, u, p)
         slope = float(residual @ direction)
         step = 1.0
         for _ in range(61):
@@ -264,9 +256,9 @@ def ssn_solve(ctx, lam0, tol):
         else:
             raise InnerSolveError("Newton line search exceeded 60 halvings", rnorm)
         lam = lam + step * direction
-        residual, u = _dual_map(ctx, lam)
+        residual, u, p = _dual_map(ctx, lam)
         rnorm = float(np.linalg.norm(residual))
-    return SsnResult(lam, _MAX_NEWTON, rnorm <= tol, rnorm)
+    return SsnResult(lam, _MAX_NEWTON, rnorm <= tol, rnorm, p)
 
 
 def _newton_direction(ctx, amat, slope, residual):
@@ -309,12 +301,20 @@ def _as_sparse(operator):
     return sp.csr_matrix(np.asarray(operator, dtype=float))
 
 
-def _col(vec, like):
-    return vec[:, None] if like.ndim == 2 else vec
+def _one_vector(s):
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1:
+        raise ValueError(f"the right side must be one vector, not an array of shape {s.shape}")
+    return s
 
 
 class BorderedPattern:
     """``[[eps q, eps 1'], [eps 1, eps I + A]]`` for every ``eps``, assembled once.
+
+    The bordered matrix acts on a coarse coefficient ``v1`` (row 0) stacked
+    on the fine vector ``v2``; for null space span{1} of ``A``, any solution
+    of the bordered system with right side ``(sum(s), s)`` recovers the
+    solution ``v = v1 * 1 + v2`` of ``(eps I + A) v = s``.
 
     The CSR pattern of the bordered matrix does not depend on ``eps``, so it
     is built once from ``A``, with two data arrays: ``base`` holds the
@@ -352,142 +352,82 @@ class BorderedPattern:
                              shape=base.shape)
 
 
-@dataclass
-class AugmentedSystem:
-    """Bordered enlargement of ``(eps I + A) v = s`` for null space span{1}.
-
-    The operator is ``[[eps q, eps 1'], [eps 1, eps I + A]]`` acting on a
-    coarse coefficient plus the fine vector; any solution recovers
-    ``v = v1 * 1 + v2``. A right-hand side with several columns means that
-    many independent systems sharing the operator. ``pattern`` is a
-    :class:`BorderedPattern` of ``A``, or ``A`` itself, assembled here.
-    """
-
-    pattern: BorderedPattern
-    eps: float
-    s: np.ndarray
-
-    def __post_init__(self):
-        if not isinstance(self.pattern, BorderedPattern):
-            self.pattern = BorderedPattern(self.pattern)
-        self.s = np.asarray(self.s, dtype=float)
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-
-    @property
-    def operator(self):
-        return self.pattern.operator
-
-    def recover(self, v1, v2):
-        return v1 + v2 if np.ndim(v1) == 0 else np.asarray(v1)[None, :] + v2
-
-    def original_residual(self, v1, v2):
-        # evaluated blockwise: recombining first would reintroduce the
-        # eps-scale cancellation the augmentation exists to avoid
-        coarse = self.eps * (v1 if v2.ndim == 1 else np.asarray(v1)[None, :])
-        return self.s - coarse - self.eps * v2 - self.operator @ v2
-
-
-def stationary_iteration_step(operator, eps, state, s, method):
-    """One Jacobi or Gauss-Seidel sweep on the bordered system.
-
-    ``state`` is the pair ``(v1, v2)``; Jacobi updates every block from the
-    old values. Gauss-Seidel is one sparse triangular solve with the lower
-    triangle of the bordered matrix: the coarse coefficient (row 0) is
-    updated first, then the blocks in index order using already-updated
-    neighbors.
-    """
-    if method not in ("jacobi", "gs"):
-        raise ValueError(f"unknown stationary method {method!r}")
-    operator = _as_sparse(operator)
-    v1, v2 = state
-    v2 = np.asarray(v2, dtype=float)
-    s = np.asarray(s, dtype=float)
-    q = operator.shape[0]
-    diag = operator.diagonal()
-    if np.any(eps + diag <= 0):
-        raise ValueError("nonpositive diagonal in the bordered system")
-    if method == "jacobi":
-        v1_new = (s.sum(axis=0) - eps * v2.sum(axis=0)) / (eps * q)
-        off = operator @ v2 - _col(diag, v2) * v2
-        v2_new = (s - eps * _broadcast(v1, v2) - off) / _col(eps + diag, v2)
-        return v1_new, v2_new
-    forward, _ = _gs_sweeps(BorderedPattern(operator).matrix(eps))
-    x = forward(_bordered_vector(v1, v2), _bordered_rhs(s))
-    return x[0], x[1:]
-
-
-def _broadcast(v1, v2):
-    return v1 if v2.ndim == 1 else np.asarray(v1)[None, :]
-
-
-def _bordered_vector(v1, v2):
-    """Stack the coarse coefficient on top of the fine vector: row 0 is ``v1``."""
-    return np.concatenate([np.broadcast_to(v1, (1,) + v2.shape[1:]), v2])
-
-
-def _bordered_rhs(s):
-    return np.concatenate([s.sum(axis=0, keepdims=True), s])
-
-
 def _triangle_factors(matrix):
     """SuperLU factors of the lower and the upper triangle of ``matrix``.
 
     With the natural ordering and diagonal pivots SuperLU keeps each
     triangle as it is: both permutations are the identity and the factors
-    add no fill, so a ``solve`` is one sparse triangular solve. A zero on
-    the diagonal raises ``numpy.linalg.LinAlgError``; it is checked here
-    because SuperLU would raise a bare ``RuntimeError``.
+    add no fill, so a ``solve`` is one sparse triangular solve. The diagonal
+    must have no zero, on which SuperLU would raise a bare ``RuntimeError``.
     """
-    if np.any(matrix.diagonal() == 0):
-        raise np.linalg.LinAlgError("A is singular: zero entry on diagonal.")
     triangles = (sp.tril(matrix, 0, format="csc"), sp.triu(matrix, 0, format="csc"))
     return tuple(splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True}) for tri in triangles)
 
 
-def _gs_sweeps(matrix):
-    """Forward and backward Gauss-Seidel sweeps ``(x, b) -> x_new`` on ``matrix``.
+def _sweep(matrix, method):
+    """One Jacobi, Gauss-Seidel or symmetric Gauss-Seidel sweep ``(x, b) -> x'``.
 
-    Both triangles are factored here, once, so each sweep is one sparse
-    product and one triangular solve: the forward sweep solves with the
-    lower triangle and so updates row 0 (on a bordered matrix, the coarse
-    coefficient) first, the backward one solves with the upper triangle and
-    updates it last. ``x`` and ``b`` may have several columns.
+    ``matrix`` is a CSR matrix ``D + L + U``, split into its diagonal and
+    strict triangles once, here. Jacobi is ``(b - (L + U) x) / D``. The
+    Gauss-Seidel sweep is one sparse product and one triangular solve with
+    ``D + L``, so it updates row 0 (on a bordered matrix, the coarse
+    coefficient) first; the symmetric sweep follows it with the backward
+    sweep, a solve with ``D + U`` that updates row 0 last. A zero on the
+    diagonal raises ``numpy.linalg.LinAlgError``.
     """
-    lower, upper = _triangle_factors(matrix)
+    diag = matrix.diagonal()
+    if np.any(diag == 0):
+        raise np.linalg.LinAlgError("A is singular: zero entry on diagonal.")
     strict_lower = sp.tril(matrix, -1, format="csr")
     strict_upper = sp.triu(matrix, 1, format="csr")
+    if method == "jacobi":
+        off = strict_lower + strict_upper
+        return lambda x, b: (b - off @ x) / diag
+    lower, upper = _triangle_factors(matrix)
 
     def forward(x, b):
         return lower.solve(b - strict_upper @ x)
 
-    def backward(x, b):
-        return upper.solve(b - strict_lower @ x)
+    if method == "gs":
+        return forward
 
-    return forward, backward
+    def symmetric(x, b):
+        return upper.solve(b - strict_lower @ forward(x, b))
+
+    return symmetric
 
 
 def _sgs_preconditioner(bordered):
     # one symmetric sweep (D+L) D^{-1} (D+U), applied in factored form
     diag = bordered.diagonal()
     lower, upper = _triangle_factors(bordered)
+    return lambda r: upper.solve(diag * lower.solve(r))
 
-    def apply_minv(r):
-        y = lower.solve(r)
-        return upper.solve(_col(diag, y) * y)
 
-    return apply_minv
+def _stationary(sweep, b, residual_norm, target, i_max):
+    """Sweeps from a zero start until ``residual_norm(x) <= target`` or ``i_max`` sweeps.
+
+    Returns ``(x, sweeps, converged)``.
+    """
+    x = np.zeros_like(b)
+    for it in range(i_max):
+        if residual_norm(x) <= target:
+            return x, it, True
+        x = sweep(x, b)
+    return x, i_max, residual_norm(x) <= target
 
 
 def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
                               tol=1e-6, i_max=100000):
-    """Solve ``(eps I + A) v = s`` through the bordered augmented system.
+    """Solve ``(eps I + A) v = s`` through the bordered system of :class:`BorderedPattern`.
 
-    ``A`` must be symmetric positive semidefinite with null space span{1}.
-    Every method terminates on the relative residual of the *original*
-    system, which is the quantity outer solvers consume, or at ``i_max``.
-    ``s`` may have several columns (independent systems sharing A).
+    ``A`` must be symmetric positive semidefinite with null space span{1},
+    and ``s`` is one vector. The stationary methods run :func:`_sweep` on
+    the bordered matrix, the ``pcg_*`` methods :func:`pcg_solve` with a
+    Jacobi or one-sweep symmetric Gauss-Seidel preconditioner. Every method
+    terminates on the relative residual of the *original* system, which is
+    the quantity outer solvers consume, or at ``i_max``.
 
     ``operator`` is ``A`` as a matrix, or a :class:`BorderedPattern` of it:
     a caller that solves with one ``A`` for many ``eps`` builds the pattern
@@ -498,63 +438,41 @@ def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
     """
     if method not in AUGMENTED_METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {AUGMENTED_METHODS}")
-    system = AugmentedSystem(operator, eps, s)
-    s_norm = float(np.linalg.norm(system.s))
+    pattern = operator if isinstance(operator, BorderedPattern) else BorderedPattern(operator)
+    s = _one_vector(s)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    s_norm = float(np.linalg.norm(s))
     if s_norm == 0.0:
-        return np.zeros_like(system.s), 0, True
-    if method in ("jacobi", "gs", "sgs"):
-        return _augmented_stationary(system, method, tol, i_max, s_norm)
-    return _augmented_pcg(system, method, tol, i_max, s_norm)
+        return np.zeros_like(s), 0, True
+    a = pattern.operator
+    bordered = pattern.matrix(eps)
+    shat = np.concatenate([[s.sum()], s])
 
+    def residual_norm(x):
+        # evaluated blockwise: recombining v1 + v2 first would reintroduce
+        # the eps-scale cancellation the bordering exists to avoid
+        v1, v2 = x[0], x[1:]
+        return float(np.linalg.norm(s - eps * v1 - eps * v2 - a @ v2))
 
-def _converged(system, v1, v2, tol, s_norm):
-    return float(np.linalg.norm(system.original_residual(v1, v2))) <= tol * s_norm
-
-
-def _augmented_stationary(system, method, tol, i_max, s_norm):
-    """Jacobi, Gauss-Seidel or symmetric Gauss-Seidel from a zero start.
-
-    The Gauss-Seidel sweeps are triangular solves with the triangles of the
-    bordered matrix, factored once per solve (:func:`_gs_sweeps`); ``sgs``
-    runs a forward and then a backward sweep per iteration, so the coarse
-    coefficient is updated first and last.
-    """
-    shat = _bordered_rhs(system.s)
-    if method == "jacobi":
-        def sweep(x):
-            return _bordered_vector(*stationary_iteration_step(
-                system.operator, system.eps, (x[0], x[1:]), system.s, "jacobi"))
+    if method.startswith("pcg_"):
+        if method == "pcg_jacobi":
+            minv = jacobi_preconditioner(bordered.diagonal())
+        else:
+            minv = _sgs_preconditioner(bordered)
+        # rows 1.. of the bordered residual equal the original-system residual
+        result = pcg_solve(SpdSystem(lambda y: bordered @ y, shat, minv, rows=slice(1, None)),
+                           tol, i_max)
+        x, iters = result.solution, result.iterations
+        converged = residual_norm(x) <= tol * s_norm
     else:
-        forward, backward = _gs_sweeps(system.pattern.matrix(system.eps))
-
-        def sweep(x):
-            x = forward(x, shat)
-            return backward(x, shat) if method == "sgs" else x
-    x = np.zeros_like(shat)
-    for it in range(i_max):
-        if _converged(system, x[0], x[1:], tol, s_norm):
-            return system.recover(x[0], x[1:]), it, True
-        x = sweep(x)
-    return system.recover(x[0], x[1:]), i_max, _converged(system, x[0], x[1:], tol, s_norm)
-
-
-def _augmented_pcg(system, method, tol, i_max, s_norm):
-    bordered = system.pattern.matrix(system.eps)
-    if method == "pcg_jacobi":
-        minv = jacobi_preconditioner(bordered.diagonal())
-    else:
-        minv = _sgs_preconditioner(bordered)
-    # rows 1.. of the bordered residual equal the original-system residual
-    spd = SpdSystem(lambda x: bordered @ x, _bordered_rhs(system.s), minv,
-                    rows=slice(1, None))
-    result = pcg_solve(spd, tol, i_max)
-    d = result.solution
-    converged = _converged(system, d[0], d[1:], tol, s_norm)
-    return system.recover(d[0], d[1:]), result.iterations, converged
+        x, iters, converged = _stationary(_sweep(bordered, method), shat, residual_norm,
+                                          tol * s_norm, i_max)
+    return x[0] + x[1:], iters, converged
 
 
 def plain_iteration_solve(operator, eps, s, method="jacobi", tol=1e-6, i_max=100000):
-    """Classical Jacobi/GS/SGS directly on ``(eps I + A) v = s``.
+    """Classical Jacobi/GS/SGS directly on ``(eps I + A) v = s`` for one vector ``s``.
 
     Kept for the robustness benchmark: these stall as ``eps`` shrinks, which
     is exactly the behavior the augmented solver removes.
@@ -562,25 +480,11 @@ def plain_iteration_solve(operator, eps, s, method="jacobi", tol=1e-6, i_max=100
     if method not in PLAIN_METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {PLAIN_METHODS}")
     operator = _as_sparse(operator)
-    s = np.asarray(s, dtype=float)
+    s = _one_vector(s)
     s_norm = float(np.linalg.norm(s))
     if s_norm == 0.0:
         return np.zeros_like(s), 0, True
-    q = operator.shape[0]
-    diag = operator.diagonal()
-    v = np.zeros_like(s)
-    if method != "jacobi":
-        forward, backward = _gs_sweeps((operator + eps * sp.identity(q)).tocsr())
-    for it in range(i_max):
-        res = s - (eps * v + operator @ v)
-        if float(np.linalg.norm(res)) <= tol * s_norm:
-            return v, it, True
-        if method == "jacobi":
-            off = operator @ v - _col(diag, v) * v
-            v = (s - off) / _col(eps + diag, v)
-        else:
-            v = forward(v, s)
-            if method == "sgs":
-                v = backward(v, s)
-    res = s - (eps * v + operator @ v)
-    return v, i_max, float(np.linalg.norm(res)) <= tol * s_norm
+    matrix = (operator + eps * sp.identity(operator.shape[0])).tocsr()
+    return _stationary(_sweep(matrix, method), s,
+                       lambda v: float(np.linalg.norm(s - (eps * v + operator @ v))),
+                       tol * s_norm, i_max)

@@ -108,10 +108,19 @@ def _residual(carried, constraint, point):
     return carried if carried is not None else constraint.residual(point)
 
 
-def _inner_tolerance(theta):
-    """Inner-solve target: shrinks with the decay factor down to a floor,
-    because doubles cannot certify relative residuals much below 1e-13."""
-    return max(min(1e-10, theta * 1e-6), 1e-12)
+def _newton_point(ctx, theta, lam, what):
+    """The prox point and Newton steps of :func:`ssn_solve` on ``ctx`` from ``lam``.
+
+    The target ``tol (1 + |r|)`` has ``tol`` shrink with the decay factor
+    ``theta`` down to a floor, because doubles cannot certify relative
+    residuals much below 1e-13. A solve that misses it raises
+    :class:`InnerSolveError` with its residual.
+    """
+    tol = max(min(1e-10, theta * 1e-6), 1e-12) * (1.0 + float(np.linalg.norm(ctx.r)))
+    result = ssn_solve(ctx, lam, tol)
+    if not result.converged:
+        raise InnerSolveError(f"{what} Newton solve failed", result.residual)
+    return result.point, result.iterations
 
 
 def _finite(rhs, what):
@@ -191,12 +200,7 @@ def implicit_apd_step(state, problem, alpha):
         r = theta_next * shifted - constraint.rhs
         ctx = DualMapContext(theta_next, 1.0, eta, y, constraint,
                              problem.nonsmooth, r=r)
-        tol = _inner_tolerance(sc.theta) * (1.0 + float(np.linalg.norm(r)))
-        result = ssn_solve(ctx, state.lam, tol)
-        if not result.converged:
-            raise InnerSolveError("implicit subproblem Newton solve failed", result.residual)
-        x_next = ctx.primal_point(result.lam)
-        inner_iters = result.iterations
+        x_next, inner_iters = _newton_point(ctx, sc.theta, state.lam, "implicit subproblem")
     else:
         raise InnerSolveError(
             "implicit subproblem needs a quadratic objective or a pure prox part",
@@ -265,12 +269,7 @@ def semi_apdfb_step(state, problem, alpha):
     else:
         ctx = DualMapContext.for_step(sc.theta, alpha, t, z, constraint,
                                       problem.nonsmooth, state.lam)
-        tol_abs = _inner_tolerance(sc.theta) * (1.0 + float(np.linalg.norm(ctx.r)))
-        result = ssn_solve(ctx, state.lam, tol_abs)
-        if not result.converged:
-            raise InnerSolveError("dual Newton solve failed", result.residual)
-        v_next = ctx.primal_point(result.lam)
-        inner_iters = result.iterations
+        v_next, inner_iters = _newton_point(ctx, sc.theta, state.lam, "dual")
     lam_next = state.lam + (alpha / sc.theta) * constraint.residual(v_next)
     x_next = (state.x + alpha * v_next) / (1.0 + alpha)
     return IterateState(x_next, v_next, lam_next,

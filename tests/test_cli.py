@@ -10,14 +10,28 @@ def read_lines(path):
 
 
 def test_robustness_writes_one_row_per_method(tmp_path):
-    csv = tmp_path / "robustness.csv"
-    code = main(["robustness", "--graph", "path:6", "--eps-list", "1e-2",
-                 "--methods", "aug_sgs,plain_sgs,pcg_jacobi", "--csv", str(csv)])
-    assert code == 0
-    lines = read_lines(csv)
-    assert lines[0] == "eps,method,iterations,converged,relative_residual"
-    assert [line.split(",")[1] for line in lines[1:]] == ["aug_sgs", "plain_sgs",
-                                                           "pcg_jacobi"]
+    methods = ["plain_jacobi", "plain_gs", "plain_sgs", "aug_jacobi", "aug_gs", "aug_sgs",
+               "pcg_jacobi", "pcg_sgs"]
+    tol = 1e-6
+    converged = {}
+    # at eps 1e-2 every method converges; at 1e-6 the plain ones stall within 200 sweeps
+    for eps, i_max in (("1e-2", 100000), ("1e-6", 200)):
+        csv = tmp_path / f"robustness_{eps}.csv"
+        code = main(["robustness", "--graph", "path:6", "--eps-list", eps,
+                     "--methods", ",".join(methods), "--tol", str(tol),
+                     "--i-max", str(i_max), "--csv", str(csv)])
+        assert code == 0
+        lines = read_lines(csv)
+        assert lines[0] == "eps,method,iterations,converged,relative_residual"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[1] for row in rows] == methods
+        converged[eps] = {row[1]: row[3] == "1" for row in rows}
+        for row in rows:
+            if row[3] == "1":
+                assert float(row[4]) <= tol
+    assert all(converged["1e-2"].values())
+    assert all(converged["1e-6"][m] for m in ("aug_gs", "aug_sgs", "pcg_jacobi", "pcg_sgs"))
+    assert not any(converged["1e-6"][m] for m in ("plain_jacobi", "plain_gs", "plain_sgs"))
 
 
 @pytest.mark.parametrize("algo", ["apd", "extra"])

@@ -23,7 +23,6 @@ from apd.inner import (
     pcg_solve,
     plain_iteration_solve,
     ssn_solve,
-    stationary_iteration_step,
 )
 from apd.model import LinearConstraint
 from apd.oracles import L1Prox, UnsupportedOracleError, ZeroProx
@@ -87,23 +86,21 @@ def test_pcg_tolerance_domain():
             pcg_solve(SpdSystem(lambda d: d, np.ones(2)), tol, 10)
 
 
-def test_pcg_columns_match_one_column_solves():
+def test_pcg_at_zero_tolerance_runs_to_i_max():
     rng = np.random.default_rng(16)
     n = 8
     g = rng.standard_normal((n, n))
     h = g @ g.T + n * np.eye(n)
     minv = jacobi_preconditioner(np.diag(h))
-    # the last column is zero: its directions stay zero and take step 0
-    rhs = np.column_stack([rng.standard_normal((n, 2)), np.zeros(n)])
-    for i_max in (1, 2, 5, 60):
-        block = pcg_solve(SpdSystem(lambda x: h @ x, rhs, minv), 0.0, i_max)
-        assert block.iterations == i_max
-        for j in range(3):
-            single = pcg_solve(SpdSystem(lambda x: h @ x, rhs[:, j], minv), 0.0, i_max)
-            np.testing.assert_allclose(block.solution[:, j], single.solution,
-                                       rtol=1e-10, atol=1e-14)
-    np.testing.assert_array_equal(block.solution[:, 2], np.zeros(n))
-    np.testing.assert_allclose(h @ block.solution, rhs, atol=1e-12)
+    for rhs in rng.standard_normal((2, n)):
+        for i_max in (1, 2, 5, 60):
+            res = pcg_solve(SpdSystem(lambda x: h @ x, rhs, minv), 0.0, i_max)
+            assert res.iterations == i_max
+        np.testing.assert_allclose(h @ res.solution, rhs, atol=1e-12)
+    # a zero right side passes the test on its first, fresh residual
+    res = pcg_solve(SpdSystem(lambda x: h @ x, np.zeros(n), minv), 0.0, 60)
+    assert res.iterations == 0 and res.converged
+    np.testing.assert_array_equal(res.solution, np.zeros(n))
 
 
 def test_pcg_negative_curvature_raises():
@@ -455,39 +452,18 @@ def test_augmented_matches_dense_oracle(method):
     lap = graph_laplacian(path_graph(3))
     rng = np.random.default_rng(11)
     eps = 1e-8 if method.startswith("pcg") else 1e-2  # stationary jacobi stalls small
-    for s in (rng.standard_normal(3), rng.standard_normal((3, 3))):  # 1-D and 3 columns
-        v, _, ok = augmented_consensus_solve(lap, eps, s, method=method,
-                                             tol=1e-9, i_max=500000)
-        assert ok
-        dense = np.linalg.solve(eps * np.eye(3) + lap.toarray(), s)
-        assert np.linalg.norm(v - dense) / np.linalg.norm(dense) <= 1e-6
+    s = rng.standard_normal(3)
+    v, _, ok = augmented_consensus_solve(lap, eps, s, method=method, tol=1e-9, i_max=500000)
+    assert ok
+    dense = np.linalg.solve(eps * np.eye(3) + lap.toarray(), s)
+    assert np.linalg.norm(v - dense) / np.linalg.norm(dense) <= 1e-6
 
 
-def test_stationary_jacobi_step_example():
+@pytest.mark.parametrize("solve", [augmented_consensus_solve, plain_iteration_solve])
+def test_consensus_solvers_reject_several_columns(solve):
     lap = graph_laplacian(path_graph(3))
-    eps = 1e-6
-    v1, v2 = stationary_iteration_step(lap, eps, (0.0, np.zeros(3)),
-                                       np.array([1.0, 0.0, -1.0]), "jacobi")
-    assert v1 == pytest.approx(0.0)
-    np.testing.assert_allclose(v2, [1 / (eps + 1), 0.0, -1 / (eps + 1)])
-
-
-def test_stationary_fixed_point_both_methods():
-    lap = graph_laplacian(path_graph(4))
-    eps = 0.05
-    rng = np.random.default_rng(12)
-    s = rng.standard_normal(4)
-    bordered = np.zeros((5, 5))
-    bordered[0, 0] = eps * 4
-    bordered[0, 1:] = eps
-    bordered[1:, 0] = eps
-    bordered[1:, 1:] = eps * np.eye(4) + lap.toarray()
-    shat = np.concatenate([[s.sum()], s])
-    sol, *_ = np.linalg.lstsq(bordered, shat, rcond=None)
-    for method in ("jacobi", "gs"):
-        v1, v2 = stationary_iteration_step(lap, eps, (sol[0], sol[1:]), s, method)
-        assert v1 == pytest.approx(sol[0], abs=1e-10)
-        np.testing.assert_allclose(v2, sol[1:], atol=1e-10)
+    with pytest.raises(ValueError, match="one vector"):
+        solve(lap, 1e-2, np.ones((3, 2)))
 
 
 def dense_bordered(lap, eps):
@@ -525,41 +501,59 @@ def test_triangle_factors_keep_the_triangles_without_fill():
     assert (upper.L.nnz, upper.U.nnz) == (size, sp.triu(bordered).nnz)
 
 
-@pytest.mark.parametrize("method", ["gs", "sgs"])
+@pytest.mark.parametrize("method", ["jacobi", "gs", "sgs"])
 def test_zero_diagonal_triangle_raises_linalg_error(method):
     lap = graph_laplacian(Graph(1, ()))
     with pytest.raises(np.linalg.LinAlgError):
         plain_iteration_solve(lap, 0.0, np.ones(1), method)
 
 
-@pytest.mark.parametrize("cols", [None, 3])
+def dense_sweeps(matrix, b, method, sweeps):
+    """``sweeps`` dense Jacobi, Gauss-Seidel or symmetric Gauss-Seidel sweeps from zero."""
+    diag = np.diag(matrix)
+    x = np.zeros_like(b)
+    for _ in range(sweeps):
+        if method == "jacobi":
+            x = (b - (matrix - np.diag(diag)) @ x) / diag
+            continue
+        # forward sweep (row 0 first), then for sgs the backward one (row 0 last)
+        x = scipy.linalg.solve_triangular(np.tril(matrix), b - np.triu(matrix, 1) @ x,
+                                          lower=True)
+        if method == "sgs":
+            x = scipy.linalg.solve_triangular(np.triu(matrix), b - np.tril(matrix, -1) @ x,
+                                              lower=False)
+    return x
+
+
 @pytest.mark.parametrize("sweeps", [1, 2])
-def test_sgs_iterations_match_dense_gauss_seidel(cols, sweeps):
+def test_sgs_iterations_match_dense_gauss_seidel(sweeps):
     lap = graph_laplacian(random_geometric_graph(20, 0.4, 3))
     eps = 1e-3
     rng = np.random.default_rng(14)
-    s = rng.standard_normal(20 if cols is None else (20, cols))
+    s = rng.standard_normal(20)
     v, iters, _ = augmented_consensus_solve(lap, eps, s, method="sgs",
                                             tol=1e-15, i_max=sweeps)
     assert iters == sweeps
-    bordered = dense_bordered(lap, eps)
-    shat = np.concatenate([s.sum(axis=0, keepdims=True), s])
-    x = np.zeros_like(shat)
-    for _ in range(sweeps):  # forward sweep (coarse row first), then backward
-        x = scipy.linalg.solve_triangular(np.tril(bordered), shat - np.triu(bordered, 1) @ x,
-                                          lower=True)
-        x = scipy.linalg.solve_triangular(np.triu(bordered), shat - np.tril(bordered, -1) @ x,
-                                          lower=False)
+    x = dense_sweeps(dense_bordered(lap, eps), np.concatenate([[s.sum()], s]), "sgs", sweeps)
     np.testing.assert_allclose(v, x[1:] + x[0], rtol=1e-12, atol=1e-12)
 
 
-def test_gs_differs_from_jacobi_with_updated_neighbors():
-    lap = graph_laplacian(path_graph(3))
-    s = np.array([1.0, 0.0, -1.0])
-    _, v2j = stationary_iteration_step(lap, 1e-3, (0.0, np.zeros(3)), s, "jacobi")
-    _, v2g = stationary_iteration_step(lap, 1e-3, (0.0, np.zeros(3)), s, "gs")
-    assert v2j[0] == pytest.approx(v2g[0])
-    assert v2g[1] != pytest.approx(v2j[1])  # node 1 sees node 0's fresh value
+@pytest.mark.parametrize("sweeps", [1, 2])
+@pytest.mark.parametrize("method", ["jacobi", "gs", "sgs"])
+def test_stationary_sweeps_match_dense_splitting(method, sweeps):
+    # on the bordered matrix (the coarse coefficient is row 0) and on eps I + A
+    lap = graph_laplacian(path_graph(5))
+    eps = 0.05
+    s = np.random.default_rng(12).standard_normal(5)
+    v, iters, _ = augmented_consensus_solve(lap, eps, s, method=method,
+                                            tol=1e-15, i_max=sweeps)
+    assert iters == sweeps
+    x = dense_sweeps(dense_bordered(lap, eps), np.concatenate([[s.sum()], s]), method, sweeps)
+    np.testing.assert_allclose(v, x[1:] + x[0], rtol=1e-12, atol=1e-12)
+    v, iters, _ = plain_iteration_solve(lap, eps, s, method=method, tol=1e-15, i_max=sweeps)
+    assert iters == sweeps
+    x = dense_sweeps(eps * np.eye(5) + lap.toarray(), s, method, sweeps)
+    np.testing.assert_allclose(v, x, rtol=1e-12, atol=1e-12)
 
 
 def test_plain_jacobi_needs_many_iterations_for_small_eps():
