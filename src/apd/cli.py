@@ -44,9 +44,8 @@ def parse_graph_spec(spec):
 
 def _cmd_solve(args):
     problem = load_problem(args.problem)
-    cfg = SolverConfig(scheme=args.scheme, gamma0=args.gamma0, beta=args.beta,
-                       max_iter=args.max_iter, stop_tol=args.stop_tol,
-                       alpha=args.alpha, timing=args.timing)
+    cfg = SolverConfig(scheme=args.scheme, gamma0=args.gamma0, max_iter=args.max_iter,
+                       stop_tol=args.stop_tol, alpha=args.alpha, timing=args.timing)
     run = run_solver(problem, cfg)
     emit_csv(run.records, args.csv)
     last = run.records[-1]
@@ -135,9 +134,8 @@ def _cmd_compare(args):
         cfg = ExperimentConfig(
             problem_file=args.problem,
             schemes=tuple(s.strip() for s in args.schemes.split(",") if s.strip()),
-            gamma0=args.gamma0, beta=args.beta, max_iter=args.max_iter,
-            stop_tol=args.stop_tol, alpha=args.alpha, out_dir=args.out_dir,
-            jobs=args.jobs)
+            gamma0=args.gamma0, max_iter=args.max_iter, stop_tol=args.stop_tol,
+            alpha=args.alpha, out_dir=args.out_dir, jobs=args.jobs)
     if not cfg.schemes:
         raise SystemExit("compare needs at least one scheme")
     summaries = run_experiment(cfg)
@@ -178,7 +176,6 @@ def build_parser():
     solve.add_argument("--problem", required=True)
     solve.add_argument("--scheme", required=True, choices=SCHEMES)
     solve.add_argument("--gamma0", type=float, default=1.0)
-    solve.add_argument("--beta", type=float, default=0.0)
     solve.add_argument("--max-iter", type=int, default=1000)
     solve.add_argument("--stop-tol", type=float, default=0.0)
     solve.add_argument("--alpha", type=float, default=1.0,
@@ -232,7 +229,6 @@ def build_parser():
     compare.add_argument("--problem", default="")
     compare.add_argument("--schemes", default="")
     compare.add_argument("--gamma0", type=float, default=1.0)
-    compare.add_argument("--beta", type=float, default=0.0)
     compare.add_argument("--max-iter", type=int, default=1000)
     compare.add_argument("--stop-tol", type=float, default=0.0)
     compare.add_argument("--alpha", type=float, default=1.0)

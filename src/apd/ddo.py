@@ -1,6 +1,8 @@
 """Decentralized consensus optimization on graphs: the primal-dual scheme,
 which is :func:`~apd.solvers.semi_apdfb_step` on the graph's
-:class:`IncidenceConstraint`, plus the Extra and AQP baselines."""
+:class:`IncidenceConstraint`, a :class:`~apd.model.LinearConstraint` whose
+Gram factor, ``op_norm`` and exact solve come from the incidence matrix, plus
+the Extra and AQP baselines."""
 
 from __future__ import annotations
 
@@ -9,13 +11,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from . import solvers
 # augmented_consensus_solve is unused here but stays bound: tracers wrap it by module attribute
 from .inner import augmented_consensus_solve  # noqa: F401
-from .model import LinearConstraint, ProblemInstance, _smaller_gram, operator_norm_estimate
+from .model import LinearConstraint, ProblemInstance, operator_norm_estimate
 from .oracles import ZeroProx
 from .schedule import ScalingState, StepRule, step_size
 
@@ -347,17 +348,20 @@ class IncidenceConstraint(LinearConstraint):
     """The consensus constraint ``A = B kron I_m``, ``b = 0``, of a problem's
     signed incidence matrix ``B`` on its ``(n, m)`` node stacks flattened row
     by row. It takes the stacks as they are: :meth:`apply` is ``B X`` and
-    :meth:`apply_adjoint` is ``B' Lam``; no ``kron(B, I)`` or dense ``B``."""
+    :meth:`apply_adjoint` is ``B' Lam``; no ``kron(B, I)`` or dense ``B``.
+
+    Its Gram factor is that of ``B`` (:meth:`gram_root`), as is ``op_norm``:
+    ``|B kron I|_2 = |B|_2``. The first ``B'B = L`` eigenpair spans ``ker L``,
+    the constants of a connected graph, and is left out (:attr:`null_pairs`),
+    so the primal ``semi_apdfb`` solve never divides a rounding residue in
+    ``ker A`` by a vanishing shift."""
 
     rhs = 0.0
+    null_pairs = 1
 
     def __init__(self, problem):
         self.incidence, self._incidence_t = problem.incidence, problem._incidence_t
         self.rows, self.cols = problem.incidence.shape[0] * problem.block_size, problem.dim
-
-    @cached_property
-    def op_norm(self):
-        return operator_norm_estimate(self.incidence)  # |B kron I|_2 = |B|_2
 
     def apply(self, x):
         return self.incidence @ x
@@ -365,23 +369,8 @@ class IncidenceConstraint(LinearConstraint):
     def apply_adjoint(self, lam):
         return self._incidence_t @ lam
 
-    @cached_property
-    def gram_factor(self):
-        """Eigenpairs ``(s, U)`` of the smaller Gram matrix of ``B``; that of
-        ``A`` is its Kronecker product with ``I_m``. On the ``B'B = L`` side
-        the constant eigenvector (``ker L``) is left out, so the solve is
-        exact on right sides orthogonal to ``ker A``, which are the ones the
-        primal ``semi_apdfb`` reduction passes: it never divides a rounding
-        residue in ``ker A`` by a vanishing shift."""
-        s, u = scipy.linalg.eigh(_smaller_gram(self.incidence), driver="evr",
-                                 overwrite_a=True)
-        if self.rows > self.cols:
-            s, u = s[1:], u[:, 1:]  # eigh sorts ascending: the first pair spans ker L
-        return np.maximum(s, 0.0), u
-
-    def solve_shifted_gram(self, shift, scale, rhs):
-        s, u = self.gram_factor
-        return u @ ((u.T @ rhs) / (shift + scale * s)[:, None])
+    def gram_root(self):
+        return self.incidence
 
 
 def apd_ddo_step(state, instance, alpha):

@@ -172,7 +172,7 @@ def audit_records(records, rule=None, gamma0=None, mu_beta=0.0):
 class ExperimentConfig:
     """Flat key-value experiment description.
 
-    Keys: ``problem.file``, ``schemes`` (comma list), ``gamma0``, ``beta``,
+    Keys: ``problem.file``, ``schemes`` (comma list), ``gamma0``,
     ``max_iter``, ``stop_tol``, ``step.alpha``, ``out.dir``, ``jobs``,
     ``fit.window``, ``fit.mode``.
     """
@@ -180,7 +180,6 @@ class ExperimentConfig:
     problem_file: str = ""
     schemes: tuple = ()
     gamma0: float = 1.0
-    beta: float = 0.0
     max_iter: int = 1000
     stop_tol: float = 0.0
     alpha: float = 1.0
@@ -194,7 +193,6 @@ _KEY_MAP = {
     "problem.file": ("problem_file", str),
     "schemes": ("schemes", lambda v: tuple(s.strip() for s in v.split(",") if s.strip())),
     "gamma0": ("gamma0", float),
-    "beta": ("beta", float),
     "max_iter": ("max_iter", int),
     "stop_tol": ("stop_tol", float),
     "step.alpha": ("alpha", float),
@@ -248,9 +246,8 @@ def run_experiment(cfg):
         try:
             if problem is None:
                 raise ValueError("no problem configured")
-            solver_cfg = SolverConfig(
-                scheme=scheme, gamma0=cfg.gamma0, beta=cfg.beta,
-                max_iter=cfg.max_iter, stop_tol=cfg.stop_tol, alpha=cfg.alpha)
+            solver_cfg = SolverConfig(scheme=scheme, gamma0=cfg.gamma0, max_iter=cfg.max_iter,
+                                      stop_tol=cfg.stop_tol, alpha=cfg.alpha)
             run = run_solver(problem, solver_cfg)
             stem = os.path.splitext(os.path.basename(cfg.problem_file or "run"))[0]
             emit_csv(run.records, os.path.join(cfg.out_dir, f"{stem}_{scheme}.csv"))

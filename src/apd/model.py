@@ -30,17 +30,17 @@ class LinearConstraint:
 
     Implementations provide matrix-free ``apply``/``apply_adjoint`` so sparse
     operators (e.g. graph Laplacian blocks) plug into every solver unchanged.
-    ``op_norm`` must be an upper bound on ``|A|_2``, because the step rules
-    and the theta certificates assume one. ``sigma_min`` is declared, never
-    estimated: it stays 0 unless the user asserts full column rank, in which
-    case augmentation is allowed to use it.
+    ``op_norm``, an upper bound on ``|A|_2`` as the step rules and the theta
+    certificates assume, comes from :attr:`gram_factor` unless an instance
+    sets its own. ``sigma_min`` is declared, never estimated: it stays 0
+    unless the user asserts full column rank, in which case augmentation is
+    allowed to use it.
     """
 
     rows = 0
     cols = 0
-    op_norm = 0.0
     sigma_min = 0.0
-    _gram = None  # the smaller Gram matrix, when construction formed it already
+    null_pairs = 0  # leading eigenpairs of A'A known to span ker A
 
     @property
     def rhs(self):
@@ -59,25 +59,40 @@ class LinearConstraint:
         """Dense matrix when available; raises otherwise."""
         raise UnsupportedOracleError(f"{type(self).__name__} has no dense form")
 
+    def gram_root(self):
+        """``M`` of :attr:`gram_factor`: ``A``, or ``B`` when ``A = B kron I``."""
+        return self.matrix()
+
     @cached_property
     def gram_factor(self):
-        """Eigenpairs ``(s, U)`` of the smaller Gram matrix ``G = U diag(s) U'``:
-        ``A A'`` when ``rows <= cols``, else ``A'A``.
-
-        ``A`` never changes, so this is computed from :meth:`matrix` on first
-        use and kept; matrix-free constraints raise as :meth:`matrix` does.
-        A Gram matrix kept from construction is used and then dropped.
-        """
-        gram = _smaller_gram(self.matrix()) if self._gram is None else self._gram
-        self._gram = None
-        s, u = np.linalg.eigh(gram)
+        """Eigenpairs ``(s, U)`` of the smaller Gram matrix ``G = U diag(s) U'``
+        of :meth:`gram_root`: ``M M'`` when ``rows <= cols``, else ``M'M``
+        less its first :attr:`null_pairs` pairs. ``A`` never changes, so this
+        is one ``evr`` eigensolve on first use, in place on ``G``; matrix-free
+        constraints raise as :meth:`matrix` does."""
+        root = self.gram_root()
+        gram = _smaller_gram(root)
+        self._norm_slack = _rounding_slack(root.shape, gram)  # before eigh overwrites gram
+        s, u = sla.eigh(gram, driver="evr", overwrite_a=True)
+        if self.rows > self.cols:
+            s, u = s[self.null_pairs:], u[:, self.null_pairs:]  # eigh sorts ascending
         return np.maximum(s, 0.0), u  # a Gram matrix has no negative eigenvalue
 
-    def solve_shifted_gram(self, shift, scale, rhs):
-        """``(shift I + scale G)^{-1} rhs`` for the Gram matrix ``G`` of
-        :attr:`gram_factor`: two matvecs with its eigenvectors."""
+    @cached_property
+    def op_norm(self):
+        """:func:`operator_norm_estimate` from :attr:`gram_factor`."""
+        s, _ = self.gram_factor
+        return float(np.sqrt(s.max(initial=0.0) + self._norm_slack))
+
+    def adjoint_gram_solve(self, shift, scale, rhs):
+        """``A'(shift I + scale A A')^{-1} rhs`` by :attr:`gram_factor`; on the
+        ``A'A`` side as ``(shift I + scale A'A)^{-1} A' rhs``, whose solve sees
+        only a right side in the range of ``A'``. ``rhs`` may stack columns."""
         s, u = self.gram_factor
-        return u @ ((u.T @ rhs) / (shift + scale * s))
+        scaled = (shift + scale * s).reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
+        if self.rows <= self.cols:
+            return self.apply_adjoint(u @ ((u.T @ rhs) / scaled))
+        return u @ ((u.T @ self.apply_adjoint(rhs)) / scaled)
 
 
 def _smaller_gram(matrix):
@@ -86,6 +101,11 @@ def _smaller_gram(matrix):
     rows, cols = matrix.shape
     gram = matrix @ matrix.T if rows <= cols else matrix.T @ matrix
     return gram.toarray() if sp.issparse(gram) else gram
+
+
+def _rounding_slack(shape, gram):
+    """The slack of :func:`operator_norm_estimate` for a Gram matrix of ``shape``."""
+    return 2.0 * sum(shape) * np.finfo(float).eps * float(np.trace(gram))
 
 
 class MatrixConstraint(LinearConstraint):
@@ -98,10 +118,8 @@ class MatrixConstraint(LinearConstraint):
         if not np.isfinite(self._matrix).all():
             raise ValueError("constraint matrix A holds NaN or inf")
         self.sigma_min = float(sigma_min)
-        if op_norm is None:
-            self._gram = _smaller_gram(self._matrix)
-            op_norm = operator_norm_estimate(self._matrix, gram=self._gram)
-        self.op_norm = float(op_norm)
+        if op_norm is not None:
+            self.op_norm = float(op_norm)
 
     @property
     def rhs(self):
@@ -278,7 +296,7 @@ def operator_norm_estimate(matrix, gram=None):
     eigenvalue and trace, and the slack covers forming either.
     """
     gram = _smaller_gram(matrix) if gram is None else gram
-    slack = 2.0 * sum(matrix.shape) * np.finfo(float).eps * float(np.trace(gram))
+    slack = _rounding_slack(matrix.shape, gram)
     return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0) + slack))
 
 

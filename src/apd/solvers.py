@@ -68,7 +68,6 @@ class IterateState:
 class SolverConfig:
     scheme: str
     gamma0: float = 1.0
-    beta: float = 0.0
     max_iter: int = 1000
     stop_tol: float = 0.0
     alpha: float = 1.0  # free step size of the implicit scheme
@@ -153,11 +152,12 @@ def _prox_full_objective(problem, eta, point, beta):
             return feas.project(free)
         raise InnerSolveError(
             "no closed-form prox for a quadratic over this set with beta > 0; "
-            "set beta=0", np.nan)
+            f"set the problem's beta={problem.beta:g} to 0", np.nan)
     if smooth.is_zero:
         if beta > 0:
             raise InnerSolveError(
-                "prox of the augmented objective is unavailable; set beta=0", np.nan)
+                "prox of the augmented objective is unavailable; "
+                f"set the problem's beta={problem.beta:g} to 0", np.nan)
         return nonsmooth.prox(eta, point)
     raise InnerSolveError(
         "full-objective prox needs a quadratic smooth part or a pure prox part",
@@ -238,12 +238,10 @@ def semi_apdfb_step(state, problem, alpha):
 
     When the nonsmooth part vanishes over the whole space, the coupled
     ``(lam, v)`` subproblem is solved exactly through the constraint's Gram
-    factor. With ``r = theta lam_prev + alpha (A z - b)`` it is the dual
-    system ``v = z - t A' (theta I + alpha t A A')^{-1} r`` or, when ``A``
-    has more rows than columns, its push-through form
-    ``v = z - t (theta I + alpha t A'A)^{-1} A' r``, whose solve sees only a
-    right side in the range of ``A'``. Otherwise it reduces to the dual
-    nonlinear equation (solved by semi-smooth Newton).
+    factor: with ``r = theta lam_prev + alpha (A z - b)`` it is
+    ``v = z - t A' (theta I + alpha t A A')^{-1} r``
+    (:meth:`~apd.model.LinearConstraint.adjoint_gram_solve`). Otherwise it
+    reduces to the dual nonlinear equation (solved by semi-smooth Newton).
     """
     if alpha <= 0:
         raise ValueError("step size must be positive")
@@ -260,12 +258,7 @@ def semi_apdfb_step(state, problem, alpha):
     if problem.is_smooth_unconstrained:
         rhs = _finite(sc.theta * state.lam + alpha * constraint.residual(z),
                       "saddle subproblem")
-        if constraint.rows <= constraint.cols:
-            lam = constraint.solve_shifted_gram(sc.theta, alpha * t, rhs)
-            v_next = z - t * constraint.apply_adjoint(lam)
-        else:
-            v_next = z - t * constraint.solve_shifted_gram(
-                sc.theta, alpha * t, constraint.apply_adjoint(rhs))
+        v_next = z - t * constraint.adjoint_gram_solve(sc.theta, alpha * t, rhs)
     else:
         ctx = DualMapContext.for_step(sc.theta, alpha, t, z, constraint,
                                       problem.nonsmooth, state.lam)

@@ -103,11 +103,13 @@ def test_flow_without_a_reference_exits_with_one_line(tmp_path):
                                "no closed-form reference for this problem")
 
 
-def test_compare_summarizes_each_scheme(tmp_path, capsys):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_compare_summarizes_each_scheme(tmp_path, capsys, jobs):
+    # two jobs run the schemes on threads that share one lazily factored constraint
     problem = write_problem(tmp_path / "qp.txt", "quadratic")
     out_dir = tmp_path / "out"
     code = main(["compare", "--problem", problem, "--schemes", "semi_apd,ex_apdfb",
-                 "--max-iter", "200", "--out-dir", str(out_dir), "--jobs", "1"])
+                 "--max-iter", "200", "--out-dir", str(out_dir), "--jobs", jobs])
     assert code == 0
     printed = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in printed] == ["semi_apd", "ex_apdfb"]
@@ -116,6 +118,11 @@ def test_compare_summarizes_each_scheme(tmp_path, capsys):
                                                              ["ex_apdfb", "max_iter"]]
     for scheme in ("semi_apd", "ex_apdfb"):
         assert len(read_lines(out_dir / f"qp_{scheme}.csv")) == 202
+    serial = tmp_path / "serial"
+    main(["compare", "--problem", problem, "--schemes", "semi_apd,ex_apdfb",
+          "--max-iter", "200", "--out-dir", str(serial), "--jobs", "1"])
+    for name in ("summary.csv", "qp_semi_apd.csv", "qp_ex_apdfb.csv"):
+        assert (out_dir / name).read_bytes() == (serial / name).read_bytes()
 
 
 def test_compare_without_schemes_exits_with_one_line(tmp_path):

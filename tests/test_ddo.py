@@ -276,6 +276,25 @@ def test_apd_steps_match_semi_apdfb_on_dense_kron(graph, kind):
             assert np.linalg.norm(got.ravel() - want) <= 1e-10 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("graph", [
+    pytest.param(grid_graph(3, 4), id="grid"),  # connected, |E| = 17 > n = 12
+    pytest.param(path_graph(6), id="tree"),
+])
+def test_incidence_factor_drops_exactly_the_kernel_of_the_laplacian(graph):
+    # with |E| > n the factor is of B'B = L less its one zero (constant) pair;
+    # a tree's factor is of BB', which is nonsingular, and keeps every pair
+    inc = graph_incidence(graph).toarray()
+    s, u = IncidenceConstraint(build_ddo_problem(graph, 2, "least_squares", seed=1)).gram_factor
+    if len(graph.edges) > graph.n:
+        gram, kept = inc.T @ inc, graph.n - 1
+        np.testing.assert_allclose(u.T @ np.ones(graph.n), 0.0, atol=1e-12)
+    else:
+        gram, kept = inc @ inc.T, len(graph.edges)
+    assert s.shape == (kept,) and u.shape == (gram.shape[0], kept)
+    assert s.min() > 1e-2
+    np.testing.assert_allclose((u * s) @ u.T, gram, atol=1e-12)
+
+
 def test_apd_multiplier_elimination_bookkeeping():
     # the relation theta_k lam_k = A x_k that lets the multiplier be eliminated
     for graph in (random_geometric_graph(12, 0.5, 3), cycle_graph(5)):

@@ -14,10 +14,10 @@ def write_config(tmp_path, text):
 def test_parse_experiment_config_maps_each_key_to_its_field(tmp_path):
     cfg = parse_experiment_config(write_config(tmp_path, "\n".join([
         "problem.file = qp.txt", "schemes = semi_apd, ex_apdfb", "gamma0 = 2.5",
-        "beta = 0.25", "max_iter = 40", "stop_tol = 1e-6", "step.alpha = 0.5",
+        "max_iter = 40", "stop_tol = 1e-6", "step.alpha = 0.5",
         "out.dir = out", "jobs = 3", "fit.window = 0.75", "fit.mode = linear"])))
     assert cfg == ExperimentConfig(
-        problem_file="qp.txt", schemes=("semi_apd", "ex_apdfb"), gamma0=2.5, beta=0.25,
+        problem_file="qp.txt", schemes=("semi_apd", "ex_apdfb"), gamma0=2.5,
         max_iter=40, stop_tol=1e-6, alpha=0.5, out_dir="out", jobs=3, fit_window=0.75,
         fit_mode="linear")
 
@@ -30,6 +30,7 @@ def test_parse_experiment_config_skips_comments_and_blank_lines(tmp_path):
 
 @pytest.mark.parametrize("line,message", [
     ("seed = 3", "unknown config key 'seed'"),
+    ("beta = 0.25", "unknown config key 'beta'"),
     ("schemes: semi_apd", "bad config line"),
 ])
 def test_parse_experiment_config_rejects_bad_lines(tmp_path, line, message):

@@ -139,13 +139,14 @@ def test_shifted_gram_solve_example():
     s, u = constraint.gram_factor
     np.testing.assert_allclose(s, [2.0])  # AA' = 2: the dual side is the smaller
     assert u.shape == (1, 1)
-    # (theta + alpha t AA') lam = alpha (A z - b) at theta = alpha = t = 1, z = (1, 1)
-    np.testing.assert_allclose(constraint.solve_shifted_gram(1.0, 1.0, [1.0]), [1 / 3])
+    # (theta + alpha t AA') lam = alpha (A z - b) at theta = alpha = t = 1, z = (1, 1),
+    # so lam = 1/3 and A' lam = (1/3, 1/3)
+    np.testing.assert_allclose(constraint.adjoint_gram_solve(1.0, 1.0, [1.0]), [1 / 3, 1 / 3])
 
 
 def test_dual_primal_reductions_consistent():
     # the 3x6 constraint factors AA' (dual side), the 6x3 one A'A (primal side);
-    # each is checked against a dense solve of the other reduction
+    # each factored solve is checked against dense solves of both reductions
     theta, alpha, t = 0.42, 0.8, 0.31
     for m, n in ((3, 6), (6, 3)):
         rng = np.random.default_rng(5)
@@ -154,12 +155,11 @@ def test_dual_primal_reductions_consistent():
         lam_prev, z = rng.standard_normal(m), rng.standard_normal(n)
         dual_rhs = theta * lam_prev + alpha * constraint.residual(z)
         primal_rhs = theta * z - t * amat.T @ (theta * lam_prev - alpha * constraint.rhs)
-        if m <= n:
-            lam = constraint.solve_shifted_gram(theta, alpha * t, dual_rhs)
-            v = np.linalg.solve(theta * np.eye(n) + alpha * t * amat.T @ amat, primal_rhs)
-        else:
-            lam = np.linalg.solve(theta * np.eye(m) + alpha * t * amat @ amat.T, dual_rhs)
-            v = constraint.solve_shifted_gram(theta, alpha * t, primal_rhs)
+        lam = np.linalg.solve(theta * np.eye(m) + alpha * t * amat @ amat.T, dual_rhs)
+        v = z - t * constraint.adjoint_gram_solve(theta, alpha * t, dual_rhs)
+        np.testing.assert_allclose(
+            np.linalg.solve(theta * np.eye(n) + alpha * t * amat.T @ amat, primal_rhs),
+            v, atol=1e-9)
         np.testing.assert_allclose(z - t * amat.T @ lam, v, atol=1e-9)
         np.testing.assert_allclose(
             lam, lam_prev + (alpha / theta) * constraint.residual(v), atol=1e-9)
@@ -170,8 +170,9 @@ def test_shifted_gram_solve_zero_operator_decouples():
         constraint = apd.MatrixConstraint(np.zeros(shape), np.zeros(shape[0]), op_norm=0.0)
         side = min(shape)
         np.testing.assert_allclose(constraint.gram_factor[0], np.zeros(side))
-        np.testing.assert_allclose(constraint.solve_shifted_gram(0.6, 1.0, np.ones(side)),
-                                   np.ones(side) / 0.6)
+        # (0.6 I + 0 G)^{-1} r = r / 0.6, and A' = 0 maps it to zero
+        np.testing.assert_allclose(constraint.adjoint_gram_solve(0.6, 1.0, np.ones(shape[0])),
+                                   np.zeros(shape[1]))
 
 
 def test_gram_factor_of_a_matrix_free_constraint_raises():

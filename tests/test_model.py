@@ -103,10 +103,13 @@ def norm_inputs(draw):
 @given(norm_inputs())
 def test_operator_norm_is_a_tight_upper_bound(matrix):
     exact = np.linalg.norm(matrix.toarray() if hasattr(matrix, "toarray") else matrix, 2)
-    bound = apd.operator_norm_estimate(matrix)
-    if exact == 0.0:
-        assert bound == 0.0
-    assert exact <= bound <= (1 + 1e-9) * exact
+    bounds = [apd.operator_norm_estimate(matrix)]
+    if isinstance(matrix, np.ndarray):
+        bounds.append(apd.MatrixConstraint(matrix, np.zeros(matrix.shape[0])).op_norm)
+    for bound in bounds:
+        if exact == 0.0:
+            assert bound == 0.0
+        assert exact <= bound <= (1 + 1e-9) * exact
 
 
 def test_default_op_norm_bounds_gaussian_matrices():
@@ -117,16 +120,26 @@ def test_default_op_norm_bounds_gaussian_matrices():
 
 
 def test_matrix_constraint_forms_its_gram_matrix_once(monkeypatch):
-    # the product the default op_norm bound forms is the one the factor takes
-    calls = []
-    smaller_gram = model._smaller_gram
+    # construction does no Gram work; op_norm and the factor share one product
+    # and one eigensolve
+    calls, solves = [], []
+    smaller_gram, eigh = model._smaller_gram, model.sla.eigh
     monkeypatch.setattr(model, "_smaller_gram",
                         lambda matrix: calls.append(matrix.shape) or smaller_gram(matrix))
+    monkeypatch.setattr(model.sla, "eigh",
+                        lambda *args, **kwargs: solves.append(1) or eigh(*args, **kwargs))
     amat = np.random.default_rng(2).standard_normal((3, 5))
     for op_norm in (None, 10.0):
         calls.clear()
-        s, u = apd.MatrixConstraint(amat, np.zeros(3), op_norm=op_norm).gram_factor
-        assert calls == [(3, 5)]
+        solves.clear()
+        constraint = apd.MatrixConstraint(amat, np.zeros(3), op_norm=op_norm)
+        assert calls == [] and solves == []
+        if op_norm is None:
+            assert constraint.op_norm >= np.linalg.norm(amat, 2)
+        else:
+            assert constraint.op_norm == op_norm
+        s, u = constraint.gram_factor
+        assert calls == [(3, 5)] and solves == [1]
         np.testing.assert_allclose((u * s) @ u.T, amat @ amat.T, atol=1e-12)
 
 

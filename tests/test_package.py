@@ -1,9 +1,13 @@
-"""Package hygiene: exported names exist and no private helper is left unused."""
+"""Package hygiene: exported names exist, no private helper is left unused and
+every config field is read."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import apd
+from apd.harness import ExperimentConfig
+from apd.solvers import SolverConfig
 
 
 def test_every_exported_name_resolves():
@@ -43,3 +47,25 @@ def test_every_private_module_name_is_used_in_the_package():
     unused = sorted(f"{module}:{name}" for module, tree in trees.items()
                     for name in _private_definitions(tree) if name not in used)
     assert unused == []
+
+
+def _attributes_read(tree, owner):
+    """Attributes read as ``owner.<name>`` in a module."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == owner}
+
+
+def test_every_config_field_is_read():
+    # a setting the run never reads is a dead knob: it takes a value and changes nothing
+    package = Path(apd.__file__).parent
+
+    def read(owner, *modules):
+        return set().union(*(_attributes_read(
+            ast.parse((package / module).read_text(encoding="utf-8")), owner)
+            for module in modules))
+
+    for config, owner, modules in ((SolverConfig, "config", ("solvers.py",)),
+                                   (ExperimentConfig, "cfg", ("harness.py", "cli.py"))):
+        fields = {field.name for field in dataclasses.fields(config)}
+        assert sorted(fields - read(owner, *modules)) == [], config.__name__
