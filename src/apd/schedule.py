@@ -6,9 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Runs stop once the decay factor can no longer be represented meaningfully.
-SCALE_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class ScalingState:
@@ -23,10 +20,6 @@ class ScalingState:
             raise ValueError("theta must lie in (0, 1]")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-
-    @property
-    def exhausted(self):
-        return self.theta < SCALE_FLOOR
 
 
 def advance_scaling(state, alpha, mu_beta):

@@ -329,6 +329,54 @@ def residual_metrics(problem, x, lam, saddle=None, at_x=None, at_star=None):
 # run loop
 # ---------------------------------------------------------------------------
 
+class Epochs:
+    """The restart rule that the run loops of :func:`run_solver` and
+    :func:`~apd.ddo.run_ddo` share.
+
+    An epoch ends at the first step that leaves ``theta`` below
+    ``_RESTART_THETA`` (:meth:`ends`); :meth:`begin` then starts the next one
+    from ``(x, x, lam)`` with the scaling pair of
+    :func:`~apd.schedule.restart_scaling`. :meth:`at_floor` tracks the best
+    iterate of the run's stop measure and says when an epoch end fails to
+    lower the measure below every earlier epoch end.
+    """
+
+    def __init__(self, scheme, mu_beta, gamma0, state):
+        self.scheme, self.mu_beta, self.gamma0 = scheme, mu_beta, gamma0
+        self.epoch = 0
+        self.best, self.best_state, self.best_end = np.inf, state, np.inf
+
+    @staticmethod
+    def ends(state):
+        return state.scaling.theta < _RESTART_THETA
+
+    def begin(self, state, residual=None):
+        """``state``, or the first state of the next epoch when it ends one.
+
+        ``residual``, ``A x - b`` of ``state.x`` when the caller holds it,
+        is carried as both residuals of the restarted state (``v = x``).
+        """
+        if not self.ends(state):
+            return state
+        self.epoch += 1
+        scaling = restart_scaling(self.scheme, self.mu_beta, state.scaling.gamma, self.gamma0)
+        return IterateState(state.x, state.x, state.lam, scaling,
+                            v_residual=residual, x_residual=residual)
+
+    def at_floor(self, state, measure):
+        """Whether ``state``, with stop measure ``measure``, ends an epoch
+        without beating every earlier epoch end: rounding, not the scheme,
+        then sets the accuracy, and :attr:`best_state` is the best iterate."""
+        if measure < self.best:
+            self.best, self.best_state = measure, state
+        if not self.ends(state):
+            return False
+        if not measure < self.best_end:
+            return True
+        self.best_end = measure
+        return False
+
+
 def make_step_rule(problem, config):
     """Step rule of ``config.scheme``; each rule reads only its own constants."""
     return StepRule(config.scheme, norm_a=problem.constraint.op_norm,
@@ -344,9 +392,9 @@ def initial_state(problem, config):
 def run_solver(problem, config):
     """Run one scheme on one problem, recording per-iteration diagnostics.
 
-    The run is a sequence of epochs, each a fresh run of the scheme: once a
-    step leaves ``theta`` below ``_RESTART_THETA``, the next epoch starts
-    from ``(x, x, lam)`` with the scaling pair of
+    The run is a sequence of epochs of :class:`Epochs`, each a fresh run of
+    the scheme: once a step leaves ``theta`` below ``_RESTART_THETA``, the
+    next epoch starts from ``(x, x, lam)`` with the scaling pair of
     :func:`~apd.schedule.restart_scaling`. The stop measure is objective gap
     plus feasibility when a reference saddle point is available, otherwise
     the KKT residual (formed at epoch ends, and once feasibility is within
@@ -379,45 +427,36 @@ def run_solver(problem, config):
             reference = None
     at_star = PointValues(problem, reference.x_star) if reference is not None else None
     state = initial_state(problem, config)
-    records = [_record(0, 0, 0.0, state, problem, reference,
-                       PointValues(problem, state.x), at_star)]
+    at_x = PointValues(problem, state.x)
+    records = [_record(0, 0, 0.0, state, problem, reference, at_x, at_star)]
     status = "max_iter"
-    epoch = 0
-    best, best_state, best_end = np.inf, state, np.inf
+    epochs = Epochs(config.scheme, problem.mu_beta, config.gamma0, state)
     for k in range(config.max_iter):
-        if state.scaling.theta < _RESTART_THETA:
-            epoch += 1
-            state = IterateState(state.x, state.x, state.lam,
-                                 restart_scaling(config.scheme, problem.mu_beta,
-                                                 state.scaling.gamma, config.gamma0),
-                                 v_residual=at_x.residual, x_residual=at_x.residual)
+        state = epochs.begin(state, at_x.residual)
         alpha = step_size(rule, state.scaling)
         started = time.perf_counter_ns() if config.timing else 0
         # looked up per step, so a step function replaced on the module is the one called
         state = globals()[step_name](state, problem, alpha)
         elapsed = time.perf_counter_ns() - started if config.timing else 0
         at_x = PointValues(problem, state.x, state.x_residual)
-        rec = _record(k + 1, epoch, alpha, state, problem, reference, at_x, at_star, elapsed)
+        rec = _record(k + 1, epochs.epoch, alpha, state, problem, reference, at_x, at_star,
+                      elapsed)
         records.append(rec)
-        epoch_end = state.scaling.theta < _RESTART_THETA
         if reference is not None:
             measure = rec.obj_gap + rec.feasibility
-        elif epoch_end or 0 < config.stop_tol and rec.feasibility <= config.stop_tol:
+        elif epochs.ends(state) or 0 < config.stop_tol and rec.feasibility <= config.stop_tol:
             # feas + stat <= stop_tol needs feas <= stop_tol, so stationarity
             # is formed only then and at epoch ends
             measure = sum(kkt_residual(problem, state.x, state.lam, residual=at_x.residual))
         else:
             measure = np.inf
-        if measure < best:
-            best, best_state = measure, state
+        floor = epochs.at_floor(state, measure)
         if config.stop_tol > 0 and measure <= config.stop_tol:
             status = "converged"
             break
-        if epoch_end:
-            if not measure < best_end:
-                status, state = "precision_floor", best_state
-                break
-            best_end = measure
+        if floor:
+            status, state = "precision_floor", epochs.best_state
+            break
     return SolverRun(records, status, state, reference)
 
 

@@ -53,6 +53,18 @@ def test_ddo_apd_logistic_reaches_a_tight_tolerance(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("ddo/apd: status=converged k=")
 
 
+def test_ddo_apd_without_a_tolerance_stops_at_the_precision_floor(tmp_path, capsys):
+    csv = tmp_path / "ddo.csv"
+    code = main(["ddo", "--graph", "geometric:12:0.5:3", "--m", "2", "--model", "logistic",
+                 "--algo", "apd", "--max-iter", "5000", "--csv", str(csv)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("ddo/apd: status=precision_floor k=")
+    last_k = int(out.split(" k=")[1].split()[0])
+    assert last_k < 5000
+    assert len(read_lines(csv)) == last_k + 2  # header plus records k = 0..last_k
+
+
 def write_problem(path, kind):
     """Tiny seeded problem file: diagonal QP (has a reference saddle) or lasso."""
     rng = np.random.default_rng(7)

@@ -279,6 +279,9 @@ def test_apd_steps_match_semi_apdfb_on_dense_kron(graph, kind):
 @pytest.mark.parametrize("graph", [
     pytest.param(grid_graph(3, 4), id="grid"),  # connected, |E| = 17 > n = 12
     pytest.param(path_graph(6), id="tree"),
+    # the complete graph K5: L has the eigenvalue 5 four times over
+    pytest.param(Graph(5, tuple((i, j) for i in range(5) for j in range(i + 1, 5))),
+                 id="complete"),
 ])
 def test_incidence_factor_drops_exactly_the_kernel_of_the_laplacian(graph):
     # with |E| > n the factor is of B'B = L less its one zero (constant) pair;
@@ -455,7 +458,7 @@ def test_run_ddo_decay_and_orders():
 @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
 def test_run_ddo_apd_matches_a_loop_of_semi_apdfb_steps(kind):
     prob = build_ddo_problem(random_geometric_graph(30, 0.4, 2), 3, kind, seed=5)
-    steps = 20
+    steps = 24  # both kinds end an epoch and restart within these
     run = run_ddo(prob, "apd", steps)
     assert run.status == "max_iter"
     instance = apd_instance(prob)
@@ -466,10 +469,27 @@ def test_run_ddo_apd_matches_a_loop_of_semi_apdfb_steps(kind):
                          prob.consensus_residual(state.x), 0, 0)
 
     records = [record(0)]
+    restarts = 0
     for k in range(steps):
+        if state.scaling.theta < 1e-2:
+            # a new epoch from (x, x, lam); gamma is kept only when mu > 0
+            gamma = state.scaling.gamma if prob.mu > 0 else prob.lip
+            state = solvers.IterateState(state.x, state.x, state.lam, ScalingState(1.0, gamma, 0))
+            restarts += 1
         state = solvers.semi_apdfb_step(state, instance, apd_alpha(prob, state))
         records.append(record(k + 1))
     assert run.records == records
+    assert restarts > 0
+
+
+def test_run_ddo_apd_least_squares_restarts_to_a_tolerance_the_decaying_steps_miss():
+    # mu = 0: without restarts gamma decays with theta and the steps shrink;
+    # the unrestarted loop needed 1221 steps here
+    prob = build_ddo_problem(random_geometric_graph(30, 0.4, 2), 3, "least_squares", seed=5)
+    run = run_ddo(prob, "apd", 100, stop_tol=1e-6)
+    last = run.records[-1]
+    assert run.status == "converged"
+    assert last.obj_gap + last.consensus_residual <= 1e-6
 
 
 def defect8_problem():
@@ -491,7 +511,7 @@ def test_run_ddo_apd_logistic_reaches_a_tight_tolerance():
 ])
 def test_run_ddo_apd_far_past_convergence_ends_near_its_best(make):
     run = run_ddo(make(), "apd", 5000)
-    assert run.status == "scale_exhausted"
+    assert run.status == "precision_floor"
     measures = [r.obj_gap + r.consensus_residual for r in run.records]
     assert np.all(np.isfinite(measures))
     assert measures[-1] <= 10.0 * min(measures)
