@@ -12,7 +12,7 @@ from .model import (
     NoReferenceError,
     ProblemInstance,
     SaddlePoint,
-    evaluate_augmented_lagrangian,
+    evaluate_lagrangian,
     kkt_residual,
     load_problem,
     operator_norm_estimate,
@@ -68,7 +68,7 @@ __all__ = [
     "ZeroProx",
     "advance_scaling",
     "discrete_lyapunov",
-    "evaluate_augmented_lagrangian",
+    "evaluate_lagrangian",
     "ex_apdfb_step",
     "implicit_apd_step",
     "kkt_residual",

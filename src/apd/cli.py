@@ -42,8 +42,17 @@ def parse_graph_spec(spec):
     raise ValueError(f"unknown graph spec {spec!r}")
 
 
+def _load(path):
+    """:func:`~apd.model.load_problem`, with a rejected file ending the command
+    on its one-line message."""
+    try:
+        return load_problem(path)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def _cmd_solve(args):
-    problem = load_problem(args.problem)
+    problem = _load(args.problem)
     cfg = SolverConfig(scheme=args.scheme, gamma0=args.gamma0, max_iter=args.max_iter,
                        stop_tol=args.stop_tol, alpha=args.alpha, timing=args.timing)
     run = run_solver(problem, cfg)
@@ -55,7 +64,7 @@ def _cmd_solve(args):
 
 
 def _cmd_flow(args):
-    problem = load_problem(args.problem)
+    problem = _load(args.problem)
     try:
         saddle = solve_reference_saddle(problem)
     except NoReferenceError as exc:
@@ -241,8 +250,10 @@ def build_parser():
     audit.add_argument("--scheme", default="", choices=("",) + SCHEMES)
     audit.add_argument("--gamma0", type=float, default=1.0)
     audit.add_argument("--norm-a", type=float, default=0.0)
-    audit.add_argument("--l-beta", type=float, default=0.0)
-    audit.add_argument("--mu-beta", type=float, default=0.0)
+    audit.add_argument("--l-beta", type=float, default=0.0,
+                       help="L of h (the paper's beta is 0)")
+    audit.add_argument("--mu-beta", type=float, default=0.0,
+                       help="mu of h (the paper's beta is 0)")
     audit.add_argument("--alpha", type=float, default=1.0)
     audit.set_defaults(func=_cmd_audit)
 

@@ -470,6 +470,7 @@ class DdoRun:
     records: list
     status: str  # converged | max_iter | precision_floor
     f_ref: float
+    x: np.ndarray  # stacked final iterate; the best measured on precision_floor
 
 
 def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
@@ -490,7 +491,8 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     - ``converged`` when the measure reaches ``stop_tol``;
     - ``precision_floor`` (``apd`` only) when an epoch ends without lowering
       the measure below every earlier epoch end; the records end at that
-      step;
+      step, and the returned ``x`` is the best iterate measured, as the
+      state of :func:`~apd.solvers.run_solver` is;
     - ``max_iter`` otherwise.
     """
     if f_ref is None:
@@ -505,7 +507,7 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
         rule = StepRule("semi_apdfb", lip_beta=problem.lip)
         lam0 = np.zeros((problem.incidence.shape[0], m))
         state = solvers.IterateState(x0, x0.copy(), lam0, ScalingState(1.0, problem.lip, 0))
-        epochs = solvers.Epochs("semi_apdfb", instance.mu_beta, problem.lip, state)
+        epochs = solvers.Epochs("semi_apdfb", problem.mu, problem.lip, state)
 
         def step(state):
             state = epochs.begin(state)
@@ -546,6 +548,6 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
             status = "converged"
             break
         if floor:
-            status = "precision_floor"
+            status, state = "precision_floor", epochs.best_state
             break
-    return DdoRun(records, status, f_ref)
+    return DdoRun(records, status, f_ref, state.x)

@@ -37,11 +37,10 @@ def flow_rhs(state, problem):
     """
     if not problem.is_smooth_unconstrained:
         raise ValueError("flow requires smooth objective")
-    mu_beta = problem.mu_beta
+    mu_beta = problem.smooth.mu
     dlam = problem.constraint.residual(state.v) / state.theta
     dx = state.v - state.x
-    force = (problem.smooth_beta_gradient(state.x)
-             + problem.constraint.apply_adjoint(state.lam))
+    force = problem.smooth.gradient(state.x) + problem.constraint.apply_adjoint(state.lam)
     dv = (mu_beta * (state.x - state.v) - force) / state.gamma
     return dx, dv, dlam, -state.theta, mu_beta - state.gamma
 

@@ -7,7 +7,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,7 +252,7 @@ def run_experiment(cfg):
             stem = os.path.splitext(os.path.basename(cfg.problem_file or "run"))[0]
             emit_csv(run.records, os.path.join(cfg.out_dir, f"{stem}_{scheme}.csv"))
             rule = make_step_rule(problem, solver_cfg)
-            report = audit_records(run.records, rule, cfg.gamma0, problem.mu_beta)
+            report = audit_records(run.records, rule, cfg.gamma0, problem.smooth.mu)
             try:
                 slope, r2 = fit_rate(run.records, cfg.fit_window, cfg.fit_mode)
             except ValueError:

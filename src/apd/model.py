@@ -32,14 +32,11 @@ class LinearConstraint:
     operators (e.g. graph Laplacian blocks) plug into every solver unchanged.
     ``op_norm``, an upper bound on ``|A|_2`` as the step rules and the theta
     certificates assume, comes from :attr:`gram_factor` unless an instance
-    sets its own. ``sigma_min`` is declared, never estimated: it stays 0
-    unless the user asserts full column rank, in which case augmentation is
-    allowed to use it.
+    sets its own.
     """
 
     rows = 0
     cols = 0
-    sigma_min = 0.0
     null_pairs = 0  # leading eigenpairs of A'A known to span ker A
 
     @property
@@ -116,7 +113,7 @@ def _rounding_slack(shape, gram):
 
 
 class MatrixConstraint(LinearConstraint):
-    def __init__(self, matrix, rhs, sigma_min=0.0, op_norm=None):
+    def __init__(self, matrix, rhs, op_norm=None):
         self._matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         self._rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         self.rows, self.cols = self._matrix.shape
@@ -124,7 +121,6 @@ class MatrixConstraint(LinearConstraint):
             raise ValueError("rhs length does not match the number of rows")
         if not np.isfinite(self._matrix).all():
             raise ValueError("constraint matrix A holds NaN or inf")
-        self.sigma_min = float(sigma_min)
         if op_norm is not None:
             self.op_norm = float(op_norm)
 
@@ -153,19 +149,20 @@ class SaddlePoint:
 class ProblemInstance:
     """Composite instance ``min h(x) + g(x) s.t. Ax = b, x in X``.
 
-    ``beta`` is the augmentation weight; it only takes effect when the
-    constraint declares ``sigma_min > 0`` (full column rank), following the
-    rule that augmentation is useless otherwise.
+    The paper's schemes run on the augmented objective
+    ``f_beta = f + (beta/2)|Ax - b|^2``, whose convexity modulus is
+    ``mu_beta = mu + beta s^2`` with ``s`` the smallest singular value of
+    ``A``. That raises ``mu_beta`` above ``mu`` only when ``A`` has full
+    column rank, and then ``Ax = b`` has at most one solution and nothing is
+    left to optimize. So ``beta`` is 0 here: ``f_beta`` is ``f``, and the
+    paper's ``mu_beta`` and ``L_beta`` are ``smooth.mu`` and ``smooth.lip``.
     """
 
     smooth: SmoothOracle
     nonsmooth: ProxFunction
     constraint: LinearConstraint
-    beta: float = 0.0
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
         if self.smooth.dim and self.smooth.dim != self.constraint.cols:
             raise ValueError("objective and constraint dimensions disagree")
 
@@ -173,28 +170,8 @@ class ProblemInstance:
     def dim(self):
         return self.constraint.cols
 
-    @property
-    def effective_beta(self):
-        return self.beta if self.constraint.sigma_min > 0 else 0.0
-
-    @property
-    def mu_beta(self):
-        return self.smooth.mu + self.effective_beta * self.constraint.sigma_min ** 2
-
-    @property
-    def lip_beta(self):
-        return self.smooth.lip + self.effective_beta * self.constraint.op_norm ** 2
-
     def objective(self, x):
         return self.smooth.value(x) + self.nonsmooth.value(x)
-
-    def smooth_beta_gradient(self, x, beta=None):
-        """Gradient of ``h + (beta/2)|Ax-b|^2`` at x."""
-        beta = self.effective_beta if beta is None else beta
-        grad = self.smooth.gradient(x)
-        if beta > 0:
-            grad = grad + beta * self.constraint.apply_adjoint(self.constraint.residual(x))
-        return grad
 
     @property
     def is_smooth_unconstrained(self):
@@ -224,46 +201,41 @@ class PointValues:
     def residual(self):
         return self.problem.constraint.residual(self.x)
 
-    def lagrangian(self, lam, beta):
-        """Augmented Lagrangian at ``x``; ``inf`` outside the feasible set."""
+    def lagrangian(self, lam):
+        """Lagrangian ``f(x) + <lam, A x - b>``; ``inf`` outside the feasible set."""
         if not np.isfinite(self.fval):
             return np.inf
-        res = self.residual
-        return self.fval + 0.5 * beta * float(res @ res) + float(lam @ res)
+        return self.fval + float(lam @ self.residual)
 
 
 def lyapunov_value(problem, saddle, x, v, lam, gamma, theta, at_x=None, at_star=None):
     """Lyapunov function of the flow and of every scheme, nonnegative at any
-    true saddle point: the gap ``L(x, lam*) - L(x*, lam)`` of the augmented
-    Lagrangian plus ``gamma/2 |v - x*|^2 + theta/2 |lam - lam*|^2``.
+    true saddle point: the gap ``L(x, lam*) - L(x*, lam)`` of the Lagrangian
+    plus ``gamma/2 |v - x*|^2 + theta/2 |lam - lam*|^2``.
 
-    The augmentation weight is the problem's effective one. ``at_x`` and
-    ``at_star`` may pass the :class:`PointValues` of ``x`` and
+    ``at_x`` and ``at_star`` may pass the :class:`PointValues` of ``x`` and
     ``saddle.x_star`` when the caller already holds them.
     """
-    beta = problem.effective_beta
     at_x = PointValues(problem, x) if at_x is None else at_x
     at_star = PointValues(problem, saddle.x_star) if at_star is None else at_star
-    gap = at_x.lagrangian(saddle.lambda_star, beta) - at_star.lagrangian(lam, beta)
+    gap = at_x.lagrangian(saddle.lambda_star) - at_star.lagrangian(lam)
     dv = v - saddle.x_star
     dlam = lam - saddle.lambda_star
     return gap + 0.5 * gamma * float(dv @ dv) + 0.5 * theta * float(dlam @ dlam)
 
 
-def evaluate_augmented_lagrangian(problem, x, lam, beta):
-    """Augmented Lagrangian ``f(x) + (beta/2)|Ax-b|^2 + <lam, Ax-b>``.
+def evaluate_lagrangian(problem, x, lam):
+    """Lagrangian ``f(x) + <lam, Ax-b>``.
 
     Returns ``inf`` when x is outside the feasible set (indicator active).
     """
     x = np.asarray(x, dtype=float)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
     if x.shape != (problem.constraint.cols,):
         raise ValueError("x has the wrong dimension")
     if lam.shape != (problem.constraint.rows,):
         raise ValueError("lambda has the wrong dimension")
-    return PointValues(problem, x).lagrangian(lam, beta)
+    return PointValues(problem, x).lagrangian(lam)
 
 
 def kkt_residual(problem, x, lam, residual=None):
@@ -412,7 +384,7 @@ def solve_reference_saddle(problem):
 # problem files
 #
 # Whitespace-separated text (line breaks are not significant):
-#   n m beta
+#   n m beta                     beta must be 0 (see ProblemInstance)
 #   m*n entries of A, row major
 #   m entries of b
 #   one objective descriptor:
@@ -438,7 +410,8 @@ def load_problem(path):
         return out
 
     n, m = int(take(1)[0]), int(take(1)[0])
-    beta = float(take(1)[0])
+    if float(take(1)[0]) != 0.0:
+        raise ValueError(f"{path}: header beta must be 0 (no augmentation term)")
     amat = np.array([float(t) for t in take(m * n)], dtype=float).reshape(m, n)
     rhs = np.array([float(t) for t in take(m)], dtype=float)
     kind = take(1)[0]
@@ -460,14 +433,14 @@ def load_problem(path):
         raise ValueError(f"{path}: unknown objective descriptor {kind!r}")
     if pos != len(tokens):
         raise ValueError(f"{path}: {len(tokens) - pos} trailing tokens")
-    return ProblemInstance(smooth, nonsmooth, MatrixConstraint(amat, rhs), beta=beta)
+    return ProblemInstance(smooth, nonsmooth, MatrixConstraint(amat, rhs))
 
 
 def save_problem(problem, path):
     """Write a :class:`ProblemInstance` in the problem-file format."""
     amat = problem.constraint.matrix()
     m, n = amat.shape
-    parts = [f"{n} {m} {problem.beta:.17g}"]
+    parts = [f"{n} {m} 0"]
     parts.extend(" ".join(f"{v:.17g}" for v in row) for row in amat)
     parts.append(" ".join(f"{v:.17g}" for v in problem.constraint.rhs))
     smooth, nonsmooth = problem.smooth, problem.nonsmooth

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -130,34 +129,20 @@ def _finite(rhs, what):
     return rhs
 
 
-def _prox_full_objective(problem, eta, point, beta):
-    """Prox of ``f_beta = h + g + (beta/2)|Ax-b|^2`` over the feasible set."""
+def _prox_full_objective(problem, eta, point):
+    """Prox of ``f = h + g`` over the feasible set."""
     smooth, nonsmooth = problem.smooth, problem.nonsmooth
     if smooth.is_quadratic and isinstance(nonsmooth, ZeroProx):
         feas = nonsmooth.feasible_set
         diagonal = getattr(smooth, "diag", None)
+        if diagonal is not None:
+            return feas.project((point - eta * smooth.linear_term()) / (1.0 + eta * diagonal))
         if feas.is_whole_space:
-            if beta == 0 and diagonal is not None:
-                return (point - eta * smooth.linear_term()) / (1.0 + eta * diagonal)
-            amat = problem.constraint.matrix()
-            n = amat.shape[1]
-            h = smooth.hessian_matrix() + np.eye(n) / eta
-            rhs = point / eta - smooth.linear_term()
-            if beta > 0:
-                h = h + beta * (amat.T @ amat)
-                rhs = rhs + beta * (amat.T @ problem.constraint.rhs)
-            return np.linalg.solve(h, rhs)
-        if beta == 0 and diagonal is not None:
-            free = (point - eta * smooth.linear_term()) / (1.0 + eta * diagonal)
-            return feas.project(free)
+            h = smooth.hessian_matrix() + np.eye(problem.dim) / eta
+            return np.linalg.solve(h, point / eta - smooth.linear_term())
         raise InnerSolveError(
-            "no closed-form prox for a quadratic over this set with beta > 0; "
-            f"set the problem's beta={problem.beta:g} to 0", np.nan)
+            "no closed-form prox for a dense quadratic over a constraint set", np.nan)
     if smooth.is_zero:
-        if beta > 0:
-            raise InnerSolveError(
-                "prox of the augmented objective is unavailable; "
-                f"set the problem's beta={problem.beta:g} to 0", np.nan)
         return nonsmooth.prox(eta, point)
     raise InnerSolveError(
         "full-objective prox needs a quadratic smooth part or a pure prox part",
@@ -169,7 +154,7 @@ def _prox_full_objective(problem, eta, point, beta):
 # ---------------------------------------------------------------------------
 
 def implicit_apd_step(state, problem, alpha):
-    """Fully implicit step; runs with ``mu_beta = 0`` and ``beta = 0``.
+    """Fully implicit step; runs with ``mu_beta = 0``.
 
     Quadratic unconstrained objectives get an exact range-space solve
     (:class:`~apd.model.RangeSpaceSystem`): with ``D = Q + I/eta`` and
@@ -217,15 +202,14 @@ def semi_apd_step(state, problem, alpha):
     if alpha <= 0:
         raise ValueError("step size must be positive")
     sc = state.scaling
-    beta = problem.effective_beta
-    mu_beta = problem.mu_beta
+    mu_beta = problem.smooth.mu
     constraint = problem.constraint
     lam_hat = state.lam + (alpha / sc.theta) * _residual(state.v_residual, constraint, state.v)
     tau = sc.gamma + mu_beta * alpha + sc.gamma * alpha
     y = ((sc.gamma + mu_beta * alpha) * state.x + sc.gamma * alpha * state.v) / tau
     eta = alpha ** 2 / tau
     point = y - eta * constraint.apply_adjoint(lam_hat)
-    x_next = _prox_full_objective(problem, eta, point, beta)
+    x_next = _prox_full_objective(problem, eta, point)
     v_next = x_next + (x_next - state.x) / alpha
     v_residual = constraint.residual(v_next)
     lam_next = state.lam + (alpha / sc.theta) * v_residual
@@ -246,14 +230,13 @@ def semi_apdfb_step(state, problem, alpha):
     if alpha <= 0:
         raise ValueError("step size must be positive")
     sc = state.scaling
-    beta = problem.effective_beta
-    mu_beta = problem.mu_beta
+    mu_beta = problem.smooth.mu
     constraint = problem.constraint
     y = (state.x + alpha * state.v) / (1.0 + alpha)
     tau = sc.gamma + mu_beta * alpha
     w = (sc.gamma * state.v + mu_beta * alpha * y) / tau
     t = alpha / tau
-    z = w - t * problem.smooth_beta_gradient(y, beta)
+    z = w - t * problem.smooth.gradient(y)
     inner_iters = 0
     if problem.is_smooth_unconstrained:
         rhs = _finite(sc.theta * state.lam + alpha * constraint.residual(z),
@@ -275,16 +258,14 @@ def ex_apdfb_step(state, problem, alpha):
     if alpha <= 0:
         raise ValueError("step size must be positive")
     sc = state.scaling
-    beta = problem.effective_beta
-    mu_beta = problem.mu_beta
+    mu_beta = problem.smooth.mu
     constraint = problem.constraint
     y = (state.x + alpha * state.v) / (1.0 + alpha)
     tau = sc.gamma + mu_beta * alpha
     w = (sc.gamma * state.v + mu_beta * alpha * y) / tau
     eta = alpha / tau
     lam_hat = state.lam + (alpha / sc.theta) * _residual(state.v_residual, constraint, state.v)
-    point = w - eta * (problem.smooth_beta_gradient(y, beta)
-                       + constraint.apply_adjoint(lam_hat))
+    point = w - eta * (problem.smooth.gradient(y) + constraint.apply_adjoint(lam_hat))
     v_next = problem.nonsmooth.prox(eta, point)
     x_next = (state.x + alpha * v_next) / (1.0 + alpha)
     v_residual = constraint.residual(v_next)
@@ -316,8 +297,7 @@ def residual_metrics(problem, x, lam, saddle=None, at_x=None, at_star=None):
         return np.nan, feasibility, np.nan
     at_star = PointValues(problem, saddle.x_star) if at_star is None else at_star
     obj_gap = abs(at_x.fval - saddle.f_star)
-    lagrangian_gap = (at_x.lagrangian(saddle.lambda_star, 0.0)
-                      - at_star.lagrangian(lam, 0.0))
+    lagrangian_gap = at_x.lagrangian(saddle.lambda_star) - at_star.lagrangian(lam)
     if lagrangian_gap < -1e-10 * max(1.0, abs(saddle.f_star)):
         raise SaddleReferenceError(
             f"negative Lagrangian gap {lagrangian_gap:.3e}: reference saddle "
@@ -380,7 +360,7 @@ class Epochs:
 def make_step_rule(problem, config):
     """Step rule of ``config.scheme``; each rule reads only its own constants."""
     return StepRule(config.scheme, norm_a=problem.constraint.op_norm,
-                    lip_beta=problem.lip_beta, alpha=config.alpha)
+                    lip_beta=problem.smooth.lip, alpha=config.alpha)
 
 
 def initial_state(problem, config):
@@ -415,8 +395,6 @@ def run_solver(problem, config):
     """
     from .model import kkt_residual
 
-    if config.scheme == "implicit" and problem.beta != 0.0:
-        problem = dataclasses.replace(problem, beta=0.0)
     rule = make_step_rule(problem, config)
     step_name = SCHEME_TABLE[config.scheme].step
     reference = config.reference
@@ -430,7 +408,7 @@ def run_solver(problem, config):
     at_x = PointValues(problem, state.x)
     records = [_record(0, 0, 0.0, state, problem, reference, at_x, at_star)]
     status = "max_iter"
-    epochs = Epochs(config.scheme, problem.mu_beta, config.gamma0, state)
+    epochs = Epochs(config.scheme, problem.smooth.mu, config.gamma0, state)
     for k in range(config.max_iter):
         state = epochs.begin(state, at_x.residual)
         alpha = step_size(rule, state.scaling)

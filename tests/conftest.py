@@ -59,7 +59,7 @@ class CountingConstraint(LinearConstraint):
     def __init__(self, inner):
         self.inner = inner
         self.rows, self.cols = inner.rows, inner.cols
-        self.op_norm, self.sigma_min = inner.op_norm, inner.sigma_min
+        self.op_norm = inner.op_norm
         self.applies = self.adjoints = 0
 
     @property

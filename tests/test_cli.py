@@ -115,6 +115,18 @@ def test_flow_without_a_reference_exits_with_one_line(tmp_path):
                                "no closed-form reference for this problem")
 
 
+def test_solve_rejects_a_nonzero_beta_with_one_line(tmp_path):
+    path = tmp_path / "qp.txt"
+    write_problem(path, "quadratic")
+    header, *rest = read_lines(path)
+    n, m, _ = header.split()
+    path.write_text("\n".join([f"{n} {m} 0.25", *rest]) + "\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--problem", str(path), "--scheme", "implicit",
+              "--csv", str(tmp_path / "solve.csv")])
+    assert info.value.code == f"{path}: header beta must be 0 (no augmentation term)"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_compare_summarizes_each_scheme(tmp_path, capsys, jobs):
     # two jobs run the schemes on threads that share one lazily factored constraint
@@ -161,14 +173,14 @@ def test_audit_passes_a_solver_csv(tmp_path, capsys):
 def test_audit_checks_the_semi_apd_theta_bound(tmp_path, capsys):
     problem = write_problem(tmp_path / "qp.txt", "quadratic")
     loaded = apd.load_problem(problem)
-    assert loaded.mu_beta > 0  # gamma moves, so the bound uses gamma_min < gamma0
+    assert loaded.smooth.mu > 0  # gamma moves, so the bound uses gamma_min < gamma0
     csv = tmp_path / "solve.csv"
     assert main(["solve", "--problem", problem, "--scheme", "semi_apd",
                  "--max-iter", "40", "--csv", str(csv)]) == 0
     capsys.readouterr()
     code = main(["audit", "--csv", str(csv), "--scheme", "semi_apd",
                  "--norm-a", repr(loaded.constraint.op_norm),
-                 "--mu-beta", repr(loaded.mu_beta)])
+                 "--mu-beta", repr(loaded.smooth.mu)])
     assert capsys.readouterr().out == ("audit: checked=39 contraction_violations=0 "
                                        "theta_bound_violations=0\n")
     assert code == 0

@@ -517,6 +517,22 @@ def test_run_ddo_apd_far_past_convergence_ends_near_its_best(make):
     assert measures[-1] <= 10.0 * min(measures)
 
 
+def test_run_ddo_returns_the_best_iterate_at_the_precision_floor():
+    prob = build_ddo_problem(random_geometric_graph(30, 0.4, 0), 2, "logistic", seed=0)
+
+    def measure(x, f_ref):
+        return abs(prob.value(x) - f_ref) + prob.consensus_residual(x)
+
+    run = run_ddo(prob, "apd", 5000)
+    assert run.status == "precision_floor"
+    measures = [r.obj_gap + r.consensus_residual for r in run.records]
+    assert min(measures) < measures[-1]  # the last step is not the best here
+    assert measure(run.x, run.f_ref) == min(measures)
+    extra = run_ddo(prob, "extra", 20, f_ref=run.f_ref)
+    last = extra.records[-1]
+    assert measure(extra.x, extra.f_ref) == last.obj_gap + last.consensus_residual
+
+
 def test_run_ddo_rejects_unknown_algo():
     prob = build_ddo_problem(path_graph(3), 2, "least_squares", seed=0)
     with pytest.raises(ValueError):

@@ -11,18 +11,15 @@ from conftest import planted_lasso
 
 
 def test_augmented_lagrangian_examples(qp1, qp1_saddle):
-    val = apd.evaluate_augmented_lagrangian(qp1, np.zeros(2), np.array([1.0]), 0.0)
+    val = apd.evaluate_lagrangian(qp1, np.zeros(2), np.array([1.0]))
     assert val == pytest.approx(-1.0)
-    star = apd.evaluate_augmented_lagrangian(qp1, qp1_saddle.x_star, np.array([3.7]), 0.0)
+    star = apd.evaluate_lagrangian(qp1, qp1_saddle.x_star, np.array([3.7]))
     assert star == pytest.approx(0.25)
-    pen = apd.evaluate_augmented_lagrangian(qp1, np.zeros(2), np.array([0.0]), 2.0)
-    assert pen == pytest.approx(1.0)
 
 
 def test_augmented_lagrangian_constant_in_lambda_at_solution(qp1, qp1_saddle):
     rng = np.random.default_rng(0)
-    vals = [apd.evaluate_augmented_lagrangian(qp1, qp1_saddle.x_star,
-                                              rng.standard_normal(1), 0.5)
+    vals = [apd.evaluate_lagrangian(qp1, qp1_saddle.x_star, rng.standard_normal(1))
             for _ in range(50)]
     np.testing.assert_allclose(vals, qp1_saddle.f_star, atol=1e-12)
 
@@ -31,15 +28,14 @@ def test_augmented_lagrangian_indicator(qp1):
     boxed = apd.ProblemInstance(qp1.smooth,
                                 apd.ZeroProx(apd.Box(np.zeros(2), np.ones(2))),
                                 qp1.constraint)
-    assert apd.evaluate_augmented_lagrangian(
-        boxed, np.array([2.0, 0.0]), np.zeros(1), 0.0) == np.inf
+    assert apd.evaluate_lagrangian(boxed, np.array([2.0, 0.0]), np.zeros(1)) == np.inf
 
 
 def test_augmented_lagrangian_dimension_errors(qp1):
     with pytest.raises(ValueError):
-        apd.evaluate_augmented_lagrangian(qp1, np.zeros(3), np.zeros(1), 0.0)
+        apd.evaluate_lagrangian(qp1, np.zeros(3), np.zeros(1))
     with pytest.raises(ValueError):
-        apd.evaluate_augmented_lagrangian(qp1, np.zeros(2), np.zeros(2), 0.0)
+        apd.evaluate_lagrangian(qp1, np.zeros(2), np.zeros(2))
 
 
 def test_kkt_residual_examples(qp1, qp1_saddle):
@@ -253,31 +249,25 @@ def test_reference_saddle_rejects_nonquadratic():
         apd.solve_reference_saddle(p)
 
 
-def test_beta_ignored_without_declared_rank(qp1):
-    p = apd.ProblemInstance(qp1.smooth, qp1.nonsmooth, qp1.constraint, beta=5.0)
-    assert p.effective_beta == 0.0
-    assert p.mu_beta == 1.0
-    declared = apd.MatrixConstraint(np.eye(2), np.zeros(2), sigma_min=1.0)
-    p2 = apd.ProblemInstance(qp1.smooth, apd.ZeroProx(), declared, beta=5.0)
-    assert p2.effective_beta == 5.0
-    assert p2.mu_beta == pytest.approx(6.0)
-    assert p2.lip_beta == pytest.approx(6.0)
-
-
 def test_problem_file_round_trip(tmp_path):
     path = tmp_path / "instance.txt"
     rng = np.random.default_rng(4)
     amat = rng.standard_normal((2, 3))
     rhs = rng.standard_normal(2)
     p = apd.ProblemInstance(apd.QuadraticObjective(np.array([1.0, 2.0, 3.0])),
-                            apd.ZeroProx(), apd.MatrixConstraint(amat, rhs),
-                            beta=0.25)
+                            apd.ZeroProx(), apd.MatrixConstraint(amat, rhs))
     apd.save_problem(p, path)
     q = apd.load_problem(path)
     np.testing.assert_array_equal(q.constraint.matrix(), amat)
     np.testing.assert_array_equal(q.constraint.rhs, rhs)
     np.testing.assert_array_equal(q.smooth.diag, [1.0, 2.0, 3.0])
-    assert q.beta == 0.25
+
+    # the header keeps its beta token, which must be 0
+    tokens = path.read_text(encoding="utf-8").split()
+    assert tokens[2] == "0"
+    path.write_text(" ".join(tokens[:2] + ["0.25"] + tokens[3:]), encoding="utf-8")
+    with pytest.raises(ValueError, match="beta"):
+        apd.load_problem(path)
 
     lasso = apd.ProblemInstance(apd.QuadraticObjective(np.ones(3)),
                                 apd.L1Prox(0.7), apd.MatrixConstraint(amat, rhs))

@@ -1,5 +1,5 @@
-"""Package hygiene: exported names exist, no private helper is left unused and
-every config field is read."""
+"""Package hygiene: exported names exist, no private helper or import is left
+unused and every config field is read."""
 
 import ast
 import dataclasses
@@ -69,3 +69,41 @@ def test_every_config_field_is_read():
                                    (ExperimentConfig, "cfg", ("harness.py", "cli.py"))):
         fields = {field.name for field in dataclasses.fields(config)}
         assert sorted(fields - read(owner, *modules)) == [], config.__name__
+
+
+def _imported_names(tree, lines):
+    """``(line, name)`` of each name a module imports; ``__future__`` imports
+    and imports on a ``# noqa: F401`` line are left out."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            names.append((node.lineno, bound))
+    return names
+
+
+def _exported(tree):
+    """The string entries of a module's ``__all__``."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+            and target.id == "__all__" for elt in node.value.elts}
+
+
+def test_every_module_import_is_used():
+    unused = []
+    for path in sorted(Path(apd.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= _exported(tree)
+        unused += [f"{path.name}:{line}:{name}"
+                   for line, name in _imported_names(tree, source.splitlines())
+                   if name not in read]
+    assert unused == []

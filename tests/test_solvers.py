@@ -188,17 +188,50 @@ def test_semi_apd_rejects_zero_operator():
         apd.step_size(rule, ScalingState())
 
 
-def test_semi_apd_augmented_prox_error():
-    constraint = apd.MatrixConstraint([[1.0, 0.0]], [0.5], sigma_min=0.0)
-    p = apd.ProblemInstance(apd.ZeroObjective(2), apd.L1Prox(1.0), constraint,
-                            beta=0.0)
-    # force an (invalid) augmented prox request by faking declared rank
-    declared = apd.MatrixConstraint([[1.0, 0.0]], [0.5], sigma_min=1.0)
-    p_bad = apd.ProblemInstance(apd.ZeroObjective(2), apd.L1Prox(1.0), declared,
-                                beta=2.0)
-    semi_apd_step(zeros_state(), p, 0.5)  # beta = 0 route works
-    with pytest.raises(InnerSolveError, match="beta"):
-        semi_apd_step(zeros_state(), p_bad, 0.5)
+def _prox_case(name):
+    """``(smooth, nonsmooth, argmin)`` of a ``semi_apd`` prox route, where
+    ``argmin(point, eta)`` minimizes ``h + g + |x - point|^2/(2 eta)`` by hand
+    (``None`` when the route has no closed form)."""
+    rng = np.random.default_rng(5)
+    q, c = rng.uniform(0.5, 2.0, 4), rng.standard_normal(4)
+    root = rng.standard_normal((4, 4))
+    dense = root @ root.T + 0.5 * np.eye(4)
+    box = apd.Box(-0.3 * np.ones(4), 0.3 * np.ones(4))
+    return {
+        "diagonal": (apd.QuadraticObjective(q, c), apd.ZeroProx(),
+                     lambda point, eta: (point / eta - c) / (q + 1.0 / eta)),
+        "dense": (apd.QuadraticObjective(dense, c), apd.ZeroProx(),
+                  lambda point, eta: np.linalg.solve(dense + np.eye(4) / eta, point / eta - c)),
+        "diagonal-box": (apd.QuadraticObjective(q, c), apd.ZeroProx(box),
+                         lambda point, eta: np.clip((point / eta - c) / (q + 1.0 / eta),
+                                                    -0.3, 0.3)),
+        "l1": (apd.ZeroObjective(4), apd.L1Prox(4.0),
+               lambda point, eta: np.sign(point) * np.maximum(np.abs(point) - 4.0 * eta, 0.0)),
+        "dense-box": (apd.QuadraticObjective(dense, c), apd.ZeroProx(box), None),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["diagonal", "dense", "diagonal-box", "l1", "dense-box"])
+def test_semi_apd_prox_matches_a_direct_minimizer(name):
+    smooth, nonsmooth, argmin = _prox_case(name)
+    rng = np.random.default_rng(6)
+    amat, rhs = rng.standard_normal((2, 4)), rng.standard_normal(2)
+    p = apd.ProblemInstance(smooth, nonsmooth, apd.MatrixConstraint(amat, rhs))
+    x, v, lam = rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal(2)
+    theta, gamma, alpha = 0.6, 0.8, 0.5
+    state = IterateState(x, v, lam, ScalingState(theta, gamma, 1))
+    if argmin is None:
+        with pytest.raises(InnerSolveError):
+            semi_apd_step(state, p, alpha)
+        return
+    out = semi_apd_step(state, p, alpha)
+    mu = p.smooth.mu
+    lam_hat = lam + (alpha / theta) * (amat @ v - rhs)
+    tau = gamma + mu * alpha + gamma * alpha
+    y = ((gamma + mu * alpha) * x + gamma * alpha * v) / tau
+    eta = alpha ** 2 / tau
+    np.testing.assert_allclose(out.x, argmin(y - eta * amat.T @ lam_hat, eta),
+                               rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +271,9 @@ def test_semi_apdfb_dual_and_primal_routes_match_joint_solve():
         x, v, lam = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(m)
         out = semi_apdfb_step(IterateState(x, v, lam, ScalingState(theta, gamma, 1)), p, alpha)
         y = (x + alpha * v) / (1 + alpha)
-        tau = gamma + p.mu_beta * alpha
+        tau = gamma + p.smooth.mu * alpha
         t = alpha / tau
-        z = (gamma * v + p.mu_beta * alpha * y) / tau - t * p.smooth.gradient(y)
+        z = (gamma * v + p.smooth.mu * alpha * y) / tau - t * p.smooth.gradient(y)
         joint = np.block([[np.eye(n), t * amat.T], [-alpha * amat, theta * np.eye(m)]])
         sol = np.linalg.solve(joint, np.concatenate(
             [z, theta * lam - alpha * p.constraint.rhs]))
@@ -591,7 +624,7 @@ def test_ridge_free_lasso_reaches_a_tight_tolerance(seed, scheme):
     # mu_beta = 0: gamma decays with theta, so a restart resets it to gamma0;
     # keeping the decayed gamma would shrink every later step
     problem, reference = planted_lasso(seed, ridge=0.0)
-    assert problem.mu_beta == 0
+    assert problem.smooth.mu == 0
     run = run_solver(problem, SolverConfig(scheme, max_iter=5000, stop_tol=1e-8,
                                            reference=reference))
     assert run.status == "converged"
@@ -601,11 +634,11 @@ def test_ridge_free_lasso_reaches_a_tight_tolerance(seed, scheme):
 def test_scheme_table_names_the_mu_beta_of_each_step(scheme):
     p, _ = planted_lasso(3, ridge=0.5)
     problem = p if scheme in ("semi_apdfb", "ex_apdfb") else random_qp(3)
-    assert problem.mu_beta > 0
+    assert problem.smooth.mu > 0
     entry = SCHEME_TABLE[scheme]
     out = getattr(apd, entry.step)(zeros_state(problem.dim, problem.constraint.rows), problem,
                                    0.5)
-    mu_beta = problem.mu_beta if entry.uses_mu_beta else 0.0
+    mu_beta = problem.smooth.mu if entry.uses_mu_beta else 0.0
     assert out.scaling == apd.advance_scaling(ScalingState(1.0, 1.0, 0), 0.5, mu_beta)
 
 
@@ -708,7 +741,7 @@ def loop_by_hand(problem, config, restarts=True):
             if restarts and state.scaling.theta < _RESTART_THETA:
                 epoch += 1
                 state = IterateState(state.x, state.x, state.lam, restart_scaling(
-                    config.scheme, problem.mu_beta, state.scaling.gamma, config.gamma0))
+                    config.scheme, problem.smooth.mu, state.scaling.gamma, config.gamma0))
             alpha = apd.step_size(rule, state.scaling)
             state = dataclasses.replace(step(state, problem, alpha),
                                         v_residual=None, x_residual=None)
