@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -11,43 +12,56 @@ import numpy as np
 
 from . import ddo as ddo_mod
 from .flow import FlowState, flow_records, integrate_flow
-from .harness import (
-    ExperimentConfig,
-    audit_records,
-    emit_csv,
-    parse_experiment_config,
-    read_csv,
-    run_experiment,
-)
+from .harness import audit_records, emit_csv, read_csv, run_experiment
 from .inner import BorderedPattern, augmented_consensus_solve, plain_iteration_solve
 from .model import NoReferenceError, load_problem, solve_reference_saddle
 from .schedule import SCHEMES, StepRule
 from .solvers import SolverConfig, run_solver
 
 
+_GRAPH_SPECS = "path:N | cycle:N | grid:RxC | geometric:N:R[:SEED]"
+
+
 def parse_graph_spec(spec):
-    """Graph specs: ``path:N``, ``cycle:N``, ``grid:RxC``, ``geometric:N:R:SEED``."""
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "path":
-        return ddo_mod.path_graph(int(parts[1]))
-    if kind == "cycle":
-        return ddo_mod.cycle_graph(int(parts[1]))
-    if kind == "grid":
-        rows, cols = parts[1].lower().split("x")
-        return ddo_mod.grid_graph(int(rows), int(cols))
-    if kind == "geometric":
-        return ddo_mod.random_geometric_graph(int(parts[1]), float(parts[2]),
-                                              int(parts[3]) if len(parts) > 3 else 0)
-    raise ValueError(f"unknown graph spec {spec!r}")
+    """The connected graph of a ``_GRAPH_SPECS`` spec; a bad one is a usage error."""
+    kind, *fields = spec.split(":")
+    try:
+        if kind == "path" and len(fields) == 1:
+            graph = ddo_mod.path_graph(int(fields[0]))
+        elif kind == "cycle" and len(fields) == 1:
+            graph = ddo_mod.cycle_graph(int(fields[0]))
+        elif kind == "grid" and len(fields) == 1:
+            rows, cols = fields[0].lower().split("x")
+            graph = ddo_mod.grid_graph(int(rows), int(cols))
+        elif kind == "geometric" and len(fields) in (2, 3):
+            graph = ddo_mod.random_geometric_graph(int(fields[0]), float(fields[1]),
+                                                   int(fields[2]) if len(fields) == 3 else 0)
+        else:
+            raise ValueError("not a graph spec")
+        if not graph.is_connected():
+            raise ValueError("graph is not connected")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{spec!r}: {exc}; expected {_GRAPH_SPECS}") from None
+    return graph
+
+
+def _eps_list(text):
+    """``--eps-list``: comma-separated positive floats, at least one."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not values or not all(eps > 0 for eps in values):
+        raise argparse.ArgumentTypeError("needs one or more positive eps values")
+    return values
 
 
 def _load(path):
-    """:func:`~apd.model.load_problem`, with a rejected file ending the command
-    on its one-line message."""
+    """:func:`~apd.model.load_problem`, with a rejected or unreadable file
+    ending the command on its one-line message."""
     try:
         return load_problem(path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
 
 
@@ -72,7 +86,10 @@ def _cmd_flow(args):
     n = problem.constraint.cols
     m = problem.constraint.rows
     state0 = FlowState(np.zeros(n), np.zeros(n), np.zeros(m), 1.0, args.gamma0, 0.0)
-    trajectory = integrate_flow(state0, problem, args.h, args.T)
+    try:
+        trajectory = integrate_flow(state0, problem, args.h, args.T)
+    except ValueError as exc:
+        raise SystemExit(f"flow: {exc}") from None
     rows = flow_records(trajectory, problem, saddle)
     emit_csv(rows, args.csv)
     print(f"flow: steps={len(rows) - 1} E(0)={rows[0].E:.6e} E(T)={rows[-1].E:.6e}")
@@ -80,9 +97,8 @@ def _cmd_flow(args):
 
 
 def _cmd_ddo(args):
-    graph = parse_graph_spec(args.graph)
     kind = "least_squares" if args.model == "ls" else "logistic"
-    problem = ddo_mod.build_ddo_problem(graph, args.m, kind, args.seed,
+    problem = ddo_mod.build_ddo_problem(args.graph, args.m, kind, args.seed,
                                         samples=args.samples, ridge=args.ridge)
     run = ddo_mod.run_ddo(problem, args.algo, args.max_iter,
                           stop_tol=args.stop_tol, timing=args.timing)
@@ -107,19 +123,16 @@ _ROBUSTNESS_METHODS = ("plain_jacobi", "plain_gs", "plain_sgs",
 
 
 def _cmd_robustness(args):
-    graph = parse_graph_spec(args.graph)
-    lap = ddo_mod.graph_laplacian(graph)
+    lap = ddo_mod.graph_laplacian(args.graph)
     bordered = BorderedPattern(lap)  # one assembly for every eps
     rng = np.random.default_rng(args.seed)
-    s = rng.standard_normal(graph.n)
-    eps_values = [float(tok) for tok in args.eps_list.split(",") if tok]
+    s = rng.standard_normal(args.graph.n)
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-    for method in methods:
-        if method not in _ROBUSTNESS_METHODS:
-            raise SystemExit(f"unknown method {method!r}; choose from "
-                             f"{', '.join(_ROBUSTNESS_METHODS)}")
+    if not methods or not set(methods) <= set(_ROBUSTNESS_METHODS):
+        raise SystemExit(f"bad --methods {args.methods!r}; choose a comma list from: "
+                         f"{', '.join(_ROBUSTNESS_METHODS)}")
     rows = []
-    for eps in eps_values:
+    for eps in args.eps_list:
         for method in methods:
             if method.startswith("plain_"):
                 v, iters, ok = plain_iteration_solve(
@@ -137,17 +150,14 @@ def _cmd_robustness(args):
 
 
 def _cmd_compare(args):
-    if args.config:
-        cfg = parse_experiment_config(args.config)
-    else:
-        cfg = ExperimentConfig(
-            problem_file=args.problem,
-            schemes=tuple(s.strip() for s in args.schemes.split(",") if s.strip()),
-            gamma0=args.gamma0, max_iter=args.max_iter, stop_tol=args.stop_tol,
-            alpha=args.alpha, out_dir=args.out_dir, jobs=args.jobs)
-    if not cfg.schemes:
+    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    if not schemes:
         raise SystemExit("compare needs at least one scheme")
-    summaries = run_experiment(cfg)
+    problem = _load(args.problem)
+    configs = [SolverConfig(scheme=scheme, gamma0=args.gamma0, max_iter=args.max_iter,
+                            stop_tol=args.stop_tol, alpha=args.alpha) for scheme in schemes]
+    stem = os.path.splitext(os.path.basename(args.problem))[0]
+    summaries = run_experiment(problem, configs, args.out_dir, stem)
     for s in summaries:
         line = (f"{s.scheme}: status={s.status} iters={s.iterations} "
                 f"slope={s.slope:.3f} violations={s.violations}")
@@ -203,8 +213,7 @@ def build_parser():
     flow.set_defaults(func=_cmd_flow)
 
     ddo = sub.add_parser("ddo", help="decentralized optimization benchmark")
-    ddo.add_argument("--graph", required=True,
-                     help="path:N | cycle:N | grid:RxC | geometric:N:R:SEED")
+    ddo.add_argument("--graph", required=True, type=parse_graph_spec, help=_GRAPH_SPECS)
     ddo.add_argument("--m", type=int, required=True, help="block size per node")
     ddo.add_argument("--model", choices=("ls", "logistic"), required=True)
     ddo.add_argument("--algo", choices=("apd", "extra", "aqp"), required=True)
@@ -221,8 +230,8 @@ def build_parser():
 
     robust = sub.add_parser("robustness",
                             help="iterative-solver robustness sweep over eps")
-    robust.add_argument("--graph", required=True)
-    robust.add_argument("--eps-list", required=True,
+    robust.add_argument("--graph", required=True, type=parse_graph_spec, help=_GRAPH_SPECS)
+    robust.add_argument("--eps-list", required=True, type=_eps_list,
                         help="comma-separated eps values")
     robust.add_argument("--methods", required=True,
                         help=f"comma list from: {', '.join(_ROBUSTNESS_METHODS)}")
@@ -233,16 +242,13 @@ def build_parser():
     robust.set_defaults(func=_cmd_robustness)
 
     compare = sub.add_parser("compare", help="run several schemes and summarize")
-    compare.add_argument("--config", default="",
-                         help="experiment config file (overrides other flags)")
-    compare.add_argument("--problem", default="")
-    compare.add_argument("--schemes", default="")
-    compare.add_argument("--gamma0", type=float, default=1.0)
-    compare.add_argument("--max-iter", type=int, default=1000)
-    compare.add_argument("--stop-tol", type=float, default=0.0)
-    compare.add_argument("--alpha", type=float, default=1.0)
-    compare.add_argument("--out-dir", default=".")
-    compare.add_argument("--jobs", type=int, default=1)
+    compare.add_argument("--problem", required=True, help="problem file")
+    compare.add_argument("--schemes", default="", help="comma list of schemes, run in order")
+    compare.add_argument("--gamma0", type=float, default=1.0, help="initial gamma")
+    compare.add_argument("--max-iter", type=int, default=1000, help="step cap of each run")
+    compare.add_argument("--stop-tol", type=float, default=0.0, help="stop tolerance (0: none)")
+    compare.add_argument("--alpha", type=float, default=1.0, help="implicit scheme's step size")
+    compare.add_argument("--out-dir", default=".", help="directory for the CSVs")
     compare.set_defaults(func=_cmd_compare)
 
     audit = sub.add_parser("audit", help="re-check certificates on an emitted CSV")

@@ -1,4 +1,4 @@
-"""Experiment orchestration: config parsing, batch runs, rate fits, audits."""
+"""Experiment orchestration: batch runs, rate fits, certificate audits, CSV I/O."""
 
 from __future__ import annotations
 
@@ -6,14 +6,12 @@ import dataclasses
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import load_problem
 from .schedule import restart_scaling, theta_upper_bound
-from .solvers import SolverConfig, make_step_rule, run_solver
+from .solvers import make_step_rule, run_solver
 
 # Contraction and theta-bound checks run against these slacks; an extra
 # absolute floor keeps cancellation noise in tiny Lyapunov values from
@@ -78,18 +76,13 @@ def read_csv(path):
 # rate fitting
 # ---------------------------------------------------------------------------
 
-def fit_rate(records, window=0.5, mode="power"):
-    """Least-squares slope of the convergence curve over a trailing window.
+def fit_rate(records):
+    """Least-squares slope of ``log(obj_gap + feasibility)`` against ``log k``
+    over the trailing half of the convergence curve (the sublinear regimes).
 
-    ``power`` fits ``log(obj_gap + feasibility)`` against ``log k`` (the
-    sublinear regimes); ``linear`` fits against ``k`` (linear regimes).
-    Entries with gap at or below 1e-15 truncate the window. Returns
+    Entries with gap at or below 1e-15 truncate the curve. Returns
     ``(slope, r_squared)``.
     """
-    if mode not in ("power", "linear"):
-        raise ValueError("mode must be 'power' or 'linear'")
-    if not 0 < window <= 1:
-        raise ValueError("window must be a fraction in (0, 1]")
     ks, gaps = [], []
     for rec in records:
         gap = rec.obj_gap + rec.feasibility
@@ -98,11 +91,11 @@ def fit_rate(records, window=0.5, mode="power"):
                 break
             ks.append(rec.k)
             gaps.append(gap)
-    start = int(len(ks) * (1.0 - window))
+    start = len(ks) // 2
     ks, gaps = np.array(ks[start:], dtype=float), np.array(gaps[start:])
     if ks.size < 20:
-        raise ValueError(f"need at least 20 usable records in the window, got {ks.size}")
-    xs = np.log(ks) if mode == "power" else ks
+        raise ValueError(f"need at least 20 usable records in the trailing half, got {ks.size}")
+    xs = np.log(ks)
     ys = np.log(gaps)
     slope, intercept = np.polyfit(xs, ys, 1)
     fitted = slope * xs + intercept
@@ -165,60 +158,8 @@ def audit_records(records, rule=None, gamma0=None, mu_beta=0.0):
 
 
 # ---------------------------------------------------------------------------
-# experiment configs and batch runs
+# batch runs
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ExperimentConfig:
-    """Flat key-value experiment description.
-
-    Keys: ``problem.file``, ``schemes`` (comma list), ``gamma0``,
-    ``max_iter``, ``stop_tol``, ``step.alpha``, ``out.dir``, ``jobs``,
-    ``fit.window``, ``fit.mode``.
-    """
-
-    problem_file: str = ""
-    schemes: tuple = ()
-    gamma0: float = 1.0
-    max_iter: int = 1000
-    stop_tol: float = 0.0
-    alpha: float = 1.0
-    out_dir: str = "."
-    jobs: int = 1
-    fit_window: float = 0.5
-    fit_mode: str = "power"
-
-
-_KEY_MAP = {
-    "problem.file": ("problem_file", str),
-    "schemes": ("schemes", lambda v: tuple(s.strip() for s in v.split(",") if s.strip())),
-    "gamma0": ("gamma0", float),
-    "max_iter": ("max_iter", int),
-    "stop_tol": ("stop_tol", float),
-    "step.alpha": ("alpha", float),
-    "out.dir": ("out_dir", str),
-    "jobs": ("jobs", int),
-    "fit.window": ("fit_window", float),
-    "fit.mode": ("fit_mode", str),
-}
-
-
-def parse_experiment_config(path):
-    cfg = ExperimentConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {raw.rstrip()}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _KEY_MAP:
-                raise ValueError(f"unknown config key {key!r}")
-            attr, conv = _KEY_MAP[key]
-            setattr(cfg, attr, conv(value))
-    return cfg
-
 
 @dataclass
 class RunSummary:
@@ -233,41 +174,30 @@ class RunSummary:
     error: str = ""
 
 
-def run_experiment(cfg):
-    """Run every configured scheme on the problem; emit CSVs plus a summary.
+def run_experiment(problem, configs, out_dir, stem):
+    """Run each :class:`~apd.solvers.SolverConfig` on the problem, in order.
 
-    Returns the list of :class:`RunSummary`. Sub-run failures are recorded
-    per run; the caller decides the exit code (nonzero only if all fail).
+    Writes ``<stem>_<scheme>.csv`` per run and ``summary.csv`` into
+    ``out_dir``, and returns the list of :class:`RunSummary`. Sub-run
+    failures are recorded per run; the caller decides the exit code.
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    problem = load_problem(cfg.problem_file) if cfg.problem_file else None
-
-    def one(scheme):
+    os.makedirs(out_dir, exist_ok=True)
+    summaries = []
+    for cfg in configs:
         try:
-            if problem is None:
-                raise ValueError("no problem configured")
-            solver_cfg = SolverConfig(scheme=scheme, gamma0=cfg.gamma0, max_iter=cfg.max_iter,
-                                      stop_tol=cfg.stop_tol, alpha=cfg.alpha)
-            run = run_solver(problem, solver_cfg)
-            stem = os.path.splitext(os.path.basename(cfg.problem_file or "run"))[0]
-            emit_csv(run.records, os.path.join(cfg.out_dir, f"{stem}_{scheme}.csv"))
-            rule = make_step_rule(problem, solver_cfg)
-            report = audit_records(run.records, rule, cfg.gamma0, problem.smooth.mu)
+            run = run_solver(problem, cfg)
+            emit_csv(run.records, os.path.join(out_dir, f"{stem}_{cfg.scheme}.csv"))
+            report = audit_records(run.records, make_step_rule(problem, cfg), cfg.gamma0,
+                                   problem.smooth.mu)
             try:
-                slope, r2 = fit_rate(run.records, cfg.fit_window, cfg.fit_mode)
+                slope, r2 = fit_rate(run.records)
             except ValueError:
                 slope, r2 = math.nan, math.nan
             last = run.records[-1]
-            return RunSummary(scheme, run.status, last.k, last.obj_gap,
-                              last.feasibility, slope, r2, report.total)
+            summaries.append(RunSummary(cfg.scheme, run.status, last.k, last.obj_gap,
+                                        last.feasibility, slope, r2, report.total))
         except Exception as exc:  # recorded, not raised: other runs continue
-            return RunSummary(scheme, "error", 0, math.nan, math.nan,
-                              math.nan, math.nan, 0, error=str(exc))
-
-    if cfg.jobs > 1 and len(cfg.schemes) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            summaries = list(pool.map(one, cfg.schemes))
-    else:
-        summaries = [one(s) for s in cfg.schemes]
-    emit_csv(summaries, os.path.join(cfg.out_dir, "summary.csv"))
+            summaries.append(RunSummary(cfg.scheme, "error", 0, math.nan, math.nan,
+                                        math.nan, math.nan, 0, error=str(exc)))
+    emit_csv(summaries, os.path.join(out_dir, "summary.csv"))
     return summaries

@@ -34,7 +34,7 @@ def test_robustness_writes_one_row_per_method(tmp_path):
     assert not any(converged["1e-6"][m] for m in ("plain_jacobi", "plain_gs", "plain_sgs"))
 
 
-@pytest.mark.parametrize("algo", ["apd", "extra"])
+@pytest.mark.parametrize("algo", ["apd", "extra", "aqp"])
 def test_ddo_writes_records(tmp_path, algo):
     csv = tmp_path / f"ddo_{algo}.csv"
     code = main(["ddo", "--graph", "geometric:12:0.6:1", "--m", "2", "--model", "ls",
@@ -115,25 +115,28 @@ def test_flow_without_a_reference_exits_with_one_line(tmp_path):
                                "no closed-form reference for this problem")
 
 
-def test_solve_rejects_a_nonzero_beta_with_one_line(tmp_path):
-    path = tmp_path / "qp.txt"
+def write_beta_problem(path):
+    """The diagonal QP file with a header beta of 0.25, which the loader rejects."""
     write_problem(path, "quadratic")
     header, *rest = read_lines(path)
     n, m, _ = header.split()
     path.write_text("\n".join([f"{n} {m} 0.25", *rest]) + "\n", encoding="utf-8")
+
+
+def test_solve_rejects_a_nonzero_beta_with_one_line(tmp_path):
+    path = tmp_path / "qp.txt"
+    write_beta_problem(path)
     with pytest.raises(SystemExit) as info:
         main(["solve", "--problem", str(path), "--scheme", "implicit",
               "--csv", str(tmp_path / "solve.csv")])
     assert info.value.code == f"{path}: header beta must be 0 (no augmentation term)"
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_compare_summarizes_each_scheme(tmp_path, capsys, jobs):
-    # two jobs run the schemes on threads that share one lazily factored constraint
+def test_compare_summarizes_each_scheme(tmp_path, capsys):
     problem = write_problem(tmp_path / "qp.txt", "quadratic")
     out_dir = tmp_path / "out"
     code = main(["compare", "--problem", problem, "--schemes", "semi_apd,ex_apdfb",
-                 "--max-iter", "200", "--out-dir", str(out_dir), "--jobs", jobs])
+                 "--max-iter", "200", "--out-dir", str(out_dir)])
     assert code == 0
     printed = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in printed] == ["semi_apd", "ex_apdfb"]
@@ -142,11 +145,11 @@ def test_compare_summarizes_each_scheme(tmp_path, capsys, jobs):
                                                              ["ex_apdfb", "max_iter"]]
     for scheme in ("semi_apd", "ex_apdfb"):
         assert len(read_lines(out_dir / f"qp_{scheme}.csv")) == 202
-    serial = tmp_path / "serial"
+    rerun = tmp_path / "rerun"
     main(["compare", "--problem", problem, "--schemes", "semi_apd,ex_apdfb",
-          "--max-iter", "200", "--out-dir", str(serial), "--jobs", "1"])
+          "--max-iter", "200", "--out-dir", str(rerun)])
     for name in ("summary.csv", "qp_semi_apd.csv", "qp_ex_apdfb.csv"):
-        assert (out_dir / name).read_bytes() == (serial / name).read_bytes()
+        assert (out_dir / name).read_bytes() == (rerun / name).read_bytes()
 
 
 def test_compare_without_schemes_exits_with_one_line(tmp_path):
@@ -156,6 +159,45 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
         main(["compare", "--problem", problem, "--out-dir", str(out_dir)])
     assert info.value.code == "compare needs at least one scheme"
     assert not (out_dir / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("ddo --graph foo:3 --m 2 --model ls --algo apd --max-iter 5 --csv {tmp}/out.csv",
+     "argument --graph: 'foo:3': not a graph spec"),
+    ("ddo --graph grid:3 --m 2 --model ls --algo apd --max-iter 5 --csv {tmp}/out.csv",
+     "argument --graph: 'grid:3': not enough values to unpack"),
+    ("ddo --graph path:0 --m 2 --model ls --algo apd --max-iter 5 --csv {tmp}/out.csv",
+     "argument --graph: 'path:0': graph is not connected"),
+    ("robustness --graph path:6 --eps-list 1e-3,abc --methods pcg_sgs --csv {tmp}/out.csv",
+     "argument --eps-list: could not convert string to float: 'abc'"),
+    ("robustness --graph path:6 --eps-list , --methods pcg_sgs --csv {tmp}/out.csv",
+     "argument --eps-list: needs one or more positive eps values"),
+    ("robustness --graph path:6 --eps-list 1e-3,0 --methods pcg_sgs --csv {tmp}/out.csv",
+     "argument --eps-list: needs one or more positive eps values"),
+    ("robustness --graph path:6 --eps-list 1e-3 --methods , --csv {tmp}/out.csv",
+     "bad --methods ','; choose a comma list from: plain_jacobi"),
+    ("flow --problem {tmp}/qp.txt --h 0.02 --T 1 --csv {tmp}/out.csv",
+     "flow: step must lie in (0, 0.01]"),
+    ("compare --problem {tmp}/beta.txt --schemes implicit --out-dir {tmp}/out",
+     "header beta must be 0 (no augmentation term)"),
+    ("compare --problem {tmp}/missing.txt --schemes implicit --out-dir {tmp}/out",
+     "No such file or directory"),
+    ("solve --problem {tmp}/missing.txt --scheme implicit --csv {tmp}/out.csv",
+     "No such file or directory"),
+], ids=["graph-kind", "graph-grid", "graph-disconnected", "eps-float", "eps-empty",
+        "eps-zero", "methods-empty", "flow-step", "compare-beta", "compare-missing", "solve-missing"])
+def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
+    write_problem(tmp_path / "qp.txt", "quadratic")
+    write_beta_problem(tmp_path / "beta.txt")
+    argv = argv.format(tmp=tmp_path).split()
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    if info.value.code == 2:  # argparse's usage error
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith(f"apd {argv[0]}: error: {message}")
+    else:
+        assert "\n" not in info.value.code and message in info.value.code
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()
 
 
 def test_audit_passes_a_solver_csv(tmp_path, capsys):

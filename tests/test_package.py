@@ -1,12 +1,13 @@
 """Package hygiene: exported names exist, no private helper or import is left
-unused and every config field is read."""
+unused and every config field and command-line option is read."""
 
+import argparse
 import ast
 import dataclasses
 from pathlib import Path
 
 import apd
-from apd.harness import ExperimentConfig
+from apd.cli import build_parser
 from apd.solvers import SolverConfig
 
 
@@ -56,19 +57,27 @@ def _attributes_read(tree, owner):
             and isinstance(node.value, ast.Name) and node.value.id == owner}
 
 
+def _module_tree(name):
+    return ast.parse((Path(apd.__file__).parent / name).read_text(encoding="utf-8"))
+
+
 def test_every_config_field_is_read():
     # a setting the run never reads is a dead knob: it takes a value and changes nothing
-    package = Path(apd.__file__).parent
+    fields = {field.name for field in dataclasses.fields(SolverConfig)}
+    assert sorted(fields - _attributes_read(_module_tree("solvers.py"), "config")) == []
 
-    def read(owner, *modules):
-        return set().union(*(_attributes_read(
-            ast.parse((package / module).read_text(encoding="utf-8")), owner)
-            for module in modules))
 
-    for config, owner, modules in ((SolverConfig, "config", ("solvers.py",)),
-                                   (ExperimentConfig, "cfg", ("harness.py", "cli.py"))):
-        fields = {field.name for field in dataclasses.fields(config)}
-        assert sorted(fields - read(owner, *modules)) == [], config.__name__
+def test_every_cli_option_is_read():
+    # an option no command reads is a dead flag: it parses a value and changes nothing
+    read = _attributes_read(_module_tree("cli.py"), "args")
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    unread = [f"{name} --{action.dest}" for name, sub in commands.choices.items()
+              for action in sub._actions
+              if action.dest not in ("help", "func") and action.dest not in read]
+    assert sorted(commands.choices) == ["audit", "compare", "ddo", "flow", "robustness",
+                                        "solve"]
+    assert unread == []
 
 
 def _imported_names(tree, lines):
