@@ -56,6 +56,28 @@ def _eps_list(text):
     return values
 
 
+def _positive_int(text):
+    """An integer option that must be at least 1, such as a block size."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_float(text):
+    """A finite float option that must be above 0, such as a step or scale."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def _load(path):
     """:func:`~apd.model.load_problem`, with a rejected or unreadable file
     ending the command on its one-line message."""
@@ -194,10 +216,10 @@ def build_parser():
     solve = sub.add_parser("solve", help="run one scheme on a problem file")
     solve.add_argument("--problem", required=True)
     solve.add_argument("--scheme", required=True, choices=SCHEMES)
-    solve.add_argument("--gamma0", type=float, default=1.0)
+    solve.add_argument("--gamma0", type=_positive_float, default=1.0)
     solve.add_argument("--max-iter", type=int, default=1000)
     solve.add_argument("--stop-tol", type=float, default=0.0)
-    solve.add_argument("--alpha", type=float, default=1.0,
+    solve.add_argument("--alpha", type=_positive_float, default=1.0,
                        help="free step size of the implicit scheme")
     solve.add_argument("--csv", required=True)
     solve.add_argument("--timing", action="store_true",
@@ -208,19 +230,19 @@ def build_parser():
     flow.add_argument("--problem", required=True)
     flow.add_argument("--h", type=float, required=True)
     flow.add_argument("--T", type=float, required=True)
-    flow.add_argument("--gamma0", type=float, default=1.0)
+    flow.add_argument("--gamma0", type=_positive_float, default=1.0)
     flow.add_argument("--csv", required=True)
     flow.set_defaults(func=_cmd_flow)
 
     ddo = sub.add_parser("ddo", help="decentralized optimization benchmark")
     ddo.add_argument("--graph", required=True, type=parse_graph_spec, help=_GRAPH_SPECS)
-    ddo.add_argument("--m", type=int, required=True, help="block size per node")
+    ddo.add_argument("--m", type=_positive_int, required=True, help="block size per node")
     ddo.add_argument("--model", choices=("ls", "logistic"), required=True)
     ddo.add_argument("--algo", choices=("apd", "extra", "aqp"), required=True)
     ddo.add_argument("--max-iter", type=int, required=True)
     ddo.add_argument("--stop-tol", type=float, default=0.0)
     ddo.add_argument("--seed", type=int, default=0)
-    ddo.add_argument("--samples", type=int, default=5,
+    ddo.add_argument("--samples", type=_positive_int, default=5,
                      help="least-squares rows per node")
     ddo.add_argument("--ridge", type=float, default=0.5,
                      help="logistic regularization")
@@ -244,10 +266,12 @@ def build_parser():
     compare = sub.add_parser("compare", help="run several schemes and summarize")
     compare.add_argument("--problem", required=True, help="problem file")
     compare.add_argument("--schemes", default="", help="comma list of schemes, run in order")
-    compare.add_argument("--gamma0", type=float, default=1.0, help="initial gamma")
+    compare.add_argument("--gamma0", type=_positive_float, default=1.0,
+                         help="initial gamma")
     compare.add_argument("--max-iter", type=int, default=1000, help="step cap of each run")
     compare.add_argument("--stop-tol", type=float, default=0.0, help="stop tolerance (0: none)")
-    compare.add_argument("--alpha", type=float, default=1.0, help="implicit scheme's step size")
+    compare.add_argument("--alpha", type=_positive_float, default=1.0,
+                         help="implicit scheme's step size")
     compare.add_argument("--out-dir", default=".", help="directory for the CSVs")
     compare.set_defaults(func=_cmd_compare)
 

@@ -285,8 +285,12 @@ def build_ddo_problem(graph, block_size, kind, seed, samples=5, ridge=0.5):
     Least squares draws a ``samples x block_size`` design per node (no
     strong convexity); logistic draws one unit-scale feature vector and a
     binary label per node, with ``mu_i = ridge`` and
-    ``lip_i = ridge + |label|^2 |features|^2 / 4``.
+    ``lip_i = ridge + |label|^2 |features|^2 / 4``. Raises ``ValueError``
+    when ``block_size`` or ``samples`` is below 1.
     """
+    if block_size < 1 or samples < 1:
+        raise ValueError(f"block_size and samples must be at least 1, "
+                         f"got {block_size} and {samples}")
     rng = np.random.default_rng(seed)
     lap = graph_laplacian(graph)
     if kind == "least_squares":

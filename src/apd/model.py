@@ -298,6 +298,12 @@ class RangeSpaceSystem:
     ``mu = S^-1 (A D^-1 g - b)`` and ``x = D^-1 (g - A' mu)``. ``quad`` is
     ``Q`` as in :func:`quadratic_term`; ``A`` must have a dense form.
     Raises ``LinAlgError`` when ``D`` or ``S`` is not positive definite.
+
+    A built system holds ``S``'s factor (``m^2`` doubles) and, for a dense
+    ``Q``, ``D``'s (``n^2``), and solving does not change them, so one
+    system serves every right side of its ``(shift, theta)``. The
+    ``implicit`` run loop reuses each across restarted epochs, which repeat
+    the same ``(shift, theta)`` pairs (:func:`~apd.solvers.implicit_apd_step`).
     """
 
     def __init__(self, constraint, quad, shift, theta):

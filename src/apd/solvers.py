@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,6 +51,9 @@ class IterateState:
     carries the one residual as both. A state built without them
     (``None``) has them recomputed, so a state whose ``v`` or ``x`` is
     replaced must drop the matching one.
+    ``systems`` is the per-run cache of the factored ``implicit`` step
+    systems that :func:`implicit_apd_step` reuses; only :func:`run_solver`
+    creates one, and the state it returns carries none.
     """
 
     x: np.ndarray
@@ -61,6 +64,7 @@ class IterateState:
     inner_iters: int = 0
     v_residual: np.ndarray = None
     x_residual: np.ndarray = None
+    systems: dict = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -164,6 +168,15 @@ def implicit_apd_step(state, problem, alpha):
     through the dual nonlinear equation and semi-smooth Newton. The
     multiplier is ``shifted + (A x' - b)/theta'``; its residual ``A x' - b``
     is carried on the new state.
+
+    The system depends on the step only through ``(1/eta, theta')``. A
+    restarted epoch starts from the same scaling pair with the same fixed
+    ``alpha``, so it repeats the previous epoch's pairs bit for bit, and a
+    state that carries a ``systems`` dict (one made by :func:`run_solver`)
+    reuses the factored system of each pair it has seen. The dict then
+    holds at most one epoch's systems, ``ceil(ln(1/c)/ln(1 + alpha))`` with
+    ``c = _RESTART_THETA``, each ``m^2`` doubles plus ``n^2`` for a dense
+    ``Q``. A state without one builds the system afresh.
     """
     if alpha <= 0:
         raise ValueError("step size must be positive")
@@ -179,7 +192,11 @@ def implicit_apd_step(state, problem, alpha):
         smooth = problem.smooth
         g = _finite(y / eta - smooth.linear_term() - constraint.apply_adjoint(shifted),
                     "implicit subproblem")
-        system = RangeSpaceSystem(constraint, quadratic_term(smooth), 1.0 / eta, theta_next)
+        systems = state.systems if state.systems is not None else {}
+        key = (1.0 / eta, theta_next)
+        system = systems.get(key)
+        if system is None:
+            system = systems[key] = RangeSpaceSystem(constraint, quadratic_term(smooth), *key)
         x_next, _ = system.solve(g, constraint.rhs)
     elif problem.smooth.is_zero:
         r = theta_next * shifted - constraint.rhs
@@ -194,7 +211,8 @@ def implicit_apd_step(state, problem, alpha):
     x_residual = constraint.residual(x_next)
     lam_next = shifted + x_residual / theta_next
     return IterateState(x_next, v_next, lam_next, advance_scaling(sc, alpha, 0.0),
-                        inner_iters=inner_iters, x_residual=x_residual)
+                        inner_iters=inner_iters, x_residual=x_residual,
+                        systems=state.systems)
 
 
 def semi_apd_step(state, problem, alpha):
@@ -341,7 +359,8 @@ class Epochs:
         self.epoch += 1
         scaling = restart_scaling(self.scheme, self.mu_beta, state.scaling.gamma, self.gamma0)
         return IterateState(state.x, state.x, state.lam, scaling,
-                            v_residual=residual, x_residual=residual)
+                            v_residual=residual, x_residual=residual,
+                            systems=state.systems)
 
     def at_floor(self, state, measure):
         """Whether ``state``, with stop measure ``measure``, ends an epoch
@@ -391,7 +410,9 @@ def run_solver(problem, config):
 
     Each iterate's residual ``A x - b`` is formed once (by the step, when it
     carries one) and feeds its record, the stop test and the restart; the
-    values at ``x*`` are formed once per run.
+    values at ``x*`` are formed once per run, and each distinct ``implicit``
+    step system once per run (the ``systems`` cache of :class:`IterateState`,
+    dropped from the returned state).
     """
     from .model import kkt_residual
 
@@ -404,7 +425,7 @@ def run_solver(problem, config):
         except (NoReferenceError, UnsupportedOracleError):
             reference = None
     at_star = PointValues(problem, reference.x_star) if reference is not None else None
-    state = initial_state(problem, config)
+    state = replace(initial_state(problem, config), systems={})
     at_x = PointValues(problem, state.x)
     records = [_record(0, 0, 0.0, state, problem, reference, at_x, at_star)]
     status = "max_iter"
@@ -435,7 +456,7 @@ def run_solver(problem, config):
         if floor:
             status, state = "precision_floor", epochs.best_state
             break
-    return SolverRun(records, status, state, reference)
+    return SolverRun(records, status, replace(state, systems=None), reference)
 
 
 def _record(k, epoch, alpha, state, problem, reference, at_x, at_star, wall_ns=0):

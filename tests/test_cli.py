@@ -184,8 +184,21 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "No such file or directory"),
     ("solve --problem {tmp}/missing.txt --scheme implicit --csv {tmp}/out.csv",
      "No such file or directory"),
+    ("ddo --graph path:4 --m 0 --model ls --algo apd --max-iter 5 --csv {tmp}/out.csv",
+     "argument --m: expected a positive integer, got '0'"),
+    ("ddo --graph path:4 --m 2 --samples 0 --model ls --algo apd --max-iter 5 "
+     "--csv {tmp}/out.csv",
+     "argument --samples: expected a positive integer, got '0'"),
+    ("solve --problem {tmp}/qp.txt --scheme implicit --alpha 0 --csv {tmp}/out.csv",
+     "argument --alpha: expected a positive number, got '0'"),
+    ("solve --problem {tmp}/qp.txt --scheme implicit --gamma0 0 --csv {tmp}/out.csv",
+     "argument --gamma0: expected a positive number, got '0'"),
+    ("flow --problem {tmp}/qp.txt --h 0.01 --T 1 --gamma0 0 --csv {tmp}/out.csv",
+     "argument --gamma0: expected a positive number, got '0'"),
 ], ids=["graph-kind", "graph-grid", "graph-disconnected", "eps-float", "eps-empty",
-        "eps-zero", "methods-empty", "flow-step", "compare-beta", "compare-missing", "solve-missing"])
+        "eps-zero", "methods-empty", "flow-step", "compare-beta", "compare-missing",
+        "solve-missing", "ddo-m-zero", "ddo-samples-zero", "solve-alpha-zero",
+        "solve-gamma0-zero", "flow-gamma0-zero"])
 def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
     write_problem(tmp_path / "qp.txt", "quadratic")
     write_beta_problem(tmp_path / "beta.txt")

@@ -118,6 +118,13 @@ def test_consensus_null_space_blockwise():
     assert prob.consensus_residual(stacked) == 0.0
 
 
+@pytest.mark.parametrize("block_size, samples", [(0, 5), (-1, 5), (3, 0)])
+def test_build_ddo_problem_rejects_non_positive_sizes(block_size, samples):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        build_ddo_problem(path_graph(4), block_size, "least_squares", seed=0,
+                          samples=samples)
+
+
 def test_consensus_apply_matches_laplacian():
     rng = np.random.default_rng(2)
     for graph in (path_graph(5), cycle_graph(6), grid_graph(3, 4),

@@ -453,6 +453,7 @@ def test_run_stop_tol_reports_converged(qp1):
                                        max_iter=500, stop_tol=1e-6))
     assert run.status == "converged"
     assert run.records[-1].obj_gap + run.records[-1].feasibility <= 1e-6
+    assert run.state.systems is None  # no factored system outlives the run
 
 
 def test_run_deterministic(qp1):
@@ -543,6 +544,7 @@ def test_precision_floor_status(qp1):
     errors = [rec.obj_gap + rec.feasibility for rec in run.records[1:]]
     assert errors[-1] >= min(errors[:-1])
     assert gap_plus_feasibility(qp1, run.state, run.reference) == min(errors)
+    assert run.state.systems is None
 
 
 # derandomized: a rare draw converges slowly (planted_lasso(14655, 0.5) with
@@ -767,6 +769,42 @@ def loop_by_hand(problem, config, restarts=True):
                     return records, best_state, "precision_floor"
                 best_end = total
     return records, state, "max_iter"
+
+
+@pytest.mark.parametrize("alpha, per_epoch, dense", [(1.0, 7, False), (0.5, 12, False),
+                                                   (1.0, 7, True)],
+                         ids=["alpha1", "alpha0.5", "alpha1-dense"])
+def test_implicit_run_builds_each_step_system_once(monkeypatch, alpha, per_epoch, dense):
+    # every epoch restarts from the same scaling pair with the same alpha, so
+    # it repeats the (1/eta, theta') pairs of the first: the run factors one
+    # system per step of an epoch, ceil(ln(1/c)/ln(1 + alpha)) of them
+    builds = []
+
+    class CountingSystem(apd.solvers.RangeSpaceSystem):
+        def __init__(self, constraint, quad, shift, theta):
+            builds.append((shift, theta))
+            super().__init__(constraint, quad, shift, theta)
+
+    monkeypatch.setattr(apd.solvers, "RangeSpaceSystem", CountingSystem)
+    problem = random_qp(1)
+    if dense:
+        problem = apd.ProblemInstance(
+            apd.QuadraticObjective(np.diag(problem.smooth.diag), problem.smooth.linear),
+            problem.nonsmooth, problem.constraint)
+    config = SolverConfig(scheme="implicit", alpha=alpha, max_iter=40)
+    run = run_solver(problem, config)
+    assert run.status == "max_iter" and run.records[-1].epoch >= 3
+    assert per_epoch == np.ceil(np.log(1 / _RESTART_THETA) / np.log(1 + alpha))
+    assert len(builds) == len(set(builds)) == per_epoch
+    assert run.state.systems is None
+    # a state built by hand carries no cache: every step builds its system
+    records, state, status = loop_by_hand(problem, config)
+    assert len(builds) == per_epoch + config.max_iter
+    assert status == run.status
+    assert [_fields(r) for r in run.records] == [_fields(r) for r in records]
+    for got, want in ((run.state.x, state.x), (run.state.v, state.v),
+                      (run.state.lam, state.lam)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("case", ["qp1-implicit", "qp1-semi_apd", "qp1-semi_apdfb",
