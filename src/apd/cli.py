@@ -13,10 +13,10 @@ import numpy as np
 from . import ddo as ddo_mod
 from .flow import FlowState, flow_records, integrate_flow
 from .harness import audit_records, emit_csv, read_csv, run_experiment
-from .inner import BorderedPattern, augmented_consensus_solve, plain_iteration_solve
+from .inner import augmented_consensus_solve, plain_iteration_solve
 from .model import NoReferenceError, load_problem, solve_reference_saddle
-from .schedule import SCHEMES, StepRule
-from .solvers import SolverConfig, run_solver
+from .schedule import SCHEMES
+from .solvers import SolverConfig, make_step_rule, run_solver
 
 
 _GRAPH_SPECS = "path:N | cycle:N | grid:RxC | geometric:N:R[:SEED]"
@@ -146,7 +146,6 @@ _ROBUSTNESS_METHODS = ("plain_jacobi", "plain_gs", "plain_sgs",
 
 def _cmd_robustness(args):
     lap = ddo_mod.graph_laplacian(args.graph)
-    bordered = BorderedPattern(lap)  # one assembly for every eps
     rng = np.random.default_rng(args.seed)
     s = rng.standard_normal(args.graph.n)
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
@@ -163,7 +162,7 @@ def _cmd_robustness(args):
             else:
                 name = method[len("aug_"):] if method.startswith("aug_") else method
                 v, iters, ok = augmented_consensus_solve(
-                    bordered, eps, s, method=name, tol=args.tol, i_max=args.i_max)
+                    lap, eps, s, method=name, tol=args.tol, i_max=args.i_max)
             res = np.linalg.norm(s - (eps * v + lap @ v)) / np.linalg.norm(s)
             rows.append(RobustnessRecord(eps, method, iters, int(ok), float(res)))
             print(f"eps={eps:8.1e} {method:>12}: iters={iters} converged={ok}")
@@ -189,17 +188,28 @@ def _cmd_compare(args):
     return 0 if any(s.status != "error" for s in summaries) else 1
 
 
+_AUDIT_COLUMNS = ("k", "epoch", "alpha", "theta", "gamma", "lyapunov")
+
+
 def _cmd_audit(args):
-    columns = read_csv(args.csv)
+    try:
+        columns = read_csv(args.csv)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(str(exc)) from None
+    missing = [name for name in _AUDIT_COLUMNS if name not in columns]
+    if missing:
+        raise SystemExit(f"{args.csv}: not a solve CSV, no column {', '.join(missing)}")
     rows = [SimpleNamespace(k=int(k), epoch=int(e), alpha=a, theta=t, gamma=g, lyapunov=ly)
-            for k, e, a, t, g, ly in zip(columns["k"], columns["epoch"], columns["alpha"],
-                                         columns["theta"], columns["gamma"],
-                                         columns["lyapunov"])]
-    rule = None
-    if args.scheme:
-        rule = StepRule(args.scheme, norm_a=args.norm_a, lip_beta=args.l_beta,
-                        alpha=args.alpha)
-    report = audit_records(rows, rule, args.gamma0 if rule else None, args.mu_beta)
+            for k, e, a, t, g, ly in zip(*(columns[name] for name in _AUDIT_COLUMNS))]
+    problem = _load(args.problem)
+    config = SolverConfig(args.scheme)
+    if len(rows) > 1:  # an implicit run steps by its first alpha throughout
+        config.alpha = rows[1].alpha
+    try:
+        rule = make_step_rule(problem, config)
+    except ValueError as exc:
+        raise SystemExit(f"audit: {exc}") from None
+    report = audit_records(rows, rule, problem.smooth.mu)
     print(f"audit: checked={report.checked} "
           f"contraction_violations={report.contraction_violations} "
           f"theta_bound_violations={report.theta_bound_violations}")
@@ -275,16 +285,12 @@ def build_parser():
     compare.add_argument("--out-dir", default=".", help="directory for the CSVs")
     compare.set_defaults(func=_cmd_compare)
 
-    audit = sub.add_parser("audit", help="re-check certificates on an emitted CSV")
-    audit.add_argument("--csv", required=True)
-    audit.add_argument("--scheme", default="", choices=("",) + SCHEMES)
-    audit.add_argument("--gamma0", type=float, default=1.0)
-    audit.add_argument("--norm-a", type=float, default=0.0)
-    audit.add_argument("--l-beta", type=float, default=0.0,
-                       help="L of h (the paper's beta is 0)")
-    audit.add_argument("--mu-beta", type=float, default=0.0,
-                       help="mu of h (the paper's beta is 0)")
-    audit.add_argument("--alpha", type=float, default=1.0)
+    audit = sub.add_parser("audit", help="re-check the certificates of a solve CSV; the "
+                           "step rule and mu come from the run's problem file")
+    audit.add_argument("--csv", required=True, help="CSV written by solve or compare")
+    audit.add_argument("--problem", required=True, help="problem file the run solved")
+    audit.add_argument("--scheme", required=True, choices=SCHEMES,
+                       help="scheme the run used")
     audit.set_defaults(func=_cmd_audit)
 
     return parser

@@ -7,7 +7,7 @@ the Extra and AQP baselines."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,10 +39,6 @@ class Graph:
             if key in seen:
                 raise ValueError("duplicate edge")
             seen.add(key)
-
-    @property
-    def degrees(self):
-        return np.bincount(_edge_array(self).ravel(), minlength=self.n)
 
     def is_connected(self):
         if self.n == 0:
@@ -88,10 +84,14 @@ def grid_graph(rows, cols):
     return Graph(rows * cols, tuple(edges))
 
 
-def random_geometric_graph(n, radius, seed, max_tries=200):
+# draws of random_geometric_graph before it gives up on a connected one
+_GEOMETRIC_TRIES = 200
+
+
+def random_geometric_graph(n, radius, seed):
     """Random geometric graph on the unit square, retried until connected."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_GEOMETRIC_TRIES):
         points = rng.random((n, 2))
         diff = points[:, None, :] - points[None, :, :]
         close = np.einsum("ijk,ijk->ij", diff, diff) <= radius * radius
@@ -99,7 +99,7 @@ def random_geometric_graph(n, radius, seed, max_tries=200):
         graph = Graph(n, tuple(zip(rows.tolist(), cols.tolist())))
         if graph.is_connected():
             return graph
-    raise ValueError(f"no connected geometric graph after {max_tries} draws; "
+    raise ValueError(f"no connected geometric graph after {_GEOMETRIC_TRIES} draws; "
                      "increase the radius")
 
 
@@ -185,7 +185,9 @@ class DdoProblem:
     is the Laplacian applied row-blockwise as ``B'(B X)`` through the signed
     incidence matrix ``B``, so it is exactly zero on consensus iterates. The
     symmetric square root ``L^{1/2}`` is never formed. ``mu``/``lip`` are the
-    global constants of the averaged objective.
+    global constants of the averaged objective. The graph's Laplacian and
+    incidence matrix are not fields: each is built from ``graph`` on first
+    use and kept (:attr:`laplacian`, :attr:`incidence`).
 
     ``local_data`` holds one tuple per node and is the single source of the
     node data: ``(design, target)`` for least squares, ``(features, label,
@@ -201,8 +203,6 @@ class DdoProblem:
     local_data: tuple
     mu: float
     lip: float
-    laplacian: sp.csr_matrix = field(repr=False, default=None)
-    incidence: sp.csr_matrix = field(repr=False, default=None)
 
     @property
     def n_nodes(self):
@@ -268,6 +268,14 @@ class DdoProblem:
         return labels * _rowwise_matvec(features[:, None, :], stacked)[:, 0]
 
     @cached_property
+    def laplacian(self):
+        return graph_laplacian(self.graph)
+
+    @cached_property
+    def incidence(self):
+        return graph_incidence(self.graph)
+
+    @cached_property
     def _incidence_t(self):
         # a CSR copy of B' applies about twice as fast as the CSC view B.T
         return self.incidence.T.tocsr()
@@ -286,13 +294,15 @@ def build_ddo_problem(graph, block_size, kind, seed, samples=5, ridge=0.5):
     strong convexity); logistic draws one unit-scale feature vector and a
     binary label per node, with ``mu_i = ridge`` and
     ``lip_i = ridge + |label|^2 |features|^2 / 4``. Raises ``ValueError``
-    when ``block_size`` or ``samples`` is below 1.
+    when ``block_size`` or ``samples`` is below 1 or the graph is not
+    connected.
     """
     if block_size < 1 or samples < 1:
         raise ValueError(f"block_size and samples must be at least 1, "
                          f"got {block_size} and {samples}")
+    if not graph.is_connected():
+        raise ValueError("graph must be connected")
     rng = np.random.default_rng(seed)
-    lap = graph_laplacian(graph)
     if kind == "least_squares":
         data, lips = [], []
         for _ in range(graph.n):
@@ -313,8 +323,7 @@ def build_ddo_problem(graph, block_size, kind, seed, samples=5, ridge=0.5):
         lip = max(lips) / graph.n
     else:
         raise ValueError(f"unknown model kind {kind!r}")
-    return DdoProblem(graph, block_size, kind, tuple(data), mu, lip, lap,
-                      graph_incidence(graph))
+    return DdoProblem(graph, block_size, kind, tuple(data), mu, lip)
 
 
 def reference_objective(problem, tol=1e-12, max_iter=200):
@@ -410,8 +419,10 @@ def extra_step(state, problem, mixing, alpha):
     return ExtraState(x=x_next, x_prev=state.x, grad_prev=grad, k=state.k + 1)
 
 
-def extra_step_size(problem, mixing, strongly_convex=False):
-    if strongly_convex:
+def extra_step_size(problem, mixing):
+    """Extra's step: ``mu lam_min(w_hat) / lip^2`` for a strongly convex
+    problem (``problem.mu > 0``), else ``lam_min(w_hat) / lip``."""
+    if problem.mu > 0:
         return problem.mu * mixing.lam_min_w_hat / problem.lip ** 2
     return mixing.lam_min_w_hat / problem.lip
 
@@ -429,23 +440,22 @@ def aqp_penalty_operator(mixing):
     return 0.5 * (sp.identity(mixing.w.shape[0], format="csr") - mixing.w)
 
 
-def aqp_step(state, problem, penalty, variant="convex"):
+def aqp_step(state, problem, penalty):
     """One accelerated-quadratic-penalty update.
 
-    The convex variant uses the growing penalty ``(k+1)`` and momentum
-    ``(k-1)/(k+1)``; the strongly convex variant runs the decreasing-theta
-    recursion ``theta^2 + theta_prev^2 theta = theta_prev^2``.
+    The variant follows ``problem.mu``. The convex one (``mu = 0``) uses the
+    growing penalty ``(k+1)`` and momentum ``(k-1)/(k+1)``; the strongly
+    convex one (``mu > 0``) runs the decreasing-theta recursion
+    ``theta^2 + theta_prev^2 theta = theta_prev^2``.
     """
     k = state.k
-    if variant == "convex":
+    if not problem.mu > 0:
         momentum = (k - 1.0) / (k + 1.0)
         y = state.x + momentum * (state.x - state.x_prev)
         grad = problem.gradient(y) + (k + 1.0) * (penalty @ y)
         x_next = y - grad / (problem.lip + k + 1.0)
         return AqpState(x=x_next, x_prev=state.x, k=k + 1,
                         theta_prev=state.theta_prev)
-    if variant != "strongly_convex":
-        raise ValueError(f"unknown aqp variant {variant!r}")
     mu, lip = problem.mu, problem.lip
     tp = state.theta_prev
     theta = 0.5 * tp * (np.sqrt(tp * tp + 4.0) - tp)  # theta^2 + tp^2 theta = tp^2
@@ -487,10 +497,10 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     :class:`~apd.solvers.Epochs` that :func:`~apd.solvers.run_solver` runs
     too: a step that leaves ``theta`` below the restart threshold starts a
     new epoch from ``(x, x, lam)``, with ``gamma`` kept when ``mu > 0`` and
-    back at ``lip`` otherwise. The quadratic-penalty and Extra step sizes
-    switch on ``mu > 0``. The stop measure is the objective gap against a
-    centralized solve (``f_ref``) plus ``|L X|``, formed every step. The run
-    ends with status
+    back at ``lip`` otherwise. The quadratic-penalty variant and the Extra
+    step size follow ``mu > 0`` (:func:`aqp_step`, :func:`extra_step_size`).
+    The stop measure is the objective gap against a centralized solve
+    (``f_ref``) plus ``|L X|``, formed every step. The run ends with status
 
     - ``converged`` when the measure reaches ``stop_tol``;
     - ``precision_floor`` (``apd`` only) when an epoch ends without lowering
@@ -519,17 +529,16 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
             return state, state.inner_iters
     elif algo == "extra":
         state = ExtraState(x=x0)
-        alpha = extra_step_size(problem, mixing, strongly_convex=problem.mu > 0)
+        alpha = extra_step_size(problem, mixing)
 
         def step(state):
             return extra_step(state, problem, mixing, alpha), 0
     elif algo == "aqp":
         state = AqpState(x=x0, x_prev=x0.copy())
         penalty = aqp_penalty_operator(mixing)
-        variant = "strongly_convex" if problem.mu > 0 else "convex"
 
         def step(state):
-            return aqp_step(state, problem, penalty, variant), 0
+            return aqp_step(state, problem, penalty), 0
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
 

@@ -61,9 +61,14 @@ def _atomic_write(path, text):
 
 
 def read_csv(path):
-    """Parse a CSV written by :func:`emit_csv` into a dict of float columns."""
+    """Parse a CSV written by :func:`emit_csv` into a dict of float columns.
+
+    An empty file or a cell that is not a number raises ``ValueError``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().split("\n") if ln]
+    if not lines:
+        raise ValueError(f"{path}: empty CSV, no header")
     header = lines[0].split(",")
     columns = {name: [] for name in header}
     for line in lines[1:]:
@@ -120,26 +125,28 @@ class AuditReport:
         return self.contraction_violations + self.theta_bound_violations
 
 
-def audit_records(records, rule=None, gamma0=None, mu_beta=0.0):
+def audit_records(records, rule=None, mu_beta=0.0):
     """Re-check the contraction and decay certificates on recorded runs.
 
     Each epoch of a run is a fresh run of the scheme, so the certificates
     hold inside an epoch and only the pair of records across a restart goes
     unchecked. Contraction compares consecutive Lyapunov values against the
     recorded step size; Lyapunov values under the noise floor are skipped
-    (cancellation noise). The decay bound needs the scheme's step rule and
-    ``gamma0``; it counts ``k`` from the epoch's start and takes the
-    ``gamma`` the epoch started with (:func:`~apd.schedule.restart_scaling`).
+    (cancellation noise). The decay bound needs the run's step rule ``rule``
+    (:func:`~apd.solvers.make_step_rule`) and the ``mu`` of its smooth part,
+    ``mu_beta``. It reads ``gamma0`` from the first record, counts ``k`` from
+    the epoch's start and takes the ``gamma`` the epoch started with
+    (:func:`~apd.schedule.restart_scaling`).
     """
     report = AuditReport()
     prev = None
     scale = max((r.lyapunov for r in records if np.isfinite(r.lyapunov)), default=1.0)
     floor = LYAPUNOV_NOISE_FLOOR * max(scale, 1.0)
-    decay = rule is not None and gamma0 is not None
+    gamma0 = records[0].gamma if records else None
     start_k, start_gamma = 0, gamma0
     for rec in records:
         restarted = prev is not None and rec.epoch != prev.epoch
-        if restarted and decay:
+        if restarted and rule is not None:
             start_k = prev.k
             start_gamma = restart_scaling(rule.variant, mu_beta, prev.gamma, gamma0).gamma
         if (prev is not None and not restarted and np.isfinite(rec.lyapunov)
@@ -148,7 +155,7 @@ def audit_records(records, rule=None, gamma0=None, mu_beta=0.0):
             bound = prev.lyapunov / (1.0 + rec.alpha) * (1.0 + CONTRACTION_SLACK)
             if rec.lyapunov > bound + floor:
                 report.contraction_violations += 1
-        if decay:
+        if rule is not None:
             gmin, gmax = min(start_gamma, mu_beta), max(start_gamma, mu_beta)
             bound = theta_upper_bound(rule, rec.k - start_k, start_gamma, gmin, gmax)
             if rec.theta > bound * (1.0 + THETA_BOUND_SLACK):
@@ -187,7 +194,7 @@ def run_experiment(problem, configs, out_dir, stem):
         try:
             run = run_solver(problem, cfg)
             emit_csv(run.records, os.path.join(out_dir, f"{stem}_{cfg.scheme}.csv"))
-            report = audit_records(run.records, make_step_rule(problem, cfg), cfg.gamma0,
+            report = audit_records(run.records, make_step_rule(problem, cfg),
                                    problem.smooth.mu)
             try:
                 slope, r2 = fit_rate(run.records)

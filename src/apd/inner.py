@@ -137,7 +137,7 @@ class DualMapContext:
 
     ``F(lam) = theta lam - alpha A prox_{t g}(z - t A' lam) - r`` with
     ``r = theta lam_prev - alpha b``; F is monotone and Lipschitz with
-    constant ``rho = theta + alpha t |A|^2``.
+    constant ``theta + alpha t |A|^2``.
     """
 
     theta: float
@@ -159,10 +159,6 @@ class DualMapContext:
     def for_step(cls, theta, alpha, t, z, constraint, g, lam_prev):
         r = theta * np.asarray(lam_prev, dtype=float) - alpha * constraint.rhs
         return cls(theta, alpha, t, z, constraint, g, r=r)
-
-    @property
-    def rho(self):
-        return self.theta + self.alpha * self.t * self.constraint.op_norm ** 2
 
 
 def eval_dual_map(ctx, lam):
@@ -308,48 +304,24 @@ def _one_vector(s):
     return s
 
 
-class BorderedPattern:
-    """``[[eps q, eps 1'], [eps 1, eps I + A]]`` for every ``eps``, assembled once.
+def _bordered_matrix(operator, eps):
+    """The CSR matrix ``[[eps q, eps 1'], [eps 1, eps I + A]]`` of a ``q x q`` CSR ``A``.
 
-    The bordered matrix acts on a coarse coefficient ``v1`` (row 0) stacked
-    on the fine vector ``v2``; for null space span{1} of ``A``, any solution
-    of the bordered system with right side ``(sum(s), s)`` recovers the
-    solution ``v = v1 * 1 + v2`` of ``(eps I + A) v = s``.
-
-    The CSR pattern of the bordered matrix does not depend on ``eps``, so it
-    is built once from ``A``, with two data arrays: ``base`` holds the
-    entries of ``A`` (zero in the eps slots) and ``weight`` holds ``q`` at
-    the corner and 1 on the borders and the fine diagonal. The matrix for
-    one ``eps`` has data ``base + eps * weight``; every slot adds at most one
-    entry of ``A`` to at most one eps term, so it equals a one-pass assembly
-    of the same entries bit for bit.
+    It acts on a coarse coefficient ``v1`` (row 0) stacked on the fine
+    vector ``v2``; for null space span{1} of ``A``, any solution of the
+    bordered system with right side ``(sum(s), s)`` recovers the solution
+    ``v = v1 * 1 + v2`` of ``(eps I + A) v = s``. One assembly: the fine
+    diagonal's ``eps`` and the diagonal of ``A`` are summed into one slot.
     """
-
-    def __init__(self, operator):
-        self.operator = _as_sparse(operator)
-        q = self.operator.shape[0]
-        coo = self.operator.tocoo()
-        fine = np.arange(1, q + 1)
-        coarse = np.zeros(q, dtype=fine.dtype)
-        # slots: corner, top border, left border, A, fine diagonal
-        rows = np.concatenate([[0], coarse, fine, coo.row + 1, fine])
-        cols = np.concatenate([[0], fine, coarse, coo.col + 1, fine])
-        base = np.concatenate([np.zeros(1 + 2 * q), coo.data, np.zeros(q)])
-        weight = np.concatenate([[q], np.ones(2 * q), np.zeros(coo.nnz), np.ones(q)])
-        shape = (q + 1, q + 1)
-        self._base = sp.csr_matrix((base, (rows, cols)), shape=shape)
-        # same rows and columns, so the same canonical pattern
-        self._weight = sp.csr_matrix((weight, (rows, cols)), shape=shape).data
-
-    def matrix(self, eps):
-        """The bordered CSR matrix for ``eps``.
-
-        It shares the pattern's ``indices`` and ``indptr`` arrays, so it must
-        not be changed in place.
-        """
-        base = self._base
-        return sp.csr_matrix((base.data + eps * self._weight, base.indices, base.indptr),
-                             shape=base.shape)
+    q = operator.shape[0]
+    coo = operator.tocoo()
+    fine = np.arange(1, q + 1)
+    coarse = np.zeros(q, dtype=fine.dtype)
+    # slots: corner, top border, left border, A, fine diagonal
+    rows = np.concatenate([[0], coarse, fine, coo.row + 1, fine])
+    cols = np.concatenate([[0], fine, coarse, coo.col + 1, fine])
+    vals = np.concatenate([[eps * q], np.full(2 * q, eps), coo.data, np.full(q, eps)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(q + 1, q + 1))
 
 
 def _triangle_factors(matrix):
@@ -420,7 +392,7 @@ def _stationary(sweep, b, residual_norm, target, i_max):
 
 def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
                               tol=1e-6, i_max=100000):
-    """Solve ``(eps I + A) v = s`` through the bordered system of :class:`BorderedPattern`.
+    """Solve ``(eps I + A) v = s`` through the bordered system of :func:`_bordered_matrix`.
 
     ``A`` must be symmetric positive semidefinite with null space span{1},
     and ``s`` is one vector. The stationary methods run :func:`_sweep` on
@@ -429,24 +401,21 @@ def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
     terminates on the relative residual of the *original* system, which is
     the quantity outer solvers consume, or at ``i_max``.
 
-    ``operator`` is ``A`` as a matrix, or a :class:`BorderedPattern` of it:
-    a caller that solves with one ``A`` for many ``eps`` builds the pattern
-    once and passes it, and the bordered matrix for each ``eps`` is then
-    only a new data array.
+    ``operator`` is ``A`` as a dense or sparse matrix; each call assembles
+    its bordered CSR matrix once, in one pass.
 
     Returns ``(v, iterations, converged)``.
     """
     if method not in AUGMENTED_METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {AUGMENTED_METHODS}")
-    pattern = operator if isinstance(operator, BorderedPattern) else BorderedPattern(operator)
     s = _one_vector(s)
     if eps <= 0:
         raise ValueError("eps must be positive")
     s_norm = float(np.linalg.norm(s))
     if s_norm == 0.0:
         return np.zeros_like(s), 0, True
-    a = pattern.operator
-    bordered = pattern.matrix(eps)
+    a = _as_sparse(operator)
+    bordered = _bordered_matrix(a, eps)
     shat = np.concatenate([[s.sum()], s])
 
     def residual_norm(x):

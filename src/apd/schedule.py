@@ -38,7 +38,9 @@ class StepRule:
     """Step-size rule of one scheme with the constants it consumes.
 
     ``implicit`` uses a free constant step ``alpha``; the other three use
-    their proven relations between the step and the scaling pair.
+    their proven relations between the step and the scaling pair. A rule
+    whose scheme cannot step with its constants raises ``ValueError`` here,
+    once, so no step size or theta bound divides by zero.
     """
 
     variant: str
@@ -49,6 +51,9 @@ class StepRule:
     def __post_init__(self):
         if self.variant not in SCHEME_TABLE:
             raise ValueError(f"unknown scheme {self.variant!r}")
+        scheme = SCHEME_TABLE[self.variant]
+        if not getattr(self, scheme.constant) > 0:
+            raise ValueError(scheme.unusable)
 
     @property
     def s_beta(self):
@@ -60,26 +65,18 @@ class StepRule:
 # ---------------------------------------------------------------------------
 
 def _free_step(rule, state):
-    if rule.alpha <= 0:
-        raise ValueError("free step size must be positive")
     return rule.alpha
 
 
 def _semi_apd_step(rule, state):
-    if rule.norm_a <= 0:
-        raise ValueError("semi_apd step needs a nonzero constraint operator")
     return np.sqrt(state.theta * state.gamma) / rule.norm_a
 
 
 def _semi_apdfb_step(rule, state):
-    if rule.lip_beta <= 0:
-        raise ValueError("semi_apdfb step needs a positive smoothness constant")
     return np.sqrt(state.gamma / rule.lip_beta)
 
 
 def _ex_apdfb_step(rule, state):
-    if rule.s_beta <= 0:
-        raise ValueError("ex_apdfb step needs lip_beta + |A|^2 > 0")
     return np.sqrt(state.theta * state.gamma / rule.s_beta)
 
 
@@ -123,20 +120,28 @@ class Scheme:
     closed-form certificate ``theta_k <= bound`` for ``k >= 1``.
     ``uses_mu_beta`` says whether the step advances the scaling pair with
     the problem's ``mu_beta``; when it does not, it advances with 0 and
-    ``gamma`` decays with ``theta``.
+    ``gamma`` decays with ``theta``. ``constant`` names the
+    :class:`StepRule` value that the step size divides by or is, which must
+    be positive; ``unusable`` is the message of a rule where it is not.
     """
 
     step: str
     step_size: object
     theta_bound: object
     uses_mu_beta: bool
+    constant: str
+    unusable: str
 
 
 SCHEME_TABLE = {
-    "implicit": Scheme("implicit_apd_step", _free_step, _implicit_bound, False),
-    "semi_apd": Scheme("semi_apd_step", _semi_apd_step, _semi_apd_bound, True),
-    "semi_apdfb": Scheme("semi_apdfb_step", _semi_apdfb_step, _semi_apdfb_bound, True),
-    "ex_apdfb": Scheme("ex_apdfb_step", _ex_apdfb_step, _ex_apdfb_bound, True),
+    "implicit": Scheme("implicit_apd_step", _free_step, _implicit_bound, False, "alpha",
+                       "free step size must be positive"),
+    "semi_apd": Scheme("semi_apd_step", _semi_apd_step, _semi_apd_bound, True, "norm_a",
+                       "semi_apd step needs a nonzero constraint operator"),
+    "semi_apdfb": Scheme("semi_apdfb_step", _semi_apdfb_step, _semi_apdfb_bound, True,
+                         "lip_beta", "semi_apdfb step needs a positive smoothness constant"),
+    "ex_apdfb": Scheme("ex_apdfb_step", _ex_apdfb_step, _ex_apdfb_bound, True, "s_beta",
+                       "ex_apdfb step needs lip_beta + |A|^2 > 0"),
 }
 SCHEMES = tuple(SCHEME_TABLE)
 

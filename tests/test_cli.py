@@ -3,6 +3,8 @@ import pytest
 
 import apd
 from apd.cli import main
+from apd.harness import read_csv
+from apd.schedule import SCHEMES
 
 
 def read_lines(path):
@@ -123,6 +125,13 @@ def write_beta_problem(path):
     path.write_text("\n".join([f"{n} {m} 0.25", *rest]) + "\n", encoding="utf-8")
 
 
+def write_flat_problem(path):
+    """The QP of :func:`write_problem` with ``Q = 0``, so its ``L`` is 0."""
+    constraint = apd.load_problem(write_problem(path, "quadratic")).constraint
+    apd.save_problem(apd.ProblemInstance(apd.QuadraticObjective(np.zeros(6)), apd.ZeroProx(),
+                                         constraint), path)
+
+
 def test_solve_rejects_a_nonzero_beta_with_one_line(tmp_path):
     path = tmp_path / "qp.txt"
     write_beta_problem(path)
@@ -195,13 +204,30 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "argument --gamma0: expected a positive number, got '0'"),
     ("flow --problem {tmp}/qp.txt --h 0.01 --T 1 --gamma0 0 --csv {tmp}/out.csv",
      "argument --gamma0: expected a positive number, got '0'"),
+    ("audit --csv {tmp}/missing.csv --problem {tmp}/qp.txt --scheme implicit",
+     "No such file or directory"),
+    ("audit --csv {tmp}/empty.csv --problem {tmp}/qp.txt --scheme implicit",
+     "empty.csv: empty CSV, no header"),
+    ("audit --csv {tmp}/ddo.csv --problem {tmp}/qp.txt --scheme implicit",
+     "ddo.csv: not a solve CSV, no column epoch, alpha, theta, gamma, lyapunov"),
+    ("audit --csv {tmp}/solve.csv --problem {tmp}/missing.txt --scheme implicit",
+     "No such file or directory"),
+    ("audit --csv {tmp}/solve.csv --problem {tmp}/flat.txt --scheme semi_apdfb",
+     "audit: semi_apdfb step needs a positive smoothness constant"),
 ], ids=["graph-kind", "graph-grid", "graph-disconnected", "eps-float", "eps-empty",
         "eps-zero", "methods-empty", "flow-step", "compare-beta", "compare-missing",
         "solve-missing", "ddo-m-zero", "ddo-samples-zero", "solve-alpha-zero",
-        "solve-gamma0-zero", "flow-gamma0-zero"])
+        "solve-gamma0-zero", "flow-gamma0-zero", "audit-csv-missing", "audit-csv-empty",
+        "audit-csv-ddo", "audit-problem-missing", "audit-zero-lip"])
 def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
-    write_problem(tmp_path / "qp.txt", "quadratic")
+    qp = write_problem(tmp_path / "qp.txt", "quadratic")
     write_beta_problem(tmp_path / "beta.txt")
+    write_flat_problem(tmp_path / "flat.txt")
+    (tmp_path / "empty.csv").write_text("", encoding="utf-8")
+    assert main(["ddo", "--graph", "path:4", "--m", "2", "--model", "ls", "--algo", "apd",
+                 "--max-iter", "2", "--csv", str(tmp_path / "ddo.csv")]) == 0
+    assert main(["solve", "--problem", qp, "--scheme", "implicit", "--max-iter", "2",
+                 "--csv", str(tmp_path / "solve.csv")]) == 0
     argv = argv.format(tmp=tmp_path).split()
     with pytest.raises(SystemExit) as info:
         main(argv)
@@ -213,29 +239,17 @@ def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()
 
 
-def test_audit_passes_a_solver_csv(tmp_path, capsys):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_audit_reads_the_run_constants_from_the_problem_file(tmp_path, capsys, scheme):
     problem = write_problem(tmp_path / "qp.txt", "quadratic")
+    assert apd.load_problem(problem).smooth.mu > 0  # gamma moves, so gamma_min < gamma0
     csv = tmp_path / "solve.csv"
-    assert main(["solve", "--problem", problem, "--scheme", "implicit",
-                 "--max-iter", "20", "--csv", str(csv)]) == 0
-    capsys.readouterr()
-    code = main(["audit", "--csv", str(csv), "--scheme", "implicit"])
-    assert capsys.readouterr().out == ("audit: checked=18 contraction_violations=0 "
-                                       "theta_bound_violations=0\n")
-    assert code == 0
-
-
-def test_audit_checks_the_semi_apd_theta_bound(tmp_path, capsys):
-    problem = write_problem(tmp_path / "qp.txt", "quadratic")
-    loaded = apd.load_problem(problem)
-    assert loaded.smooth.mu > 0  # gamma moves, so the bound uses gamma_min < gamma0
-    csv = tmp_path / "solve.csv"
-    assert main(["solve", "--problem", problem, "--scheme", "semi_apd",
+    assert main(["solve", "--problem", problem, "--scheme", scheme,
                  "--max-iter", "40", "--csv", str(csv)]) == 0
     capsys.readouterr()
-    code = main(["audit", "--csv", str(csv), "--scheme", "semi_apd",
-                 "--norm-a", repr(loaded.constraint.op_norm),
-                 "--mu-beta", repr(loaded.smooth.mu)])
-    assert capsys.readouterr().out == ("audit: checked=39 contraction_violations=0 "
+    code = main(["audit", "--csv", str(csv), "--problem", problem, "--scheme", scheme])
+    epochs = read_csv(csv)["epoch"]
+    within = int(np.sum(epochs[1:] == epochs[:-1]))  # step pairs not across a restart
+    assert capsys.readouterr().out == (f"audit: checked={within} contraction_violations=0 "
                                        "theta_bound_violations=0\n")
     assert code == 0

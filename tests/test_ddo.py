@@ -64,6 +64,8 @@ def test_triangle_eigenvalues():
 def test_disconnected_graph_rejected():
     with pytest.raises(ValueError, match="connected"):
         graph_laplacian(Graph(4, ((0, 1), (2, 3))))
+    with pytest.raises(ValueError, match="connected"):
+        build_ddo_problem(Graph(4, ((0, 1), (2, 3))), 2, "least_squares", seed=0)
 
 
 def test_mixing_matrix_path():
@@ -106,7 +108,8 @@ def test_geometric_edges_match_pairwise_comprehension(n, radius, seed):
     expected = comprehension_geometric_graph(n, radius, seed)
     assert graph.edges == expected.edges
     assert all(type(i) is int and type(j) is int for i, j in graph.edges)
-    np.testing.assert_array_equal(graph.degrees, graph_laplacian(graph).diagonal())
+    degrees = np.bincount(np.ravel(graph.edges), minlength=n)
+    np.testing.assert_array_equal(degrees, graph_laplacian(graph).diagonal())
 
 
 def test_consensus_null_space_blockwise():
@@ -207,17 +210,26 @@ def test_stacked_objective_sees_replaced_local_data():
     assert fresh.value(x) != pytest.approx(prob.value(x), rel=1e-6)
 
 
-def shared_minimizer_problem(m=3):
-    """Least squares whose nodes share an exact minimizer (zero residuals)."""
+def shared_minimizer_problem(m=3, samples=2):
+    """Least squares whose nodes share an exact minimizer (zero residuals).
+
+    With ``samples >= m`` every node's design has full column rank, so every
+    local objective is strongly convex, and ``mu`` and ``lip`` are set to the
+    least and largest curvature over the nodes, divided by the node count.
+    """
     graph = cycle_graph(4)
     rng = np.random.default_rng(9)
     x_hat = rng.standard_normal(m)
     data = []
     for _ in range(graph.n):
-        design = rng.standard_normal((2, m))
+        design = rng.standard_normal((samples, m))
         data.append((design, design @ x_hat))
     prob = build_ddo_problem(graph, m, "least_squares", seed=0)
     object.__setattr__(prob, "local_data", tuple(data))
+    if samples >= m:
+        curvatures = [np.linalg.eigvalsh(design.T @ design) for design, _ in data]
+        object.__setattr__(prob, "mu", min(c[0] for c in curvatures) / graph.n)
+        object.__setattr__(prob, "lip", max(c[-1] for c in curvatures) / graph.n)
     return prob, x_hat
 
 
@@ -380,25 +392,25 @@ def test_sparse_mixing_matches_dense_over_fifty_steps():
     x0 = np.random.default_rng(6).standard_normal((graph.n, 3))
     for kind in ("least_squares", "logistic"):
         prob = build_ddo_problem(graph, 3, kind, seed=6)
-        alpha = extra_step_size(prob, mix, strongly_convex=prob.mu > 0)
+        alpha = extra_step_size(prob, mix)
         sparse_state, dense_state = ExtraState(x=x0), ExtraState(x=x0)
         for _ in range(50):
             sparse_state = extra_step(sparse_state, prob, mix, alpha)
             dense_state = extra_step(dense_state, prob, dense, alpha)
             np.testing.assert_allclose(sparse_state.x, dense_state.x, rtol=0, atol=1e-12)
-        for variant in ("convex", "strongly_convex"):
-            sparse_state = dense_state = AqpState(x=x0, x_prev=x0)
-            for _ in range(50):
-                sparse_state = aqp_step(sparse_state, prob, penalty, variant)
-                dense_state = aqp_step(dense_state, prob, dense_penalty, variant)
-                np.testing.assert_allclose(sparse_state.x, dense_state.x, rtol=0, atol=1e-12)
+        # least squares (mu = 0) takes the convex AQP branch, logistic the strongly convex one
+        sparse_state = dense_state = AqpState(x=x0, x_prev=x0)
+        for _ in range(50):
+            sparse_state = aqp_step(sparse_state, prob, penalty)
+            dense_state = aqp_step(dense_state, prob, dense_penalty)
+            np.testing.assert_allclose(sparse_state.x, dense_state.x, rtol=0, atol=1e-12)
 
 
 def test_aqp_theta_recursion_golden_ratio():
-    prob, _ = shared_minimizer_problem()
+    prob, _ = shared_minimizer_problem(samples=3)  # mu > 0: the strongly convex branch
     penalty = aqp_penalty_operator(mixing_matrix(prob.incidence))
     state = AqpState(x=np.zeros((4, 3)), x_prev=np.zeros((4, 3)))
-    out = aqp_step(state, prob, penalty, "strongly_convex")
+    out = aqp_step(state, prob, penalty)
     assert out.theta_prev == pytest.approx((np.sqrt(5) - 1) / 2)
 
 
@@ -408,18 +420,19 @@ def test_aqp_first_step_has_no_momentum():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((4, 3))
     x_prev = rng.standard_normal((4, 3))  # must be ignored at k = 1
-    out = aqp_step(AqpState(x=x, x_prev=x_prev), prob, penalty, "convex")
+    out = aqp_step(AqpState(x=x, x_prev=x_prev), prob, penalty)  # mu = 0: convex
     direct = x - (prob.gradient(x) + 2.0 * (penalty @ x)) / (prob.lip + 2.0)
     np.testing.assert_allclose(out.x, direct, atol=1e-12)
 
 
 def test_aqp_fixed_points_both_variants():
-    prob, x_hat = shared_minimizer_problem()
-    penalty = aqp_penalty_operator(mixing_matrix(prob.incidence))
-    stacked = np.tile(x_hat, (4, 1))
-    for variant in ("convex", "strongly_convex"):
+    for samples in (2, 3):  # mu = 0 (convex) and mu > 0 (strongly convex)
+        prob, x_hat = shared_minimizer_problem(samples=samples)
+        assert (prob.mu > 0) == (samples == 3)
+        penalty = aqp_penalty_operator(mixing_matrix(prob.incidence))
+        stacked = np.tile(x_hat, (4, 1))
         state = AqpState(x=stacked.copy(), x_prev=stacked.copy())
-        out = aqp_step(state, prob, penalty, variant)
+        out = aqp_step(state, prob, penalty)
         np.testing.assert_allclose(out.x, stacked, atol=1e-12)
 
 

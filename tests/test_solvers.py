@@ -183,9 +183,8 @@ def test_semi_apd_rejects_zero_operator():
     p = apd.ProblemInstance(
         apd.QuadraticObjective(np.ones(2)), apd.ZeroProx(),
         apd.MatrixConstraint(np.zeros((1, 2)), np.zeros(1), op_norm=0.0))
-    rule = apd.StepRule("semi_apd", norm_a=p.constraint.op_norm)
     with pytest.raises(ValueError):
-        apd.step_size(rule, ScalingState())
+        apd.StepRule("semi_apd", norm_a=p.constraint.op_norm)
 
 
 def _prox_case(name):
@@ -652,12 +651,12 @@ def test_audit_skips_only_the_pair_across_a_restart():
     # a restart raises E (theta jumps back to 1); inside an epoch E halves
     records = [rec(0, 0, 0.0, 1.0, 1.0, 8.0), rec(1, 0, 1.0, 0.5, 0.5, 4.0),
                rec(2, 1, 1.0, 0.5, 0.5, 6.0), rec(3, 1, 1.0, 0.25, 0.25, 3.0)]
-    report = audit_records(records, rule, 1.0)
+    report = audit_records(records, rule)
     assert (report.checked, report.total) == (2, 0)
     records[3] = rec(3, 1, 1.0, 0.25, 0.25, 3.5)  # inside the epoch: counted
-    assert audit_records(records, rule, 1.0).contraction_violations == 1
+    assert audit_records(records, rule).contraction_violations == 1
     records[2] = rec(2, 1, 1.0, 0.75, 0.5, 6.0)  # theta above 2^-1 at k = 1 of its epoch
-    assert audit_records(records, rule, 1.0).theta_bound_violations == 1
+    assert audit_records(records, rule).theta_bound_violations == 1
 
 
 # ---------------------------------------------------------------------------
