@@ -216,6 +216,10 @@ def _cmd_audit(args):
     return 0 if report.total == 0 else 1
 
 
+_ALPHA_HELP = ("free step size of the implicit scheme; by default 49 where its subproblem "
+               "is solved exactly (quadratic objective over the whole space), else 1")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="apd",
@@ -229,8 +233,7 @@ def build_parser():
     solve.add_argument("--gamma0", type=_positive_float, default=1.0)
     solve.add_argument("--max-iter", type=int, default=1000)
     solve.add_argument("--stop-tol", type=float, default=0.0)
-    solve.add_argument("--alpha", type=_positive_float, default=1.0,
-                       help="free step size of the implicit scheme")
+    solve.add_argument("--alpha", type=_positive_float, default=None, help=_ALPHA_HELP)
     solve.add_argument("--csv", required=True)
     solve.add_argument("--timing", action="store_true",
                        help="record wall clocks (breaks rerun byte-identity)")
@@ -280,8 +283,7 @@ def build_parser():
                          help="initial gamma")
     compare.add_argument("--max-iter", type=int, default=1000, help="step cap of each run")
     compare.add_argument("--stop-tol", type=float, default=0.0, help="stop tolerance (0: none)")
-    compare.add_argument("--alpha", type=_positive_float, default=1.0,
-                         help="implicit scheme's step size")
+    compare.add_argument("--alpha", type=_positive_float, default=None, help=_ALPHA_HELP)
     compare.add_argument("--out-dir", default=".", help="directory for the CSVs")
     compare.set_defaults(func=_cmd_compare)
 

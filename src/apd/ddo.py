@@ -143,13 +143,14 @@ class MixingMatrix:
     lam_min_w_hat: float
 
 
-def mixing_matrix(incidence):
+def mixing_matrix(incidence, laplacian):
     """Doubly stochastic ``W = I - L / lambda_max(L)`` and ``(I + W) / 2``
-    from the signed incidence matrix ``B`` of :func:`graph_incidence`.
+    from the CSR Laplacian ``L`` of :func:`graph_laplacian` and the signed
+    incidence matrix ``B`` of :func:`graph_incidence` of one graph.
 
-    ``L = B'B`` is an integer product, so it equals :func:`graph_laplacian`,
-    and ``lambda_max(L) = |B|_2^2`` comes from :func:`operator_norm_estimate`
-    on a dense copy of that same ``L``, an upper bound. The spectrum of ``W``
+    ``L = B'B``, so ``lambda_max(L) = |B|_2^2`` comes from
+    :func:`operator_norm_estimate` of ``B`` on a dense copy of ``L`` (``B``
+    sets only the rounding slack), an upper bound. The spectrum of ``W``
     therefore sits in ``[0, 1]`` with a simple eigenvalue 1, and the halved
     matrix is bounded below by one half. Both matrices are CSR.
     """
@@ -157,8 +158,7 @@ def mixing_matrix(incidence):
     eye = sp.identity(n, format="csr")
     if n == 1:
         return MixingMatrix(eye, eye, 1.0)
-    lap = (incidence.T @ incidence).tocsr()
-    w = eye - lap / operator_norm_estimate(incidence, gram=lap.toarray()) ** 2
+    w = eye - laplacian / operator_norm_estimate(incidence, gram=laplacian.toarray()) ** 2
     return MixingMatrix(w, 0.5 * (eye + w), 0.5)
 
 
@@ -513,7 +513,8 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
         f_ref, _ = reference_objective(problem)
     n, m = problem.n_nodes, problem.block_size
     x0 = np.zeros((n, m))
-    mixing = mixing_matrix(problem.incidence) if algo in ("extra", "aqp") else None
+    mixing = (mixing_matrix(problem.incidence, problem.laplacian)
+              if algo in ("extra", "aqp") else None)
     epochs = None
     # each step returns the next state and its inner iterations
     if algo == "apd":

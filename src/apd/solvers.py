@@ -28,7 +28,8 @@ from .schedule import (
 )
 
 # c of the restart rule: an epoch ends at the first step that leaves theta
-# below it, so 1/theta never exceeds (1 + alpha)/c in any update
+# below it, so 1/theta never exceeds (1 + alpha)/c in any update, 5000 at the
+# implicit scheme's derived step on its exact route (:func:`make_step_rule`)
 _RESTART_THETA = 1e-2
 
 
@@ -73,7 +74,8 @@ class SolverConfig:
     gamma0: float = 1.0
     max_iter: int = 1000
     stop_tol: float = 0.0
-    alpha: float = 1.0  # free step size of the implicit scheme
+    # free step size of the implicit scheme; None derives it (make_step_rule)
+    alpha: float = None
     reference: object = None  # SaddlePoint, or None to auto-detect
     timing: bool = False
 
@@ -153,6 +155,12 @@ def _prox_full_objective(problem, eta, point):
         np.nan)
 
 
+def _range_space_route(problem):
+    """Whether the implicit subproblem has the exact range-space solve: a
+    quadratic ``h`` and ``g = 0`` over the whole space."""
+    return problem.smooth.is_quadratic and problem.is_smooth_unconstrained
+
+
 # ---------------------------------------------------------------------------
 # scheme steps
 # ---------------------------------------------------------------------------
@@ -176,7 +184,8 @@ def implicit_apd_step(state, problem, alpha):
     reuses the factored system of each pair it has seen. The dict then
     holds at most one epoch's systems, ``ceil(ln(1/c)/ln(1 + alpha))`` with
     ``c = _RESTART_THETA``, each ``m^2`` doubles plus ``n^2`` for a dense
-    ``Q``. A state without one builds the system afresh.
+    ``Q``: 2 at the range-space route's derived ``alpha = 49``
+    (:func:`make_step_rule`). A state without one builds the system afresh.
     """
     if alpha <= 0:
         raise ValueError("step size must be positive")
@@ -188,7 +197,7 @@ def implicit_apd_step(state, problem, alpha):
     constraint = problem.constraint
     shifted = state.lam - _residual(state.x_residual, constraint, state.x) / sc.theta
     inner_iters = 0
-    if problem.smooth.is_quadratic and problem.is_smooth_unconstrained:
+    if _range_space_route(problem):
         smooth = problem.smooth
         g = _finite(y / eta - smooth.linear_term() - constraint.apply_adjoint(shifted),
                     "implicit subproblem")
@@ -377,9 +386,23 @@ class Epochs:
 
 
 def make_step_rule(problem, config):
-    """Step rule of ``config.scheme``; each rule reads only its own constants."""
+    """Step rule of ``config.scheme``; each rule reads only its own constants.
+
+    The implicit scheme's free step is ``config.alpha`` when set. Otherwise
+    it is derived from the route its subproblem takes. On the exact
+    range-space route the scheme contracts by ``1/(1 + alpha)`` per step for
+    any ``alpha > 0``, so the step is the largest that still leaves two
+    steps per epoch, ``1/(1 + alpha) = 2c`` with ``c = _RESTART_THETA``:
+    ``alpha = 49``, theta going 1, 0.02, 4e-4, so every epoch keeps a
+    contraction for the audit to check. On the semi-smooth Newton route the
+    step stays 1: a larger one makes each Newton solve harder, and on
+    composite basis pursuit it did not lower the total time.
+    """
+    alpha = config.alpha
+    if alpha is None:
+        alpha = 1.0 / (2.0 * _RESTART_THETA) - 1.0 if _range_space_route(problem) else 1.0
     return StepRule(config.scheme, norm_a=problem.constraint.op_norm,
-                    lip_beta=problem.smooth.lip, alpha=config.alpha)
+                    lip_beta=problem.smooth.lip, alpha=alpha)
 
 
 def initial_state(problem, config):

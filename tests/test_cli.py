@@ -36,6 +36,17 @@ def test_robustness_writes_one_row_per_method(tmp_path):
     assert not any(converged["1e-6"][m] for m in ("plain_jacobi", "plain_gs", "plain_sgs"))
 
 
+def test_robustness_damped_jacobi_converges_on_a_path(tmp_path):
+    # path:6 is bipartite: the undamped bordered Jacobi sweep has an
+    # eigenvalue -1 + 6e-7 at eps 1e-6 and ran 100 000 sweeps unconverged
+    csv = tmp_path / "robustness.csv"
+    assert main(["robustness", "--graph", "path:6", "--eps-list", "1e-6",
+                 "--methods", "aug_jacobi", "--csv", str(csv)]) == 0
+    _, method, iters, converged, residual = read_lines(csv)[1].split(",")
+    assert (method, converged) == ("aug_jacobi", "1")
+    assert int(iters) < 1000 and float(residual) <= 1e-6
+
+
 @pytest.mark.parametrize("algo", ["apd", "extra", "aqp"])
 def test_ddo_writes_records(tmp_path, algo):
     csv = tmp_path / f"ddo_{algo}.csv"
@@ -253,3 +264,18 @@ def test_audit_reads_the_run_constants_from_the_problem_file(tmp_path, capsys, s
     assert capsys.readouterr().out == (f"audit: checked={within} contraction_violations=0 "
                                        "theta_bound_violations=0\n")
     assert code == 0
+
+
+def test_solve_derives_the_implicit_step_and_audit_checks_it(tmp_path, capsys):
+    # no --alpha: the QP's subproblem is solved exactly, so the step is 49
+    problem = write_problem(tmp_path / "qp.txt", "quadratic")
+    csv = tmp_path / "solve.csv"
+    assert main(["solve", "--problem", problem, "--scheme", "implicit",
+                 "--max-iter", "12", "--csv", str(csv)]) == 0
+    assert set(read_csv(csv)["alpha"][1:]) == {49.0}
+    capsys.readouterr()
+    code = main(["audit", "--csv", str(csv), "--problem", problem, "--scheme", "implicit"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.endswith("contraction_violations=0 theta_bound_violations=0\n")
+    assert int(out.split("checked=")[1].split()[0]) > 0

@@ -68,8 +68,12 @@ def test_disconnected_graph_rejected():
         build_ddo_problem(Graph(4, ((0, 1), (2, 3))), 2, "least_squares", seed=0)
 
 
+def graph_mixing(graph):
+    return mixing_matrix(graph_incidence(graph), graph_laplacian(graph))
+
+
 def test_mixing_matrix_path():
-    mix = mixing_matrix(graph_incidence(path_graph(3)))
+    mix = graph_mixing(path_graph(3))
     expected = np.array([[2 / 3, 1 / 3, 0.0],
                          [1 / 3, 1 / 3, 1 / 3],
                          [0.0, 1 / 3, 2 / 3]])
@@ -82,9 +86,20 @@ def test_mixing_matrix_path():
 
 def test_mixing_matrix_is_psd_on_a_benchmark_size_graph():
     # ROADMAP defect 4: W = I - L / lambda_max(L) needs lambda_max(L) from above
-    mix = mixing_matrix(graph_incidence(random_geometric_graph(400, 0.11, 11)))
+    mix = graph_mixing(random_geometric_graph(400, 0.11, 11))
     assert np.linalg.eigvalsh(mix.w.toarray()).min() >= 0
     assert np.linalg.eigvalsh(mix.w_hat.toarray()).min() >= mix.lam_min_w_hat
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_laplacian_is_the_incidence_product_bit_for_bit(seed):
+    # mixing_matrix reads the held Laplacian in place of forming B'B, with
+    # the same CSR arrays, so Extra and AQP take the same iterates
+    graph = random_geometric_graph(400, 0.11, seed)
+    incidence = graph_incidence(graph)
+    product, held = (incidence.T @ incidence).tocsr(), graph_laplacian(graph)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(held, part), getattr(product, part))
 
 
 def comprehension_geometric_graph(n, radius, seed, max_tries=200):
@@ -334,7 +349,7 @@ def test_extra_transcript_matches_reimplementation():
     # complete graph on two nodes, scalar quadratic locals
     graph = path_graph(2)
     prob = build_ddo_problem(graph, 1, "least_squares", seed=3, samples=3)
-    mix = mixing_matrix(graph_incidence(graph))
+    mix = graph_mixing(graph)
     alpha = extra_step_size(prob, mix)
     state = ExtraState(x=np.zeros((2, 1)))
     xs = [state.x]
@@ -373,7 +388,7 @@ def test_extra_identity_mixing_is_gradient_descent():
 
 def test_extra_fixed_point():
     prob, x_hat = shared_minimizer_problem()
-    mix = mixing_matrix(prob.incidence)
+    mix = mixing_matrix(prob.incidence, prob.laplacian)
     stacked = np.tile(x_hat, (4, 1))
     state = ExtraState(x=stacked.copy(), x_prev=stacked.copy(),
                        grad_prev=prob.gradient(stacked), k=1)
@@ -383,10 +398,10 @@ def test_extra_fixed_point():
 
 def test_sparse_mixing_matches_dense_over_fifty_steps():
     graph = random_geometric_graph(40, 0.3, 6)
-    mix = mixing_matrix(graph_incidence(graph))
+    mix = graph_mixing(graph)
     penalty = aqp_penalty_operator(mix)
     assert (mix.w.format, mix.w_hat.format, penalty.format) == ("csr", "csr", "csr")
-    assert mixing_matrix(graph_incidence(Graph(1, ()))).w.format == "csr"
+    assert graph_mixing(Graph(1, ())).w.format == "csr"
     dense = MixingMatrix(mix.w.toarray(), mix.w_hat.toarray(), mix.lam_min_w_hat)
     dense_penalty = 0.5 * (np.eye(graph.n) - dense.w)
     x0 = np.random.default_rng(6).standard_normal((graph.n, 3))
@@ -408,7 +423,7 @@ def test_sparse_mixing_matches_dense_over_fifty_steps():
 
 def test_aqp_theta_recursion_golden_ratio():
     prob, _ = shared_minimizer_problem(samples=3)  # mu > 0: the strongly convex branch
-    penalty = aqp_penalty_operator(mixing_matrix(prob.incidence))
+    penalty = aqp_penalty_operator(mixing_matrix(prob.incidence, prob.laplacian))
     state = AqpState(x=np.zeros((4, 3)), x_prev=np.zeros((4, 3)))
     out = aqp_step(state, prob, penalty)
     assert out.theta_prev == pytest.approx((np.sqrt(5) - 1) / 2)
@@ -416,7 +431,7 @@ def test_aqp_theta_recursion_golden_ratio():
 
 def test_aqp_first_step_has_no_momentum():
     prob, _ = shared_minimizer_problem()
-    penalty = aqp_penalty_operator(mixing_matrix(prob.incidence))
+    penalty = aqp_penalty_operator(mixing_matrix(prob.incidence, prob.laplacian))
     rng = np.random.default_rng(12)
     x = rng.standard_normal((4, 3))
     x_prev = rng.standard_normal((4, 3))  # must be ignored at k = 1
@@ -429,7 +444,7 @@ def test_aqp_fixed_points_both_variants():
     for samples in (2, 3):  # mu = 0 (convex) and mu > 0 (strongly convex)
         prob, x_hat = shared_minimizer_problem(samples=samples)
         assert (prob.mu > 0) == (samples == 3)
-        penalty = aqp_penalty_operator(mixing_matrix(prob.incidence))
+        penalty = aqp_penalty_operator(mixing_matrix(prob.incidence, prob.laplacian))
         stacked = np.tile(x_hat, (4, 1))
         state = AqpState(x=stacked.copy(), x_prev=stacked.copy())
         out = aqp_step(state, prob, penalty)

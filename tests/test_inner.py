@@ -509,12 +509,13 @@ def test_zero_diagonal_triangle_raises_linalg_error(method):
 
 
 def dense_sweeps(matrix, b, method, sweeps):
-    """``sweeps`` dense Jacobi, Gauss-Seidel or symmetric Gauss-Seidel sweeps from zero."""
+    """``sweeps`` dense Jacobi (damped by 2/3), Gauss-Seidel or symmetric
+    Gauss-Seidel sweeps from zero."""
     diag = np.diag(matrix)
     x = np.zeros_like(b)
     for _ in range(sweeps):
         if method == "jacobi":
-            x = (b - (matrix - np.diag(diag)) @ x) / diag
+            x = x + 2.0 / 3.0 * ((b - (matrix - np.diag(diag)) @ x) / diag - x)
             continue
         # forward sweep (row 0 first), then for sgs the backward one (row 0 last)
         x = scipy.linalg.solve_triangular(np.tril(matrix), b - np.triu(matrix, 1) @ x,

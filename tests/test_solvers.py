@@ -700,12 +700,14 @@ def test_run_loop_operation_counts(scheme, make, per_iter):
     # below the tolerance only the stop test's stationarity would add work;
     # the whole-space QP has a reference, whose solve and values at x* are
     # formed once per run and cancel in the difference of the two runs, and
-    # its restarts (after steps 7 and 14) reuse the carried residual
+    # its restarts (after steps 7 and 14 at alpha = 1; at the derived 49 it
+    # converges before step 15) reuse the carried residual
     tol = 1e-12
     counts = []
     for iters in (5, 15):
         problem = make()
-        run = run_solver(problem, SolverConfig(scheme=scheme, max_iter=iters, stop_tol=tol))
+        run = run_solver(problem, SolverConfig(scheme=scheme, max_iter=iters, stop_tol=tol,
+                                               alpha=1.0))
         assert (run.reference is None) == (scheme != "implicit")
         assert run.status == "max_iter"
         assert min(rec.feasibility for rec in run.records) > tol
@@ -804,6 +806,61 @@ def test_implicit_run_builds_each_step_system_once(monkeypatch, alpha, per_epoch
     for got, want in ((run.state.x, state.x), (run.state.v, state.v),
                       (run.state.lam, state.lam)):
         assert np.array_equal(got, want)
+
+
+def l1_basis_pursuit(seed, n=30, m=8):
+    """Basis pursuit with an l1 prox: the implicit subproblem takes semi-smooth Newton."""
+    rng = np.random.default_rng(seed)
+    amat = rng.standard_normal((m, n))
+    amat /= np.linalg.norm(amat, 2)
+    planted = np.zeros(n)
+    planted[rng.choice(n, size=3, replace=False)] = rng.standard_normal(3)
+    return apd.ProblemInstance(apd.ZeroObjective(n), apd.L1Prox(1.0),
+                               apd.MatrixConstraint(amat, amat @ planted))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_implicit_range_space_step_leaves_two_step_epochs(seed):
+    # 1/(1 + alpha) = 2c: theta goes 1, 0.02, 4e-4, so each epoch is two
+    # steps and the audit keeps one contraction per epoch to check
+    problem = random_qp(seed)
+    config = SolverConfig("implicit", max_iter=200, stop_tol=1e-10)
+    rule = make_step_rule(problem, config)
+    assert rule.alpha == 1 / (2 * _RESTART_THETA) - 1 == 49
+    run = run_solver(problem, config)
+    assert run.status == "converged"
+    steps = run.records[1:]
+    assert all(rec.alpha == 49 for rec in steps)
+    lengths = np.bincount([rec.epoch for rec in steps])
+    assert np.all(lengths[:-1] == 2) and lengths[-1] in (1, 2)
+    assert [rec.theta for rec in steps[:2]] == [1 / 50, 1 / 50 / 50]
+    report = audit_records(run.records, rule, problem.smooth.mu)
+    assert report.total == 0
+    assert report.checked > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_implicit_newton_route_keeps_the_unit_step(seed):
+    problem = l1_basis_pursuit(seed)
+    derived = run_solver(problem, SolverConfig("implicit", max_iter=3000, stop_tol=1e-6))
+    unit = run_solver(problem, SolverConfig("implicit", max_iter=3000, stop_tol=1e-6,
+                                            alpha=1.0))
+    assert derived.status == unit.status == "converged"
+    assert all(rec.alpha == 1.0 for rec in derived.records[1:])
+    assert [_fields(r) for r in derived.records] == [_fields(r) for r in unit.records]
+    for got, want in ((derived.state.x, unit.state.x), (derived.state.v, unit.state.v),
+                      (derived.state.lam, unit.state.lam)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("route", ["range_space", "newton"])
+def test_explicit_alpha_overrides_the_derived_step(route):
+    problem = random_qp(1) if route == "range_space" else l1_basis_pursuit(0)
+    derived = make_step_rule(problem, SolverConfig("implicit")).alpha
+    assert derived == (49.0 if route == "range_space" else 1.0)
+    config = SolverConfig("implicit", alpha=3.0, max_iter=5)
+    assert make_step_rule(problem, config).alpha == 3.0
+    assert [rec.alpha for rec in run_solver(problem, config).records[1:]] == [3.0] * 5
 
 
 @pytest.mark.parametrize("case", ["qp1-implicit", "qp1-semi_apd", "qp1-semi_apdfb",
