@@ -35,6 +35,7 @@ from .sets import Box, HalfSpace, RealSpace
 from .solvers import (
     IterateState,
     IterationRecord,
+    RunContext,
     SolverConfig,
     discrete_lyapunov,
     ex_apdfb_step,
@@ -59,6 +60,7 @@ __all__ = [
     "QuadraticObjective",
     "QuadraticProx",
     "RealSpace",
+    "RunContext",
     "SaddlePoint",
     "ScalingState",
     "SmoothOracle",

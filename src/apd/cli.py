@@ -120,8 +120,11 @@ def _cmd_flow(args):
 
 def _cmd_ddo(args):
     kind = "least_squares" if args.model == "ls" else "logistic"
-    problem = ddo_mod.build_ddo_problem(args.graph, args.m, kind, args.seed,
-                                        samples=args.samples, ridge=args.ridge)
+    try:
+        problem = ddo_mod.build_ddo_problem(args.graph, args.m, kind, args.seed,
+                                            samples=args.samples, ridge=args.ridge)
+    except ValueError as exc:
+        raise SystemExit(f"ddo: {exc}") from None
     run = ddo_mod.run_ddo(problem, args.algo, args.max_iter,
                           stop_tol=args.stop_tol, timing=args.timing)
     emit_csv(run.records, args.csv)
@@ -270,8 +273,8 @@ def build_parser():
                         help="comma-separated eps values")
     robust.add_argument("--methods", required=True,
                         help=f"comma list from: {', '.join(_ROBUSTNESS_METHODS)}")
-    robust.add_argument("--tol", type=float, default=1e-6)
-    robust.add_argument("--i-max", type=int, default=100000)
+    robust.add_argument("--tol", type=_positive_float, default=1e-6)
+    robust.add_argument("--i-max", type=_positive_int, default=100000)
     robust.add_argument("--seed", type=int, default=0)
     robust.add_argument("--csv", required=True)
     robust.set_defaults(func=_cmd_robustness)

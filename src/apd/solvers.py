@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,33 +39,43 @@ class SaddleReferenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class IterateState:
-    """Primal-dual iterate: ``x`` feasible, momentum ``v``, multiplier ``lam``.
+    """Primal-dual iterate of the paper's schemes: ``x`` feasible, momentum
+    ``v``, multiplier ``lam`` and the scaling pair ``(theta, gamma)``.
 
-    ``y`` holds the interpolation point of the forward-backward schemes and
-    ``inner_iters`` the inner-solver work that produced this iterate.
-    ``v_residual`` carries ``A v - b`` from a ``semi_apd`` or ``ex_apdfb``
-    step, which computes it for the multiplier update; the next such step
-    reuses it for ``lam_hat`` instead of applying ``A`` again.
-    ``x_residual`` carries ``A x - b`` from an ``implicit`` step, which
-    computes it for the multiplier; the run loop's record and the next
-    step's shifted multiplier reuse it. A restarted state has ``v = x`` and
-    carries the one residual as both. A state built without them
-    (``None``) has them recomputed, so a state whose ``v`` or ``x`` is
-    replaced must drop the matching one.
-    ``systems`` is the per-run cache of the factored ``implicit`` step
-    systems that :func:`implicit_apd_step` reuses; only :func:`run_solver`
-    creates one, and the state it returns carries none.
+    What a run keeps besides the iterate lives in its :class:`RunContext`.
     """
 
     x: np.ndarray
     v: np.ndarray
     lam: np.ndarray
     scaling: ScalingState
-    y: np.ndarray = None
-    inner_iters: int = 0
-    v_residual: np.ndarray = None
-    x_residual: np.ndarray = None
-    systems: dict = field(default=None, compare=False, repr=False)
+
+
+class RunContext:
+    """What one run keeps besides its iterate: the problem, the factored
+    ``implicit`` step systems, the inner iterations of the last step and the
+    residuals ``A p - b`` of the current ``x`` and ``v``, each found by its
+    point (``p is held``). A state whose ``x`` or ``v`` was replaced thus
+    misses and has it formed afresh; a restarted one (``v = x``) finds that
+    of its ``x``. :func:`run_solver` and :func:`~apd.ddo.run_ddo` build one
+    per run, which lives only as long as the run; a step is
+    ``step(state, ctx, alpha)``.
+    """
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.systems = {}
+        self.inner_iters = 0
+        self._held = ()
+
+    def residual(self, point):
+        """``A point - b``, held for the last two points asked for."""
+        for held, residual in self._held:
+            if held is point:
+                return residual
+        residual = self.problem.constraint.residual(point)
+        self._held = ((point, residual),) + self._held[:1]
+        return residual
 
 
 @dataclass
@@ -107,21 +117,16 @@ class SolverRun:
 # shared pieces
 # ---------------------------------------------------------------------------
 
-def _residual(carried, constraint, point):
-    """``A point - b``: the one a state carries, else formed now."""
-    return carried if carried is not None else constraint.residual(point)
-
-
-def _newton_point(ctx, theta, lam, what):
-    """The prox point and Newton steps of :func:`ssn_solve` on ``ctx`` from ``lam``.
+def _newton_point(dual, theta, lam, what):
+    """The prox point and Newton steps of :func:`ssn_solve` on ``dual`` from ``lam``.
 
     The target ``tol (1 + |r|)`` has ``tol`` shrink with the decay factor
     ``theta`` down to a floor, because doubles cannot certify relative
     residuals much below 1e-13. A solve that misses it raises
     :class:`InnerSolveError` with its residual.
     """
-    tol = max(min(1e-10, theta * 1e-6), 1e-12) * (1.0 + float(np.linalg.norm(ctx.r)))
-    result = ssn_solve(ctx, lam, tol)
+    tol = max(min(1e-10, theta * 1e-6), 1e-12) * (1.0 + float(np.linalg.norm(dual.r)))
+    result = ssn_solve(dual, lam, tol)
     if not result.converged:
         raise InnerSolveError(f"{what} Newton solve failed", result.residual)
     return result.point, result.iterations
@@ -165,8 +170,8 @@ def _range_space_route(problem):
 # scheme steps
 # ---------------------------------------------------------------------------
 
-def implicit_apd_step(state, problem, alpha):
-    """Fully implicit step; runs with ``mu_beta = 0``.
+def implicit_apd_step(state, ctx, alpha):
+    """Fully implicit step on ``ctx.problem``; runs with ``mu_beta = 0``.
 
     Quadratic unconstrained objectives get an exact range-space solve
     (:class:`~apd.model.RangeSpaceSystem`): with ``D = Q + I/eta`` and
@@ -174,77 +179,73 @@ def implicit_apd_step(state, problem, alpha):
     ``[D A'; A -theta' I] (x', mu) = (g, b)``, one Cholesky of the m-by-m
     Schur complement ``A D^-1 A' + theta' I``. Pure prox objectives go
     through the dual nonlinear equation and semi-smooth Newton. The
-    multiplier is ``shifted + (A x' - b)/theta'``; its residual ``A x' - b``
-    is carried on the new state.
+    multiplier is ``shifted + (A x' - b)/theta'``; ``ctx`` holds the residual
+    ``A x' - b`` for the record and the next step.
 
     The system depends on the step only through ``(1/eta, theta')``. A
     restarted epoch starts from the same scaling pair with the same fixed
-    ``alpha``, so it repeats the previous epoch's pairs bit for bit, and a
-    state that carries a ``systems`` dict (one made by :func:`run_solver`)
-    reuses the factored system of each pair it has seen. The dict then
-    holds at most one epoch's systems, ``ceil(ln(1/c)/ln(1 + alpha))`` with
-    ``c = _RESTART_THETA``, each ``m^2`` doubles plus ``n^2`` for a dense
-    ``Q``: 2 at the range-space route's derived ``alpha = 49``
-    (:func:`make_step_rule`). A state without one builds the system afresh.
+    ``alpha``, so it repeats the previous epoch's pairs bit for bit, and
+    ``ctx.systems`` keeps the factored system of each pair the run has seen.
+    It then holds at most one epoch's systems, ``ceil(ln(1/c)/ln(1 + alpha))``
+    with ``c = _RESTART_THETA``, each ``m^2`` doubles plus ``n^2`` for a
+    dense ``Q``: 2 at the range-space route's derived ``alpha = 49``
+    (:func:`make_step_rule`).
     """
     if alpha <= 0:
         raise ValueError("step size must be positive")
+    problem = ctx.problem
     sc = state.scaling
     theta_next = sc.theta / (1.0 + alpha)
     tau = sc.gamma * (1.0 + alpha)
     y = (state.x + alpha * state.v) / (1.0 + alpha)
     eta = alpha ** 2 / tau
     constraint = problem.constraint
-    shifted = state.lam - _residual(state.x_residual, constraint, state.x) / sc.theta
-    inner_iters = 0
+    shifted = state.lam - ctx.residual(state.x) / sc.theta
+    ctx.inner_iters = 0
     if _range_space_route(problem):
         smooth = problem.smooth
         g = _finite(y / eta - smooth.linear_term() - constraint.apply_adjoint(shifted),
                     "implicit subproblem")
-        systems = state.systems if state.systems is not None else {}
         key = (1.0 / eta, theta_next)
-        system = systems.get(key)
+        system = ctx.systems.get(key)
         if system is None:
-            system = systems[key] = RangeSpaceSystem(constraint, quadratic_term(smooth), *key)
+            system = ctx.systems[key] = RangeSpaceSystem(constraint, quadratic_term(smooth),
+                                                         *key)
         x_next, _ = system.solve(g, constraint.rhs)
     elif problem.smooth.is_zero:
         r = theta_next * shifted - constraint.rhs
-        ctx = DualMapContext(theta_next, 1.0, eta, y, constraint,
-                             problem.nonsmooth, r=r)
-        x_next, inner_iters = _newton_point(ctx, sc.theta, state.lam, "implicit subproblem")
+        dual = DualMapContext(theta_next, 1.0, eta, y, constraint, problem.nonsmooth, r=r)
+        x_next, ctx.inner_iters = _newton_point(dual, sc.theta, state.lam,
+                                                "implicit subproblem")
     else:
         raise InnerSolveError(
             "implicit subproblem needs a quadratic objective or a pure prox part",
             np.nan)
     v_next = x_next + (x_next - state.x) / alpha
-    x_residual = constraint.residual(x_next)
-    lam_next = shifted + x_residual / theta_next
-    return IterateState(x_next, v_next, lam_next, advance_scaling(sc, alpha, 0.0),
-                        inner_iters=inner_iters, x_residual=x_residual,
-                        systems=state.systems)
+    lam_next = shifted + ctx.residual(x_next) / theta_next
+    return IterateState(x_next, v_next, lam_next, advance_scaling(sc, alpha, 0.0))
 
 
-def semi_apd_step(state, problem, alpha):
+def semi_apd_step(state, ctx, alpha):
     """Semi-implicit step: explicit multiplier, full prox of the objective."""
     if alpha <= 0:
         raise ValueError("step size must be positive")
+    problem = ctx.problem
     sc = state.scaling
     mu_beta = problem.smooth.mu
-    constraint = problem.constraint
-    lam_hat = state.lam + (alpha / sc.theta) * _residual(state.v_residual, constraint, state.v)
+    lam_hat = state.lam + (alpha / sc.theta) * ctx.residual(state.v)
     tau = sc.gamma + mu_beta * alpha + sc.gamma * alpha
     y = ((sc.gamma + mu_beta * alpha) * state.x + sc.gamma * alpha * state.v) / tau
     eta = alpha ** 2 / tau
-    point = y - eta * constraint.apply_adjoint(lam_hat)
+    point = y - eta * problem.constraint.apply_adjoint(lam_hat)
     x_next = _prox_full_objective(problem, eta, point)
     v_next = x_next + (x_next - state.x) / alpha
-    v_residual = constraint.residual(v_next)
-    lam_next = state.lam + (alpha / sc.theta) * v_residual
-    return IterateState(x_next, v_next, lam_next,
-                        advance_scaling(sc, alpha, mu_beta), v_residual=v_residual)
+    lam_next = state.lam + (alpha / sc.theta) * ctx.residual(v_next)
+    ctx.inner_iters = 0
+    return IterateState(x_next, v_next, lam_next, advance_scaling(sc, alpha, mu_beta))
 
 
-def semi_apdfb_step(state, problem, alpha):
+def semi_apdfb_step(state, ctx, alpha):
     """Corrected semi-implicit forward-backward step.
 
     When the nonsmooth part vanishes over the whole space, the coupled
@@ -256,6 +257,7 @@ def semi_apdfb_step(state, problem, alpha):
     """
     if alpha <= 0:
         raise ValueError("step size must be positive")
+    problem = ctx.problem
     sc = state.scaling
     mu_beta = problem.smooth.mu
     constraint = problem.constraint
@@ -264,42 +266,38 @@ def semi_apdfb_step(state, problem, alpha):
     w = (sc.gamma * state.v + mu_beta * alpha * y) / tau
     t = alpha / tau
     z = w - t * problem.smooth.gradient(y)
-    inner_iters = 0
+    ctx.inner_iters = 0
     if problem.is_smooth_unconstrained:
         rhs = _finite(sc.theta * state.lam + alpha * constraint.residual(z),
                       "saddle subproblem")
         v_next = z - t * constraint.adjoint_gram_solve(sc.theta, alpha * t, rhs)
     else:
-        ctx = DualMapContext.for_step(sc.theta, alpha, t, z, constraint,
-                                      problem.nonsmooth, state.lam)
-        v_next, inner_iters = _newton_point(ctx, sc.theta, state.lam, "dual")
+        dual = DualMapContext.for_step(sc.theta, alpha, t, z, constraint,
+                                       problem.nonsmooth, state.lam)
+        v_next, ctx.inner_iters = _newton_point(dual, sc.theta, state.lam, "dual")
     lam_next = state.lam + (alpha / sc.theta) * constraint.residual(v_next)
     x_next = (state.x + alpha * v_next) / (1.0 + alpha)
-    return IterateState(x_next, v_next, lam_next,
-                        advance_scaling(sc, alpha, mu_beta), y=y,
-                        inner_iters=inner_iters)
+    return IterateState(x_next, v_next, lam_next, advance_scaling(sc, alpha, mu_beta))
 
 
-def ex_apdfb_step(state, problem, alpha):
+def ex_apdfb_step(state, ctx, alpha):
     """Corrected explicit forward-backward step: one prox, no inner loop."""
     if alpha <= 0:
         raise ValueError("step size must be positive")
+    problem = ctx.problem
     sc = state.scaling
     mu_beta = problem.smooth.mu
-    constraint = problem.constraint
     y = (state.x + alpha * state.v) / (1.0 + alpha)
     tau = sc.gamma + mu_beta * alpha
     w = (sc.gamma * state.v + mu_beta * alpha * y) / tau
     eta = alpha / tau
-    lam_hat = state.lam + (alpha / sc.theta) * _residual(state.v_residual, constraint, state.v)
-    point = w - eta * (problem.smooth.gradient(y) + constraint.apply_adjoint(lam_hat))
+    lam_hat = state.lam + (alpha / sc.theta) * ctx.residual(state.v)
+    point = w - eta * (problem.smooth.gradient(y) + problem.constraint.apply_adjoint(lam_hat))
     v_next = problem.nonsmooth.prox(eta, point)
     x_next = (state.x + alpha * v_next) / (1.0 + alpha)
-    v_residual = constraint.residual(v_next)
-    lam_next = state.lam + (alpha / sc.theta) * v_residual
-    return IterateState(x_next, v_next, lam_next,
-                        advance_scaling(sc, alpha, mu_beta), y=y,
-                        v_residual=v_residual)
+    lam_next = state.lam + (alpha / sc.theta) * ctx.residual(v_next)
+    ctx.inner_iters = 0
+    return IterateState(x_next, v_next, lam_next, advance_scaling(sc, alpha, mu_beta))
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +355,17 @@ class Epochs:
     def ends(state):
         return state.scaling.theta < _RESTART_THETA
 
-    def begin(self, state, residual=None):
+    def begin(self, state):
         """``state``, or the first state of the next epoch when it ends one.
 
-        ``residual``, ``A x - b`` of ``state.x`` when the caller holds it,
-        is carried as both residuals of the restarted state (``v = x``).
+        The restarted state's ``v`` is its ``x`` itself, so a
+        :class:`RunContext` finds the residual it holds for ``x``.
         """
         if not self.ends(state):
             return state
         self.epoch += 1
         scaling = restart_scaling(self.scheme, self.mu_beta, state.scaling.gamma, self.gamma0)
-        return IterateState(state.x, state.x, state.lam, scaling,
-                            v_residual=residual, x_residual=residual,
-                            systems=state.systems)
+        return IterateState(state.x, state.x, state.lam, scaling)
 
     def at_floor(self, state, measure):
         """Whether ``state``, with stop measure ``measure``, ends an epoch
@@ -431,11 +427,11 @@ def run_solver(problem, config):
     Every step is recorded, with the epoch it belongs to. Deterministic for
     a fixed configuration; wall clocks are recorded only with ``timing``.
 
-    Each iterate's residual ``A x - b`` is formed once (by the step, when it
-    carries one) and feeds its record, the stop test and the restart; the
-    values at ``x*`` are formed once per run, and each distinct ``implicit``
-    step system once per run (the ``systems`` cache of :class:`IterateState`,
-    dropped from the returned state).
+    The run's :class:`RunContext` forms each iterate's residual ``A x - b``
+    once (in the step, when the step needs it) for its record, the stop
+    test and the restart, and each distinct ``implicit`` step system once;
+    the values at ``x*`` are formed once per run. The context is not
+    returned, so no factored system outlives the run.
     """
     from .model import kkt_residual
 
@@ -448,20 +444,21 @@ def run_solver(problem, config):
         except (NoReferenceError, UnsupportedOracleError):
             reference = None
     at_star = PointValues(problem, reference.x_star) if reference is not None else None
-    state = replace(initial_state(problem, config), systems={})
-    at_x = PointValues(problem, state.x)
-    records = [_record(0, 0, 0.0, state, problem, reference, at_x, at_star)]
+    ctx = RunContext(problem)
+    state = initial_state(problem, config)
+    at_x = PointValues(problem, state.x, ctx.residual(state.x))
+    records = [_record(0, 0, 0.0, state, ctx, reference, at_x, at_star)]
     status = "max_iter"
     epochs = Epochs(config.scheme, problem.smooth.mu, config.gamma0, state)
     for k in range(config.max_iter):
-        state = epochs.begin(state, at_x.residual)
+        state = epochs.begin(state)
         alpha = step_size(rule, state.scaling)
         started = time.perf_counter_ns() if config.timing else 0
         # looked up per step, so a step function replaced on the module is the one called
-        state = globals()[step_name](state, problem, alpha)
+        state = globals()[step_name](state, ctx, alpha)
         elapsed = time.perf_counter_ns() - started if config.timing else 0
-        at_x = PointValues(problem, state.x, state.x_residual)
-        rec = _record(k + 1, epochs.epoch, alpha, state, problem, reference, at_x, at_star,
+        at_x = PointValues(problem, state.x, ctx.residual(state.x))
+        rec = _record(k + 1, epochs.epoch, alpha, state, ctx, reference, at_x, at_star,
                       elapsed)
         records.append(rec)
         if reference is not None:
@@ -479,15 +476,15 @@ def run_solver(problem, config):
         if floor:
             status, state = "precision_floor", epochs.best_state
             break
-    return SolverRun(records, status, replace(state, systems=None), reference)
+    return SolverRun(records, status, state, reference)
 
 
-def _record(k, epoch, alpha, state, problem, reference, at_x, at_star, wall_ns=0):
+def _record(k, epoch, alpha, state, ctx, reference, at_x, at_star, wall_ns=0):
     obj_gap, feasibility, lagrangian_gap = residual_metrics(
-        problem, state.x, state.lam, reference, at_x=at_x, at_star=at_star)
-    lyap = discrete_lyapunov(state, problem, reference, at_x=at_x, at_star=at_star) \
+        ctx.problem, state.x, state.lam, reference, at_x=at_x, at_star=at_star)
+    lyap = discrete_lyapunov(state, ctx.problem, reference, at_x=at_x, at_star=at_star) \
         if reference is not None else np.nan
     return IterationRecord(
         k=k, epoch=epoch, alpha=alpha, theta=state.scaling.theta, gamma=state.scaling.gamma,
         obj_gap=obj_gap, feasibility=feasibility, lagrangian_gap=lagrangian_gap,
-        lyapunov=lyap, inner_iters=state.inner_iters, wall_ns=wall_ns)
+        lyapunov=lyap, inner_iters=ctx.inner_iters, wall_ns=wall_ns)

@@ -1,3 +1,6 @@
+import gc
+import types
+
 import numpy as np
 import pytest
 
@@ -76,6 +79,19 @@ class CountingConstraint(LinearConstraint):
 
     def matrix(self):
         return self.inner.matrix()
+
+
+def reachable(root):
+    """Every object reachable from ``root`` through references, short of
+    classes, modules and functions."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
 
 
 def contraction_violations(records, slack=1e-9):

@@ -225,11 +225,31 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "No such file or directory"),
     ("audit --csv {tmp}/solve.csv --problem {tmp}/flat.txt --scheme semi_apdfb",
      "audit: semi_apdfb step needs a positive smoothness constant"),
+    ("ddo --graph path:4 --m 2 --model logistic --algo apd --ridge -1 --max-iter 5 "
+     "--csv {tmp}/out.csv",
+     "ddo: ridge must be finite and nonnegative, got -1.0"),
+    ("ddo --graph path:4 --m 2 --model logistic --algo apd --ridge -0.2 --max-iter 5 "
+     "--csv {tmp}/out.csv",
+     "ddo: ridge must be finite and nonnegative, got -0.2"),
+    ("ddo --graph path:4 --m 2 --model logistic --algo apd --ridge nan --max-iter 5 "
+     "--csv {tmp}/out.csv",
+     "ddo: ridge must be finite and nonnegative, got nan"),
+    ("ddo --graph path:4 --m 2 --model logistic --algo extra --ridge -1 --max-iter 5 "
+     "--csv {tmp}/out.csv",
+     "ddo: ridge must be finite and nonnegative, got -1.0"),
+    ("robustness --graph path:6 --eps-list 1e-3 --methods pcg_sgs --tol -1 "
+     "--csv {tmp}/out.csv",
+     "argument --tol: expected a positive number, got '-1'"),
+    ("robustness --graph path:6 --eps-list 1e-3 --methods pcg_sgs --i-max -1 "
+     "--csv {tmp}/out.csv",
+     "argument --i-max: expected a positive integer, got '-1'"),
 ], ids=["graph-kind", "graph-grid", "graph-disconnected", "eps-float", "eps-empty",
         "eps-zero", "methods-empty", "flow-step", "compare-beta", "compare-missing",
         "solve-missing", "ddo-m-zero", "ddo-samples-zero", "solve-alpha-zero",
         "solve-gamma0-zero", "flow-gamma0-zero", "audit-csv-missing", "audit-csv-empty",
-        "audit-csv-ddo", "audit-problem-missing", "audit-zero-lip"])
+        "audit-csv-ddo", "audit-problem-missing", "audit-zero-lip", "ddo-ridge-negative",
+        "ddo-ridge-small", "ddo-ridge-nan", "ddo-extra-ridge-negative", "robustness-tol",
+        "robustness-i-max"])
 def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
     qp = write_problem(tmp_path / "qp.txt", "quadratic")
     write_beta_problem(tmp_path / "beta.txt")

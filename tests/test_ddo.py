@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from apd import solvers
+from apd import ddo, solvers
 from apd.ddo import (
     AqpState,
     DdoRecord,
@@ -59,6 +59,12 @@ def test_triangle_eigenvalues():
     lap = graph_laplacian(cycle_graph(3)).toarray()
     np.testing.assert_allclose(np.linalg.eigvalsh(lap), [0.0, 3.0, 3.0],
                                atol=1e-12)
+
+
+def test_connectivity_of_small_graphs():
+    # the empty graph has no component, one node is one component
+    assert [Graph(n, ()).is_connected() for n in (0, 1, 2)] == [False, True, False]
+    assert path_graph(2).is_connected() and not Graph(4, ((0, 1), (2, 3))).is_connected()
 
 
 def test_disconnected_graph_rejected():
@@ -141,6 +147,11 @@ def test_build_ddo_problem_rejects_non_positive_sizes(block_size, samples):
     with pytest.raises(ValueError, match="must be at least 1"):
         build_ddo_problem(path_graph(4), block_size, "least_squares", seed=0,
                           samples=samples)
+    # a ridge below 0 or not finite is rejected as early, for either kind
+    for kind in ("least_squares", "logistic"):
+        for ridge in (-1.0, -0.2, np.nan, np.inf):
+            with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
+                build_ddo_problem(path_graph(4), 3, kind, seed=0, ridge=ridge)
 
 
 def test_consensus_apply_matches_laplacian():
@@ -252,8 +263,8 @@ def shared_minimizer_problem(m=3, samples=2):
 # algorithm steps
 # ---------------------------------------------------------------------------
 
-def apd_instance(prob):
-    return ProblemInstance(prob, ZeroProx(), IncidenceConstraint(prob))
+def apd_context(prob):
+    return solvers.RunContext(ProblemInstance(prob, ZeroProx(), IncidenceConstraint(prob)))
 
 
 def apd_start(prob, x, v):
@@ -269,7 +280,7 @@ def test_apd_fixed_point_at_shared_minimizer():
     prob, x_hat = shared_minimizer_problem()
     stacked = np.tile(x_hat, (4, 1))
     state = apd_start(prob, stacked.copy(), stacked.copy())
-    out = apd_ddo_step(state, apd_instance(prob), apd_alpha(prob, state))
+    out = apd_ddo_step(state, apd_context(prob), apd_alpha(prob, state))
     np.testing.assert_allclose(out.x, stacked, atol=1e-10)
     np.testing.assert_allclose(out.v, stacked, atol=1e-10)
     np.testing.assert_allclose(out.lam, 0.0, atol=1e-10)
@@ -297,15 +308,15 @@ def test_apd_steps_match_semi_apdfb_on_dense_kron(graph, kind):
     kron = np.kron(graph_incidence(graph).toarray(), np.eye(m))
     dense = ProblemInstance(FlatSmooth(prob), ZeroProx(),
                             MatrixConstraint(kron, np.zeros(kron.shape[0])))
-    instance = apd_instance(prob)
-    assert instance.constraint.op_norm >= np.linalg.norm(kron, 2)
+    ctx, dense_ctx = apd_context(prob), solvers.RunContext(dense)
+    assert ctx.problem.constraint.op_norm >= np.linalg.norm(kron, 2)
     x0 = np.random.default_rng(6).standard_normal((graph.n, m))
     state = apd_start(prob, x0, x0.copy())
     flat = solvers.IterateState(x0.ravel(), x0.ravel(), state.lam.ravel(), state.scaling)
     for _ in range(5):
         alpha = apd_alpha(prob, state)
-        state = apd_ddo_step(state, instance, alpha)
-        flat = solvers.semi_apdfb_step(flat, dense, alpha)
+        state = apd_ddo_step(state, ctx, alpha)
+        flat = solvers.semi_apdfb_step(flat, dense_ctx, alpha)
         for got, want in ((state.x, flat.x), (state.v, flat.v), (state.lam, flat.lam)):
             assert np.linalg.norm(got.ravel() - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -336,11 +347,11 @@ def test_apd_multiplier_elimination_bookkeeping():
     # the relation theta_k lam_k = A x_k that lets the multiplier be eliminated
     for graph in (random_geometric_graph(12, 0.5, 3), cycle_graph(5)):
         prob = build_ddo_problem(graph, 2, "least_squares", seed=8)
-        instance = apd_instance(prob)
+        ctx = apd_context(prob)
         state = apd_start(prob, np.random.default_rng(8).standard_normal((graph.n, 2)),
                           np.zeros((graph.n, 2)))
         for _ in range(10):
-            state = apd_ddo_step(state, instance, apd_alpha(prob, state))
+            state = apd_ddo_step(state, ctx, apd_alpha(prob, state))
             np.testing.assert_allclose(state.scaling.theta * state.lam,
                                        prob.incidence @ state.x, rtol=1e-9, atol=1e-12)
 
@@ -496,7 +507,7 @@ def test_run_ddo_apd_matches_a_loop_of_semi_apdfb_steps(kind):
     steps = 24  # both kinds end an epoch and restart within these
     run = run_ddo(prob, "apd", steps)
     assert run.status == "max_iter"
-    instance = apd_instance(prob)
+    ctx = apd_context(prob)
     state = apd_start(prob, np.zeros((30, 3)), np.zeros((30, 3)))
 
     def record(k):
@@ -511,10 +522,42 @@ def test_run_ddo_apd_matches_a_loop_of_semi_apdfb_steps(kind):
             gamma = state.scaling.gamma if prob.mu > 0 else prob.lip
             state = solvers.IterateState(state.x, state.x, state.lam, ScalingState(1.0, gamma, 0))
             restarts += 1
-        state = solvers.semi_apdfb_step(state, instance, apd_alpha(prob, state))
+        state = solvers.semi_apdfb_step(state, ctx, apd_alpha(prob, state))
         records.append(record(k + 1))
     assert run.records == records
     assert restarts > 0
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(random_geometric_graph(30, 0.4, 2), id="geometric"),  # A'A side
+    pytest.param(path_graph(30), id="tree"),  # AA' side
+])
+def test_run_ddo_apd_applies_the_incidence_by_hand_count(monkeypatch, graph):
+    # each step applies A to z and to the new v (the solve's right side and
+    # the multiplier) and A' once in the Gram solve; the records read |L X|
+    # through the problem, not the constraint, and a restart applies nothing
+    built = []
+
+    class CountingIncidence(IncidenceConstraint):
+        def __init__(self, problem):
+            super().__init__(problem)
+            self.applies = self.adjoints = 0
+            built.append(self)
+
+        def apply(self, x):
+            self.applies += 1
+            return super().apply(x)
+
+        def apply_adjoint(self, lam):
+            self.adjoints += 1
+            return super().apply_adjoint(lam)
+
+    monkeypatch.setattr(ddo, "IncidenceConstraint", CountingIncidence)
+    prob = build_ddo_problem(graph, 3, "logistic", seed=5)
+    run = run_ddo(prob, "apd", 24)
+    assert run.status == "max_iter" and run.records[-1].k == 24
+    (constraint,) = built
+    assert (constraint.applies, constraint.adjoints) == (2 * 24, 24)
 
 
 def test_run_ddo_apd_least_squares_restarts_to_a_tolerance_the_decaying_steps_miss():

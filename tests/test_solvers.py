@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import CountingConstraint, contraction_violations, planted_lasso
+from conftest import CountingConstraint, contraction_violations, planted_lasso, reachable
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apd
+from apd import ddo, model
 from apd.harness import audit_records
 from apd.inner import InnerSolveError
 from apd.schedule import SCHEME_TABLE, SCHEMES, ScalingState, restart_scaling
@@ -14,6 +15,7 @@ from apd.solvers import (
     _RESTART_THETA,
     IterateState,
     IterationRecord,
+    RunContext,
     SaddleReferenceError,
     SolverConfig,
     SolverRun,
@@ -44,7 +46,7 @@ def saddle_state(saddle, gamma0=1.0):
 # ---------------------------------------------------------------------------
 
 def test_implicit_step_example(qp1):
-    out = implicit_apd_step(zeros_state(), qp1, 1.0)
+    out = implicit_apd_step(zeros_state(), RunContext(qp1), 1.0)
     np.testing.assert_allclose(out.x, np.full(2, 1 / 7), atol=1e-14)
     np.testing.assert_allclose(out.v, np.full(2, 2 / 7), atol=1e-14)
     np.testing.assert_allclose(out.lam, [-3 / 7], atol=1e-14)
@@ -53,7 +55,7 @@ def test_implicit_step_example(qp1):
 
 
 def test_implicit_fixed_point(qp1, qp1_saddle):
-    out = implicit_apd_step(saddle_state(qp1_saddle), qp1, 1.0)
+    out = implicit_apd_step(saddle_state(qp1_saddle), RunContext(qp1), 1.0)
     np.testing.assert_allclose(out.x, qp1_saddle.x_star, atol=1e-12)
     np.testing.assert_allclose(out.v, qp1_saddle.x_star, atol=1e-12)
     np.testing.assert_allclose(out.lam, qp1_saddle.lambda_star, atol=1e-12)
@@ -66,7 +68,7 @@ def test_implicit_dual_route_matches_dense_on_projection_problem():
                                       [1.0, 1.2])
     p = apd.ProblemInstance(apd.ZeroObjective(3), apd.ZeroProx(box), constraint)
     state = zeros_state(3, 2)
-    out = implicit_apd_step(state, p, 0.7)
+    out = implicit_apd_step(state, RunContext(p), 0.7)
     assert box.contains(out.x)
     # subproblem oracle: box-constrained argmin of the penalized objective
     theta_next = 1.0 / 1.7
@@ -101,7 +103,8 @@ def test_implicit_quadratic_step_matches_full_space_solve(dense):
                             apd.MatrixConstraint(amat, rng.standard_normal(m)))
     theta, gamma, alpha = 0.3, 0.7, 0.8
     x, v, lam = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(m)
-    out = implicit_apd_step(IterateState(x, v, lam, ScalingState(theta, gamma, 2)), p, alpha)
+    out = implicit_apd_step(IterateState(x, v, lam, ScalingState(theta, gamma, 2)),
+                            RunContext(p), alpha)
     theta_next = theta / (1 + alpha)
     eta = alpha ** 2 / (gamma * (1 + alpha))
     y = (x + alpha * v) / (1 + alpha)
@@ -158,7 +161,7 @@ def test_implicit_run_past_convergence_ends_near_its_best():
 def test_implicit_rejects_general_composite(qp1):
     p = apd.ProblemInstance(qp1.smooth, apd.L1Prox(0.5), qp1.constraint)
     with pytest.raises(InnerSolveError):
-        implicit_apd_step(zeros_state(), p, 1.0)
+        implicit_apd_step(zeros_state(), RunContext(p), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +170,14 @@ def test_implicit_rejects_general_composite(qp1):
 
 def test_semi_apd_step_example(qp1):
     alpha = 1 / np.sqrt(2)
-    out = semi_apd_step(zeros_state(), qp1, alpha)
+    out = semi_apd_step(zeros_state(), RunContext(qp1), alpha)
     np.testing.assert_allclose(out.x, np.full(2, 0.1213203), atol=1e-6)
     lam_hat = alpha * (qp1.constraint.apply(np.zeros(2)) - qp1.constraint.rhs)
     np.testing.assert_allclose(lam_hat, [-0.7071067], atol=1e-6)
 
 
 def test_semi_apd_fixed_point(qp1, qp1_saddle):
-    out = semi_apd_step(saddle_state(qp1_saddle), qp1, 0.5)
+    out = semi_apd_step(saddle_state(qp1_saddle), RunContext(qp1), 0.5)
     np.testing.assert_allclose(out.x, qp1_saddle.x_star, atol=1e-12)
     np.testing.assert_allclose(out.lam, qp1_saddle.lambda_star, atol=1e-12)
 
@@ -221,9 +224,9 @@ def test_semi_apd_prox_matches_a_direct_minimizer(name):
     state = IterateState(x, v, lam, ScalingState(theta, gamma, 1))
     if argmin is None:
         with pytest.raises(InnerSolveError):
-            semi_apd_step(state, p, alpha)
+            semi_apd_step(state, RunContext(p), alpha)
         return
-    out = semi_apd_step(state, p, alpha)
+    out = semi_apd_step(state, RunContext(p), alpha)
     mu = p.smooth.mu
     lam_hat = lam + (alpha / theta) * (amat @ v - rhs)
     tau = gamma + mu * alpha + gamma * alpha
@@ -238,7 +241,7 @@ def test_semi_apd_prox_matches_a_direct_minimizer(name):
 # ---------------------------------------------------------------------------
 
 def test_semi_apdfb_matches_brute_force_joint_solve(qp1):
-    out = semi_apdfb_step(zeros_state(), qp1, 1.0)
+    out = semi_apdfb_step(zeros_state(), RunContext(qp1), 1.0)
     # joint system in (v, lam): v + t A' lam = z, -alpha A v + theta lam = theta lam0 - alpha b
     theta, gamma, mu, alpha = 1.0, 1.0, 1.0, 1.0
     amat = qp1.constraint.matrix()
@@ -268,7 +271,8 @@ def test_semi_apdfb_dual_and_primal_routes_match_joint_solve():
                                 apd.MatrixConstraint(amat, rng.standard_normal(m)))
         theta, gamma, alpha = 0.4, 0.9, 0.7
         x, v, lam = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(m)
-        out = semi_apdfb_step(IterateState(x, v, lam, ScalingState(theta, gamma, 1)), p, alpha)
+        out = semi_apdfb_step(IterateState(x, v, lam, ScalingState(theta, gamma, 1)),
+                              RunContext(p), alpha)
         y = (x + alpha * v) / (1 + alpha)
         tau = gamma + p.smooth.mu * alpha
         t = alpha / tau
@@ -281,7 +285,7 @@ def test_semi_apdfb_dual_and_primal_routes_match_joint_solve():
 
 
 def test_semi_apdfb_fixed_point(qp1, qp1_saddle):
-    out = semi_apdfb_step(saddle_state(qp1_saddle), qp1, 1.0)
+    out = semi_apdfb_step(saddle_state(qp1_saddle), RunContext(qp1), 1.0)
     np.testing.assert_allclose(out.x, qp1_saddle.x_star, atol=1e-11)
     np.testing.assert_allclose(out.v, qp1_saddle.x_star, atol=1e-11)
     np.testing.assert_allclose(out.lam, qp1_saddle.lambda_star, atol=1e-11)
@@ -295,7 +299,7 @@ def test_semi_apdfb_newton_route_matches_grid():
     state = IterateState(np.array([0.9]), np.array([0.9]), np.array([0.1]),
                          ScalingState(1.0, 1.0, 0))
     alpha = apd.step_size(apd.StepRule("semi_apdfb", lip_beta=1.0), state.scaling)
-    out = semi_apdfb_step(state, p, alpha)
+    out = semi_apdfb_step(state, RunContext(p), alpha)
     # grid search over the scalar multiplier of the coupled subproblem
     theta, gamma, mu = 1.0, 1.0, 1.0
     y = (state.x + alpha * state.v) / (1 + alpha)
@@ -314,7 +318,7 @@ def test_semi_apdfb_newton_route_matches_grid():
 
 def test_ex_apdfb_step_transcript(qp1):
     alpha = 1 / np.sqrt(3)  # theta = gamma = 1, L = 1, |A|^2 = 2
-    out = ex_apdfb_step(zeros_state(), qp1, alpha)
+    out = ex_apdfb_step(zeros_state(), RunContext(qp1), alpha)
     theta, gamma, mu = 1.0, 1.0, 1.0
     amat = qp1.constraint.matrix()
     y = np.zeros(2)
@@ -331,7 +335,7 @@ def test_ex_apdfb_step_transcript(qp1):
 
 
 def test_ex_apdfb_fixed_point(qp1, qp1_saddle):
-    out = ex_apdfb_step(saddle_state(qp1_saddle), qp1, 0.4)
+    out = ex_apdfb_step(saddle_state(qp1_saddle), RunContext(qp1), 0.4)
     np.testing.assert_allclose(out.x, qp1_saddle.x_star, atol=1e-13)
     np.testing.assert_allclose(out.lam, qp1_saddle.lambda_star, atol=1e-13)
 
@@ -344,7 +348,7 @@ def test_ex_apdfb_reduces_to_accelerated_forward_backward():
     state = IterateState(np.array([0.4, -0.7]), np.array([0.1, 0.2]),
                          np.zeros(1), ScalingState(1.0, 1.0, 0))
     alpha = 0.5
-    out = ex_apdfb_step(state, p, alpha)
+    out = ex_apdfb_step(state, RunContext(p), alpha)
     np.testing.assert_array_equal(out.lam, state.lam)
     y = (state.x + alpha * state.v) / (1 + alpha)
     tau = 1.0 + 1.0 * alpha
@@ -362,7 +366,7 @@ def test_discrete_lyapunov_examples(qp1, qp1_saddle):
     assert discrete_lyapunov(saddle_state(qp1_saddle), qp1, qp1_saddle) \
         == pytest.approx(0.0)
     assert discrete_lyapunov(zeros_state(), qp1, qp1_saddle) == pytest.approx(0.625)
-    stepped = implicit_apd_step(zeros_state(), qp1, 1.0)
+    stepped = implicit_apd_step(zeros_state(), RunContext(qp1), 1.0)
     assert discrete_lyapunov(stepped, qp1, qp1_saddle) <= 0.3125
 
 
@@ -452,7 +456,6 @@ def test_run_stop_tol_reports_converged(qp1):
                                        max_iter=500, stop_tol=1e-6))
     assert run.status == "converged"
     assert run.records[-1].obj_gap + run.records[-1].feasibility <= 1e-6
-    assert run.state.systems is None  # no factored system outlives the run
 
 
 def test_run_deterministic(qp1):
@@ -475,7 +478,12 @@ def test_membership_box_instances():
         assert box.contains(final.x, tol=1e-9), scheme
         if scheme in ("semi_apdfb", "ex_apdfb"):
             assert box.contains(final.v, tol=1e-9), scheme
-            assert box.contains(final.y, tol=1e-9), scheme
+            # the last step's y, from the state one step earlier in the same epoch
+            earlier = run_solver(p, SolverConfig(scheme=scheme, max_iter=39)).state
+            assert run.status == "max_iter" and run.records[-1].epoch == run.records[-2].epoch
+            alpha = run.records[-1].alpha
+            y = (earlier.x + alpha * earlier.v) / (1.0 + alpha)
+            assert box.contains(y, tol=1e-9), scheme
 
 
 def test_membership_implicit_prox_route():
@@ -510,7 +518,7 @@ def test_exact_subproblem_names_a_non_finite_right_side(qp1):
                              ScalingState(1.0, 1.0, 0))
         for step in (implicit_apd_step, semi_apdfb_step):
             with pytest.raises(InnerSolveError, match="not finite") as info:
-                step(state, problem, 1.0)
+                step(state, RunContext(problem), 1.0)
             assert np.isnan(info.value.residual)
 
 
@@ -543,7 +551,6 @@ def test_precision_floor_status(qp1):
     errors = [rec.obj_gap + rec.feasibility for rec in run.records[1:]]
     assert errors[-1] >= min(errors[:-1])
     assert gap_plus_feasibility(qp1, run.state, run.reference) == min(errors)
-    assert run.state.systems is None
 
 
 # derandomized: a rare draw converges slowly (planted_lasso(14655, 0.5) with
@@ -637,8 +644,8 @@ def test_scheme_table_names_the_mu_beta_of_each_step(scheme):
     problem = p if scheme in ("semi_apdfb", "ex_apdfb") else random_qp(3)
     assert problem.smooth.mu > 0
     entry = SCHEME_TABLE[scheme]
-    out = getattr(apd, entry.step)(zeros_state(problem.dim, problem.constraint.rows), problem,
-                                   0.5)
+    out = getattr(apd, entry.step)(zeros_state(problem.dim, problem.constraint.rows),
+                                   RunContext(problem), 0.5)
     mu_beta = problem.smooth.mu if entry.uses_mu_beta else 0.0
     assert out.scaling == apd.advance_scaling(ScalingState(1.0, 1.0, 0), 0.5, mu_beta)
 
@@ -701,7 +708,7 @@ def test_run_loop_operation_counts(scheme, make, per_iter):
     # the whole-space QP has a reference, whose solve and values at x* are
     # formed once per run and cancel in the difference of the two runs, and
     # its restarts (after steps 7 and 14 at alpha = 1; at the derived 49 it
-    # converges before step 15) reuse the carried residual
+    # converges before step 15) reuse the residual the context holds
     tol = 1e-12
     counts = []
     for iters in (5, 15):
@@ -722,10 +729,11 @@ def _fields(rec):
 
 
 def loop_by_hand(problem, config, restarts=True):
-    """``run_solver`` written out with the public pieces: every state drops the
-    carried residuals, and the diagnostics and the KKT residual are formed
-    from scratch on every iteration. Without ``restarts`` it is the paper's
-    scheme run from a single start: one epoch and no precision floor."""
+    """``run_solver`` written out with the public pieces: every step runs in
+    a fresh :class:`RunContext`, which holds no residual or system, and the
+    diagnostics and the KKT residual are formed from scratch on every
+    iteration. Without ``restarts`` it is the paper's scheme run from a
+    single start: one epoch and no precision floor."""
     step = getattr(apd, SCHEME_TABLE[config.scheme].step)
     reference = config.reference
     if reference is None:
@@ -740,20 +748,20 @@ def loop_by_hand(problem, config, restarts=True):
     best, best_state, best_end = np.inf, state, np.inf
     for k in range(config.max_iter + 1):
         alpha = 0.0
+        ctx = RunContext(problem)
         if k > 0:
             if restarts and state.scaling.theta < _RESTART_THETA:
                 epoch += 1
                 state = IterateState(state.x, state.x, state.lam, restart_scaling(
                     config.scheme, problem.smooth.mu, state.scaling.gamma, config.gamma0))
             alpha = apd.step_size(rule, state.scaling)
-            state = dataclasses.replace(step(state, problem, alpha),
-                                        v_residual=None, x_residual=None)
+            state = step(state, ctx, alpha)
         obj_gap, feas, lgap = residual_metrics(problem, state.x, state.lam, reference)
         lyap = (discrete_lyapunov(state, problem, reference)
                 if reference is not None else np.nan)
         records.append(IterationRecord(k, epoch, alpha, state.scaling.theta,
                                        state.scaling.gamma, obj_gap, feas, lgap,
-                                       lyap, state.inner_iters, 0))
+                                       lyap, ctx.inner_iters, 0))
         if k > 0:
             epoch_end = restarts and state.scaling.theta < _RESTART_THETA
             total = (obj_gap + feas if reference is not None
@@ -797,8 +805,7 @@ def test_implicit_run_builds_each_step_system_once(monkeypatch, alpha, per_epoch
     assert run.status == "max_iter" and run.records[-1].epoch >= 3
     assert per_epoch == np.ceil(np.log(1 / _RESTART_THETA) / np.log(1 + alpha))
     assert len(builds) == len(set(builds)) == per_epoch
-    assert run.state.systems is None
-    # a state built by hand carries no cache: every step builds its system
+    # a fresh context per step holds no system: every step builds its own
     records, state, status = loop_by_hand(problem, config)
     assert len(builds) == per_epoch + config.max_iter
     assert status == run.status
@@ -806,6 +813,48 @@ def test_implicit_run_builds_each_step_system_once(monkeypatch, alpha, per_epoch
     for got, want in ((run.state.x, state.x), (run.state.v, state.v),
                       (run.state.lam, state.lam)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scheme", ["implicit", "semi_apd", "ex_apdfb"])
+def test_a_reused_context_recomputes_the_residual_of_a_replaced_point(scheme):
+    # the context finds a residual by its point: the state it stepped to
+    # reuses the held one, and a state whose v (x for the implicit step) was
+    # replaced has it formed afresh, bit for bit as in a fresh context
+    problem = box_qp(counting=True, bounded=scheme != "implicit")
+    constraint = problem.constraint
+    step = getattr(apd, SCHEME_TABLE[scheme].step)
+    ctx = RunContext(problem)
+    state = step(initial_state(problem, SolverConfig(scheme)), ctx, 0.5)
+
+    def applies_of(state, ctx):
+        before = constraint.applies
+        out = step(state, ctx, 0.5)
+        return constraint.applies - before, out
+
+    per_step, _ = applies_of(state, RunContext(problem))
+    assert applies_of(state, ctx)[0] == per_step - 1
+    name = "x" if scheme == "implicit" else "v"
+    replaced = dataclasses.replace(state, **{name: getattr(state, name) + 0.25})
+    (reused_applies, reused), (_, fresh) = (applies_of(replaced, ctx),
+                                            applies_of(replaced, RunContext(problem)))
+    assert reused_applies == per_step
+    for got, want in ((reused.x, fresh.x), (reused.v, fresh.v), (reused.lam, fresh.lam)):
+        assert np.array_equal(got, want)
+
+
+def test_returned_runs_reach_no_factored_system(qp1):
+    # the run context, with the implicit step systems and the constraint that
+    # holds the Gram factor, lives only for the run, also when the run
+    # returns its best iterate at the precision floor
+    graph = ddo.random_geometric_graph(12, 0.5, 3)
+    runs = [run_solver(random_qp(1), SolverConfig("implicit", max_iter=10)),
+            run_solver(qp1, SolverConfig(scheme="implicit", alpha=1e6, max_iter=100)),
+            ddo.run_ddo(ddo.build_ddo_problem(graph, 2, "logistic", seed=0), "apd", 5000)]
+    assert [run.status for run in runs] == ["max_iter", "precision_floor", "precision_floor"]
+    for run in runs:
+        held = [obj for obj in reachable(run) if isinstance(
+            obj, (RunContext, model.RangeSpaceSystem, model.LinearConstraint))]
+        assert held == []
 
 
 def l1_basis_pursuit(seed, n=30, m=8):
