@@ -11,9 +11,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import ddo as ddo_mod
-from .flow import FlowState, flow_records, integrate_flow
+from .flow import FlowDivergenceError, FlowState, flow_records, integrate_flow
 from .harness import audit_records, emit_csv, read_csv, run_experiment
-from .inner import augmented_consensus_solve, plain_iteration_solve
+from .inner import InnerSolveError, augmented_consensus_solve, plain_iteration_solve
 from .model import NoReferenceError, load_problem, solve_reference_saddle
 from .schedule import SCHEMES
 from .solvers import SolverConfig, make_step_rule, run_solver
@@ -91,7 +91,10 @@ def _cmd_solve(args):
     problem = _load(args.problem)
     cfg = SolverConfig(scheme=args.scheme, gamma0=args.gamma0, max_iter=args.max_iter,
                        stop_tol=args.stop_tol, alpha=args.alpha, timing=args.timing)
-    run = run_solver(problem, cfg)
+    try:
+        run = run_solver(problem, cfg)
+    except (ValueError, InnerSolveError) as exc:
+        raise SystemExit(f"solve: {exc}") from None
     emit_csv(run.records, args.csv)
     last = run.records[-1]
     print(f"{args.scheme}: status={run.status} k={last.k} "
@@ -110,7 +113,7 @@ def _cmd_flow(args):
     state0 = FlowState(np.zeros(n), np.zeros(n), np.zeros(m), 1.0, args.gamma0, 0.0)
     try:
         trajectory = integrate_flow(state0, problem, args.h, args.T)
-    except ValueError as exc:
+    except (ValueError, FlowDivergenceError) as exc:
         raise SystemExit(f"flow: {exc}") from None
     rows = flow_records(trajectory, problem, saddle)
     emit_csv(rows, args.csv)
@@ -183,8 +186,7 @@ def _cmd_compare(args):
     stem = os.path.splitext(os.path.basename(args.problem))[0]
     summaries = run_experiment(problem, configs, args.out_dir, stem)
     for s in summaries:
-        line = (f"{s.scheme}: status={s.status} iters={s.iterations} "
-                f"slope={s.slope:.3f} violations={s.violations}")
+        line = f"{s.scheme}: status={s.status} iters={s.iterations} violations={s.violations}"
         if s.error:
             line += f" error={s.error}"
         print(line)

@@ -321,11 +321,17 @@ def build_ddo_problem(graph, block_size, kind, seed, samples=5, ridge=0.5):
     return DdoProblem(graph, block_size, kind, tuple(data), mu, lip)
 
 
-def reference_objective(problem, tol=1e-12, max_iter=200):
+# reference_objective's Newton steps on a logistic problem stop at this
+# gradient norm per node, or after this many steps
+_REFERENCE_TOL = 1e-12
+_REFERENCE_NEWTON_ITERS = 200
+
+
+def reference_objective(problem):
     """Optimal consensus objective by a direct centralized solve.
 
     Least squares reduces to the stacked normal equations; logistic uses a
-    damped Newton iteration on the ``block_size``-dimensional average.
+    Newton iteration on the ``block_size``-dimensional average.
     """
     m = problem.block_size
     n = problem.n_nodes
@@ -337,11 +343,11 @@ def reference_objective(problem, tol=1e-12, max_iter=200):
         features, labels, ridge = problem._stacked
         ridge_sum = float(ridge.sum())
         x = np.zeros(m)
-        for _ in range(max_iter):
+        for _ in range(_REFERENCE_NEWTON_ITERS):
             sig = 1.0 / (1.0 + np.exp(labels * (features @ x)))
             grad = -(labels * sig) @ features + ridge_sum * x
             hess = (features.T * (sig * (1.0 - sig))) @ features + ridge_sum * np.eye(m)
-            if np.linalg.norm(grad) / n <= tol:
+            if np.linalg.norm(grad) / n <= _REFERENCE_TOL:
                 break
             x = x - np.linalg.solve(hess, grad)
     stacked = np.tile(x, (n, 1))
@@ -470,7 +476,6 @@ class DdoRecord:
     k: int
     obj_gap: float
     consensus_residual: float
-    inner_iters: int
     wall_ns: int
 
 
@@ -495,8 +500,10 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     new epoch from ``(x, x, lam)``, with ``gamma`` kept when ``mu > 0`` and
     back at ``lip`` otherwise. The quadratic-penalty variant and the Extra
     step size follow ``mu > 0`` (:func:`aqp_step`, :func:`extra_step_size`).
-    The stop measure is the objective gap against a centralized solve
-    (``f_ref``) plus ``|L X|``, formed every step. The run ends with status
+    Each :class:`DdoRecord` holds the objective gap against a centralized
+    solve (``f_ref``) and ``|L X|``, formed every step, and with ``timing``
+    the step's wall time. Their sum is the stop measure. The run ends with
+    status
 
     - ``converged`` when the measure reaches ``stop_tol``;
     - ``precision_floor`` (``apd`` only) when an epoch ends without lowering
@@ -512,46 +519,43 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     mixing = (mixing_matrix(problem.incidence, problem.laplacian)
               if algo in ("extra", "aqp") else None)
     epochs = None
-    # each step returns the next state and its inner iterations
     if algo == "apd":
         ctx = solvers.RunContext(
             ProblemInstance(problem, ZeroProx(), IncidenceConstraint(problem)))
         rule = StepRule("semi_apdfb", lip_beta=problem.lip)
         lam0 = np.zeros((problem.incidence.shape[0], m))
-        state = solvers.IterateState(x0, x0.copy(), lam0, ScalingState(1.0, problem.lip, 0))
+        state = solvers.IterateState(x0, x0.copy(), lam0, ScalingState(1.0, problem.lip))
         epochs = solvers.Epochs("semi_apdfb", problem.mu, problem.lip, state)
 
         def step(state):
             state = epochs.begin(state)
-            state = apd_ddo_step(state, ctx, step_size(rule, state.scaling))
-            return state, ctx.inner_iters
+            return apd_ddo_step(state, ctx, step_size(rule, state.scaling))
     elif algo == "extra":
         state = ExtraState(x=x0)
         alpha = extra_step_size(problem, mixing)
 
         def step(state):
-            return extra_step(state, problem, mixing, alpha), 0
+            return extra_step(state, problem, mixing, alpha)
     elif algo == "aqp":
         state = AqpState(x=x0, x_prev=x0.copy())
         penalty = aqp_penalty_operator(mixing)
 
         def step(state):
-            return aqp_step(state, problem, penalty), 0
+            return aqp_step(state, problem, penalty)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
 
-    def snapshot(k, inner, wall):
+    def snapshot(k, wall):
         return DdoRecord(k=k, obj_gap=abs(problem.value(state.x) - f_ref),
-                         consensus_residual=problem.consensus_residual(state.x),
-                         inner_iters=inner, wall_ns=wall)
+                         consensus_residual=problem.consensus_residual(state.x), wall_ns=wall)
 
-    records = [snapshot(0, 0, 0)]
+    records = [snapshot(0, 0)]
     status = "max_iter"
     for k in range(max_iter):
         started = time.perf_counter_ns() if timing else 0
-        state, inner = step(state)
+        state = step(state)
         wall = time.perf_counter_ns() - started if timing else 0
-        records.append(snapshot(k + 1, inner, wall))
+        records.append(snapshot(k + 1, wall))
         rec = records[-1]
         measure = rec.obj_gap + rec.consensus_residual
         floor = epochs is not None and epochs.at_floor(state, measure)

@@ -65,24 +65,27 @@ def integrate_flow(state0, problem, h, horizon):
     """Classical fixed-step RK4 trajectory of the flow.
 
     The step must satisfy ``h <= 0.01`` and divide the horizon; the returned
-    trajectory holds ``ceil(T/h) + 1`` states and is bit-reproducible.
+    trajectory holds ``ceil(T/h) + 1`` states and is bit-reproducible. A
+    state that is not finite raises :class:`FlowDivergenceError` in place of
+    numpy's overflow warnings.
     """
-    if h <= 0 or h > 0.01:
+    if not 0 < h <= 0.01:
         raise ValueError("step must lie in (0, 0.01]")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0 <= horizon < np.inf:
+        raise ValueError("horizon must be finite and nonnegative")
     steps = int(round(horizon / h)) if horizon > 0 else 0
     if abs(steps * h - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be a multiple of the step")
     trajectory = [state0]
     state = state0
-    for _ in range(steps):
-        state = _rk4_step(state, problem, h)
-        parts = (state.x, state.v, state.lam, state.theta, state.gamma)
-        if not all(np.all(np.isfinite(p)) for p in parts):
-            raise FlowDivergenceError(f"flow diverged near t={state.t:.6g}",
-                                      trajectory[-1])
-        trajectory.append(state)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(steps):
+            state = _rk4_step(state, problem, h)
+            parts = (state.x, state.v, state.lam, state.theta, state.gamma)
+            if not all(np.all(np.isfinite(p)) for p in parts):
+                raise FlowDivergenceError(f"flow diverged near t={state.t:.6g}",
+                                          trajectory[-1])
+            trajectory.append(state)
     return trajectory
 
 

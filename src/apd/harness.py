@@ -1,4 +1,4 @@
-"""Experiment orchestration: batch runs, rate fits, certificate audits, CSV I/O."""
+"""Experiment orchestration: batch runs, certificate audits, CSV I/O."""
 
 from __future__ import annotations
 
@@ -63,51 +63,24 @@ def _atomic_write(path, text):
 def read_csv(path):
     """Parse a CSV written by :func:`emit_csv` into a dict of float columns.
 
-    An empty file or a cell that is not a number raises ``ValueError``.
+    An empty file, a row whose cell count differs from the header's or a
+    cell that is not a number raises ``ValueError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
+        lines = [(number, ln) for number, ln in enumerate(fh.read().split("\n"), start=1)
+                 if ln]
     if not lines:
         raise ValueError(f"{path}: empty CSV, no header")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     columns = {name: [] for name in header}
-    for line in lines[1:]:
-        for name, cell in zip(header, line.split(",")):
+    for number, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}: line {number} has {len(cells)} cells, "
+                             f"the header {len(header)}")
+        for name, cell in zip(header, cells):
             columns[name].append(float(cell))
     return {name: np.array(vals) for name, vals in columns.items()}
-
-
-# ---------------------------------------------------------------------------
-# rate fitting
-# ---------------------------------------------------------------------------
-
-def fit_rate(records):
-    """Least-squares slope of ``log(obj_gap + feasibility)`` against ``log k``
-    over the trailing half of the convergence curve (the sublinear regimes).
-
-    Entries with gap at or below 1e-15 truncate the curve. Returns
-    ``(slope, r_squared)``.
-    """
-    ks, gaps = [], []
-    for rec in records:
-        gap = rec.obj_gap + rec.feasibility
-        if rec.k >= 1 and np.isfinite(gap):
-            if gap <= 1e-15:
-                break
-            ks.append(rec.k)
-            gaps.append(gap)
-    start = len(ks) // 2
-    ks, gaps = np.array(ks[start:], dtype=float), np.array(gaps[start:])
-    if ks.size < 20:
-        raise ValueError(f"need at least 20 usable records in the trailing half, got {ks.size}")
-    xs = np.log(ks)
-    ys = np.log(gaps)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * xs + intercept
-    ss_res = float(np.sum((ys - fitted) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r_squared = 1.0 if ss_tot <= 1e-30 else 1.0 - ss_res / ss_tot
-    return float(slope), r_squared
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +148,6 @@ class RunSummary:
     iterations: int
     final_obj_gap: float
     final_feasibility: float
-    slope: float
-    r_squared: float
     violations: int
     error: str = ""
 
@@ -196,15 +167,11 @@ def run_experiment(problem, configs, out_dir, stem):
             emit_csv(run.records, os.path.join(out_dir, f"{stem}_{cfg.scheme}.csv"))
             report = audit_records(run.records, make_step_rule(problem, cfg),
                                    problem.smooth.mu)
-            try:
-                slope, r2 = fit_rate(run.records)
-            except ValueError:
-                slope, r2 = math.nan, math.nan
             last = run.records[-1]
             summaries.append(RunSummary(cfg.scheme, run.status, last.k, last.obj_gap,
-                                        last.feasibility, slope, r2, report.total))
+                                        last.feasibility, report.total))
         except Exception as exc:  # recorded, not raised: other runs continue
-            summaries.append(RunSummary(cfg.scheme, "error", 0, math.nan, math.nan,
-                                        math.nan, math.nan, 0, error=str(exc)))
+            summaries.append(RunSummary(cfg.scheme, "error", 0, math.nan, math.nan, 0,
+                                        error=str(exc)))
     emit_csv(summaries, os.path.join(out_dir, "summary.csv"))
     return summaries

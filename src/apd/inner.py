@@ -79,6 +79,8 @@ def pcg_solve(system, tol, i_max):
     """
     if not tol >= 0:
         raise ValueError("pcg tolerance must be nonnegative")
+    if i_max < 0:
+        raise ValueError(f"i_max must be nonnegative, got {i_max}")
     rhs, rows, minv = system.rhs, system.rows, system.apply_minv
     target = tol * float(np.linalg.norm(rhs[rows]))
     d = np.zeros_like(rhs)
@@ -416,6 +418,8 @@ def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
     """
     if method not in AUGMENTED_METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {AUGMENTED_METHODS}")
+    if i_max < 0:
+        raise ValueError(f"i_max must be nonnegative, got {i_max}")
     s = _one_vector(s)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -456,6 +460,8 @@ def plain_iteration_solve(operator, eps, s, method="jacobi", tol=1e-6, i_max=100
     """
     if method not in PLAIN_METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {PLAIN_METHODS}")
+    if i_max < 0:
+        raise ValueError(f"i_max must be nonnegative, got {i_max}")
     operator = _as_sparse(operator)
     s = _one_vector(s)
     s_norm = float(np.linalg.norm(s))

@@ -9,11 +9,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ScalingState:
-    """The pair driving every scheme's step size and rate certificate."""
+    """The pair driving every scheme's step size and rate certificate.
+
+    It holds no step count: a record's ``k`` is its step's index in the run.
+    """
 
     theta: float = 1.0
     gamma: float = 1.0
-    k: int = 0
 
     def __post_init__(self):
         if not (0 < self.theta <= 1):
@@ -29,7 +31,6 @@ def advance_scaling(state, alpha, mu_beta):
     return ScalingState(
         theta=state.theta / (1.0 + alpha),
         gamma=(state.gamma + mu_beta * alpha) / (1.0 + alpha),
-        k=state.k + 1,
     )
 
 
@@ -162,11 +163,11 @@ def theta_upper_bound(rule, k, gamma0, gamma_min, gamma_max):
 
 def restart_scaling(variant, mu_beta, gamma, gamma0):
     """Scaling pair that starts a new epoch of ``variant`` after one that
-    ended at ``gamma``: ``theta = 1`` and ``k = 0``.
+    ended at ``gamma``: ``theta = 1``.
 
     ``gamma`` is kept when the scheme advances it with ``mu_beta > 0`` (it
     then tends to ``mu_beta`` and never decays); otherwise it decays with
     ``theta`` and restarts at ``gamma0``.
     """
     keep = SCHEME_TABLE[variant].uses_mu_beta and mu_beta > 0
-    return ScalingState(1.0, gamma if keep else gamma0, 0)
+    return ScalingState(1.0, gamma if keep else gamma0)

@@ -404,7 +404,7 @@ def make_step_rule(problem, config):
 def initial_state(problem, config):
     x0 = problem.nonsmooth.prox(1.0, np.zeros(problem.constraint.cols))
     return IterateState(x0, x0.copy(), np.zeros(problem.constraint.rows),
-                        ScalingState(1.0, config.gamma0, 0))
+                        ScalingState(1.0, config.gamma0))
 
 
 def run_solver(problem, config):

@@ -54,7 +54,7 @@ def test_ddo_writes_records(tmp_path, algo):
                  "--algo", algo, "--max-iter", "20", "--csv", str(csv)])
     assert code == 0
     lines = read_lines(csv)
-    assert lines[0] == "k,obj_gap,consensus_residual,inner_iters,wall_ns"
+    assert lines[0] == "k,obj_gap,consensus_residual,wall_ns"
     assert len(lines) == 22  # header plus records k = 0..20
 
 
@@ -243,18 +243,39 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
     ("robustness --graph path:6 --eps-list 1e-3 --methods pcg_sgs --i-max -1 "
      "--csv {tmp}/out.csv",
      "argument --i-max: expected a positive integer, got '-1'"),
+    ("solve --problem {tmp}/lasso.txt --scheme implicit --csv {tmp}/out.csv",
+     "solve: implicit subproblem needs a quadratic objective or a pure prox part"),
+    ("solve --problem {tmp}/lasso.txt --scheme semi_apd --csv {tmp}/out.csv",
+     "solve: full-objective prox needs a quadratic smooth part or a pure prox part"),
+    ("solve --problem {tmp}/flat.txt --scheme semi_apdfb --csv {tmp}/out.csv",
+     "solve: semi_apdfb step needs a positive smoothness constant"),
+    ("flow --problem {tmp}/qp.txt --h 0.01 --T inf --csv {tmp}/out.csv",
+     "flow: horizon must be finite and nonnegative"),
+    ("flow --problem {tmp}/qp.txt --h 0.01 --T nan --csv {tmp}/out.csv",
+     "flow: horizon must be finite and nonnegative"),
+    ("flow --problem {tmp}/qp.txt --h nan --T 1 --csv {tmp}/out.csv",
+     "flow: step must lie in (0, 0.01]"),
+    ("flow --problem {tmp}/qp.txt --h 0.01 --T 20 --csv {tmp}/out.csv",
+     "flow: flow diverged near t="),
+    ("audit --csv {tmp}/ragged.csv --problem {tmp}/qp.txt --scheme implicit",
+     "ragged.csv: line 3 has 2 cells, the header 6"),
 ], ids=["graph-kind", "graph-grid", "graph-disconnected", "eps-float", "eps-empty",
         "eps-zero", "methods-empty", "flow-step", "compare-beta", "compare-missing",
         "solve-missing", "ddo-m-zero", "ddo-samples-zero", "solve-alpha-zero",
         "solve-gamma0-zero", "flow-gamma0-zero", "audit-csv-missing", "audit-csv-empty",
         "audit-csv-ddo", "audit-problem-missing", "audit-zero-lip", "ddo-ridge-negative",
         "ddo-ridge-small", "ddo-ridge-nan", "ddo-extra-ridge-negative", "robustness-tol",
-        "robustness-i-max"])
+        "robustness-i-max", "solve-lasso-implicit", "solve-lasso-semi-apd", "solve-zero-lip",
+        "flow-horizon-inf", "flow-horizon-nan", "flow-step-nan", "flow-diverges",
+        "audit-csv-ragged"])
 def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
     qp = write_problem(tmp_path / "qp.txt", "quadratic")
+    write_problem(tmp_path / "lasso.txt", "lasso")
     write_beta_problem(tmp_path / "beta.txt")
     write_flat_problem(tmp_path / "flat.txt")
     (tmp_path / "empty.csv").write_text("", encoding="utf-8")
+    (tmp_path / "ragged.csv").write_text("k,epoch,alpha,theta,gamma,lyapunov\n"
+                                         "0,0,0,1,1,2\n1,0\n", encoding="utf-8")
     assert main(["ddo", "--graph", "path:4", "--m", "2", "--model", "ls", "--algo", "apd",
                  "--max-iter", "2", "--csv", str(tmp_path / "ddo.csv")]) == 0
     assert main(["solve", "--problem", qp, "--scheme", "implicit", "--max-iter", "2",

@@ -269,7 +269,7 @@ def apd_context(prob):
 
 def apd_start(prob, x, v):
     """An iterate with ``gamma0 = lip`` and ``theta lam = A x`` at ``theta = 1``."""
-    return solvers.IterateState(x, v, prob.incidence @ x, ScalingState(1.0, prob.lip, 0))
+    return solvers.IterateState(x, v, prob.incidence @ x, ScalingState(1.0, prob.lip))
 
 
 def apd_alpha(prob, state):
@@ -512,7 +512,7 @@ def test_run_ddo_apd_matches_a_loop_of_semi_apdfb_steps(kind):
 
     def record(k):
         return DdoRecord(k, abs(prob.value(state.x) - run.f_ref),
-                         prob.consensus_residual(state.x), 0, 0)
+                         prob.consensus_residual(state.x), 0)
 
     records = [record(0)]
     restarts = 0
@@ -520,7 +520,7 @@ def test_run_ddo_apd_matches_a_loop_of_semi_apdfb_steps(kind):
         if state.scaling.theta < 1e-2:
             # a new epoch from (x, x, lam); gamma is kept only when mu > 0
             gamma = state.scaling.gamma if prob.mu > 0 else prob.lip
-            state = solvers.IterateState(state.x, state.x, state.lam, ScalingState(1.0, gamma, 0))
+            state = solvers.IterateState(state.x, state.x, state.lam, ScalingState(1.0, gamma))
             restarts += 1
         state = solvers.semi_apdfb_step(state, ctx, apd_alpha(prob, state))
         records.append(record(k + 1))

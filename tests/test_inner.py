@@ -20,6 +20,7 @@ from apd.inner import (
     eval_dual_map,
     eval_dual_merit,
     jacobi_preconditioner,
+    PLAIN_METHODS,
     pcg_solve,
     plain_iteration_solve,
     ssn_solve,
@@ -466,6 +467,27 @@ def test_consensus_solvers_reject_several_columns(solve):
     lap = graph_laplacian(path_graph(3))
     with pytest.raises(ValueError, match="one vector"):
         solve(lap, 1e-2, np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("solve,method", [(augmented_consensus_solve, method)
+                                          for method in AUGMENTED_METHODS]
+                         + [(plain_iteration_solve, method) for method in PLAIN_METHODS])
+def test_consensus_solvers_reject_a_negative_cap(solve, method):
+    # -1 is no cap: the sweeps would report -1 sweeps and PCG would run uncapped
+    lap = graph_laplacian(path_graph(6))
+    s = np.random.default_rng(3).standard_normal(6)
+    for rhs in (s, np.zeros(6)):
+        with pytest.raises(ValueError, match="i_max must be nonnegative, got -1"):
+            solve(lap, 1e-3, rhs, method=method, i_max=-1)
+    v, iters, ok = solve(lap, 1e-3, s, method=method, i_max=0)
+    assert (iters, ok) == (0, False)
+    np.testing.assert_array_equal(v, np.zeros(6))
+
+
+def test_pcg_rejects_a_negative_cap():
+    with pytest.raises(ValueError, match="i_max must be nonnegative, got -1"):
+        pcg_solve(SpdSystem(lambda d: d, np.ones(2)), 1e-8, -1)
+    assert pcg_solve(SpdSystem(lambda d: d, np.ones(2)), 1e-8, 0).iterations == 0
 
 
 def dense_bordered(lap, eps):

@@ -1,12 +1,16 @@
 """Package hygiene: exported names exist, no private helper or import is left
-unused and every config field and command-line option is read."""
+unused and every config field, state field and command-line option is read."""
 
 import argparse
 import ast
 import dataclasses
+import sys
 from pathlib import Path
 
+import numpy as np
+
 import apd
+from apd import ddo, flow, schedule, solvers
 from apd.cli import build_parser
 from apd.solvers import SolverConfig
 
@@ -65,6 +69,69 @@ def test_every_config_field_is_read():
     # a setting the run never reads is a dead knob: it takes a value and changes nothing
     fields = {field.name for field in dataclasses.fields(SolverConfig)}
     assert sorted(fields - _attributes_read(_module_tree("solvers.py"), "config")) == []
+
+
+STATE_CLASSES = (solvers.IterateState, schedule.ScalingState, ddo.ExtraState, ddo.AqpState,
+                 flow.FlowState)
+
+
+def _carried_reads():
+    """``(file, line, field)`` of each ``.field`` read inside the argument that
+    builds the same field of a state class: such a read only hands the value
+    on to the next state."""
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in STATE_CLASSES}
+    carried = set()
+    for path in Path(apd.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in fields:
+                continue
+            slots = list(zip(fields[name], node.args))
+            slots += [(kw.arg, kw.value) for kw in node.keywords]
+            carried |= {(str(path), attr.lineno, field) for field, value in slots
+                        for attr in ast.walk(value)
+                        if isinstance(attr, ast.Attribute) and attr.attr == field}
+    return carried
+
+
+def _state_workload(qp1):
+    """Every scheme through a restart, each DDO algorithm on both kinds, and
+    the flow with its records."""
+    for scheme in schedule.SCHEMES:
+        run = solvers.run_solver(qp1, SolverConfig(scheme, max_iter=200))
+        assert run.records[-1].epoch > 0
+    for kind in ("least_squares", "logistic"):
+        problem = ddo.build_ddo_problem(ddo.path_graph(4), 2, kind, seed=0)
+        for algo in ("apd", "extra", "aqp"):
+            ddo.run_ddo(problem, algo, 30)
+    start = flow.FlowState(np.zeros(2), np.zeros(2), np.zeros(1), 1.0, 1.0)
+    flow.flow_records(flow.integrate_flow(start, qp1, 0.01, 0.05), qp1,
+                      apd.solve_reference_saddle(qp1))
+
+
+def test_every_state_field_is_read(monkeypatch, qp1):
+    # a field that no code of the package reads, other than to carry it into
+    # the next state or to validate it, is dead weight every step copies
+    package, carried, read = str(Path(apd.__file__).parent), _carried_reads(), set()
+
+    def watch(cls, names):
+        def getattribute(self, name):
+            if name in names:
+                frame = sys._getframe(1)
+                code = frame.f_code
+                if (code.co_filename.startswith(package) and not code.co_name.startswith("__")
+                        and (code.co_filename, frame.f_lineno, name) not in carried):
+                    read.add(f"{cls.__name__}.{name}")
+            return object.__getattribute__(self, name)
+        monkeypatch.setattr(cls, "__getattribute__", getattribute)
+
+    for cls in STATE_CLASSES:
+        watch(cls, {f.name for f in dataclasses.fields(cls)})
+    _state_workload(qp1)
+    every = {f"{cls.__name__}.{f.name}" for cls in STATE_CLASSES for f in dataclasses.fields(cls)}
+    assert sorted(every - read) == []
 
 
 def test_every_cli_option_is_read():

@@ -5,14 +5,13 @@ from apd import ScalingState, StepRule, advance_scaling, step_size, theta_upper_
 
 
 def test_advance_scaling_examples():
-    s = advance_scaling(ScalingState(1.0, 1.0, 0), 1.0, 0.0)
-    assert (s.theta, s.gamma, s.k) == (0.5, 0.5, 1)
-    s = advance_scaling(ScalingState(1.0, 2.0, 0), 1.0, 2.0)
+    s = advance_scaling(ScalingState(1.0, 1.0), 1.0, 0.0)
+    assert (s.theta, s.gamma) == (0.5, 0.5)
+    s = advance_scaling(ScalingState(1.0, 2.0), 1.0, 2.0)
     assert (s.theta, s.gamma) == (0.5, 2.0)  # gamma = mu is a fixed point
-    s = advance_scaling(ScalingState(0.5, 1.0, 3), 0.5, 0.25)
+    s = advance_scaling(ScalingState(0.5, 1.0), 0.5, 0.25)
     assert s.theta == pytest.approx(1.0 / 3.0)
     assert s.gamma == pytest.approx(0.75)
-    assert s.k == 4
 
 
 def test_advance_scaling_rejects_bad_step():
@@ -28,7 +27,7 @@ def test_scaling_state_validation():
 
 
 def test_step_size_examples():
-    s = ScalingState(1.0, 1.0, 0)
+    s = ScalingState(1.0, 1.0)
     assert step_size(StepRule("semi_apd", norm_a=np.sqrt(2)), s) == pytest.approx(1 / np.sqrt(2))
     assert step_size(StepRule("semi_apdfb", lip_beta=1.0), s) == pytest.approx(1.0)
     assert step_size(StepRule("ex_apdfb", lip_beta=1.0, norm_a=np.sqrt(2)), s) \
@@ -37,7 +36,7 @@ def test_step_size_examples():
 
 
 def test_step_size_guards():
-    s = ScalingState(1.0, 1.0, 0)
+    s = ScalingState(1.0, 1.0)
     with pytest.raises(ValueError):
         step_size(StepRule("semi_apd", norm_a=0.0), s)
     with pytest.raises(ValueError):
@@ -67,24 +66,24 @@ def test_realized_theta_below_bound():
         for mu_beta in (0.0, 0.4):
             gamma0 = rng.uniform(0.5, 2.0)
             rule = StepRule(variant, **kwargs)
-            state = ScalingState(1.0, gamma0, 0)
+            state = ScalingState(1.0, gamma0)
             gmin, gmax = min(gamma0, mu_beta), max(gamma0, mu_beta)
-            for _ in range(300):
+            for k in range(1, 301):
                 state = advance_scaling(state, step_size(rule, state), mu_beta)
-                bound = theta_upper_bound(rule, state.k, gamma0, gmin, gmax)
+                bound = theta_upper_bound(rule, k, gamma0, gmin, gmax)
                 assert state.theta <= bound * (1 + 1e-12)
 
 
 def test_gamma_theta_coupling():
     # gamma_k >= gamma0 * theta_k always; equality when mu_beta = 0
     rule = StepRule("semi_apd", norm_a=1.0)
-    state = ScalingState(1.0, 2.0, 0)
+    state = ScalingState(1.0, 2.0)
     for _ in range(200):
         state = advance_scaling(state, step_size(rule, state), 0.3)
         assert state.gamma >= 2.0 * state.theta * (1 - 1e-12)
         assert min(2.0, 0.3) <= state.gamma <= max(2.0, 0.3) + 1e-12
 
-    flat = ScalingState(1.0, 2.0, 0)
+    flat = ScalingState(1.0, 2.0)
     for _ in range(200):
         flat = advance_scaling(flat, 0.37, 0.0)
         assert flat.gamma == pytest.approx(2.0 * flat.theta, rel=1e-12)

@@ -33,12 +33,12 @@ from apd.solvers import (
 
 def zeros_state(n=2, m=1, gamma0=1.0):
     return IterateState(np.zeros(n), np.zeros(n), np.zeros(m),
-                        ScalingState(1.0, gamma0, 0))
+                        ScalingState(1.0, gamma0))
 
 
 def saddle_state(saddle, gamma0=1.0):
     return IterateState(saddle.x_star.copy(), saddle.x_star.copy(),
-                        saddle.lambda_star.copy(), ScalingState(1.0, gamma0, 0))
+                        saddle.lambda_star.copy(), ScalingState(1.0, gamma0))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_implicit_quadratic_step_matches_full_space_solve(dense):
                             apd.MatrixConstraint(amat, rng.standard_normal(m)))
     theta, gamma, alpha = 0.3, 0.7, 0.8
     x, v, lam = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(m)
-    out = implicit_apd_step(IterateState(x, v, lam, ScalingState(theta, gamma, 2)),
+    out = implicit_apd_step(IterateState(x, v, lam, ScalingState(theta, gamma)),
                             RunContext(p), alpha)
     theta_next = theta / (1 + alpha)
     eta = alpha ** 2 / (gamma * (1 + alpha))
@@ -221,7 +221,7 @@ def test_semi_apd_prox_matches_a_direct_minimizer(name):
     p = apd.ProblemInstance(smooth, nonsmooth, apd.MatrixConstraint(amat, rhs))
     x, v, lam = rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal(2)
     theta, gamma, alpha = 0.6, 0.8, 0.5
-    state = IterateState(x, v, lam, ScalingState(theta, gamma, 1))
+    state = IterateState(x, v, lam, ScalingState(theta, gamma))
     if argmin is None:
         with pytest.raises(InnerSolveError):
             semi_apd_step(state, RunContext(p), alpha)
@@ -271,7 +271,7 @@ def test_semi_apdfb_dual_and_primal_routes_match_joint_solve():
                                 apd.MatrixConstraint(amat, rng.standard_normal(m)))
         theta, gamma, alpha = 0.4, 0.9, 0.7
         x, v, lam = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(m)
-        out = semi_apdfb_step(IterateState(x, v, lam, ScalingState(theta, gamma, 1)),
+        out = semi_apdfb_step(IterateState(x, v, lam, ScalingState(theta, gamma)),
                               RunContext(p), alpha)
         y = (x + alpha * v) / (1 + alpha)
         tau = gamma + p.smooth.mu * alpha
@@ -297,7 +297,7 @@ def test_semi_apdfb_newton_route_matches_grid():
     p = apd.ProblemInstance(apd.QuadraticObjective(np.ones(1)), apd.L1Prox(0.3),
                             constraint)
     state = IterateState(np.array([0.9]), np.array([0.9]), np.array([0.1]),
-                         ScalingState(1.0, 1.0, 0))
+                         ScalingState(1.0, 1.0))
     alpha = apd.step_size(apd.StepRule("semi_apdfb", lip_beta=1.0), state.scaling)
     out = semi_apdfb_step(state, RunContext(p), alpha)
     # grid search over the scalar multiplier of the coupled subproblem
@@ -346,7 +346,7 @@ def test_ex_apdfb_reduces_to_accelerated_forward_backward():
     p = apd.ProblemInstance(apd.QuadraticObjective(np.array([1.0, 2.0])),
                             apd.L1Prox(0.2), constraint)
     state = IterateState(np.array([0.4, -0.7]), np.array([0.1, 0.2]),
-                         np.zeros(1), ScalingState(1.0, 1.0, 0))
+                         np.zeros(1), ScalingState(1.0, 1.0))
     alpha = 0.5
     out = ex_apdfb_step(state, RunContext(p), alpha)
     np.testing.assert_array_equal(out.lam, state.lam)
@@ -515,7 +515,7 @@ def test_exact_subproblem_names_a_non_finite_right_side(qp1):
     for problem in (qp1, tall):
         state = IterateState(np.zeros(problem.dim), np.zeros(problem.dim),
                              np.full(problem.constraint.rows, np.nan),
-                             ScalingState(1.0, 1.0, 0))
+                             ScalingState(1.0, 1.0))
         for step in (implicit_apd_step, semi_apdfb_step):
             with pytest.raises(InnerSolveError, match="not finite") as info:
                 step(state, RunContext(problem), 1.0)
@@ -647,7 +647,7 @@ def test_scheme_table_names_the_mu_beta_of_each_step(scheme):
     out = getattr(apd, entry.step)(zeros_state(problem.dim, problem.constraint.rows),
                                    RunContext(problem), 0.5)
     mu_beta = problem.smooth.mu if entry.uses_mu_beta else 0.0
-    assert out.scaling == apd.advance_scaling(ScalingState(1.0, 1.0, 0), 0.5, mu_beta)
+    assert out.scaling == apd.advance_scaling(ScalingState(1.0, 1.0), 0.5, mu_beta)
 
 
 def test_audit_skips_only_the_pair_across_a_restart():
