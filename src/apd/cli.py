@@ -56,26 +56,26 @@ def _eps_list(text):
     return values
 
 
-def _positive_int(text):
-    """An integer option that must be at least 1, such as a block size."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _option_type(convert, allow_zero, expected):
+    """An option type: ``convert(text)``, finite and above 0 (or at least 0
+    with ``allow_zero``); anything else is a usage error."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = np.nan
+        if not (0 <= value < np.inf if allow_zero else 0 < value < np.inf):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_float(text):
-    """A finite float option that must be above 0, such as a step or scale."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
+_positive_int = _option_type(int, False, "a positive integer")  # a block size or cap
+_positive_float = _option_type(float, False, "a positive number")  # a step or scale
+_step_count = _option_type(int, True, "a nonnegative integer")  # --max-iter
+_tolerance = _option_type(float, True, "a finite nonnegative number")  # --stop-tol, 0: none
 
 
 def _load(path):
@@ -236,8 +236,8 @@ def build_parser():
     solve.add_argument("--problem", required=True)
     solve.add_argument("--scheme", required=True, choices=SCHEMES)
     solve.add_argument("--gamma0", type=_positive_float, default=1.0)
-    solve.add_argument("--max-iter", type=int, default=1000)
-    solve.add_argument("--stop-tol", type=float, default=0.0)
+    solve.add_argument("--max-iter", type=_step_count, default=1000)
+    solve.add_argument("--stop-tol", type=_tolerance, default=0.0)
     solve.add_argument("--alpha", type=_positive_float, default=None, help=_ALPHA_HELP)
     solve.add_argument("--csv", required=True)
     solve.add_argument("--timing", action="store_true",
@@ -257,8 +257,8 @@ def build_parser():
     ddo.add_argument("--m", type=_positive_int, required=True, help="block size per node")
     ddo.add_argument("--model", choices=("ls", "logistic"), required=True)
     ddo.add_argument("--algo", choices=("apd", "extra", "aqp"), required=True)
-    ddo.add_argument("--max-iter", type=int, required=True)
-    ddo.add_argument("--stop-tol", type=float, default=0.0)
+    ddo.add_argument("--max-iter", type=_step_count, required=True)
+    ddo.add_argument("--stop-tol", type=_tolerance, default=0.0)
     ddo.add_argument("--seed", type=int, default=0)
     ddo.add_argument("--samples", type=_positive_int, default=5,
                      help="least-squares rows per node")
@@ -286,8 +286,10 @@ def build_parser():
     compare.add_argument("--schemes", default="", help="comma list of schemes, run in order")
     compare.add_argument("--gamma0", type=_positive_float, default=1.0,
                          help="initial gamma")
-    compare.add_argument("--max-iter", type=int, default=1000, help="step cap of each run")
-    compare.add_argument("--stop-tol", type=float, default=0.0, help="stop tolerance (0: none)")
+    compare.add_argument("--max-iter", type=_step_count, default=1000,
+                         help="step cap of each run")
+    compare.add_argument("--stop-tol", type=_tolerance, default=0.0,
+                         help="stop tolerance (0: none)")
     compare.add_argument("--alpha", type=_positive_float, default=None, help=_ALPHA_HELP)
     compare.add_argument("--out-dir", default=".", help="directory for the CSVs")
     compare.set_defaults(func=_cmd_compare)

@@ -119,39 +119,26 @@ def graph_incidence(graph):
     return sp.csr_matrix((vals, (rows, ends.ravel())), shape=(len(ends), graph.n))
 
 
-@dataclass(frozen=True)
-class MixingMatrix:
-    """Mixing matrix ``w``, ``w_hat = (I + w) / 2`` and the smallest
-    eigenvalue of ``w_hat``.
-
-    :func:`mixing_matrix` builds them from the graph's incidence matrix as
-    CSR matrices with the graph's pattern plus the diagonal.
-    :func:`extra_step` only multiplies by them, so a dense pair works there
-    too.
-    """
-
-    w: sp.csr_matrix
-    w_hat: sp.csr_matrix
-    lam_min_w_hat: float
-
-
 def mixing_matrix(incidence, laplacian):
-    """Doubly stochastic ``W = I - L / lambda_max(L)`` and ``(I + W) / 2``
-    from the CSR Laplacian ``L`` of :func:`graph_laplacian` and the signed
-    incidence matrix ``B`` of :func:`graph_incidence` of one graph.
+    """Doubly stochastic ``W = I - L / lambda_max(L)``, as CSR, from the CSR
+    Laplacian ``L`` of :func:`graph_laplacian` and the signed incidence
+    matrix ``B`` of :func:`graph_incidence` of one graph.
 
     ``L = B'B``, so ``lambda_max(L) = |B|_2^2`` comes from
     :func:`operator_norm_estimate` of ``B`` on a dense copy of ``L`` (``B``
     sets only the rounding slack), an upper bound. The spectrum of ``W``
-    therefore sits in ``[0, 1]`` with a simple eigenvalue 1, and the halved
-    matrix is bounded below by one half. Both matrices are CSR.
+    therefore sits in ``[0, 1]`` with a simple eigenvalue 1.
     """
     n = incidence.shape[1]
     eye = sp.identity(n, format="csr")
     if n == 1:
-        return MixingMatrix(eye, eye, 1.0)
-    w = eye - laplacian / operator_norm_estimate(incidence, gram=laplacian.toarray()) ** 2
-    return MixingMatrix(w, 0.5 * (eye + w), 0.5)
+        return eye
+    return eye - laplacian / operator_norm_estimate(incidence, gram=laplacian.toarray()) ** 2
+
+
+# lam_min((I + W)/2) >= 1/2 for every W with spectrum in [0, 1], as mixing_matrix
+# certifies: the bound Extra's step takes (the value is 1 for one node, where W = I)
+_LAM_MIN_MEAN_MIXING = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -405,27 +392,28 @@ class ExtraState:
     x: np.ndarray
     x_prev: np.ndarray = None
     grad_prev: np.ndarray = None
-    k: int = 0
+    w_x_prev: np.ndarray = None  # W x_prev, formed by the step that left x_prev
 
 
-def extra_step(state, problem, mixing, alpha):
-    """One Extra update; the first call performs the initialization step."""
-    w, w_hat = mixing.w, mixing.w_hat
+def extra_step(state, problem, w, alpha):
+    """One Extra update with mixing matrix ``w``; the first, with no ``x_prev``,
+    is the initialization step. ``(I + W)/2 x_prev`` is the mean of ``x_prev``
+    and the previous step's ``W x_prev``: one product with ``w`` per step."""
     grad = problem.gradient(state.x)
-    if state.k == 0:
-        x_next = w @ state.x - alpha * grad
-        return ExtraState(x=x_next, x_prev=state.x, grad_prev=grad, k=1)
-    correction = state.x - w_hat @ state.x_prev + alpha * state.grad_prev
-    x_next = w @ state.x - alpha * grad + correction
-    return ExtraState(x=x_next, x_prev=state.x, grad_prev=grad, k=state.k + 1)
+    w_x = w @ state.x
+    x_next = w_x - alpha * grad
+    if state.x_prev is not None:
+        x_next += state.x - 0.5 * (state.x_prev + state.w_x_prev) + alpha * state.grad_prev
+    return ExtraState(x=x_next, x_prev=state.x, grad_prev=grad, w_x_prev=w_x)
 
 
-def extra_step_size(problem, mixing):
-    """Extra's step: ``mu lam_min(w_hat) / lip^2`` for a strongly convex
-    problem (``problem.mu > 0``), else ``lam_min(w_hat) / lip``."""
+def extra_step_size(problem):
+    """Extra's step: ``mu lam_min((I+W)/2) / lip^2`` for a strongly convex
+    problem (``problem.mu > 0``), else ``lam_min((I+W)/2) / lip``, with the
+    bound ``_LAM_MIN_MEAN_MIXING`` in place of ``lam_min``."""
     if problem.mu > 0:
-        return problem.mu * mixing.lam_min_w_hat / problem.lip ** 2
-    return mixing.lam_min_w_hat / problem.lip
+        return problem.mu * _LAM_MIN_MEAN_MIXING / problem.lip ** 2
+    return _LAM_MIN_MEAN_MIXING / problem.lip
 
 
 @dataclass
@@ -436,24 +424,20 @@ class AqpState:
     theta_prev: float = 1.0
 
 
-def aqp_penalty_operator(mixing):
-    """Consensus penalty ``(I - W) / 2`` of both quadratic-penalty variants, as CSR."""
-    return 0.5 * (sp.identity(mixing.w.shape[0], format="csr") - mixing.w)
-
-
-def aqp_step(state, problem, penalty):
+def aqp_step(state, problem, w):
     """One accelerated-quadratic-penalty update.
 
-    The variant follows ``problem.mu``. The convex one (``mu = 0``) uses the
-    growing penalty ``(k+1)`` and momentum ``(k-1)/(k+1)``; the strongly
-    convex one (``mu > 0``) runs the decreasing-theta recursion
+    The consensus penalty is ``(I - W)/2 y = (y - W y)/2`` of mixing matrix
+    ``w``. The variant follows ``problem.mu``. The convex one (``mu = 0``)
+    uses the growing penalty ``(k+1)`` and momentum ``(k-1)/(k+1)``; the
+    strongly convex one (``mu > 0``) runs the decreasing-theta recursion
     ``theta^2 + theta_prev^2 theta = theta_prev^2``.
     """
     k = state.k
     if not problem.mu > 0:
         momentum = (k - 1.0) / (k + 1.0)
         y = state.x + momentum * (state.x - state.x_prev)
-        grad = problem.gradient(y) + (k + 1.0) * (penalty @ y)
+        grad = problem.gradient(y) + (k + 1.0) * (0.5 * (y - w @ y))
         x_next = y - grad / (problem.lip + k + 1.0)
         return AqpState(x=x_next, x_prev=state.x, k=k + 1,
                         theta_prev=state.theta_prev)
@@ -463,7 +447,7 @@ def aqp_step(state, problem, penalty):
     eta = lip * theta ** 2 + mu
     momentum = (eta * theta - mu * theta ** 2) * (1.0 - tp) / ((eta - mu * theta ** 2) * tp)
     y = state.x + momentum * (state.x - state.x_prev)
-    x_next = y - (theta ** 2 * problem.gradient(y) + mu * (penalty @ y)) / eta
+    x_next = y - (theta ** 2 * problem.gradient(y) + mu * (0.5 * (y - w @ y))) / eta
     return AqpState(x=x_next, x_prev=state.x, k=k + 1, theta_prev=theta)
 
 
@@ -511,13 +495,15 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
       step, and the returned ``x`` is the best iterate measured, as the
       state of :func:`~apd.solvers.run_solver` is;
     - ``max_iter`` otherwise.
+    Raises ``ValueError`` unless ``max_iter >= 0`` and ``0 <= stop_tol < inf``.
     """
+    solvers.check_run_limits(max_iter, stop_tol)
     if f_ref is None:
         f_ref, _ = reference_objective(problem)
     n, m = problem.n_nodes, problem.block_size
     x0 = np.zeros((n, m))
-    mixing = (mixing_matrix(problem.incidence, problem.laplacian)
-              if algo in ("extra", "aqp") else None)
+    w = (mixing_matrix(problem.incidence, problem.laplacian)
+         if algo in ("extra", "aqp") else None)
     epochs = None
     if algo == "apd":
         ctx = solvers.RunContext(
@@ -532,16 +518,15 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
             return apd_ddo_step(state, ctx, step_size(rule, state.scaling))
     elif algo == "extra":
         state = ExtraState(x=x0)
-        alpha = extra_step_size(problem, mixing)
+        alpha = extra_step_size(problem)
 
         def step(state):
-            return extra_step(state, problem, mixing, alpha)
+            return extra_step(state, problem, w, alpha)
     elif algo == "aqp":
         state = AqpState(x=x0, x_prev=x0.copy())
-        penalty = aqp_penalty_operator(mixing)
 
         def step(state):
-            return aqp_step(state, problem, penalty)
+            return aqp_step(state, problem, w)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
 

@@ -64,7 +64,7 @@ def read_csv(path):
     """Parse a CSV written by :func:`emit_csv` into a dict of float columns.
 
     An empty file, a row whose cell count differs from the header's or a
-    cell that is not a number raises ``ValueError``.
+    cell that is not a number (``nan`` and ``inf`` are) raises ``ValueError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(number, ln) for number, ln in enumerate(fh.read().split("\n"), start=1)
@@ -79,7 +79,11 @@ def read_csv(path):
             raise ValueError(f"{path}: line {number} has {len(cells)} cells, "
                              f"the header {len(header)}")
         for name, cell in zip(header, cells):
-            columns[name].append(float(cell))
+            try:
+                columns[name].append(float(cell))
+            except ValueError:
+                raise ValueError(f"{path}: line {number}, column {name}: "
+                                 f"{cell!r} is not a number") from None
     return {name: np.array(vals) for name, vals in columns.items()}
 
 

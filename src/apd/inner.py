@@ -163,11 +163,6 @@ class DualMapContext:
         return cls(theta, alpha, t, z, constraint, g, r=r)
 
 
-def eval_dual_map(ctx, lam):
-    """The monotone dual map ``F`` at ``lam``."""
-    return _dual_map(ctx, np.asarray(lam, dtype=float))[0]
-
-
 def _dual_map(ctx, lam):
     """``F(lam)``, the prox argument ``u = z - t A' lam`` and ``p = prox_{t g}(u)``."""
     u = ctx.z - ctx.t * ctx.constraint.apply_adjoint(lam)

@@ -28,11 +28,13 @@ class NoReferenceError(RuntimeError):
 class LinearConstraint:
     """Abstract linear map ``A`` with right-hand side ``b`` for ``Ax = b``.
 
-    Implementations provide matrix-free ``apply``/``apply_adjoint`` so sparse
-    operators (e.g. graph Laplacian blocks) plug into every solver unchanged.
-    ``op_norm``, an upper bound on ``|A|_2`` as the step rules and the theta
-    certificates assume, comes from :attr:`gram_factor` unless an instance
-    sets its own.
+    Implementations provide ``apply``/``apply_adjoint``. ``op_norm``, an
+    upper bound on ``|A|_2`` as the step rules and the theta certificates
+    assume, comes from :attr:`gram_factor` unless an instance sets its own.
+    That default, the implicit range-space route, the semi-smooth Newton
+    routes and ``semi_apdfb``'s Gram solve need :meth:`matrix` or
+    :meth:`gram_root`: a constraint with neither runs only ``semi_apd`` and
+    ``ex_apdfb``, and only with ``op_norm`` set.
     """
 
     rows = 0

@@ -26,6 +26,7 @@ from .schedule import (
     restart_scaling,
     step_size,
 )
+from .sets import Box, RealSpace
 
 # c of the restart rule: an epoch ends at the first step that leaves theta
 # below it, so 1/theta never exceeds (1 + alpha)/c in any update, 5000 at the
@@ -141,23 +142,23 @@ def _finite(rhs, what):
 
 
 def _prox_full_objective(problem, eta, point):
-    """Prox of ``f = h + g`` over the feasible set."""
+    """Prox of ``f = h + g`` over the feasible set: that of ``g`` when ``h = 0``; for
+    ``g = 0``, a quadratic ``h`` diagonal over a box or the whole space, or dense over it."""
     smooth, nonsmooth = problem.smooth, problem.nonsmooth
+    if smooth.is_zero:
+        return nonsmooth.prox(eta, point)
     if smooth.is_quadratic and isinstance(nonsmooth, ZeroProx):
         feas = nonsmooth.feasible_set
         diagonal = getattr(smooth, "diag", None)
-        if diagonal is not None:
+        if diagonal is not None and isinstance(feas, (RealSpace, Box)):
             return feas.project((point - eta * smooth.linear_term()) / (1.0 + eta * diagonal))
         if feas.is_whole_space:
             h = smooth.hessian_matrix() + np.eye(problem.dim) / eta
             return np.linalg.solve(h, point / eta - smooth.linear_term())
-        raise InnerSolveError(
-            "no closed-form prox for a dense quadratic over a constraint set", np.nan)
-    if smooth.is_zero:
-        return nonsmooth.prox(eta, point)
-    raise InnerSolveError(
-        "full-objective prox needs a quadratic smooth part or a pure prox part",
-        np.nan)
+        raise InnerSolveError("no closed-form prox for a dense quadratic over a constraint set "
+                              "or a diagonal one over a set that is not a box", np.nan)
+    raise InnerSolveError("full-objective prox needs a quadratic smooth part or a pure prox part",
+                          np.nan)
 
 
 def _range_space_route(problem):
@@ -407,6 +408,13 @@ def initial_state(problem, config):
                         ScalingState(1.0, config.gamma0))
 
 
+def check_run_limits(max_iter, stop_tol):
+    """Raise ``ValueError`` unless ``max_iter >= 0`` and ``0 <= stop_tol < inf``."""
+    if not (max_iter >= 0 and 0 <= stop_tol < np.inf):
+        raise ValueError("need max_iter >= 0 and 0 <= stop_tol < inf, "
+                         f"got max_iter={max_iter} and stop_tol={stop_tol}")
+
+
 def run_solver(problem, config):
     """Run one scheme on one problem, recording per-iteration diagnostics.
 
@@ -432,9 +440,11 @@ def run_solver(problem, config):
     test and the restart, and each distinct ``implicit`` step system once;
     the values at ``x*`` are formed once per run. The context is not
     returned, so no factored system outlives the run.
+    Raises ``ValueError`` unless ``max_iter >= 0`` and ``0 <= stop_tol < inf``.
     """
     from .model import kkt_residual
 
+    check_run_limits(config.max_iter, config.stop_tol)
     rule = make_step_rule(problem, config)
     step_name = SCHEME_TABLE[config.scheme].step
     reference = config.reference

@@ -259,6 +259,24 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "flow: flow diverged near t="),
     ("audit --csv {tmp}/ragged.csv --problem {tmp}/qp.txt --scheme implicit",
      "ragged.csv: line 3 has 2 cells, the header 6"),
+    ("audit --csv {tmp}/cell.csv --problem {tmp}/qp.txt --scheme implicit",
+     "cell.csv: line 3, column lyapunov: 'x' is not a number"),
+    ("solve --problem {tmp}/qp.txt --scheme semi_apd --max-iter -3 --csv {tmp}/out.csv",
+     "argument --max-iter: expected a nonnegative integer, got '-3'"),
+    ("solve --problem {tmp}/qp.txt --scheme semi_apd --stop-tol nan --csv {tmp}/out.csv",
+     "argument --stop-tol: expected a finite nonnegative number, got 'nan'"),
+    ("solve --problem {tmp}/qp.txt --scheme semi_apd --stop-tol inf --csv {tmp}/out.csv",
+     "argument --stop-tol: expected a finite nonnegative number, got 'inf'"),
+    ("ddo --graph path:4 --m 2 --model ls --algo apd --max-iter -2 --csv {tmp}/out.csv",
+     "argument --max-iter: expected a nonnegative integer, got '-2'"),
+    ("ddo --graph path:4 --m 2 --model ls --algo apd --max-iter 5 --stop-tol inf "
+     "--csv {tmp}/out.csv",
+     "argument --stop-tol: expected a finite nonnegative number, got 'inf'"),
+    ("compare --problem {tmp}/qp.txt --schemes semi_apd --max-iter -1 --out-dir {tmp}/out",
+     "argument --max-iter: expected a nonnegative integer, got '-1'"),
+    ("compare --problem {tmp}/qp.txt --schemes semi_apd --stop-tol -0.001 "
+     "--out-dir {tmp}/out",
+     "argument --stop-tol: expected a finite nonnegative number, got '-0.001'"),
 ], ids=["graph-kind", "graph-grid", "graph-disconnected", "eps-float", "eps-empty",
         "eps-zero", "methods-empty", "flow-step", "compare-beta", "compare-missing",
         "solve-missing", "ddo-m-zero", "ddo-samples-zero", "solve-alpha-zero",
@@ -267,7 +285,9 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
         "ddo-ridge-small", "ddo-ridge-nan", "ddo-extra-ridge-negative", "robustness-tol",
         "robustness-i-max", "solve-lasso-implicit", "solve-lasso-semi-apd", "solve-zero-lip",
         "flow-horizon-inf", "flow-horizon-nan", "flow-step-nan", "flow-diverges",
-        "audit-csv-ragged"])
+        "audit-csv-ragged", "audit-csv-cell", "solve-max-iter-negative", "solve-stop-tol-nan",
+        "solve-stop-tol-inf", "ddo-max-iter-negative", "ddo-stop-tol-inf",
+        "compare-max-iter-negative", "compare-stop-tol-negative"])
 def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
     qp = write_problem(tmp_path / "qp.txt", "quadratic")
     write_problem(tmp_path / "lasso.txt", "lasso")
@@ -276,6 +296,8 @@ def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
     (tmp_path / "empty.csv").write_text("", encoding="utf-8")
     (tmp_path / "ragged.csv").write_text("k,epoch,alpha,theta,gamma,lyapunov\n"
                                          "0,0,0,1,1,2\n1,0\n", encoding="utf-8")
+    (tmp_path / "cell.csv").write_text("k,epoch,alpha,theta,gamma,lyapunov\n"
+                                       "0,0,0,1,1,2\n1,0,1,0.5,1,x\n", encoding="utf-8")
     assert main(["ddo", "--graph", "path:4", "--m", "2", "--model", "ls", "--algo", "apd",
                  "--max-iter", "2", "--csv", str(tmp_path / "ddo.csv")]) == 0
     assert main(["solve", "--problem", qp, "--scheme", "implicit", "--max-iter", "2",

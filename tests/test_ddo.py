@@ -8,9 +8,7 @@ from apd.ddo import (
     ExtraState,
     Graph,
     IncidenceConstraint,
-    MixingMatrix,
     apd_ddo_step,
-    aqp_penalty_operator,
     aqp_step,
     build_ddo_problem,
     cycle_graph,
@@ -79,22 +77,22 @@ def graph_mixing(graph):
 
 
 def test_mixing_matrix_path():
-    mix = graph_mixing(path_graph(3))
+    w = graph_mixing(path_graph(3))
     expected = np.array([[2 / 3, 1 / 3, 0.0],
                          [1 / 3, 1 / 3, 1 / 3],
                          [0.0, 1 / 3, 2 / 3]])
-    np.testing.assert_allclose(mix.w.toarray(), expected, atol=1e-9)
-    np.testing.assert_allclose(mix.w @ np.ones(3), np.ones(3), atol=1e-12)
-    assert mix.lam_min_w_hat == 0.5
-    eig = np.linalg.eigvalsh(mix.w_hat.toarray())
+    np.testing.assert_allclose(w.toarray(), expected, atol=1e-9)
+    np.testing.assert_allclose(w @ np.ones(3), np.ones(3), atol=1e-12)
+    # the bound Extra's step size takes for lam_min((I + W) / 2)
+    eig = np.linalg.eigvalsh(0.5 * (np.eye(3) + w.toarray()))
     assert eig[0] >= 0.5 - 1e-9
 
 
 def test_mixing_matrix_is_psd_on_a_benchmark_size_graph():
     # ROADMAP defect 4: W = I - L / lambda_max(L) needs lambda_max(L) from above
-    mix = graph_mixing(random_geometric_graph(400, 0.11, 11))
-    assert np.linalg.eigvalsh(mix.w.toarray()).min() >= 0
-    assert np.linalg.eigvalsh(mix.w_hat.toarray()).min() >= mix.lam_min_w_hat
+    w = graph_mixing(random_geometric_graph(400, 0.11, 11)).toarray()
+    assert np.linalg.eigvalsh(w).min() >= 0
+    assert np.linalg.eigvalsh(0.5 * (np.eye(400) + w)).min() >= 0.5  # Extra's step bound
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -360,36 +358,57 @@ def test_extra_transcript_matches_reimplementation():
     # complete graph on two nodes, scalar quadratic locals
     graph = path_graph(2)
     prob = build_ddo_problem(graph, 1, "least_squares", seed=3, samples=3)
-    mix = graph_mixing(graph)
-    alpha = extra_step_size(prob, mix)
+    w = graph_mixing(graph)
+    alpha = extra_step_size(prob)
     state = ExtraState(x=np.zeros((2, 1)))
     xs = [state.x]
     for _ in range(10):
-        state = extra_step(state, prob, mix, alpha)
+        state = extra_step(state, prob, w, alpha)
         xs.append(state.x)
-    # straight-line reimplementation of the two update lines
+    # straight-line reimplementation of the two update lines, (I + W) / 2 formed explicitly
+    w_hat = 0.5 * (np.eye(2) + w.toarray())
     grad = prob.gradient
     x_prev = np.zeros((2, 1))
-    x = mix.w @ x_prev - alpha * grad(x_prev)
+    x = w @ x_prev - alpha * grad(x_prev)
     ref = [x_prev, x]
     for _ in range(9):
-        e = x - mix.w_hat @ x_prev + alpha * grad(x_prev)
-        x_next = mix.w @ x - alpha * grad(x) + e
+        e = x - w_hat @ x_prev + alpha * grad(x_prev)
+        x_next = w @ x - alpha * grad(x) + e
         x_prev, x = x, x_next
         ref.append(x)
     for got, want in zip(xs, ref):
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+class CountingOperator:
+    """A matrix that counts the products taken with it."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.matrix @ x
+
+
+def test_extra_step_makes_one_product_with_w():
+    # (I + W)/2 x_prev is the mean of x_prev and the W x_prev of the step before
+    prob, _ = shared_minimizer_problem()
+    w = CountingOperator(mixing_matrix(prob.incidence, prob.laplacian))
+    alpha = extra_step_size(prob)
+    state = ExtraState(x=np.random.default_rng(7).standard_normal((4, 3)))
+    for k in range(1, 6):
+        state = extra_step(state, prob, w, alpha)
+        assert w.products == k
+
+
 def test_extra_identity_mixing_is_gradient_descent():
     prob, _ = shared_minimizer_problem()
-    from apd.ddo import MixingMatrix
-    identity = MixingMatrix(np.eye(4), np.eye(4), 1.0)
     alpha = 0.1
     state = ExtraState(x=np.zeros((4, 3)))
     xs = [state.x]
     for _ in range(6):
-        state = extra_step(state, prob, identity, alpha)
+        state = extra_step(state, prob, np.eye(4), alpha)
         xs.append(state.x)
     x = np.zeros((4, 3))
     for k in range(6):
@@ -399,54 +418,52 @@ def test_extra_identity_mixing_is_gradient_descent():
 
 def test_extra_fixed_point():
     prob, x_hat = shared_minimizer_problem()
-    mix = mixing_matrix(prob.incidence, prob.laplacian)
+    w = mixing_matrix(prob.incidence, prob.laplacian)
     stacked = np.tile(x_hat, (4, 1))
     state = ExtraState(x=stacked.copy(), x_prev=stacked.copy(),
-                       grad_prev=prob.gradient(stacked), k=1)
-    out = extra_step(state, prob, mix, extra_step_size(prob, mix))
+                       grad_prev=prob.gradient(stacked), w_x_prev=w @ stacked)
+    out = extra_step(state, prob, w, extra_step_size(prob))
     np.testing.assert_allclose(out.x, stacked, atol=1e-12)
 
 
 def test_sparse_mixing_matches_dense_over_fifty_steps():
     graph = random_geometric_graph(40, 0.3, 6)
-    mix = graph_mixing(graph)
-    penalty = aqp_penalty_operator(mix)
-    assert (mix.w.format, mix.w_hat.format, penalty.format) == ("csr", "csr", "csr")
-    assert graph_mixing(Graph(1, ())).w.format == "csr"
-    dense = MixingMatrix(mix.w.toarray(), mix.w_hat.toarray(), mix.lam_min_w_hat)
-    dense_penalty = 0.5 * (np.eye(graph.n) - dense.w)
+    w = graph_mixing(graph)
+    assert w.format == "csr" and graph_mixing(Graph(1, ())).format == "csr"
+    dense = w.toarray()
     x0 = np.random.default_rng(6).standard_normal((graph.n, 3))
     for kind in ("least_squares", "logistic"):
         prob = build_ddo_problem(graph, 3, kind, seed=6)
-        alpha = extra_step_size(prob, mix)
+        alpha = extra_step_size(prob)
         sparse_state, dense_state = ExtraState(x=x0), ExtraState(x=x0)
         for _ in range(50):
-            sparse_state = extra_step(sparse_state, prob, mix, alpha)
+            sparse_state = extra_step(sparse_state, prob, w, alpha)
             dense_state = extra_step(dense_state, prob, dense, alpha)
             np.testing.assert_allclose(sparse_state.x, dense_state.x, rtol=0, atol=1e-12)
         # least squares (mu = 0) takes the convex AQP branch, logistic the strongly convex one
         sparse_state = dense_state = AqpState(x=x0, x_prev=x0)
         for _ in range(50):
-            sparse_state = aqp_step(sparse_state, prob, penalty)
-            dense_state = aqp_step(dense_state, prob, dense_penalty)
+            sparse_state = aqp_step(sparse_state, prob, w)
+            dense_state = aqp_step(dense_state, prob, dense)
             np.testing.assert_allclose(sparse_state.x, dense_state.x, rtol=0, atol=1e-12)
 
 
 def test_aqp_theta_recursion_golden_ratio():
     prob, _ = shared_minimizer_problem(samples=3)  # mu > 0: the strongly convex branch
-    penalty = aqp_penalty_operator(mixing_matrix(prob.incidence, prob.laplacian))
+    w = mixing_matrix(prob.incidence, prob.laplacian)
     state = AqpState(x=np.zeros((4, 3)), x_prev=np.zeros((4, 3)))
-    out = aqp_step(state, prob, penalty)
+    out = aqp_step(state, prob, w)
     assert out.theta_prev == pytest.approx((np.sqrt(5) - 1) / 2)
 
 
 def test_aqp_first_step_has_no_momentum():
     prob, _ = shared_minimizer_problem()
-    penalty = aqp_penalty_operator(mixing_matrix(prob.incidence, prob.laplacian))
+    w = mixing_matrix(prob.incidence, prob.laplacian)
     rng = np.random.default_rng(12)
     x = rng.standard_normal((4, 3))
     x_prev = rng.standard_normal((4, 3))  # must be ignored at k = 1
-    out = aqp_step(AqpState(x=x, x_prev=x_prev), prob, penalty)  # mu = 0: convex
+    out = aqp_step(AqpState(x=x, x_prev=x_prev), prob, w)  # mu = 0: convex
+    penalty = 0.5 * (np.eye(4) - w.toarray())  # (I - W) / 2 formed explicitly
     direct = x - (prob.gradient(x) + 2.0 * (penalty @ x)) / (prob.lip + 2.0)
     np.testing.assert_allclose(out.x, direct, atol=1e-12)
 
@@ -455,10 +472,10 @@ def test_aqp_fixed_points_both_variants():
     for samples in (2, 3):  # mu = 0 (convex) and mu > 0 (strongly convex)
         prob, x_hat = shared_minimizer_problem(samples=samples)
         assert (prob.mu > 0) == (samples == 3)
-        penalty = aqp_penalty_operator(mixing_matrix(prob.incidence, prob.laplacian))
+        w = mixing_matrix(prob.incidence, prob.laplacian)
         stacked = np.tile(x_hat, (4, 1))
         state = AqpState(x=stacked.copy(), x_prev=stacked.copy())
-        out = aqp_step(state, prob, penalty)
+        out = aqp_step(state, prob, w)
         np.testing.assert_allclose(out.x, stacked, atol=1e-12)
 
 
@@ -615,3 +632,10 @@ def test_run_ddo_rejects_unknown_algo():
     prob = build_ddo_problem(path_graph(3), 2, "least_squares", seed=0)
     with pytest.raises(ValueError):
         run_ddo(prob, "sgd", 5)
+
+
+@pytest.mark.parametrize("max_iter,stop_tol", [(-2, 0.0), (5, np.nan), (5, np.inf), (5, -1.0)])
+def test_run_ddo_rejects_a_bad_step_cap_or_tolerance(max_iter, stop_tol):
+    prob = build_ddo_problem(path_graph(3), 2, "least_squares", seed=0)
+    with pytest.raises(ValueError, match="need max_iter >= 0 and 0 <= stop_tol < inf"):
+        run_ddo(prob, "extra", max_iter, stop_tol=stop_tol)

@@ -24,3 +24,15 @@ def test_read_csv_rejects_a_row_of_another_width(tmp_path):
     path.write_text("k,obj_gap\n0,1,2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2 has 3 cells, the header 2"):
         read_csv(str(path))
+
+
+def test_read_csv_names_the_line_and_column_of_a_cell_that_is_not_a_number(tmp_path):
+    path = tmp_path / "solve.csv"
+    path.write_text("k,epoch,alpha,theta,gamma,lyapunov\n0,0,0,1,1,nan\n1,0,1,0.5,inf,x\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"solve\.csv: line 3, column lyapunov: 'x' is not "
+                                         r"a number$"):
+        read_csv(str(path))
+    path.write_text("k,lyapunov\n0,nan\n1,-inf\n", encoding="utf-8")
+    columns = read_csv(str(path))
+    assert math.isnan(columns["lyapunov"][0]) and columns["lyapunov"][1] == -math.inf

@@ -19,8 +19,8 @@ def test_every_exported_name_resolves():
     assert [name for name in apd.__all__ if not hasattr(apd, name)] == []
 
 
-def _private_definitions(tree):
-    """Module-level ``_private`` functions, classes and assigned names."""
+def _definitions(tree):
+    """Module-level functions, classes and assigned names."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -29,7 +29,13 @@ def _private_definitions(tree):
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.add(node.target.id)
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return names
+
+
+def _private_definitions(tree):
+    """Module-level ``_private`` functions, classes and assigned names."""
+    return {name for name in _definitions(tree)
+            if name.startswith("_") and not name.startswith("__")}
 
 
 def _uses(tree):
@@ -45,12 +51,39 @@ def _uses(tree):
     return used
 
 
+def _package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(apd.__file__).parent.glob("*.py"))}
+
+
 def test_every_private_module_name_is_used_in_the_package():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(Path(apd.__file__).parent.glob("*.py"))}
+    trees = _package_trees()
     used = set().union(*(_uses(tree) for tree in trees.values()))
     unused = sorted(f"{module}:{name}" for module, tree in trees.items()
                     for name in _private_definitions(tree) if name not in used)
+    assert unused == []
+
+
+def _traced_names(tree):
+    """The string constants of ``targets()`` in the tracer: the attribute
+    names it wraps by name."""
+    (targets,) = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "targets"]
+    return {node.value for node in ast.walk(targets)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_public_module_name_has_a_caller():
+    # a public name that only tests call is a helper with no caller
+    bench = Path(__file__).parents[1] / "perfbench"
+    bench_trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+                   for path in sorted(bench.glob("*.py"))}
+    trees = _package_trees()
+    used = set().union(*(_uses(tree) for tree in [*trees.values(), *bench_trees.values()]))
+    used |= _traced_names(bench_trees["tracer.py"]) | set(apd.__all__)
+    unused = sorted(f"{module}:{name}" for module, tree in trees.items()
+                    for name in _definitions(tree)
+                    if not name.startswith("_") and name not in used)
     assert unused == []
 
 

@@ -210,10 +210,16 @@ def _prox_case(name):
         "l1": (apd.ZeroObjective(4), apd.L1Prox(4.0),
                lambda point, eta: np.sign(point) * np.maximum(np.abs(point) - 4.0 * eta, 0.0)),
         "dense-box": (apd.QuadraticObjective(dense, c), apd.ZeroProx(box), None),
+        "zero-box": (apd.ZeroObjective(4), apd.ZeroProx(box),
+                     lambda point, eta: np.clip(point, -0.3, 0.3)),
+        # the clipped diagonal minimizer is not the prox over a non-separable set
+        "diagonal-halfspace": (apd.QuadraticObjective(q, c),
+                               apd.ZeroProx(apd.HalfSpace(np.ones(4), -1.0)), None),
     }[name]
 
 
-@pytest.mark.parametrize("name", ["diagonal", "dense", "diagonal-box", "l1", "dense-box"])
+@pytest.mark.parametrize("name", ["diagonal", "dense", "diagonal-box", "l1", "dense-box",
+                                  "zero-box", "diagonal-halfspace"])
 def test_semi_apd_prox_matches_a_direct_minimizer(name):
     smooth, nonsmooth, argmin = _prox_case(name)
     rng = np.random.default_rng(6)
@@ -234,6 +240,31 @@ def test_semi_apd_prox_matches_a_direct_minimizer(name):
     eta = alpha ** 2 / tau
     np.testing.assert_allclose(out.x, argmin(y - eta * amat.T @ lam_hat, eta),
                                rtol=1e-12, atol=1e-14)
+
+
+def test_semi_apd_rejects_a_diagonal_qp_over_a_half_space():
+    # the diagonal closed form over this set ended precision_floor after 910
+    # steps, 2.3e-3 from the optimum with f 7e-6 too high
+    rng = np.random.default_rng(0)
+    amat, rhs, c = rng.standard_normal((2, 6)), rng.standard_normal(2), 3 * rng.standard_normal(6)
+    p = apd.ProblemInstance(apd.QuadraticObjective([0.2, 0.5, 1, 2, 4, 8], c),
+                            apd.ZeroProx(apd.HalfSpace(np.ones(6), -1.0)),
+                            apd.MatrixConstraint(amat, rhs))
+    with pytest.raises(InnerSolveError, match="not a box"):
+        run_solver(p, SolverConfig("semi_apd", max_iter=5))
+
+
+def test_semi_apd_solves_a_box_feasibility_problem():
+    # a zero smooth part takes the box projection, not the quadratic route that raised
+    rng = np.random.default_rng(0)
+    amat = rng.standard_normal((2, 6))
+    rhs = amat @ rng.uniform(-0.5, 0.5, 6)
+    box = apd.Box(-np.ones(6), np.ones(6))
+    p = apd.ProblemInstance(apd.ZeroObjective(6), apd.ZeroProx(box),
+                            apd.MatrixConstraint(amat, rhs))
+    run = run_solver(p, SolverConfig("semi_apd", max_iter=2000, stop_tol=1e-8))
+    assert run.status == "converged"
+    assert np.linalg.norm(amat @ run.state.x - rhs) <= 1e-8 and box.contains(run.state.x)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +474,15 @@ def test_run_solver_has_a_step_for_every_listed_scheme(scheme, qp1):
 def test_run_solver_names_an_unknown_scheme(qp1):
     with pytest.raises(ValueError, match="'newton'"):
         run_solver(qp1, SolverConfig(scheme="newton"))
+
+
+@pytest.mark.parametrize("max_iter,stop_tol", [(-3, 0.0), (10, np.nan), (10, np.inf),
+                                               (10, -1e-3)])
+def test_run_solver_rejects_a_bad_step_cap_or_tolerance(qp1, max_iter, stop_tol):
+    # a negative cap ran no step and reported max_iter; an infinite tolerance
+    # reported converged after one step, whatever the accuracy
+    with pytest.raises(ValueError, match=f"got max_iter={max_iter} and stop_tol={stop_tol}$"):
+        run_solver(qp1, SolverConfig("semi_apd", max_iter=max_iter, stop_tol=stop_tol))
 
 
 def test_run_zero_iterations(qp1):
