@@ -13,7 +13,8 @@ import numpy as np
 from . import ddo as ddo_mod
 from .flow import FlowDivergenceError, FlowState, flow_records, integrate_flow
 from .harness import audit_records, emit_csv, read_csv, run_experiment
-from .inner import InnerSolveError, augmented_consensus_solve, plain_iteration_solve
+from .inner import (AUGMENTED_METHODS, PLAIN_METHODS, InnerSolveError,
+                    augmented_consensus_solve, plain_iteration_solve)
 from .model import NoReferenceError, load_problem, solve_reference_saddle
 from .schedule import SCHEMES
 from .solvers import SolverConfig, make_step_rule, run_solver
@@ -46,14 +47,29 @@ def parse_graph_spec(spec):
 
 
 def _eps_list(text):
-    """``--eps-list``: comma-separated positive floats, at least one."""
+    """``--eps-list``: comma-separated finite positive floats, at least one."""
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if not values or not all(eps > 0 for eps in values):
-        raise argparse.ArgumentTypeError("needs one or more positive eps values")
+    if not values or not all(0 < eps < np.inf for eps in values):
+        raise argparse.ArgumentTypeError("needs one or more positive eps values, each finite")
     return values
+
+
+# the stationary methods run plain (on eps I + L) and bordered; PCG runs bordered only
+_ROBUSTNESS_METHODS = (tuple(f"plain_{m}" for m in PLAIN_METHODS)
+                       + tuple(m if m.startswith("pcg_") else f"aug_{m}"
+                               for m in AUGMENTED_METHODS))
+
+
+def _method_list(text):
+    """``--methods``: a comma list of ``_ROBUSTNESS_METHODS``, at least one."""
+    methods = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not methods or not set(methods) <= set(_ROBUSTNESS_METHODS):
+        raise argparse.ArgumentTypeError(f"expected a comma list from: "
+                                         f"{', '.join(_ROBUSTNESS_METHODS)}; got {text!r}")
+    return methods
 
 
 def _option_type(convert, allow_zero, expected):
@@ -146,21 +162,13 @@ class RobustnessRecord:
     relative_residual: float
 
 
-_ROBUSTNESS_METHODS = ("plain_jacobi", "plain_gs", "plain_sgs",
-                       "aug_jacobi", "aug_gs", "aug_sgs", "pcg_jacobi", "pcg_sgs")
-
-
 def _cmd_robustness(args):
     lap = ddo_mod.graph_laplacian(args.graph)
     rng = np.random.default_rng(args.seed)
     s = rng.standard_normal(args.graph.n)
-    methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-    if not methods or not set(methods) <= set(_ROBUSTNESS_METHODS):
-        raise SystemExit(f"bad --methods {args.methods!r}; choose a comma list from: "
-                         f"{', '.join(_ROBUSTNESS_METHODS)}")
     rows = []
     for eps in args.eps_list:
-        for method in methods:
+        for method in args.methods:
             if method.startswith("plain_"):
                 v, iters, ok = plain_iteration_solve(
                     lap, eps, s, method=method[len("plain_"):],
@@ -256,7 +264,7 @@ def build_parser():
     ddo.add_argument("--graph", required=True, type=parse_graph_spec, help=_GRAPH_SPECS)
     ddo.add_argument("--m", type=_positive_int, required=True, help="block size per node")
     ddo.add_argument("--model", choices=("ls", "logistic"), required=True)
-    ddo.add_argument("--algo", choices=("apd", "extra", "aqp"), required=True)
+    ddo.add_argument("--algo", choices=ddo_mod.ALGORITHMS, required=True)
     ddo.add_argument("--max-iter", type=_step_count, required=True)
     ddo.add_argument("--stop-tol", type=_tolerance, default=0.0)
     ddo.add_argument("--seed", type=int, default=0)
@@ -273,7 +281,7 @@ def build_parser():
     robust.add_argument("--graph", required=True, type=parse_graph_spec, help=_GRAPH_SPECS)
     robust.add_argument("--eps-list", required=True, type=_eps_list,
                         help="comma-separated eps values")
-    robust.add_argument("--methods", required=True,
+    robust.add_argument("--methods", required=True, type=_method_list,
                         help=f"comma list from: {', '.join(_ROBUSTNESS_METHODS)}")
     robust.add_argument("--tol", type=_positive_float, default=1e-6)
     robust.add_argument("--i-max", type=_positive_int, default=100000)

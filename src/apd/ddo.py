@@ -2,7 +2,7 @@
 which is :func:`~apd.solvers.semi_apdfb_step` on the graph's
 :class:`IncidenceConstraint`, a :class:`~apd.model.LinearConstraint` whose
 Gram factor, ``op_norm`` and exact solve come from the incidence matrix, plus
-the Extra and AQP baselines."""
+the Extra baseline."""
 
 from __future__ import annotations
 
@@ -416,41 +416,6 @@ def extra_step_size(problem):
     return _LAM_MIN_MEAN_MIXING / problem.lip
 
 
-@dataclass
-class AqpState:
-    x: np.ndarray
-    x_prev: np.ndarray
-    k: int = 1
-    theta_prev: float = 1.0
-
-
-def aqp_step(state, problem, w):
-    """One accelerated-quadratic-penalty update.
-
-    The consensus penalty is ``(I - W)/2 y = (y - W y)/2`` of mixing matrix
-    ``w``. The variant follows ``problem.mu``. The convex one (``mu = 0``)
-    uses the growing penalty ``(k+1)`` and momentum ``(k-1)/(k+1)``; the
-    strongly convex one (``mu > 0``) runs the decreasing-theta recursion
-    ``theta^2 + theta_prev^2 theta = theta_prev^2``.
-    """
-    k = state.k
-    if not problem.mu > 0:
-        momentum = (k - 1.0) / (k + 1.0)
-        y = state.x + momentum * (state.x - state.x_prev)
-        grad = problem.gradient(y) + (k + 1.0) * (0.5 * (y - w @ y))
-        x_next = y - grad / (problem.lip + k + 1.0)
-        return AqpState(x=x_next, x_prev=state.x, k=k + 1,
-                        theta_prev=state.theta_prev)
-    mu, lip = problem.mu, problem.lip
-    tp = state.theta_prev
-    theta = 0.5 * tp * (np.sqrt(tp * tp + 4.0) - tp)  # theta^2 + tp^2 theta = tp^2
-    eta = lip * theta ** 2 + mu
-    momentum = (eta * theta - mu * theta ** 2) * (1.0 - tp) / ((eta - mu * theta ** 2) * tp)
-    y = state.x + momentum * (state.x - state.x_prev)
-    x_next = y - (theta ** 2 * problem.gradient(y) + mu * (0.5 * (y - w @ y))) / eta
-    return AqpState(x=x_next, x_prev=state.x, k=k + 1, theta_prev=theta)
-
-
 # ---------------------------------------------------------------------------
 # run loop
 # ---------------------------------------------------------------------------
@@ -471,10 +436,13 @@ class DdoRun:
     x: np.ndarray  # stacked final iterate; the best measured on precision_floor
 
 
+ALGORITHMS = ("apd", "extra")
+
+
 def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     """Run one decentralized algorithm and record per-iteration diagnostics.
 
-    ``algo`` is one of ``apd``, ``extra``, ``aqp``. ``apd`` runs
+    ``algo`` is one of :data:`ALGORITHMS`, checked first. ``apd`` runs
     :func:`apd_ddo_step` in one :class:`~apd.solvers.RunContext` of
     ``problem`` as the smooth part and its :class:`IncidenceConstraint`,
     built and factored once per call and dropped with the context, from
@@ -482,8 +450,8 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     :class:`~apd.solvers.Epochs` that :func:`~apd.solvers.run_solver` runs
     too: a step that leaves ``theta`` below the restart threshold starts a
     new epoch from ``(x, x, lam)``, with ``gamma`` kept when ``mu > 0`` and
-    back at ``lip`` otherwise. The quadratic-penalty variant and the Extra
-    step size follow ``mu > 0`` (:func:`aqp_step`, :func:`extra_step_size`).
+    back at ``lip`` otherwise. ``extra`` runs :func:`extra_step` with the
+    :func:`mixing_matrix` of the graph and the step of :func:`extra_step_size`.
     Each :class:`DdoRecord` holds the objective gap against a centralized
     solve (``f_ref``) and ``|L X|``, formed every step, and with ``timing``
     the step's wall time. Their sum is the stop measure. The run ends with
@@ -495,15 +463,16 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
       step, and the returned ``x`` is the best iterate measured, as the
       state of :func:`~apd.solvers.run_solver` is;
     - ``max_iter`` otherwise.
-    Raises ``ValueError`` unless ``max_iter >= 0`` and ``0 <= stop_tol < inf``.
+    Raises ``ValueError`` for an unknown ``algo``, and unless ``max_iter >= 0``
+    and ``0 <= stop_tol < inf``.
     """
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}; pick one of {ALGORITHMS}")
     solvers.check_run_limits(max_iter, stop_tol)
     if f_ref is None:
         f_ref, _ = reference_objective(problem)
     n, m = problem.n_nodes, problem.block_size
     x0 = np.zeros((n, m))
-    w = (mixing_matrix(problem.incidence, problem.laplacian)
-         if algo in ("extra", "aqp") else None)
     epochs = None
     if algo == "apd":
         ctx = solvers.RunContext(
@@ -516,19 +485,13 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
         def step(state):
             state = epochs.begin(state)
             return apd_ddo_step(state, ctx, step_size(rule, state.scaling))
-    elif algo == "extra":
+    else:
+        w = mixing_matrix(problem.incidence, problem.laplacian)
         state = ExtraState(x=x0)
         alpha = extra_step_size(problem)
 
         def step(state):
             return extra_step(state, problem, w, alpha)
-    elif algo == "aqp":
-        state = AqpState(x=x0, x_prev=x0.copy())
-
-        def step(state):
-            return aqp_step(state, problem, w)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
 
     def snapshot(k, wall):
         return DdoRecord(k=k, obj_gap=abs(problem.value(state.x) - f_ref),

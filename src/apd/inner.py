@@ -7,7 +7,7 @@ prox Jacobian keeps) has fewer columns than rows, of the smaller
 ``theta I + alpha t C'C`` through Woodbury.
 
 The consensus solvers take one right-side vector. Their stationary methods
-(Jacobi, Gauss-Seidel, symmetric Gauss-Seidel) are one sweep builder,
+(damped Jacobi, symmetric Gauss-Seidel) are one sweep builder,
 :func:`_sweep`, run by one loop on the bordered matrix or on
 ``eps I + A``; the preconditioned ones run the one PCG loop,
 :func:`pcg_solve`, on the bordered matrix.
@@ -284,8 +284,8 @@ def _newton_direction(ctx, amat, slope, residual):
 # nearly singular consensus systems
 # ---------------------------------------------------------------------------
 
-AUGMENTED_METHODS = ("jacobi", "gs", "sgs", "pcg_jacobi", "pcg_sgs")
-PLAIN_METHODS = ("jacobi", "gs", "sgs")
+AUGMENTED_METHODS = ("jacobi", "sgs", "pcg_jacobi", "pcg_sgs")
+PLAIN_METHODS = ("jacobi", "sgs")
 
 
 def _as_sparse(operator):
@@ -294,7 +294,16 @@ def _as_sparse(operator):
     return sp.csr_matrix(np.asarray(operator, dtype=float))
 
 
-def _one_vector(s):
+def _checked_rhs(s, eps, method, methods, i_max):
+    """The right side ``s`` as one float vector, after the checks both
+    consensus solvers make: ``method`` is one of ``methods``, ``i_max >= 0``
+    and ``0 < eps < inf``."""
+    if method not in methods:
+        raise ValueError(f"unknown method {method!r}; pick one of {methods}")
+    if i_max < 0:
+        raise ValueError(f"i_max must be nonnegative, got {i_max}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
         raise ValueError(f"the right side must be one vector, not an array of shape {s.shape}")
@@ -338,7 +347,7 @@ _JACOBI_DAMPING = 2.0 / 3.0
 
 
 def _sweep(matrix, method):
-    """One Jacobi, Gauss-Seidel or symmetric Gauss-Seidel sweep ``(x, b) -> x'``.
+    """One Jacobi or symmetric Gauss-Seidel sweep ``(x, b) -> x'``.
 
     ``matrix`` is a CSR matrix ``D + L + U``, split into its diagonal and
     strict triangles once, here. Jacobi is damped by ``2/3``,
@@ -346,12 +355,12 @@ def _sweep(matrix, method):
     even cycle, a grid) ``D^-1 (D + L + U)`` of the Laplacian systems, plain
     or bordered, has an eigenvalue near 2, so the undamped sweep has one
     near -1 and stalls; the damped sweep's eigenvalues lie in
-    ``[-1/3, 1]`` for these diagonally dominant matrices. The
-    Gauss-Seidel sweep is one sparse product and one triangular solve with
-    ``D + L``, so it updates row 0 (on a bordered matrix, the coarse
-    coefficient) first; the symmetric sweep follows it with the backward
-    sweep, a solve with ``D + U`` that updates row 0 last. A zero on the
-    diagonal raises ``numpy.linalg.LinAlgError``.
+    ``[-1/3, 1]`` for these diagonally dominant matrices. The symmetric
+    sweep is a forward sweep, one sparse product and one triangular solve
+    with ``D + L`` that updates row 0 (on a bordered matrix, the coarse
+    coefficient) first, then the backward sweep, a solve with ``D + U``
+    that updates row 0 last. A zero on the diagonal raises
+    ``numpy.linalg.LinAlgError``.
     """
     diag = matrix.diagonal()
     if np.any(diag == 0):
@@ -363,14 +372,9 @@ def _sweep(matrix, method):
         return lambda x, b: x + _JACOBI_DAMPING * ((b - off @ x) / diag - x)
     lower, upper = _triangle_factors(matrix)
 
-    def forward(x, b):
-        return lower.solve(b - strict_upper @ x)
-
-    if method == "gs":
-        return forward
-
     def symmetric(x, b):
-        return upper.solve(b - strict_lower @ forward(x, b))
+        forward = lower.solve(b - strict_upper @ x)
+        return upper.solve(b - strict_lower @ forward)
 
     return symmetric
 
@@ -411,13 +415,7 @@ def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
 
     Returns ``(v, iterations, converged)``.
     """
-    if method not in AUGMENTED_METHODS:
-        raise ValueError(f"unknown method {method!r}; pick one of {AUGMENTED_METHODS}")
-    if i_max < 0:
-        raise ValueError(f"i_max must be nonnegative, got {i_max}")
-    s = _one_vector(s)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    s = _checked_rhs(s, eps, method, AUGMENTED_METHODS, i_max)
     s_norm = float(np.linalg.norm(s))
     if s_norm == 0.0:
         return np.zeros_like(s), 0, True
@@ -448,17 +446,13 @@ def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
 
 
 def plain_iteration_solve(operator, eps, s, method="jacobi", tol=1e-6, i_max=100000):
-    """Classical Jacobi/GS/SGS directly on ``(eps I + A) v = s`` for one vector ``s``.
+    """Classical damped Jacobi or SGS directly on ``(eps I + A) v = s`` for one vector ``s``.
 
     Kept for the robustness benchmark: these stall as ``eps`` shrinks, which
     is exactly the behavior the augmented solver removes.
     """
-    if method not in PLAIN_METHODS:
-        raise ValueError(f"unknown method {method!r}; pick one of {PLAIN_METHODS}")
-    if i_max < 0:
-        raise ValueError(f"i_max must be nonnegative, got {i_max}")
+    s = _checked_rhs(s, eps, method, PLAIN_METHODS, i_max)
     operator = _as_sparse(operator)
-    s = _one_vector(s)
     s_norm = float(np.linalg.norm(s))
     if s_norm == 0.0:
         return np.zeros_like(s), 0, True

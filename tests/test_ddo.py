@@ -3,13 +3,11 @@ import pytest
 
 from apd import ddo, solvers
 from apd.ddo import (
-    AqpState,
     DdoRecord,
     ExtraState,
     Graph,
     IncidenceConstraint,
     apd_ddo_step,
-    aqp_step,
     build_ddo_problem,
     cycle_graph,
     extra_step,
@@ -98,7 +96,7 @@ def test_mixing_matrix_is_psd_on_a_benchmark_size_graph():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_laplacian_is_the_incidence_product_bit_for_bit(seed):
     # mixing_matrix reads the held Laplacian in place of forming B'B, with
-    # the same CSR arrays, so Extra and AQP take the same iterates
+    # the same CSR arrays, so Extra takes the same iterates
     graph = random_geometric_graph(400, 0.11, seed)
     incidence = graph_incidence(graph)
     product, held = (incidence.T @ incidence).tocsr(), graph_laplacian(graph)
@@ -440,43 +438,6 @@ def test_sparse_mixing_matches_dense_over_fifty_steps():
             sparse_state = extra_step(sparse_state, prob, w, alpha)
             dense_state = extra_step(dense_state, prob, dense, alpha)
             np.testing.assert_allclose(sparse_state.x, dense_state.x, rtol=0, atol=1e-12)
-        # least squares (mu = 0) takes the convex AQP branch, logistic the strongly convex one
-        sparse_state = dense_state = AqpState(x=x0, x_prev=x0)
-        for _ in range(50):
-            sparse_state = aqp_step(sparse_state, prob, w)
-            dense_state = aqp_step(dense_state, prob, dense)
-            np.testing.assert_allclose(sparse_state.x, dense_state.x, rtol=0, atol=1e-12)
-
-
-def test_aqp_theta_recursion_golden_ratio():
-    prob, _ = shared_minimizer_problem(samples=3)  # mu > 0: the strongly convex branch
-    w = mixing_matrix(prob.incidence, prob.laplacian)
-    state = AqpState(x=np.zeros((4, 3)), x_prev=np.zeros((4, 3)))
-    out = aqp_step(state, prob, w)
-    assert out.theta_prev == pytest.approx((np.sqrt(5) - 1) / 2)
-
-
-def test_aqp_first_step_has_no_momentum():
-    prob, _ = shared_minimizer_problem()
-    w = mixing_matrix(prob.incidence, prob.laplacian)
-    rng = np.random.default_rng(12)
-    x = rng.standard_normal((4, 3))
-    x_prev = rng.standard_normal((4, 3))  # must be ignored at k = 1
-    out = aqp_step(AqpState(x=x, x_prev=x_prev), prob, w)  # mu = 0: convex
-    penalty = 0.5 * (np.eye(4) - w.toarray())  # (I - W) / 2 formed explicitly
-    direct = x - (prob.gradient(x) + 2.0 * (penalty @ x)) / (prob.lip + 2.0)
-    np.testing.assert_allclose(out.x, direct, atol=1e-12)
-
-
-def test_aqp_fixed_points_both_variants():
-    for samples in (2, 3):  # mu = 0 (convex) and mu > 0 (strongly convex)
-        prob, x_hat = shared_minimizer_problem(samples=samples)
-        assert (prob.mu > 0) == (samples == 3)
-        w = mixing_matrix(prob.incidence, prob.laplacian)
-        stacked = np.tile(x_hat, (4, 1))
-        state = AqpState(x=stacked.copy(), x_prev=stacked.copy())
-        out = aqp_step(state, prob, w)
-        np.testing.assert_allclose(out.x, stacked, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +470,12 @@ def test_run_ddo_decay_and_orders():
     assert last.obj_gap < 1e-4 * max(first.obj_gap, 1.0)
     assert last.consensus_residual < first.consensus_residual or \
         first.consensus_residual == 0.0
-    # median-filtered trend decreasing for the baselines
-    for algo in ("extra", "aqp"):
-        base = run_ddo(prob, algo, 400)
-        gaps = np.array([r.obj_gap for r in base.records])
-        med_early = np.median(gaps[10:60])
-        med_late = np.median(gaps[-50:])
-        assert med_late < med_early
+    # median-filtered trend decreasing for the baseline
+    base = run_ddo(prob, "extra", 400)
+    gaps = np.array([r.obj_gap for r in base.records])
+    med_early = np.median(gaps[10:60])
+    med_late = np.median(gaps[-50:])
+    assert med_late < med_early
 
 
 @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
@@ -628,10 +588,16 @@ def test_run_ddo_returns_the_best_iterate_at_the_precision_floor():
     assert measure(extra.x, extra.f_ref) == last.obj_gap + last.consensus_residual
 
 
-def test_run_ddo_rejects_unknown_algo():
+def test_run_ddo_rejects_unknown_algo(monkeypatch):
     prob = build_ddo_problem(path_graph(3), 2, "least_squares", seed=0)
-    with pytest.raises(ValueError):
-        run_ddo(prob, "sgd", 5)
+
+    def reference_objective(problem):
+        raise AssertionError("the reference solve ran before algo was checked")
+
+    monkeypatch.setattr(ddo, "reference_objective", reference_objective)
+    for algo in ("sgd", "aqp"):  # aqp: the accelerated quadratic penalty, deleted
+        with pytest.raises(ValueError, match=r"unknown algorithm .*\('apd', 'extra'\)"):
+            run_ddo(prob, algo, 5)
 
 
 @pytest.mark.parametrize("max_iter,stop_tol", [(-2, 0.0), (5, np.nan), (5, np.inf), (5, -1.0)])

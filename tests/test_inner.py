@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 import apd
 from apd import inner
-from apd.ddo import Graph, graph_laplacian, path_graph, random_geometric_graph
+from apd.ddo import graph_laplacian, path_graph, random_geometric_graph
 from apd.inner import (
     AUGMENTED_METHODS,
     DualMapContext,
@@ -484,6 +484,16 @@ def test_consensus_solvers_reject_a_negative_cap(solve, method):
     np.testing.assert_array_equal(v, np.zeros(6))
 
 
+@pytest.mark.parametrize("eps", [-0.5, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("solve", [augmented_consensus_solve, plain_iteration_solve])
+def test_consensus_solvers_reject_an_eps_outside_zero_to_inf(solve, eps):
+    # eps I + L is indefinite below 0, singular at 0 and not finite at nan or inf
+    lap = graph_laplacian(path_graph(6))
+    for rhs in (np.random.default_rng(3).standard_normal(6), np.zeros(6)):
+        with pytest.raises(ValueError, match="eps must be positive and finite, got"):
+            solve(lap, eps, rhs, method="sgs")
+
+
 def test_pcg_rejects_a_negative_cap():
     with pytest.raises(ValueError, match="i_max must be nonnegative, got -1"):
         pcg_solve(SpdSystem(lambda d: d, np.ones(2)), 1e-8, -1)
@@ -523,28 +533,27 @@ def test_triangle_factors_keep_the_triangles_without_fill():
     assert (upper.L.nnz, upper.U.nnz) == (size, sp.triu(bordered).nnz)
 
 
-@pytest.mark.parametrize("method", ["jacobi", "gs", "sgs"])
+@pytest.mark.parametrize("method", PLAIN_METHODS)
 def test_zero_diagonal_triangle_raises_linalg_error(method):
-    lap = graph_laplacian(Graph(1, ()))
+    # eps must be positive, so the zero diagonal comes from A = -eps I
     with pytest.raises(np.linalg.LinAlgError):
-        plain_iteration_solve(lap, 0.0, np.ones(1), method)
+        plain_iteration_solve(-sp.identity(1), 1.0, np.ones(1), method)
 
 
 def dense_sweeps(matrix, b, method, sweeps):
-    """``sweeps`` dense Jacobi (damped by 2/3), Gauss-Seidel or symmetric
-    Gauss-Seidel sweeps from zero."""
+    """``sweeps`` dense Jacobi (damped by 2/3) or symmetric Gauss-Seidel
+    sweeps from zero."""
     diag = np.diag(matrix)
     x = np.zeros_like(b)
     for _ in range(sweeps):
         if method == "jacobi":
             x = x + 2.0 / 3.0 * ((b - (matrix - np.diag(diag)) @ x) / diag - x)
             continue
-        # forward sweep (row 0 first), then for sgs the backward one (row 0 last)
+        # forward sweep (row 0 first), then the backward one (row 0 last)
         x = scipy.linalg.solve_triangular(np.tril(matrix), b - np.triu(matrix, 1) @ x,
                                           lower=True)
-        if method == "sgs":
-            x = scipy.linalg.solve_triangular(np.triu(matrix), b - np.tril(matrix, -1) @ x,
-                                              lower=False)
+        x = scipy.linalg.solve_triangular(np.triu(matrix), b - np.tril(matrix, -1) @ x,
+                                          lower=False)
     return x
 
 
@@ -562,7 +571,7 @@ def test_sgs_iterations_match_dense_gauss_seidel(sweeps):
 
 
 @pytest.mark.parametrize("sweeps", [1, 2])
-@pytest.mark.parametrize("method", ["jacobi", "gs", "sgs"])
+@pytest.mark.parametrize("method", PLAIN_METHODS)
 def test_stationary_sweeps_match_dense_splitting(method, sweeps):
     # on the bordered matrix (the coarse coefficient is row 0) and on eps I + A
     lap = graph_laplacian(path_graph(5))

@@ -104,8 +104,7 @@ def test_every_config_field_is_read():
     assert sorted(fields - _attributes_read(_module_tree("solvers.py"), "config")) == []
 
 
-STATE_CLASSES = (solvers.IterateState, schedule.ScalingState, ddo.ExtraState, ddo.AqpState,
-                 flow.FlowState)
+STATE_CLASSES = (solvers.IterateState, schedule.ScalingState, ddo.ExtraState, flow.FlowState)
 
 
 def _carried_reads():
@@ -137,7 +136,7 @@ def _state_workload(qp1):
         assert run.records[-1].epoch > 0
     for kind in ("least_squares", "logistic"):
         problem = ddo.build_ddo_problem(ddo.path_graph(4), 2, kind, seed=0)
-        for algo in ("apd", "extra", "aqp"):
+        for algo in ddo.ALGORITHMS:
             ddo.run_ddo(problem, algo, 30)
     start = flow.FlowState(np.zeros(2), np.zeros(2), np.zeros(1), 1.0, 1.0)
     flow.flow_records(flow.integrate_flow(start, qp1, 0.01, 0.05), qp1,
