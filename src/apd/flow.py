@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,61 +29,59 @@ class FlowState:
 
 
 def flow_rhs(state, problem):
-    """Time derivative of the flow at ``state``.
-
-    Only smooth unconstrained objectives are admitted; the multiplier moves
-    along the constraint residual of ``v`` scaled by ``1/theta``, the primal
-    pair follows the damped accelerated dynamics, and the scaling factors
-    decay exponentially toward ``(0, mu_beta)``.
-    """
-    if not problem.is_smooth_unconstrained:
-        raise ValueError("flow requires smooth objective")
-    mu_beta = problem.smooth.mu
+    """Time derivative ``(x', v', lam')`` at ``state``: the damped accelerated
+    primal pair, and the multiplier along the residual of ``v`` over ``theta``."""
+    mu = problem.smooth.mu
     dlam = problem.constraint.residual(state.v) / state.theta
     dx = state.v - state.x
     force = problem.smooth.gradient(state.x) + problem.constraint.apply_adjoint(state.lam)
-    dv = (mu_beta * (state.x - state.v) - force) / state.gamma
-    return dx, dv, dlam, -state.theta, mu_beta - state.gamma
+    dv = (mu * (state.x - state.v) - force) / state.gamma
+    return dx, dv, dlam
 
 
-def _rk4_step(state, problem, h):
-    def shifted(coeffs, w):
-        dx, dv, dlam, dth, dga = coeffs
+def _rk4_step(state, problem, t_end):
+    """RK4 step of ``(x, v, lam)`` to ``t_end``; each stage takes the exact scaling pair."""
+    mu, h = problem.smooth.mu, t_end - state.t
+
+    def stage(w, t, dx, dv, dlam):
+        decay = math.exp(-w)
         return FlowState(state.x + w * dx, state.v + w * dv, state.lam + w * dlam,
-                         state.theta + w * dth, state.gamma + w * dga, state.t + w)
+                         state.theta * decay, mu + (state.gamma - mu) * decay, t)
 
     k1 = flow_rhs(state, problem)
-    k2 = flow_rhs(shifted(k1, 0.5 * h), problem)
-    k3 = flow_rhs(shifted(k2, 0.5 * h), problem)
-    k4 = flow_rhs(shifted(k3, h), problem)
-    combo = tuple((a + 2 * b + 2 * c + d) / 6.0 for a, b, c, d in zip(k1, k2, k3, k4))
-    return FlowState(state.x + h * combo[0], state.v + h * combo[1],
-                     state.lam + h * combo[2], state.theta + h * combo[3],
-                     state.gamma + h * combo[4], state.t + h)
+    k2 = flow_rhs(stage(h / 2, state.t + h / 2, *k1), problem)
+    k3 = flow_rhs(stage(h / 2, state.t + h / 2, *k2), problem)
+    k4 = flow_rhs(stage(h, t_end, *k3), problem)
+    return stage(h, t_end, *((a + 2 * (b + c) + d) / 6 for a, b, c, d in zip(k1, k2, k3, k4)))
 
 
 def integrate_flow(state0, problem, h, horizon):
-    """Classical fixed-step RK4 trajectory of the flow.
+    """RK4 trajectory of the flow over ``horizon`` from ``state0``.
 
-    The step must satisfy ``h <= 0.01`` and divide the horizon; the returned
-    trajectory holds ``ceil(T/h) + 1`` states and is bit-reproducible. A
-    state that is not finite raises :class:`FlowDivergenceError` in place of
-    numpy's overflow warnings.
+    RK4 integrates ``(x, v, lam)``; the scaling pair is exact, ``theta0 e^{-t}``
+    and ``mu + (gamma0 - mu) e^{-t}``. Steps are ``min(h, 2 sqrt(theta gamma)
+    / |A|)`` with ``h <= 0.01``, the last one landing on the horizon, which need
+    not be a multiple of ``h``. The cap holds the ``(v, lam)`` coupling inside
+    RK4's stability interval on the imaginary axis (``2 sqrt 2``); once it binds,
+    the step count grows like ``e^{T/2}`` (``e^T`` if ``mu = 0``). A stiff gradient
+    is left to ``h``; a non-finite state raises :class:`FlowDivergenceError`.
     """
     if not 0 < h <= 0.01:
         raise ValueError("step must lie in (0, 0.01]")
     if not 0 <= horizon < np.inf:
         raise ValueError("horizon must be finite and nonnegative")
-    steps = int(round(horizon / h)) if horizon > 0 else 0
-    if abs(steps * h - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be a multiple of the step")
-    trajectory = [state0]
-    state = state0
+    if not (state0.theta > 0 and state0.gamma > 0):
+        raise ValueError("theta and gamma must be positive")
+    if not problem.is_smooth_unconstrained:
+        raise ValueError("flow requires smooth objective")
+    norm, end = problem.constraint.op_norm, state0.t + horizon
+    trajectory, state = [state0], state0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(steps):
-            state = _rk4_step(state, problem, h)
-            parts = (state.x, state.v, state.lam, state.theta, state.gamma)
-            if not all(np.all(np.isfinite(p)) for p in parts):
+        while state.t < end:
+            step = h / max(1.0, 0.5 * h * norm / math.sqrt(state.theta * state.gamma))
+            landing = end - state.t <= step * (1 + 1e-6)  # no sliver step after rounding
+            state = _rk4_step(state, problem, end if landing else state.t + step)
+            if not all(np.isfinite(p).all() for p in (state.x, state.v, state.lam)):
                 raise FlowDivergenceError(f"flow diverged near t={state.t:.6g}",
                                           trajectory[-1])
             trajectory.append(state)

@@ -123,6 +123,8 @@ class MatrixConstraint(LinearConstraint):
             raise ValueError("rhs length does not match the number of rows")
         if not np.isfinite(self._matrix).all():
             raise ValueError("constraint matrix A holds NaN or inf")
+        if not np.isfinite(self._rhs).all():
+            raise ValueError("constraint right side b holds NaN or inf")
         if op_norm is not None:
             self.op_norm = float(op_norm)
 
@@ -402,7 +404,11 @@ def solve_reference_saddle(problem):
 # ---------------------------------------------------------------------------
 
 def load_problem(path):
-    """Parse a problem file into a :class:`ProblemInstance`."""
+    """Parse a problem file into a :class:`ProblemInstance`.
+
+    Sizes (``n``, ``m``, the logistic row count) must be integers of at least
+    1 and every number finite; a message on a rejected file names it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     if len(tokens) < 3:
@@ -417,24 +423,36 @@ def load_problem(path):
         pos += count
         return out
 
-    n, m = int(take(1)[0]), int(take(1)[0])
-    if float(take(1)[0]) != 0.0:
+    def size(name):
+        token = take(1)[0]
+        if not token.isdecimal() or int(token) < 1:
+            raise ValueError(f"{path}: {name} must be a positive integer, got {token!r}")
+        return int(token)
+
+    def numbers(count):
+        try:
+            values = np.array(take(count), dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: numbers must be finite, got NaN or inf")
+        return values
+
+    n, m = size("n"), size("m")
+    if numbers(1)[0] != 0.0:
         raise ValueError(f"{path}: header beta must be 0 (no augmentation term)")
-    amat = np.array([float(t) for t in take(m * n)], dtype=float).reshape(m, n)
-    rhs = np.array([float(t) for t in take(m)], dtype=float)
+    amat = numbers(m * n).reshape(m, n)
+    rhs = numbers(m)
     kind = take(1)[0]
     if kind == "quadratic":
-        diag = np.array([float(t) for t in take(n)], dtype=float)
-        smooth, nonsmooth = QuadraticObjective(diag), ZeroProx(RealSpace())
+        smooth, nonsmooth = QuadraticObjective(numbers(n)), ZeroProx(RealSpace())
     elif kind == "lasso":
-        weight = float(take(1)[0])
+        weight = numbers(1)[0]
         smooth = QuadraticObjective(np.ones(n))
         nonsmooth = L1Prox(weight)
     elif kind == "logistic":
-        delta = float(take(1)[0])
-        rows = int(take(1)[0])
-        data = np.array([float(t) for t in take(rows * (n + 1))], dtype=float)
-        data = data.reshape(rows, n + 1)
+        delta = numbers(1)[0]
+        data = numbers(size("rows") * (n + 1)).reshape(-1, n + 1)
         smooth = LogisticObjective(data[:, :n], data[:, n], ridge=delta)
         nonsmooth = ZeroProx(RealSpace())
     else:

@@ -1,3 +1,5 @@
+import argparse
+import re
 import shlex
 from pathlib import Path
 
@@ -145,6 +147,30 @@ def write_flat_problem(path):
                                          constraint), path)
 
 
+def write_stiff_problem(path):
+    """The QP of :func:`write_problem` with ``Q_11 = 1e6``: fixed RK4 steps of
+    0.01 are unstable on that coordinate, so the flow blows up."""
+    problem = apd.load_problem(write_problem(path, "quadratic"))
+    diag = problem.smooth.diag.copy()
+    diag[0] = 1e6
+    apd.save_problem(apd.ProblemInstance(apd.QuadraticObjective(diag), apd.ZeroProx(),
+                                         problem.constraint), path)
+
+
+# problem files the loader rejects, each with the message that names the file
+BAD_PROBLEM_FILES = {
+    "m-negative.txt": "2 -1 0 1 2 3 quadratic 1 1",
+    "n-zero.txt": "0 0 0 quadratic",
+    "n-fraction.txt": "2.5 1 0 1 1 1 quadratic 1 1",
+    "rows-zero.txt": "2 1 0 1 1 1 logistic 0.1 0",
+    "diag-nan.txt": "2 1 0 1 1 1 quadratic nan 1",
+    "weight-nan.txt": "2 1 0 1 1 1 lasso nan",
+    "feature-nan.txt": "2 1 0 1 1 1 logistic 0.1 1 nan 1 1",
+    "rhs-inf.txt": "2 1 0 1 1 inf quadratic 1 1",
+    "word.txt": "2 1 0 1 x 1 quadratic 1 1",
+}
+
+
 def test_solve_rejects_a_nonzero_beta_with_one_line(tmp_path):
     path = tmp_path / "qp.txt"
     write_beta_problem(path)
@@ -257,7 +283,7 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "flow: horizon must be finite and nonnegative"),
     ("flow --problem {tmp}/qp.txt --h nan --T 1 --csv {tmp}/out.csv",
      "flow: step must lie in (0, 0.01]"),
-    ("flow --problem {tmp}/qp.txt --h 0.01 --T 20 --csv {tmp}/out.csv",
+    ("flow --problem {tmp}/stiff.txt --h 0.01 --T 2 --csv {tmp}/out.csv",
      "flow: flow diverged near t="),
     ("audit --csv {tmp}/ragged.csv --problem {tmp}/qp.txt --scheme implicit",
      "ragged.csv: line 3 has 2 cells, the header 6"),
@@ -283,6 +309,24 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "argument --eps-list: needs one or more positive eps values, each finite"),
     ("ddo --graph path:4 --m 2 --model ls --algo aqp --max-iter 5 --csv {tmp}/out.csv",
      "argument --algo: invalid choice: 'aqp' (choose from 'apd', 'extra')"),
+    ("solve --problem {tmp}/m-negative.txt --scheme semi_apdfb --csv {tmp}/out.csv",
+     "m-negative.txt: m must be a positive integer, got '-1'"),
+    ("solve --problem {tmp}/n-zero.txt --scheme semi_apdfb --csv {tmp}/out.csv",
+     "n-zero.txt: n must be a positive integer, got '0'"),
+    ("flow --problem {tmp}/n-fraction.txt --h 0.01 --T 1 --csv {tmp}/out.csv",
+     "n-fraction.txt: n must be a positive integer, got '2.5'"),
+    ("solve --problem {tmp}/rows-zero.txt --scheme semi_apdfb --csv {tmp}/out.csv",
+     "rows-zero.txt: rows must be a positive integer, got '0'"),
+    ("solve --problem {tmp}/diag-nan.txt --scheme semi_apdfb --csv {tmp}/out.csv",
+     "diag-nan.txt: numbers must be finite, got NaN or inf"),
+    ("solve --problem {tmp}/weight-nan.txt --scheme implicit --csv {tmp}/out.csv",
+     "weight-nan.txt: numbers must be finite, got NaN or inf"),
+    ("compare --problem {tmp}/feature-nan.txt --schemes semi_apdfb --out-dir {tmp}/out",
+     "feature-nan.txt: numbers must be finite, got NaN or inf"),
+    ("solve --problem {tmp}/rhs-inf.txt --scheme semi_apdfb --csv {tmp}/out.csv",
+     "rhs-inf.txt: numbers must be finite, got NaN or inf"),
+    ("solve --problem {tmp}/word.txt --scheme semi_apdfb --csv {tmp}/out.csv",
+     "word.txt: could not convert string to float: 'x'"),
 ], ids=["graph-kind", "graph-grid", "graph-disconnected", "eps-float", "eps-empty",
         "eps-zero", "methods-empty", "flow-step", "compare-beta", "compare-missing",
         "solve-missing", "ddo-m-zero", "ddo-samples-zero", "solve-alpha-zero",
@@ -294,12 +338,17 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
         "audit-csv-ragged", "audit-csv-cell", "solve-max-iter-negative", "solve-stop-tol-nan",
         "solve-stop-tol-inf", "ddo-max-iter-negative", "ddo-stop-tol-inf",
         "compare-max-iter-negative", "compare-stop-tol-negative", "eps-overflows-to-inf",
-        "ddo-algo-aqp"])
+        "ddo-algo-aqp", "file-m-negative", "file-n-zero", "file-n-fraction",
+        "file-rows-zero", "file-diag-nan", "file-weight-nan", "file-feature-nan",
+        "file-rhs-inf", "file-word"])
 def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
     qp = write_problem(tmp_path / "qp.txt", "quadratic")
     write_problem(tmp_path / "lasso.txt", "lasso")
     write_beta_problem(tmp_path / "beta.txt")
     write_flat_problem(tmp_path / "flat.txt")
+    write_stiff_problem(tmp_path / "stiff.txt")
+    for name, text in BAD_PROBLEM_FILES.items():
+        (tmp_path / name).write_text(text + "\n", encoding="utf-8")
     (tmp_path / "empty.csv").write_text("", encoding="utf-8")
     (tmp_path / "ragged.csv").write_text("k,epoch,alpha,theta,gamma,lyapunov\n"
                                          "0,0,0,1,1,2\n1,0\n", encoding="utf-8")
@@ -361,3 +410,46 @@ def test_every_readme_example_parses():
     parser = build_parser()
     commands = [parser.parse_args(shlex.split(example)).command for example in examples]
     assert sorted(commands) == ["audit", "compare", "ddo", "flow", "robustness", "solve"]
+
+
+@pytest.mark.parametrize("command", ["solve", "ddo"])
+def test_timing_records_a_wall_clock_per_step(tmp_path, command):
+    csv = tmp_path / "out.csv"
+    if command == "solve":
+        argv = ["solve", "--problem", write_problem(tmp_path / "qp.txt", "quadratic"),
+                "--scheme", "semi_apd"]
+    else:
+        argv = ["ddo", "--graph", "path:4", "--m", "2", "--model", "ls", "--algo", "apd"]
+    assert main([*argv, "--max-iter", "5", "--timing", "--csv", str(csv)]) == 0
+    columns = read_csv(csv)
+    assert list(columns["k"]) == [0, 1, 2, 3, 4, 5]
+    assert columns["wall_ns"][0] == 0 and all(columns["wall_ns"][1:] > 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ddo", "--graph", "path:4", "--m", "2", "--model", "ls", "--algo", "extra",
+     "--max-iter", "5"],
+    ["robustness", "--graph", "path:6", "--eps-list", "1e-2", "--methods", "pcg_sgs"],
+], ids=["ddo", "robustness"])
+def test_seed_draws_the_data(tmp_path, argv):
+    def run(seed, name):
+        csv = tmp_path / name
+        assert main([*argv, "--seed", str(seed), "--csv", str(csv)]) == 0
+        return csv.read_bytes()
+
+    first = run(3, "first.csv")
+    assert run(3, "again.csv") == first
+    assert run(4, "other.csv") != first
+
+
+def test_every_option_is_exercised_here():
+    # an option that no test passes can break unseen; the lookahead keeps a
+    # short option from matching inside a longer one that starts with it
+    text = Path(__file__).read_text(encoding="utf-8")
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {option for sub in commands.choices.values() for action in sub._actions
+               for option in action.option_strings if option.startswith("--")}
+    missing = sorted(option for option in options - {"--help"}
+                     if not re.search(re.escape(option) + r"(?![\w-])", text))
+    assert missing == []

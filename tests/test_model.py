@@ -147,6 +147,12 @@ def test_matrix_constraint_rejects_non_finite_entries(bad):
         apd.MatrixConstraint(amat, np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_constraint_rejects_a_non_finite_rhs(bad):
+    with pytest.raises(ValueError, match="constraint right side b holds NaN or inf"):
+        apd.MatrixConstraint([[1.0, 1.0]], [bad])
+
+
 def test_reference_saddle_examples(qp1):
     sp = apd.solve_reference_saddle(qp1)
     np.testing.assert_allclose(sp.x_star, [0.5, 0.5], atol=1e-12)
