@@ -131,7 +131,12 @@ def _cmd_flow(args):
         trajectory = integrate_flow(state0, problem, args.h, args.T)
     except (ValueError, FlowDivergenceError) as exc:
         raise SystemExit(f"flow: {exc}") from None
-    rows = flow_records(trajectory, problem, saddle)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = flow_records(trajectory, problem, saddle)
+    overflowed = next((row.t for row in rows
+                       if not np.isfinite(row.E) or not np.isfinite(row.feasibility)), None)
+    if overflowed is not None:
+        raise SystemExit(f"flow: energy or feasibility overflowed at t={overflowed:.6g}")
     emit_csv(rows, args.csv)
     print(f"flow: steps={len(rows) - 1} E(0)={rows[0].E:.6e} E(T)={rows[-1].E:.6e}")
     return 0

@@ -90,15 +90,20 @@ class LinearConstraint:
         s, _ = self.gram_factor
         return float(np.sqrt(s.max(initial=0.0) + self._norm_slack))
 
-    def adjoint_gram_solve(self, shift, scale, rhs):
-        """``A'(shift I + scale A A')^{-1} rhs`` by :attr:`gram_factor`; on the
-        ``A'A`` side as ``(shift I + scale A'A)^{-1} A' rhs``, whose solve sees
-        only a right side in the range of ``A'``. ``rhs`` may stack columns."""
+    def gram_solve(self, shift, scale, rhs):
+        """``(y, A'y)`` for ``y = (shift I + scale A A')^{-1} rhs``, ``shift > 0``,
+        by :attr:`gram_factor`. On the ``A A'`` side ``y = U (U' rhs) / (shift
+        + scale s)`` and ``A'y`` takes one adjoint product. On the ``A'A`` side
+        ``A'y = (shift I + scale A'A)^{-1} A' rhs``, whose solve sees only a
+        right side in the range of ``A'``, and ``y = (rhs - scale A A'y) / shift``
+        takes one product with ``A``. ``rhs`` may stack columns."""
         s, u = self.gram_factor
         scaled = (shift + scale * s).reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
         if self.rows <= self.cols:
-            return self.apply_adjoint(u @ ((u.T @ rhs) / scaled))
-        return u @ ((u.T @ self.apply_adjoint(rhs)) / scaled)
+            y = u @ ((u.T @ rhs) / scaled)
+            return y, self.apply_adjoint(y)
+        adjoint_y = u @ ((u.T @ self.apply_adjoint(rhs)) / scaled)
+        return (rhs - scale * self.apply(adjoint_y)) / shift, adjoint_y
 
 
 def _smaller_gram(matrix):

@@ -250,11 +250,13 @@ def semi_apdfb_step(state, ctx, alpha):
     """Corrected semi-implicit forward-backward step.
 
     When the nonsmooth part vanishes over the whole space, the coupled
-    ``(lam, v)`` subproblem is solved exactly through the constraint's Gram
-    factor: with ``r = theta lam_prev + alpha (A z - b)`` it is
-    ``v = z - t A' (theta I + alpha t A A')^{-1} r``
-    (:meth:`~apd.model.LinearConstraint.adjoint_gram_solve`). Otherwise it
-    reduces to the dual nonlinear equation (solved by semi-smooth Newton).
+    ``(lam, v)`` subproblem is linear and is solved exactly through the
+    constraint's Gram factor, in its dual form: with ``r = theta lam_prev +
+    alpha (A z - b)``, ``lam = (theta I + alpha t A A')^{-1} r`` and
+    ``v = z - t A' lam`` (:meth:`~apd.model.LinearConstraint.gram_solve`);
+    ``A v - b`` is never formed on that route. Otherwise it reduces to the
+    dual nonlinear equation (solved by semi-smooth Newton), and ``lam =
+    lam_prev + (alpha / theta) (A v - b)``.
     """
     if alpha <= 0:
         raise ValueError("step size must be positive")
@@ -271,12 +273,13 @@ def semi_apdfb_step(state, ctx, alpha):
     if problem.is_smooth_unconstrained:
         rhs = _finite(sc.theta * state.lam + alpha * constraint.residual(z),
                       "saddle subproblem")
-        v_next = z - t * constraint.adjoint_gram_solve(sc.theta, alpha * t, rhs)
+        lam_next, adjoint_lam = constraint.gram_solve(sc.theta, alpha * t, rhs)
+        v_next = z - t * adjoint_lam
     else:
         dual = DualMapContext.for_step(sc.theta, alpha, t, z, constraint,
                                        problem.nonsmooth, state.lam)
         v_next, ctx.inner_iters = _newton_point(dual, sc.theta, state.lam, "dual")
-    lam_next = state.lam + (alpha / sc.theta) * constraint.residual(v_next)
+        lam_next = state.lam + (alpha / sc.theta) * constraint.residual(v_next)
     x_next = (state.x + alpha * v_next) / (1.0 + alpha)
     return IterateState(x_next, v_next, lam_next, advance_scaling(sc, alpha, mu_beta))
 

@@ -285,6 +285,8 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "flow: step must lie in (0, 0.01]"),
     ("flow --problem {tmp}/stiff.txt --h 0.01 --T 2 --csv {tmp}/out.csv",
      "flow: flow diverged near t="),
+    ("flow --problem {tmp}/stiff.txt --h 0.01 --T 1 --csv {tmp}/out.csv",
+     "flow: energy or feasibility overflowed at t="),
     ("audit --csv {tmp}/ragged.csv --problem {tmp}/qp.txt --scheme implicit",
      "ragged.csv: line 3 has 2 cells, the header 6"),
     ("audit --csv {tmp}/cell.csv --problem {tmp}/qp.txt --scheme implicit",
@@ -335,8 +337,8 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
         "ddo-ridge-small", "ddo-ridge-nan", "ddo-extra-ridge-negative", "robustness-tol",
         "robustness-i-max", "solve-lasso-implicit", "solve-lasso-semi-apd", "solve-zero-lip",
         "flow-horizon-inf", "flow-horizon-nan", "flow-step-nan", "flow-diverges",
-        "audit-csv-ragged", "audit-csv-cell", "solve-max-iter-negative", "solve-stop-tol-nan",
-        "solve-stop-tol-inf", "ddo-max-iter-negative", "ddo-stop-tol-inf",
+        "flow-energy-overflows", "audit-csv-ragged", "audit-csv-cell", "solve-max-iter-negative",
+        "solve-stop-tol-nan", "solve-stop-tol-inf", "ddo-max-iter-negative", "ddo-stop-tol-inf",
         "compare-max-iter-negative", "compare-stop-tol-negative", "eps-overflows-to-inf",
         "ddo-algo-aqp", "file-m-negative", "file-n-zero", "file-n-fraction",
         "file-rows-zero", "file-diag-nan", "file-weight-nan", "file-feature-nan",

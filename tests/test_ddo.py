@@ -505,14 +505,15 @@ def test_run_ddo_apd_matches_a_loop_of_semi_apdfb_steps(kind):
     assert restarts > 0
 
 
-@pytest.mark.parametrize("graph", [
-    pytest.param(random_geometric_graph(30, 0.4, 2), id="geometric"),  # A'A side
-    pytest.param(path_graph(30), id="tree"),  # AA' side
+@pytest.mark.parametrize("graph, applies", [
+    pytest.param(random_geometric_graph(30, 0.4, 2), 2 * 24, id="geometric"),  # A'A side
+    pytest.param(path_graph(30), 24, id="tree"),  # AA' side
 ])
-def test_run_ddo_apd_applies_the_incidence_by_hand_count(monkeypatch, graph):
-    # each step applies A to z and to the new v (the solve's right side and
-    # the multiplier) and A' once in the Gram solve; the records read |L X|
-    # through the problem, not the constraint, and a restart applies nothing
+def test_run_ddo_apd_applies_the_incidence_by_hand_count(monkeypatch, graph, applies):
+    # each step applies A to z (the solve's right side) and A' once in the
+    # Gram solve, which on the A'A side applies A once more to recover the
+    # multiplier; the records read |L X| through the problem, not the
+    # constraint, and a restart applies nothing
     built = []
 
     class CountingIncidence(IncidenceConstraint):
@@ -534,7 +535,7 @@ def test_run_ddo_apd_applies_the_incidence_by_hand_count(monkeypatch, graph):
     run = run_ddo(prob, "apd", 24)
     assert run.status == "max_iter" and run.records[-1].k == 24
     (constraint,) = built
-    assert (constraint.applies, constraint.adjoints) == (2 * 24, 24)
+    assert (constraint.applies, constraint.adjoints) == (applies, 24)
 
 
 def test_run_ddo_apd_least_squares_restarts_to_a_tolerance_the_decaying_steps_miss():

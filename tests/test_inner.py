@@ -142,7 +142,9 @@ def test_shifted_gram_solve_example():
     assert u.shape == (1, 1)
     # (theta + alpha t AA') lam = alpha (A z - b) at theta = alpha = t = 1, z = (1, 1),
     # so lam = 1/3 and A' lam = (1/3, 1/3)
-    np.testing.assert_allclose(constraint.adjoint_gram_solve(1.0, 1.0, [1.0]), [1 / 3, 1 / 3])
+    lam, adjoint_lam = constraint.gram_solve(1.0, 1.0, [1.0])
+    np.testing.assert_allclose(lam, [1 / 3])
+    np.testing.assert_allclose(adjoint_lam, [1 / 3, 1 / 3])
 
 
 def test_dual_primal_reductions_consistent():
@@ -157,7 +159,10 @@ def test_dual_primal_reductions_consistent():
         dual_rhs = theta * lam_prev + alpha * constraint.residual(z)
         primal_rhs = theta * z - t * amat.T @ (theta * lam_prev - alpha * constraint.rhs)
         lam = np.linalg.solve(theta * np.eye(m) + alpha * t * amat @ amat.T, dual_rhs)
-        v = z - t * constraint.adjoint_gram_solve(theta, alpha * t, dual_rhs)
+        y, adjoint_y = constraint.gram_solve(theta, alpha * t, dual_rhs)
+        np.testing.assert_allclose(y, lam, atol=1e-9)
+        np.testing.assert_allclose(adjoint_y, amat.T @ y, atol=1e-9)
+        v = z - t * adjoint_y
         np.testing.assert_allclose(
             np.linalg.solve(theta * np.eye(n) + alpha * t * amat.T @ amat, primal_rhs),
             v, atol=1e-9)
@@ -172,8 +177,9 @@ def test_shifted_gram_solve_zero_operator_decouples():
         side = min(shape)
         np.testing.assert_allclose(constraint.gram_factor[0], np.zeros(side))
         # (0.6 I + 0 G)^{-1} r = r / 0.6, and A' = 0 maps it to zero
-        np.testing.assert_allclose(constraint.adjoint_gram_solve(0.6, 1.0, np.ones(shape[0])),
-                                   np.zeros(shape[1]))
+        y, adjoint_y = constraint.gram_solve(0.6, 1.0, np.ones(shape[0]))
+        np.testing.assert_allclose(y, np.full(shape[0], 1 / 0.6))
+        np.testing.assert_allclose(adjoint_y, np.zeros(shape[1]))
 
 
 def test_gram_factor_of_a_matrix_free_constraint_raises():

@@ -742,20 +742,22 @@ def box_qp(counting=False, bounded=True):
     ("ex_apdfb", counting_lasso, (2, 1, 1)),
     ("semi_apd", lambda: box_qp(counting=True), (2, 1, 0)),
     ("implicit", lambda: box_qp(counting=True, bounded=False), (2, 2, 0)),
-], ids=["ex_apdfb", "semi_apd", "implicit"])
+    ("semi_apdfb", lambda: box_qp(counting=True, bounded=False), (2, 1, 1)),
+], ids=["ex_apdfb", "semi_apd", "implicit", "semi_apdfb"])
 def test_run_loop_operation_counts(scheme, make, per_iter):
     # below the tolerance only the stop test's stationarity would add work;
     # the whole-space QP has a reference, whose solve and values at x* are
     # formed once per run and cancel in the difference of the two runs, and
-    # its restarts (after steps 7 and 14 at alpha = 1; at the derived 49 it
-    # converges before step 15) reuse the residual the context holds
+    # its restarts (implicit's after steps 7 and 14 at alpha = 1, semi_apdfb's
+    # after step 10; at its derived 49 implicit converges before step 15)
+    # reuse the residual the context holds
     tol = 1e-12
     counts = []
     for iters in (5, 15):
         problem = make()
         run = run_solver(problem, SolverConfig(scheme=scheme, max_iter=iters, stop_tol=tol,
                                                alpha=1.0))
-        assert (run.reference is None) == (scheme != "implicit")
+        assert (run.reference is None) == (not problem.is_smooth_unconstrained)
         assert run.status == "max_iter"
         assert min(rec.feasibility for rec in run.records) > tol
         constraint = problem.constraint
