@@ -28,31 +28,92 @@ class FlowState:
     t: float = 0.0
 
 
-def flow_rhs(state, problem):
+def flow_rhs(state, problem, out=None):
     """Time derivative ``(x', v', lam')`` at ``state``: the damped accelerated
-    primal pair, and the multiplier along the residual of ``v`` over ``theta``."""
+    primal pair, and the multiplier along the residual of ``v`` over ``theta``.
+
+    The three parts are written into consecutive slices of the flat buffer
+    ``out`` of ``2 cols + rows`` entries (a new one when ``None``), and
+    returned as views of it. One call makes one ``A``, one ``A'`` and one
+    gradient evaluation.
+    """
+    n = state.x.size
+    if out is None:
+        out = np.empty(2 * n + state.lam.size)
+    dx, dv, dlam = out[:n], out[n:2 * n], out[2 * n:]
     mu = problem.smooth.mu
-    dlam = problem.constraint.residual(state.v) / state.theta
-    dx = state.v - state.x
+    np.divide(problem.constraint.residual(state.v), state.theta, out=dlam)
+    np.subtract(state.v, state.x, out=dx)
     force = problem.smooth.gradient(state.x) + problem.constraint.apply_adjoint(state.lam)
-    dv = (mu * (state.x - state.v) - force) / state.gamma
+    np.subtract(state.x, state.v, out=dv)
+    dv *= mu
+    dv -= force
+    dv /= state.gamma
     return dx, dv, dlam
 
 
-def _rk4_step(state, problem, t_end):
-    """RK4 step of ``(x, v, lam)`` to ``t_end``; each stage takes the exact scaling pair."""
+class _Stage:
+    """An RK4 stage: views ``x, v, lam`` of the flat vector ``z`` and the
+    stage's exact scaling pair, all that :func:`flow_rhs` reads."""
+
+    __slots__ = ("z", "x", "v", "lam", "theta", "gamma")
+
+    def __init__(self, z, n):
+        self.z = z
+        self.x, self.v, self.lam = z[:n], z[n:2 * n], z[2 * n:]
+
+
+def _rk4_step(state, z, problem, t_end, slopes, stage):
+    """RK4 step of the flat ``z = [x; v; lam]`` of ``state`` to ``t_end``.
+
+    The four slopes go into the rows ``slopes`` and every stage into
+    ``stage``; both are reused from step to step. Each stage takes the exact
+    scaling pair. Returns the new flat vector and its :class:`FlowState`.
+    """
     mu, h = problem.smooth.mu, t_end - state.t
+    k1, k2, k3, k4 = slopes
 
-    def stage(w, t, dx, dv, dlam):
+    def move(w, slope):  # stage.z = z + w slope, with the scaling pair at w
         decay = math.exp(-w)
-        return FlowState(state.x + w * dx, state.v + w * dv, state.lam + w * dlam,
-                         state.theta * decay, mu + (state.gamma - mu) * decay, t)
+        stage.theta, stage.gamma = state.theta * decay, mu + (state.gamma - mu) * decay
+        np.multiply(slope, w, out=stage.z)
+        np.add(z, stage.z, out=stage.z)
 
-    k1 = flow_rhs(state, problem)
-    k2 = flow_rhs(stage(h / 2, state.t + h / 2, *k1), problem)
-    k3 = flow_rhs(stage(h / 2, state.t + h / 2, *k2), problem)
-    k4 = flow_rhs(stage(h, t_end, *k3), problem)
-    return stage(h, t_end, *((a + 2 * (b + c) + d) / 6 for a, b, c, d in zip(k1, k2, k3, k4)))
+    flow_rhs(state, problem, out=k1)
+    move(h / 2, k1)
+    flow_rhs(stage, problem, out=k2)
+    move(h / 2, k2)
+    flow_rhs(stage, problem, out=k3)
+    move(h, k3)
+    flow_rhs(stage, problem, out=k4)
+    k2 += k3  # k2 becomes (k1 + 2 (k2 + k3) + k4) / 6
+    k2 *= 2
+    np.add(k1, k2, out=k2)
+    k2 += k4
+    k2 /= 6
+    z_end = np.multiply(k2, h)
+    np.add(z, z_end, out=z_end)
+    n = state.x.size
+    return z_end, FlowState(z_end[:n], z_end[n:2 * n], z_end[2 * n:],
+                            stage.theta, stage.gamma, t_end)
+
+
+def _check_start(state0, constraint):
+    """Raise ``ValueError`` naming the first field of ``state0`` that is
+    mis-sized or not finite, or a scaling pair outside ``(0, inf)``."""
+    for name, size in (("x", constraint.cols), ("v", constraint.cols),
+                       ("lam", constraint.rows)):
+        part = np.asarray(getattr(state0, name))
+        if part.shape != (size,):
+            raise ValueError(f"{name} must have shape ({size},), not {part.shape}")
+        if not np.isfinite(part).all():
+            raise ValueError(f"{name} holds NaN or inf")
+    for name in ("theta", "gamma"):
+        value = getattr(state0, name)
+        if not 0 < value < np.inf:
+            raise ValueError(f"theta and gamma must be positive and finite; {name} is {value!r}")
+    if not np.isfinite(state0.t):
+        raise ValueError(f"start time t must be finite, not {state0.t!r}")
 
 
 def integrate_flow(state0, problem, h, horizon):
@@ -65,23 +126,35 @@ def integrate_flow(state0, problem, h, horizon):
     RK4's stability interval on the imaginary axis (``2 sqrt 2``); once it binds,
     the step count grows like ``e^{T/2}`` (``e^T`` if ``mu = 0``). A stiff gradient
     is left to ``h``; a non-finite state raises :class:`FlowDivergenceError`.
+
+    The triple is stepped as one flat vector ``z = [x; v; lam]``: each step
+    makes four :func:`flow_rhs` calls, so 4 ``A``, 4 ``A'`` and 4 gradient
+    evaluations, into slope and stage buffers reused over the run, and each
+    state after ``state0`` holds views of its own step's ``z``. The flat
+    step makes the operations of textbook RK4 on separate arrays in the
+    same order, so its trajectory is that one bit for bit. ``state0`` must
+    have finite ``x`` and ``v`` of ``cols`` entries and ``lam`` of ``rows``,
+    a finite ``t`` and ``theta, gamma`` in ``(0, inf)``; else ``ValueError``.
     """
     if not 0 < h <= 0.01:
         raise ValueError("step must lie in (0, 0.01]")
     if not 0 <= horizon < np.inf:
         raise ValueError("horizon must be finite and nonnegative")
-    if not (state0.theta > 0 and state0.gamma > 0):
-        raise ValueError("theta and gamma must be positive")
+    _check_start(state0, problem.constraint)
     if not problem.is_smooth_unconstrained:
         raise ValueError("flow requires smooth objective")
     norm, end = problem.constraint.op_norm, state0.t + horizon
+    z = np.concatenate((state0.x, state0.v, state0.lam))
+    slopes = tuple(np.empty((4, z.size)))
+    stage = _Stage(np.empty(z.size), problem.constraint.cols)
     trajectory, state = [state0], state0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while state.t < end:
             step = h / max(1.0, 0.5 * h * norm / math.sqrt(state.theta * state.gamma))
             landing = end - state.t <= step * (1 + 1e-6)  # no sliver step after rounding
-            state = _rk4_step(state, problem, end if landing else state.t + step)
-            if not all(np.isfinite(p).all() for p in (state.x, state.v, state.lam)):
+            z, state = _rk4_step(state, z, problem, end if landing else state.t + step,
+                                 slopes, stage)
+            if not np.isfinite(z).all():
                 raise FlowDivergenceError(f"flow diverged near t={state.t:.6g}",
                                           trajectory[-1])
             trajectory.append(state)

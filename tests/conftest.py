@@ -81,6 +81,16 @@ class CountingConstraint(LinearConstraint):
         return self.inner.matrix()
 
 
+class CountingQuadratic(apd.QuadraticObjective):
+    """A quadratic objective that counts its gradient evaluations."""
+
+    grads = 0
+
+    def gradient(self, x):
+        self.grads += 1
+        return super().gradient(x)
+
+
 def reachable(root):
     """Every object reachable from ``root`` through references, short of
     classes, modules and functions."""

@@ -1,8 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from conftest import CountingConstraint
+from conftest import CountingConstraint, CountingQuadratic
 
 import apd
 from apd.flow import (
@@ -24,6 +25,14 @@ def test_flow_rhs_example(qp1):
     np.testing.assert_allclose(dlam, [-1.0])
     np.testing.assert_allclose(dx, 0.0)
     np.testing.assert_allclose(dv, 0.0)
+
+
+def test_flow_rhs_writes_views_of_its_flat_buffer(qp1):
+    state = FlowState(np.array([0.3, -1.2]), np.array([0.5, 0.1]), np.array([0.7]), 0.6, 1.4)
+    out = np.full(5, np.nan)
+    parts = flow_rhs(state, qp1, out=out)
+    assert all(np.shares_memory(part, out) for part in parts)
+    np.testing.assert_array_equal(out, np.concatenate(flow_rhs(state, qp1)))
 
 
 def test_flow_rhs_equilibrium(qp1, qp1_saddle):
@@ -62,6 +71,23 @@ def test_integrate_step_validation(qp1):
     # a horizon off the grid of h: the last step is shortened to land on it
     traj = integrate_flow(zeros_state(), qp1, 1e-3, 0.0015)
     assert [s.t for s in traj] == [0.0, 1e-3, 0.0015]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("theta", np.inf, "theta is inf"),
+    ("gamma", np.inf, "gamma is inf"),
+    ("t", np.nan, "t must be finite"),
+    ("x", np.array([np.nan, 0.0]), "x holds NaN or inf"),
+    ("v", np.array([0.0, -np.inf]), "v holds NaN or inf"),
+    ("x", np.zeros(3), r"x must have shape \(2,\)"),
+    ("lam", np.zeros(2), r"lam must have shape \(1,\)"),
+], ids=["theta-inf", "gamma-inf", "t-nan", "x-nan", "v-inf", "x-size", "lam-size"])
+def test_integrate_rejects_a_bad_start(qp1, field, value, message):
+    # the flat (x, v, lam) layout would shift its slices on a mis-sized part,
+    # and a start that is not finite is no trajectory to report
+    start = dataclasses.replace(zeros_state(), **{field: value})
+    with pytest.raises(ValueError, match=message):
+        integrate_flow(start, qp1, 0.01, 0.05)
 
 
 def test_theta_matches_exponential(qp1):
@@ -103,21 +129,79 @@ def test_exponential_decay_and_feasibility(qp1, qp1_saddle):
         assert feas <= np.exp(-state.t) * r0 * (1 + 1e-8)
 
 
-def test_capped_steps_keep_the_decay_certificate_past_rk4_stability():
-    # the benchmark's flow QP in small: diagonal Q in [0.1, 2], a unit-norm A.
-    # Fixed steps of 0.01 leave RK4's stability interval on the imaginary axis
-    # once theta gamma is small and diverged near t = 11.8; capped at
-    # 2 sqrt(theta gamma) / |A| they keep E(t) <= e^{-t} E(0) at every state
+def capped_flow_qp():
+    """The benchmark's flow QP in small, diagonal Q in [0.1, 2] and a
+    unit-norm A, with the zero start."""
     rng = np.random.default_rng(801)
     n, m = 40, 10
     amat = rng.standard_normal((m, n))
     p = apd.ProblemInstance(apd.QuadraticObjective(rng.uniform(0.1, 2.0, n)), apd.ZeroProx(),
                             apd.MatrixConstraint(amat / np.linalg.norm(amat, 2),
                                                  rng.standard_normal(m)))
-    start = FlowState(np.zeros(n), np.zeros(n), np.zeros(m), 1.0, 1.0)
+    return p, FlowState(np.zeros(n), np.zeros(n), np.zeros(m), 1.0, 1.0)
+
+
+def test_capped_steps_keep_the_decay_certificate_past_rk4_stability():
+    # Fixed steps of 0.01 leave RK4's stability interval on the imaginary axis
+    # once theta gamma is small and diverged near t = 11.8; capped at
+    # 2 sqrt(theta gamma) / |A| they keep E(t) <= e^{-t} E(0) at every state
+    p, start = capped_flow_qp()
     rows = flow_records(integrate_flow(start, p, 0.01, 14.0), p, apd.solve_reference_saddle(p))
     assert len(rows) > 1401 and rows[-1].t == 14.0
     assert all(row.E <= np.exp(-row.t) * rows[0].E for row in rows)
+
+
+def textbook_rk4(state0, p, h, horizon):
+    """The flow's capped RK4 written out on separate ``x``, ``v``, ``lam``
+    arrays, each stage and the slope combination formed afresh."""
+    mu, norm, end = p.smooth.mu, p.constraint.op_norm, state0.t + horizon
+
+    def rhs(x, v, lam, theta, gamma):
+        force = p.smooth.gradient(x) + p.constraint.apply_adjoint(lam)
+        return v - x, (mu * (x - v) - force) / gamma, p.constraint.residual(v) / theta
+
+    trajectory, s = [state0], state0
+    while s.t < end:
+        step = h / max(1.0, 0.5 * h * norm / math.sqrt(s.theta * s.gamma))
+        t_end = end if end - s.t <= step * (1 + 1e-6) else s.t + step
+        dt = t_end - s.t
+
+        def stage(w, dx, dv, dlam, s=s):
+            decay = math.exp(-w)
+            return (s.x + w * dx, s.v + w * dv, s.lam + w * dlam,
+                    s.theta * decay, mu + (s.gamma - mu) * decay)
+
+        k1 = rhs(s.x, s.v, s.lam, s.theta, s.gamma)
+        k2 = rhs(*stage(dt / 2, *k1))
+        k3 = rhs(*stage(dt / 2, *k2))
+        k4 = rhs(*stage(dt, *k3))
+        slope = [(a + 2 * (b + c) + d) / 6 for a, b, c, d in zip(k1, k2, k3, k4)]
+        s = FlowState(*stage(dt, *slope), t_end)
+        trajectory.append(s)
+    return trajectory
+
+
+def test_flat_rk4_matches_the_textbook_bit_for_bit():
+    # to T = 14 the step cap binds and the last step is shortened to land on
+    # T; the flat layout reorders no operation, so nothing may differ at all
+    p, start = capped_flow_qp()
+    flat, textbook = integrate_flow(start, p, 0.01, 14.0), textbook_rk4(start, p, 0.01, 14.0)
+    assert len(flat) == len(textbook) > 1401 and flat[-1].t == 14.0
+    for mine, reference in zip(flat, textbook):
+        for field in ("x", "v", "lam"):
+            assert np.array_equal(getattr(mine, field), getattr(reference, field))
+        assert (mine.theta, mine.gamma, mine.t) == (reference.theta, reference.gamma, reference.t)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_each_flow_step_makes_four_of_each_operation(qp1, steps):
+    # one flow_rhs call per RK4 stage: A v, A' lam and the gradient at x
+    smooth = CountingQuadratic(np.ones(2))
+    counting = apd.ProblemInstance(smooth, qp1.nonsmooth, CountingConstraint(qp1.constraint))
+    trajectory = integrate_flow(zeros_state(), counting, 0.01, 0.01 * steps)
+    assert len(trajectory) - 1 == steps
+    constraint = counting.constraint
+    assert (constraint.applies, constraint.adjoints, smooth.grads) == (4 * steps,) * 3
 
 
 def test_divergence_reports_last_finite_state():

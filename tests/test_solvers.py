@@ -2,7 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import CountingConstraint, contraction_violations, planted_lasso, reachable
+from conftest import (
+    CountingConstraint,
+    CountingQuadratic,
+    contraction_violations,
+    planted_lasso,
+    reachable,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -709,14 +715,6 @@ def test_audit_skips_only_the_pair_across_a_restart():
 # ---------------------------------------------------------------------------
 # one residual per iterate: operation counts and bit-identity of the run loop
 # ---------------------------------------------------------------------------
-
-class CountingQuadratic(apd.QuadraticObjective):
-    grads = 0
-
-    def gradient(self, x):
-        self.grads += 1
-        return super().gradient(x)
-
 
 def counting_lasso():
     p, _ = planted_lasso(3, ridge=0.5)
