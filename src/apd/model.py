@@ -289,10 +289,9 @@ def operator_norm_estimate(matrix, gram=None):
 
 
 def quadratic_term(smooth):
-    """``Q`` of a quadratic ``h``: the vector of its diagonal when it keeps
-    one, else its dense Hessian."""
-    diag = getattr(smooth, "diag", None)
-    return diag if diag is not None else smooth.hessian_matrix()
+    """``Q`` of a :class:`~apd.oracles.QuadraticObjective`: the vector of its
+    diagonal when it keeps one, else its dense symmetric matrix."""
+    return smooth.diag if smooth.diag is not None else smooth.dense
 
 
 class RangeSpaceSystem:
@@ -374,7 +373,7 @@ def solve_reference_saddle(problem):
         raise NoReferenceError("reference solve needs a dense constraint") from exc
     if constraint.rows > constraint.cols:
         raise NoReferenceError("A has more rows than columns, so no full row rank")
-    g = -smooth.linear_term()
+    g = -smooth.linear
     if smooth.mu > 0:
         quad = quadratic_term(smooth)
     else:
@@ -443,6 +442,12 @@ def load_problem(path):
             raise ValueError(f"{path}: numbers must be finite, got NaN or inf")
         return values
 
+    def build(oracle, *args, **kwargs):
+        try:
+            return oracle(*args, **kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
     n, m = size("n"), size("m")
     if numbers(1)[0] != 0.0:
         raise ValueError(f"{path}: header beta must be 0 (no augmentation term)")
@@ -450,15 +455,15 @@ def load_problem(path):
     rhs = numbers(m)
     kind = take(1)[0]
     if kind == "quadratic":
-        smooth, nonsmooth = QuadraticObjective(numbers(n)), ZeroProx(RealSpace())
+        smooth, nonsmooth = build(QuadraticObjective, numbers(n)), ZeroProx(RealSpace())
     elif kind == "lasso":
         weight = numbers(1)[0]
         smooth = QuadraticObjective(np.ones(n))
-        nonsmooth = L1Prox(weight)
+        nonsmooth = build(L1Prox, weight)
     elif kind == "logistic":
         delta = numbers(1)[0]
         data = numbers(size("rows") * (n + 1)).reshape(-1, n + 1)
-        smooth = LogisticObjective(data[:, :n], data[:, n], ridge=delta)
+        smooth = build(LogisticObjective, data[:, :n], data[:, n], ridge=delta)
         nonsmooth = ZeroProx(RealSpace())
     else:
         raise ValueError(f"{path}: unknown objective descriptor {kind!r}")
@@ -468,22 +473,35 @@ def load_problem(path):
 
 
 def save_problem(problem, path):
-    """Write a :class:`ProblemInstance` in the problem-file format."""
-    amat = problem.constraint.matrix()
+    """Write a :class:`ProblemInstance` in the problem-file format.
+
+    The format holds a constraint with a dense form and one of three
+    objectives: a diagonal quadratic ``h`` with ``c = 0``, or a logistic
+    ``h``, each with ``g = 0`` over the whole space; or ``h = |x|^2 / 2``
+    with ``g`` an l1 norm over the whole space. Any other problem would load
+    back as a different one, so it raises ``ValueError`` and writes nothing.
+    """
+    try:
+        amat = problem.constraint.matrix()
+    except UnsupportedOracleError as exc:
+        raise ValueError(f"problem has no file representation: {exc}") from None
     m, n = amat.shape
     parts = [f"{n} {m} 0"]
     parts.extend(" ".join(f"{v:.17g}" for v in row) for row in amat)
     parts.append(" ".join(f"{v:.17g}" for v in problem.constraint.rhs))
     smooth, nonsmooth = problem.smooth, problem.nonsmooth
-    if isinstance(nonsmooth, L1Prox) and nonsmooth.feasible_set.is_whole_space:
+    diag = smooth.diag if smooth.is_quadratic and not smooth.linear.any() else None
+    if (isinstance(nonsmooth, L1Prox) and nonsmooth.feasible_set.is_whole_space
+            and diag is not None and (diag == 1.0).all()):
         parts.append(f"lasso {nonsmooth.weight:.17g}")
-    elif isinstance(smooth, LogisticObjective):
+    elif problem.is_smooth_unconstrained and isinstance(smooth, LogisticObjective):
         parts.append(f"logistic {smooth.ridge:.17g} {smooth.features.shape[0]}")
         for row, label in zip(smooth.features, smooth.labels):
             parts.append(" ".join(f"{v:.17g}" for v in row) + f" {label:.17g}")
-    elif isinstance(smooth, QuadraticObjective) and smooth.diag is not None:
-        parts.append("quadratic " + " ".join(f"{v:.17g}" for v in smooth.diag))
+    elif problem.is_smooth_unconstrained and diag is not None:
+        parts.append("quadratic " + " ".join(f"{v:.17g}" for v in diag))
     else:
-        raise ValueError("problem has no file representation")
+        raise ValueError("problem has no file representation: the file holds a diagonal "
+                         "quadratic or logistic h with g = 0, or |x|^2/2 with an l1 g")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -22,57 +22,23 @@ class UnsupportedOracleError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class SmoothOracle:
-    """Convex smooth function with ``mu``-strong convexity and ``lip`` gradient."""
+    """Convex smooth function with ``mu``-strong convexity and ``lip`` gradient.
+
+    Only a :class:`QuadraticObjective` is ``is_quadratic``, and only one with
+    ``Q = 0`` and ``c = 0`` is ``is_zero``: the schemes pick their solves by these.
+    """
 
     mu = 0.0
     lip = 0.0
     dim = 0
+    is_quadratic = False
+    is_zero = False
 
     def value(self, x):
         raise NotImplementedError
 
     def gradient(self, x):
         raise NotImplementedError
-
-    def hessian_matrix(self):
-        """Dense Hessian for quadratic oracles; raises otherwise."""
-        raise UnsupportedOracleError(f"{type(self).__name__} is not quadratic")
-
-    def linear_term(self):
-        raise UnsupportedOracleError(f"{type(self).__name__} is not quadratic")
-
-    @property
-    def is_quadratic(self):
-        return False
-
-    @property
-    def is_zero(self):
-        return False
-
-
-class ZeroObjective(SmoothOracle):
-    def __init__(self, dim):
-        self.dim = int(dim)
-
-    def value(self, x):
-        return 0.0
-
-    def gradient(self, x):
-        return np.zeros(self.dim)
-
-    def hessian_matrix(self):
-        return np.zeros((self.dim, self.dim))
-
-    def linear_term(self):
-        return np.zeros(self.dim)
-
-    @property
-    def is_quadratic(self):
-        return True
-
-    @property
-    def is_zero(self):
-        return True
 
 
 def _snap_nonnegative(value, scale):
@@ -81,10 +47,16 @@ def _snap_nonnegative(value, scale):
 
 
 class QuadraticObjective(SmoothOracle):
-    """``h(x) = x'Qx/2 + c'x`` with ``Q`` given dense or as a diagonal vector."""
+    """``h(x) = x'Qx/2 + c'x``: ``Q`` kept as its diagonal ``diag`` (``dense``
+    is then ``None``) or as the symmetric ``dense``, ``c`` as ``linear``.
+    ``is_zero`` is read from them: true when ``Q`` and ``c`` are all zero."""
+
+    is_quadratic = True
 
     def __init__(self, quad, linear=None, mu=None, lip=None):
         quad = np.asarray(quad, dtype=float)
+        if not np.isfinite(quad).all():
+            raise ValueError("quadratic term Q holds NaN or inf")
         if quad.ndim == 1:
             self.diag = quad
             self.dense = None
@@ -94,13 +66,16 @@ class QuadraticObjective(SmoothOracle):
             if quad.shape[0] != quad.shape[1]:
                 raise ValueError("quadratic term must be square")
             self.diag = None
-            self.dense = 0.5 * (quad + quad.T)
+            quad = self.dense = 0.5 * (quad + quad.T)
             self.dim = quad.shape[0]
             eig = np.linalg.eigvalsh(self.dense)
             lo, hi = float(eig[0]), float(eig[-1])
         if lo < -1e-10 * max(abs(hi), 1.0):
             raise ValueError("quadratic term must be positive semidefinite")
         self.linear = np.zeros(self.dim) if linear is None else np.asarray(linear, dtype=float)
+        if not np.isfinite(self.linear).all():
+            raise ValueError("linear term c holds NaN or inf")
+        self.is_zero = not (quad.any() or self.linear.any())
         self.mu = _snap_nonnegative(lo, hi) if mu is None else float(mu)
         self.lip = max(hi, 0.0) if lip is None else float(lip)
 
@@ -119,12 +94,16 @@ class QuadraticObjective(SmoothOracle):
     def hessian_matrix(self):
         return np.diag(self.diag) if self.diag is not None else self.dense
 
-    def linear_term(self):
-        return self.linear
 
-    @property
-    def is_quadratic(self):
-        return True
+class ZeroObjective(QuadraticObjective):
+    """``h = 0`` on ``R^dim``: the :class:`QuadraticObjective` with ``Q = 0``
+    and ``c = 0``, so ``is_zero``. Its gradient is a new zero vector."""
+
+    def __init__(self, dim):
+        super().__init__(np.zeros(int(dim)))
+
+    def gradient(self, x):
+        return np.zeros(self.dim)
 
 
 class LogisticObjective(SmoothOracle):
@@ -133,9 +112,13 @@ class LogisticObjective(SmoothOracle):
     def __init__(self, features, labels, ridge=0.0):
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels, dtype=float)
+        if not np.isfinite(self.features).all():
+            raise ValueError("logistic features hold NaN or inf")
         if set(np.unique(self.labels)) - {-1.0, 1.0}:
             raise ValueError("labels must be +-1")
         self.ridge = float(ridge)
+        if not 0.0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
         self.dim = self.features.shape[1]
         self.mu = self.ridge
         # hessian <= ridge I + T' diag(1/4) T

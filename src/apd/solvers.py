@@ -17,7 +17,7 @@ from .model import (
     quadratic_term,
     solve_reference_saddle,
 )
-from .oracles import UnsupportedOracleError, ZeroProx
+from .oracles import ZeroProx
 from .schedule import (
     SCHEME_TABLE,
     ScalingState,
@@ -149,12 +149,11 @@ def _prox_full_objective(problem, eta, point):
         return nonsmooth.prox(eta, point)
     if smooth.is_quadratic and isinstance(nonsmooth, ZeroProx):
         feas = nonsmooth.feasible_set
-        diagonal = getattr(smooth, "diag", None)
-        if diagonal is not None and isinstance(feas, (RealSpace, Box)):
-            return feas.project((point - eta * smooth.linear_term()) / (1.0 + eta * diagonal))
+        if smooth.diag is not None and isinstance(feas, (RealSpace, Box)):
+            return feas.project((point - eta * smooth.linear) / (1.0 + eta * smooth.diag))
         if feas.is_whole_space:
             h = smooth.hessian_matrix() + np.eye(problem.dim) / eta
-            return np.linalg.solve(h, point / eta - smooth.linear_term())
+            return np.linalg.solve(h, point / eta - smooth.linear)
         raise InnerSolveError("no closed-form prox for a dense quadratic over a constraint set "
                               "or a diagonal one over a set that is not a box", np.nan)
     raise InnerSolveError("full-objective prox needs a quadratic smooth part or a pure prox part",
@@ -205,7 +204,7 @@ def implicit_apd_step(state, ctx, alpha):
     ctx.inner_iters = 0
     if _range_space_route(problem):
         smooth = problem.smooth
-        g = _finite(y / eta - smooth.linear_term() - constraint.apply_adjoint(shifted),
+        g = _finite(y / eta - smooth.linear - constraint.apply_adjoint(shifted),
                     "implicit subproblem")
         key = (1.0 / eta, theta_next)
         system = ctx.systems.get(key)
@@ -454,7 +453,7 @@ def run_solver(problem, config):
     if reference is None:
         try:
             reference = solve_reference_saddle(problem)
-        except (NoReferenceError, UnsupportedOracleError):
+        except NoReferenceError:
             reference = None
     at_star = PointValues(problem, reference.x_star) if reference is not None else None
     ctx = RunContext(problem)

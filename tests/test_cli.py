@@ -167,6 +167,7 @@ BAD_PROBLEM_FILES = {
     "weight-nan.txt": "2 1 0 1 1 1 lasso nan",
     "feature-nan.txt": "2 1 0 1 1 1 logistic 0.1 1 nan 1 1",
     "rhs-inf.txt": "2 1 0 1 1 inf quadratic 1 1",
+    "ridge-negative.txt": "2 1 0 1 1 1 logistic -2 1 1 1 1",
     "word.txt": "2 1 0 1 x 1 quadratic 1 1",
 }
 
@@ -329,6 +330,8 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "rhs-inf.txt: numbers must be finite, got NaN or inf"),
     ("solve --problem {tmp}/word.txt --scheme semi_apdfb --csv {tmp}/out.csv",
      "word.txt: could not convert string to float: 'x'"),
+    ("solve --problem {tmp}/ridge-negative.txt --scheme semi_apdfb --csv {tmp}/out.csv",
+     "ridge-negative.txt: ridge must be finite and nonnegative, got -2.0"),
 ], ids=["graph-kind", "graph-grid", "graph-disconnected", "eps-float", "eps-empty",
         "eps-zero", "methods-empty", "flow-step", "compare-beta", "compare-missing",
         "solve-missing", "ddo-m-zero", "ddo-samples-zero", "solve-alpha-zero",
@@ -342,7 +345,7 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
         "compare-max-iter-negative", "compare-stop-tol-negative", "eps-overflows-to-inf",
         "ddo-algo-aqp", "file-m-negative", "file-n-zero", "file-n-fraction",
         "file-rows-zero", "file-diag-nan", "file-weight-nan", "file-feature-nan",
-        "file-rhs-inf", "file-word"])
+        "file-rhs-inf", "file-word", "file-ridge-negative"])
 def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
     qp = write_problem(tmp_path / "qp.txt", "quadratic")
     write_problem(tmp_path / "lasso.txt", "lasso")

@@ -59,8 +59,10 @@ def test_flow_requires_smooth(qp1):
 
 
 def test_integrate_zero_horizon(qp1):
-    traj = integrate_flow(zeros_state(), qp1, 1e-3, 0.0)
-    assert len(traj) == 1 and traj[0] is not traj or traj[0].t == 0.0
+    start = zeros_state()
+    traj = integrate_flow(start, qp1, 1e-3, 0.0)
+    assert len(traj) == 1
+    assert traj[0] is start
 
 
 def test_integrate_step_validation(qp1):

@@ -293,6 +293,67 @@ def test_problem_file_round_trip(tmp_path):
     np.testing.assert_allclose(q3.smooth.gradient(x), logistic.smooth.gradient(x))
 
 
+def _file_problem(kind, smooth=None, nonsmooth=None):
+    rng = np.random.default_rng(9)
+    amat, rhs = rng.standard_normal((2, 3)), rng.standard_normal(2)
+    if kind == "quadratic":
+        smooth, nonsmooth = apd.QuadraticObjective(np.array([3.0, 1.0, 2.0])), apd.ZeroProx()
+    elif kind == "lasso":
+        smooth, nonsmooth = apd.QuadraticObjective(np.ones(3)), apd.L1Prox(0.7)
+    elif kind == "logistic":
+        smooth = apd.LogisticObjective(rng.standard_normal((4, 3)),
+                                       np.array([1.0, -1.0, 1.0, -1.0]), ridge=0.5)
+        nonsmooth = apd.ZeroProx()
+    return apd.ProblemInstance(smooth, nonsmooth, apd.MatrixConstraint(amat, rhs))
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "lasso", "logistic"])
+def test_problem_file_round_trip_keeps_the_problem(tmp_path, kind):
+    path = tmp_path / "instance.txt"
+    problem = _file_problem(kind)
+    apd.save_problem(problem, path)
+    assert path.read_text(encoding="utf-8").split()[3 + 2 * 3 + 2] == kind  # after header, A, b
+    loaded = apd.load_problem(path)
+    assert type(loaded.smooth) is type(problem.smooth)
+    assert type(loaded.nonsmooth) is type(problem.nonsmooth)
+    assert loaded.is_smooth_unconstrained == problem.is_smooth_unconstrained
+    np.testing.assert_array_equal(loaded.constraint.matrix(), problem.constraint.matrix())
+    np.testing.assert_array_equal(loaded.constraint.rhs, problem.constraint.rhs)
+    # the same numbers, but a reloaded array may take another BLAS path
+    for x in np.random.default_rng(3).standard_normal((5, 3)) * 4:
+        assert loaded.objective(x) == pytest.approx(problem.objective(x), rel=1e-14)
+        np.testing.assert_allclose(loaded.smooth.gradient(x), problem.smooth.gradient(x),
+                                   rtol=1e-14)
+        np.testing.assert_array_equal(loaded.nonsmooth.prox(0.3, x),
+                                      problem.nonsmooth.prox(0.3, x))
+
+
+@pytest.mark.parametrize("smooth, nonsmooth", [
+    (apd.ZeroObjective(3), apd.L1Prox(0.7)),
+    (apd.QuadraticObjective(np.array([3.0, 1.0, 2.0])), apd.L1Prox(0.7)),
+    (apd.QuadraticObjective(np.ones(3)), apd.ZeroProx(apd.Box(-np.ones(3), np.ones(3)))),
+    (apd.QuadraticObjective(np.ones(3), np.array([1.0, 0.0, 0.0])), apd.ZeroProx()),
+], ids=["zero-l1", "diagonal-l1", "box", "linear-term"])
+def test_save_problem_refuses_what_the_file_cannot_hold(tmp_path, smooth, nonsmooth):
+    # each of these was once written as a file that loaded as another problem
+    path = tmp_path / "instance.txt"
+    with pytest.raises(ValueError, match="no file representation"):
+        apd.save_problem(_file_problem(None, smooth, nonsmooth), path)
+    assert not path.exists()
+
+
+def test_save_problem_refuses_a_constraint_with_no_dense_form(tmp_path):
+    class MatrixFree(model.LinearConstraint):
+        rows, cols = 2, 3
+
+    path = tmp_path / "instance.txt"
+    matrix_free = apd.ProblemInstance(apd.QuadraticObjective(np.ones(3)), apd.ZeroProx(),
+                                      MatrixFree())
+    with pytest.raises(ValueError, match="no file representation: .* no dense form"):
+        apd.save_problem(matrix_free, path)
+    assert not path.exists()
+
+
 def test_problem_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 1 0.0 1 1 1 mystery 1 2\n")

@@ -1,5 +1,6 @@
 """Package hygiene: exported names exist, no private helper or import is left
-unused and every config field, state field and command-line option is read."""
+unused, every config field, state field and command-line option is read, and
+quadratic structure has one home."""
 
 import argparse
 import ast
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import apd
-from apd import ddo, flow, schedule, solvers
+from apd import ddo, flow, oracles, schedule, solvers
 from apd.cli import build_parser
 from apd.solvers import SolverConfig
 
@@ -215,3 +216,18 @@ def test_every_module_import_is_used():
                    for line, name in _imported_names(tree, source.splitlines())
                    if name not in read]
     assert unused == []
+
+
+def test_every_quadratic_oracle_is_a_quadratic_objective():
+    # the routes read Q and c off a QuadraticObjective, so no other class may
+    # claim quadratic structure or set the flags the routes test
+    classes = [cls for cls in vars(oracles).values()
+               if isinstance(cls, type) and issubclass(cls, oracles.SmoothOracle)]
+    quadratic = [cls.__name__ for cls in classes if cls.is_quadratic]
+    assert "ZeroObjective" in quadratic
+    assert [name for name in quadratic
+            if not issubclass(getattr(oracles, name), oracles.QuadraticObjective)] == []
+    flags = sorted(f"{cls.__name__}.{flag}" for cls in classes
+                   for flag in ("is_quadratic", "is_zero") if flag in vars(cls))
+    assert flags == ["QuadraticObjective.is_quadratic", "SmoothOracle.is_quadratic",
+                     "SmoothOracle.is_zero"]

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from apd import Box, HalfSpace, L1Prox, QuadraticProx, RealSpace, ZeroProx
+from apd import (
+    Box,
+    HalfSpace,
+    L1Prox,
+    LogisticObjective,
+    QuadraticObjective,
+    QuadraticProx,
+    RealSpace,
+    ZeroObjective,
+    ZeroProx,
+)
 from apd.oracles import UnsupportedOracleError
 
 
@@ -94,3 +104,29 @@ def test_moreau_decomposition_independent_conjugate_prox():
             u = rng.standard_normal(5) * 2
             lhs = g.prox(eta, u) + eta * g.conjugate_prox(eta, u / eta)
             np.testing.assert_allclose(lhs, u, atol=1e-12)
+
+
+def test_is_zero_is_read_from_the_data():
+    assert ZeroObjective(3).is_zero and QuadraticObjective(np.zeros(3)).is_zero
+    assert QuadraticObjective(np.zeros((3, 3))).is_zero
+    # the symmetric part of an antisymmetric Q is zero, and so is h
+    assert QuadraticObjective(np.array([[0.0, 1.0], [-1.0, 0.0]])).is_zero
+    assert not QuadraticObjective(np.zeros(3), np.array([0.0, 1e-300, 0.0])).is_zero
+    assert not QuadraticObjective(np.array([0.0, 2.0, 0.0])).is_zero
+    assert not LogisticObjective(np.zeros((1, 3)), np.ones(1)).is_zero
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: QuadraticObjective(np.array([1.0, np.nan])), "quadratic term Q holds NaN"),
+    (lambda: QuadraticObjective(np.diag([1.0, np.inf])), "quadratic term Q holds NaN"),
+    (lambda: QuadraticObjective(np.ones(2), np.array([0.0, -np.inf])), "linear term c holds"),
+    (lambda: LogisticObjective(np.array([[np.nan, 1.0]]), np.ones(1)), "features hold NaN"),
+    (lambda: LogisticObjective(np.ones((1, 2)), np.ones(1), ridge=-2.0),
+     "ridge must be finite and nonnegative, got -2.0"),
+    (lambda: LogisticObjective(np.ones((1, 2)), np.ones(1), ridge=np.inf), "ridge must be"),
+    (lambda: LogisticObjective(np.ones((1, 2)), np.ones(1), ridge=np.nan), "ridge must be"),
+], ids=["diag-nan", "dense-inf", "linear-inf", "features-nan", "ridge-negative",
+        "ridge-inf", "ridge-nan"])
+def test_smooth_oracles_reject_bad_data(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

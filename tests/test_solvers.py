@@ -908,6 +908,24 @@ def l1_basis_pursuit(seed, n=30, m=8):
                                apd.MatrixConstraint(amat, amat @ planted))
 
 
+@pytest.mark.parametrize("prox", ["zero", "l1"])
+@pytest.mark.parametrize("scheme", ["implicit", "semi_apd", "ex_apdfb"])
+def test_zero_objective_runs_as_the_zero_quadratic(scheme, prox):
+    # h = 0 written either way takes the same routes; semi_apdfb is left
+    # out because its step needs a positive smoothness constant
+    base = l1_basis_pursuit(4)
+    nonsmooth = apd.L1Prox(1.0) if prox == "l1" else apd.ZeroProx()
+    config = SolverConfig(scheme, max_iter=300, stop_tol=1e-6)
+    zero, quadratic = (
+        run_solver(apd.ProblemInstance(smooth, nonsmooth, base.constraint), config)
+        for smooth in (apd.ZeroObjective(base.dim), apd.QuadraticObjective(np.zeros(base.dim))))
+    assert zero.status == quadratic.status
+    assert [_fields(r) for r in zero.records] == [_fields(r) for r in quadratic.records]
+    for got, want in ((zero.state.x, quadratic.state.x), (zero.state.v, quadratic.state.v),
+                      (zero.state.lam, quadratic.state.lam)):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_implicit_range_space_step_leaves_two_step_epochs(seed):
     # 1/(1 + alpha) = 2c: theta goes 1, 0.02, 4e-4, so each epoch is two
