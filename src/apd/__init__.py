@@ -12,7 +12,6 @@ from .model import (
     NoReferenceError,
     ProblemInstance,
     SaddlePoint,
-    evaluate_lagrangian,
     kkt_residual,
     load_problem,
     operator_norm_estimate,
@@ -24,14 +23,13 @@ from .oracles import (
     LogisticObjective,
     ProxFunction,
     QuadraticObjective,
-    QuadraticProx,
     SmoothOracle,
     ZeroObjective,
     ZeroProx,
     soft_threshold,
 )
 from .schedule import ScalingState, StepRule, advance_scaling, step_size, theta_upper_bound
-from .sets import Box, HalfSpace, RealSpace
+from .sets import Box
 from .solvers import (
     IterateState,
     IterationRecord,
@@ -48,7 +46,6 @@ from .solvers import (
 
 __all__ = [
     "Box",
-    "HalfSpace",
     "IterateState",
     "IterationRecord",
     "L1Prox",
@@ -58,8 +55,6 @@ __all__ = [
     "ProblemInstance",
     "ProxFunction",
     "QuadraticObjective",
-    "QuadraticProx",
-    "RealSpace",
     "RunContext",
     "SaddlePoint",
     "ScalingState",
@@ -70,7 +65,6 @@ __all__ = [
     "ZeroProx",
     "advance_scaling",
     "discrete_lyapunov",
-    "evaluate_lagrangian",
     "ex_apdfb_step",
     "implicit_apd_step",
     "kkt_residual",

@@ -257,9 +257,9 @@ def ssn_solve(ctx, lam0, tol):
 def _newton_direction(ctx, amat, slope, residual):
     """``d`` with ``(theta I + c C C') d = -F`` by one Cholesky, ``c = alpha t``.
 
-    ``C = A_J diag(S_J)^{1/2}`` holds the active columns ``J = {j: S_jj > 0}``
-    of ``A`` (the second-order sparsity of Li, Sun and Toh's SSNAL). The
-    factored matrix is the smaller side, as in
+    ``C = A_J`` holds the active columns ``J = {j: S_jj > 0}`` of ``A``, as
+    every prox Jacobian ``S`` is 0/1 (the second-order sparsity of Li, Sun
+    and Toh's SSNAL). The factored matrix is the smaller side, as in
     :func:`~apd.model._smaller_gram`: ``theta I + c C C'`` (m×m) when
     ``|J| >= m``, else ``theta I + c C'C`` (|J|×|J|) through Woodbury,
     ``d = -(F - c C (theta I + c C'C)^{-1} C'F) / theta``. No active column
@@ -268,7 +268,7 @@ def _newton_direction(ctx, amat, slope, residual):
     active = slope > 0
     if not active.any():
         return -residual / ctx.theta
-    cols = amat[:, active] * np.sqrt(slope[active])
+    cols = amat[:, active]
     coeff = ctx.alpha * ctx.t
     kernel = _smaller_gram(cols)
     kernel *= coeff

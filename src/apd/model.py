@@ -17,8 +17,8 @@ from .oracles import (
     SmoothOracle,
     UnsupportedOracleError,
     ZeroProx,
+    _rounding_slack,
 )
-from .sets import RealSpace
 
 
 class NoReferenceError(RuntimeError):
@@ -78,7 +78,7 @@ class LinearConstraint:
         workspace for a ``k x k`` ``G``."""
         root = self.gram_root()
         gram = _smaller_gram(root)
-        self._norm_slack = _rounding_slack(root.shape, gram)  # before eigh overwrites gram
+        self._norm_slack = _rounding_slack(root.shape, np.trace(gram))  # before eigh overwrites it
         s, u = sla.eigh(gram, driver="evd", overwrite_a=True)
         if self.rows > self.cols:
             s, u = s[self.null_pairs:], u[:, self.null_pairs:]  # eigh sorts ascending
@@ -112,11 +112,6 @@ def _smaller_gram(matrix):
     rows, cols = matrix.shape
     gram = matrix @ matrix.T if rows <= cols else matrix.T @ matrix
     return gram.toarray() if sp.issparse(gram) else gram
-
-
-def _rounding_slack(shape, gram):
-    """The slack of :func:`operator_norm_estimate` for a Gram matrix of ``shape``."""
-    return 2.0 * sum(shape) * np.finfo(float).eps * float(np.trace(gram))
 
 
 class MatrixConstraint(LinearConstraint):
@@ -172,8 +167,13 @@ class ProblemInstance:
     constraint: LinearConstraint
 
     def __post_init__(self):
-        if self.smooth.dim and self.smooth.dim != self.constraint.cols:
+        if self.smooth.dim != self.constraint.cols:
             raise ValueError("objective and constraint dimensions disagree")
+        box = self.nonsmooth.feasible_set
+        bounds = np.broadcast(box.lower, box.upper).shape
+        if bounds not in ((), (1,), (self.dim,)):
+            raise ValueError(f"box bounds of shape {bounds} do not broadcast to the "
+                             f"{self.dim} columns of the constraint")
 
     @property
     def dim(self):
@@ -233,20 +233,6 @@ def lyapunov_value(problem, saddle, x, v, lam, gamma, theta, at_x=None, at_star=
     return gap + 0.5 * gamma * float(dv @ dv) + 0.5 * theta * float(dlam @ dlam)
 
 
-def evaluate_lagrangian(problem, x, lam):
-    """Lagrangian ``f(x) + <lam, Ax-b>``.
-
-    Returns ``inf`` when x is outside the feasible set (indicator active).
-    """
-    x = np.asarray(x, dtype=float)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if x.shape != (problem.constraint.cols,):
-        raise ValueError("x has the wrong dimension")
-    if lam.shape != (problem.constraint.rows,):
-        raise ValueError("lambda has the wrong dimension")
-    return PointValues(problem, x).lagrangian(lam)
-
-
 def kkt_residual(problem, x, lam, residual=None):
     """Feasibility and stationarity residuals at ``(x, lam)``.
 
@@ -284,7 +270,7 @@ def operator_norm_estimate(matrix, gram=None):
     eigenvalue and trace, and the slack covers forming either.
     """
     gram = _smaller_gram(matrix) if gram is None else gram
-    slack = _rounding_slack(matrix.shape, gram)
+    slack = _rounding_slack(matrix.shape, np.trace(gram))
     return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0) + slack))
 
 
@@ -455,7 +441,7 @@ def load_problem(path):
     rhs = numbers(m)
     kind = take(1)[0]
     if kind == "quadratic":
-        smooth, nonsmooth = build(QuadraticObjective, numbers(n)), ZeroProx(RealSpace())
+        smooth, nonsmooth = build(QuadraticObjective, numbers(n)), ZeroProx()
     elif kind == "lasso":
         weight = numbers(1)[0]
         smooth = QuadraticObjective(np.ones(n))
@@ -464,7 +450,7 @@ def load_problem(path):
         delta = numbers(1)[0]
         data = numbers(size("rows") * (n + 1)).reshape(-1, n + 1)
         smooth = build(LogisticObjective, data[:, :n], data[:, n], ridge=delta)
-        nonsmooth = ZeroProx(RealSpace())
+        nonsmooth = ZeroProx()
     else:
         raise ValueError(f"{path}: unknown objective descriptor {kind!r}")
     if pos != len(tokens):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sets import Box, ConvexSet, RealSpace
+from .sets import Box
 
 
 class UnsupportedOracleError(RuntimeError):
@@ -46,10 +46,25 @@ def _snap_nonnegative(value, scale):
     return 0.0 if value <= 1e-12 * max(scale, 1.0) else float(value)
 
 
+def _finite_nonnegative(name, value):
+    value = float(value)
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return value
+
+
+def _rounding_slack(shape, trace):
+    """The slack of :func:`~apd.model.operator_norm_estimate` on the eigenvalues
+    of a positive semidefinite matrix with ``trace``, formed from one of ``shape``."""
+    return 2.0 * sum(shape) * np.finfo(float).eps * trace
+
+
 class QuadraticObjective(SmoothOracle):
     """``h(x) = x'Qx/2 + c'x``: ``Q`` kept as its diagonal ``diag`` (``dense``
     is then ``None``) or as the symmetric ``dense``, ``c`` as ``linear``.
-    ``is_zero`` is read from them: true when ``Q`` and ``c`` are all zero."""
+    ``is_zero`` is read from them: true when ``Q`` and ``c`` are all zero.
+    ``mu`` and ``lip`` default to the extreme eigenvalues of ``Q``; an override
+    may cross its eigenvalue by the slack of ``operator_norm_estimate``, no more."""
 
     is_quadratic = True
 
@@ -57,27 +72,39 @@ class QuadraticObjective(SmoothOracle):
         quad = np.asarray(quad, dtype=float)
         if not np.isfinite(quad).all():
             raise ValueError("quadratic term Q holds NaN or inf")
+        if quad.ndim not in (1, 2) or quad.shape != quad.shape[:1] * quad.ndim:
+            raise ValueError(f"quadratic term must be a vector or a square matrix, "
+                             f"got shape {quad.shape}")
+        self.dim = quad.shape[0]
+        if self.dim == 0:
+            raise ValueError("quadratic term has dimension 0: h needs at least one variable")
         if quad.ndim == 1:
             self.diag = quad
             self.dense = None
-            self.dim = quad.size
             lo, hi = float(quad.min()), float(quad.max())
+            trace = float(quad.sum())
         else:
-            if quad.shape[0] != quad.shape[1]:
-                raise ValueError("quadratic term must be square")
             self.diag = None
             quad = self.dense = 0.5 * (quad + quad.T)
-            self.dim = quad.shape[0]
             eig = np.linalg.eigvalsh(self.dense)
             lo, hi = float(eig[0]), float(eig[-1])
+            trace = float(np.trace(quad))
         if lo < -1e-10 * max(abs(hi), 1.0):
             raise ValueError("quadratic term must be positive semidefinite")
         self.linear = np.zeros(self.dim) if linear is None else np.asarray(linear, dtype=float)
+        if self.linear.shape != (self.dim,):
+            raise ValueError(f"linear term c has shape {self.linear.shape}, "
+                             f"Q has dimension {self.dim}")
         if not np.isfinite(self.linear).all():
             raise ValueError("linear term c holds NaN or inf")
         self.is_zero = not (quad.any() or self.linear.any())
-        self.mu = _snap_nonnegative(lo, hi) if mu is None else float(mu)
-        self.lip = max(hi, 0.0) if lip is None else float(lip)
+        self.mu = _snap_nonnegative(lo, hi) if mu is None else _finite_nonnegative("mu", mu)
+        self.lip = max(hi, 0.0) if lip is None else _finite_nonnegative("lip", lip)
+        slack = _rounding_slack((self.dim, self.dim), trace)
+        if lip is not None and self.lip < hi - slack:
+            raise ValueError(f"lip {self.lip} is below the largest eigenvalue {hi} of Q")
+        if mu is not None and self.mu > lo + slack:
+            raise ValueError(f"mu {self.mu} is above the smallest eigenvalue {lo} of Q")
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -116,9 +143,7 @@ class LogisticObjective(SmoothOracle):
             raise ValueError("logistic features hold NaN or inf")
         if set(np.unique(self.labels)) - {-1.0, 1.0}:
             raise ValueError("labels must be +-1")
-        self.ridge = float(ridge)
-        if not 0.0 <= self.ridge < np.inf:
-            raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
+        self.ridge = _finite_nonnegative("ridge", ridge)
         self.dim = self.features.shape[1]
         self.mu = self.ridge
         # hessian <= ridge I + T' diag(1/4) T
@@ -144,7 +169,8 @@ def soft_threshold(x, t):
 
 
 class ProxFunction:
-    """Nonsmooth part ``g`` plus the indicator of its feasible set.
+    """Nonsmooth part ``g`` plus the indicator of its feasible set, a
+    :class:`~apd.sets.Box` (the whole space when no bound is finite).
 
     ``prox(eta, x)`` returns ``argmin_{y in set} g(y) + |y - x|^2 / (2 eta)``
     in closed form. ``value`` includes the set indicator (``inf`` outside).
@@ -154,22 +180,16 @@ class ProxFunction:
     - ``value`` and ``prox``: every scheme, and the merit of semi-smooth
       Newton;
     - ``prox_jacobian``: semi-smooth Newton (``implicit`` with a zero smooth
-      part, ``semi_apdfb`` unless ``g`` is zero over the whole space);
-    - ``conjugate_prox``: optional; the solvers never call it, and tests use
-      it only as an independent check of ``prox``.
+      part, ``semi_apdfb`` unless ``g`` is zero over the whole space).
     """
 
-    feasible_set: ConvexSet = RealSpace()
+    feasible_set = Box()
 
     def value(self, x):
         raise NotImplementedError
 
     def prox(self, eta, x):
         raise NotImplementedError
-
-    def conjugate_prox(self, eta, y):
-        """Independent closed form of ``prox_{(g+ind)^*/eta}``; optional."""
-        raise UnsupportedOracleError(f"{type(self).__name__} has no conjugate prox")
 
     def prox_jacobian(self, eta, u):
         """Diagonal of one Clarke generalized Jacobian of ``prox(eta, .)`` at u."""
@@ -182,10 +202,10 @@ class ProxFunction:
 
 
 class ZeroProx(ProxFunction):
-    """``g = 0`` over a feasible set: the prox is the set projection."""
+    """``g = 0`` over a box: the prox is the box projection."""
 
     def __init__(self, feasible_set=None):
-        self.feasible_set = feasible_set if feasible_set is not None else RealSpace()
+        self.feasible_set = Box() if feasible_set is None else feasible_set
 
     def value(self, x):
         return 0.0 if self.feasible_set.contains(x) else np.inf
@@ -193,20 +213,9 @@ class ZeroProx(ProxFunction):
     def prox(self, eta, x):
         return self.feasible_set.project(np.asarray(x, dtype=float))
 
-    def conjugate_prox(self, eta, y):
-        if self.feasible_set.is_whole_space:
-            # conjugate is the indicator of {0}
-            return np.zeros_like(np.asarray(y, dtype=float))
-        raise UnsupportedOracleError("conjugate prox only for the whole space")
-
     def prox_jacobian(self, eta, u):
-        u = np.asarray(u, dtype=float)
-        if self.feasible_set.is_whole_space:
-            return np.ones_like(u)
-        if isinstance(self.feasible_set, Box):
-            # boundary points take 0: a valid Clarke element, fixed for determinism
-            return self.feasible_set.interior_mask(u).astype(float)
-        raise UnsupportedOracleError("projection Jacobian is not separable for this set")
+        # boundary points take 0: a valid Clarke element, fixed for determinism
+        return self.feasible_set.interior_mask(u).astype(float)
 
     @property
     def is_zero_over_whole_space(self):
@@ -214,15 +223,11 @@ class ZeroProx(ProxFunction):
 
 
 class L1Prox(ProxFunction):
-    """``g(x) = weight * |x|_1`` over the whole space or a box."""
+    """``g(x) = weight * |x|_1`` over a box."""
 
     def __init__(self, weight=1.0, feasible_set=None):
-        if weight < 0:
-            raise ValueError("l1 weight must be nonnegative")
-        self.weight = float(weight)
-        self.feasible_set = feasible_set if feasible_set is not None else RealSpace()
-        if not isinstance(self.feasible_set, (RealSpace, Box)):
-            raise ValueError("l1 prox supports the whole space or a box")
+        self.weight = _finite_nonnegative("l1 weight", weight)
+        self.feasible_set = Box() if feasible_set is None else feasible_set
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -234,45 +239,10 @@ class L1Prox(ProxFunction):
         shrunk = soft_threshold(np.asarray(x, dtype=float), eta * self.weight)
         return self.feasible_set.project(shrunk)
 
-    def conjugate_prox(self, eta, y):
-        if not self.feasible_set.is_whole_space:
-            raise UnsupportedOracleError("l1 conjugate prox only over the whole space")
-        return np.clip(np.asarray(y, dtype=float), -self.weight, self.weight)
-
     def prox_jacobian(self, eta, u):
         u = np.asarray(u, dtype=float)
         active = np.abs(u) > eta * self.weight  # ties resolve to 0
-        if isinstance(self.feasible_set, Box):
+        if not self.feasible_set.is_whole_space:
             shrunk = soft_threshold(u, eta * self.weight)
             active &= self.feasible_set.interior_mask(shrunk)
         return active.astype(float)
-
-
-class QuadraticProx(ProxFunction):
-    """Separable quadratic ``g(x) = sum_i q_i x_i^2 / 2`` over the space or a box."""
-
-    def __init__(self, diag, feasible_set=None):
-        self.diag = np.asarray(diag, dtype=float)
-        if np.any(self.diag < 0):
-            raise ValueError("quadratic prox needs nonnegative curvature")
-        self.feasible_set = feasible_set if feasible_set is not None else RealSpace()
-        if not isinstance(self.feasible_set, (RealSpace, Box)):
-            raise ValueError("quadratic prox supports the whole space or a box")
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self.feasible_set.contains(x):
-            return np.inf
-        return 0.5 * float(x @ (self.diag * x))
-
-    def prox(self, eta, x):
-        free = np.asarray(x, dtype=float) / (1.0 + eta * self.diag)
-        return self.feasible_set.project(free)
-
-    def prox_jacobian(self, eta, u):
-        u = np.asarray(u, dtype=float)
-        slope = 1.0 / (1.0 + eta * self.diag)
-        if isinstance(self.feasible_set, Box):
-            inside = self.feasible_set.interior_mask(u * slope)
-            slope = np.where(inside, slope, 0.0)
-        return slope * np.ones_like(u)

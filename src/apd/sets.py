@@ -1,69 +1,36 @@
-"""Simple closed convex sets with exact projections."""
+"""The one feasible-set type: a coordinate box whose bounds may be +-inf, so
+that ``Box()``, with no finite bound, is the whole space."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-class ConvexSet:
-    """A simple closed convex set, described by its Euclidean projection."""
+class Box:
+    """``{x : lower <= x <= upper}``. On the whole space (``is_whole_space``: no
+    bound finite) ``project`` returns a float array as it is and ``contains`` is true."""
 
-    def project(self, x):
-        raise NotImplementedError
-
-    def contains(self, x, tol=1e-10):
-        x = np.asarray(x, dtype=float)
-        return bool(np.linalg.norm(self.project(x) - x) <= tol * (1.0 + np.linalg.norm(x)))
-
-    @property
-    def is_whole_space(self):
-        return False
-
-
-class RealSpace(ConvexSet):
-    """The whole space (no feasible-set restriction)."""
-
-    def project(self, x):
-        return np.asarray(x, dtype=float)
-
-    def contains(self, x, tol=1e-10):
-        return True
-
-    @property
-    def is_whole_space(self):
-        return True
-
-
-class Box(ConvexSet):
-    """Coordinate box ``{x : lower <= x <= upper}``; bounds may be +-inf."""
-
-    def __init__(self, lower, upper):
+    def __init__(self, lower=-np.inf, upper=np.inf):
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise ValueError("box bounds hold NaN")
         if np.any(self.lower > self.upper):
             raise ValueError("box has empty coordinate range")
+        self.is_whole_space = not (np.isfinite(self.lower).any()
+                                   or np.isfinite(self.upper).any())
 
     def project(self, x):
+        if self.is_whole_space:
+            return np.asarray(x, dtype=float)
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+
+    def contains(self, x, tol=1e-10):
+        if self.is_whole_space:
+            return True
+        x = np.asarray(x, dtype=float)
+        return bool(np.linalg.norm(self.project(x) - x) <= tol * (1.0 + np.linalg.norm(x)))
 
     def interior_mask(self, x):
         x = np.asarray(x, dtype=float)
         return (x > self.lower) & (x < self.upper)
-
-
-class HalfSpace(ConvexSet):
-    """Half space ``{x : <a, x> <= c}`` with a nonzero normal ``a``."""
-
-    def __init__(self, normal, offset):
-        self.normal = np.asarray(normal, dtype=float)
-        self.offset = float(offset)
-        self._nn = float(self.normal @ self.normal)
-        if self._nn == 0.0:
-            raise ValueError("half-space normal must be nonzero")
-
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        excess = self.normal @ x - self.offset
-        if excess <= 0.0:
-            return x
-        return x - (excess / self._nn) * self.normal

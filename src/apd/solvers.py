@@ -26,7 +26,6 @@ from .schedule import (
     restart_scaling,
     step_size,
 )
-from .sets import Box, RealSpace
 
 # c of the restart rule: an epoch ends at the first step that leaves theta
 # below it, so 1/theta never exceeds (1 + alpha)/c in any update, 5000 at the
@@ -142,20 +141,20 @@ def _finite(rhs, what):
 
 
 def _prox_full_objective(problem, eta, point):
-    """Prox of ``f = h + g`` over the feasible set: that of ``g`` when ``h = 0``; for
-    ``g = 0``, a quadratic ``h`` diagonal over a box or the whole space, or dense over it."""
+    """Prox of ``f = h + g`` over the feasible box: that of ``g`` when ``h = 0``;
+    for ``g = 0``, a diagonal quadratic ``h``, or a dense one over the whole space."""
     smooth, nonsmooth = problem.smooth, problem.nonsmooth
     if smooth.is_zero:
         return nonsmooth.prox(eta, point)
     if smooth.is_quadratic and isinstance(nonsmooth, ZeroProx):
-        feas = nonsmooth.feasible_set
-        if smooth.diag is not None and isinstance(feas, (RealSpace, Box)):
-            return feas.project((point - eta * smooth.linear) / (1.0 + eta * smooth.diag))
-        if feas.is_whole_space:
+        box = nonsmooth.feasible_set
+        if smooth.diag is not None:
+            return box.project((point - eta * smooth.linear) / (1.0 + eta * smooth.diag))
+        if box.is_whole_space:
             h = smooth.hessian_matrix() + np.eye(problem.dim) / eta
             return np.linalg.solve(h, point / eta - smooth.linear)
-        raise InnerSolveError("no closed-form prox for a dense quadratic over a constraint set "
-                              "or a diagonal one over a set that is not a box", np.nan)
+        raise InnerSolveError("no closed-form prox for a dense quadratic over a box that is "
+                              "not the whole space", np.nan)
     raise InnerSolveError("full-objective prox needs a quadratic smooth part or a pure prox part",
                           np.nan)
 

@@ -228,10 +228,9 @@ def test_merit_gradient_matches_map():
     amat = rng.standard_normal((3, 4))
     constraint = apd.MatrixConstraint(amat, rng.standard_normal(3))
     box = apd.Box(-2 * np.ones(4), np.ones(4))
-    for g in (ZeroProx(), L1Prox(0.3), ZeroProx(box), L1Prox(0.3, box),
-              apd.QuadraticProx(np.array([0.5, 1.0, 2.0, 0.0])),
-              apd.QuadraticProx(np.array([0.5, 1.0, 2.0, 0.0]), box),
-              ZeroProx(apd.HalfSpace(np.array([1.0, -1.0, 0.5, 2.0]), 0.3))):
+    half = apd.Box(np.array([0.0, -np.inf, -1.0, -np.inf]), np.array([np.inf, 0.5, np.inf, 2.0]))
+    for g in (ZeroProx(), L1Prox(0.3), ZeroProx(box), L1Prox(0.3, box), ZeroProx(half),
+              L1Prox(0.3, half)):
         ctx = DualMapContext.for_step(0.8, 0.7, 0.6, rng.standard_normal(4),
                                       constraint, g, rng.standard_normal(3))
         for _ in range(25):
@@ -387,14 +386,16 @@ def test_ssn_matches_enumeration_oracle_5d():
 
 def _slope_pattern(g, t, active, n):
     """A prox argument ``u`` whose Jacobian ``g.prox_jacobian(t, u)`` is
-    positive exactly on the first ``active`` coordinates (box [-1, 1])."""
+    positive exactly on the first ``active`` coordinates: an l1 prox over
+    ``[-1, 1]``, or the projection onto a box with one finite bound per
+    coordinate, ``-1 <=`` on even ones and ``<= 1`` on odd ones."""
     u = np.empty(n)
     if isinstance(g, L1Prox):  # active: t w < |u| < 1 + t w
         u[:active] = 0.5 + t * g.weight
         inactive = np.tile([0.0, 5.0], n)[:n - active]  # below threshold, clipped
-    else:  # quadratic: |u| / (1 + t q) < 1
+    else:  # projection: |u| < 1
         u[:active] = 0.3
-        inactive = np.full(n - active, 10.0)
+        inactive = np.full(n - active, -10.0)  # past the finite bound
     u[active:] = inactive
     return u * np.where(np.arange(n) % 2, -1.0, 1.0)
 
@@ -408,12 +409,12 @@ def test_newton_direction_matches_dense_solve(active):
     amat = rng.standard_normal((m, n))
     constraint = apd.MatrixConstraint(amat, np.zeros(m))
     box = apd.Box(-np.ones(n), np.ones(n))
-    for g in (L1Prox(0.5, box), apd.QuadraticProx(rng.uniform(0.5, 2.0, n), box)):
+    odd = np.arange(n) % 2 == 1
+    half = apd.Box(np.where(odd, -np.inf, -1.0), np.where(odd, 1.0, np.inf))
+    for g in (L1Prox(0.5, box), ZeroProx(half)):
         ctx = DualMapContext(0.3, 0.9, 0.4, rng.standard_normal(n), constraint, g)
         slope = g.prox_jacobian(ctx.t, _slope_pattern(g, ctx.t, active, n))
         assert np.count_nonzero(slope) == active
-        if isinstance(g, apd.QuadraticProx) and active:
-            assert np.all((slope[:active] > 0) & (slope[:active] < 1))  # fractional
         residual = rng.standard_normal(m)
         h = ctx.theta * np.eye(m) + ctx.alpha * ctx.t * (amat * slope) @ amat.T
         expected = np.linalg.solve(h, -residual)

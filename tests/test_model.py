@@ -11,16 +11,16 @@ from conftest import planted_lasso
 
 
 def test_augmented_lagrangian_examples(qp1, qp1_saddle):
-    val = apd.evaluate_lagrangian(qp1, np.zeros(2), np.array([1.0]))
+    val = model.PointValues(qp1, np.zeros(2)).lagrangian(np.array([1.0]))
     assert val == pytest.approx(-1.0)
-    star = apd.evaluate_lagrangian(qp1, qp1_saddle.x_star, np.array([3.7]))
+    star = model.PointValues(qp1, qp1_saddle.x_star).lagrangian(np.array([3.7]))
     assert star == pytest.approx(0.25)
 
 
 def test_augmented_lagrangian_constant_in_lambda_at_solution(qp1, qp1_saddle):
     rng = np.random.default_rng(0)
-    vals = [apd.evaluate_lagrangian(qp1, qp1_saddle.x_star, rng.standard_normal(1))
-            for _ in range(50)]
+    at_star = model.PointValues(qp1, qp1_saddle.x_star)
+    vals = [at_star.lagrangian(rng.standard_normal(1)) for _ in range(50)]
     np.testing.assert_allclose(vals, qp1_saddle.f_star, atol=1e-12)
 
 
@@ -28,14 +28,7 @@ def test_augmented_lagrangian_indicator(qp1):
     boxed = apd.ProblemInstance(qp1.smooth,
                                 apd.ZeroProx(apd.Box(np.zeros(2), np.ones(2))),
                                 qp1.constraint)
-    assert apd.evaluate_lagrangian(boxed, np.array([2.0, 0.0]), np.zeros(1)) == np.inf
-
-
-def test_augmented_lagrangian_dimension_errors(qp1):
-    with pytest.raises(ValueError):
-        apd.evaluate_lagrangian(qp1, np.zeros(3), np.zeros(1))
-    with pytest.raises(ValueError):
-        apd.evaluate_lagrangian(qp1, np.zeros(2), np.zeros(2))
+    assert model.PointValues(boxed, np.array([2.0, 0.0])).lagrangian(np.zeros(1)) == np.inf
 
 
 def test_kkt_residual_examples(qp1, qp1_saddle):

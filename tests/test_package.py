@@ -74,18 +74,26 @@ def _traced_names(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
 
 
+# public names with no caller in the package or the benchmark, each kept for a reason
+NO_CALLER = {
+    "model.py:save_problem": "writes the problem-file format that load_problem reads",
+}
+
+
 def test_every_public_module_name_has_a_caller():
-    # a public name that only tests call is a helper with no caller
+    # a public name that only tests call is a helper with no caller; the
+    # imports of apd/__init__.py export names and do not count as calls
     bench = Path(__file__).parents[1] / "perfbench"
     bench_trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
                    for path in sorted(bench.glob("*.py"))}
     trees = _package_trees()
-    used = set().union(*(_uses(tree) for tree in [*trees.values(), *bench_trees.values()]))
-    used |= _traced_names(bench_trees["tracer.py"]) | set(apd.__all__)
+    callers = [tree for name, tree in trees.items() if name != "__init__.py"]
+    used = set().union(*(_uses(tree) for tree in [*callers, *bench_trees.values()]))
+    used |= _traced_names(bench_trees["tracer.py"])
     unused = sorted(f"{module}:{name}" for module, tree in trees.items()
                     for name in _definitions(tree)
                     if not name.startswith("_") and name not in used)
-    assert unused == []
+    assert unused == sorted(NO_CALLER)
 
 
 def _attributes_read(tree, owner):

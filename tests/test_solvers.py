@@ -218,14 +218,11 @@ def _prox_case(name):
         "dense-box": (apd.QuadraticObjective(dense, c), apd.ZeroProx(box), None),
         "zero-box": (apd.ZeroObjective(4), apd.ZeroProx(box),
                      lambda point, eta: np.clip(point, -0.3, 0.3)),
-        # the clipped diagonal minimizer is not the prox over a non-separable set
-        "diagonal-halfspace": (apd.QuadraticObjective(q, c),
-                               apd.ZeroProx(apd.HalfSpace(np.ones(4), -1.0)), None),
     }[name]
 
 
 @pytest.mark.parametrize("name", ["diagonal", "dense", "diagonal-box", "l1", "dense-box",
-                                  "zero-box", "diagonal-halfspace"])
+                                  "zero-box"])
 def test_semi_apd_prox_matches_a_direct_minimizer(name):
     smooth, nonsmooth, argmin = _prox_case(name)
     rng = np.random.default_rng(6)
@@ -246,18 +243,6 @@ def test_semi_apd_prox_matches_a_direct_minimizer(name):
     eta = alpha ** 2 / tau
     np.testing.assert_allclose(out.x, argmin(y - eta * amat.T @ lam_hat, eta),
                                rtol=1e-12, atol=1e-14)
-
-
-def test_semi_apd_rejects_a_diagonal_qp_over_a_half_space():
-    # the diagonal closed form over this set ended precision_floor after 910
-    # steps, 2.3e-3 from the optimum with f 7e-6 too high
-    rng = np.random.default_rng(0)
-    amat, rhs, c = rng.standard_normal((2, 6)), rng.standard_normal(2), 3 * rng.standard_normal(6)
-    p = apd.ProblemInstance(apd.QuadraticObjective([0.2, 0.5, 1, 2, 4, 8], c),
-                            apd.ZeroProx(apd.HalfSpace(np.ones(6), -1.0)),
-                            apd.MatrixConstraint(amat, rhs))
-    with pytest.raises(InnerSolveError, match="not a box"):
-        run_solver(p, SolverConfig("semi_apd", max_iter=5))
 
 
 def test_semi_apd_solves_a_box_feasibility_problem():
@@ -730,7 +715,7 @@ def box_qp(counting=False, bounded=True):
     amat = rng.standard_normal((m, n))
     constraint = apd.MatrixConstraint(amat, amat @ rng.uniform(-0.5, 0.5, n))
     smooth_type = CountingQuadratic if counting else apd.QuadraticObjective
-    feasible_set = apd.Box(-np.ones(n), np.ones(n)) if bounded else apd.RealSpace()
+    feasible_set = apd.Box(-np.ones(n), np.ones(n)) if bounded else apd.Box()
     return apd.ProblemInstance(smooth_type(rng.uniform(0.5, 2.0, n), rng.standard_normal(n)),
                                apd.ZeroProx(feasible_set),
                                CountingConstraint(constraint) if counting else constraint)
