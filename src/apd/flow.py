@@ -119,6 +119,11 @@ def _check_start(state0, constraint):
 def integrate_flow(state0, problem, h, horizon):
     """RK4 trajectory of the flow over ``horizon`` from ``state0``.
 
+    The flow is that of :func:`flow_rhs` with the problem's ``mu``
+    (``problem.smooth.mu``), which ``semi_apd``, ``semi_apdfb`` and
+    ``ex_apdfb`` discretize; the ``implicit`` scheme follows it with ``mu``
+    set to 0 (:func:`~apd.solvers.implicit_apd_step`).
+
     RK4 integrates ``(x, v, lam)``; the scaling pair is exact, ``theta0 e^{-t}``
     and ``mu + (gamma0 - mu) e^{-t}``. Steps are ``min(h, 2 sqrt(theta gamma)
     / |A|)`` with ``h <= 0.01``, the last one landing on the horizon, which need

@@ -114,6 +114,12 @@ def audit_records(records, rule=None, mu_beta=0.0):
     ``mu_beta``. It reads ``gamma0`` from the first record, counts ``k`` from
     the epoch's start and takes the ``gamma`` the epoch started with
     (:func:`~apd.schedule.restart_scaling`).
+
+    A run that ends on a polish closes with a record at ``k > 0`` with
+    ``alpha = 0`` in an epoch of its own (:func:`~apd.solvers.run_solver`).
+    No scheme step made it, so it is checked against neither certificate:
+    its ``theta`` is that of the last step, whose epoch may have started
+    from another ``gamma`` than the restart rule gives.
     """
     report = AuditReport()
     prev = None
@@ -132,7 +138,7 @@ def audit_records(records, rule=None, mu_beta=0.0):
             bound = prev.lyapunov / (1.0 + rec.alpha) * (1.0 + CONTRACTION_SLACK)
             if rec.lyapunov > bound + floor:
                 report.contraction_violations += 1
-        if rule is not None:
+        if rule is not None and not (rec.k > 0 and rec.alpha == 0):
             gmin, gmax = min(start_gamma, mu_beta), max(start_gamma, mu_beta)
             bound = theta_upper_bound(rule, rec.k - start_k, start_gamma, gmin, gmax)
             if rec.theta > bound * (1.0 + THETA_BOUND_SLACK):

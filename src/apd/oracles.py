@@ -139,6 +139,12 @@ class LogisticObjective(SmoothOracle):
     def __init__(self, features, labels, ridge=0.0):
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels, dtype=float)
+        if self.features.ndim != 2:
+            raise ValueError(f"logistic features must be a 2-d array, got shape "
+                             f"{self.features.shape}")
+        if self.labels.shape != self.features.shape[:1]:
+            raise ValueError(f"labels have shape {self.labels.shape}; the features have "
+                             f"{self.features.shape[0]} rows")
         if not np.isfinite(self.features).all():
             raise ValueError("logistic features hold NaN or inf")
         if set(np.unique(self.labels)) - {-1.0, 1.0}:
@@ -180,7 +186,9 @@ class ProxFunction:
     - ``value`` and ``prox``: every scheme, and the merit of semi-smooth
       Newton;
     - ``prox_jacobian``: semi-smooth Newton (``implicit`` with a zero smooth
-      part, ``semi_apdfb`` unless ``g`` is zero over the whole space).
+      part, ``semi_apdfb`` unless ``g`` is zero over the whole space);
+    - ``face``: the polish of :func:`~apd.solvers.run_solver` (a quadratic
+      smooth part and ``g`` not zero over the whole space).
     """
 
     feasible_set = Box()
@@ -195,6 +203,14 @@ class ProxFunction:
         """Diagonal of one Clarke generalized Jacobian of ``prox(eta, .)`` at u."""
         raise UnsupportedOracleError(
             f"{type(self).__name__} has no separable prox Jacobian")
+
+    def face(self, point):
+        """The face of ``g`` that ``point``, an output of :meth:`prox`, lies
+        on, as ``(free, fixed, slope)``: ``free`` masks the coordinates that
+        move on the face, ``fixed`` holds ``point`` on the others and 0 on the
+        free ones, and ``slope``, the gradient of ``g`` on the face, holds its
+        value on each free coordinate."""
+        raise UnsupportedOracleError(f"{type(self).__name__} has no face oracle")
 
     @property
     def is_zero_over_whole_space(self):
@@ -216,6 +232,10 @@ class ZeroProx(ProxFunction):
     def prox_jacobian(self, eta, u):
         # boundary points take 0: a valid Clarke element, fixed for determinism
         return self.feasible_set.interior_mask(u).astype(float)
+
+    def face(self, point):
+        free = self.feasible_set.interior_mask(point)  # off the bounds
+        return free, np.where(free, 0.0, point), np.zeros(np.count_nonzero(free))
 
     @property
     def is_zero_over_whole_space(self):
@@ -246,3 +266,8 @@ class L1Prox(ProxFunction):
             shrunk = soft_threshold(u, eta * self.weight)
             active &= self.feasible_set.interior_mask(shrunk)
         return active.astype(float)
+
+    def face(self, point):
+        point = np.asarray(point, dtype=float)
+        free = (point != 0) & self.feasible_set.interior_mask(point)  # off 0 and the bounds
+        return free, np.where(free, 0.0, point), self.weight * np.sign(point[free])

@@ -124,6 +124,8 @@ class Scheme:
     ``gamma`` decays with ``theta``. ``constant`` names the
     :class:`StepRule` value that the step size divides by or is, which must
     be positive; ``unusable`` is the message of a rule where it is not.
+    ``prox_point`` names the iterate field that the step's prox lands on,
+    where the run's polish reads the face of ``g``.
     """
 
     step: str
@@ -132,17 +134,19 @@ class Scheme:
     uses_mu_beta: bool
     constant: str
     unusable: str
+    prox_point: str
 
 
 SCHEME_TABLE = {
     "implicit": Scheme("implicit_apd_step", _free_step, _implicit_bound, False, "alpha",
-                       "free step size must be positive"),
+                       "free step size must be positive", "x"),
     "semi_apd": Scheme("semi_apd_step", _semi_apd_step, _semi_apd_bound, True, "norm_a",
-                       "semi_apd step needs a nonzero constraint operator"),
+                       "semi_apd step needs a nonzero constraint operator", "x"),
     "semi_apdfb": Scheme("semi_apdfb_step", _semi_apdfb_step, _semi_apdfb_bound, True,
-                         "lip_beta", "semi_apdfb step needs a positive smoothness constant"),
+                         "lip_beta", "semi_apdfb step needs a positive smoothness constant",
+                         "v"),
     "ex_apdfb": Scheme("ex_apdfb_step", _ex_apdfb_step, _ex_apdfb_bound, True, "s_beta",
-                       "ex_apdfb step needs lip_beta + |A|^2 > 0"),
+                       "ex_apdfb step needs lip_beta + |A|^2 > 0", "v"),
 }
 SCHEMES = tuple(SCHEME_TABLE)
 

@@ -6,10 +6,12 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 # pcg_solve is unused here but stays bound: tracers wrap it by module attribute
 from .inner import DualMapContext, InnerSolveError, pcg_solve, ssn_solve  # noqa: F401
 from .model import (
+    MatrixConstraint,
     NoReferenceError,
     PointValues,
     RangeSpaceSystem,
@@ -17,7 +19,7 @@ from .model import (
     quadratic_term,
     solve_reference_saddle,
 )
-from .oracles import ZeroProx
+from .oracles import UnsupportedOracleError, ZeroProx
 from .schedule import (
     SCHEME_TABLE,
     ScalingState,
@@ -171,6 +173,13 @@ def _range_space_route(problem):
 
 def implicit_apd_step(state, ctx, alpha):
     """Fully implicit step on ``ctx.problem``; runs with ``mu_beta = 0``.
+
+    It is implicit Euler, with step ``alpha``, of the flow of
+    :func:`~apd.flow.integrate_flow` with ``mu`` set to 0: the scaling pair
+    advances with ``mu_beta = 0`` and the step has no ``mu`` term, so
+    ``theta_k = (1 + alpha)^-k`` and, when the problem's ``mu`` is 0 too, the
+    iterate after ``k`` steps is within ``O(alpha)`` of the flow at
+    ``t = k alpha``. For ``mu > 0`` it follows the ``mu = 0`` flow, not that one.
 
     Quadratic unconstrained objectives get an exact range-space solve
     (:class:`~apd.model.RangeSpaceSystem`): with ``D = Q + I/eta`` and
@@ -333,6 +342,87 @@ def residual_metrics(problem, x, lam, saddle=None, at_x=None, at_star=None):
 
 
 # ---------------------------------------------------------------------------
+# polish
+# ---------------------------------------------------------------------------
+
+def _same_face(face, other):
+    return other is not None and all(np.array_equal(a, b) for a, b in zip(face, other))
+
+
+def _face_solve(problem, face, lam):
+    """``(x, delta)`` of the KKT system of a quadratic ``h`` on ``face``,
+    ``[Q_FF A_F'; A_F 0] (x_F, delta) = (-c_F - slope - Q_FB x_B - A_F' lam,
+    b - A_B x_B)``, with ``delta`` of least norm.
+
+    With fewer free coordinates than rows, ``A_F x_F = b - A_B x_B`` alone
+    fixes ``x_F``, and ``delta`` is the least-norm solution of ``A_F' delta =
+    -grad h(x)_F - slope - A_F' lam``: one Cholesky of ``A_F'A_F`` (a QR
+    would first load LAPACK code no other solve uses, 0.6 MB of resident
+    memory). Otherwise it is one :class:`~apd.model.RangeSpaceSystem` on the
+    face, with its ``m x m`` Schur complement; when ``mu = 0``,
+    ``rho A_F'A_F`` is added to ``Q_FF`` and ``rho A_F'(b - A_B x_B)`` to its
+    right side, as in :func:`~apd.model.solve_reference_saddle`. Raises
+    ``LinAlgError`` when the face's system is singular.
+    """
+    free, fixed, slope = face
+    smooth, constraint = problem.smooth, problem.constraint
+    a_free = constraint.matrix()[:, free]
+    rows, size = a_free.shape
+    r2 = -constraint.residual(fixed)
+    x = fixed.copy()
+    if size < rows:
+        gram = sla.cho_factor(a_free.T @ a_free)
+        x[free] = sla.cho_solve(gram, a_free.T @ r2)
+        r1 = -smooth.gradient(x)[free] - slope - a_free.T @ lam
+        return x, a_free @ sla.cho_solve(gram, r1)
+    r1 = -smooth.gradient(fixed)[free] - slope - a_free.T @ lam
+    if smooth.mu > 0:
+        quad = quadratic_term(smooth)
+        quad = quad[free] if quad.ndim == 1 else quad[np.ix_(free, free)]
+    else:
+        rho = (smooth.lip or 1.0) / (constraint.op_norm ** 2 or 1.0)
+        quad = smooth.hessian_matrix()[np.ix_(free, free)] + rho * (a_free.T @ a_free)
+        r1 = r1 + rho * (a_free.T @ r2)
+    system = RangeSpaceSystem(MatrixConstraint(a_free, r2), quad, 0.0, 0.0)
+    x[free], delta = system.solve(r1, r2)
+    return x, delta
+
+
+def polish_face(problem, state, face, stop_tol, reference=None, at_star=None):
+    """The exact solution on ``face`` of ``g`` (``problem.nonsmooth.face``),
+    or ``None`` unless it meets the run's stop measure within ``stop_tol``.
+
+    ``h`` must be quadratic. On the face the KKT conditions are linear
+    (:func:`_face_solve`): the point keeps the fixed coordinates of
+    ``face`` and takes the multiplier ``state.lam + delta``. The stop measure
+    is that of :func:`run_solver`: objective gap plus feasibility against
+    ``reference`` when there is one, else the sum of
+    :func:`~apd.model.kkt_residual`; a wrong face misses it. The polished
+    state is ``(x, x, lam)`` with ``state``'s scaling pair. ``at_star`` may
+    pass the :class:`~apd.model.PointValues` of ``reference.x_star``.
+    """
+    from .model import kkt_residual
+
+    # a nearly singular face overflows; its measure is then nan or inf and misses
+    with np.errstate(all="ignore"):
+        try:
+            x, delta = _face_solve(problem, face, state.lam)
+        except (np.linalg.LinAlgError, UnsupportedOracleError):
+            return None
+        lam = state.lam + delta
+        at_x = PointValues(problem, x)
+        if reference is not None:
+            obj_gap, feasibility, _ = residual_metrics(problem, x, lam, reference, at_x,
+                                                       at_star)
+            measure = obj_gap + feasibility
+        else:
+            measure = sum(kkt_residual(problem, x, lam, residual=at_x.residual))
+    if not measure <= stop_tol:
+        return None
+    return IterateState(x, x, lam, state.scaling)
+
+
+# ---------------------------------------------------------------------------
 # run loop
 # ---------------------------------------------------------------------------
 
@@ -425,9 +515,21 @@ def run_solver(problem, config):
     :func:`~apd.schedule.restart_scaling`. The stop measure is objective gap
     plus feasibility when a reference saddle point is available, otherwise
     the KKT residual (formed at epoch ends, and once feasibility is within
-    ``stop_tol``). The run ends with status
+    ``stop_tol``).
 
-    - ``converged`` when the measure is within ``stop_tol``;
+    With ``stop_tol > 0``, a quadratic ``h`` and a ``g`` that is not zero
+    over the whole space, the run also polishes. After each step it reads
+    the face of ``g`` (:meth:`~apd.oracles.ProxFunction.face`) at the point
+    the step's prox landed on (the scheme's ``prox_point`` in
+    :data:`~apd.schedule.SCHEME_TABLE`). When the face is that of the step
+    before and not the face of the last failed attempt, it solves the KKT
+    conditions on it (:func:`polish_face`); a solution that meets the stop
+    measure within ``stop_tol`` ends the run. The run ends with status
+
+    - ``converged`` when the measure of a step, or of a polish, is within
+      ``stop_tol``. A polish adds one closing record, at ``k`` one past the
+      last step, with ``alpha = 0`` (no scheme step is zero) in an epoch of
+      its own, and the state ``(x, x, lam)`` keeps the last step's scaling pair;
     - ``precision_floor`` when an epoch ends without lowering the measure
       below every earlier epoch end: rounding, not the scheme, now sets the
       accuracy. The returned state is then the best iterate measured;
@@ -461,6 +563,10 @@ def run_solver(problem, config):
     records = [_record(0, 0, 0.0, state, ctx, reference, at_x, at_star)]
     status = "max_iter"
     epochs = Epochs(config.scheme, problem.smooth.mu, config.gamma0, state)
+    polishing = (config.stop_tol > 0 and problem.smooth.is_quadratic
+                 and not problem.is_smooth_unconstrained)
+    prox_point = SCHEME_TABLE[config.scheme].prox_point
+    face = failed = None
     for k in range(config.max_iter):
         state = epochs.begin(state)
         alpha = step_size(rule, state.scaling)
@@ -484,6 +590,20 @@ def run_solver(problem, config):
         if config.stop_tol > 0 and measure <= config.stop_tol:
             status = "converged"
             break
+        if polishing:
+            face, previous = problem.nonsmooth.face(getattr(state, prox_point)), face
+            if _same_face(face, previous) and not _same_face(face, failed):
+                started = time.perf_counter_ns() if config.timing else 0
+                polished = polish_face(problem, state, face, config.stop_tol, reference,
+                                       at_star)
+                elapsed = time.perf_counter_ns() - started if config.timing else 0
+                if polished is not None:
+                    state, status, ctx.inner_iters = polished, "converged", 0
+                    at_x = PointValues(problem, state.x, ctx.residual(state.x))
+                    records.append(_record(k + 2, epochs.epoch + 1, 0.0, state, ctx,
+                                           reference, at_x, at_star, elapsed))
+                    break
+                failed = face
         if floor:
             status, state = "precision_floor", epochs.best_state
             break

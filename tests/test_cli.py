@@ -112,6 +112,23 @@ def test_solve_stops_on_the_kkt_residual(tmp_path, capsys):
     assert len(lines) == k + 2  # header plus records k = 0..k
 
 
+@pytest.mark.parametrize("scheme", ["semi_apdfb", "ex_apdfb"])
+def test_solve_ends_on_a_polish_that_audit_accepts(tmp_path, capsys, scheme):
+    # the closing record of a polish: alpha = 0 at k > 0, in an epoch of its own
+    problem = write_problem(tmp_path / "lasso.txt", "lasso")
+    csv = tmp_path / "solve.csv"
+    assert main(["solve", "--problem", problem, "--scheme", scheme,
+                 "--stop-tol", "1e-6", "--csv", str(csv)]) == 0
+    assert capsys.readouterr().out.startswith(f"{scheme}: status=converged k=")
+    cols = read_csv(csv)
+    assert cols["k"][-1] == cols["k"][-2] + 1 and cols["epoch"][-1] == cols["epoch"][-2] + 1
+    assert cols["alpha"][-1] == 0 and (cols["alpha"][1:-1] > 0).all()
+    code = main(["audit", "--csv", str(csv), "--problem", problem, "--scheme", scheme])
+    assert capsys.readouterr().out.endswith("contraction_violations=0 "
+                                            "theta_bound_violations=0\n")
+    assert code == 0
+
+
 def test_flow_writes_one_row_per_step(tmp_path):
     problem = write_problem(tmp_path / "qp.txt", "quadratic")
     csv = tmp_path / "flow.csv"

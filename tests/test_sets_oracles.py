@@ -52,6 +52,29 @@ def test_box_jacobian_interior_only():
                                [0.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("prox, free, fixed, slope", [
+    (ZeroProx(), [True] * 5, [0.0] * 5, [0.0] * 5),
+    (ZeroProx(Box(-1.0, [1.0, 1.0, 3.0, 2.0, 1.0])),
+     [False, True, True, False, True], [1.0, 0.0, 0.0, -1.0, 0.0], [0.0] * 3),
+    (L1Prox(0.5), [True, True, False, True, True], [0.0] * 5, [0.5, -0.5, -0.5, 0.5]),
+    (L1Prox(0.5, Box(-1.0, [1.0, 1.0, 3.0, 2.0, 1.0])),
+     [False, True, False, False, True], [1.0, 0.0, 0.0, -1.0, 0.0], [-0.5, 0.5]),
+], ids=["zero", "zero-box", "l1", "l1-box"])
+def test_face_reads_the_free_coordinates_the_fixed_values_and_the_slope(prox, free, fixed,
+                                                                        slope):
+    # the point: at an upper bound, inside, at 0, at a lower bound, inside
+    point = np.array([1.0, -0.5, 0.0, -1.0, 0.25])
+    got_free, got_fixed, got_slope = prox.face(point)
+    np.testing.assert_array_equal(got_free, free)
+    np.testing.assert_array_equal(got_fixed, fixed)
+    np.testing.assert_array_equal(got_slope, slope)
+    # the slope is the derivative of g along the free coordinates, and g is
+    # finite there: the face is the set where g is affine
+    step = np.where(got_free, 0.01 * np.arange(1.0, 6.0), 0.0)
+    assert prox.value(point + step) - prox.value(point) == pytest.approx(
+        float(got_slope @ step[got_free]))
+
+
 def test_firm_nonexpansiveness_sampled():
     rng = np.random.default_rng(0)
     proxes = [
@@ -109,6 +132,11 @@ def _problem_over(box):
      "ridge must be finite and nonnegative, got -2.0"),
     (lambda: LogisticObjective(np.ones((1, 2)), np.ones(1), ridge=np.inf), "ridge must be"),
     (lambda: LogisticObjective(np.ones((1, 2)), np.ones(1), ridge=np.nan), "ridge must be"),
+    (lambda: LogisticObjective(np.ones((3, 2)), np.ones(2)),
+     r"labels have shape \(2,\); the features have 3 rows"),
+    (lambda: LogisticObjective(np.ones((3, 2)), np.ones((3, 1))), r"labels have shape \(3, 1\)"),
+    (lambda: LogisticObjective(np.ones(3), np.ones(3)),
+     r"features must be a 2-d array, got shape \(3,\)"),
     (lambda: QuadraticObjective(np.ones(3), np.ones(4)),
      r"linear term c has shape \(4,\), Q has dimension 3"),
     (lambda: QuadraticObjective(np.eye(3), np.ones((3, 1))), "linear term c has shape"),
@@ -133,8 +161,9 @@ def _problem_over(box):
     (lambda: L1Prox(np.inf), "l1 weight must be finite"),
     (lambda: L1Prox(-0.5), "l1 weight must be finite and nonnegative, got -0.5"),
 ], ids=["diag-nan", "dense-inf", "linear-inf", "features-nan", "ridge-negative",
-        "ridge-inf", "ridge-nan", "linear-length", "linear-column", "mu-nan", "lip-negative",
-        "lip-inf", "lip-below-spectrum", "mu-above-spectrum", "not-square", "stacked",
+        "ridge-inf", "ridge-nan", "labels-length", "labels-column", "features-vector",
+        "linear-length", "linear-column", "mu-nan", "lip-negative", "lip-inf",
+        "lip-below-spectrum", "mu-above-spectrum", "not-square", "stacked",
         "quadratic-empty", "zero-objective-empty", "box-nan-lower", "box-nan-upper",
         "box-short", "box-column", "l1-nan", "l1-inf", "l1-negative"])
 def test_smooth_oracles_reject_bad_data(build, message):

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apd
-from apd import ddo, model
+from apd import ddo, model, solvers
 from apd.harness import audit_records
 from apd.inner import InnerSolveError
 from apd.schedule import SCHEME_TABLE, SCHEMES, ScalingState, restart_scaling
@@ -30,6 +32,7 @@ from apd.solvers import (
     implicit_apd_step,
     initial_state,
     make_step_rule,
+    polish_face,
     residual_metrics,
     run_solver,
     semi_apd_step,
@@ -45,6 +48,13 @@ def zeros_state(n=2, m=1, gamma0=1.0):
 def saddle_state(saddle, gamma0=1.0):
     return IterateState(saddle.x_star.copy(), saddle.x_star.copy(),
                         saddle.lambda_star.copy(), ScalingState(1.0, gamma0))
+
+
+@contextlib.contextmanager
+def unpolished():
+    """Runs inside take the scheme's own iterates to the end: no polish ends them."""
+    with mock.patch.object(solvers, "polish_face", lambda *args, **kwargs: None):
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +609,9 @@ def test_every_scheme_far_past_convergence_ends_near_its_best(scheme, lasso, see
     else:
         problem = random_qp(seed)
         reference = apd.solve_reference_saddle(problem)
-    converged = run_solver(problem, SolverConfig(scheme, max_iter=20000, stop_tol=1e-8,
-                                                 reference=reference))
+    with unpolished():  # the horizon is the scheme's own
+        converged = run_solver(problem, SolverConfig(scheme, max_iter=20000, stop_tol=1e-8,
+                                                     reference=reference))
     assert converged.status == "converged"
     run = run_solver(problem, SolverConfig(scheme, max_iter=5 * (len(converged.records) - 1),
                                            reference=reference))
@@ -734,12 +745,15 @@ def test_run_loop_operation_counts(scheme, make, per_iter):
     # its restarts (implicit's after steps 7 and 14 at alpha = 1, semi_apdfb's
     # after step 10; at its derived 49 implicit converges before step 15)
     # reuse the residual the context holds
+    # (the lasso and the box QP would end on a polish, which is no step: the
+    # runs take the scheme's own iterates)
     tol = 1e-12
     counts = []
     for iters in (5, 15):
         problem = make()
-        run = run_solver(problem, SolverConfig(scheme=scheme, max_iter=iters, stop_tol=tol,
-                                               alpha=1.0))
+        with unpolished():
+            run = run_solver(problem, SolverConfig(scheme=scheme, max_iter=iters,
+                                                   stop_tol=tol, alpha=1.0))
         assert (run.reference is None) == (not problem.is_smooth_unconstrained)
         assert run.status == "max_iter"
         assert min(rec.feasibility for rec in run.records) > tol
@@ -757,9 +771,19 @@ def loop_by_hand(problem, config, restarts=True):
     """``run_solver`` written out with the public pieces: every step runs in
     a fresh :class:`RunContext`, which holds no residual or system, and the
     diagnostics and the KKT residual are formed from scratch on every
-    iteration. Without ``restarts`` it is the paper's scheme run from a
-    single start: one epoch and no precision floor."""
+    iteration. It reads the face of ``g`` at every step and calls
+    :func:`~apd.solvers.polish_face` when ``run_solver`` does. Without
+    ``restarts`` it is the paper's scheme run from a single start: one
+    epoch, no precision floor and no polish."""
     step = getattr(apd, SCHEME_TABLE[config.scheme].step)
+    prox_point = SCHEME_TABLE[config.scheme].prox_point
+    polishing = (restarts and config.stop_tol > 0 and problem.smooth.is_quadratic
+                 and not problem.is_smooth_unconstrained)
+    face = failed = None
+
+    def same(face, other):
+        return other is not None and all(np.array_equal(a, b) for a, b in zip(face, other))
+
     reference = config.reference
     if reference is None:
         try:
@@ -798,6 +822,20 @@ def loop_by_hand(problem, config, restarts=True):
                 best, best_state = total, state
             if config.stop_tol > 0 and total <= config.stop_tol:
                 return records, state, "converged"
+            if polishing:
+                face, previous = problem.nonsmooth.face(getattr(state, prox_point)), face
+                if same(face, previous) and not same(face, failed):
+                    polished = polish_face(problem, state, face, config.stop_tol, reference)
+                    if polished is not None:
+                        obj_gap, feas, lgap = residual_metrics(problem, polished.x,
+                                                               polished.lam, reference)
+                        lyap = (discrete_lyapunov(polished, problem, reference)
+                                if reference is not None else np.nan)
+                        records.append(IterationRecord(
+                            k + 1, epoch + 1, 0.0, state.scaling.theta, state.scaling.gamma,
+                            obj_gap, feas, lgap, lyap, 0, 0))
+                        return records, polished, "converged"
+                    failed = face
             if epoch_end:
                 if not total < best_end:
                     return records, best_state, "precision_floor"
@@ -938,7 +976,9 @@ def test_implicit_newton_route_keeps_the_unit_step(seed):
     unit = run_solver(problem, SolverConfig("implicit", max_iter=3000, stop_tol=1e-6,
                                             alpha=1.0))
     assert derived.status == unit.status == "converged"
-    assert all(rec.alpha == 1.0 for rec in derived.records[1:])
+    # the last record may close a polish, with alpha = 0
+    assert all(rec.alpha == 1.0 for rec in derived.records[1:-1])
+    assert derived.records[-1].alpha in (0.0, 1.0)
     assert [_fields(r) for r in derived.records] == [_fields(r) for r in unit.records]
     for got, want in ((derived.state.x, unit.state.x), (derived.state.v, unit.state.v),
                       (derived.state.lam, unit.state.lam)):
@@ -978,7 +1018,155 @@ def test_run_loop_matches_loop_by_hand(case, qp1):
     run = run_solver(problem, config)
     records, state, status = loop_by_hand(problem, config)
     assert run.status == status == "converged"
+    assert (run.records[-1].alpha == 0) == (name in ("lasso", "box", "bp"))  # a polish
     assert [_fields(r) for r in run.records] == [_fields(r) for r in records]
     for got, want in ((run.state.x, state.x), (run.state.v, state.v),
                       (run.state.lam, state.lam)):
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the polish on the face of g
+# ---------------------------------------------------------------------------
+
+def stop_measure(problem, state, reference):
+    if reference is not None:
+        return gap_plus_feasibility(problem, state, reference)
+    return sum(apd.kkt_residual(problem, state.x, state.lam))
+
+
+def boxed_qp(seed, l1=False, n=40, m=10):
+    """A diagonal QP over a box with some bounds active; with ``l1``, plus an l1 term."""
+    rng = np.random.default_rng(seed)
+    amat = rng.standard_normal((m, n))
+    box = apd.Box(-np.ones(n), np.ones(n))
+    return apd.ProblemInstance(
+        apd.QuadraticObjective(rng.uniform(0.1, 2.0, n), 3 * rng.standard_normal(n)),
+        apd.L1Prox(0.3, box) if l1 else apd.ZeroProx(box),
+        apd.MatrixConstraint(amat, amat @ rng.uniform(-0.5, 0.5, n)))
+
+
+def stiff_lasso(seed, n=12, m=4):
+    """``h = 10 |x|^2 + c'x`` plus an l1 term: ``mu = 20`` above ``gamma0 = 1``,
+    so ``gamma`` grows through the first epoch."""
+    rng = np.random.default_rng(seed)
+    amat = rng.standard_normal((m, n))
+    amat /= np.linalg.norm(amat, 2)
+    return apd.ProblemInstance(apd.QuadraticObjective(20 * np.ones(n), rng.standard_normal(n)),
+                               apd.L1Prox(0.3), apd.MatrixConstraint(amat, rng.standard_normal(m)))
+
+
+# (problem, reference) by seed. The face solves: a dense Q_FF (lasso; with
+# fewer free coordinates than rows in sparse-lasso), Q_FF plus rho A_F'A_F
+# (ridge-free), a diagonal (box) and Q = 0 with fewer free coordinates than
+# rows (bp)
+POLISHED = {
+    "lasso": lambda seed: (planted_lasso(seed, ridge=0.5)[0], None),
+    "sparse-lasso": lambda seed: (planted_lasso(seed, ridge=0.5, m=20)[0], None),
+    "lasso-ref": lambda seed: planted_lasso(seed, ridge=0.5),
+    "ridge-free-lasso": lambda seed: (planted_lasso(seed)[0], None),
+    "box": lambda seed: (boxed_qp(seed), None),
+    "boxed-lasso": lambda seed: (boxed_qp(seed, l1=True), None),
+    "bp": lambda seed: (l1_basis_pursuit(seed), None),
+}
+
+
+@pytest.mark.parametrize("kind, scheme", [
+    ("lasso", "semi_apdfb"), ("lasso", "ex_apdfb"), ("sparse-lasso", "ex_apdfb"),
+    ("lasso-ref", "semi_apdfb"), ("ridge-free-lasso", "ex_apdfb"), ("box", "semi_apd"),
+    ("box", "semi_apdfb"), ("boxed-lasso", "semi_apdfb"), ("bp", "implicit"), ("bp", "semi_apd")])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_polished_run_ends_on_a_point_that_meets_its_stop_measure(kind, scheme, seed):
+    problem, reference = POLISHED[kind](seed)
+    tol = 1e-8
+    config = SolverConfig(scheme, max_iter=20000, stop_tol=tol, reference=reference)
+    run = run_solver(problem, config)
+    with unpolished():
+        plain = run_solver(problem, config)
+    assert run.status == plain.status == "converged"
+    last, before = run.records[-1], run.records[-2]
+    assert (last.k, last.epoch, last.alpha) == (before.k + 1, before.epoch + 1, 0.0)
+    assert (last.theta, last.gamma) == (before.theta, before.gamma)
+    assert run.state.v is run.state.x
+    assert stop_measure(problem, run.state, reference) <= tol
+    assert last.k <= len(plain.records) - 1
+    assert audit_records(run.records, make_step_rule(problem, config),
+                         problem.smooth.mu).total == 0
+
+
+def test_audit_checks_no_certificate_on_the_closing_record_of_a_polish():
+    # the closing record keeps the last step's theta; as the first record of
+    # a restarted epoch it would be held to the bound of one step from the
+    # gamma it ends with, and with gamma growing towards mu that bound can be
+    # the lower one (seeds 3, 7, 8 and 10 here)
+    for seed in range(12):
+        problem = stiff_lasso(seed)
+        config = SolverConfig("semi_apdfb", max_iter=20000, stop_tol=1e-8)
+        run = run_solver(problem, config)
+        assert run.status == "converged" and run.records[-1].alpha == 0
+        assert audit_records(run.records, make_step_rule(problem, config),
+                             problem.smooth.mu).total == 0
+
+
+def dropped_support_face(problem, saddle):
+    """The face of the planted ``x*`` with its first support index fixed at 0."""
+    free, fixed, slope = problem.nonsmooth.face(saddle.x_star)
+    free = free.copy()
+    free[np.flatnonzero(free)[0]] = False
+    return free, fixed, slope[1:]
+
+
+@pytest.mark.parametrize("with_reference", [False, True])
+def test_a_wrong_face_never_ends_a_run_on_an_uncertified_point(with_reference):
+    problem, saddle = planted_lasso(3, ridge=0.5)
+    reference = saddle if with_reference else None
+    start = IterateState(saddle.x_star, saddle.x_star, saddle.lambda_star,
+                         ScalingState(0.5, 1.0))
+    right = polish_face(problem, start, problem.nonsmooth.face(saddle.x_star), 1e-10,
+                        reference)
+    assert right is not None and np.allclose(right.x, saddle.x_star, atol=1e-10)
+    wrong = dropped_support_face(problem, saddle)
+    assert polish_face(problem, start, wrong, 1e-6, reference) is None
+    # a g that reports only the wrong face: the run tries it once, then ends
+    # on the scheme's own iterate
+    tries = []
+    nonsmooth = apd.L1Prox(problem.nonsmooth.weight)
+    nonsmooth.face = lambda point: wrong
+    wrapped = apd.ProblemInstance(problem.smooth, nonsmooth, problem.constraint)
+    with mock.patch.object(solvers, "polish_face",
+                           lambda *args: tries.append(args) or polish_face(*args)):
+        run = run_solver(wrapped, SolverConfig("semi_apdfb", max_iter=5000, stop_tol=1e-8,
+                                               reference=reference))
+    assert run.status == "converged" and len(tries) == 1
+    assert run.records[-1].alpha > 0
+    assert stop_measure(problem, run.state, reference) <= 1e-8
+
+
+def test_no_polish_is_tried_where_g_is_zero_over_the_whole_space_or_h_is_not_quadratic():
+    # whole-space QPs (qp_dense), the consensus runs (ddo), a logistic h over
+    # a box and a run with no tolerance read no face and try no polish
+    rng = np.random.default_rng(0)
+    amat = rng.standard_normal((4, 12))
+    logistic = apd.ProblemInstance(
+        apd.LogisticObjective(rng.standard_normal((20, 12)), rng.choice([-1.0, 1.0], 20)),
+        apd.ZeroProx(apd.Box(-np.ones(12), np.ones(12))),
+        apd.MatrixConstraint(amat, amat @ rng.uniform(-0.5, 0.5, 12)))
+    lasso, _ = planted_lasso(3, ridge=0.5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("polish or face called")
+
+    with mock.patch.object(solvers, "polish_face", refuse), \
+            mock.patch.object(apd.ZeroProx, "face", refuse), \
+            mock.patch.object(apd.L1Prox, "face", refuse):
+        for scheme in SCHEMES:
+            assert run_solver(random_qp(1), SolverConfig(
+                scheme, max_iter=5000, stop_tol=1e-8)).status == "converged"
+        for scheme in ("semi_apdfb", "ex_apdfb"):
+            assert run_solver(logistic, SolverConfig(
+                scheme, max_iter=5000, stop_tol=1e-6)).status == "converged"
+            assert run_solver(lasso, SolverConfig(scheme, max_iter=50)).status == "max_iter"
+        graph = ddo.random_geometric_graph(12, 0.5, 3)
+        for kind in ("logistic", "least_squares"):
+            problem = ddo.build_ddo_problem(graph, 2, kind, seed=0)
+            assert ddo.run_ddo(problem, "apd", 5000, stop_tol=1e-6).status == "converged"
