@@ -63,14 +63,15 @@ class _Stage:
         self.x, self.v, self.lam = z[:n], z[n:2 * n], z[2 * n:]
 
 
-def _rk4_step(state, z, problem, t_end, slopes, stage):
-    """RK4 step of the flat ``z = [x; v; lam]`` of ``state`` to ``t_end``.
+def _rk4_step(state, z, problem, h, t_end, slopes, stage):
+    """RK4 step of length ``h`` of the flat ``z = [x; v; lam]`` of ``state``,
+    to the time ``t_end``.
 
     The four slopes go into the rows ``slopes`` and every stage into
     ``stage``; both are reused from step to step. Each stage takes the exact
     scaling pair. Returns the new flat vector and its :class:`FlowState`.
     """
-    mu, h = problem.smooth.mu, t_end - state.t
+    mu = problem.smooth.mu
     k1, k2, k3, k4 = slopes
 
     def move(w, slope):  # stage.z = z + w slope, with the scaling pair at w
@@ -124,13 +125,16 @@ def integrate_flow(state0, problem, h, horizon):
     ``ex_apdfb`` discretize; the ``implicit`` scheme follows it with ``mu``
     set to 0 (:func:`~apd.solvers.implicit_apd_step`).
 
-    RK4 integrates ``(x, v, lam)``; the scaling pair is exact, ``theta0 e^{-t}``
-    and ``mu + (gamma0 - mu) e^{-t}``. Steps are ``min(h, 2 sqrt(theta gamma)
-    / |A|)`` with ``h <= 0.01``, the last one landing on the horizon, which need
-    not be a multiple of ``h``. The cap holds the ``(v, lam)`` coupling inside
-    RK4's stability interval on the imaginary axis (``2 sqrt 2``); once it binds,
-    the step count grows like ``e^{T/2}`` (``e^T`` if ``mu = 0``). A stiff gradient
-    is left to ``h``; a non-finite state raises :class:`FlowDivergenceError`.
+    RK4 integrates ``(x, v, lam)``; the scaling pair is exact, ``theta0 e^{-s}``
+    and ``mu + (gamma0 - mu) e^{-s}`` at the time ``s`` elapsed since
+    ``state0.t``. Steps are ``min(h, 2 sqrt(theta gamma) / |A|)`` with
+    ``h <= 0.01``, the last one landing on the horizon, which need not be a
+    multiple of ``h``. They are taken on ``s``, and each state's ``t`` is
+    ``state0.t + s``, so a large start time changes no step. The cap holds
+    the ``(v, lam)`` coupling inside RK4's stability interval on the
+    imaginary axis (``2 sqrt 2``); once it binds, the step count grows like
+    ``e^{T/2}`` (``e^T`` if ``mu = 0``). A stiff gradient is left to ``h``; a
+    non-finite state raises :class:`FlowDivergenceError`.
 
     The triple is stepped as one flat vector ``z = [x; v; lam]``: each step
     makes four :func:`flow_rhs` calls, so 4 ``A``, 4 ``A'`` and 4 gradient
@@ -148,17 +152,19 @@ def integrate_flow(state0, problem, h, horizon):
     _check_start(state0, problem.constraint)
     if not problem.is_smooth_unconstrained:
         raise ValueError("flow requires smooth objective")
-    norm, end = problem.constraint.op_norm, state0.t + horizon
+    norm, elapsed = problem.constraint.op_norm, 0.0
     z = np.concatenate((state0.x, state0.v, state0.lam))
     slopes = tuple(np.empty((4, z.size)))
     stage = _Stage(np.empty(z.size), problem.constraint.cols)
     trajectory, state = [state0], state0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while state.t < end:
+        while elapsed < horizon:
             step = h / max(1.0, 0.5 * h * norm / math.sqrt(state.theta * state.gamma))
-            landing = end - state.t <= step * (1 + 1e-6)  # no sliver step after rounding
-            z, state = _rk4_step(state, z, problem, end if landing else state.t + step,
+            landing = horizon - elapsed <= step * (1 + 1e-6)  # no sliver step after rounding
+            step_end = horizon if landing else elapsed + step
+            z, state = _rk4_step(state, z, problem, step_end - elapsed, state0.t + step_end,
                                  slopes, stage)
+            elapsed = step_end
             if not np.isfinite(z).all():
                 raise FlowDivergenceError(f"flow diverged near t={state.t:.6g}",
                                           trajectory[-1])
@@ -181,20 +187,31 @@ class FlowRecord:
     gamma: float
 
 
+RECORD_BLOCK = 16  # states per block of flow_records
+
+
 def flow_records(trajectory, problem, saddle):
     """Per-state diagnostics rows for a computed trajectory.
 
-    Each state's residual ``A x - b`` is formed once and feeds both its
-    Lyapunov value and its feasibility; the values at ``x*`` are formed once.
+    The states are taken in blocks of at most ``RECORD_BLOCK`` (16), each
+    stacked as the rows of one :class:`FlowState` whose ``theta``, ``gamma``
+    and ``t`` are vectors. Each block makes one product with ``A`` for its
+    residuals ``A x - b``, which feed both the Lyapunov values and the
+    feasibilities, and one :func:`continuous_lyapunov` call; the objective
+    is taken row by row. The values at ``x*`` are formed once. Each row
+    holds its state's one-point values, as the stacked residuals keep each
+    state's bits (:class:`~apd.model.PointValues`), and a state whose values
+    overflow leaves the other rows of its block finite.
     """
     at_star = PointValues(problem, saddle.x_star)
     rows = []
-    for state in trajectory:
-        at_x = PointValues(problem, state.x)
-        rows.append(FlowRecord(
-            t=state.t,
-            E=continuous_lyapunov(state, problem, saddle, at_x=at_x, at_star=at_star),
-            feasibility=float(np.linalg.norm(at_x.residual)),
-            theta=state.theta,
-            gamma=state.gamma))
+    for first in range(0, len(trajectory), RECORD_BLOCK):
+        parts = zip(*((s.x, s.v, s.lam, s.theta, s.gamma, s.t)
+                      for s in trajectory[first:first + RECORD_BLOCK]))
+        block = FlowState(*map(np.array, parts))
+        at_x = PointValues(problem, block.x)
+        energy = continuous_lyapunov(block, problem, saddle, at_x=at_x, at_star=at_star)
+        feasibility = np.sqrt(np.vecdot(at_x.residual, at_x.residual))
+        rows += map(FlowRecord, block.t.tolist(), energy.tolist(), feasibility.tolist(),
+                    block.theta.tolist(), block.gamma.tolist())
     return rows

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import apd
+from apd.flow import continuous_lyapunov
 from apd.model import LinearConstraint
 
 
@@ -54,6 +55,12 @@ def planted_lasso(seed, ridge=0.0, n=40, m=10, rows=25, weight=0.2, support=12):
     feas, stat = apd.kkt_residual(problem, x_star, lam_star)
     assert feas < 1e-12 and stat < 1e-12
     return problem, saddle
+
+
+def per_state_records(trajectory, problem, saddle):
+    """``(E, feasibility)`` of each flow state by the one-point formulas."""
+    return [(continuous_lyapunov(s, problem, saddle),
+             float(np.linalg.norm(problem.constraint.residual(s.x)))) for s in trajectory]
 
 
 class CountingConstraint(LinearConstraint):

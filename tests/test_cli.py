@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import per_state_records
 
 import apd
 from apd.cli import build_parser, main
+from apd.flow import FlowState, flow_records, integrate_flow
 from apd.harness import read_csv
 from apd.schedule import SCHEMES
 
@@ -172,6 +174,29 @@ def write_stiff_problem(path):
     diag[0] = 1e6
     apd.save_problem(apd.ProblemInstance(apd.QuadraticObjective(diag), apd.ZeroProx(),
                                          problem.constraint), path)
+
+
+@pytest.mark.parametrize("first", [0, 5], ids=["from-start", "mid-block"])
+def test_flow_records_mark_the_overflowing_states_the_one_point_formula_marks(tmp_path, first):
+    # the stiff flow's E overflows from the 65th state on, the first row of a
+    # block of 16; from the 6th state on it is the 12th row, and the 11 rows
+    # before it in that block must stay finite
+    write_stiff_problem(tmp_path / "stiff.txt")
+    problem = apd.load_problem(tmp_path / "stiff.txt")
+    saddle = apd.solve_reference_saddle(problem)
+    n, m = problem.constraint.cols, problem.constraint.rows
+    start = FlowState(np.zeros(n), np.zeros(n), np.zeros(m), 1.0, 1.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trajectory = integrate_flow(start, problem, 0.01, 1.0)[first:]
+        rows = flow_records(trajectory, problem, saddle)
+        expected = per_state_records(trajectory, problem, saddle)
+    marked = [not (np.isfinite(row.E) and np.isfinite(row.feasibility)) for row in rows]
+    assert marked == [not np.isfinite(pair).all() for pair in expected]
+    assert marked.index(True) == 64 - first and marked == sorted(marked)
+    with pytest.raises(SystemExit) as info:
+        main(["flow", "--problem", str(tmp_path / "stiff.txt"), "--h", "0.01", "--T", "1",
+              "--csv", str(tmp_path / "out.csv")])
+    assert info.value.code.endswith(f"at t={trajectory[marked.index(True)].t:.6g}")
 
 
 # problem files the loader rejects, each with the message that names the file

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import CountingConstraint, CountingQuadratic
+from conftest import CountingConstraint, CountingQuadratic, per_state_records
 
 import apd
 from apd.flow import (
@@ -219,14 +219,46 @@ def test_divergence_reports_last_finite_state():
     assert np.all(np.isfinite(info.value.last_state.x))
 
 
-def test_flow_records_apply_the_constraint_once_per_state(qp1, qp1_saddle):
+def test_flow_records_apply_the_constraint_once_per_block(qp1, qp1_saddle):
     trajectory = integrate_flow(zeros_state(), qp1, 0.01, 0.1)
     counting = dataclasses.replace(qp1, constraint=CountingConstraint(qp1.constraint))
     rows = flow_records(trajectory, counting, qp1_saddle)
     assert len(rows) == len(trajectory) == 11
-    # A x - b once per state for E and feasibility, A x* - b once per trajectory
-    assert counting.constraint.applies == len(trajectory) + 1
+    # A X - b once per block of states for E and feasibility, A x* - b once per trajectory
+    assert counting.constraint.applies == math.ceil(len(trajectory) / 16) + 1 == 2
     assert rows == flow_records(trajectory, qp1, qp1_saddle)
+
+
+@pytest.mark.parametrize("horizon, states", [(0.0, 1), (0.15, 16), (0.16, 17), (0.36, 37),
+                                             (14.0, None)])
+def test_block_records_match_the_one_point_formula(horizon, states):
+    # 16 states fill one block, 17 and 37 leave a block of one state; to T = 14
+    # the step cap binds and E falls by e^-14, so |Delta E| is held to E(0)
+    p, start = capped_flow_qp()
+    saddle = apd.solve_reference_saddle(p)
+    trajectory = integrate_flow(start, p, 0.01, horizon)
+    assert states is None or len(trajectory) == states
+    rows = flow_records(trajectory, p, saddle)
+    assert len(rows) == len(trajectory)
+    expected = per_state_records(trajectory, p, saddle)
+    for row, state, (energy, feasibility) in zip(rows, trajectory, expected):
+        assert (row.t, row.theta, row.gamma) == (state.t, state.theta, state.gamma)
+        assert abs(row.E - energy) <= 1e-12 * expected[0][0]
+        assert row.feasibility == pytest.approx(feasibility, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("t0", [1e14, 1e16])
+def test_a_large_start_time_takes_the_steps_of_a_zero_one(qp1, t0):
+    # steps are taken on the elapsed time: on the absolute time 1e14 rounds each
+    # step of 0.01 up to 0.0156, and 1e16 + 1 rounds back to 1e16
+    zero = integrate_flow(zeros_state(), qp1, 0.01, 1.0)
+    late = integrate_flow(dataclasses.replace(zeros_state(), t=t0), qp1, 0.01, 1.0)
+    assert len(late) == len(zero) == 101
+    for mine, reference in zip(late, zero):
+        for field in ("x", "v", "lam"):
+            assert np.array_equal(getattr(mine, field), getattr(reference, field))
+        assert (mine.theta, mine.gamma, mine.t) == (reference.theta, reference.gamma,
+                                                    t0 + reference.t)
 
 
 def test_implicit_steps_track_the_flow_to_first_order_when_mu_is_zero():
