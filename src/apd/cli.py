@@ -90,7 +90,7 @@ def _option_type(convert, allow_zero, expected):
 
 _positive_int = _option_type(int, False, "a positive integer")  # a block size or cap
 _positive_float = _option_type(float, False, "a positive number")  # a step or scale
-_step_count = _option_type(int, True, "a nonnegative integer")  # --max-iter
+_nonnegative_int = _option_type(int, True, "a nonnegative integer")  # --max-iter, --seed
 _tolerance = _option_type(float, True, "a finite nonnegative number")  # --stop-tol, 0: none
 
 
@@ -249,7 +249,7 @@ def build_parser():
     solve.add_argument("--problem", required=True)
     solve.add_argument("--scheme", required=True, choices=SCHEMES)
     solve.add_argument("--gamma0", type=_positive_float, default=1.0)
-    solve.add_argument("--max-iter", type=_step_count, default=1000)
+    solve.add_argument("--max-iter", type=_nonnegative_int, default=1000)
     solve.add_argument("--stop-tol", type=_tolerance, default=0.0)
     solve.add_argument("--alpha", type=_positive_float, default=None, help=_ALPHA_HELP)
     solve.add_argument("--csv", required=True)
@@ -270,9 +270,9 @@ def build_parser():
     ddo.add_argument("--m", type=_positive_int, required=True, help="block size per node")
     ddo.add_argument("--model", choices=("ls", "logistic"), required=True)
     ddo.add_argument("--algo", choices=ddo_mod.ALGORITHMS, required=True)
-    ddo.add_argument("--max-iter", type=_step_count, required=True)
+    ddo.add_argument("--max-iter", type=_nonnegative_int, required=True)
     ddo.add_argument("--stop-tol", type=_tolerance, default=0.0)
-    ddo.add_argument("--seed", type=int, default=0)
+    ddo.add_argument("--seed", type=_nonnegative_int, default=0)
     ddo.add_argument("--samples", type=_positive_int, default=5,
                      help="least-squares rows per node")
     ddo.add_argument("--ridge", type=float, default=0.5,
@@ -290,7 +290,7 @@ def build_parser():
                         help=f"comma list from: {', '.join(_ROBUSTNESS_METHODS)}")
     robust.add_argument("--tol", type=_positive_float, default=1e-6)
     robust.add_argument("--i-max", type=_positive_int, default=100000)
-    robust.add_argument("--seed", type=int, default=0)
+    robust.add_argument("--seed", type=_nonnegative_int, default=0)
     robust.add_argument("--csv", required=True)
     robust.set_defaults(func=_cmd_robustness)
 
@@ -299,7 +299,7 @@ def build_parser():
     compare.add_argument("--schemes", default="", help="comma list of schemes, run in order")
     compare.add_argument("--gamma0", type=_positive_float, default=1.0,
                          help="initial gamma")
-    compare.add_argument("--max-iter", type=_step_count, default=1000,
+    compare.add_argument("--max-iter", type=_nonnegative_int, default=1000,
                          help="step cap of each run")
     compare.add_argument("--stop-tol", type=_tolerance, default=0.0,
                          help="stop tolerance (0: none)")

@@ -83,7 +83,12 @@ _GEOMETRIC_TRIES = 200
 
 
 def random_geometric_graph(n, radius, seed):
-    """Random geometric graph on the unit square, retried until connected."""
+    """Random geometric graph on the unit square, retried until connected;
+    ``n >= 1`` and ``radius >= 0`` (``inf`` joins every pair), else ``ValueError``."""
+    if n < 1:
+        raise ValueError(f"a geometric graph needs n >= 1 nodes, got {n}")
+    if not radius >= 0:
+        raise ValueError(f"a geometric graph needs a radius >= 0, got {radius}")
     rng = np.random.default_rng(seed)
     for _ in range(_GEOMETRIC_TRIES):
         points = rng.random((n, 2))

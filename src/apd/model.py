@@ -361,38 +361,48 @@ class RangeSpaceSystem:
         return self.primal(g, mu), mu
 
 
+def kkt_system(problem, free, face, g):
+    """``(system, g)``: the :class:`RangeSpaceSystem` (no shift, ``theta = 0``)
+    of ``[Q_FF A_F'; A_F 0]`` for a quadratic ``h`` on the coordinates
+    ``free`` (a mask, or ``slice(None)``), with ``face`` the constraint
+    ``A_F x_F = b_F``, and its first right side ``g``. When ``mu = 0``,
+    ``rho A_F'A_F`` with ``rho`` at ``L/|A|^2`` is added to ``Q_FF`` and
+    ``rho A_F' b_F`` to ``g``: on ``A_F x_F = b_F`` this changes neither the
+    solution nor its multiplier, and the matrix is then positive definite
+    when ``Q_FF`` is on ``null(A_F)``. Raises ``LinAlgError`` when singular.
+    """
+    smooth = problem.smooth
+    quad = quadratic_term(smooth) if smooth.mu > 0 else smooth.hessian_matrix()
+    quad = quad[free] if quad.ndim == 1 else quad[free][:, free]
+    if smooth.mu == 0:
+        rho = (smooth.lip or 1.0) / (problem.constraint.op_norm ** 2 or 1.0)
+        amat = face.matrix()
+        quad = quad + rho * (amat.T @ amat)
+        g = g + rho * face.apply_adjoint(face.rhs)
+    return RangeSpaceSystem(face, quad, 0.0, 0.0), g
+
+
 def solve_reference_saddle(problem):
     """Reference saddle point for quadratic unconstrained-set instances.
 
     Solves ``[Q A'; A 0] (x, lam) = (-c, b)`` with :class:`RangeSpaceSystem`
     (no shift, ``theta = 0``), takes one refinement step
     ``lam += S^-1 (A x - b)`` with ``x`` recovered from the new ``lam``, and
-    checks the KKT residual to 1e-10. When ``h`` is not strongly convex
-    (``mu = 0``), ``Q`` is replaced by ``Q + rho A'A`` and ``c`` by
-    ``c - rho A'b``: on ``Ax = b`` this changes neither the minimizer nor its
-    multiplier, and the new matrix is positive definite when ``Q`` is on
-    ``null(A)``, so every instance with a nonsingular KKT matrix has a
-    reference. Only quadratic ``h`` with ``g = 0`` over the whole space and
-    a dense ``A`` of full row rank are supported.
+    checks the KKT residual to 1e-10. The system is that of
+    :func:`kkt_system` on every coordinate, so when ``mu = 0`` every
+    instance with a nonsingular KKT matrix has a reference. Only quadratic
+    ``h`` with ``g = 0`` over the whole space and a dense ``A`` of full row
+    rank are supported.
     """
     if not (problem.smooth.is_quadratic and problem.is_smooth_unconstrained):
         raise NoReferenceError("no closed-form reference for this problem")
-    smooth, constraint = problem.smooth, problem.constraint
-    try:
-        amat = constraint.matrix()
-    except UnsupportedOracleError as exc:
-        raise NoReferenceError("reference solve needs a dense constraint") from exc
+    constraint = problem.constraint
     if constraint.rows > constraint.cols:
         raise NoReferenceError("A has more rows than columns, so no full row rank")
-    g = -smooth.linear
-    if smooth.mu > 0:
-        quad = quadratic_term(smooth)
-    else:
-        rho = (smooth.lip or 1.0) / (constraint.op_norm ** 2 or 1.0)
-        quad = smooth.hessian_matrix() + rho * (amat.T @ amat)
-        g = g + rho * constraint.apply_adjoint(constraint.rhs)
     try:
-        system = RangeSpaceSystem(constraint, quad, 0.0, 0.0)
+        system, g = kkt_system(problem, slice(None), constraint, -problem.smooth.linear)
+    except UnsupportedOracleError as exc:
+        raise NoReferenceError("reference solve needs a dense constraint") from exc
     except np.linalg.LinAlgError as exc:
         raise NoReferenceError(f"singular KKT system: {exc}") from exc
     x_star, lam_star = system.solve(g, constraint.rhs)

@@ -15,6 +15,7 @@ from .model import (
     NoReferenceError,
     PointValues,
     RangeSpaceSystem,
+    kkt_system,
     lyapunov_value,
     quadratic_term,
     solve_reference_saddle,
@@ -349,77 +350,42 @@ def _same_face(face, other):
     return other is not None and all(np.array_equal(a, b) for a, b in zip(face, other))
 
 
-def _face_solve(problem, face, lam):
-    """``(x, delta)`` of the KKT system of a quadratic ``h`` on ``face``,
-    ``[Q_FF A_F'; A_F 0] (x_F, delta) = (-c_F - slope - Q_FB x_B - A_F' lam,
-    b - A_B x_B)``, with ``delta`` of least norm.
+def polish_face(problem, state, face):
+    """The KKT point of ``h + g`` on ``face`` (``problem.nonsmooth.face``) as
+    the state ``(x, x, state.lam + delta)`` with ``state``'s scaling pair, or
+    ``None`` when the face's system is singular or ``A`` has no dense form.
+    It measures nothing: :func:`run_solver` measures it as it does a step.
 
-    With fewer free coordinates than rows, ``A_F x_F = b - A_B x_B`` alone
-    fixes ``x_F``, and ``delta`` is the least-norm solution of ``A_F' delta =
-    -grad h(x)_F - slope - A_F' lam``: one Cholesky of ``A_F'A_F`` (a QR
-    would first load LAPACK code no other solve uses, 0.6 MB of resident
-    memory). Otherwise it is one :class:`~apd.model.RangeSpaceSystem` on the
-    face, with its ``m x m`` Schur complement; when ``mu = 0``,
-    ``rho A_F'A_F`` is added to ``Q_FF`` and ``rho A_F'(b - A_B x_B)`` to its
-    right side, as in :func:`~apd.model.solve_reference_saddle`. Raises
-    ``LinAlgError`` when the face's system is singular.
+    ``h`` must be quadratic. On the face the KKT conditions are linear,
+    ``[Q_FF A_F'; A_F 0] (x_F, delta) = (-c_F - slope - Q_FB x_B - A_F' lam,
+    b - A_B x_B)``, with ``delta`` of least norm, and the point keeps the
+    fixed coordinates of ``face``. With fewer free coordinates than rows,
+    ``A_F x_F = b - A_B x_B`` alone fixes ``x_F``, and ``delta`` is the
+    least-norm solution of ``A_F' delta = -grad h(x)_F - slope - A_F' lam``:
+    one Cholesky of ``A_F'A_F`` (a QR would first load LAPACK code no other
+    solve uses, 0.6 MB of resident memory). Otherwise it is the
+    :func:`~apd.model.kkt_system` of the face, with its ``m x m`` Schur
+    complement.
     """
     free, fixed, slope = face
-    smooth, constraint = problem.smooth, problem.constraint
-    a_free = constraint.matrix()[:, free]
-    rows, size = a_free.shape
-    r2 = -constraint.residual(fixed)
-    x = fixed.copy()
-    if size < rows:
-        gram = sla.cho_factor(a_free.T @ a_free)
-        x[free] = sla.cho_solve(gram, a_free.T @ r2)
-        r1 = -smooth.gradient(x)[free] - slope - a_free.T @ lam
-        return x, a_free @ sla.cho_solve(gram, r1)
-    r1 = -smooth.gradient(fixed)[free] - slope - a_free.T @ lam
-    if smooth.mu > 0:
-        quad = quadratic_term(smooth)
-        quad = quad[free] if quad.ndim == 1 else quad[np.ix_(free, free)]
-    else:
-        rho = (smooth.lip or 1.0) / (constraint.op_norm ** 2 or 1.0)
-        quad = smooth.hessian_matrix()[np.ix_(free, free)] + rho * (a_free.T @ a_free)
-        r1 = r1 + rho * (a_free.T @ r2)
-    system = RangeSpaceSystem(MatrixConstraint(a_free, r2), quad, 0.0, 0.0)
-    x[free], delta = system.solve(r1, r2)
-    return x, delta
-
-
-def polish_face(problem, state, face, stop_tol, reference=None, at_star=None):
-    """The exact solution on ``face`` of ``g`` (``problem.nonsmooth.face``),
-    or ``None`` unless it meets the run's stop measure within ``stop_tol``.
-
-    ``h`` must be quadratic. On the face the KKT conditions are linear
-    (:func:`_face_solve`): the point keeps the fixed coordinates of
-    ``face`` and takes the multiplier ``state.lam + delta``. The stop measure
-    is that of :func:`run_solver`: objective gap plus feasibility against
-    ``reference`` when there is one, else the sum of
-    :func:`~apd.model.kkt_residual`; a wrong face misses it. The polished
-    state is ``(x, x, lam)`` with ``state``'s scaling pair. ``at_star`` may
-    pass the :class:`~apd.model.PointValues` of ``reference.x_star``.
-    """
-    from .model import kkt_residual
-
-    # a nearly singular face overflows; its measure is then nan or inf and misses
-    with np.errstate(all="ignore"):
-        try:
-            x, delta = _face_solve(problem, face, state.lam)
-        except (np.linalg.LinAlgError, UnsupportedOracleError):
-            return None
-        lam = state.lam + delta
-        at_x = PointValues(problem, x)
-        if reference is not None:
-            obj_gap, feasibility, _ = residual_metrics(problem, x, lam, reference, at_x,
-                                                       at_star)
-            measure = obj_gap + feasibility
+    smooth, constraint, lam = problem.smooth, problem.constraint, state.lam
+    try:
+        a_free = constraint.matrix()[:, free]
+        rows, size = a_free.shape
+        r2 = -constraint.residual(fixed)
+        x = fixed.copy()
+        if size < rows:
+            gram = sla.cho_factor(a_free.T @ a_free)
+            x[free] = sla.cho_solve(gram, a_free.T @ r2)
+            r1 = -smooth.gradient(x)[free] - slope - a_free.T @ lam
+            delta = a_free @ sla.cho_solve(gram, r1)
         else:
-            measure = sum(kkt_residual(problem, x, lam, residual=at_x.residual))
-    if not measure <= stop_tol:
+            r1 = -smooth.gradient(fixed)[free] - slope - a_free.T @ lam
+            system, r1 = kkt_system(problem, free, MatrixConstraint(a_free, r2), r1)
+            x[free], delta = system.solve(r1, r2)
+    except (np.linalg.LinAlgError, UnsupportedOracleError):
         return None
-    return IterateState(x, x, lam, state.scaling)
+    return IterateState(x, x, lam + delta, state.scaling)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +489,10 @@ def run_solver(problem, config):
     the step's prox landed on (the scheme's ``prox_point`` in
     :data:`~apd.schedule.SCHEME_TABLE`). When the face is that of the step
     before and not the face of the last failed attempt, it solves the KKT
-    conditions on it (:func:`polish_face`); a solution that meets the stop
-    measure within ``stop_tol`` ends the run. The run ends with status
+    conditions on it (:func:`polish_face`). The solution is a candidate that
+    the run records and measures as it does a step; one whose measure is
+    within ``stop_tol`` ends the run, and any other's record is dropped. The
+    run ends with status
 
     - ``converged`` when the measure of a step, or of a polish, is within
       ``stop_tol``. A polish adds one closing record, at ``k`` one past the
@@ -541,10 +509,13 @@ def run_solver(problem, config):
     The run's :class:`RunContext` forms each iterate's residual ``A x - b``
     once (in the step, when the step needs it) for its record, the stop
     test and the restart, and each distinct ``implicit`` step system once;
-    the values at ``x*`` are formed once per run. The context is not
-    returned, so no factored system outlives the run.
+    the values at ``x*`` are formed once per run. A polish candidate's
+    residual is formed once, outside the context, so the residuals it holds
+    for the next step stay. The context is not returned, so no factored
+    system outlives the run.
     Raises ``ValueError`` unless ``max_iter >= 0`` and ``0 <= stop_tol < inf``.
     """
+    # looked up per run, so a kkt_residual replaced on apd.model is the one called
     from .model import kkt_residual
 
     check_run_limits(config.max_iter, config.stop_tol)
@@ -559,10 +530,31 @@ def run_solver(problem, config):
     at_star = PointValues(problem, reference.x_star) if reference is not None else None
     ctx = RunContext(problem)
     state = initial_state(problem, config)
-    at_x = PointValues(problem, state.x, ctx.residual(state.x))
-    records = [_record(0, 0, 0.0, state, ctx, reference, at_x, at_star)]
-    status = "max_iter"
     epochs = Epochs(config.scheme, problem.smooth.mu, config.gamma0, state)
+
+    def measured(k, epoch, alpha, state, residual, inner_iters=0, wall_ns=0):
+        """The record of ``state``, whose ``A x - b`` is ``residual``, and its
+        stop measure: objective gap plus feasibility against the reference,
+        else the KKT sum where it can decide the run, else ``inf``."""
+        at_x = PointValues(problem, state.x, residual)
+        obj_gap, feasibility, lagrangian_gap = residual_metrics(
+            problem, state.x, state.lam, reference, at_x, at_star)
+        lyap, measure = np.nan, np.inf
+        if reference is not None:
+            lyap = discrete_lyapunov(state, problem, reference, at_x, at_star)
+            measure = obj_gap + feasibility
+        elif epochs.ends(state) or 0 < config.stop_tol and feasibility <= config.stop_tol:
+            # feas + stat <= stop_tol needs feas <= stop_tol, so stationarity
+            # is formed only then and at epoch ends
+            measure = sum(kkt_residual(problem, state.x, state.lam, residual=residual))
+        return IterationRecord(
+            k=k, epoch=epoch, alpha=alpha, theta=state.scaling.theta,
+            gamma=state.scaling.gamma, obj_gap=obj_gap, feasibility=feasibility,
+            lagrangian_gap=lagrangian_gap, lyapunov=lyap, inner_iters=inner_iters,
+            wall_ns=wall_ns), measure
+
+    records = [measured(0, 0, 0.0, state, ctx.residual(state.x))[0]]
+    status = "max_iter"
     polishing = (config.stop_tol > 0 and problem.smooth.is_quadratic
                  and not problem.is_smooth_unconstrained)
     prox_point = SCHEME_TABLE[config.scheme].prox_point
@@ -574,18 +566,9 @@ def run_solver(problem, config):
         # looked up per step, so a step function replaced on the module is the one called
         state = globals()[step_name](state, ctx, alpha)
         elapsed = time.perf_counter_ns() - started if config.timing else 0
-        at_x = PointValues(problem, state.x, ctx.residual(state.x))
-        rec = _record(k + 1, epochs.epoch, alpha, state, ctx, reference, at_x, at_star,
-                      elapsed)
+        rec, measure = measured(k + 1, epochs.epoch, alpha, state, ctx.residual(state.x),
+                                ctx.inner_iters, elapsed)
         records.append(rec)
-        if reference is not None:
-            measure = rec.obj_gap + rec.feasibility
-        elif epochs.ends(state) or 0 < config.stop_tol and rec.feasibility <= config.stop_tol:
-            # feas + stat <= stop_tol needs feas <= stop_tol, so stationarity
-            # is formed only then and at epoch ends
-            measure = sum(kkt_residual(problem, state.x, state.lam, residual=at_x.residual))
-        else:
-            measure = np.inf
         floor = epochs.at_floor(state, measure)
         if config.stop_tol > 0 and measure <= config.stop_tol:
             status = "converged"
@@ -593,29 +576,24 @@ def run_solver(problem, config):
         if polishing:
             face, previous = problem.nonsmooth.face(getattr(state, prox_point)), face
             if _same_face(face, previous) and not _same_face(face, failed):
-                started = time.perf_counter_ns() if config.timing else 0
-                polished = polish_face(problem, state, face, config.stop_tol, reference,
-                                       at_star)
-                elapsed = time.perf_counter_ns() - started if config.timing else 0
-                if polished is not None:
-                    state, status, ctx.inner_iters = polished, "converged", 0
-                    at_x = PointValues(problem, state.x, ctx.residual(state.x))
-                    records.append(_record(k + 2, epochs.epoch + 1, 0.0, state, ctx,
-                                           reference, at_x, at_star, elapsed))
-                    break
+                # a nearly singular face overflows; its measure is then nan or inf
+                # and misses
+                with np.errstate(all="ignore"):
+                    started = time.perf_counter_ns() if config.timing else 0
+                    polished = polish_face(problem, state, face)
+                    elapsed = time.perf_counter_ns() - started if config.timing else 0
+                    if polished is not None:
+                        # its A x - b is formed here, not in ctx, so the
+                        # residuals ctx holds for the next step stay
+                        closing, measure = measured(k + 2, epochs.epoch + 1, 0.0, polished,
+                                                    problem.constraint.residual(polished.x),
+                                                    wall_ns=elapsed)
+                        if measure <= config.stop_tol:
+                            state, status = polished, "converged"
+                            records.append(closing)
+                            break
                 failed = face
         if floor:
             status, state = "precision_floor", epochs.best_state
             break
     return SolverRun(records, status, state, reference)
-
-
-def _record(k, epoch, alpha, state, ctx, reference, at_x, at_star, wall_ns=0):
-    obj_gap, feasibility, lagrangian_gap = residual_metrics(
-        ctx.problem, state.x, state.lam, reference, at_x=at_x, at_star=at_star)
-    lyap = discrete_lyapunov(state, ctx.problem, reference, at_x=at_x, at_star=at_star) \
-        if reference is not None else np.nan
-    return IterationRecord(
-        k=k, epoch=epoch, alpha=alpha, theta=state.scaling.theta, gamma=state.scaling.gamma,
-        obj_gap=obj_gap, feasibility=feasibility, lagrangian_gap=lagrangian_gap,
-        lyapunov=lyap, inner_iters=ctx.inner_iters, wall_ns=wall_ns)

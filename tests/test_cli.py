@@ -374,6 +374,10 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "word.txt: could not convert string to float: 'x'"),
     ("solve --problem {tmp}/ridge-negative.txt --scheme semi_apdfb --csv {tmp}/out.csv",
      "ridge-negative.txt: ridge must be finite and nonnegative, got -2.0"),
+    ("ddo --graph geometric:20:-0.4:3 --m 2 --model ls --algo apd --max-iter 5 "
+     "--csv {tmp}/out.csv",
+     "argument --graph: 'geometric:20:-0.4:3': a geometric graph needs a radius >= 0, "
+     "got -0.4"),
 ], ids=["graph-kind", "graph-grid", "graph-disconnected", "eps-float", "eps-empty",
         "eps-zero", "methods-empty", "flow-step", "compare-beta", "compare-missing",
         "solve-missing", "ddo-m-zero", "ddo-samples-zero", "solve-alpha-zero",
@@ -387,7 +391,7 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
         "compare-max-iter-negative", "compare-stop-tol-negative", "eps-overflows-to-inf",
         "ddo-algo-aqp", "file-m-negative", "file-n-zero", "file-n-fraction",
         "file-rows-zero", "file-diag-nan", "file-weight-nan", "file-feature-nan",
-        "file-rhs-inf", "file-word", "file-ridge-negative"])
+        "file-rhs-inf", "file-word", "file-ridge-negative", "graph-geometric-radius-negative"])
 def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
     qp = write_problem(tmp_path / "qp.txt", "quadratic")
     write_problem(tmp_path / "lasso.txt", "lasso")
@@ -447,16 +451,35 @@ def test_solve_derives_the_implicit_step_and_audit_checks_it(tmp_path, capsys):
     assert int(out.split("checked=")[1].split()[0]) > 0
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_examples():
+    """The arguments of README's ``python -m apd.cli`` lines, continuation
+    lines joined."""
+    text = README.read_text(encoding="utf-8")
+    prefix = "python -m apd.cli "
+    return [shlex.split(line[len(prefix):])
+            for line in text.replace("\\\n", " ").splitlines() if line.startswith(prefix)]
+
+
 def test_every_readme_example_parses():
     # a name the command line no longer takes (an algorithm, a method) in the
     # documented examples is a usage error here, not a surprise for a reader
-    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    prefix = "python -m apd.cli "
-    examples = [line[len(prefix):] for line in text.replace("\\\n", " ").splitlines()
-                if line.startswith(prefix)]
     parser = build_parser()
-    commands = [parser.parse_args(shlex.split(example)).command for example in examples]
+    commands = [parser.parse_args(example).command for example in readme_examples()]
     assert sorted(commands) == ["audit", "compare", "ddo", "flow", "robustness", "solve"]
+
+
+def test_every_readme_example_runs(tmp_path, monkeypatch):
+    # README's qp.txt snippet first, then each example in order, in one directory
+    monkeypatch.chdir(tmp_path)
+    snippet = re.search(r'python -c "\n(.*?)"\n```', README.read_text(encoding="utf-8"),
+                        re.DOTALL).group(1)
+    exec(compile(snippet, str(README), "exec"), {})
+    assert (tmp_path / "qp.txt").is_file()
+    for example in readme_examples():
+        assert main(example) == 0, example
 
 
 @pytest.mark.parametrize("command", ["solve", "ddo"])
@@ -473,12 +496,18 @@ def test_timing_records_a_wall_clock_per_step(tmp_path, command):
     assert columns["wall_ns"][0] == 0 and all(columns["wall_ns"][1:] > 0)
 
 
-@pytest.mark.parametrize("argv", [
-    ["ddo", "--graph", "path:4", "--m", "2", "--model", "ls", "--algo", "extra",
-     "--max-iter", "5"],
-    ["robustness", "--graph", "path:6", "--eps-list", "1e-2", "--methods", "pcg_sgs"],
-], ids=["ddo", "robustness"])
-def test_seed_draws_the_data(tmp_path, argv):
+SEEDED = {
+    "ddo": ["ddo", "--graph", "path:4", "--m", "2", "--model", "ls", "--algo", "extra",
+            "--max-iter", "5"],
+    "robustness": ["robustness", "--graph", "path:6", "--eps-list", "1e-2",
+                   "--methods", "pcg_sgs"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED))
+def test_seed_draws_the_data(tmp_path, command):
+    argv = SEEDED[command]
+
     def run(seed, name):
         csv = tmp_path / name
         assert main([*argv, "--seed", str(seed), "--csv", str(csv)]) == 0
@@ -487,6 +516,17 @@ def test_seed_draws_the_data(tmp_path, argv):
     first = run(3, "first.csv")
     assert run(3, "again.csv") == first
     assert run(4, "other.csv") != first
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED))
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([*SEEDED[command], "--seed", "-1", "--csv", str(tmp_path / "out.csv")])
+    assert info.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == (f"apd {command}: error: argument --seed: expected a nonnegative "
+                     "integer, got '-1'")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_every_option_is_exercised_here():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,21 @@ def test_geometric_edges_match_pairwise_comprehension(n, radius, seed):
     assert all(type(i) is int and type(j) is int for i, j in graph.edges)
     degrees = np.bincount(np.ravel(graph.edges), minlength=n)
     np.testing.assert_array_equal(degrees, graph_laplacian(graph).diagonal())
+
+
+@pytest.mark.parametrize("n, radius, message", [
+    (20, -0.4, "radius >= 0, got -0.4"), (0, 0.4, "n >= 1 nodes, got 0"),
+    (20, np.nan, "radius >= 0, got nan")], ids=["radius-negative", "n-zero", "radius-nan"])
+def test_geometric_graph_rejects_bad_input_up_front(monkeypatch, n, radius, message):
+    # rejected before any draw, not after every draw has failed
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        random_geometric_graph(n, radius, 3)
+
+
+def test_geometric_graph_takes_radius_zero_and_inf():
+    assert random_geometric_graph(1, 0.0, 0).edges == ()
+    assert len(random_geometric_graph(5, np.inf, 0).edges) == 10
 
 
 def test_consensus_null_space_blockwise():

@@ -771,8 +771,10 @@ def loop_by_hand(problem, config, restarts=True):
     """``run_solver`` written out with the public pieces: every step runs in
     a fresh :class:`RunContext`, which holds no residual or system, and the
     diagnostics and the KKT residual are formed from scratch on every
-    iteration. It reads the face of ``g`` at every step and calls
-    :func:`~apd.solvers.polish_face` when ``run_solver`` does. Without
+    iteration. It reads the face of ``g`` at every step, calls
+    :func:`~apd.solvers.polish_face` when ``run_solver`` does and ends on
+    the polished point when :func:`stop_measure` of it is within
+    ``stop_tol``. Without
     ``restarts`` it is the paper's scheme run from a single start: one
     epoch, no precision floor and no polish."""
     step = getattr(apd, SCHEME_TABLE[config.scheme].step)
@@ -825,8 +827,9 @@ def loop_by_hand(problem, config, restarts=True):
             if polishing:
                 face, previous = problem.nonsmooth.face(getattr(state, prox_point)), face
                 if same(face, previous) and not same(face, failed):
-                    polished = polish_face(problem, state, face, config.stop_tol, reference)
-                    if polished is not None:
+                    polished = polish_face(problem, state, face)
+                    if (polished is not None
+                            and stop_measure(problem, polished, reference) <= config.stop_tol):
                         obj_gap, feas, lgap = residual_metrics(problem, polished.x,
                                                                polished.lam, reference)
                         lyap = (discrete_lyapunov(polished, problem, reference)
@@ -1094,6 +1097,29 @@ def test_a_polished_run_ends_on_a_point_that_meets_its_stop_measure(kind, scheme
                          problem.smooth.mu).total == 0
 
 
+# (A, A') products of polished runs on boxed_qp(seed), seeds 0 to 5, at
+# stop_tol 1e-8. A candidate's A x - b is formed once, outside the run's
+# context: the certified one's record is the closing record, and a rejected
+# one leaves the residuals the context holds for the next step
+POLISH_PRODUCTS = {
+    "semi_apd": [(308, 153), (148, 73), (662, 330), (182, 90), (84, 41), (172, 85)],
+    "semi_apdfb": [(50, 32), (46, 30), (49, 43), (27, 23), (43, 31), (56, 41)],
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(POLISH_PRODUCTS))
+def test_a_polish_costs_one_product_with_a_per_candidate(scheme):
+    counts = []
+    for seed in range(6):
+        problem = boxed_qp(seed)
+        constraint = CountingConstraint(problem.constraint)
+        problem = apd.ProblemInstance(problem.smooth, problem.nonsmooth, constraint)
+        run = run_solver(problem, SolverConfig(scheme, max_iter=20000, stop_tol=1e-8))
+        assert run.status == "converged" and run.records[-1].alpha == 0
+        counts.append((constraint.applies, constraint.adjoints))
+    assert counts == POLISH_PRODUCTS[scheme]
+
+
 def test_audit_checks_no_certificate_on_the_closing_record_of_a_polish():
     # the closing record keeps the last step's theta; as the first record of
     # a restarted epoch it would be held to the bound of one step from the
@@ -1122,11 +1148,11 @@ def test_a_wrong_face_never_ends_a_run_on_an_uncertified_point(with_reference):
     reference = saddle if with_reference else None
     start = IterateState(saddle.x_star, saddle.x_star, saddle.lambda_star,
                          ScalingState(0.5, 1.0))
-    right = polish_face(problem, start, problem.nonsmooth.face(saddle.x_star), 1e-10,
-                        reference)
-    assert right is not None and np.allclose(right.x, saddle.x_star, atol=1e-10)
+    right = polish_face(problem, start, problem.nonsmooth.face(saddle.x_star))
+    assert np.allclose(right.x, saddle.x_star, atol=1e-10)
+    assert stop_measure(problem, right, reference) <= 1e-10
     wrong = dropped_support_face(problem, saddle)
-    assert polish_face(problem, start, wrong, 1e-6, reference) is None
+    assert not stop_measure(problem, polish_face(problem, start, wrong), reference) <= 1e-6
     # a g that reports only the wrong face: the run tries it once, then ends
     # on the scheme's own iterate
     tries = []
