@@ -217,6 +217,11 @@ def _cmd_audit(args):
     missing = [name for name in _AUDIT_COLUMNS if name not in columns]
     if missing:
         raise SystemExit(f"{args.csv}: not a solve CSV, no column {', '.join(missing)}")
+    for name in ("k", "epoch"):  # step indices: int() fails on nan or inf and truncates 1.5
+        cells = columns[name]
+        bad = cells[~np.isfinite(cells) | (cells != np.trunc(cells))]
+        if bad.size:
+            raise SystemExit(f"{args.csv}: column {name} must hold whole numbers, got {bad[0]:g}")
     rows = [SimpleNamespace(k=int(k), epoch=int(e), alpha=a, theta=t, gamma=g, lyapunov=ly)
             for k, e, a, t, g, ly in zip(*(columns[name] for name in _AUDIT_COLUMNS))]
     problem = _load(args.problem)

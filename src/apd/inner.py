@@ -6,11 +6,10 @@ Semi-smooth Newton solves each Newton system directly: one Cholesky of
 prox Jacobian keeps) has fewer columns than rows, of the smaller
 ``theta I + alpha t C'C`` through Woodbury.
 
-The consensus solvers take one right-side vector. Their stationary methods
-(damped Jacobi, symmetric Gauss-Seidel) are one sweep builder,
-:func:`_sweep`, run by one loop on the bordered matrix or on
-``eps I + A``; the preconditioned ones run the one PCG loop,
-:func:`pcg_solve`, on the bordered matrix.
+The consensus solvers take one right-side vector. Each method is one
+splitting, damped Jacobi or symmetric Gauss-Seidel (:func:`_preconditioner`),
+run as Richardson sweeps on the bordered matrix or on ``eps I + A``, or as
+the preconditioner of the one PCG loop, :func:`pcg_solve`.
 """
 
 from __future__ import annotations
@@ -119,14 +118,6 @@ def pcg_solve(system, tol, i_max):
         p = w + (delta_new / delta if delta > 0 else 0.0) * p
         delta = delta_new
         i += 1
-
-
-def jacobi_preconditioner(diagonal):
-    diagonal = np.asarray(diagonal, dtype=float)
-    if np.any(diagonal <= 0):
-        raise ValueError("Jacobi preconditioner needs a positive diagonal")
-    inv = 1.0 / diagonal
-    return lambda r: inv * r
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +285,23 @@ def _as_sparse(operator):
     return sp.csr_matrix(np.asarray(operator, dtype=float))
 
 
-def _checked_rhs(s, eps, method, methods, i_max):
+def _checked_rhs(s, eps, tol, method, methods, i_max):
     """The right side ``s`` as one float vector, after the checks both
-    consensus solvers make: ``method`` is one of ``methods``, ``i_max >= 0``
-    and ``0 < eps < inf``."""
+    consensus solvers make: ``method`` is one of ``methods``, ``i_max >= 0``,
+    ``0 < eps < inf``, ``0 <= tol < inf`` and every entry of ``s`` is finite."""
     if method not in methods:
         raise ValueError(f"unknown method {method!r}; pick one of {methods}")
     if i_max < 0:
         raise ValueError(f"i_max must be nonnegative, got {i_max}")
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
         raise ValueError(f"the right side must be one vector, not an array of shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError(f"the right side must be finite, got {s[~np.isfinite(s)][0]}")
     return s
 
 
@@ -346,57 +341,42 @@ def _triangle_factors(matrix):
 _JACOBI_DAMPING = 2.0 / 3.0
 
 
-def _sweep(matrix, method):
-    """One Jacobi or symmetric Gauss-Seidel sweep ``(x, b) -> x'``.
+def _preconditioner(matrix, method):
+    """``r -> M^-1 r`` for the Jacobi or the symmetric Gauss-Seidel splitting of ``matrix``.
 
-    ``matrix`` is a CSR matrix ``D + L + U``, split into its diagonal and
-    strict triangles once, here. Jacobi is damped by ``2/3``,
-    ``x + (2/3) ((b - (L + U) x) / D - x)``: on a bipartite graph (a path, an
-    even cycle, a grid) ``D^-1 (D + L + U)`` of the Laplacian systems, plain
-    or bordered, has an eigenvalue near 2, so the undamped sweep has one
-    near -1 and stalls; the damped sweep's eigenvalues lie in
-    ``[-1/3, 1]`` for these diagonally dominant matrices. The symmetric
-    sweep is a forward sweep, one sparse product and one triangular solve
-    with ``D + L`` that updates row 0 (on a bordered matrix, the coarse
-    coefficient) first, then the backward sweep, a solve with ``D + U``
-    that updates row 0 last. A zero on the diagonal raises
-    ``numpy.linalg.LinAlgError``.
+    For a CSR ``matrix = D + L + U``, Jacobi is ``M = D`` and SGS
+    ``M = (D + L) D^-1 (D + U)`` (Saad, *Iterative Methods for Sparse Linear
+    Systems*, sec. 4.1), two triangular solves. A zero or negative diagonal
+    entry raises ``numpy.linalg.LinAlgError``.
     """
     diag = matrix.diagonal()
-    if np.any(diag == 0):
-        raise np.linalg.LinAlgError("A is singular: zero entry on diagonal.")
-    strict_lower = sp.tril(matrix, -1, format="csr")
-    strict_upper = sp.triu(matrix, 1, format="csr")
+    if not np.all(diag > 0):
+        raise np.linalg.LinAlgError("the splitting needs a positive diagonal")
     if method == "jacobi":
-        off = strict_lower + strict_upper
-        return lambda x, b: x + _JACOBI_DAMPING * ((b - off @ x) / diag - x)
+        inv = 1.0 / diag
+        return lambda r: inv * r
     lower, upper = _triangle_factors(matrix)
-
-    def symmetric(x, b):
-        forward = lower.solve(b - strict_upper @ x)
-        return upper.solve(b - strict_lower @ forward)
-
-    return symmetric
-
-
-def _sgs_preconditioner(bordered):
-    # one symmetric sweep (D+L) D^{-1} (D+U), applied in factored form
-    diag = bordered.diagonal()
-    lower, upper = _triangle_factors(bordered)
     return lambda r: upper.solve(diag * lower.solve(r))
 
 
-def _stationary(sweep, b, residual_norm, target, i_max):
-    """Sweeps from a zero start until ``residual_norm(x) <= target`` or ``i_max`` sweeps.
+def _richardson(matrix, method, b, rows, target, i_max):
+    """Richardson sweeps ``x += w M^-1 (b - matrix x)`` from zero; ``(x, sweeps, converged)``.
 
-    Returns ``(x, sweeps, converged)``.
+    ``M`` is :func:`_preconditioner`'s splitting. Each sweep forms the
+    residual once and stops when ``|r[rows]| <= target`` or after ``i_max``
+    sweeps. SGS takes ``w = 1`` and Jacobi ``w = 2/3``: on a bipartite graph
+    ``D^-1 matrix`` has an eigenvalue near 2, where the undamped sweep
+    stalls; the damped one's eigenvalues lie in ``[-1/3, 1]``.
     """
+    minv = _preconditioner(matrix, method)
+    damping = _JACOBI_DAMPING if method == "jacobi" else 1.0
     x = np.zeros_like(b)
-    for it in range(i_max):
-        if residual_norm(x) <= target:
-            return x, it, True
-        x = sweep(x, b)
-    return x, i_max, residual_norm(x) <= target
+    for sweeps in range(i_max + 1):
+        r = b - matrix @ x
+        converged = float(np.linalg.norm(r[rows])) <= target
+        if converged or sweeps == i_max:
+            return x, sweeps, converged
+        x += damping * minv(r)
 
 
 def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
@@ -404,59 +384,33 @@ def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
     """Solve ``(eps I + A) v = s`` through the bordered system of :func:`_bordered_matrix`.
 
     ``A`` must be symmetric positive semidefinite with null space span{1},
-    and ``s`` is one vector. The stationary methods run :func:`_sweep` on
-    the bordered matrix, the ``pcg_*`` methods :func:`pcg_solve` with a
-    Jacobi or one-sweep symmetric Gauss-Seidel preconditioner. Every method
-    terminates on the relative residual of the *original* system, which is
-    the quantity outer solvers consume, or at ``i_max``.
-
-    ``operator`` is ``A`` as a dense or sparse matrix; each call assembles
-    its bordered CSR matrix once, in one pass.
-
-    Returns ``(v, iterations, converged)``.
+    and ``s`` is one vector; ``operator`` is ``A``, dense or sparse. The
+    bordered matrix's Jacobi or SGS splitting (:func:`_preconditioner`) runs
+    as :func:`_richardson` sweeps or as the preconditioner of
+    :func:`pcg_solve`. Every method stops on the relative residual of the
+    *original* system, the one outer solvers consume, or at ``i_max``, and
+    returns ``(v, iterations, converged)``.
     """
-    s = _checked_rhs(s, eps, method, AUGMENTED_METHODS, i_max)
-    s_norm = float(np.linalg.norm(s))
-    if s_norm == 0.0:
-        return np.zeros_like(s), 0, True
-    a = _as_sparse(operator)
-    bordered = _bordered_matrix(a, eps)
+    s = _checked_rhs(s, eps, tol, method, AUGMENTED_METHODS, i_max)
+    bordered = _bordered_matrix(_as_sparse(operator), eps)
     shat = np.concatenate([[s.sum()], s])
-
-    def residual_norm(x):
-        # evaluated blockwise: recombining v1 + v2 first would reintroduce
-        # the eps-scale cancellation the bordering exists to avoid
-        v1, v2 = x[0], x[1:]
-        return float(np.linalg.norm(s - eps * v1 - eps * v2 - a @ v2))
-
+    rows = slice(1, None)  # the original residual, free of v1 + v2's eps-scale cancellation
     if method.startswith("pcg_"):
-        if method == "pcg_jacobi":
-            minv = jacobi_preconditioner(bordered.diagonal())
-        else:
-            minv = _sgs_preconditioner(bordered)
-        # rows 1.. of the bordered residual equal the original-system residual
-        result = pcg_solve(SpdSystem(lambda y: bordered @ y, shat, minv, rows=slice(1, None)),
-                           tol, i_max)
-        x, iters = result.solution, result.iterations
-        converged = residual_norm(x) <= tol * s_norm
+        minv = _preconditioner(bordered, method.removeprefix("pcg_"))
+        result = pcg_solve(SpdSystem(lambda y: bordered @ y, shat, minv, rows), tol, i_max)
+        x, iters, converged = result.solution, result.iterations, result.converged
     else:
-        x, iters, converged = _stationary(_sweep(bordered, method), shat, residual_norm,
-                                          tol * s_norm, i_max)
+        x, iters, converged = _richardson(bordered, method, shat, rows,
+                                          tol * float(np.linalg.norm(s)), i_max)
     return x[0] + x[1:], iters, converged
 
 
 def plain_iteration_solve(operator, eps, s, method="jacobi", tol=1e-6, i_max=100000):
     """Classical damped Jacobi or SGS directly on ``(eps I + A) v = s`` for one vector ``s``.
 
-    Kept for the robustness benchmark: these stall as ``eps`` shrinks, which
-    is exactly the behavior the augmented solver removes.
+    The :func:`_richardson` sweeps, kept for the robustness benchmark: these
+    stall as ``eps`` shrinks, which is exactly what the bordering removes.
     """
-    s = _checked_rhs(s, eps, method, PLAIN_METHODS, i_max)
-    operator = _as_sparse(operator)
-    s_norm = float(np.linalg.norm(s))
-    if s_norm == 0.0:
-        return np.zeros_like(s), 0, True
-    matrix = (operator + eps * sp.identity(operator.shape[0])).tocsr()
-    return _stationary(_sweep(matrix, method), s,
-                       lambda v: float(np.linalg.norm(s - (eps * v + operator @ v))),
-                       tol * s_norm, i_max)
+    s = _checked_rhs(s, eps, tol, method, PLAIN_METHODS, i_max)
+    matrix = (_as_sparse(operator) + eps * sp.identity(s.size)).tocsr()
+    return _richardson(matrix, method, s, slice(None), tol * float(np.linalg.norm(s)), i_max)

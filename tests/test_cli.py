@@ -378,6 +378,12 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "--csv {tmp}/out.csv",
      "argument --graph: 'geometric:20:-0.4:3': a geometric graph needs a radius >= 0, "
      "got -0.4"),
+    ("audit --csv {tmp}/k-nan.csv --problem {tmp}/qp.txt --scheme implicit",
+     "k-nan.csv: column k must hold whole numbers, got nan"),
+    ("audit --csv {tmp}/epoch-inf.csv --problem {tmp}/qp.txt --scheme implicit",
+     "epoch-inf.csv: column epoch must hold whole numbers, got inf"),
+    ("audit --csv {tmp}/k-fraction.csv --problem {tmp}/qp.txt --scheme implicit",
+     "k-fraction.csv: column k must hold whole numbers, got 1.5"),
 ], ids=["graph-kind", "graph-grid", "graph-disconnected", "eps-float", "eps-empty",
         "eps-zero", "methods-empty", "flow-step", "compare-beta", "compare-missing",
         "solve-missing", "ddo-m-zero", "ddo-samples-zero", "solve-alpha-zero",
@@ -391,7 +397,8 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
         "compare-max-iter-negative", "compare-stop-tol-negative", "eps-overflows-to-inf",
         "ddo-algo-aqp", "file-m-negative", "file-n-zero", "file-n-fraction",
         "file-rows-zero", "file-diag-nan", "file-weight-nan", "file-feature-nan",
-        "file-rhs-inf", "file-word", "file-ridge-negative", "graph-geometric-radius-negative"])
+        "file-rhs-inf", "file-word", "file-ridge-negative", "graph-geometric-radius-negative",
+        "audit-k-nan", "audit-epoch-inf", "audit-k-fraction"])
 def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
     qp = write_problem(tmp_path / "qp.txt", "quadratic")
     write_problem(tmp_path / "lasso.txt", "lasso")
@@ -405,6 +412,9 @@ def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
                                          "0,0,0,1,1,2\n1,0\n", encoding="utf-8")
     (tmp_path / "cell.csv").write_text("k,epoch,alpha,theta,gamma,lyapunov\n"
                                        "0,0,0,1,1,2\n1,0,1,0.5,1,x\n", encoding="utf-8")
+    for name, second in (("k-nan", "nan,0"), ("epoch-inf", "1,inf"), ("k-fraction", "1.5,0")):
+        (tmp_path / f"{name}.csv").write_text("k,epoch,alpha,theta,gamma,lyapunov\n0,0,0,1,1,2\n"
+                                              f"{second},1,0.5,1,1\n", encoding="utf-8")
     assert main(["ddo", "--graph", "path:4", "--m", "2", "--model", "ls", "--algo", "apd",
                  "--max-iter", "2", "--csv", str(tmp_path / "ddo.csv")]) == 0
     assert main(["solve", "--problem", qp, "--scheme", "implicit", "--max-iter", "2",

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 import apd
 from apd import inner
-from apd.ddo import graph_laplacian, path_graph, random_geometric_graph
+from apd.ddo import graph_laplacian, grid_graph, path_graph, random_geometric_graph
 from apd.inner import (
     AUGMENTED_METHODS,
     DualMapContext,
@@ -19,7 +19,6 @@ from apd.inner import (
     _triangle_factors,
     augmented_consensus_solve,
     eval_dual_merit,
-    jacobi_preconditioner,
     PLAIN_METHODS,
     pcg_solve,
     plain_iteration_solve,
@@ -49,7 +48,7 @@ def test_pcg_eigenvector_rhs_one_iteration():
 def test_pcg_jacobi_preconditioned_diag():
     d = np.array([1.0, 4.0])
     res = pcg_solve(SpdSystem(lambda x: d * x, np.array([1.0, 4.0]),
-                              apply_minv=jacobi_preconditioner(d)), 1e-10, 100)
+                              apply_minv=lambda r: r / d), 1e-10, 100)
     np.testing.assert_allclose(res.solution, [1.0, 1.0])
     assert res.iterations <= 2 and res.converged
 
@@ -92,7 +91,8 @@ def test_pcg_at_zero_tolerance_runs_to_i_max():
     n = 8
     g = rng.standard_normal((n, n))
     h = g @ g.T + n * np.eye(n)
-    minv = jacobi_preconditioner(np.diag(h))
+    inv = 1.0 / np.diag(h)
+    minv = lambda r: inv * r
     for rhs in rng.standard_normal((2, n)):
         for i_max in (1, 2, 5, 60):
             res = pcg_solve(SpdSystem(lambda x: h @ x, rhs, minv), 0.0, i_max)
@@ -476,9 +476,11 @@ def test_consensus_solvers_reject_several_columns(solve):
         solve(lap, 1e-2, np.ones((3, 2)))
 
 
-@pytest.mark.parametrize("solve,method", [(augmented_consensus_solve, method)
-                                          for method in AUGMENTED_METHODS]
-                         + [(plain_iteration_solve, method) for method in PLAIN_METHODS])
+SOLVES_AND_METHODS = ([(augmented_consensus_solve, method) for method in AUGMENTED_METHODS]
+                      + [(plain_iteration_solve, method) for method in PLAIN_METHODS])
+
+
+@pytest.mark.parametrize("solve,method", SOLVES_AND_METHODS)
 def test_consensus_solvers_reject_a_negative_cap(solve, method):
     # -1 is no cap: the sweeps would report -1 sweeps and PCG would run uncapped
     lap = graph_laplacian(path_graph(6))
@@ -499,6 +501,21 @@ def test_consensus_solvers_reject_an_eps_outside_zero_to_inf(solve, eps):
     for rhs in (np.random.default_rng(3).standard_normal(6), np.zeros(6)):
         with pytest.raises(ValueError, match="eps must be positive and finite, got"):
             solve(lap, eps, rhs, method="sgs")
+
+
+@pytest.mark.parametrize("solve,method", SOLVES_AND_METHODS)
+def test_consensus_solvers_reject_a_bad_tol_or_a_non_finite_rhs(solve, method):
+    # the sweeps ran all i_max steps on a negative or nan tol and on a nan in s
+    lap = graph_laplacian(path_graph(6))
+    s = np.random.default_rng(3).standard_normal(6)
+    for tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"tol must be nonnegative and finite, got {tol}"):
+            solve(lap, 1e-3, s, method=method, tol=tol, i_max=50)
+    for entry in (np.nan, np.inf, -np.inf):
+        rhs = s.copy()
+        rhs[2] = entry
+        with pytest.raises(ValueError, match=f"the right side must be finite, got {entry}"):
+            solve(lap, 1e-3, rhs, method=method, i_max=50)
 
 
 def test_pcg_rejects_a_negative_cap():
@@ -606,3 +623,27 @@ def test_plain_jacobi_needs_many_iterations_for_small_eps():
                                                    tol=1e-6, i_max=20000)
     assert not ok_slow and slow_iters == 20000
     assert fast_iters < 200
+
+
+# (iterations, converged) of each method at tol 1e-6 on the right side
+# default_rng(7).standard_normal(n); a rewrite of a method must keep them
+@pytest.mark.parametrize("graph,eps,i_max,counts", [
+    (path_graph(30), 1e-2, 20000,
+     {"jacobi": (1669, True), "sgs": (302, True), "pcg_jacobi": (30, True),
+      "pcg_sgs": (16, True), "plain_jacobi": (3794, True), "plain_sgs": (656, True)}),
+    (grid_graph(6, 7), 1e-6, 1000,
+     {"jacobi": (290, True), "sgs": (58, True), "pcg_jacobi": (25, True),
+      "pcg_sgs": (11, True), "plain_jacobi": (1000, False), "plain_sgs": (1000, False)}),
+    (random_geometric_graph(120, 0.2, 4), 1e-2, 6000,
+     {"jacobi": (594, True), "sgs": (139, True), "pcg_jacobi": (25, True),
+      "pcg_sgs": (13, True), "plain_jacobi": (6000, False), "plain_sgs": (5672, True)}),
+], ids=["path30", "grid6x7", "geometric120"])
+def test_consensus_iteration_counts_are_pinned(graph, eps, i_max, counts):
+    lap = graph_laplacian(graph)
+    s = np.random.default_rng(7).standard_normal(graph.n)
+    for name, expected in counts.items():
+        if name.startswith("plain_"):
+            _, iters, ok = plain_iteration_solve(lap, eps, s, name[len("plain_"):], 1e-6, i_max)
+        else:
+            _, iters, ok = augmented_consensus_solve(lap, eps, s, name, 1e-6, i_max)
+        assert (iters, ok) == expected, name
