@@ -24,7 +24,7 @@ _GRAPH_SPECS = "path:N | cycle:N | grid:RxC | geometric:N:R[:SEED]"
 
 
 def parse_graph_spec(spec):
-    """The connected graph of a ``_GRAPH_SPECS`` spec; a bad one is a usage error."""
+    """The graph of a ``_GRAPH_SPECS`` spec; a bad one is a usage error."""
     kind, *fields = spec.split(":")
     try:
         if kind == "path" and len(fields) == 1:
@@ -39,8 +39,6 @@ def parse_graph_spec(spec):
                                                    int(fields[2]) if len(fields) == 3 else 0)
         else:
             raise ValueError("not a graph spec")
-        if not graph.is_connected():
-            raise ValueError("graph is not connected")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{spec!r}: {exc}; expected {_GRAPH_SPECS}") from None
     return graph

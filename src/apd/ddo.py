@@ -24,7 +24,12 @@ from .schedule import ScalingState, StepRule, step_size
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph given by an edge list over ``0..n-1``."""
+    """Simple connected undirected graph given by an edge list over ``0..n-1``.
+
+    A self-loop, an endpoint out of range, a duplicate edge or more than one
+    component raises ``ValueError``; the empty graph, with none, is not
+    connected, and one node is.
+    """
 
     n: int
     edges: tuple
@@ -40,14 +45,12 @@ class Graph:
             if key in seen:
                 raise ValueError("duplicate edge")
             seen.add(key)
-
-    def is_connected(self):
-        """One component; the empty graph, with none, is not connected."""
         # imported on first use: the module adds about 1 MB to every process
         from scipy.sparse.csgraph import connected_components
         i, j = _edge_array(self).T
         adjacency = sp.coo_matrix((np.ones(len(i)), (i, j)), shape=(self.n, self.n))
-        return connected_components(adjacency, directed=False, return_labels=False) == 1
+        if connected_components(adjacency, directed=False, return_labels=False) != 1:
+            raise ValueError("graph must be connected")
 
 
 def _edge_array(graph):
@@ -83,8 +86,9 @@ _GEOMETRIC_TRIES = 200
 
 
 def random_geometric_graph(n, radius, seed):
-    """Random geometric graph on the unit square, retried until connected;
-    ``n >= 1`` and ``radius >= 0`` (``inf`` joins every pair), else ``ValueError``."""
+    """Random geometric graph on the unit square, drawn again while :class:`Graph`
+    rejects it as disconnected; ``n >= 1`` and ``radius >= 0`` (``inf`` joins
+    every pair), else ``ValueError``."""
     if n < 1:
         raise ValueError(f"a geometric graph needs n >= 1 nodes, got {n}")
     if not radius >= 0:
@@ -95,18 +99,17 @@ def random_geometric_graph(n, radius, seed):
         diff = points[:, None, :] - points[None, :, :]
         close = np.einsum("ijk,ijk->ij", diff, diff) <= radius * radius
         rows, cols = np.nonzero(np.triu(close, 1))  # row-major: (i, j), i < j
-        graph = Graph(n, tuple(zip(rows.tolist(), cols.tolist())))
-        if graph.is_connected():
-            return graph
+        try:
+            return Graph(n, tuple(zip(rows.tolist(), cols.tolist())))
+        except ValueError:  # disconnected: the pairs i < j admit no other fault
+            pass
     raise ValueError(f"no connected geometric graph after {_GEOMETRIC_TRIES} draws; "
                      "increase the radius")
 
 
 def graph_laplacian(graph):
     """Sparse combinatorial Laplacian ``B'B`` of :func:`graph_incidence`, as
-    CSR; requires a connected graph."""
-    if not graph.is_connected():
-        raise ValueError("graph must be connected")
+    CSR; its null space is span{1}, as every :class:`Graph` is connected."""
     incidence = graph_incidence(graph)
     return (incidence.T @ incidence).tocsr()
 
@@ -253,7 +256,7 @@ class DdoProblem:
 
     @cached_property
     def laplacian(self):
-        # graph_laplacian's product, without its second connectivity check
+        # graph_laplacian's product on the held incidence matrix
         return (self.incidence.T @ self.incidence).tocsr()
 
     @cached_property
@@ -279,16 +282,14 @@ def build_ddo_problem(graph, block_size, kind, seed, samples=5, ridge=0.5):
     strong convexity); logistic draws one unit-scale feature vector and a
     binary label per node, with ``mu_i = ridge`` and
     ``lip_i = ridge + |label|^2 |features|^2 / 4``. Raises ``ValueError``
-    when ``block_size`` or ``samples`` is below 1, ``ridge`` is not finite
-    and nonnegative, or the graph is not connected.
+    when ``block_size`` or ``samples`` is below 1 or ``ridge`` is not finite
+    and nonnegative; the :class:`Graph` is connected by construction.
     """
     if block_size < 1 or samples < 1:
         raise ValueError(f"block_size and samples must be at least 1, "
                          f"got {block_size} and {samples}")
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
-    if not graph.is_connected():
-        raise ValueError("graph must be connected")
     rng = np.random.default_rng(seed)
     if kind == "least_squares":
         data, lips = [], []

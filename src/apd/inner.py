@@ -6,7 +6,8 @@ Semi-smooth Newton solves each Newton system directly: one Cholesky of
 prox Jacobian keeps) has fewer columns than rows, of the smaller
 ``theta I + alpha t C'C`` through Woodbury.
 
-The consensus solvers take one right-side vector. Each method is one
+The consensus solvers take a square scipy sparse operator and one
+right-side vector, checked once by :func:`_checked`. Each method is one
 splitting, damped Jacobi or symmetric Gauss-Seidel (:func:`_preconditioner`),
 run as Richardson sweeps on the bordered matrix or on ``eps I + A``, or as
 the preconditioner of the one PCG loop, :func:`pcg_solve`.
@@ -37,50 +38,31 @@ class InnerSolveError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SpdSystem:
-    """SPD system ``H d = e`` with an apply-only operator and preconditioner.
-
-    ``rhs`` is one vector. ``apply_minv`` applies the inverse
-    preconditioner; identity when omitted. ``rows`` selects the residual
-    rows that the stop test measures; all of them when omitted.
-    """
-
-    apply: callable
-    rhs: np.ndarray
-    apply_minv: callable = None
-    rows: slice = None
-
-    def __post_init__(self):
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        if self.rows is None:
-            self.rows = slice(None)
-        if self.apply_minv is None:
-            self.apply_minv = lambda r: r
-
-
-@dataclass
 class PcgResult:
     solution: np.ndarray
     iterations: int
     converged: bool
 
 
-def pcg_solve(system, tol, i_max):
-    """Preconditioned conjugate gradients on one right side, from a zero start.
+def pcg_solve(apply, rhs, tol, i_max, minv=None, rows=slice(None)):
+    """Preconditioned conjugate gradients on ``H d = e`` for one right side, from zero.
 
-    Stops at ``i_max`` iterations or when ``|(e - H d)[rows]|`` falls to
-    ``tol |e[rows]|``. The test passes only on a freshly computed residual:
-    the recursed one is refreshed whenever the iteration index is divisible
-    by 50, and when it passes the test, in which case the directions restart
-    from the fresh residual unless that passes too. A direction with zero
-    curvature takes step 0, and negative curvature raises
-    :class:`InnerSolveError`.
+    ``apply`` applies ``H``, ``rhs`` is ``e`` and ``minv`` the inverse
+    preconditioner (identity when omitted). Stops at ``i_max`` iterations or
+    when ``|(e - H d)[rows]|`` falls to ``tol |e[rows]|``. The test passes only
+    on a freshly computed residual: the recursed one is refreshed whenever the
+    iteration index is divisible by 50, and when it passes the test, in which
+    case the directions restart from the fresh residual unless that passes
+    too. A direction with zero curvature takes step 0, and negative curvature
+    raises :class:`InnerSolveError`.
     """
     if not tol >= 0:
         raise ValueError("pcg tolerance must be nonnegative")
     if i_max < 0:
         raise ValueError(f"i_max must be nonnegative, got {i_max}")
-    rhs, rows, minv = system.rhs, system.rows, system.apply_minv
+    rhs = np.asarray(rhs, dtype=float)
+    if minv is None:
+        minv = lambda r: r
     target = tol * float(np.linalg.norm(rhs[rows]))
     d = np.zeros_like(rhs)
     r = rhs
@@ -92,7 +74,7 @@ def pcg_solve(system, tol, i_max):
         size = float(np.linalg.norm(r[rows]))
         if size <= target and not fresh:
             # the recursed residual may drift; confirm on a fresh one
-            r = rhs - system.apply(d)
+            r = rhs - apply(d)
             fresh = True
             size = float(np.linalg.norm(r[rows]))
             if size > target:
@@ -100,7 +82,7 @@ def pcg_solve(system, tol, i_max):
                 delta = float(r @ p)
         if size <= target or i == i_max:
             return PcgResult(d, i, size <= target)
-        q = system.apply(p)
+        q = apply(p)
         curvature = float(q @ p)
         if curvature < 0:
             raise InnerSolveError("operator is not positive definite on the Krylov space",
@@ -108,7 +90,7 @@ def pcg_solve(system, tol, i_max):
         step = delta / curvature if curvature > 0 else 0.0
         d = d + step * p
         if i % 50 == 0:
-            r = rhs - system.apply(d)
+            r = rhs - apply(d)
             fresh = True
         else:
             r = r - step * q
@@ -279,16 +261,12 @@ AUGMENTED_METHODS = ("jacobi", "sgs", "pcg_jacobi", "pcg_sgs")
 PLAIN_METHODS = ("jacobi", "sgs")
 
 
-def _as_sparse(operator):
-    if sp.issparse(operator):
-        return operator.tocsr()
-    return sp.csr_matrix(np.asarray(operator, dtype=float))
-
-
-def _checked_rhs(s, eps, tol, method, methods, i_max):
-    """The right side ``s`` as one float vector, after the checks both
-    consensus solvers make: ``method`` is one of ``methods``, ``i_max >= 0``,
-    ``0 < eps < inf``, ``0 <= tol < inf`` and every entry of ``s`` is finite."""
+def _checked(operator, s, eps, tol, method, methods, i_max):
+    """``(A, s)``: the operator as CSR and the right side as one float vector,
+    after the checks both consensus solvers make: ``method`` is one of
+    ``methods``, ``i_max >= 0``, ``0 < eps < inf``, ``0 <= tol < inf``,
+    ``operator`` is a square scipy sparse matrix with finite entries, and ``s``
+    is one finite vector of its size."""
     if method not in methods:
         raise ValueError(f"unknown method {method!r}; pick one of {methods}")
     if i_max < 0:
@@ -297,12 +275,22 @@ def _checked_rhs(s, eps, tol, method, methods, i_max):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
+    if not sp.issparse(operator) or operator.shape != operator.shape[:1] * 2:
+        raise ValueError(f"the operator must be a square scipy sparse matrix, got "
+                         f"{type(operator).__name__} of shape {np.shape(operator)}")
+    matrix = operator.tocsr()
+    if not np.isfinite(matrix.data).all():
+        raise ValueError(f"the operator must be finite, got "
+                         f"{matrix.data[~np.isfinite(matrix.data)][0]}")
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
         raise ValueError(f"the right side must be one vector, not an array of shape {s.shape}")
+    if s.size != matrix.shape[0]:
+        raise ValueError(f"the right side has {s.size} entries, the operator "
+                         f"{matrix.shape[0]} rows")
     if not np.isfinite(s).all():
         raise ValueError(f"the right side must be finite, got {s[~np.isfinite(s)][0]}")
-    return s
+    return matrix, s
 
 
 def _bordered_matrix(operator, eps):
@@ -384,20 +372,20 @@ def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
     """Solve ``(eps I + A) v = s`` through the bordered system of :func:`_bordered_matrix`.
 
     ``A`` must be symmetric positive semidefinite with null space span{1},
-    and ``s`` is one vector; ``operator`` is ``A``, dense or sparse. The
-    bordered matrix's Jacobi or SGS splitting (:func:`_preconditioner`) runs
-    as :func:`_richardson` sweeps or as the preconditioner of
-    :func:`pcg_solve`. Every method stops on the relative residual of the
+    and ``s`` is one vector; ``operator`` is ``A``, a square scipy sparse
+    matrix. The bordered matrix's Jacobi or SGS splitting
+    (:func:`_preconditioner`) runs as :func:`_richardson` sweeps or as the
+    preconditioner of :func:`pcg_solve`. Every method stops on the relative residual of the
     *original* system, the one outer solvers consume, or at ``i_max``, and
     returns ``(v, iterations, converged)``.
     """
-    s = _checked_rhs(s, eps, tol, method, AUGMENTED_METHODS, i_max)
-    bordered = _bordered_matrix(_as_sparse(operator), eps)
+    matrix, s = _checked(operator, s, eps, tol, method, AUGMENTED_METHODS, i_max)
+    bordered = _bordered_matrix(matrix, eps)
     shat = np.concatenate([[s.sum()], s])
     rows = slice(1, None)  # the original residual, free of v1 + v2's eps-scale cancellation
     if method.startswith("pcg_"):
         minv = _preconditioner(bordered, method.removeprefix("pcg_"))
-        result = pcg_solve(SpdSystem(lambda y: bordered @ y, shat, minv, rows), tol, i_max)
+        result = pcg_solve(lambda y: bordered @ y, shat, tol, i_max, minv, rows)
         x, iters, converged = result.solution, result.iterations, result.converged
     else:
         x, iters, converged = _richardson(bordered, method, shat, rows,
@@ -411,6 +399,6 @@ def plain_iteration_solve(operator, eps, s, method="jacobi", tol=1e-6, i_max=100
     The :func:`_richardson` sweeps, kept for the robustness benchmark: these
     stall as ``eps`` shrinks, which is exactly what the bordering removes.
     """
-    s = _checked_rhs(s, eps, tol, method, PLAIN_METHODS, i_max)
-    matrix = (_as_sparse(operator) + eps * sp.identity(s.size)).tocsr()
+    matrix, s = _checked(operator, s, eps, tol, method, PLAIN_METHODS, i_max)
+    matrix = (matrix + eps * sp.identity(s.size)).tocsr()
     return _richardson(matrix, method, s, slice(None), tol * float(np.linalg.norm(s)), i_max)

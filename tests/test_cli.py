@@ -258,7 +258,7 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
     ("ddo --graph grid:3 --m 2 --model ls --algo apd --max-iter 5 --csv {tmp}/out.csv",
      "argument --graph: 'grid:3': not enough values to unpack"),
     ("ddo --graph path:0 --m 2 --model ls --algo apd --max-iter 5 --csv {tmp}/out.csv",
-     "argument --graph: 'path:0': graph is not connected"),
+     "argument --graph: 'path:0': graph must be connected"),
     ("robustness --graph path:6 --eps-list 1e-3,abc --methods pcg_sgs --csv {tmp}/out.csv",
      "argument --eps-list: could not convert string to float: 'abc'"),
     ("robustness --graph path:6 --eps-list , --methods pcg_sgs --csv {tmp}/out.csv",

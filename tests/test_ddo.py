@@ -61,15 +61,18 @@ def test_triangle_eigenvalues():
 
 def test_connectivity_of_small_graphs():
     # the empty graph has no component, one node is one component
-    assert [Graph(n, ()).is_connected() for n in (0, 1, 2)] == [False, True, False]
-    assert path_graph(2).is_connected() and not Graph(4, ((0, 1), (2, 3))).is_connected()
+    for n in (0, 2):
+        with pytest.raises(ValueError, match="graph must be connected"):
+            Graph(n, ())
+    assert Graph(1, ()).n == 1 and path_graph(2).edges == ((0, 1),)
 
 
 def test_disconnected_graph_rejected():
-    with pytest.raises(ValueError, match="connected"):
-        graph_laplacian(Graph(4, ((0, 1), (2, 3))))
-    with pytest.raises(ValueError, match="connected"):
-        build_ddo_problem(Graph(4, ((0, 1), (2, 3))), 2, "least_squares", seed=0)
+    with pytest.raises(ValueError, match="graph must be connected"):
+        Graph(4, ((0, 1), (2, 3)))
+    # the edge checks come first, with their own messages
+    with pytest.raises(ValueError, match="self-loops"):
+        Graph(4, ((0, 0),))
 
 
 def graph_mixing(graph):
@@ -113,10 +116,11 @@ def comprehension_geometric_graph(n, radius, seed, max_tries=200):
         points = rng.random((n, 2))
         diff = points[:, None, :] - points[None, :, :]
         close = np.einsum("ijk,ijk->ij", diff, diff) <= radius * radius
-        graph = Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
-                               if close[i, j]))
-        if graph.is_connected():
-            return graph
+        try:
+            return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                                  if close[i, j]))
+        except ValueError:  # disconnected
+            pass
     raise AssertionError("no connected draw")
 
 

@@ -12,7 +12,6 @@ from apd.inner import (
     AUGMENTED_METHODS,
     DualMapContext,
     InnerSolveError,
-    SpdSystem,
     _bordered_matrix,
     _dual_map,
     _newton_direction,
@@ -33,22 +32,22 @@ from apd.oracles import L1Prox, UnsupportedOracleError, ZeroProx
 # ---------------------------------------------------------------------------
 
 def test_pcg_identity_one_iteration():
-    res = pcg_solve(SpdSystem(lambda d: d, np.array([3.0, 4.0])), 1e-8, 100)
+    res = pcg_solve(lambda d: d, np.array([3.0, 4.0]), 1e-8, 100)
     np.testing.assert_allclose(res.solution, [3.0, 4.0])
     assert res.iterations == 1 and res.converged
 
 
 def test_pcg_eigenvector_rhs_one_iteration():
     h = np.array([[5.0, 2.0], [2.0, 5.0]])
-    res = pcg_solve(SpdSystem(lambda d: h @ d, np.ones(2)), 1e-10, 100)
+    res = pcg_solve(lambda d: h @ d, np.ones(2), 1e-10, 100)
     np.testing.assert_allclose(res.solution, np.full(2, 1 / 7))
     assert res.iterations == 1 and res.converged
 
 
 def test_pcg_jacobi_preconditioned_diag():
     d = np.array([1.0, 4.0])
-    res = pcg_solve(SpdSystem(lambda x: d * x, np.array([1.0, 4.0]),
-                              apply_minv=lambda r: r / d), 1e-10, 100)
+    res = pcg_solve(lambda x: d * x, np.array([1.0, 4.0]), 1e-10, 100,
+                    minv=lambda r: r / d)
     np.testing.assert_allclose(res.solution, [1.0, 1.0])
     assert res.iterations <= 2 and res.converged
 
@@ -56,7 +55,7 @@ def test_pcg_jacobi_preconditioned_diag():
 def test_pcg_nonconverged_status_carries_iterate():
     h = np.diag(np.linspace(1.0, 100.0, 30))
     rhs = np.ones(30)
-    res = pcg_solve(SpdSystem(lambda x: h @ x, rhs), 1e-12, 3)
+    res = pcg_solve(lambda x: h @ x, rhs, 1e-12, 3)
     assert not res.converged
     assert res.iterations == 3
     assert np.linalg.norm(res.solution) > 0
@@ -72,9 +71,8 @@ def test_pcg_residual_bound_random_systems():
         h = g @ g.T + n * np.eye(n)
         e = rng.standard_normal(n)
         tol = 10 ** rng.uniform(-8, -2)
-        res = pcg_solve(SpdSystem(lambda x, h=h: h @ x, e,
-                                  apply_minv=lambda r, h=h: r / np.diag(h)),
-                        tol, 500)
+        res = pcg_solve(lambda x, h=h: h @ x, e, tol, 500,
+                        minv=lambda r, h=h: r / np.diag(h))
         assert res.converged
         # the stop test passes only on a fresh residual, so it bounds the true one
         assert np.linalg.norm(h @ res.solution - e) <= tol * np.linalg.norm(e)
@@ -83,7 +81,7 @@ def test_pcg_residual_bound_random_systems():
 def test_pcg_tolerance_domain():
     for tol in (-1e-8, np.nan):
         with pytest.raises(ValueError):
-            pcg_solve(SpdSystem(lambda d: d, np.ones(2)), tol, 10)
+            pcg_solve(lambda d: d, np.ones(2), tol, 10)
 
 
 def test_pcg_at_zero_tolerance_runs_to_i_max():
@@ -95,18 +93,18 @@ def test_pcg_at_zero_tolerance_runs_to_i_max():
     minv = lambda r: inv * r
     for rhs in rng.standard_normal((2, n)):
         for i_max in (1, 2, 5, 60):
-            res = pcg_solve(SpdSystem(lambda x: h @ x, rhs, minv), 0.0, i_max)
+            res = pcg_solve(lambda x: h @ x, rhs, 0.0, i_max, minv)
             assert res.iterations == i_max
         np.testing.assert_allclose(h @ res.solution, rhs, atol=1e-12)
     # a zero right side passes the test on its first, fresh residual
-    res = pcg_solve(SpdSystem(lambda x: h @ x, np.zeros(n), minv), 0.0, 60)
+    res = pcg_solve(lambda x: h @ x, np.zeros(n), 0.0, 60, minv)
     assert res.iterations == 0 and res.converged
     np.testing.assert_array_equal(res.solution, np.zeros(n))
 
 
 def test_pcg_negative_curvature_raises():
     with pytest.raises(InnerSolveError):
-        pcg_solve(SpdSystem(lambda d: -d, np.ones(3)), 1e-8, 10)
+        pcg_solve(lambda d: -d, np.ones(3), 1e-8, 10)
 
 
 @pytest.mark.parametrize("method", ["pcg_jacobi", "pcg_sgs"])
@@ -114,7 +112,7 @@ def test_preconditioned_consensus_runs_on_pcg_solve(method, monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[1])
         return pcg_solve(*args, **kwargs)
 
     monkeypatch.setattr(inner, "pcg_solve", counting)
@@ -122,7 +120,7 @@ def test_preconditioned_consensus_runs_on_pcg_solve(method, monkeypatch):
     v, iters, ok = augmented_consensus_solve(lap, 1e-6, np.arange(5.0) - 1.0,
                                              method=method, tol=1e-9)
     assert ok and iters > 0 and len(calls) == 1
-    assert calls[0].rhs.shape == (6,)  # the bordered system
+    assert calls[0].shape == (6,)  # the right side of the bordered system
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +516,29 @@ def test_consensus_solvers_reject_a_bad_tol_or_a_non_finite_rhs(solve, method):
             solve(lap, 1e-3, rhs, method=method, i_max=50)
 
 
+@pytest.mark.parametrize("solve,method", SOLVES_AND_METHODS)
+def test_consensus_solvers_reject_a_bad_operator_or_a_mis_sized_rhs(solve, method):
+    # a nan off the diagonal ran jacobi to i_max on a nan v and ended sgs in
+    # SuperLU's "Factor is exactly singular"; a short s hit a broadcast error
+    lap = graph_laplacian(path_graph(6))
+    s = np.random.default_rng(3).standard_normal(6)
+    for entry in (np.nan, np.inf):
+        bad = lap.copy()
+        bad[0, 1] = entry
+        with pytest.raises(ValueError, match=f"the operator must be finite, got {entry}"):
+            solve(bad, 1e-3, s, method=method, i_max=50)
+    with pytest.raises(ValueError, match="the right side has 5 entries, the operator 6 rows"):
+        solve(lap, 1e-3, s[:5], method=method, i_max=50)
+    for operator in (lap.toarray(), lap[:, :5]):
+        with pytest.raises(ValueError, match=f"square scipy sparse matrix, got "
+                                             f"{type(operator).__name__} of shape"):
+            solve(operator, 1e-3, s, method=method, i_max=50)
+
+
 def test_pcg_rejects_a_negative_cap():
     with pytest.raises(ValueError, match="i_max must be nonnegative, got -1"):
-        pcg_solve(SpdSystem(lambda d: d, np.ones(2)), 1e-8, -1)
-    assert pcg_solve(SpdSystem(lambda d: d, np.ones(2)), 1e-8, 0).iterations == 0
+        pcg_solve(lambda d: d, np.ones(2), 1e-8, -1)
+    assert pcg_solve(lambda d: d, np.ones(2), 1e-8, 0).iterations == 0
 
 
 def dense_bordered(lap, eps):

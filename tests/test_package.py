@@ -239,3 +239,22 @@ def test_every_quadratic_oracle_is_a_quadratic_objective():
                    for flag in ("is_quadratic", "is_zero") if flag in vars(cls))
     assert flags == ["QuadraticObjective.is_quadratic", "SmoothOracle.is_quadratic",
                      "SmoothOracle.is_zero"]
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """Syntax only: ``pyproject.toml`` allows Python 3.10, so every file must
+    parse with ``feature_version=(3, 10)``, which rejects ``except*``, for
+    one. It checks no library API or call that a newer Python adds; only
+    running the suite on 3.10 does that."""
+    files = [_ROOT / "conftest.py"] + [path for folder in ("src", "tests", "perfbench")
+                                       for path in sorted((_ROOT / folder).rglob("*.py"))]
+    rejected = []
+    for path in files:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            rejected.append(f"{path.relative_to(_ROOT)}:{exc.lineno}: {exc.msg}")
+    assert len(files) > 20 and rejected == []
