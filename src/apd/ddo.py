@@ -26,15 +26,18 @@ from .schedule import ScalingState, StepRule, step_size
 class Graph:
     """Simple connected undirected graph given by an edge list over ``0..n-1``.
 
-    A self-loop, an endpoint out of range, a duplicate edge or more than one
-    component raises ``ValueError``; the empty graph, with none, is not
-    connected, and one node is.
+    A node count ``n`` that is not an integer ``>= 0``, a self-loop, an
+    endpoint out of range, a duplicate edge or more than one component raises
+    ``ValueError``; the empty graph, with no component, is not connected, and
+    one node is.
     """
 
     n: int
     edges: tuple
 
     def __post_init__(self):
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
+            raise ValueError(f"a graph needs an integer node count n >= 0, got n={self.n!r}")
         seen = set()
         for i, j in self.edges:
             if i == j:
@@ -485,7 +488,7 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
             ProblemInstance(problem, ZeroProx(), IncidenceConstraint(problem)))
         rule = StepRule("semi_apdfb", lip_beta=problem.lip)
         lam0 = np.zeros((problem.incidence.shape[0], m))
-        state = solvers.IterateState(x0, x0.copy(), lam0, ScalingState(1.0, problem.lip))
+        state = solvers.IterateState(x0, x0, lam0, ScalingState(1.0, problem.lip))
         epochs = solvers.Epochs("semi_apdfb", problem.mu, problem.lip, state)
 
         def step(state):

@@ -15,7 +15,7 @@ the preconditioner of the one PCG loop, :func:`pcg_solve`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,9 +110,10 @@ def pcg_solve(apply, rhs, tol, i_max, minv=None, rows=slice(None)):
 class DualMapContext:
     """Data of the dual nonlinear equation ``F(lam) = 0`` for one outer step.
 
-    ``F(lam) = theta lam - alpha A prox_{t g}(z - t A' lam) - r`` with
-    ``r = theta lam_prev - alpha b``; F is monotone and Lipschitz with
-    constant ``theta + alpha t |A|^2``.
+    ``F(lam) = theta lam - alpha A prox_{t g}(z - t A' lam) - r``; F is
+    monotone and Lipschitz with constant ``theta + alpha t |A|^2``. It is
+    built from the step's previous multiplier ``lam_prev``, which it does not
+    keep: ``r = theta lam_prev - alpha b``.
     """
 
     theta: float
@@ -121,19 +122,14 @@ class DualMapContext:
     z: np.ndarray
     constraint: object
     g: object
-    r: np.ndarray = None
+    lam_prev: InitVar[np.ndarray]
+    r: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, lam_prev):
         if min(self.theta, self.alpha, self.t) <= 0:
             raise ValueError("context scalars must be positive")
         self.z = np.asarray(self.z, dtype=float)
-        if self.r is None:
-            self.r = np.zeros(self.constraint.rows)
-
-    @classmethod
-    def for_step(cls, theta, alpha, t, z, constraint, g, lam_prev):
-        r = theta * np.asarray(lam_prev, dtype=float) - alpha * constraint.rhs
-        return cls(theta, alpha, t, z, constraint, g, r=r)
+        self.r = self.theta * np.asarray(lam_prev, dtype=float) - self.alpha * self.constraint.rhs
 
 
 def _dual_map(ctx, lam):

@@ -25,7 +25,11 @@ class ScalingState:
 
 
 def advance_scaling(state, alpha, mu_beta):
-    """One implicit-Euler update of the scaling pair."""
+    """One implicit-Euler update of the scaling pair.
+
+    Every scheme step calls it first, so it is the step's one check that
+    ``alpha > 0``: it raises ``ValueError`` otherwise.
+    """
     if alpha <= 0:
         raise ValueError("step size must be positive")
     return ScalingState(

@@ -59,10 +59,13 @@ class RunContext:
     ``implicit`` step systems, the inner iterations of the last step and the
     residuals ``A p - b`` of the current ``x`` and ``v``, each found by its
     point (``p is held``). A state whose ``x`` or ``v`` was replaced thus
-    misses and has it formed afresh; a restarted one (``v = x``) finds that
-    of its ``x``. :func:`run_solver` and :func:`~apd.ddo.run_ddo` build one
-    per run, which lives only as long as the run; a step is
-    ``step(state, ctx, alpha)``.
+    misses and has it formed afresh. Every epoch starts at ``(x, x, lam)``
+    (:func:`initial_state`, :meth:`Epochs.begin`), so the context serves the
+    first step's ``A v - b`` from the ``A x - b`` of the start's record.
+    :func:`run_solver` and :func:`~apd.ddo.run_ddo` build one per run, which
+    lives only as long as the run; a step is ``step(state, ctx, alpha)``.
+    :func:`run_solver` zeroes ``inner_iters`` before each step, and a step
+    writes it only after a Newton solve.
     """
 
     def __init__(self, problem):
@@ -200,30 +203,25 @@ def implicit_apd_step(state, ctx, alpha):
     dense ``Q``: 2 at the range-space route's derived ``alpha = 49``
     (:func:`make_step_rule`).
     """
-    if alpha <= 0:
-        raise ValueError("step size must be positive")
-    problem = ctx.problem
-    sc = state.scaling
-    theta_next = sc.theta / (1.0 + alpha)
+    problem, sc = ctx.problem, state.scaling
+    scaling = advance_scaling(sc, alpha, 0.0)
     tau = sc.gamma * (1.0 + alpha)
     y = (state.x + alpha * state.v) / (1.0 + alpha)
     eta = alpha ** 2 / tau
     constraint = problem.constraint
     shifted = state.lam - ctx.residual(state.x) / sc.theta
-    ctx.inner_iters = 0
     if _range_space_route(problem):
         smooth = problem.smooth
         g = _finite(y / eta - smooth.linear - constraint.apply_adjoint(shifted),
                     "implicit subproblem")
-        key = (1.0 / eta, theta_next)
+        key = (1.0 / eta, scaling.theta)
         system = ctx.systems.get(key)
         if system is None:
             system = ctx.systems[key] = RangeSpaceSystem(constraint, quadratic_term(smooth),
                                                          *key)
         x_next, _ = system.solve(g, constraint.rhs)
     elif problem.smooth.is_zero:
-        r = theta_next * shifted - constraint.rhs
-        dual = DualMapContext(theta_next, 1.0, eta, y, constraint, problem.nonsmooth, r=r)
+        dual = DualMapContext(scaling.theta, 1.0, eta, y, constraint, problem.nonsmooth, shifted)
         x_next, ctx.inner_iters = _newton_point(dual, sc.theta, state.lam,
                                                 "implicit subproblem")
     else:
@@ -231,17 +229,15 @@ def implicit_apd_step(state, ctx, alpha):
             "implicit subproblem needs a quadratic objective or a pure prox part",
             np.nan)
     v_next = x_next + (x_next - state.x) / alpha
-    lam_next = shifted + ctx.residual(x_next) / theta_next
-    return IterateState(x_next, v_next, lam_next, advance_scaling(sc, alpha, 0.0))
+    lam_next = shifted + ctx.residual(x_next) / scaling.theta
+    return IterateState(x_next, v_next, lam_next, scaling)
 
 
 def semi_apd_step(state, ctx, alpha):
     """Semi-implicit step: explicit multiplier, full prox of the objective."""
-    if alpha <= 0:
-        raise ValueError("step size must be positive")
-    problem = ctx.problem
-    sc = state.scaling
+    problem, sc = ctx.problem, state.scaling
     mu_beta = problem.smooth.mu
+    scaling = advance_scaling(sc, alpha, mu_beta)
     lam_hat = state.lam + (alpha / sc.theta) * ctx.residual(state.v)
     tau = sc.gamma + mu_beta * alpha + sc.gamma * alpha
     y = ((sc.gamma + mu_beta * alpha) * state.x + sc.gamma * alpha * state.v) / tau
@@ -250,8 +246,7 @@ def semi_apd_step(state, ctx, alpha):
     x_next = _prox_full_objective(problem, eta, point)
     v_next = x_next + (x_next - state.x) / alpha
     lam_next = state.lam + (alpha / sc.theta) * ctx.residual(v_next)
-    ctx.inner_iters = 0
-    return IterateState(x_next, v_next, lam_next, advance_scaling(sc, alpha, mu_beta))
+    return IterateState(x_next, v_next, lam_next, scaling)
 
 
 def semi_apdfb_step(state, ctx, alpha):
@@ -266,39 +261,33 @@ def semi_apdfb_step(state, ctx, alpha):
     dual nonlinear equation (solved by semi-smooth Newton), and ``lam =
     lam_prev + (alpha / theta) (A v - b)``.
     """
-    if alpha <= 0:
-        raise ValueError("step size must be positive")
-    problem = ctx.problem
-    sc = state.scaling
+    problem, sc = ctx.problem, state.scaling
     mu_beta = problem.smooth.mu
+    scaling = advance_scaling(sc, alpha, mu_beta)
     constraint = problem.constraint
     y = (state.x + alpha * state.v) / (1.0 + alpha)
     tau = sc.gamma + mu_beta * alpha
     w = (sc.gamma * state.v + mu_beta * alpha * y) / tau
     t = alpha / tau
     z = w - t * problem.smooth.gradient(y)
-    ctx.inner_iters = 0
     if problem.is_smooth_unconstrained:
         rhs = _finite(sc.theta * state.lam + alpha * constraint.residual(z),
                       "saddle subproblem")
         lam_next, adjoint_lam = constraint.gram_solve(sc.theta, alpha * t, rhs)
         v_next = z - t * adjoint_lam
     else:
-        dual = DualMapContext.for_step(sc.theta, alpha, t, z, constraint,
-                                       problem.nonsmooth, state.lam)
+        dual = DualMapContext(sc.theta, alpha, t, z, constraint, problem.nonsmooth, state.lam)
         v_next, ctx.inner_iters = _newton_point(dual, sc.theta, state.lam, "dual")
         lam_next = state.lam + (alpha / sc.theta) * constraint.residual(v_next)
     x_next = (state.x + alpha * v_next) / (1.0 + alpha)
-    return IterateState(x_next, v_next, lam_next, advance_scaling(sc, alpha, mu_beta))
+    return IterateState(x_next, v_next, lam_next, scaling)
 
 
 def ex_apdfb_step(state, ctx, alpha):
     """Corrected explicit forward-backward step: one prox, no inner loop."""
-    if alpha <= 0:
-        raise ValueError("step size must be positive")
-    problem = ctx.problem
-    sc = state.scaling
+    problem, sc = ctx.problem, state.scaling
     mu_beta = problem.smooth.mu
+    scaling = advance_scaling(sc, alpha, mu_beta)
     y = (state.x + alpha * state.v) / (1.0 + alpha)
     tau = sc.gamma + mu_beta * alpha
     w = (sc.gamma * state.v + mu_beta * alpha * y) / tau
@@ -308,8 +297,7 @@ def ex_apdfb_step(state, ctx, alpha):
     v_next = problem.nonsmooth.prox(eta, point)
     x_next = (state.x + alpha * v_next) / (1.0 + alpha)
     lam_next = state.lam + (alpha / sc.theta) * ctx.residual(v_next)
-    ctx.inner_iters = 0
-    return IterateState(x_next, v_next, lam_next, advance_scaling(sc, alpha, mu_beta))
+    return IterateState(x_next, v_next, lam_next, scaling)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +404,8 @@ class Epochs:
     def begin(self, state):
         """``state``, or the first state of the next epoch when it ends one.
 
-        The restarted state's ``v`` is its ``x`` itself, so a
+        The restarted state is ``(x, x, lam)``, as the run's first state
+        (:func:`initial_state`) is: its ``v`` is its ``x`` itself, so a
         :class:`RunContext` finds the residual it holds for ``x``.
         """
         if not self.ends(state):
@@ -460,8 +449,11 @@ def make_step_rule(problem, config):
 
 
 def initial_state(problem, config):
+    """The run's first state ``(x0, x0, 0)`` with the scaling pair
+    ``(1, config.gamma0)``: ``x0`` is the prox of ``g`` at 0, and its ``v``
+    is its ``x`` itself, as at every epoch start (:meth:`Epochs.begin`)."""
     x0 = problem.nonsmooth.prox(1.0, np.zeros(problem.constraint.cols))
-    return IterateState(x0, x0.copy(), np.zeros(problem.constraint.rows),
+    return IterateState(x0, x0, np.zeros(problem.constraint.rows),
                         ScalingState(1.0, config.gamma0))
 
 
@@ -562,6 +554,7 @@ def run_solver(problem, config):
     for k in range(config.max_iter):
         state = epochs.begin(state)
         alpha = step_size(rule, state.scaling)
+        ctx.inner_iters = 0
         started = time.perf_counter_ns() if config.timing else 0
         # looked up per step, so a step function replaced on the module is the one called
         state = globals()[step_name](state, ctx, alpha)

@@ -259,6 +259,8 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "argument --graph: 'grid:3': not enough values to unpack"),
     ("ddo --graph path:0 --m 2 --model ls --algo apd --max-iter 5 --csv {tmp}/out.csv",
      "argument --graph: 'path:0': graph must be connected"),
+    ("ddo --graph path:-1 --m 2 --model ls --algo apd --max-iter 5 --csv {tmp}/out.csv",
+     "argument --graph: 'path:-1': a graph needs an integer node count n >= 0, got n=-1"),
     ("robustness --graph path:6 --eps-list 1e-3,abc --methods pcg_sgs --csv {tmp}/out.csv",
      "argument --eps-list: could not convert string to float: 'abc'"),
     ("robustness --graph path:6 --eps-list , --methods pcg_sgs --csv {tmp}/out.csv",
@@ -384,8 +386,8 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "epoch-inf.csv: column epoch must hold whole numbers, got inf"),
     ("audit --csv {tmp}/k-fraction.csv --problem {tmp}/qp.txt --scheme implicit",
      "k-fraction.csv: column k must hold whole numbers, got 1.5"),
-], ids=["graph-kind", "graph-grid", "graph-disconnected", "eps-float", "eps-empty",
-        "eps-zero", "methods-empty", "flow-step", "compare-beta", "compare-missing",
+], ids=["graph-kind", "graph-grid", "graph-disconnected", "graph-negative", "eps-float",
+        "eps-empty", "eps-zero", "methods-empty", "flow-step", "compare-beta", "compare-missing",
         "solve-missing", "ddo-m-zero", "ddo-samples-zero", "solve-alpha-zero",
         "solve-gamma0-zero", "flow-gamma0-zero", "audit-csv-missing", "audit-csv-empty",
         "audit-csv-ddo", "audit-problem-missing", "audit-zero-lip", "ddo-ridge-negative",

@@ -296,3 +296,49 @@ def test_implicit_steps_track_the_flow_to_first_order_when_mu_is_zero():
     lam_orders = (np.log(np.array(lam_errors[:-1]) / lam_errors[1:])
                   / np.log(alphas[:-1] / alphas[1:]))
     assert np.all(lam_orders > 0.8) and lam_orders[1] > lam_orders[0]
+
+
+def test_implicit_steps_ignore_mu_and_track_the_mu_zero_flow():
+    # the recipe above with q_0 = 0.5, so mu = min q = 0.279: the implicit
+    # step advances the scaling pair with mu_beta = 0 and has no mu term, so
+    # it runs bit for bit as on the same problem with mu = 0, and follows the
+    # flow of that problem, not of its own
+    rng = np.random.default_rng(3)
+    n, m, horizon, h = 12, 4, 3.0, 1e-3
+    q = rng.uniform(0.1, 2.0, n)
+    q[0] = 0.5
+    amat = rng.standard_normal((m, n))
+    amat /= np.linalg.norm(amat, 2)
+    b, c = rng.standard_normal(m), rng.standard_normal(n)
+    constraint = apd.MatrixConstraint(amat, b)
+    problem = apd.ProblemInstance(apd.QuadraticObjective(q, c), apd.ZeroProx(), constraint)
+    flat = apd.ProblemInstance(apd.QuadraticObjective(q, c, mu=0.0), apd.ZeroProx(),
+                               constraint)
+    assert problem.smooth.mu == pytest.approx(0.279, abs=1e-3) and flat.smooth.mu == 0
+    ref = apd.solve_reference_saddle(problem)
+    config = apd.SolverConfig("implicit", alpha=0.01, max_iter=300, reference=ref)
+    mine, zero = (apd.run_solver(p, config) for p in (problem, flat))
+    assert mine.status == zero.status == "max_iter" and mine.records == zero.records
+    # with its own reference each run records against another saddle (the
+    # mu = 0 KKT system is regularized), and only the iterates agree
+    own = [apd.run_solver(p, dataclasses.replace(config, reference=None)).state
+           for p in (problem, flat)]
+    for state in (zero.state, *own):
+        for field in ("x", "v", "lam"):
+            assert np.array_equal(getattr(state, field), getattr(mine.state, field))
+        assert state.scaling == mine.state.scaling
+    end = integrate_flow(FlowState(np.zeros(n), np.zeros(n), np.zeros(m), 1.0, 1.0),
+                         flat, h, horizon)[-1]
+    alphas = np.array([0.01, 0.003, 0.001])
+    x_errors = []
+    for alpha in alphas:
+        state = apd.IterateState(np.zeros(n), np.zeros(n), np.zeros(m),
+                                 apd.ScalingState(1.0, 1.0))
+        ctx = apd.RunContext(problem)
+        for _ in range(round(horizon / alpha)):
+            state = apd.implicit_apd_step(state, ctx, alpha)
+        x_errors.append(np.linalg.norm(state.x - end.x))
+    # measured: |x - x_flow| 0.0858, 0.0268, 0.00909, orders 0.965 and 0.986
+    orders = np.log(np.array(x_errors[:-1]) / x_errors[1:]) / np.log(alphas[:-1] / alphas[1:])
+    assert np.all((0.9 < orders) & (orders < 1.1))
+    assert np.all(np.array(x_errors) < 10 * alphas)

@@ -50,6 +50,10 @@ GUARDS = {
         apd.StepRule("implicit"), -1, 1.0, 1.0, 1.0), ValueError, "must be nonnegative"),
     "cycle-two-nodes": (lambda tmp_path: ddo.cycle_graph(2), ValueError,
                         "a cycle needs at least 3 nodes"),
+    "graph-negative-n": (lambda tmp_path: ddo.Graph(-1, ()), ValueError,
+                         "integer node count n >= 0, got n=-1"),
+    "graph-fractional-n": (lambda tmp_path: ddo.Graph(2.5, ()), ValueError,
+                           "integer node count n >= 0, got n=2.5"),
     "ddo-kind": (lambda tmp_path: ddo.build_ddo_problem(ddo.path_graph(3), 2, "huber", seed=0),
                  ValueError, "unknown model kind 'huber'"),
     "consensus-method": (lambda tmp_path: inner.augmented_consensus_solve(

@@ -129,8 +129,7 @@ def test_preconditioned_consensus_runs_on_pcg_solve(method, monkeypatch):
 
 def _context(theta=1.0, alpha=1.0, t=1.0, z=(1.0, 1.0), lam=(0.0,)):
     constraint = apd.MatrixConstraint([[1.0, 1.0]], [1.0])
-    return DualMapContext.for_step(theta, alpha, t, np.array(z), constraint,
-                                   ZeroProx(), np.array(lam))
+    return DualMapContext(theta, alpha, t, np.array(z), constraint, ZeroProx(), np.array(lam))
 
 
 def test_shifted_gram_solve_example():
@@ -209,8 +208,8 @@ def test_dual_map_monotone_lipschitz_sandwich():
     constraint = apd.MatrixConstraint(amat, rng.standard_normal(3))
     for g in (ZeroProx(), L1Prox(0.5),
               ZeroProx(apd.Box(-np.ones(5), np.ones(5)))):
-        ctx = DualMapContext.for_step(0.6, 0.9, 0.5, rng.standard_normal(5),
-                                      constraint, g, rng.standard_normal(3))
+        ctx = DualMapContext(0.6, 0.9, 0.5, rng.standard_normal(5), constraint, g,
+                             rng.standard_normal(3))
         rho = ctx.theta + ctx.alpha * ctx.t * constraint.op_norm ** 2  # Lipschitz constant
         for _ in range(1000):
             lam, xi = rng.standard_normal(3), rng.standard_normal(3)
@@ -229,8 +228,8 @@ def test_merit_gradient_matches_map():
     half = apd.Box(np.array([0.0, -np.inf, -1.0, -np.inf]), np.array([np.inf, 0.5, np.inf, 2.0]))
     for g in (ZeroProx(), L1Prox(0.3), ZeroProx(box), L1Prox(0.3, box), ZeroProx(half),
               L1Prox(0.3, half)):
-        ctx = DualMapContext.for_step(0.8, 0.7, 0.6, rng.standard_normal(4),
-                                      constraint, g, rng.standard_normal(3))
+        ctx = DualMapContext(0.8, 0.7, 0.6, rng.standard_normal(4), constraint, g,
+                             rng.standard_normal(3))
         for _ in range(25):
             lam = rng.standard_normal(3)
             grad = _dual_map(ctx, lam)[0]
@@ -260,8 +259,8 @@ def test_merit_l1_case_matches_expansion():
     # and (<u, p> - |p|^2 / 2) / t - w |p|_1 = |p|^2 / (2 t)
     weight = 0.4
     constraint = apd.MatrixConstraint([[1.0, -2.0, 0.5], [0.3, 1.0, -1.0]], [0.2, -0.1])
-    ctx = DualMapContext.for_step(0.9, 0.7, 0.5, np.array([0.3, -1.2, 0.05]), constraint,
-                                  L1Prox(weight), np.array([0.4, -0.2]))
+    ctx = DualMapContext(0.9, 0.7, 0.5, np.array([0.3, -1.2, 0.05]), constraint,
+                         L1Prox(weight), np.array([0.4, -0.2]))
     amat = constraint.matrix()
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -317,7 +316,7 @@ def test_ssn_matches_vectorized_grid_oracle():
         constraint = apd.MatrixConstraint([[rng.uniform(0.5, 2.0)]],
                                           [rng.standard_normal() * 0.4])
         weight = rng.uniform(0.05, 0.6)
-        ctx = DualMapContext.for_step(
+        ctx = DualMapContext(
             rng.uniform(0.05, 1.0), rng.uniform(0.2, 1.5), rng.uniform(0.1, 1.0),
             rng.standard_normal(1) * 2, constraint, L1Prox(weight),
             rng.standard_normal(1) * 0.5)
@@ -372,7 +371,7 @@ def test_ssn_matches_enumeration_oracle_5d():
         amat = rng.standard_normal((5, 5))
         constraint = apd.MatrixConstraint(amat, rng.standard_normal(5) * 0.3)
         weight = rng.uniform(0.1, 0.8)
-        ctx = DualMapContext.for_step(
+        ctx = DualMapContext(
             rng.uniform(0.05, 1.0), rng.uniform(0.2, 1.5), rng.uniform(0.1, 1.0),
             rng.standard_normal(5), constraint, L1Prox(weight),
             rng.standard_normal(5) * 0.5)
@@ -410,7 +409,7 @@ def test_newton_direction_matches_dense_solve(active):
     odd = np.arange(n) % 2 == 1
     half = apd.Box(np.where(odd, -np.inf, -1.0), np.where(odd, 1.0, np.inf))
     for g in (L1Prox(0.5, box), ZeroProx(half)):
-        ctx = DualMapContext(0.3, 0.9, 0.4, rng.standard_normal(n), constraint, g)
+        ctx = DualMapContext(0.3, 0.9, 0.4, rng.standard_normal(n), constraint, g, np.zeros(m))
         slope = g.prox_jacobian(ctx.t, _slope_pattern(g, ctx.t, active, n))
         assert np.count_nonzero(slope) == active
         residual = rng.standard_normal(m)
@@ -424,6 +423,7 @@ def test_newton_direction_matches_dense_solve(active):
 def test_ssn_on_a_matrix_free_constraint_raises():
     class MatrixFree(LinearConstraint):
         rows, cols = 1, 2
+        rhs = np.zeros(1)
 
         def apply(self, x):
             return np.array([x[0] + x[1]])
@@ -431,7 +431,7 @@ def test_ssn_on_a_matrix_free_constraint_raises():
         def apply_adjoint(self, lam):
             return np.array([lam[0], lam[0]])
 
-    ctx = DualMapContext(1.0, 1.0, 1.0, np.ones(2), MatrixFree(), L1Prox(0.1))
+    ctx = DualMapContext(1.0, 1.0, 1.0, np.ones(2), MatrixFree(), L1Prox(0.1), np.zeros(1))
     with pytest.raises(UnsupportedOracleError, match="no dense form"):
         ssn_solve(ctx, np.zeros(1), tol=1e-10)
 

@@ -249,7 +249,7 @@ def test_every_source_file_parses_as_python_3_10():
     parse with ``feature_version=(3, 10)``, which rejects ``except*``, for
     one. It checks no library API or call that a newer Python adds; only
     running the suite on 3.10 does that."""
-    files = [_ROOT / "conftest.py"] + [path for folder in ("src", "tests", "perfbench")
+    files = [_ROOT / "conftest.py"] + [path for folder in ("src", "tests", "perfbench", "tools")
                                        for path in sorted((_ROOT / folder).rglob("*.py"))]
     rejected = []
     for path in files:
