@@ -459,8 +459,9 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     :class:`~apd.solvers.Epochs` that :func:`~apd.solvers.run_solver` runs
     too: a step that leaves ``theta`` below the restart threshold starts a
     new epoch from ``(x, x, lam)``, with ``gamma`` kept when ``mu > 0`` and
-    back at ``lip`` otherwise. ``extra`` runs :func:`extra_step` with the
-    :func:`mixing_matrix` of the graph and the step of :func:`extra_step_size`.
+    back at ``lip`` otherwise; its states carry no residual, which no record
+    reads. ``extra`` runs :func:`extra_step` with the :func:`mixing_matrix`
+    of the graph and the step of :func:`extra_step_size`.
     Each :class:`DdoRecord` holds the objective gap against a centralized
     solve (``f_ref``) and ``|L X|``, formed every step, and with ``timing``
     the step's wall time. Their sum is the stop measure. The run ends with
@@ -488,7 +489,7 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
             ProblemInstance(problem, ZeroProx(), IncidenceConstraint(problem)))
         rule = StepRule("semi_apdfb", lip_beta=problem.lip)
         lam0 = np.zeros((problem.incidence.shape[0], m))
-        state = solvers.IterateState(x0, x0, lam0, ScalingState(1.0, problem.lip))
+        state = solvers.IterateState.start(x0, lam0, ScalingState(1.0, problem.lip), None)
         epochs = solvers.Epochs("semi_apdfb", problem.mu, problem.lip, state)
 
         def step(state):

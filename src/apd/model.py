@@ -238,20 +238,21 @@ class PointValues:
         return fval + float(product) if np.isfinite(fval) else np.inf
 
 
-def lyapunov_value(problem, saddle, x, v, lam, gamma, theta, at_x=None, at_star=None):
+def lyapunov_value(problem, saddle, x, v, lam, gamma, theta, at_x=None, at_star=None, gap=None):
     """Lyapunov function of the flow and of every scheme, nonnegative at any
     true saddle point: the gap ``L(x, lam*) - L(x*, lam)`` of the Lagrangian
     plus ``gamma/2 |v - x*|^2 + theta/2 |lam - lam*|^2``.
 
     ``at_x`` and ``at_star`` may pass the :class:`PointValues` of ``x`` and
-    ``saddle.x_star`` when the caller already holds them. ``x``, ``v`` and
-    ``lam`` may stack points as rows, with ``gamma`` and ``theta`` holding
-    one value per row; then the value is one per row, each with the bits of
-    its row's one-point value when ``at_x`` holds the same residuals.
+    ``saddle.x_star``, and ``gap`` the gap, when the caller holds them. ``x``,
+    ``v`` and ``lam`` may stack points as rows, with ``gamma`` and ``theta``
+    holding one value per row; then the value is one per row, each with the
+    bits of its row's one-point value when ``at_x`` holds the same residuals.
     """
-    at_x = PointValues(problem, x) if at_x is None else at_x
-    at_star = PointValues(problem, saddle.x_star) if at_star is None else at_star
-    gap = at_x.lagrangian(saddle.lambda_star) - at_star.lagrangian(lam)
+    if gap is None:
+        at_x = PointValues(problem, x) if at_x is None else at_x
+        at_star = PointValues(problem, saddle.x_star) if at_star is None else at_star
+        gap = at_x.lagrangian(saddle.lambda_star) - at_star.lagrangian(lam)
     dv = v - saddle.x_star
     dlam = lam - saddle.lambda_star
     value = gap + 0.5 * gamma * np.vecdot(dv, dv) + 0.5 * theta * np.vecdot(dlam, dlam)

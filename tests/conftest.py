@@ -57,6 +57,13 @@ def planted_lasso(seed, ridge=0.0, n=40, m=10, rows=25, weight=0.2, support=12):
     return problem, saddle
 
 
+def iterate(problem, x, v, lam, scaling):
+    """An :class:`~apd.IterateState` with its residuals ``A x - b`` and ``A v - b``
+    formed afresh."""
+    constraint = problem.constraint
+    return apd.IterateState(x, v, lam, scaling, constraint.residual(x), constraint.residual(v))
+
+
 def per_state_records(trajectory, problem, saddle):
     """``(E, feasibility)`` of each flow state by the one-point formulas."""
     return [(continuous_lyapunov(s, problem, saddle),

@@ -286,7 +286,8 @@ def apd_context(prob):
 
 def apd_start(prob, x, v):
     """An iterate with ``gamma0 = lip`` and ``theta lam = A x`` at ``theta = 1``."""
-    return solvers.IterateState(x, v, prob.incidence @ x, ScalingState(1.0, prob.lip))
+    r_x = prob.incidence @ x
+    return solvers.IterateState(x, v, r_x, ScalingState(1.0, prob.lip), r_x, prob.incidence @ v)
 
 
 def apd_alpha(prob, state):
@@ -329,7 +330,8 @@ def test_apd_steps_match_semi_apdfb_on_dense_kron(graph, kind):
     assert ctx.problem.constraint.op_norm >= np.linalg.norm(kron, 2)
     x0 = np.random.default_rng(6).standard_normal((graph.n, m))
     state = apd_start(prob, x0, x0.copy())
-    flat = solvers.IterateState(x0.ravel(), x0.ravel(), state.lam.ravel(), state.scaling)
+    flat = solvers.IterateState.start(x0.ravel(), state.lam.ravel(), state.scaling,
+                                      state.r_x.ravel())
     for _ in range(5):
         alpha = apd_alpha(prob, state)
         state = apd_ddo_step(state, ctx, alpha)
@@ -518,7 +520,8 @@ def test_run_ddo_apd_matches_a_loop_of_semi_apdfb_steps(kind):
         if state.scaling.theta < 1e-2:
             # a new epoch from (x, x, lam); gamma is kept only when mu > 0
             gamma = state.scaling.gamma if prob.mu > 0 else prob.lip
-            state = solvers.IterateState(state.x, state.x, state.lam, ScalingState(1.0, gamma))
+            state = solvers.IterateState(state.x, state.x, state.lam, ScalingState(1.0, gamma),
+                                         state.r_x, state.r_x)
             restarts += 1
         state = solvers.semi_apdfb_step(state, ctx, apd_alpha(prob, state))
         records.append(record(k + 1))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import CountingConstraint, CountingQuadratic, per_state_records
+from conftest import CountingConstraint, CountingQuadratic, iterate, per_state_records
 
 import apd
 from apd.flow import (
@@ -281,8 +281,8 @@ def test_implicit_steps_track_the_flow_to_first_order_when_mu_is_zero():
     alphas = np.array([0.01, 0.003, 0.001])
     x_errors, lam_errors = [], []
     for alpha in alphas:
-        state = apd.IterateState(np.zeros(n), np.zeros(n), np.zeros(m),
-                                 apd.ScalingState(1.0, 1.0))
+        state = iterate(problem, np.zeros(n), np.zeros(n), np.zeros(m),
+                        apd.ScalingState(1.0, 1.0))
         ctx = apd.RunContext(problem)
         for _ in range(round(horizon / alpha)):
             state = apd.implicit_apd_step(state, ctx, alpha)
@@ -332,8 +332,8 @@ def test_implicit_steps_ignore_mu_and_track_the_mu_zero_flow():
     alphas = np.array([0.01, 0.003, 0.001])
     x_errors = []
     for alpha in alphas:
-        state = apd.IterateState(np.zeros(n), np.zeros(n), np.zeros(m),
-                                 apd.ScalingState(1.0, 1.0))
+        state = iterate(problem, np.zeros(n), np.zeros(n), np.zeros(m),
+                        apd.ScalingState(1.0, 1.0))
         ctx = apd.RunContext(problem)
         for _ in range(round(horizon / alpha)):
             state = apd.implicit_apd_step(state, ctx, alpha)

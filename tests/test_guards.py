@@ -12,7 +12,7 @@ from apd import ddo, harness, inner
 
 QP1 = apd.ProblemInstance(apd.QuadraticObjective(np.ones(2)), apd.ZeroProx(),
                           apd.MatrixConstraint([[1.0, 1.0]], [1.0]))
-START = apd.IterateState(np.zeros(2), np.zeros(2), np.zeros(1), apd.ScalingState())
+START = apd.IterateState.start(np.zeros(2), np.zeros(1), apd.ScalingState(), -np.ones(1))
 
 
 def _step(step):

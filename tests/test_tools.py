@@ -20,7 +20,10 @@ def test_hash_runs_repeats_its_digests_and_restores_what_it_wraps(monkeypatch, c
         assert tool.main(["--seeds", "101", "--tiny"]) == 0
         outputs.append(capsys.readouterr().out.splitlines())
     assert outputs[0] == outputs[1]
-    names = [name for _, name in tool.HASHED] + ["outcomes"]
+    names = [name for _, name in tool.HASHED] + ["iterates", "outcomes"]
     assert [line.split()[0] for line in outputs[0]] == names
     assert all(int(line.split()[1]) > 0 and len(line.split()[2]) == 64 for line in outputs[0])
+    # one iterates entry per run_solver call
+    calls = {line.split()[0]: line.split()[1] for line in outputs[0]}
+    assert calls["iterates"] == calls["run_solver"]
     assert [getattr(module, name) for module, name in tool.HASHED] == originals

@@ -12,9 +12,12 @@ of every workload as the benchmark does (set ``i`` from the ``i``-th child of
 ``solvers.run_solver``, ``ddo.run_ddo``, ``flow.integrate_flow``,
 ``flow.flow_records`` and ``inner.augmented_consensus_solve`` by module
 attribute, and puts them back afterwards. It prints one SHA-256 per function,
-over every call's result in call order, and one over every case outcome;
-wall clocks (``wall_ns``) are skipped. To compare two checkouts, copy this
-file into the other one's ``tools/`` and diff the two outputs.
+over every call's result in call order; one, ``iterates``, over what each
+``run_solver`` call ends on (final ``x``, ``v`` and ``lam``, status and record
+count), without the recorded floats; and one over every case outcome. Wall
+clocks (``wall_ns``) are skipped. A change that moves only the bits of the
+records thus shows its iterates unchanged. To compare two checkouts, copy
+this file into the other one's ``tools/`` and diff the two outputs.
 """
 
 import os
@@ -68,9 +71,16 @@ def feed(digest, value):
     digest.update(b";")
 
 
+def ends(run):
+    """What a ``run_solver`` result ends on, without its recorded floats."""
+    return run.state.x, run.state.v, run.state.lam, run.status, len(run.records)
+
+
 def digests(seeds, tiny=False):
-    """``{name: (calls, hex digest)}`` for each wrapped function and for ``outcomes``."""
+    """``{name: (calls, hex digest)}`` for each wrapped function, for ``iterates``
+    and for ``outcomes``."""
     hashes = {name: hashlib.sha256() for _, name in HASHED}
+    hashes["iterates"] = hashlib.sha256()
     hashes["outcomes"] = hashlib.sha256()
     calls = dict.fromkeys(hashes, 0)
 
@@ -79,6 +89,9 @@ def digests(seeds, tiny=False):
             result = original(*args, **kwargs)
             feed(hashes[name], result)
             calls[name] += 1
+            if name == "run_solver":
+                feed(hashes["iterates"], ends(result))
+                calls["iterates"] += 1
             return result
         return call
 
