@@ -13,8 +13,7 @@ import numpy as np
 from . import ddo as ddo_mod
 from .flow import FlowDivergenceError, FlowState, flow_records, integrate_flow
 from .harness import audit_records, emit_csv, read_csv, run_experiment
-from .inner import (AUGMENTED_METHODS, PLAIN_METHODS, InnerSolveError,
-                    augmented_consensus_solve, plain_iteration_solve)
+from .inner import InnerSolveError, augmented_consensus_solve, plain_iteration_solve
 from .model import NoReferenceError, load_problem, solve_reference_saddle
 from .schedule import SCHEMES
 from .solvers import SolverConfig, make_step_rule, run_solver
@@ -55,10 +54,16 @@ def _eps_list(text):
     return values
 
 
-# the stationary methods run plain (on eps I + L) and bordered; PCG runs bordered only
-_ROBUSTNESS_METHODS = (tuple(f"plain_{m}" for m in PLAIN_METHODS)
-                       + tuple(m if m.startswith("pcg_") else f"aug_{m}"
-                               for m in AUGMENTED_METHODS))
+# name -> (solver, its method): the stationary methods run plain (on eps I + L)
+# and bordered; PCG runs bordered only
+_ROBUSTNESS_METHODS = {
+    "plain_jacobi": (plain_iteration_solve, "jacobi"),
+    "plain_sgs": (plain_iteration_solve, "sgs"),
+    "aug_jacobi": (augmented_consensus_solve, "jacobi"),
+    "aug_sgs": (augmented_consensus_solve, "sgs"),
+    "pcg_jacobi": (augmented_consensus_solve, "pcg_jacobi"),
+    "pcg_sgs": (augmented_consensus_solve, "pcg_sgs"),
+}
 
 
 def _method_list(text):
@@ -172,14 +177,8 @@ def _cmd_robustness(args):
     rows = []
     for eps in args.eps_list:
         for method in args.methods:
-            if method.startswith("plain_"):
-                v, iters, ok = plain_iteration_solve(
-                    lap, eps, s, method=method[len("plain_"):],
-                    tol=args.tol, i_max=args.i_max)
-            else:
-                name = method[len("aug_"):] if method.startswith("aug_") else method
-                v, iters, ok = augmented_consensus_solve(
-                    lap, eps, s, method=name, tol=args.tol, i_max=args.i_max)
+            solve, name = _ROBUSTNESS_METHODS[method]
+            v, iters, ok = solve(lap, eps, s, method=name, tol=args.tol, i_max=args.i_max)
             res = np.linalg.norm(s - (eps * v + lap @ v)) / np.linalg.norm(s)
             rows.append(RobustnessRecord(eps, method, iters, int(ok), float(res)))
             print(f"eps={eps:8.1e} {method:>12}: iters={iters} converged={ok}")

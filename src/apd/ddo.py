@@ -6,7 +6,6 @@ the Extra baseline."""
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,10 +25,10 @@ from .schedule import ScalingState, StepRule, step_size
 class Graph:
     """Simple connected undirected graph given by an edge list over ``0..n-1``.
 
-    A node count ``n`` that is not an integer ``>= 0``, a self-loop, an
-    endpoint out of range, a duplicate edge or more than one component raises
-    ``ValueError``; the empty graph, with no component, is not connected, and
-    one node is.
+    A node count ``n`` that is not an integer ``>= 0``, an edge that is not a
+    pair of integers (:func:`_edge_array`), a self-loop, an endpoint out of
+    range, a duplicate edge or more than one component raises ``ValueError``;
+    the empty graph, with no component, is not connected, and one node is.
     """
 
     n: int
@@ -38,28 +37,42 @@ class Graph:
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
             raise ValueError(f"a graph needs an integer node count n >= 0, got n={self.n!r}")
-        seen = set()
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError("self-loops are not allowed")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError("edge endpoint out of range")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError("duplicate edge")
-            seen.add(key)
+        ends = _edge_array(self)
+        if np.any(ends[:, 0] == ends[:, 1]):
+            raise ValueError("self-loops are not allowed")
+        if len(ends) and not (ends.min() >= 0 and ends.max() < self.n):
+            raise ValueError("edge endpoint out of range")
         # imported on first use: the module adds about 1 MB to every process
         from scipy.sparse.csgraph import connected_components
-        i, j = _edge_array(self).T
-        adjacency = sp.coo_matrix((np.ones(len(i)), (i, j)), shape=(self.n, self.n))
+        lower, upper = np.sort(ends, axis=1).T
+        # CSR assembly sums a repeated (lower, upper) pair into one entry
+        adjacency = sp.csr_matrix((np.ones(len(ends)), (lower, upper)), shape=(self.n, self.n))
+        if adjacency.nnz < len(ends):
+            raise ValueError("duplicate edge")
         if connected_components(adjacency, directed=False, return_labels=False) != 1:
             raise ValueError("graph must be connected")
 
 
 def _edge_array(graph):
-    """The edge list as an ``(|E|, 2)`` integer array, in edge order."""
-    ends = itertools.chain.from_iterable(graph.edges)  # 2.5x faster than np.array of tuples
-    return np.fromiter(ends, dtype=np.intp, count=2 * len(graph.edges)).reshape(-1, 2)
+    """The edge list as an ``(|E|, 2)`` integer array, in edge order: the one
+    conversion of ``graph.edges``. ``ValueError`` unless every edge is a pair
+    of integers, Python's or numpy's; a fractional or string endpoint is
+    neither rounded nor parsed."""
+    if not len(graph.edges):
+        return np.empty((0, 2), dtype=np.intp)
+    # as objects, each endpoint keeps its type: numpy would make a float
+    # array of uint64 and int endpoints, and of a fractional one
+    ends = np.array(graph.edges, dtype=object)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ValueError("every edge must be a pair (i, j) of endpoints")
+    other = {kind.__name__ for kind in set(map(type, ends.flat))
+             if not issubclass(kind, (int, np.integer))}
+    if other:
+        raise ValueError(f"edge endpoints must be integers, got {', '.join(sorted(other))}")
+    try:
+        return ends.astype(np.intp)
+    except OverflowError:
+        raise ValueError("edge endpoint out of range") from None
 
 
 def path_graph(n):
@@ -179,18 +192,18 @@ class DdoProblem:
     incidence matrix are not fields: each is built from ``graph`` on first
     use and kept (:attr:`laplacian`, :attr:`incidence`).
 
-    ``local_data`` holds one tuple per node and is the single source of the
-    node data: ``(design, target)`` for least squares, ``(features, label,
-    ridge)`` for logistic. ``value`` and ``gradient`` evaluate every node at
-    once on a stacked view of it, built on first use: design ``(n, s, m)``
-    and target ``(n, s)``, or features ``(n, m)``, labels ``(n,)`` and
-    ridge ``(n,)``. ``local_value``/``local_gradient`` evaluate one node.
+    ``node_data`` is the one copy of the node data, stacked over the nodes:
+    design ``(n, s, m)`` and target ``(n, s)`` for least squares, features
+    ``(n, m)``, labels ``(n,)`` and ridge ``(n,)`` for logistic. ``value``
+    and ``gradient`` evaluate every node at once on it;
+    ``local_value``/``local_gradient`` evaluate one node, and
+    :attr:`local_data` reads it node by node.
     """
 
     graph: Graph
     block_size: int
     kind: str  # least_squares | logistic
-    local_data: tuple
+    node_data: tuple
     mu: float
     lip: float
 
@@ -202,59 +215,54 @@ class DdoProblem:
     def dim(self):
         return self.graph.n * self.block_size
 
+    @property
+    def local_data(self):
+        """One tuple per node, of views into :attr:`node_data`: ``(design,
+        target)`` for least squares, ``(features, label, ridge)`` for logistic."""
+        return tuple(zip(*self.node_data))
+
     def local_value(self, i, x):
-        data = self.local_data[i]
         if self.kind == "least_squares":
-            design, target = data
-            res = design @ x - target
+            design, target = self.node_data
+            res = design[i] @ x - target[i]
             return 0.5 * float(res @ res)
-        features, label, ridge = data
-        margin = label * float(features @ x)
-        return float(np.logaddexp(0.0, -margin)) + 0.5 * ridge * float(x @ x)
+        features, labels, ridge = self.node_data
+        margin = labels[i] * float(features[i] @ x)
+        return float(np.logaddexp(0.0, -margin)) + 0.5 * ridge[i] * float(x @ x)
 
     def local_gradient(self, i, x):
-        data = self.local_data[i]
         if self.kind == "least_squares":
-            design, target = data
-            return design.T @ (design @ x - target)
-        features, label, ridge = data
-        margin = label * float(features @ x)
-        return -label * features / (1.0 + np.exp(margin)) + ridge * x
-
-    @cached_property
-    def _stacked(self):
-        if self.kind == "least_squares":
-            return (np.stack([design for design, _ in self.local_data]),
-                    np.stack([target for _, target in self.local_data]))
-        return (np.stack([features for features, _, _ in self.local_data]),
-                np.array([label for _, label, _ in self.local_data], dtype=float),
-                np.array([ridge for _, _, ridge in self.local_data], dtype=float))
+            design, target = self.node_data
+            return design[i].T @ (design[i] @ x - target[i])
+        features, labels, ridge = self.node_data
+        margin = labels[i] * float(features[i] @ x)
+        return -labels[i] * features[i] / (1.0 + np.exp(margin)) + ridge[i] * x
 
     def value(self, stacked):
         if self.kind == "least_squares":
             res = self._residuals(stacked)
             return 0.5 * float(np.sum(res * res)) / self.n_nodes
-        _, _, ridge = self._stacked
+        _, _, ridge = self.node_data
         total = np.logaddexp(0.0, -self._margins(stacked)) \
             + 0.5 * ridge * np.einsum("nm,nm->n", stacked, stacked)
         return float(total.sum()) / self.n_nodes
 
     def gradient(self, stacked):
         if self.kind == "least_squares":
-            design, _ = self._stacked
+            design, _ = self.node_data
             grad = _rowwise_matvec(design.transpose(0, 2, 1), self._residuals(stacked))
             return grad / self.n_nodes
-        features, labels, ridge = self._stacked
+        features, labels, ridge = self.node_data
         grad = -labels[:, None] * features / (1.0 + np.exp(self._margins(stacked)))[:, None] \
             + ridge[:, None] * stacked
         return grad / self.n_nodes
 
     def _residuals(self, stacked):
-        design, target = self._stacked
+        design, target = self.node_data
         return _rowwise_matvec(design, stacked) - target
 
     def _margins(self, stacked):
-        features, labels, _ = self._stacked
+        features, labels, _ = self.node_data
         return labels * _rowwise_matvec(features[:, None, :], stacked)[:, 0]
 
     @cached_property
@@ -294,27 +302,27 @@ def build_ddo_problem(graph, block_size, kind, seed, samples=5, ridge=0.5):
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
     rng = np.random.default_rng(seed)
+    n = graph.n
     if kind == "least_squares":
-        data, lips = [], []
-        for _ in range(graph.n):
-            design = rng.standard_normal((samples, block_size)) / np.sqrt(block_size)
-            target = rng.standard_normal(samples)
-            data.append((design, target))
-            lips.append(np.linalg.norm(design, 2) ** 2)
-        mu = 0.0
-        lip = max(lips) / graph.n
+        design, target = np.empty((n, samples, block_size)), np.empty((n, samples))
+        for i in range(n):
+            design[i] = rng.standard_normal((samples, block_size)) / np.sqrt(block_size)
+            target[i] = rng.standard_normal(samples)
+        data, mu = (design, target), 0.0
+        # the square of the largest norm: squaring the array of norms first
+        # can round one ulp away from the per-node scalar square
+        lip = np.max(np.linalg.norm(design, 2, axis=(1, 2))) ** 2 / n
     elif kind == "logistic":
-        data, lips = [], []
-        for _ in range(graph.n):
-            features = rng.standard_normal(block_size) / np.sqrt(block_size)
-            label = float(rng.choice([-1.0, 1.0]))
-            data.append((features, label, ridge))
-            lips.append(ridge + label ** 2 * float(features @ features) / 4.0)
-        mu = ridge / graph.n
-        lip = max(lips) / graph.n
+        features, labels = np.empty((n, block_size)), np.empty(n)
+        for i in range(n):
+            features[i] = rng.standard_normal(block_size) / np.sqrt(block_size)
+            labels[i] = rng.choice([-1.0, 1.0])
+        data, mu = (features, labels, np.full(n, float(ridge))), ridge / n
+        lip = max(ridge + label ** 2 * float(row @ row) / 4.0
+                  for row, label in zip(features, labels)) / n
     else:
         raise ValueError(f"unknown model kind {kind!r}")
-    return DdoProblem(graph, block_size, kind, tuple(data), mu, lip)
+    return DdoProblem(graph, block_size, kind, data, mu, lip)
 
 
 # reference_objective's Newton steps on a logistic problem stop at this
@@ -332,11 +340,11 @@ def reference_objective(problem):
     m = problem.block_size
     n = problem.n_nodes
     if problem.kind == "least_squares":
-        design, target = problem._stacked
+        design, target = problem.node_data
         rows = design.reshape(-1, m)  # all nodes' samples as one design
         x = np.linalg.lstsq(rows.T @ rows, rows.T @ target.ravel(), rcond=None)[0]
     else:
-        features, labels, ridge = problem._stacked
+        features, labels, ridge = problem.node_data
         ridge_sum = float(ridge.sum())
         x = np.zeros(m)
         for _ in range(_REFERENCE_NEWTON_ITERS):

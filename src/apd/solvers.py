@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -560,7 +560,8 @@ def run_solver(problem, config):
         # sqrt(r @ r) is np.linalg.norm(r) bit for bit, at half the cost
         if epochs.ends(state) or np.sqrt(state.r_x @ state.r_x) <= max(
                 config.stop_tol, fresh_x * np.sqrt(state.x @ state.x) + fresh_b):
-            state = replace(state, r_x=problem.constraint.residual(state.x))
+            state = IterateState(state.x, state.v, state.lam, state.scaling,
+                                 problem.constraint.residual(state.x), state.r_v)
         rec, measure = measured(k + 1, epochs.epoch, alpha, state, ctx.inner_iters, elapsed)
         records.append(rec)
         floor = epochs.at_floor(state, measure)

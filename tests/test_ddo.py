@@ -75,6 +75,15 @@ def test_disconnected_graph_rejected():
         Graph(4, ((0, 0),))
 
 
+def test_numpy_integer_endpoints_give_the_same_graph():
+    edges = ((0, 1), (2, 1), (3, 2))
+    for cast in (np.int32, np.int64, np.uint64):
+        cast_edges = tuple((cast(i), j) for i, j in edges)  # uint64 beside int
+        graph = Graph(4, cast_edges)
+        assert graph.edges == cast_edges
+        assert (graph_incidence(graph) != graph_incidence(Graph(4, edges))).nnz == 0
+
+
 def graph_mixing(graph):
     return mixing_matrix(graph_incidence(graph), graph_laplacian(graph))
 
@@ -197,12 +206,21 @@ def test_logistic_constants_example():
     assert lip_i == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("n,block,samples,seed", [(2, 3, 5, 0), (9, 1, 3, 4), (40, 5, 5, 7)])
+def test_lip_is_the_per_node_formula_bit_for_bit(n, block, samples, seed):
+    graph = path_graph(n)
+    prob = build_ddo_problem(graph, block, "least_squares", seed, samples=samples)
+    assert prob.lip == max(np.linalg.norm(design, 2) ** 2 for design, _ in prob.local_data) / n
+    prob = build_ddo_problem(graph, block, "logistic", seed, ridge=0.3)
+    assert prob.lip == max(0.3 + float(f @ f) / 4.0 for f, _, _ in prob.local_data) / n
+
+
 def test_least_squares_zero_design_is_flat():
     graph = path_graph(2)
     prob = build_ddo_problem(graph, 3, "least_squares", seed=0)
-    data = list(prob.local_data)
-    data[0] = (np.zeros((2, 3)), np.zeros(2))
-    object.__setattr__(prob, "local_data", tuple(data))
+    design, target = (part.copy() for part in prob.node_data)
+    design[0], target[0] = 0.0, 0.0  # node 0's 5 samples
+    object.__setattr__(prob, "node_data", (design, target))
     assert prob.local_value(0, np.ones(3)) == 0.0
     np.testing.assert_array_equal(prob.local_gradient(0, np.ones(3)), np.zeros(3))
 
@@ -268,7 +286,7 @@ def shared_minimizer_problem(m=3, samples=2):
         design = rng.standard_normal((samples, m))
         data.append((design, design @ x_hat))
     prob = build_ddo_problem(graph, m, "least_squares", seed=0)
-    object.__setattr__(prob, "local_data", tuple(data))
+    object.__setattr__(prob, "node_data", tuple(map(np.stack, zip(*data))))
     if samples >= m:
         curvatures = [np.linalg.eigvalsh(design.T @ design) for design, _ in data]
         object.__setattr__(prob, "mu", min(c[0] for c in curvatures) / graph.n)

@@ -54,6 +54,12 @@ GUARDS = {
                          "integer node count n >= 0, got n=-1"),
     "graph-fractional-n": (lambda tmp_path: ddo.Graph(2.5, ()), ValueError,
                            "integer node count n >= 0, got n=2.5"),
+    "graph-fractional-endpoint": (lambda tmp_path: ddo.Graph(3, ((0, 2.9), (1, 2))), ValueError,
+                                  "edge endpoints must be integers, got float"),
+    "graph-edge-of-three": (lambda tmp_path: ddo.Graph(3, ((0, 1, 2), (1, 2))), ValueError,
+                            "every edge must be a pair (i, j) of endpoints"),
+    "graph-string-endpoint": (lambda tmp_path: ddo.Graph(3, ((0, "2"), (1, 2))), ValueError,
+                              "edge endpoints must be integers, got str"),
     "ddo-kind": (lambda tmp_path: ddo.build_ddo_problem(ddo.path_graph(3), 2, "huber", seed=0),
                  ValueError, "unknown model kind 'huber'"),
     "consensus-method": (lambda tmp_path: inner.augmented_consensus_solve(

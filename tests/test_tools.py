@@ -7,13 +7,18 @@ from pathlib import Path
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def test_hash_runs_repeats_its_digests_and_restores_what_it_wraps(monkeypatch, capsys):
+def _load_hash_runs(monkeypatch):
     # the tool puts the checkout's src/ and root first on sys.path; the patch
     # gives that back too
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("hash_runs", _TOOLS / "hash_runs.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_hash_runs_repeats_its_digests_and_restores_what_it_wraps(monkeypatch, capsys):
+    tool = _load_hash_runs(monkeypatch)
     originals = [getattr(module, name) for module, name in tool.HASHED]
     outputs = []
     for _ in range(2):
@@ -27,3 +32,24 @@ def test_hash_runs_repeats_its_digests_and_restores_what_it_wraps(monkeypatch, c
     calls = {line.split()[0]: line.split()[1] for line in outputs[0]}
     assert calls["iterates"] == calls["run_solver"]
     assert [getattr(module, name) for module, name in tool.HASHED] == originals
+
+
+def test_hash_runs_exits_1_and_names_each_case_that_is_not_ok(monkeypatch, capsys):
+    tool = _load_hash_runs(monkeypatch)
+    monkeypatch.setattr(tool.workloads, "WORKLOADS", {"ddo": tool.workloads.WORKLOADS["ddo"]})
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(tool.ddo, "run_ddo", broken)
+    assert tool.main(["--seeds", "101", "--tiny"]) == 1
+    out, err = capsys.readouterr()
+    # the digests still come first, one line each
+    assert [line.split()[0] for line in out.splitlines()][-1] == "outcomes"
+    # the four run_ddo cases of each of the three sets, and no consensus case
+    failed = err.splitlines()
+    assert len(failed) == 4 * tool.SETS
+    assert all(line.startswith("not ok: seed 101 ddo set ")
+               and line.endswith("raised RuntimeError: broken on purpose") for line in failed)
+    assert {line.split()[7] for line in failed} == {
+        "logistic.apd:", "logistic.extra:", "least_squares.apd:", "least_squares.extra:"}

@@ -18,6 +18,10 @@ count), without the recorded floats; and one over every case outcome. Wall
 clocks (``wall_ns``) are skipped. A change that moves only the bits of the
 records thus shows its iterates unchanged. To compare two checkouts, copy
 this file into the other one's ``tools/`` and diff the two outputs.
+
+After the digests it names on stderr each case whose outcome is not ok, and
+exits 1 if there is one: equal digests of two checkouts can then not hide a
+case that fails in both.
 """
 
 import os
@@ -78,11 +82,12 @@ def ends(run):
 
 def digests(seeds, tiny=False):
     """``{name: (calls, hex digest)}`` for each wrapped function, for ``iterates``
-    and for ``outcomes``."""
+    and for ``outcomes``, and a list naming each case whose outcome is not ok."""
     hashes = {name: hashlib.sha256() for _, name in HASHED}
     hashes["iterates"] = hashlib.sha256()
     hashes["outcomes"] = hashlib.sha256()
     calls = dict.fromkeys(hashes, 0)
+    failed = []
 
     def wrapped(name, original):
         def call(*args, **kwargs):
@@ -102,14 +107,18 @@ def digests(seeds, tiny=False):
         for seed in seeds:
             for workload, build in workloads.WORKLOADS.items():
                 size = (workloads.TINY[workload],) if tiny else ()
-                for child in np.random.SeedSequence(seed).spawn(SETS):
+                for i, child in enumerate(np.random.SeedSequence(seed).spawn(SETS)):
                     for case in build(np.random.default_rng(child), *size).cases:
-                        feed(hashes["outcomes"], (case.name, case.run()[0]))
+                        outcome = case.run()[0]
+                        feed(hashes["outcomes"], (case.name, outcome))
                         calls["outcomes"] += 1
+                        if not outcome.ok:
+                            failed.append(f"seed {seed} {workload} set {i} {case.name}: "
+                                          f"{outcome.reason}")
     finally:
         for module, name, original in saved:
             setattr(module, name, original)
-    return {name: (calls[name], digest.hexdigest()) for name, digest in hashes.items()}
+    return {name: (calls[name], digest.hexdigest()) for name, digest in hashes.items()}, failed
 
 
 def main(argv=None):
@@ -119,9 +128,12 @@ def main(argv=None):
     parser.add_argument("--tiny", action="store_true", help="run the tiny instances")
     args = parser.parse_args(argv)
     seeds = [int(seed) for seed in args.seeds.split(",")]
-    for name, (calls, digest) in digests(seeds, args.tiny).items():
+    table, failed = digests(seeds, args.tiny)
+    for name, (calls, digest) in table.items():
         print(f"{name:26s} {calls:5d} {digest}")
-    return 0
+    for case in failed:
+        print(f"not ok: {case}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
