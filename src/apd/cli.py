@@ -1,11 +1,10 @@
-"""Benchmark command line: solve, flow, ddo, robustness, compare, audit."""
+"""Benchmark command line: solve, flow, ddo, compare, audit."""
 
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +12,7 @@ import numpy as np
 from . import ddo as ddo_mod
 from .flow import FlowDivergenceError, FlowState, flow_records, integrate_flow
 from .harness import audit_records, emit_csv, read_csv, run_experiment
-from .inner import InnerSolveError, augmented_consensus_solve, plain_iteration_solve
+from .inner import InnerSolveError
 from .model import NoReferenceError, load_problem, solve_reference_saddle
 from .schedule import SCHEMES
 from .solvers import SolverConfig, make_step_rule, run_solver
@@ -43,38 +42,6 @@ def parse_graph_spec(spec):
     return graph
 
 
-def _eps_list(text):
-    """``--eps-list``: comma-separated finite positive floats, at least one."""
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not values or not all(0 < eps < np.inf for eps in values):
-        raise argparse.ArgumentTypeError("needs one or more positive eps values, each finite")
-    return values
-
-
-# name -> (solver, its method): the stationary methods run plain (on eps I + L)
-# and bordered; PCG runs bordered only
-_ROBUSTNESS_METHODS = {
-    "plain_jacobi": (plain_iteration_solve, "jacobi"),
-    "plain_sgs": (plain_iteration_solve, "sgs"),
-    "aug_jacobi": (augmented_consensus_solve, "jacobi"),
-    "aug_sgs": (augmented_consensus_solve, "sgs"),
-    "pcg_jacobi": (augmented_consensus_solve, "pcg_jacobi"),
-    "pcg_sgs": (augmented_consensus_solve, "pcg_sgs"),
-}
-
-
-def _method_list(text):
-    """``--methods``: a comma list of ``_ROBUSTNESS_METHODS``, at least one."""
-    methods = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not methods or not set(methods) <= set(_ROBUSTNESS_METHODS):
-        raise argparse.ArgumentTypeError(f"expected a comma list from: "
-                                         f"{', '.join(_ROBUSTNESS_METHODS)}; got {text!r}")
-    return methods
-
-
 def _option_type(convert, allow_zero, expected):
     """An option type: ``convert(text)``, finite and above 0 (or at least 0
     with ``allow_zero``); anything else is a usage error."""
@@ -91,7 +58,7 @@ def _option_type(convert, allow_zero, expected):
     return parse
 
 
-_positive_int = _option_type(int, False, "a positive integer")  # a block size or cap
+_positive_int = _option_type(int, False, "a positive integer")  # --m, --samples
 _positive_float = _option_type(float, False, "a positive number")  # a step or scale
 _nonnegative_int = _option_type(int, True, "a nonnegative integer")  # --max-iter, --seed
 _tolerance = _option_type(float, True, "a finite nonnegative number")  # --stop-tol, 0: none
@@ -158,31 +125,6 @@ def _cmd_ddo(args):
     last = run.records[-1]
     print(f"ddo/{args.algo}: status={run.status} k={last.k} "
           f"obj_gap={last.obj_gap:.3e} consensus={last.consensus_residual:.3e}")
-    return 0
-
-
-@dataclass
-class RobustnessRecord:
-    eps: float
-    method: str
-    iterations: int
-    converged: int
-    relative_residual: float
-
-
-def _cmd_robustness(args):
-    lap = ddo_mod.graph_laplacian(args.graph)
-    rng = np.random.default_rng(args.seed)
-    s = rng.standard_normal(args.graph.n)
-    rows = []
-    for eps in args.eps_list:
-        for method in args.methods:
-            solve, name = _ROBUSTNESS_METHODS[method]
-            v, iters, ok = solve(lap, eps, s, method=name, tol=args.tol, i_max=args.i_max)
-            res = np.linalg.norm(s - (eps * v + lap @ v)) / np.linalg.norm(s)
-            rows.append(RobustnessRecord(eps, method, iters, int(ok), float(res)))
-            print(f"eps={eps:8.1e} {method:>12}: iters={iters} converged={ok}")
-    emit_csv(rows, args.csv)
     return 0
 
 
@@ -282,19 +224,6 @@ def build_parser():
     ddo.add_argument("--csv", required=True)
     ddo.add_argument("--timing", action="store_true")
     ddo.set_defaults(func=_cmd_ddo)
-
-    robust = sub.add_parser("robustness",
-                            help="iterative-solver robustness sweep over eps")
-    robust.add_argument("--graph", required=True, type=parse_graph_spec, help=_GRAPH_SPECS)
-    robust.add_argument("--eps-list", required=True, type=_eps_list,
-                        help="comma-separated eps values")
-    robust.add_argument("--methods", required=True, type=_method_list,
-                        help=f"comma list from: {', '.join(_ROBUSTNESS_METHODS)}")
-    robust.add_argument("--tol", type=_positive_float, default=1e-6)
-    robust.add_argument("--i-max", type=_positive_int, default=100000)
-    robust.add_argument("--seed", type=_nonnegative_int, default=0)
-    robust.add_argument("--csv", required=True)
-    robust.set_defaults(func=_cmd_robustness)
 
     compare = sub.add_parser("compare", help="run several schemes and summarize")
     compare.add_argument("--problem", required=True, help="problem file")

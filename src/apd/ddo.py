@@ -7,7 +7,7 @@ the Extra baseline."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -29,10 +29,12 @@ class Graph:
     pair of integers (:func:`_edge_array`), a self-loop, an endpoint out of
     range, a duplicate edge or more than one component raises ``ValueError``;
     the empty graph, with no component, is not connected, and one node is.
+    ``ends`` keeps the checked edges as an ``(|E|, 2)`` integer array.
     """
 
     n: int
     edges: tuple
+    ends: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
@@ -51,6 +53,7 @@ class Graph:
             raise ValueError("duplicate edge")
         if connected_components(adjacency, directed=False, return_labels=False) != 1:
             raise ValueError("graph must be connected")
+        object.__setattr__(self, "ends", ends)  # the dataclass is frozen
 
 
 def _edge_array(graph):
@@ -137,7 +140,7 @@ def graph_incidence(graph):
     ``j`` for the edge ``(i, j)``, so ``(B X)_e = x_i - x_j``, which is
     exactly zero when the two rows of ``X`` are equal.
     """
-    ends = _edge_array(graph)
+    ends = graph.ends
     rows = np.repeat(np.arange(len(ends)), 2)
     vals = np.tile([1.0, -1.0], len(ends))
     return sp.csr_matrix((vals, (rows, ends.ravel())), shape=(len(ends), graph.n))
@@ -267,8 +270,7 @@ class DdoProblem:
 
     @cached_property
     def laplacian(self):
-        # graph_laplacian's product on the held incidence matrix
-        return (self.incidence.T @ self.incidence).tocsr()
+        return graph_laplacian(self.graph)
 
     @cached_property
     def incidence(self):

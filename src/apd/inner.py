@@ -6,11 +6,11 @@ Semi-smooth Newton solves each Newton system directly: one Cholesky of
 prox Jacobian keeps) has fewer columns than rows, of the smaller
 ``theta I + alpha t C'C`` through Woodbury.
 
-The consensus solvers take a square scipy sparse operator and one
-right-side vector, checked once by :func:`_checked`. Each method is one
-splitting, damped Jacobi or symmetric Gauss-Seidel (:func:`_preconditioner`),
-run as Richardson sweeps on the bordered matrix or on ``eps I + A``, or as
-the preconditioner of the one PCG loop, :func:`pcg_solve`.
+The consensus solver takes a square scipy sparse operator and one
+right-side vector, checked once by :func:`_checked`, and works on the
+bordered matrix. Its methods are symmetric Gauss-Seidel sweeps, and the one
+PCG loop, :func:`pcg_solve`, preconditioned by the Jacobi or the symmetric
+Gauss-Seidel splitting (:func:`_preconditioner`).
 """
 
 from __future__ import annotations
@@ -253,18 +253,17 @@ def _newton_direction(ctx, amat, slope, residual):
 # nearly singular consensus systems
 # ---------------------------------------------------------------------------
 
-AUGMENTED_METHODS = ("jacobi", "sgs", "pcg_jacobi", "pcg_sgs")
-PLAIN_METHODS = ("jacobi", "sgs")
+AUGMENTED_METHODS = ("sgs", "pcg_jacobi", "pcg_sgs")
 
 
-def _checked(operator, s, eps, tol, method, methods, i_max):
+def _checked(operator, s, eps, tol, method, i_max):
     """``(A, s)``: the operator as CSR and the right side as one float vector,
-    after the checks both consensus solvers make: ``method`` is one of
-    ``methods``, ``i_max >= 0``, ``0 < eps < inf``, ``0 <= tol < inf``,
-    ``operator`` is a square scipy sparse matrix with finite entries, and ``s``
-    is one finite vector of its size."""
-    if method not in methods:
-        raise ValueError(f"unknown method {method!r}; pick one of {methods}")
+    after the checks of :func:`augmented_consensus_solve`: ``method`` is one
+    of ``AUGMENTED_METHODS``, ``i_max >= 0``, ``0 < eps < inf``,
+    ``0 <= tol < inf``, ``operator`` is a square scipy sparse matrix with
+    finite entries, and ``s`` is one finite vector of its size."""
+    if method not in AUGMENTED_METHODS:
+        raise ValueError(f"unknown method {method!r}; pick one of {AUGMENTED_METHODS}")
     if i_max < 0:
         raise ValueError(f"i_max must be nonnegative, got {i_max}")
     if not 0 < eps < np.inf:
@@ -322,9 +321,6 @@ def _triangle_factors(matrix):
                       options={"SymmetricMode": True}) for tri in triangles)
 
 
-_JACOBI_DAMPING = 2.0 / 3.0
-
-
 def _preconditioner(matrix, method):
     """``r -> M^-1 r`` for the Jacobi or the symmetric Gauss-Seidel splitting of ``matrix``.
 
@@ -343,24 +339,22 @@ def _preconditioner(matrix, method):
     return lambda r: upper.solve(diag * lower.solve(r))
 
 
-def _richardson(matrix, method, b, rows, target, i_max):
-    """Richardson sweeps ``x += w M^-1 (b - matrix x)`` from zero; ``(x, sweeps, converged)``.
+def _sgs_sweeps(matrix, b, rows, target, i_max):
+    """Symmetric Gauss-Seidel sweeps ``x += M^-1 (b - matrix x)`` from zero;
+    ``(x, sweeps, converged)``.
 
-    ``M`` is :func:`_preconditioner`'s splitting. Each sweep forms the
+    ``M`` is :func:`_preconditioner`'s SGS splitting. Each sweep forms the
     residual once and stops when ``|r[rows]| <= target`` or after ``i_max``
-    sweeps. SGS takes ``w = 1`` and Jacobi ``w = 2/3``: on a bipartite graph
-    ``D^-1 matrix`` has an eigenvalue near 2, where the undamped sweep
-    stalls; the damped one's eigenvalues lie in ``[-1/3, 1]``.
+    sweeps.
     """
-    minv = _preconditioner(matrix, method)
-    damping = _JACOBI_DAMPING if method == "jacobi" else 1.0
+    minv = _preconditioner(matrix, "sgs")
     x = np.zeros_like(b)
     for sweeps in range(i_max + 1):
         r = b - matrix @ x
         converged = float(np.linalg.norm(r[rows])) <= target
         if converged or sweeps == i_max:
             return x, sweeps, converged
-        x += damping * minv(r)
+        x += minv(r)
 
 
 def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
@@ -369,13 +363,14 @@ def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
 
     ``A`` must be symmetric positive semidefinite with null space span{1},
     and ``s`` is one vector; ``operator`` is ``A``, a square scipy sparse
-    matrix. The bordered matrix's Jacobi or SGS splitting
-    (:func:`_preconditioner`) runs as :func:`_richardson` sweeps or as the
-    preconditioner of :func:`pcg_solve`. Every method stops on the relative residual of the
-    *original* system, the one outer solvers consume, or at ``i_max``, and
-    returns ``(v, iterations, converged)``.
+    matrix. ``method`` is one of ``AUGMENTED_METHODS``: ``sgs`` runs
+    :func:`_sgs_sweeps` on the bordered matrix, and ``pcg_jacobi`` and
+    ``pcg_sgs`` run :func:`pcg_solve` preconditioned by that splitting
+    (:func:`_preconditioner`). Every method stops on the relative residual of
+    the *original* system, the one outer solvers consume, or at ``i_max``,
+    and returns ``(v, iterations, converged)``.
     """
-    matrix, s = _checked(operator, s, eps, tol, method, AUGMENTED_METHODS, i_max)
+    matrix, s = _checked(operator, s, eps, tol, method, i_max)
     bordered = _bordered_matrix(matrix, eps)
     shat = np.concatenate([[s.sum()], s])
     rows = slice(1, None)  # the original residual, free of v1 + v2's eps-scale cancellation
@@ -384,17 +379,6 @@ def augmented_consensus_solve(operator, eps, s, method="pcg_jacobi",
         result = pcg_solve(lambda y: bordered @ y, shat, tol, i_max, minv, rows)
         x, iters, converged = result.solution, result.iterations, result.converged
     else:
-        x, iters, converged = _richardson(bordered, method, shat, rows,
+        x, iters, converged = _sgs_sweeps(bordered, shat, rows,
                                           tol * float(np.linalg.norm(s)), i_max)
     return x[0] + x[1:], iters, converged
-
-
-def plain_iteration_solve(operator, eps, s, method="jacobi", tol=1e-6, i_max=100000):
-    """Classical damped Jacobi or SGS directly on ``(eps I + A) v = s`` for one vector ``s``.
-
-    The :func:`_richardson` sweeps, kept for the robustness benchmark: these
-    stall as ``eps`` shrinks, which is exactly what the bordering removes.
-    """
-    matrix, s = _checked(operator, s, eps, tol, method, PLAIN_METHODS, i_max)
-    matrix = (matrix + eps * sp.identity(s.size)).tocsr()
-    return _richardson(matrix, method, s, slice(None), tol * float(np.linalg.norm(s)), i_max)

@@ -18,39 +18,13 @@ def read_lines(path):
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def test_robustness_writes_one_row_per_method(tmp_path):
-    methods = ["plain_jacobi", "plain_sgs", "aug_jacobi", "aug_sgs", "pcg_jacobi", "pcg_sgs"]
-    tol = 1e-6
-    converged = {}
-    # at eps 1e-2 every method converges; at 1e-6 the plain ones stall within 200 sweeps
-    for eps, i_max in (("1e-2", 100000), ("1e-6", 200)):
-        csv = tmp_path / f"robustness_{eps}.csv"
-        code = main(["robustness", "--graph", "path:6", "--eps-list", eps,
-                     "--methods", ",".join(methods), "--tol", str(tol),
-                     "--i-max", str(i_max), "--csv", str(csv)])
-        assert code == 0
-        lines = read_lines(csv)
-        assert lines[0] == "eps,method,iterations,converged,relative_residual"
-        rows = [line.split(",") for line in lines[1:]]
-        assert [row[1] for row in rows] == methods
-        converged[eps] = {row[1]: row[3] == "1" for row in rows}
-        for row in rows:
-            if row[3] == "1":
-                assert float(row[4]) <= tol
-    assert all(converged["1e-2"].values())
-    assert all(converged["1e-6"][m] for m in ("aug_sgs", "pcg_jacobi", "pcg_sgs"))
-    assert not any(converged["1e-6"][m] for m in ("plain_jacobi", "plain_sgs"))
-
-
-def test_robustness_damped_jacobi_converges_on_a_path(tmp_path):
-    # path:6 is bipartite: the undamped bordered Jacobi sweep has an
-    # eigenvalue -1 + 6e-7 at eps 1e-6 and ran 100 000 sweeps unconverged
-    csv = tmp_path / "robustness.csv"
-    assert main(["robustness", "--graph", "path:6", "--eps-list", "1e-6",
-                 "--methods", "aug_jacobi", "--csv", str(csv)]) == 0
-    _, method, iters, converged, residual = read_lines(csv)[1].split(",")
-    assert (method, converged) == ("aug_jacobi", "1")
-    assert int(iters) < 1000 and float(residual) <= 1e-6
+def test_robustness_is_no_subcommand(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["robustness", "--graph", "path:6", "--eps-list", "1e-2",
+              "--methods", "pcg_sgs", "--csv", str(tmp_path / "out.csv")])
+    assert info.value.code == 2
+    assert "invalid choice: 'robustness'" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("algo", ["apd", "extra"])
@@ -261,14 +235,6 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "argument --graph: 'path:0': graph must be connected"),
     ("ddo --graph path:-1 --m 2 --model ls --algo apd --max-iter 5 --csv {tmp}/out.csv",
      "argument --graph: 'path:-1': a graph needs an integer node count n >= 0, got n=-1"),
-    ("robustness --graph path:6 --eps-list 1e-3,abc --methods pcg_sgs --csv {tmp}/out.csv",
-     "argument --eps-list: could not convert string to float: 'abc'"),
-    ("robustness --graph path:6 --eps-list , --methods pcg_sgs --csv {tmp}/out.csv",
-     "argument --eps-list: needs one or more positive eps values"),
-    ("robustness --graph path:6 --eps-list 1e-3,0 --methods pcg_sgs --csv {tmp}/out.csv",
-     "argument --eps-list: needs one or more positive eps values"),
-    ("robustness --graph path:6 --eps-list 1e-3 --methods , --csv {tmp}/out.csv",
-     "argument --methods: expected a comma list from: plain_jacobi"),
     ("flow --problem {tmp}/qp.txt --h 0.02 --T 1 --csv {tmp}/out.csv",
      "flow: step must lie in (0, 0.01]"),
     ("compare --problem {tmp}/beta.txt --schemes implicit --out-dir {tmp}/out",
@@ -310,12 +276,6 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
     ("ddo --graph path:4 --m 2 --model logistic --algo extra --ridge -1 --max-iter 5 "
      "--csv {tmp}/out.csv",
      "ddo: ridge must be finite and nonnegative, got -1.0"),
-    ("robustness --graph path:6 --eps-list 1e-3 --methods pcg_sgs --tol -1 "
-     "--csv {tmp}/out.csv",
-     "argument --tol: expected a positive number, got '-1'"),
-    ("robustness --graph path:6 --eps-list 1e-3 --methods pcg_sgs --i-max -1 "
-     "--csv {tmp}/out.csv",
-     "argument --i-max: expected a positive integer, got '-1'"),
     ("solve --problem {tmp}/lasso.txt --scheme implicit --csv {tmp}/out.csv",
      "solve: implicit subproblem needs a quadratic objective or a pure prox part"),
     ("solve --problem {tmp}/lasso.txt --scheme semi_apd --csv {tmp}/out.csv",
@@ -352,8 +312,6 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
     ("compare --problem {tmp}/qp.txt --schemes semi_apd --stop-tol -0.001 "
      "--out-dir {tmp}/out",
      "argument --stop-tol: expected a finite nonnegative number, got '-0.001'"),
-    ("robustness --graph path:6 --eps-list 1e-3,1e400 --methods pcg_sgs --csv {tmp}/out.csv",
-     "argument --eps-list: needs one or more positive eps values, each finite"),
     ("ddo --graph path:4 --m 2 --model ls --algo aqp --max-iter 5 --csv {tmp}/out.csv",
      "argument --algo: invalid choice: 'aqp' (choose from 'apd', 'extra')"),
     ("solve --problem {tmp}/m-negative.txt --scheme semi_apdfb --csv {tmp}/out.csv",
@@ -386,21 +344,19 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "epoch-inf.csv: column epoch must hold whole numbers, got inf"),
     ("audit --csv {tmp}/k-fraction.csv --problem {tmp}/qp.txt --scheme implicit",
      "k-fraction.csv: column k must hold whole numbers, got 1.5"),
-], ids=["graph-kind", "graph-grid", "graph-disconnected", "graph-negative", "eps-float",
-        "eps-empty", "eps-zero", "methods-empty", "flow-step", "compare-beta", "compare-missing",
-        "solve-missing", "ddo-m-zero", "ddo-samples-zero", "solve-alpha-zero",
-        "solve-gamma0-zero", "flow-gamma0-zero", "audit-csv-missing", "audit-csv-empty",
-        "audit-csv-ddo", "audit-problem-missing", "audit-zero-lip", "ddo-ridge-negative",
-        "ddo-ridge-small", "ddo-ridge-nan", "ddo-extra-ridge-negative", "robustness-tol",
-        "robustness-i-max", "solve-lasso-implicit", "solve-lasso-semi-apd", "solve-zero-lip",
-        "flow-horizon-inf", "flow-horizon-nan", "flow-step-nan", "flow-diverges",
-        "flow-energy-overflows", "audit-csv-ragged", "audit-csv-cell", "solve-max-iter-negative",
-        "solve-stop-tol-nan", "solve-stop-tol-inf", "ddo-max-iter-negative", "ddo-stop-tol-inf",
-        "compare-max-iter-negative", "compare-stop-tol-negative", "eps-overflows-to-inf",
-        "ddo-algo-aqp", "file-m-negative", "file-n-zero", "file-n-fraction",
-        "file-rows-zero", "file-diag-nan", "file-weight-nan", "file-feature-nan",
-        "file-rhs-inf", "file-word", "file-ridge-negative", "graph-geometric-radius-negative",
-        "audit-k-nan", "audit-epoch-inf", "audit-k-fraction"])
+], ids=["graph-kind", "graph-grid", "graph-disconnected", "graph-negative", "flow-step",
+        "compare-beta", "compare-missing", "solve-missing", "ddo-m-zero", "ddo-samples-zero",
+        "solve-alpha-zero", "solve-gamma0-zero", "flow-gamma0-zero", "audit-csv-missing",
+        "audit-csv-empty", "audit-csv-ddo", "audit-problem-missing", "audit-zero-lip",
+        "ddo-ridge-negative", "ddo-ridge-small", "ddo-ridge-nan", "ddo-extra-ridge-negative",
+        "solve-lasso-implicit", "solve-lasso-semi-apd", "solve-zero-lip", "flow-horizon-inf",
+        "flow-horizon-nan", "flow-step-nan", "flow-diverges", "flow-energy-overflows",
+        "audit-csv-ragged", "audit-csv-cell", "solve-max-iter-negative", "solve-stop-tol-nan",
+        "solve-stop-tol-inf", "ddo-max-iter-negative", "ddo-stop-tol-inf",
+        "compare-max-iter-negative", "compare-stop-tol-negative", "ddo-algo-aqp",
+        "file-m-negative", "file-n-zero", "file-n-fraction", "file-rows-zero", "file-diag-nan",
+        "file-weight-nan", "file-feature-nan", "file-rhs-inf", "file-word", "file-ridge-negative",
+        "graph-geometric-radius-negative", "audit-k-nan", "audit-epoch-inf", "audit-k-fraction"])
 def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
     qp = write_problem(tmp_path / "qp.txt", "quadratic")
     write_problem(tmp_path / "lasso.txt", "lasso")
@@ -480,7 +436,7 @@ def test_every_readme_example_parses():
     # documented examples is a usage error here, not a surprise for a reader
     parser = build_parser()
     commands = [parser.parse_args(example).command for example in readme_examples()]
-    assert sorted(commands) == ["audit", "compare", "ddo", "flow", "robustness", "solve"]
+    assert sorted(commands) == ["audit", "compare", "ddo", "flow", "solve"]
 
 
 def test_every_readme_example_runs(tmp_path, monkeypatch):
@@ -511,8 +467,6 @@ def test_timing_records_a_wall_clock_per_step(tmp_path, command):
 SEEDED = {
     "ddo": ["ddo", "--graph", "path:4", "--m", "2", "--model", "ls", "--algo", "extra",
             "--max-iter", "5"],
-    "robustness": ["robustness", "--graph", "path:6", "--eps-list", "1e-2",
-                   "--methods", "pcg_sgs"],
 }
 
 

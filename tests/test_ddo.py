@@ -84,6 +84,26 @@ def test_numpy_integer_endpoints_give_the_same_graph():
         assert (graph_incidence(graph) != graph_incidence(Graph(4, edges))).nnz == 0
 
 
+def test_a_graph_converts_its_edges_once(monkeypatch):
+    calls = []
+
+    def counting(graph):
+        calls.append(graph.n)
+        return edge_array(graph)
+
+    edge_array = ddo._edge_array
+    monkeypatch.setattr(ddo, "_edge_array", counting)
+    graph = cycle_graph(5)
+    assert calls == [5]
+    np.testing.assert_array_equal(graph.ends, np.array(graph.edges))
+    graph_incidence(graph)
+    graph_laplacian(graph)
+    assert calls == [5]  # both read graph.ends
+    # the array is no part of a graph's identity
+    assert graph == cycle_graph(5) and hash(graph) == hash(cycle_graph(5))
+    assert "ends" not in repr(graph)
+
+
 def graph_mixing(graph):
     return mixing_matrix(graph_incidence(graph), graph_laplacian(graph))
 

@@ -65,6 +65,9 @@ GUARDS = {
     "consensus-method": (lambda tmp_path: inner.augmented_consensus_solve(
         ddo.graph_laplacian(ddo.path_graph(3)), 1e-3, np.ones(3), method="cg"),
         ValueError, "unknown method 'cg'"),
+    "consensus-method-jacobi": (lambda tmp_path: inner.augmented_consensus_solve(
+        ddo.graph_laplacian(ddo.path_graph(3)), 1e-3, np.ones(3), method="jacobi"),
+        ValueError, "unknown method 'jacobi'"),
     "file-truncated-header": (_problem_file("2 1"), ValueError, "truncated header"),
     "file-early-end": (_problem_file("2 1 0 1.0"), ValueError, "unexpected end of file"),
     "file-trailing-tokens": (_problem_file("2 1 0 1 1 1 quadratic 1 1 9"), ValueError,

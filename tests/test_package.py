@@ -183,8 +183,7 @@ def test_every_cli_option_is_read():
     unread = [f"{name} --{action.dest}" for name, sub in commands.choices.items()
               for action in sub._actions
               if action.dest not in ("help", "func") and action.dest not in read]
-    assert sorted(commands.choices) == ["audit", "compare", "ddo", "flow", "robustness",
-                                        "solve"]
+    assert sorted(commands.choices) == ["audit", "compare", "ddo", "flow", "solve"]
     assert unread == []
 
 
