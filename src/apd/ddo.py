@@ -147,20 +147,24 @@ def graph_incidence(graph):
 
 
 def mixing_matrix(incidence, laplacian):
-    """Doubly stochastic ``W = I - L / lambda_max(L)``, as CSR, from the CSR
-    Laplacian ``L`` of :func:`graph_laplacian` and the signed incidence
-    matrix ``B`` of :func:`graph_incidence` of one graph.
+    """``(W, s)``: the doubly stochastic ``W = I - L / s``, as CSR, and the
+    scale ``s >= lambda_max(L)`` it divides by, from the CSR Laplacian ``L``
+    of :func:`graph_laplacian` and the signed incidence matrix ``B`` of
+    :func:`graph_incidence` of one graph.
 
-    ``L = B'B``, so ``lambda_max(L) = |B|_2^2`` comes from
+    ``L = B'B``, so ``lambda_max(L) = |B|_2^2`` and ``s`` comes from
     :func:`operator_norm_estimate` of ``B`` on a dense copy of ``L`` (``B``
     sets only the rounding slack), an upper bound. The spectrum of ``W``
-    therefore sits in ``[0, 1]`` with a simple eigenvalue 1.
+    therefore sits in ``[0, 1]`` with a simple eigenvalue 1, and
+    ``L X = s (X - W X)``. One node has ``L = 0``: ``W = I`` and ``s = 0``,
+    which nothing divides by.
     """
     n = incidence.shape[1]
     eye = sp.identity(n, format="csr")
     if n == 1:
-        return eye
-    return eye - laplacian / operator_norm_estimate(incidence, gram=laplacian.toarray()) ** 2
+        return eye, 0.0
+    scale = operator_norm_estimate(incidence, gram=laplacian.toarray()) ** 2
+    return eye - laplacian / scale, scale
 
 
 # lam_min((I + W)/2) >= 1/2 for every W with spectrum in [0, 1], as mixing_matrix
@@ -242,31 +246,41 @@ class DdoProblem:
         return -labels[i] * features[i] / (1.0 + np.exp(margin)) + ridge[i] * x
 
     def value(self, stacked):
-        if self.kind == "least_squares":
-            res = self._residuals(stacked)
-            return 0.5 * float(np.sum(res * res)) / self.n_nodes
-        _, _, ridge = self.node_data
-        total = np.logaddexp(0.0, -self._margins(stacked)) \
-            + 0.5 * ridge * np.einsum("nm,nm->n", stacked, stacked)
-        return float(total.sum()) / self.n_nodes
+        return self._value(stacked, self._local_pass(stacked))
 
     def gradient(self, stacked):
+        return self._gradient(stacked, self._local_pass(stacked))
+
+    def value_and_gradient(self, stacked):
+        """:meth:`value` and :meth:`gradient`, bit for bit, from one pass over
+        the nodes, whose residuals or margins both read."""
+        local = self._local_pass(stacked)
+        return self._value(stacked, local), self._gradient(stacked, local)
+
+    def _local_pass(self, stacked):
+        """The per-node products: residuals ``D_i x_i - t_i`` (least squares)
+        or margins ``y_i f_i'x_i`` (logistic)."""
         if self.kind == "least_squares":
-            design, _ = self.node_data
-            grad = _rowwise_matvec(design.transpose(0, 2, 1), self._residuals(stacked))
-            return grad / self.n_nodes
-        features, labels, ridge = self.node_data
-        grad = -labels[:, None] * features / (1.0 + np.exp(self._margins(stacked)))[:, None] \
-            + ridge[:, None] * stacked
-        return grad / self.n_nodes
-
-    def _residuals(self, stacked):
-        design, target = self.node_data
-        return _rowwise_matvec(design, stacked) - target
-
-    def _margins(self, stacked):
+            design, target = self.node_data
+            return _rowwise_matvec(design, stacked) - target
         features, labels, _ = self.node_data
         return labels * _rowwise_matvec(features[:, None, :], stacked)[:, 0]
+
+    def _value(self, stacked, local):
+        if self.kind == "least_squares":
+            return 0.5 * float(np.sum(local * local)) / self.n_nodes
+        _, _, ridge = self.node_data
+        total = np.logaddexp(0.0, -local) + 0.5 * ridge * np.einsum("nm,nm->n", stacked, stacked)
+        return float(total.sum()) / self.n_nodes
+
+    def _gradient(self, stacked, local):
+        if self.kind == "least_squares":
+            design, _ = self.node_data
+            return _rowwise_matvec(design.transpose(0, 2, 1), local) / self.n_nodes
+        features, labels, ridge = self.node_data
+        grad = -labels[:, None] * features / (1.0 + np.exp(local))[:, None] \
+            + ridge[:, None] * stacked
+        return grad / self.n_nodes
 
     @cached_property
     def laplacian(self):
@@ -408,22 +422,38 @@ def apd_ddo_step(state, ctx, alpha):
 
 @dataclass
 class ExtraState:
+    """An Extra iterate ``x`` with what was formed at it: ``w_x = W x`` and the
+    local model's ``value`` and ``grad``. The next step reads ``w_x`` and
+    ``grad``, and :func:`run_ddo`'s records read ``value`` and ``w_x``. The
+    ``*_prev`` fields are the previous iterate's, ``None`` at the start."""
+
     x: np.ndarray
+    w_x: np.ndarray
+    value: float
+    grad: np.ndarray
     x_prev: np.ndarray = None
+    w_x_prev: np.ndarray = None
     grad_prev: np.ndarray = None
-    w_x_prev: np.ndarray = None  # W x_prev, formed by the step that left x_prev
+
+    @classmethod
+    def start(cls, x, problem, w):
+        """A run's start at ``x``: one product with ``w`` and one local pass."""
+        value, grad = problem.value_and_gradient(x)
+        return cls(x, w @ x, value, grad)
 
 
 def extra_step(state, problem, w, alpha):
     """One Extra update with mixing matrix ``w``; the first, with no ``x_prev``,
     is the initialization step. ``(I + W)/2 x_prev`` is the mean of ``x_prev``
-    and the previous step's ``W x_prev``: one product with ``w`` per step."""
-    grad = problem.gradient(state.x)
-    w_x = w @ state.x
-    x_next = w_x - alpha * grad
+    and its carried ``W x_prev``. The step forms ``W x_next`` and, in one
+    local pass, the value and gradient at ``x_next``: one product with ``w``
+    per step."""
+    x_next = state.w_x - alpha * state.grad
     if state.x_prev is not None:
         x_next += state.x - 0.5 * (state.x_prev + state.w_x_prev) + alpha * state.grad_prev
-    return ExtraState(x=x_next, x_prev=state.x, grad_prev=grad, w_x_prev=w_x)
+    value, grad = problem.value_and_gradient(x_next)
+    return ExtraState(x_next, w @ x_next, value, grad,
+                      x_prev=state.x, w_x_prev=state.w_x, grad_prev=state.grad)
 
 
 def extra_step_size(problem):
@@ -470,14 +500,21 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     too: a step that leaves ``theta`` below the restart threshold starts a
     new epoch from ``(x, x, lam)``, with ``gamma`` kept when ``mu > 0`` and
     back at ``lip`` otherwise; its states carry no residual, which no record
-    reads. ``extra`` runs :func:`extra_step` with the :func:`mixing_matrix`
-    of the graph and the step of :func:`extra_step_size`.
+    reads. ``extra`` runs :func:`extra_step` from :meth:`ExtraState.start`
+    with the :func:`mixing_matrix` ``W`` of the graph, its scale ``s`` and
+    the step of :func:`extra_step_size`.
     Each :class:`DdoRecord` holds the objective gap against a centralized
-    solve (``f_ref``) and ``|L X|``, formed every step, and with ``timing``
-    the step's wall time. Their sum is the stop measure. The run ends with
-    status
+    solve (``f_ref``) and ``|L X|``, and with ``timing`` the step's wall
+    time. Their sum is the stop measure. ``apd`` forms both afresh every
+    step, ``|L X|`` as ``|B'(B X)|``. ``extra`` reads the gap from the
+    state's value and carries ``|L X| = s |X - W X|`` from the state's
+    ``W X``, which agrees with ``|B'(B X)|`` to rounding; record 0, the
+    last record and each record whose carried measure reaches ``stop_tol``
+    hold ``|B'(B X)|`` instead. The run ends with status
 
-    - ``converged`` when the measure reaches ``stop_tol``;
+    - ``converged`` when the measure reaches ``stop_tol``, on a fresh
+      ``|B'(B X)|``; a carried measure that reaches it while the fresh one
+      misses does not end the run;
     - ``precision_floor`` (``apd`` only) when an epoch ends without lowering
       the measure below every earlier epoch end; the records end at that
       step, and the returned ``x`` is the best iterate measured, as the
@@ -505,26 +542,37 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
         def step(state):
             state = epochs.begin(state)
             return apd_ddo_step(state, ctx, step_size(rule, state.scaling))
+
+        def record(k, wall, fresh):  # every apd record is fresh
+            return DdoRecord(k, abs(problem.value(state.x) - f_ref),
+                             problem.consensus_residual(state.x), wall)
     else:
-        w = mixing_matrix(problem.incidence, problem.laplacian)
-        state = ExtraState(x=x0)
+        w, scale = mixing_matrix(problem.incidence, problem.laplacian)
+        state = ExtraState.start(x0, problem, w)
         alpha = extra_step_size(problem)
 
         def step(state):
             return extra_step(state, problem, w, alpha)
 
-    def snapshot(k, wall):
-        return DdoRecord(k=k, obj_gap=abs(problem.value(state.x) - f_ref),
-                         consensus_residual=problem.consensus_residual(state.x), wall_ns=wall)
+        def record(k, wall, fresh):
+            residual = problem.consensus_residual(state.x) if fresh \
+                else scale * float(np.linalg.norm(state.x - state.w_x))
+            return DdoRecord(k, abs(state.value - f_ref), residual, wall)
 
-    records = [snapshot(0, 0)]
+    carried = algo == "extra"
+    records = [record(0, 0, fresh=True)]
+    fresh = True
     status = "max_iter"
     for k in range(max_iter):
         started = time.perf_counter_ns() if timing else 0
         state = step(state)
         wall = time.perf_counter_ns() - started if timing else 0
-        records.append(snapshot(k + 1, wall))
-        rec = records[-1]
+        fresh = not carried
+        rec = record(k + 1, wall, fresh)
+        if not fresh and stop_tol > 0 and rec.obj_gap + rec.consensus_residual <= stop_tol:
+            fresh = True  # a stop rests on a fresh |L X| only
+            rec = record(k + 1, wall, fresh)
+        records.append(rec)
         measure = rec.obj_gap + rec.consensus_residual
         floor = epochs is not None and epochs.at_floor(state, measure)
         if stop_tol > 0 and measure <= stop_tol:
@@ -533,4 +581,6 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
         if floor:
             status, state = "precision_floor", epochs.best_state
             break
+    if not fresh:
+        records[-1] = record(records[-1].k, records[-1].wall_ns, fresh=True)
     return DdoRun(records, status, f_ref, state.x)

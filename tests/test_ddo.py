@@ -105,7 +105,8 @@ def test_a_graph_converts_its_edges_once(monkeypatch):
 
 
 def graph_mixing(graph):
-    return mixing_matrix(graph_incidence(graph), graph_laplacian(graph))
+    w, _ = mixing_matrix(graph_incidence(graph), graph_laplacian(graph))
+    return w
 
 
 def test_mixing_matrix_path():
@@ -419,7 +420,7 @@ def test_extra_transcript_matches_reimplementation():
     prob = build_ddo_problem(graph, 1, "least_squares", seed=3, samples=3)
     w = graph_mixing(graph)
     alpha = extra_step_size(prob)
-    state = ExtraState(x=np.zeros((2, 1)))
+    state = ExtraState.start(np.zeros((2, 1)), prob, w)
     xs = [state.x]
     for _ in range(10):
         state = extra_step(state, prob, w, alpha)
@@ -451,20 +452,23 @@ class CountingOperator:
 
 
 def test_extra_step_makes_one_product_with_w():
-    # (I + W)/2 x_prev is the mean of x_prev and the W x_prev of the step before
+    # (I + W)/2 x_prev is the mean of x_prev and the W x_prev of the step
+    # before; the start forms W x_0, and each step the W x of its own result
     prob, _ = shared_minimizer_problem()
-    w = CountingOperator(mixing_matrix(prob.incidence, prob.laplacian))
+    w = CountingOperator(mixing_matrix(prob.incidence, prob.laplacian)[0])
     alpha = extra_step_size(prob)
-    state = ExtraState(x=np.random.default_rng(7).standard_normal((4, 3)))
+    state = ExtraState.start(np.random.default_rng(7).standard_normal((4, 3)), prob, w)
+    assert w.products == 1
     for k in range(1, 6):
         state = extra_step(state, prob, w, alpha)
-        assert w.products == k
+        assert w.products == k + 1
+        np.testing.assert_array_equal(state.w_x, w.matrix @ state.x)
 
 
 def test_extra_identity_mixing_is_gradient_descent():
     prob, _ = shared_minimizer_problem()
     alpha = 0.1
-    state = ExtraState(x=np.zeros((4, 3)))
+    state = ExtraState.start(np.zeros((4, 3)), prob, np.eye(4))
     xs = [state.x]
     for _ in range(6):
         state = extra_step(state, prob, np.eye(4), alpha)
@@ -477,10 +481,11 @@ def test_extra_identity_mixing_is_gradient_descent():
 
 def test_extra_fixed_point():
     prob, x_hat = shared_minimizer_problem()
-    w = mixing_matrix(prob.incidence, prob.laplacian)
+    w, _ = mixing_matrix(prob.incidence, prob.laplacian)
     stacked = np.tile(x_hat, (4, 1))
-    state = ExtraState(x=stacked.copy(), x_prev=stacked.copy(),
-                       grad_prev=prob.gradient(stacked), w_x_prev=w @ stacked)
+    start = ExtraState.start(stacked.copy(), prob, w)
+    state = ExtraState(start.x, start.w_x, start.value, start.grad, x_prev=stacked.copy(),
+                       w_x_prev=start.w_x, grad_prev=start.grad)
     out = extra_step(state, prob, w, extra_step_size(prob))
     np.testing.assert_allclose(out.x, stacked, atol=1e-12)
 
@@ -494,7 +499,8 @@ def test_sparse_mixing_matches_dense_over_fifty_steps():
     for kind in ("least_squares", "logistic"):
         prob = build_ddo_problem(graph, 3, kind, seed=6)
         alpha = extra_step_size(prob)
-        sparse_state, dense_state = ExtraState(x=x0), ExtraState(x=x0)
+        sparse_state = ExtraState.start(x0, prob, w)
+        dense_state = ExtraState.start(x0, prob, dense)
         for _ in range(50):
             sparse_state = extra_step(sparse_state, prob, w, alpha)
             dense_state = extra_step(dense_state, prob, dense, alpha)
@@ -598,6 +604,118 @@ def test_run_ddo_apd_applies_the_incidence_by_hand_count(monkeypatch, graph, app
     assert run.status == "max_iter" and run.records[-1].k == 24
     (constraint,) = built
     assert (constraint.applies, constraint.adjoints) == (applies, 24)
+
+
+def run_extra_with_states(monkeypatch, prob, max_iter, stop_tol):
+    """An Extra run and the state of each record: the start's, then each step's."""
+    start, step = ExtraState.start, ddo.extra_step
+    states = []
+
+    def recording_start(cls, *args):
+        states.append(start(*args))
+        return states[-1]
+
+    def recording_step(*args):
+        states.append(step(*args))
+        return states[-1]
+
+    monkeypatch.setattr(ExtraState, "start", classmethod(recording_start))
+    monkeypatch.setattr(ddo, "extra_step", recording_step)
+    return run_ddo(prob, "extra", max_iter, stop_tol=stop_tol), states
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+def test_every_extra_record_holds_the_consensus_residual_to_rounding(monkeypatch, kind):
+    # An Extra record carries |L X| = s |X - W X| from the step's W X, where
+    # W = I - L/s. With u = eps/2, d the largest degree and N = n m, to first
+    # order in u:
+    # - the stored W errs entrywise by u (|L|/s + I), and | |L| |_2 <= 2d <= 2s,
+    #   so W X errs by 3u |X|;
+    # - a row of W X sums d + 1 terms of the nonnegative W, with |W|_2 <= 1:
+    #   (d + 1) u |X|;
+    # - X - W X rounds by u (|X| + |W X|) <= 2u |X|;
+    # - the norm, a sum of N squares, and the product with s err by
+    #   (N/2 + 2) u |L X|, and |L X| <= s |X|, as I - W has spectrum in [0, 1].
+    # So the carried value is within (d + N/2 + 8) u s |X| of |L X|. The fresh
+    # |B'(B X)| rounds B X by u |B| |X| and a row of B' by d u, against the
+    # signless Laplacian |B'| |B| of norm <= 2d <= 2s, and its norm by
+    # (N/2 + 1) u |L X|: within (2d + N/2 + 3) u s |X|. Together:
+    # |carried - fresh| <= c eps s |X| with c = (3d + N + 11) / 2.
+    prob = build_ddo_problem(random_geometric_graph(30, 0.4, 2), 3, kind, seed=5)
+    stop_tol = 1e-8
+    run, states = run_extra_with_states(monkeypatch, prob, 5000, stop_tol)
+    assert run.status == "converged" and len(states) == len(run.records)
+    _, scale = mixing_matrix(prob.incidence, prob.laplacian)
+    degree = np.bincount(prob.graph.ends.ravel()).max()
+    c = (3 * degree + prob.dim + 11) / 2
+    eps = np.finfo(float).eps
+    for rec, state in zip(run.records, states):
+        fresh = prob.consensus_residual(state.x)
+        assert abs(rec.consensus_residual - fresh) <= c * eps * scale * np.linalg.norm(state.x), \
+            rec.k
+        assert rec.obj_gap == abs(prob.value(state.x) - run.f_ref), rec.k
+    # the stop rests on a fresh |L X|, of the iterate returned
+    last = run.records[-1]
+    np.testing.assert_array_equal(run.x, states[-1].x)
+    assert last.consensus_residual == prob.consensus_residual(run.x)
+    assert last.obj_gap + last.consensus_residual <= stop_tol
+
+
+@pytest.mark.parametrize("max_iter, stop_tol, inflate", [
+    pytest.param(0, 0.0, 1.0, id="start-only"),
+    pytest.param(24, 0.0, 1.0, id="max-iter"),
+    pytest.param(5000, 1e-8, 1.0, id="converged"),
+    pytest.param(5000, 1e-8, 1.5, id="fresh-checks-miss"),
+])
+def test_run_ddo_extra_multiplies_by_hand_count(monkeypatch, max_iter, stop_tol, inflate):
+    # K steps make K + 1 products with W: the start's W X_0 and each step's W
+    # X_{k+1}. B and B' are applied once each (one consensus_apply) for record
+    # 0, for the record that ends the run and for each step whose carried
+    # measure reaches stop_tol while the fresh one misses; inflating the fresh
+    # residual makes such misses
+    prob = build_ddo_problem(random_geometric_graph(30, 0.4, 2), 3, "logistic", seed=5)
+    mixing, apply, residual = (ddo.mixing_matrix, ddo.DdoProblem.consensus_apply,
+                               ddo.DdoProblem.consensus_residual)
+    mixed, applied = [], []
+
+    def counting_mixing(incidence, laplacian):
+        w, scale = mixing(incidence, laplacian)
+        mixed.append((CountingOperator(w), scale))
+        return mixed[-1]
+
+    def counting_apply(self, stacked):
+        applied.append(stacked)
+        return apply(self, stacked)
+
+    monkeypatch.setattr(ddo, "mixing_matrix", counting_mixing)
+    monkeypatch.setattr(ddo.DdoProblem, "consensus_apply", counting_apply)
+    monkeypatch.setattr(ddo.DdoProblem, "consensus_residual",
+                        lambda self, stacked: inflate * residual(self, stacked))
+    run, states = run_extra_with_states(monkeypatch, prob, max_iter, stop_tol)
+    ((w, scale),) = mixed
+    steps = len(run.records) - 1
+    assert run.status == ("converged" if stop_tol else "max_iter")
+    assert w.products == steps + 1
+    carried = [abs(state.value - run.f_ref) + scale * float(np.linalg.norm(state.x - state.w_x))
+               for state in states[1:-1]]
+    misses = sum(measure <= stop_tol for measure in carried)
+    assert len(applied) == (1 if steps == 0 else 2 + misses)
+    assert misses > 0 if inflate > 1 else misses == 0
+    np.testing.assert_array_equal(applied[-1], run.x)
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+def test_run_ddo_extra_on_one_node_records_a_zero_consensus_residual(kind):
+    # one node has W = I and L = 0: no lambda_max(L) scales the carried |L X|
+    prob = build_ddo_problem(Graph(1, ()), 3, kind, seed=2)
+    w, scale = mixing_matrix(prob.incidence, prob.laplacian)
+    assert scale == 0.0
+    np.testing.assert_array_equal(w.toarray(), np.eye(1))
+    with np.errstate(all="raise"):  # no division by zero, no NaN
+        run = run_ddo(prob, "extra", 30)
+    assert [rec.consensus_residual for rec in run.records] == [0.0] * 31
+    assert all(np.isfinite(rec.obj_gap) for rec in run.records)
+    assert np.all(np.isfinite(run.x))
 
 
 def test_run_ddo_apd_least_squares_restarts_to_a_tolerance_the_decaying_steps_miss():

@@ -4,6 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -25,12 +27,13 @@ def test_hash_runs_repeats_its_digests_and_restores_what_it_wraps(monkeypatch, c
         assert tool.main(["--seeds", "101", "--tiny"]) == 0
         outputs.append(capsys.readouterr().out.splitlines())
     assert outputs[0] == outputs[1]
-    names = [name for _, name in tool.HASHED] + ["iterates", "outcomes"]
+    names = [name for _, name in tool.HASHED] + ["iterates", "ddo_iterates", "outcomes"]
     assert [line.split()[0] for line in outputs[0]] == names
     assert all(int(line.split()[1]) > 0 and len(line.split()[2]) == 64 for line in outputs[0])
-    # one iterates entry per run_solver call
+    # one iterates entry per run_solver call, one ddo_iterates entry per run_ddo call
     calls = {line.split()[0]: line.split()[1] for line in outputs[0]}
     assert calls["iterates"] == calls["run_solver"]
+    assert calls["ddo_iterates"] == calls["run_ddo"]
     assert [getattr(module, name) for module, name in tool.HASHED] == originals
 
 
@@ -53,3 +56,32 @@ def test_hash_runs_exits_1_and_names_each_case_that_is_not_ok(monkeypatch, capsy
                and line.endswith("raised RuntimeError: broken on purpose") for line in failed)
     assert {line.split()[7] for line in failed} == {
         "logistic.apd:", "logistic.extra:", "least_squares.apd:", "least_squares.extra:"}
+
+
+def test_ddo_iterates_covers_the_final_iterate_and_not_the_records(monkeypatch, capsys):
+    tool = _load_hash_runs(monkeypatch)
+    monkeypatch.setattr(tool.workloads, "WORKLOADS", {"ddo": tool.workloads.WORKLOADS["ddo"]})
+    run_ddo = tool.ddo.run_ddo
+
+    def table(shift=None):
+        def shifted(*args, **kwargs):
+            run = run_ddo(*args, **kwargs)
+            if shift == "records":
+                for rec in run.records:
+                    rec.consensus_residual = np.nextafter(rec.consensus_residual, np.inf)
+            elif shift == "x":
+                run.x = np.nextafter(run.x, np.inf)
+            return run
+
+        monkeypatch.setattr(tool.ddo, "run_ddo", shifted)
+        assert tool.main(["--seeds", "101", "--tiny"]) == 0
+        return {line.split()[0]: line.split()[2] for line in capsys.readouterr().out.splitlines()}
+
+    plain, records, x = table(), table("records"), table("x")
+    # one ulp in every recorded residual moves run_ddo's digest only
+    assert records["run_ddo"] != plain["run_ddo"]
+    assert records["ddo_iterates"] == plain["ddo_iterates"]
+    # one ulp in the final iterate moves both
+    assert x["run_ddo"] != plain["run_ddo"]
+    assert x["ddo_iterates"] != plain["ddo_iterates"]
+    assert x["outcomes"] == records["outcomes"] == plain["outcomes"]

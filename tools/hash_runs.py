@@ -14,9 +14,11 @@ of every workload as the benchmark does (set ``i`` from the ``i``-th child of
 attribute, and puts them back afterwards. It prints one SHA-256 per function,
 over every call's result in call order; one, ``iterates``, over what each
 ``run_solver`` call ends on (final ``x``, ``v`` and ``lam``, status and record
-count), without the recorded floats; and one over every case outcome. Wall
-clocks (``wall_ns``) are skipped. A change that moves only the bits of the
-records thus shows its iterates unchanged. To compare two checkouts, copy
+count), and one, ``ddo_iterates``, over what each ``run_ddo`` call ends on
+(final ``x``, status and record count), both without the recorded floats;
+and one over every case outcome. Wall clocks (``wall_ns``) are skipped. A
+change that moves only the bits of the records thus shows its iterates
+unchanged. To compare two checkouts, copy
 this file into the other one's ``tools/`` and diff the two outputs.
 
 After the digests it names on stderr each case whose outcome is not ok, and
@@ -75,16 +77,21 @@ def feed(digest, value):
     digest.update(b";")
 
 
-def ends(run):
-    """What a ``run_solver`` result ends on, without its recorded floats."""
-    return run.state.x, run.state.v, run.state.lam, run.status, len(run.records)
+# the digests over what a result ends on, without its recorded floats, and
+# the wrapped function whose results each covers
+ENDS = {
+    "iterates": ("run_solver", lambda run: (run.state.x, run.state.v, run.state.lam,
+                                            run.status, len(run.records))),
+    "ddo_iterates": ("run_ddo", lambda run: (run.x, run.status, len(run.records))),
+}
 
 
 def digests(seeds, tiny=False):
-    """``{name: (calls, hex digest)}`` for each wrapped function, for ``iterates``
-    and for ``outcomes``, and a list naming each case whose outcome is not ok."""
+    """``{name: (calls, hex digest)}`` for each wrapped function, for each of
+    :data:`ENDS` and for ``outcomes``, and a list naming each case whose outcome
+    is not ok."""
     hashes = {name: hashlib.sha256() for _, name in HASHED}
-    hashes["iterates"] = hashlib.sha256()
+    hashes.update((name, hashlib.sha256()) for name in ENDS)
     hashes["outcomes"] = hashlib.sha256()
     calls = dict.fromkeys(hashes, 0)
     failed = []
@@ -94,9 +101,10 @@ def digests(seeds, tiny=False):
             result = original(*args, **kwargs)
             feed(hashes[name], result)
             calls[name] += 1
-            if name == "run_solver":
-                feed(hashes["iterates"], ends(result))
-                calls["iterates"] += 1
+            for digest, (source, ends) in ENDS.items():
+                if name == source:
+                    feed(hashes[digest], ends(result))
+                    calls[digest] += 1
             return result
         return call
 
