@@ -1,8 +1,9 @@
 """Decentralized consensus optimization on graphs: the primal-dual scheme,
 which is :func:`~apd.solvers.semi_apdfb_step` on the graph's
 :class:`IncidenceConstraint`, a :class:`~apd.model.LinearConstraint` whose
-Gram factor, ``op_norm`` and exact solve come from the incidence matrix, plus
-the Extra baseline."""
+exact Gram solve is a banded Cholesky factor of a sparse graph matrix, plus
+the Extra baseline. Neither algorithm takes a dense eigensolve: both read
+``lambda_max(L)`` from :func:`lambda_max_bound`."""
 
 from __future__ import annotations
 
@@ -11,12 +12,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from . import solvers
-# augmented_consensus_solve is unused here but stays bound: tracers wrap it by module attribute
+# augmented_consensus_solve and operator_norm_estimate are unused here but
+# stay bound: tracers wrap them by module attribute
 from .inner import augmented_consensus_solve  # noqa: F401
-from .model import LinearConstraint, ProblemInstance, operator_norm_estimate
+from .model import LinearConstraint, ProblemInstance
+from .model import operator_norm_estimate  # noqa: F401
 from .oracles import ZeroProx
 from .schedule import ScalingState, StepRule, step_size
 
@@ -146,24 +151,88 @@ def graph_incidence(graph):
     return sp.csr_matrix((vals, (rows, ends.ravel())), shape=(len(ends), graph.n))
 
 
-def mixing_matrix(incidence, laplacian):
+def _banded(matrix):
+    """``(order, band)`` of a sparse symmetric ``M``: its reverse Cuthill-McKee
+    order and, in that order, its lower band in LAPACK's lower banded storage,
+    ``band[i - j, j] = M[order[i], order[j]]`` for ``i >= j``. ``band`` has one
+    row more than the bandwidth; the Cholesky factor of a banded matrix keeps
+    its band, so ``scipy.linalg.cholesky_banded`` factors it in place."""
+    # imported on first use: the module adds about 1 MB to every process
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    size = matrix.shape[0]
+    order = reverse_cuthill_mckee(matrix.tocsr(), symmetric_mode=True) if size \
+        else np.arange(0)
+    position = np.empty(size, dtype=np.intp)
+    position[order] = np.arange(size)
+    entries = matrix.tocoo()
+    rows, cols = position[entries.row], position[entries.col]
+    lower = rows >= cols
+    band = np.zeros((int(np.max(rows - cols, initial=0)) + 1, size))
+    band[rows[lower] - cols[lower], cols[lower]] = entries.data[lower]
+    return order, band
+
+
+def lambda_max_bound(laplacian):
+    """An upper bound ``s >= lambda_max(L)`` for the CSR Laplacian ``L`` of a
+    :class:`Graph`, within about ``1e-10 s`` of it, with no dense eigensolve.
+
+    Lanczos (``eigsh``, ``tol=1e-10``, from a fixed start, so a run repeats
+    bit for bit) estimates the largest eigenpair ``(lam, v)``. The trial
+    ``t = lam + r + c``, with the residual ``r = |L v - lam v|``, is then
+    certified by the banded Cholesky factor of ``t I - L`` in the reverse
+    Cuthill-McKee order of :func:`_banded`, with band ``k``. The factor exists
+    only when ``t I - L + E`` is positive definite, where Cholesky's backward
+    error has ``|E|_2 <= (2k + 1) gamma_{k+1} max_i (t - d_i)`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 10.1); the slack
+    ``c = 2 (k + 1)(k + 2) eps (|lam| + r)`` covers that and the rounding of
+    ``t - d_i``, so ``s = t + c``. When Lanczos does not converge, or the
+    factor fails because ``lam`` is not the largest eigenvalue, ``s`` is the
+    edge bound ``max (d_i + d_j)`` over the edges ``(i, j)`` (Anderson and
+    Morley, *Linear Multilinear Algebra* 1985), which always holds but was
+    1.8 to 1.9 times too large on 400-node geometric graphs. One node has
+    ``L = 0`` and ``s = 0``.
+    """
+    size = laplacian.shape[0]
+    if size < 2:
+        return 0.0
+    degrees = laplacian.diagonal()
+    entries = laplacian.tocoo()
+    edge_bound = float(np.max(degrees[entries.row] + degrees[entries.col],
+                              where=entries.row != entries.col, initial=0.0))
+    try:
+        (lam,), vec = eigsh(laplacian, k=1, which="LA", tol=1e-10,
+                            v0=np.cos(np.arange(size)))  # not constant: not in ker L
+    except ArpackNoConvergence:
+        return edge_bound
+    residual = float(np.linalg.norm(laplacian @ vec[:, 0] - lam * vec[:, 0]))
+    _, band = _banded(laplacian)
+    slack = 2.0 * band.shape[0] * (band.shape[0] + 1) * np.finfo(float).eps \
+        * (abs(lam) + residual)
+    trial = float(lam) + residual + slack
+    shifted = -band
+    shifted[0] += trial
+    try:
+        sla.cholesky_banded(shifted, lower=True, overwrite_ab=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return edge_bound
+    return trial + slack
+
+
+def mixing_matrix(laplacian):
     """``(W, s)``: the doubly stochastic ``W = I - L / s``, as CSR, and the
     scale ``s >= lambda_max(L)`` it divides by, from the CSR Laplacian ``L``
-    of :func:`graph_laplacian` and the signed incidence matrix ``B`` of
-    :func:`graph_incidence` of one graph.
+    of :func:`graph_laplacian`.
 
-    ``L = B'B``, so ``lambda_max(L) = |B|_2^2`` and ``s`` comes from
-    :func:`operator_norm_estimate` of ``B`` on a dense copy of ``L`` (``B``
-    sets only the rounding slack), an upper bound. The spectrum of ``W``
+    ``s`` is the certified :func:`lambda_max_bound`. The spectrum of ``W``
     therefore sits in ``[0, 1]`` with a simple eigenvalue 1, and
     ``L X = s (X - W X)``. One node has ``L = 0``: ``W = I`` and ``s = 0``,
     which nothing divides by.
     """
-    n = incidence.shape[1]
+    n = laplacian.shape[0]
     eye = sp.identity(n, format="csr")
     if n == 1:
         return eye, 0.0
-    scale = operator_norm_estimate(incidence, gram=laplacian.toarray()) ** 2
+    scale = lambda_max_bound(laplacian)
     return eye - laplacian / scale, scale
 
 
@@ -378,30 +447,41 @@ def reference_objective(problem):
 # the consensus constraint and the algorithm steps
 # ---------------------------------------------------------------------------
 
+# the banded factors an IncidenceConstraint keeps, the oldest dropped first:
+# run_ddo's mu = 0 epochs take 20 steps from theta = 1 to the restart
+# threshold, and each restarted epoch repeats those steps' (shift, scale) pairs
+_GRAM_FACTORS = 32
+
+
 class IncidenceConstraint(LinearConstraint):
     """The consensus constraint ``A = B kron I_m``, ``b = 0``, of a problem's
     signed incidence matrix ``B`` on its ``(n, m)`` node stacks flattened row
     by row. It takes the stacks as they are: :meth:`apply` is ``B X`` and
     :meth:`apply_adjoint` is ``B' Lam``; no ``kron(B, I)`` or dense ``B``.
 
-    Its Gram factor is that of ``B`` (:meth:`gram_root`), as is ``op_norm``:
-    ``|B kron I|_2 = |B|_2``. The first ``B'B = L`` eigenpair spans ``ker L``,
-    the constants of a connected graph, and is left out (:attr:`null_pairs`),
-    so the primal ``semi_apdfb`` solve never divides a rounding residue in
-    ``ker A`` by a vanishing shift.
+    ``op_norm`` is ``|B kron I|_2 = |B|_2 = lambda_max(L)^{1/2}`` from
+    :func:`lambda_max_bound`. The Gram solve of
+    :meth:`~apd.model.LinearConstraint.gram_solve` is exact: its
+    :meth:`shifted_gram_solve` factors ``shift I + scale G``, with ``G`` the
+    smaller sparse Gram matrix of ``B`` (``L = B'B`` when ``|E| > n``, ``BB'``
+    otherwise, as on a tree), by banded Cholesky in ``G``'s reverse
+    Cuthill-McKee order, one factor per ``(shift, scale)`` pair. No dense
+    ``n x n`` matrix is formed, and no eigensolve runs.
 
-    :func:`run_ddo` builds one per call into its run context, so the factor
-    lives only as long as the run. Cached on the :class:`DdoProblem` it would
-    hold about ``n^2`` doubles (1.3 MB at 400 nodes) for as long as the
-    problem lives, in every problem a caller keeps, to save one eigensolve
-    (about 20 ms at 400 nodes) per later call."""
+    :func:`run_ddo` builds one per call into its run context, so the order and
+    the factors live only as long as the run. It keeps the factors of the last
+    ``_GRAM_FACTORS`` pairs, each ``(k + 1) n`` doubles for bandwidth ``k``
+    (about 0.2 MB on a 400-node benchmark graph): restarted epochs with
+    ``mu = 0`` repeat their pairs and reuse every factor, and a run whose pairs
+    never repeat holds no more than that many."""
 
     rhs = 0.0
-    null_pairs = 1
 
     def __init__(self, problem):
         self.incidence, self._incidence_t = problem.incidence, problem._incidence_t
+        self.laplacian = problem.laplacian
         self.rows, self.cols = problem.incidence.shape[0] * problem.block_size, problem.dim
+        self._factors = {}
 
     def apply(self, x):
         return self.incidence @ x
@@ -409,8 +489,40 @@ class IncidenceConstraint(LinearConstraint):
     def apply_adjoint(self, lam):
         return self._incidence_t @ lam
 
-    def gram_root(self):
-        return self.incidence
+    @cached_property
+    def op_norm(self):
+        return float(np.sqrt(lambda_max_bound(self.laplacian)))
+
+    @cached_property
+    def _band(self):
+        """:func:`_banded` of ``G``."""
+        gram = self.incidence @ self._incidence_t if self.rows <= self.cols else self.laplacian
+        return _banded(gram)
+
+    def shifted_gram_solve(self, shift, scale, rhs):
+        """``(shift I + scale G)^{-1} rhs`` by the banded factor of the pair.
+
+        On the ``A'A`` side ``G = L``, whose kernel holds the constants, and
+        ``rhs = B' r`` has zero column means but for rounding. The means of
+        ``rhs`` and of the solution are taken off, so the solve never divides
+        a rounding residue in ``ker A`` by a small ``shift``."""
+        order, band = self._band
+        factor = self._factors.get((shift, scale))
+        if factor is None:
+            if len(self._factors) == _GRAM_FACTORS:
+                del self._factors[next(iter(self._factors))]  # the oldest
+            shifted = scale * band
+            shifted[0] += shift
+            factor = self._factors[shift, scale] = sla.cholesky_banded(
+                shifted, lower=True, overwrite_ab=True, check_finite=False)
+        deflate = self.rows > self.cols
+        if deflate:
+            rhs = rhs - rhs.mean(axis=0)
+        out = np.empty_like(rhs)
+        out[order] = sla.cho_solve_banded((factor, True), rhs[order], check_finite=False)
+        if deflate:
+            out -= out.mean(axis=0)
+        return out
 
 
 def apd_ddo_step(state, ctx, alpha):
@@ -494,15 +606,18 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     ``algo`` is one of :data:`ALGORITHMS`, checked first. ``apd`` runs
     :func:`apd_ddo_step` in one :class:`~apd.solvers.RunContext` of
     ``problem`` as the smooth part and its :class:`IncidenceConstraint`,
-    built and factored once per call and dropped with the context, from
+    built once per call and dropped with the context: each step takes one
+    exact global solve with the banded factor of its ``(shift, scale)``
+    pair, a centralized operation, not a gossip round. It runs from
     ``gamma0 = lip`` with step size ``sqrt(gamma / lip)``, in the epochs of
     :class:`~apd.solvers.Epochs` that :func:`~apd.solvers.run_solver` runs
     too: a step that leaves ``theta`` below the restart threshold starts a
     new epoch from ``(x, x, lam)``, with ``gamma`` kept when ``mu > 0`` and
     back at ``lip`` otherwise; its states carry no residual, which no record
     reads. ``extra`` runs :func:`extra_step` from :meth:`ExtraState.start`
-    with the :func:`mixing_matrix` ``W`` of the graph, its scale ``s`` and
-    the step of :func:`extra_step_size`.
+    with the :func:`mixing_matrix` ``W`` of the graph, its certified scale
+    ``s >= lambda_max(L)`` and the step of :func:`extra_step_size`. Neither
+    takes a dense eigensolve.
     Each :class:`DdoRecord` holds the objective gap against a centralized
     solve (``f_ref``) and ``|L X|``, and with ``timing`` the step's wall
     time. Their sum is the stop measure. ``apd`` forms both afresh every
@@ -547,7 +662,7 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
             return DdoRecord(k, abs(problem.value(state.x) - f_ref),
                              problem.consensus_residual(state.x), wall)
     else:
-        w, scale = mixing_matrix(problem.incidence, problem.laplacian)
+        w, scale = mixing_matrix(problem.laplacian)
         state = ExtraState.start(x0, problem, w)
         alpha = extra_step_size(problem)
 

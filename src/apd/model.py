@@ -32,14 +32,14 @@ class LinearConstraint:
     upper bound on ``|A|_2`` as the step rules and the theta certificates
     assume, comes from :attr:`gram_factor` unless an instance sets its own.
     That default, the implicit range-space route, the semi-smooth Newton
-    routes and ``semi_apdfb``'s Gram solve need :meth:`matrix` or
-    :meth:`gram_root`: a constraint with neither runs only ``semi_apd`` and
-    ``ex_apdfb``, and only with ``op_norm`` set.
+    routes and ``semi_apdfb``'s Gram solve need :meth:`matrix`, unless a
+    subclass sets ``op_norm`` and its own :meth:`shifted_gram_solve`, as
+    :class:`~apd.ddo.IncidenceConstraint` does: a constraint with neither
+    runs only ``semi_apd`` and ``ex_apdfb``, and only with ``op_norm`` set.
     """
 
     rows = 0
     cols = 0
-    null_pairs = 0  # leading eigenpairs of A'A known to span ker A
 
     @property
     def rhs(self):
@@ -58,30 +58,17 @@ class LinearConstraint:
         """Dense matrix when available; raises otherwise."""
         raise UnsupportedOracleError(f"{type(self).__name__} has no dense form")
 
-    def gram_root(self):
-        """``M`` of :attr:`gram_factor`: ``A``, or ``B`` when ``A = B kron I``."""
-        return self.matrix()
-
     @cached_property
     def gram_factor(self):
         """Eigenpairs ``(s, U)`` of the smaller Gram matrix ``G = U diag(s) U'``
-        of :meth:`gram_root`: ``M M'`` when ``rows <= cols``, else ``M'M``
-        less its first :attr:`null_pairs` pairs. ``A`` never changes, so this
-        is one eigensolve on first use, in place on ``G``; matrix-free
-        constraints raise as :meth:`matrix` does.
-
-        The solve is LAPACK's divide and conquer (``evd``). MRRR (``evr``) is
-        erratic on matrices with clustered spectra such as graph Laplacians:
-        on the Laplacians of ten 400-node geometric graphs (radius 0.11,
-        seeds 0 to 9; one thread of a 2-core x86 VM) it took 26 to 103 ms
-        and ``evd`` 16 to 23 ms. ``evd`` needs ``1 + 6k + 2k^2`` doubles of
-        workspace for a ``k x k`` ``G``."""
-        root = self.gram_root()
-        gram = _smaller_gram(root)
-        self._norm_slack = _rounding_slack(root.shape, np.trace(gram))  # before eigh overwrites it
+        of :meth:`matrix`: ``A A'`` when ``rows <= cols``, else ``A'A``.
+        ``A`` never changes, so this is one eigensolve on first use, in place
+        on ``G``, LAPACK's divide and conquer (``evd``); matrix-free
+        constraints raise as :meth:`matrix` does."""
+        amat = self.matrix()
+        gram = _smaller_gram(amat)
+        self._norm_slack = _rounding_slack(amat.shape, np.trace(gram))  # before eigh overwrites it
         s, u = sla.eigh(gram, driver="evd", overwrite_a=True)
-        if self.rows > self.cols:
-            s, u = s[self.null_pairs:], u[:, self.null_pairs:]  # eigh sorts ascending
         return np.maximum(s, 0.0), u  # a Gram matrix has no negative eigenvalue
 
     @cached_property
@@ -92,18 +79,24 @@ class LinearConstraint:
 
     def gram_solve(self, shift, scale, rhs):
         """``(y, A'y)`` for ``y = (shift I + scale A A')^{-1} rhs``, ``shift > 0``,
-        by :attr:`gram_factor`. On the ``A A'`` side ``y = U (U' rhs) / (shift
-        + scale s)`` and ``A'y`` takes one adjoint product. On the ``A'A`` side
+        by :meth:`shifted_gram_solve`. On the ``A A'`` side that solve gives
+        ``y`` and ``A'y`` takes one adjoint product. On the ``A'A`` side
         ``A'y = (shift I + scale A'A)^{-1} A' rhs``, whose solve sees only a
         right side in the range of ``A'``, and ``y = (rhs - scale A A'y) / shift``
         takes one product with ``A``. ``rhs`` may stack columns."""
+        if self.rows <= self.cols:
+            y = self.shifted_gram_solve(shift, scale, rhs)
+            return y, self.apply_adjoint(y)
+        adjoint_y = self.shifted_gram_solve(shift, scale, self.apply_adjoint(rhs))
+        return (rhs - scale * self.apply(adjoint_y)) / shift, adjoint_y
+
+    def shifted_gram_solve(self, shift, scale, rhs):
+        """``(shift I + scale G)^{-1} rhs`` for the smaller Gram matrix ``G``,
+        ``A A'`` or ``A'A``, by :attr:`gram_factor`:
+        ``U (U' rhs) / (shift + scale s)``, one eigensolve for every ``(shift, scale)``."""
         s, u = self.gram_factor
         scaled = (shift + scale * s).reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
-        if self.rows <= self.cols:
-            y = u @ ((u.T @ rhs) / scaled)
-            return y, self.apply_adjoint(y)
-        adjoint_y = u @ ((u.T @ self.apply_adjoint(rhs)) / scaled)
-        return (rhs - scale * self.apply(adjoint_y)) / shift, adjoint_y
+        return u @ ((u.T @ rhs) / scaled)
 
 
 def _smaller_gram(matrix):

@@ -129,7 +129,10 @@ class Scheme:
     :class:`StepRule` value that the step size divides by or is, which must
     be positive; ``unusable`` is the message of a rule where it is not.
     ``prox_point`` names the iterate field that the step's prox lands on,
-    where the run's polish reads the face of ``g``.
+    where the run's polish reads the face of ``g``. ``fresh_residual`` says
+    whether the step forms ``r_x = A x - b`` from its ``x``, so that
+    :func:`~apd.solvers.run_solver` never forms it again; otherwise ``r_x``
+    is carried by a recurrence.
     """
 
     step: str
@@ -139,18 +142,19 @@ class Scheme:
     constant: str
     unusable: str
     prox_point: str
+    fresh_residual: bool
 
 
 SCHEME_TABLE = {
     "implicit": Scheme("implicit_apd_step", _free_step, _implicit_bound, False, "alpha",
-                       "free step size must be positive", "x"),
+                       "free step size must be positive", "x", True),
     "semi_apd": Scheme("semi_apd_step", _semi_apd_step, _semi_apd_bound, True, "norm_a",
-                       "semi_apd step needs a nonzero constraint operator", "x"),
+                       "semi_apd step needs a nonzero constraint operator", "x", False),
     "semi_apdfb": Scheme("semi_apdfb_step", _semi_apdfb_step, _semi_apdfb_bound, True,
                          "lip_beta", "semi_apdfb step needs a positive smoothness constant",
-                         "v"),
+                         "v", False),
     "ex_apdfb": Scheme("ex_apdfb_step", _ex_apdfb_step, _ex_apdfb_bound, True, "s_beta",
-                       "ex_apdfb step needs lip_beta + |A|^2 > 0", "v"),
+                       "ex_apdfb step needs lip_beta + |A|^2 > 0", "v", False),
 }
 SCHEMES = tuple(SCHEME_TABLE)
 

@@ -500,8 +500,10 @@ def run_solver(problem, config):
     whose ``|A x - b|`` is within ``max(stop_tol, C eps (|A| |x| + |b|))``,
     ``C = _FRESH_RESIDUAL``, the run forms it afresh and carries that on:
     any record that can decide the stop, the floor or the best state holds
-    a true residual. The run's :class:`RunContext`, which is not returned,
-    builds each ``implicit`` step system once; ``x*``'s values are formed once.
+    a true residual. A scheme whose step forms it afresh itself
+    (``fresh_residual`` in :data:`~apd.schedule.SCHEME_TABLE`) skips this.
+    The run's :class:`RunContext`, which is not returned, builds each
+    ``implicit`` step system once; ``x*``'s values are formed once.
     Raises ``ValueError`` unless ``max_iter >= 0`` and ``0 <= stop_tol < inf``.
     """
     # looked up per run, so a kkt_residual replaced on apd.model is the one called
@@ -509,7 +511,7 @@ def run_solver(problem, config):
 
     check_run_limits(config.max_iter, config.stop_tol)
     rule = make_step_rule(problem, config)
-    step_name = SCHEME_TABLE[config.scheme].step
+    scheme = SCHEME_TABLE[config.scheme]
     reference = config.reference
     if reference is None:
         try:
@@ -547,7 +549,6 @@ def run_solver(problem, config):
     status = "max_iter"
     polishing = (config.stop_tol > 0 and problem.smooth.is_quadratic
                  and not problem.is_smooth_unconstrained)
-    prox_point = SCHEME_TABLE[config.scheme].prox_point
     face = failed = None
     for k in range(config.max_iter):
         state = epochs.begin(state)
@@ -555,11 +556,12 @@ def run_solver(problem, config):
         ctx.inner_iters = 0
         started = time.perf_counter_ns() if config.timing else 0
         # looked up per step, so a step function replaced on the module is the one called
-        state = globals()[step_name](state, ctx, alpha)
+        state = globals()[scheme.step](state, ctx, alpha)
         elapsed = time.perf_counter_ns() - started if config.timing else 0
         # sqrt(r @ r) is np.linalg.norm(r) bit for bit, at half the cost
-        if epochs.ends(state) or np.sqrt(state.r_x @ state.r_x) <= max(
-                config.stop_tol, fresh_x * np.sqrt(state.x @ state.x) + fresh_b):
+        if not scheme.fresh_residual and (
+                epochs.ends(state) or np.sqrt(state.r_x @ state.r_x) <= max(
+                    config.stop_tol, fresh_x * np.sqrt(state.x @ state.x) + fresh_b)):
             state = IterateState(state.x, state.v, state.lam, state.scaling,
                                  problem.constraint.residual(state.x), state.r_v)
         rec, measure = measured(k + 1, epochs.epoch, alpha, state, ctx.inner_iters, elapsed)
@@ -569,7 +571,7 @@ def run_solver(problem, config):
             status = "converged"
             break
         if polishing:
-            face, previous = problem.nonsmooth.face(getattr(state, prox_point)), face
+            face, previous = problem.nonsmooth.face(getattr(state, scheme.prox_point)), face
             if _same_face(face, previous) and not _same_face(face, failed):
                 # a nearly singular face overflows; its measure is then nan or inf
                 # and misses

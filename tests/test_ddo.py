@@ -105,7 +105,7 @@ def test_a_graph_converts_its_edges_once(monkeypatch):
 
 
 def graph_mixing(graph):
-    w, _ = mixing_matrix(graph_incidence(graph), graph_laplacian(graph))
+    w, _ = mixing_matrix(graph_laplacian(graph))
     return w
 
 
@@ -387,18 +387,129 @@ def test_apd_steps_match_semi_apdfb_on_dense_kron(graph, kind):
                  id="complete"),
 ])
 def test_incidence_factor_drops_exactly_the_kernel_of_the_laplacian(graph):
-    # with |E| > n the factor is of B'B = L less its one zero (constant) pair;
-    # a tree's factor is of BB', which is nonsingular, and keeps every pair
+    # with |E| > n the solve is of B'B = L off its kernel, the constants: the
+    # means of the right side and of the solution are taken off; a tree's is of
+    # BB', which is nonsingular, and keeps every direction
     inc = graph_incidence(graph).toarray()
-    s, u = IncidenceConstraint(build_ddo_problem(graph, 2, "least_squares", seed=1)).gram_factor
+    constraint = IncidenceConstraint(build_ddo_problem(graph, 2, "least_squares", seed=1))
+    rhs = np.random.default_rng(3).standard_normal((inc.shape[len(graph.edges) > graph.n], 2))
     if len(graph.edges) > graph.n:
-        gram, kept = inc.T @ inc, graph.n - 1
-        np.testing.assert_allclose(u.T @ np.ones(graph.n), 0.0, atol=1e-12)
+        gram, off_kernel = inc.T @ inc, np.eye(graph.n) - 1.0 / graph.n
     else:
-        gram, kept = inc @ inc.T, len(graph.edges)
-    assert s.shape == (kept,) and u.shape == (gram.shape[0], kept)
-    assert s.min() > 1e-2
-    np.testing.assert_allclose((u * s) @ u.T, gram, atol=1e-12)
+        gram, off_kernel = inc @ inc.T, np.eye(len(graph.edges))
+    for shift, scale in ((1.0, 0.5), (1e-2, 0.3), (1e-8, 1.0)):
+        want = off_kernel @ np.linalg.solve(shift * np.eye(len(gram)) + scale * gram,
+                                            off_kernel @ rhs)
+        got = constraint.shifted_gram_solve(shift, scale, rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    if len(graph.edges) > graph.n:
+        # a constant right side lies in ker L: nothing of it is divided by the shift
+        ones = np.ones((graph.n, 2))
+        assert np.abs(constraint.shifted_gram_solve(1e-8, 1.0, ones)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(random_geometric_graph(40, 0.3, 7), id="geometric"),  # |E| > n: A'A side
+    pytest.param(path_graph(7), id="tree"),  # AA' side
+    pytest.param(Graph(1, ()), id="single"),  # no edge: A has no row
+    pytest.param(Graph(5, tuple((i, j) for i in range(5) for j in range(i + 1, 5))), id="K5"),
+])
+def test_gram_solve_matches_the_dense_kron_system(graph):
+    m = 3
+    prob = build_ddo_problem(graph, m, "least_squares", seed=2)
+    constraint = IncidenceConstraint(prob)
+    kron = np.kron(graph_incidence(graph).toarray(), np.eye(m))
+    rhs = np.random.default_rng(5).standard_normal((len(graph.edges), m))
+    for shift, scale in ((1.0, 0.5), (0.05, 0.3), (1e-2, 2.0)):
+        y, adjoint_y = constraint.gram_solve(shift, scale, rhs)
+        want = np.linalg.solve(shift * np.eye(len(kron)) + scale * kron @ kron.T, rhs.ravel())
+        assert y.shape == rhs.shape and adjoint_y.shape == (graph.n, m)
+        assert np.linalg.norm(y.ravel() - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(adjoint_y.ravel() - kron.T @ want) \
+            <= 1e-12 * max(np.linalg.norm(kron.T @ want), np.finfo(float).tiny)
+        if constraint.rows > constraint.cols:
+            # A'y = B'y has no part along the constants, to rounding
+            assert np.abs(adjoint_y.sum(axis=0)).max() <= 1e-14 * np.abs(adjoint_y).sum()
+
+
+def test_gram_solve_keeps_one_factor_per_pair_and_drops_the_oldest():
+    prob = build_ddo_problem(random_geometric_graph(30, 0.4, 2), 2, "least_squares", seed=0)
+    constraint = IncidenceConstraint(prob)
+    rhs = np.ones((len(prob.graph.edges), 2))
+    pairs = [(1.0 / (k + 1), 0.5) for k in range(ddo._GRAM_FACTORS + 3)]
+    first = constraint.gram_solve(*pairs[0], rhs)
+    factor = constraint._factors[pairs[0]]
+    again = constraint.gram_solve(*pairs[0], rhs)
+    assert constraint._factors[pairs[0]] is factor and len(constraint._factors) == 1
+    for got, want in zip(again, first):
+        np.testing.assert_array_equal(got, want)
+    for pair in pairs:
+        constraint.gram_solve(*pair, rhs)
+    assert list(constraint._factors) == pairs[-ddo._GRAM_FACTORS:]
+
+
+def _dense_lambda_max(graph):
+    return np.linalg.eigvalsh(graph_laplacian(graph).toarray()).max()
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda seed=seed: random_geometric_graph(400, 0.11, seed), id=f"geometric{seed}")
+      for seed in range(10)),
+    pytest.param(lambda: path_graph(2), id="path2"),
+    pytest.param(lambda: path_graph(50), id="path50"),
+    pytest.param(lambda: cycle_graph(3), id="cycle3"),
+    pytest.param(lambda: cycle_graph(40), id="cycle40"),  # lambda_max = 4, the edge bound
+    pytest.param(lambda: grid_graph(6, 9), id="grid"),
+    pytest.param(lambda: Graph(8, tuple((i, j) for i in range(8) for j in range(i + 1, 8))),
+                 id="complete"),
+])
+def test_lambda_max_bound_is_certified_and_tight(make):
+    graph = make()
+    dense = _dense_lambda_max(graph)
+    assert dense <= ddo.lambda_max_bound(graph_laplacian(graph)) <= (1.0 + 1e-8) * dense
+
+
+def _edge_bound(graph):
+    degrees = np.bincount(graph.ends.ravel(), minlength=graph.n)
+    return float(max(degrees[i] + degrees[j] for i, j in graph.ends))
+
+
+def test_lambda_max_bound_falls_back_to_the_edge_bound(monkeypatch):
+    graph = random_geometric_graph(60, 0.25, 4)
+    lap = graph_laplacian(graph)
+    values, vectors = np.linalg.eigh(lap.toarray())
+
+    def second_largest(matrix, **kwargs):
+        # an exact eigenpair, but not the largest: the certificate must fail
+        return values[-2:-1], vectors[:, -2:-1]
+
+    def no_convergence(matrix, **kwargs):
+        raise ddo.ArpackNoConvergence("no convergence on purpose", np.zeros(0), np.zeros((60, 0)))
+
+    for estimate in (second_largest, no_convergence):
+        monkeypatch.setattr(ddo, "eigsh", estimate)
+        bound = ddo.lambda_max_bound(lap)
+        assert bound == _edge_bound(graph)
+        assert bound >= values[-1]
+        _, scale = mixing_matrix(lap)
+        assert scale == bound
+
+
+def test_no_run_ddo_takes_a_dense_eigensolve(monkeypatch):
+    import scipy.linalg
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense eigensolve ran")
+
+    for module, name in ((scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh"),
+                         (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(module, name, dense)
+    graph = random_geometric_graph(60, 0.25, 4)
+    for kind in ("least_squares", "logistic"):
+        prob = build_ddo_problem(graph, 3, kind, seed=1)
+        for algo in ("apd", "extra"):
+            run = run_ddo(prob, algo, 5000, stop_tol=1e-5)
+            assert run.status == "converged", (kind, algo)
 
 
 def test_apd_multiplier_elimination_bookkeeping():
@@ -455,7 +566,7 @@ def test_extra_step_makes_one_product_with_w():
     # (I + W)/2 x_prev is the mean of x_prev and the W x_prev of the step
     # before; the start forms W x_0, and each step the W x of its own result
     prob, _ = shared_minimizer_problem()
-    w = CountingOperator(mixing_matrix(prob.incidence, prob.laplacian)[0])
+    w = CountingOperator(mixing_matrix(prob.laplacian)[0])
     alpha = extra_step_size(prob)
     state = ExtraState.start(np.random.default_rng(7).standard_normal((4, 3)), prob, w)
     assert w.products == 1
@@ -481,7 +592,7 @@ def test_extra_identity_mixing_is_gradient_descent():
 
 def test_extra_fixed_point():
     prob, x_hat = shared_minimizer_problem()
-    w, _ = mixing_matrix(prob.incidence, prob.laplacian)
+    w, _ = mixing_matrix(prob.laplacian)
     stacked = np.tile(x_hat, (4, 1))
     start = ExtraState.start(stacked.copy(), prob, w)
     state = ExtraState(start.x, start.w_x, start.value, start.grad, x_prev=stacked.copy(),
@@ -645,7 +756,7 @@ def test_every_extra_record_holds_the_consensus_residual_to_rounding(monkeypatch
     stop_tol = 1e-8
     run, states = run_extra_with_states(monkeypatch, prob, 5000, stop_tol)
     assert run.status == "converged" and len(states) == len(run.records)
-    _, scale = mixing_matrix(prob.incidence, prob.laplacian)
+    _, scale = mixing_matrix(prob.laplacian)
     degree = np.bincount(prob.graph.ends.ravel()).max()
     c = (3 * degree + prob.dim + 11) / 2
     eps = np.finfo(float).eps
@@ -678,8 +789,8 @@ def test_run_ddo_extra_multiplies_by_hand_count(monkeypatch, max_iter, stop_tol,
                                ddo.DdoProblem.consensus_residual)
     mixed, applied = [], []
 
-    def counting_mixing(incidence, laplacian):
-        w, scale = mixing(incidence, laplacian)
+    def counting_mixing(laplacian):
+        w, scale = mixing(laplacian)
         mixed.append((CountingOperator(w), scale))
         return mixed[-1]
 
@@ -708,7 +819,7 @@ def test_run_ddo_extra_multiplies_by_hand_count(monkeypatch, max_iter, stop_tol,
 def test_run_ddo_extra_on_one_node_records_a_zero_consensus_residual(kind):
     # one node has W = I and L = 0: no lambda_max(L) scales the carried |L X|
     prob = build_ddo_problem(Graph(1, ()), 3, kind, seed=2)
-    w, scale = mixing_matrix(prob.incidence, prob.laplacian)
+    w, scale = mixing_matrix(prob.laplacian)
     assert scale == 0.0
     np.testing.assert_array_equal(w.toarray(), np.eye(1))
     with np.errstate(all="raise"):  # no division by zero, no NaN

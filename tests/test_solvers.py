@@ -848,9 +848,10 @@ def test_run_loop_operation_counts(scheme, make, per_iter):
     # the whole-space QP has a reference, whose solve and values at x* are
     # formed once per run and cancel in the difference of the two runs; a
     # step's residuals travel with the iterate, and the run forms A x - b
-    # afresh only after a step that ends an epoch (steps 7 and 14 of implicit
-    # at alpha = 1, step 10 of semi_apdfb; at its derived 49 implicit
-    # converges before step 15), as no carried |A x - b| nears the tolerance
+    # afresh only after a step that ends an epoch (step 10 of semi_apdfb),
+    # as no carried |A x - b| nears the tolerance; implicit, whose epochs end
+    # at steps 7 and 14 at alpha = 1 (at its derived 49 it converges before
+    # step 15), forms A x - b in its own step and is never refreshed
     # (the lasso and the box QP would end on a polish, which is no step: the
     # runs take the scheme's own iterates)
     tol = 1e-12
@@ -866,8 +867,10 @@ def test_run_loop_operation_counts(scheme, make, per_iter):
         constraint = problem.constraint
         counts.append(np.array([constraint.applies, constraint.adjoints,
                                 problem.smooth.grads]))
-    refreshes = sum(rec.theta < _RESTART_THETA for rec in run.records[6:])
-    assert refreshes == {"implicit": 2, "semi_apdfb": 1}.get(scheme, 0)
+    ends = sum(rec.theta < _RESTART_THETA for rec in run.records[6:])
+    assert ends == {"implicit": 2, "semi_apdfb": 1}.get(scheme, 0)
+    # implicit forms A x - b itself, so the run forms it again after no step
+    refreshes = 0 if SCHEME_TABLE[scheme].fresh_residual else ends
     np.testing.assert_array_equal((counts[1] - counts[0] - (refreshes, 0, 0)) / 10, per_iter)
 
 

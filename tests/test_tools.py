@@ -27,13 +27,16 @@ def test_hash_runs_repeats_its_digests_and_restores_what_it_wraps(monkeypatch, c
         assert tool.main(["--seeds", "101", "--tiny"]) == 0
         outputs.append(capsys.readouterr().out.splitlines())
     assert outputs[0] == outputs[1]
-    names = [name for _, name in tool.HASHED] + ["iterates", "ddo_iterates", "outcomes"]
+    names = [name for _, name in tool.HASHED] + ["iterates", "ddo_iterates", "steps",
+                                                 "outcomes"]
     assert [line.split()[0] for line in outputs[0]] == names
     assert all(int(line.split()[1]) > 0 and len(line.split()[2]) == 64 for line in outputs[0])
-    # one iterates entry per run_solver call, one ddo_iterates entry per run_ddo call
-    calls = {line.split()[0]: line.split()[1] for line in outputs[0]}
+    # one iterates entry per run_solver call, one ddo_iterates entry per run_ddo
+    # call, and one steps entry per call of either
+    calls = {line.split()[0]: int(line.split()[1]) for line in outputs[0]}
     assert calls["iterates"] == calls["run_solver"]
     assert calls["ddo_iterates"] == calls["run_ddo"]
+    assert calls["steps"] == calls["run_solver"] + calls["run_ddo"]
     assert [getattr(module, name) for module, name in tool.HASHED] == originals
 
 
@@ -85,3 +88,41 @@ def test_ddo_iterates_covers_the_final_iterate_and_not_the_records(monkeypatch, 
     assert x["run_ddo"] != plain["run_ddo"]
     assert x["ddo_iterates"] != plain["ddo_iterates"]
     assert x["outcomes"] == records["outcomes"] == plain["outcomes"]
+
+
+def test_steps_covers_statuses_and_record_counts_and_no_float(monkeypatch, capsys):
+    tool = _load_hash_runs(monkeypatch)
+    kept = {name: tool.workloads.WORKLOADS[name] for name in ("qp_dense", "ddo")}
+    monkeypatch.setattr(tool.workloads, "WORKLOADS", kept)
+    run_ddo, run_solver = tool.ddo.run_ddo, tool.solvers.run_solver
+
+    def table(shift=None):
+        def shifted_ddo(*args, **kwargs):
+            run = run_ddo(*args, **kwargs)
+            if shift == "x":
+                run.x = np.nextafter(run.x, np.inf)
+            elif shift == "status":
+                run.status = "max_iter" if run.status != "max_iter" else "converged"
+            return run
+
+        def shifted_solver(*args, **kwargs):
+            run = run_solver(*args, **kwargs)
+            if shift == "x":
+                for rec in run.records:
+                    rec.feasibility = np.nextafter(rec.feasibility, np.inf)
+            elif shift == "records":
+                run.records.append(run.records[-1])
+            return run
+
+        monkeypatch.setattr(tool.ddo, "run_ddo", shifted_ddo)
+        monkeypatch.setattr(tool.solvers, "run_solver", shifted_solver)
+        tool.main(["--seeds", "101", "--tiny"])
+        return {line.split()[0]: line.split()[2] for line in capsys.readouterr().out.splitlines()}
+
+    plain, x, status, records = table(), table("x"), table("status"), table("records")
+    # one ulp in every final ddo iterate and every recorded feasibility moves
+    # the float digests, not steps
+    assert x["ddo_iterates"] != plain["ddo_iterates"] and x["run_solver"] != plain["run_solver"]
+    assert x["steps"] == plain["steps"]
+    # a changed status or record count moves it
+    assert status["steps"] != plain["steps"] and records["steps"] != plain["steps"]

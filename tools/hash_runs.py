@@ -16,10 +16,12 @@ over every call's result in call order; one, ``iterates``, over what each
 ``run_solver`` call ends on (final ``x``, ``v`` and ``lam``, status and record
 count), and one, ``ddo_iterates``, over what each ``run_ddo`` call ends on
 (final ``x``, status and record count), both without the recorded floats;
-and one over every case outcome. Wall clocks (``wall_ns``) are skipped. A
-change that moves only the bits of the records thus shows its iterates
-unchanged. To compare two checkouts, copy
-this file into the other one's ``tools/`` and diff the two outputs.
+one, ``steps``, over the status and record count of every ``run_solver`` and
+``run_ddo`` call, with no float at all; and one over every case outcome.
+Wall clocks (``wall_ns``) are skipped. A change that moves only the bits of
+the records thus shows its iterates unchanged, and one that moves only the
+bits of the iterates shows its steps unchanged. To compare two checkouts,
+copy this file into the other one's ``tools/`` and diff the two outputs.
 
 After the digests it names on stderr each case whose outcome is not ok, and
 exits 1 if there is one: equal digests of two checkouts can then not hide a
@@ -78,11 +80,12 @@ def feed(digest, value):
 
 
 # the digests over what a result ends on, without its recorded floats, and
-# the wrapped function whose results each covers
+# the wrapped functions whose results each covers
 ENDS = {
-    "iterates": ("run_solver", lambda run: (run.state.x, run.state.v, run.state.lam,
-                                            run.status, len(run.records))),
-    "ddo_iterates": ("run_ddo", lambda run: (run.x, run.status, len(run.records))),
+    "iterates": (("run_solver",), lambda run: (run.state.x, run.state.v, run.state.lam,
+                                               run.status, len(run.records))),
+    "ddo_iterates": (("run_ddo",), lambda run: (run.x, run.status, len(run.records))),
+    "steps": (("run_solver", "run_ddo"), lambda run: (run.status, len(run.records))),
 }
 
 
@@ -101,8 +104,8 @@ def digests(seeds, tiny=False):
             result = original(*args, **kwargs)
             feed(hashes[name], result)
             calls[name] += 1
-            for digest, (source, ends) in ENDS.items():
-                if name == source:
+            for digest, (sources, ends) in ENDS.items():
+                if name in sources:
                     feed(hashes[digest], ends(result))
                     calls[digest] += 1
             return result
