@@ -7,6 +7,7 @@ the Extra baseline. Neither algorithm takes a dense eigensolve: both read
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -107,28 +108,72 @@ def grid_graph(rows, cols):
 
 # draws of random_geometric_graph before it gives up on a connected one
 _GEOMETRIC_TRIES = 200
+# relative margin on the width of a cell: rounding in the cell index of a
+# point cannot put two points within the radius two cells apart
+_CELL_MARGIN = 1e-9
+# the 3 x 3 block of cell offsets around a cell, itself included
+_NEIGHBOUR_CELLS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
 
 def random_geometric_graph(n, radius, seed):
     """Random geometric graph on the unit square, drawn again while :class:`Graph`
-    rejects it as disconnected; ``n >= 1`` and ``radius >= 0`` (``inf`` joins
-    every pair), else ``ValueError``."""
-    if n < 1:
-        raise ValueError(f"a geometric graph needs n >= 1 nodes, got {n}")
+    rejects it as disconnected; an integer ``n >= 1`` and ``radius >= 0``
+    (``inf`` joins every pair), else ``ValueError`` before any draw. The pairs
+    come from :func:`_close_pairs`, whose time and memory grow with the node
+    and pair counts, not with ``n^2``."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"a geometric graph needs an integer count of n >= 1 nodes, got {n!r}")
     if not radius >= 0:
         raise ValueError(f"a geometric graph needs a radius >= 0, got {radius}")
     rng = np.random.default_rng(seed)
     for _ in range(_GEOMETRIC_TRIES):
-        points = rng.random((n, 2))
-        diff = points[:, None, :] - points[None, :, :]
-        close = np.einsum("ijk,ijk->ij", diff, diff) <= radius * radius
-        rows, cols = np.nonzero(np.triu(close, 1))  # row-major: (i, j), i < j
+        rows, cols = _close_pairs(rng.random((n, 2)), radius)
         try:
             return Graph(n, tuple(zip(rows.tolist(), cols.tolist())))
         except ValueError:  # disconnected: the pairs i < j admit no other fault
             pass
     raise ValueError(f"no connected geometric graph after {_GEOMETRIC_TRIES} draws; "
                      "increase the radius")
+
+
+def _close_pairs(points, radius):
+    """``(rows, cols)``: every pair ``i < j`` of the ``(n, 2)`` points in
+    ``[0, 1)^2`` whose squared distance is at most ``radius^2``, in row-major
+    order, the order of ``np.nonzero`` on the upper triangle of the all-pairs
+    test.
+
+    A linked-cell search (Allen and Tildesley, *Computer Simulation of
+    Liquids*, 1987): the square is cut into ``side x side`` cells at least
+    ``radius`` wide, at most about ``sqrt(n)`` per side, and a point is tested
+    only against the points of the 3 x 3 cells around its own. Each tested
+    pair takes the all-pairs test's arithmetic, so the pairs are the same
+    bit for bit.
+    """
+    n = len(points)
+    width = radius * (1.0 + _CELL_MARGIN)
+    side = max(1, math.isqrt(n))
+    if width * side > 1.0:
+        side = max(1, int(1.0 / width))
+    cells = np.minimum((points * side).astype(np.intp), side - 1)
+    cell = cells[:, 0] * side + cells[:, 1]
+    by_cell = np.argsort(cell, kind="stable")
+    counts = np.bincount(cell, minlength=side * side)
+    starts = np.cumsum(counts) - counts
+    near = cells[:, None, :] + _NEIGHBOUR_CELLS
+    owner, slot = np.nonzero(np.all((near >= 0) & (near < side), axis=2))
+    near_cell = near[owner, slot, 0] * side + near[owner, slot, 1]
+    # every (owner, point of a near cell) pair: the k-th point of a cell c is
+    # by_cell[starts[c] + k]
+    sizes = counts[near_cell]
+    rows = np.repeat(owner, sizes)
+    within = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cols = by_cell[np.repeat(starts[near_cell], sizes) + within]
+    upper = rows < cols
+    rows, cols = rows[upper], cols[upper]
+    diff = points[rows] - points[cols]
+    close = np.einsum("ij,ij->i", diff, diff) <= radius * radius
+    pairs = np.sort(rows[close] * n + cols[close])
+    return pairs // n, pairs % n
 
 
 def graph_laplacian(graph):
@@ -377,23 +422,27 @@ def build_ddo_problem(graph, block_size, kind, seed, samples=5, ridge=0.5):
     Least squares draws a ``samples x block_size`` design per node (no
     strong convexity); logistic draws one unit-scale feature vector and a
     binary label per node, with ``mu_i = ridge`` and
-    ``lip_i = ridge + |label|^2 |features|^2 / 4``. Raises ``ValueError``
-    when ``block_size`` or ``samples`` is below 1 or ``ridge`` is not finite
-    and nonnegative; the :class:`Graph` is connected by construction.
+    ``lip_i = ridge + |label|^2 |features|^2 / 4``. Raises ``ValueError``,
+    before any draw, when ``block_size`` or ``samples`` is not an integer of
+    at least 1 or ``ridge`` is not finite and nonnegative; the :class:`Graph`
+    is connected by construction.
+
+    Both kinds draw from one stream, node by node: least squares the node's
+    design and then its target, logistic its features and then its label.
+    Least squares takes the whole stream in one call.
     """
-    if block_size < 1 or samples < 1:
-        raise ValueError(f"block_size and samples must be at least 1, "
-                         f"got {block_size} and {samples}")
+    sizes = (block_size, samples)
+    if not all(isinstance(size, (int, np.integer)) and size >= 1 for size in sizes):
+        raise ValueError(f"block_size and samples must be at least 1, as integers, "
+                         f"got {block_size!r} and {samples!r}")
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
     rng = np.random.default_rng(seed)
     n = graph.n
     if kind == "least_squares":
-        design, target = np.empty((n, samples, block_size)), np.empty((n, samples))
-        for i in range(n):
-            design[i] = rng.standard_normal((samples, block_size)) / np.sqrt(block_size)
-            target[i] = rng.standard_normal(samples)
-        data, mu = (design, target), 0.0
+        draws = rng.standard_normal((n, samples * block_size + samples))
+        design = draws[:, :-samples].reshape(n, samples, block_size) / np.sqrt(block_size)
+        data, mu = (design, draws[:, -samples:].copy()), 0.0  # a copy: contiguous, as design
         # the square of the largest norm: squaring the array of norms first
         # can round one ulp away from the per-node scalar square
         lip = np.max(np.linalg.norm(design, 2, axis=(1, 2))) ** 2 / n
@@ -401,7 +450,8 @@ def build_ddo_problem(graph, block_size, kind, seed, samples=5, ridge=0.5):
         features, labels = np.empty((n, block_size)), np.empty(n)
         for i in range(n):
             features[i] = rng.standard_normal(block_size) / np.sqrt(block_size)
-            labels[i] = rng.choice([-1.0, 1.0])
+            # the draw of rng.choice([-1.0, 1.0]), at a third of its cost
+            labels[i] = (-1.0, 1.0)[rng.integers(2)]
         data, mu = (features, labels, np.full(n, float(ridge))), ridge / n
         lip = max(ridge + label ** 2 * float(row @ row) / 4.0
                   for row, label in zip(features, labels)) / n

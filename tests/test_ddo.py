@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,8 +155,12 @@ def comprehension_geometric_graph(n, radius, seed, max_tries=200):
     raise AssertionError("no connected draw")
 
 
-@pytest.mark.parametrize("n,radius,seed", [(12, 0.6, 1), (15, 0.5, 1), (40, 0.3, 7),
-                                           (400, 0.11, 11)])
+@pytest.mark.parametrize("n,radius,seed", [
+    (12, 0.6, 1), (15, 0.5, 1), (40, 0.3, 7), (400, 0.11, 11),
+    # one cell; a radius of 1/k, where k cells of width 1/k would be a hair too narrow
+    (30, 1.0, 2), (30, 1.5, 3), (100, 0.25, 5), (60, 0.5, 8), (200, 0.2, 4),
+    (2000, 0.05, 1),
+    *((400, 0.11, seed) for seed in range(20, 40))])
 def test_geometric_edges_match_pairwise_comprehension(n, radius, seed):
     graph = random_geometric_graph(n, radius, seed)
     expected = comprehension_geometric_graph(n, radius, seed)
@@ -167,7 +172,10 @@ def test_geometric_edges_match_pairwise_comprehension(n, radius, seed):
 
 @pytest.mark.parametrize("n, radius, message", [
     (20, -0.4, "radius >= 0, got -0.4"), (0, 0.4, "n >= 1 nodes, got 0"),
-    (20, np.nan, "radius >= 0, got nan")], ids=["radius-negative", "n-zero", "radius-nan"])
+    (20, np.nan, "radius >= 0, got nan"), (4.0, 0.5, "n >= 1 nodes, got 4.0"),
+    (np.float64(20), 0.5, "n >= 1 nodes, got np.float64(20.0)"),
+    ("20", 0.5, "n >= 1 nodes, got '20'")],
+    ids=["radius-negative", "n-zero", "radius-nan", "n-float", "n-numpy-float", "n-string"])
 def test_geometric_graph_rejects_bad_input_up_front(monkeypatch, n, radius, message):
     # rejected before any draw, not after every draw has failed
     monkeypatch.setattr(np.random, "default_rng", None)
@@ -180,6 +188,17 @@ def test_geometric_graph_takes_radius_zero_and_inf():
     assert len(random_geometric_graph(5, np.inf, 0).edges) == 10
 
 
+def test_geometric_graph_build_is_not_quadratic_in_memory():
+    # the all-pairs difference array of 2 000 points alone is 64 MB
+    tracemalloc.start()
+    try:
+        random_geometric_graph(2000, 0.05, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_consensus_null_space_blockwise():
     graph = random_geometric_graph(12, 0.5, 3)
     prob = build_ddo_problem(graph, 4, "least_squares", seed=0)
@@ -189,11 +208,16 @@ def test_consensus_null_space_blockwise():
     assert prob.consensus_residual(stacked) == 0.0
 
 
-@pytest.mark.parametrize("block_size, samples", [(0, 5), (-1, 5), (3, 0)])
-def test_build_ddo_problem_rejects_non_positive_sizes(block_size, samples):
-    with pytest.raises(ValueError, match="must be at least 1"):
-        build_ddo_problem(path_graph(4), block_size, "least_squares", seed=0,
-                          samples=samples)
+@pytest.mark.parametrize("block_size, samples", [
+    (0, 5), (-1, 5), (3, 0), pytest.param(2.5, 5, id="block-float"),
+    pytest.param(np.float64(3), 5, id="block-numpy-float"),
+    pytest.param(3, 2.0, id="samples-float"), pytest.param(3, "5", id="samples-string")])
+def test_build_ddo_problem_rejects_non_positive_sizes(monkeypatch, block_size, samples):
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", None)  # rejected before any draw
+        for kind in ("least_squares", "logistic"):
+            with pytest.raises(ValueError, match="must be at least 1, as integers"):
+                build_ddo_problem(path_graph(4), block_size, kind, seed=0, samples=samples)
     # a ridge below 0 or not finite is rejected as early, for either kind
     for kind in ("least_squares", "logistic"):
         for ridge in (-1.0, -0.2, np.nan, np.inf):
@@ -234,6 +258,38 @@ def test_lip_is_the_per_node_formula_bit_for_bit(n, block, samples, seed):
     assert prob.lip == max(np.linalg.norm(design, 2) ** 2 for design, _ in prob.local_data) / n
     prob = build_ddo_problem(graph, block, "logistic", seed, ridge=0.3)
     assert prob.lip == max(0.3 + float(f @ f) / 4.0 for f, _, _ in prob.local_data) / n
+
+
+def per_node_draws(n, block, kind, seed, samples):
+    """The node data drawn node by node: least squares a design and then a
+    target per node, logistic features and then a label per node."""
+    rng = np.random.default_rng(seed)
+    if kind == "least_squares":
+        design, target = np.empty((n, samples, block)), np.empty((n, samples))
+        for i in range(n):
+            design[i] = rng.standard_normal((samples, block)) / np.sqrt(block)
+            target[i] = rng.standard_normal(samples)
+        return design, target
+    features, labels = np.empty((n, block)), np.empty(n)
+    for i in range(n):
+        features[i] = rng.standard_normal(block) / np.sqrt(block)
+        labels[i] = rng.choice([-1.0, 1.0])
+    return features, labels
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+@pytest.mark.parametrize("n,block,samples", [(1, 1, 1), (9, 2, 3), (40, 5, 5), (25, 4, 7)])
+def test_node_data_is_the_per_node_stream_bit_for_bit(kind, n, block, samples):
+    # pins the instances the benchmark solves: a set-up change cannot move them
+    for seed in (0, 1, 31, 2 ** 32 - 1):
+        prob = build_ddo_problem(path_graph(n), block, kind, seed, samples=samples, ridge=0.4)
+        expected = per_node_draws(n, block, kind, seed, samples)
+        if kind == "logistic":
+            expected += (np.full(n, 0.4),)
+        assert len(prob.node_data) == len(expected)
+        for got, want in zip(prob.node_data, expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 def test_least_squares_zero_design_is_flat():

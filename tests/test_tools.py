@@ -1,5 +1,6 @@
 """The maintenance tools under ``tools/``."""
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -126,3 +127,45 @@ def test_steps_covers_statuses_and_record_counts_and_no_float(monkeypatch, capsy
     assert x["steps"] == plain["steps"]
     # a changed status or record count moves it
     assert status["steps"] != plain["steps"] and records["steps"] != plain["steps"]
+
+
+def test_setup_digests_cover_the_edges_and_the_node_data(monkeypatch, capsys):
+    tool = _load_hash_runs(monkeypatch)
+    monkeypatch.setattr(tool.workloads, "WORKLOADS", {"ddo": tool.workloads.WORKLOADS["ddo"]})
+    draw_graph, build_problem = tool.ddo.random_geometric_graph, tool.ddo.build_ddo_problem
+
+    def table(shift=None):
+        def shifted_graph(*args, **kwargs):
+            graph = draw_graph(*args, **kwargs)
+            if shift == "edges":  # the same graph, its last two edges swapped
+                graph = tool.ddo.Graph(graph.n, graph.edges[:-2] + graph.edges[:-3:-1])
+            return graph
+
+        def shifted_problem(*args, **kwargs):
+            problem = build_problem(*args, **kwargs)
+            if shift == "node_data":
+                problem.node_data[0].flat[0] = np.nextafter(problem.node_data[0].flat[0], np.inf)
+            elif shift in ("mu", "lip"):
+                value = getattr(problem, shift)
+                problem = dataclasses.replace(problem, **{shift: np.nextafter(value, np.inf)})
+            return problem
+
+        monkeypatch.setattr(tool.ddo, "random_geometric_graph", shifted_graph)
+        monkeypatch.setattr(tool.ddo, "build_ddo_problem", shifted_problem)
+        status = tool.main(["--seeds", "101", "--tiny"])
+        # not for a shift: one ulp above a least-squares mu of 0 is a strongly
+        # convex run, which may stop at max_iter
+        assert status == 0 or shift is not None
+        return {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+
+    plain = table()
+    # one graph per set, and one problem of each kind on it
+    assert int(plain["random_geometric_graph"][0]) == tool.SETS
+    assert int(plain["build_ddo_problem"][0]) == 2 * tool.SETS
+    # reordered edges move the graph digest; one ulp in the node data, mu or
+    # lip moves the problem digest and leaves the graph digest alone
+    assert table("edges")["random_geometric_graph"] != plain["random_geometric_graph"]
+    for shift in ("node_data", "mu", "lip"):
+        shifted = table(shift)
+        assert shifted["build_ddo_problem"] != plain["build_ddo_problem"]
+        assert shifted["random_geometric_graph"] == plain["random_geometric_graph"]

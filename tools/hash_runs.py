@@ -9,10 +9,14 @@ checkout it sits in, and changes neither. For each seed it builds three sets
 of every workload as the benchmark does (set ``i`` from the ``i``-th child of
 ``SeedSequence(seed)``; with ``--tiny``, on the instances of
 ``workloads.TINY``) and runs each case once. Meanwhile it wraps
+``ddo.random_geometric_graph``, ``ddo.build_ddo_problem``,
 ``solvers.run_solver``, ``ddo.run_ddo``, ``flow.integrate_flow``,
 ``flow.flow_records`` and ``inner.augmented_consensus_solve`` by module
 attribute, and puts them back afterwards. It prints one SHA-256 per function,
-over every call's result in call order; one, ``iterates``, over what each
+over every call's result in call order: for the two set-up functions, each
+graph's node count and edges and each problem's sizes, kind, ``node_data``,
+``mu`` and ``lip``, so a change to the set-up shows its instances unchanged
+directly. It prints one, ``iterates``, over what each
 ``run_solver`` call ends on (final ``x``, ``v`` and ``lam``, status and record
 count), and one, ``ddo_iterates``, over what each ``run_ddo`` call ends on
 (final ``x``, status and record count), both without the recorded floats;
@@ -49,7 +53,8 @@ from apd import ddo, flow, inner, solvers  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 SETS = 3  # per seed and workload: the fewest a benchmark run solves
-HASHED = ((solvers, "run_solver"), (ddo, "run_ddo"), (flow, "integrate_flow"),
+HASHED = ((ddo, "random_geometric_graph"), (ddo, "build_ddo_problem"),
+          (solvers, "run_solver"), (ddo, "run_ddo"), (flow, "integrate_flow"),
           (flow, "flow_records"), (inner, "augmented_consensus_solve"))
 
 
