@@ -189,13 +189,17 @@ def build_parser():
                     "linearly constrained convex optimization")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="run one scheme on a problem file")
+    settings = argparse.ArgumentParser(add_help=False)  # of every run of solve and compare
+    settings.add_argument("--gamma0", type=_positive_float, default=1.0, help="initial gamma")
+    settings.add_argument("--max-iter", type=_nonnegative_int, default=1000,
+                          help="step cap of each run")
+    settings.add_argument("--stop-tol", type=_tolerance, default=0.0,
+                          help="stop tolerance (0: none)")
+    settings.add_argument("--alpha", type=_positive_float, default=None, help=_ALPHA_HELP)
+
+    solve = sub.add_parser("solve", parents=[settings], help="run one scheme on a problem file")
     solve.add_argument("--problem", required=True)
     solve.add_argument("--scheme", required=True, choices=SCHEMES)
-    solve.add_argument("--gamma0", type=_positive_float, default=1.0)
-    solve.add_argument("--max-iter", type=_nonnegative_int, default=1000)
-    solve.add_argument("--stop-tol", type=_tolerance, default=0.0)
-    solve.add_argument("--alpha", type=_positive_float, default=None, help=_ALPHA_HELP)
     solve.add_argument("--csv", required=True)
     solve.add_argument("--timing", action="store_true",
                        help="record wall clocks (breaks rerun byte-identity)")
@@ -225,16 +229,10 @@ def build_parser():
     ddo.add_argument("--timing", action="store_true")
     ddo.set_defaults(func=_cmd_ddo)
 
-    compare = sub.add_parser("compare", help="run several schemes and summarize")
+    compare = sub.add_parser("compare", parents=[settings],
+                             help="run several schemes and summarize")
     compare.add_argument("--problem", required=True, help="problem file")
     compare.add_argument("--schemes", default="", help="comma list of schemes, run in order")
-    compare.add_argument("--gamma0", type=_positive_float, default=1.0,
-                         help="initial gamma")
-    compare.add_argument("--max-iter", type=_nonnegative_int, default=1000,
-                         help="step cap of each run")
-    compare.add_argument("--stop-tol", type=_tolerance, default=0.0,
-                         help="stop tolerance (0: none)")
-    compare.add_argument("--alpha", type=_positive_float, default=None, help=_ALPHA_HELP)
     compare.add_argument("--out-dir", default=".", help="directory for the CSVs")
     compare.set_defaults(func=_cmd_compare)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,31 +35,50 @@ class Graph:
     pair of integers (:func:`_edge_array`), a self-loop, an endpoint out of
     range, a duplicate edge or more than one component raises ``ValueError``;
     the empty graph, with no component, is not connected, and one node is.
-    ``ends`` keeps the checked edges as an ``(|E|, 2)`` integer array.
+
+    It owns what is built from the checked edges, which every problem and run
+    on it reads: ``incidence``, the signed ``|E| x n`` incidence matrix ``B``
+    with ``(B X)_e = x_i - x_j`` for the edge ``e = (i, j)``, exactly zero
+    when the two rows are equal; ``laplacian``, the CSR ``L = B'B`` with null
+    space span{1}; and ``incidence_t``, a CSR ``B'`` formed on first use. None
+    is a field: none enters equality, hashing or ``repr``.
     """
 
     n: int
     edges: tuple
-    ends: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
+        if not _is_count(self.n, least=0):
             raise ValueError(f"a graph needs an integer node count n >= 0, got n={self.n!r}")
         ends = _edge_array(self)
         if np.any(ends[:, 0] == ends[:, 1]):
             raise ValueError("self-loops are not allowed")
         if len(ends) and not (ends.min() >= 0 and ends.max() < self.n):
             raise ValueError("edge endpoint out of range")
+        rows = np.repeat(np.arange(len(ends)), 2)
+        vals = np.tile([1.0, -1.0], len(ends))
+        incidence = sp.csr_matrix((vals, (rows, ends.ravel())), shape=(len(ends), self.n))
+        laplacian = (incidence.T @ incidence).tocsr()
+        # each copy of an edge, in either orientation, adds -1 to L[i, j]; the
+        # diagonal holds the degrees, which are positive
+        if laplacian.data.min(initial=0.0) < -1.0:
+            raise ValueError("duplicate edge")
         # imported on first use: the module adds about 1 MB to every process
         from scipy.sparse.csgraph import connected_components
-        lower, upper = np.sort(ends, axis=1).T
-        # CSR assembly sums a repeated (lower, upper) pair into one entry
-        adjacency = sp.csr_matrix((np.ones(len(ends)), (lower, upper)), shape=(self.n, self.n))
-        if adjacency.nnz < len(ends):
-            raise ValueError("duplicate edge")
-        if connected_components(adjacency, directed=False, return_labels=False) != 1:
+        if connected_components(laplacian, directed=False, return_labels=False) != 1:
             raise ValueError("graph must be connected")
-        object.__setattr__(self, "ends", ends)  # the dataclass is frozen
+        object.__setattr__(self, "incidence", incidence)  # the dataclass is frozen
+        object.__setattr__(self, "laplacian", laplacian)
+
+    @cached_property
+    def incidence_t(self):
+        # a CSR copy of B' applies about twice as fast as the CSC view B.T
+        return self.incidence.T.tocsr()
+
+
+def _is_count(value, least=1):
+    """Whether ``value`` is an integer, Python's or numpy's, of at least ``least``."""
+    return isinstance(value, (int, np.integer)) and value >= least
 
 
 def _edge_array(graph):
@@ -85,16 +104,20 @@ def _edge_array(graph):
 
 
 def path_graph(n):
+    if not _is_count(n):
+        raise ValueError(f"a path needs an integer count of n >= 1 nodes, got n={n!r}")
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n):
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 nodes")
+    if not _is_count(n, least=3):
+        raise ValueError(f"a cycle needs at least 3 nodes, as an integer, got n={n!r}")
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def grid_graph(rows, cols):
+    if not (_is_count(rows) and _is_count(cols)):
+        raise ValueError(f"a grid needs integer sizes >= 1, got rows={rows!r}, cols={cols!r}")
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -121,7 +144,7 @@ def random_geometric_graph(n, radius, seed):
     (``inf`` joins every pair), else ``ValueError`` before any draw. The pairs
     come from :func:`_close_pairs`, whose time and memory grow with the node
     and pair counts, not with ``n^2``."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not _is_count(n):
         raise ValueError(f"a geometric graph needs an integer count of n >= 1 nodes, got {n!r}")
     if not radius >= 0:
         raise ValueError(f"a geometric graph needs a radius >= 0, got {radius}")
@@ -177,23 +200,8 @@ def _close_pairs(points, radius):
 
 
 def graph_laplacian(graph):
-    """Sparse combinatorial Laplacian ``B'B`` of :func:`graph_incidence`, as
-    CSR; its null space is span{1}, as every :class:`Graph` is connected."""
-    incidence = graph_incidence(graph)
-    return (incidence.T @ incidence).tocsr()
-
-
-def graph_incidence(graph):
-    """Sparse signed edge-incidence matrix ``B`` with ``B'B = L``.
-
-    Row ``e`` of the ``|E| x n`` matrix holds ``+1`` at ``i`` and ``-1`` at
-    ``j`` for the edge ``(i, j)``, so ``(B X)_e = x_i - x_j``, which is
-    exactly zero when the two rows of ``X`` are equal.
-    """
-    ends = graph.ends
-    rows = np.repeat(np.arange(len(ends)), 2)
-    vals = np.tile([1.0, -1.0], len(ends))
-    return sp.csr_matrix((vals, (rows, ends.ravel())), shape=(len(ends), graph.n))
+    """The CSR Laplacian ``L = B'B`` that :class:`Graph` holds."""
+    return graph.laplacian
 
 
 def _banded(matrix):
@@ -309,9 +317,8 @@ class DdoProblem:
     is the Laplacian applied row-blockwise as ``B'(B X)`` through the signed
     incidence matrix ``B``, so it is exactly zero on consensus iterates. The
     symmetric square root ``L^{1/2}`` is never formed. ``mu``/``lip`` are the
-    global constants of the averaged objective. The graph's Laplacian and
-    incidence matrix are not fields: each is built from ``graph`` on first
-    use and kept (:attr:`laplacian`, :attr:`incidence`).
+    global constants of the averaged objective. ``B``, ``B'`` and
+    :attr:`laplacian` are the graph's own (:class:`Graph`).
 
     ``node_data`` is the one copy of the node data, stacked over the nodes:
     design ``(n, s, m)`` and target ``(n, s)`` for least squares, features
@@ -396,21 +403,12 @@ class DdoProblem:
             + ridge[:, None] * stacked
         return grad / self.n_nodes
 
-    @cached_property
+    @property
     def laplacian(self):
-        return graph_laplacian(self.graph)
-
-    @cached_property
-    def incidence(self):
-        return graph_incidence(self.graph)
-
-    @cached_property
-    def _incidence_t(self):
-        # a CSR copy of B' applies about twice as fast as the CSC view B.T
-        return self.incidence.T.tocsr()
+        return self.graph.laplacian
 
     def consensus_apply(self, stacked):
-        return self._incidence_t @ (self.incidence @ stacked)
+        return self.graph.incidence_t @ (self.graph.incidence @ stacked)
 
     def consensus_residual(self, stacked):
         return float(np.linalg.norm(self.consensus_apply(stacked)))
@@ -431,8 +429,7 @@ def build_ddo_problem(graph, block_size, kind, seed, samples=5, ridge=0.5):
     design and then its target, logistic its features and then its label.
     Least squares takes the whole stream in one call.
     """
-    sizes = (block_size, samples)
-    if not all(isinstance(size, (int, np.integer)) and size >= 1 for size in sizes):
+    if not (_is_count(block_size) and _is_count(samples)):
         raise ValueError(f"block_size and samples must be at least 1, as integers, "
                          f"got {block_size!r} and {samples!r}")
     if not 0 <= ridge < np.inf:
@@ -504,10 +501,11 @@ _GRAM_FACTORS = 32
 
 
 class IncidenceConstraint(LinearConstraint):
-    """The consensus constraint ``A = B kron I_m``, ``b = 0``, of a problem's
-    signed incidence matrix ``B`` on its ``(n, m)`` node stacks flattened row
-    by row. It takes the stacks as they are: :meth:`apply` is ``B X`` and
-    :meth:`apply_adjoint` is ``B' Lam``; no ``kron(B, I)`` or dense ``B``.
+    """The consensus constraint ``A = B kron I_m``, ``b = 0``, of the signed
+    incidence matrix ``B`` of a problem's graph, on its ``(n, m)`` node stacks
+    flattened row by row. It takes the stacks as they are: :meth:`apply` is
+    ``B X`` and :meth:`apply_adjoint` is ``B' Lam``; no ``kron(B, I)`` or
+    dense ``B``.
 
     ``op_norm`` is ``|B kron I|_2 = |B|_2 = lambda_max(L)^{1/2}`` from
     :func:`lambda_max_bound`. The Gram solve of
@@ -528,9 +526,10 @@ class IncidenceConstraint(LinearConstraint):
     rhs = 0.0
 
     def __init__(self, problem):
-        self.incidence, self._incidence_t = problem.incidence, problem._incidence_t
-        self.laplacian = problem.laplacian
-        self.rows, self.cols = problem.incidence.shape[0] * problem.block_size, problem.dim
+        graph = problem.graph
+        self.incidence, self._incidence_t = graph.incidence, graph.incidence_t
+        self.laplacian = graph.laplacian
+        self.rows, self.cols = len(graph.edges) * problem.block_size, problem.dim
         self._factors = {}
 
     def apply(self, x):
@@ -700,7 +699,7 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
         ctx = solvers.RunContext(
             ProblemInstance(problem, ZeroProx(), IncidenceConstraint(problem)))
         rule = StepRule("semi_apdfb", lip_beta=problem.lip)
-        lam0 = np.zeros((problem.incidence.shape[0], m))
+        lam0 = np.zeros((len(problem.graph.edges), m))
         state = solvers.IterateState.start(x0, lam0, ScalingState(1.0, problem.lip), None)
         epochs = solvers.Epochs("semi_apdfb", problem.mu, problem.lip, state)
 

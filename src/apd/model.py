@@ -275,7 +275,7 @@ def kkt_residual(problem, x, lam, residual=None):
     return feas, stat
 
 
-def operator_norm_estimate(matrix, gram=None):
+def operator_norm_estimate(matrix):
     """Upper bound on the spectral norm ``|M|_2`` of a dense or sparse matrix.
 
     ``|M|_2^2`` is the largest eigenvalue of the smaller Gram matrix ``G``
@@ -284,11 +284,9 @@ def operator_norm_estimate(matrix, gram=None):
     ``eigvalsh`` of the order-``d`` result errs by a small multiple of
     ``d eps |G|_2``; the value is raised by ``2 (k + d) eps trace(G)`` to
     cover both, where ``k + d`` is the number of rows plus columns of ``M``.
-    A zero matrix gives ``0.0``. ``gram`` may pass ``G``, or the other Gram
-    matrix, when the caller already holds it: both have the same largest
-    eigenvalue and trace, and the slack covers forming either.
+    A zero matrix gives ``0.0``.
     """
-    gram = _smaller_gram(matrix) if gram is None else gram
+    gram = _smaller_gram(matrix)
     slack = _rounding_slack(matrix.shape, np.trace(gram))
     return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0) + slack))
 

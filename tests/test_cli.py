@@ -231,10 +231,10 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "argument --graph: 'foo:3': not a graph spec"),
     ("ddo --graph grid:3 --m 2 --model ls --algo apd --max-iter 5 --csv {tmp}/out.csv",
      "argument --graph: 'grid:3': not enough values to unpack"),
-    ("ddo --graph path:0 --m 2 --model ls --algo apd --max-iter 5 --csv {tmp}/out.csv",
-     "argument --graph: 'path:0': graph must be connected"),
+    ("ddo --graph geometric:3:0 --m 2 --model ls --algo apd --max-iter 5 --csv {tmp}/out.csv",
+     "argument --graph: 'geometric:3:0': no connected geometric graph after 200 draws"),
     ("ddo --graph path:-1 --m 2 --model ls --algo apd --max-iter 5 --csv {tmp}/out.csv",
-     "argument --graph: 'path:-1': a graph needs an integer node count n >= 0, got n=-1"),
+     "argument --graph: 'path:-1': a path needs an integer count of n >= 1 nodes, got n=-1"),
     ("flow --problem {tmp}/qp.txt --h 0.02 --T 1 --csv {tmp}/out.csv",
      "flow: step must lie in (0, 0.01]"),
     ("compare --problem {tmp}/beta.txt --schemes implicit --out-dir {tmp}/out",

@@ -15,7 +15,6 @@ from apd.ddo import (
     cycle_graph,
     extra_step,
     extra_step_size,
-    graph_incidence,
     graph_laplacian,
     grid_graph,
     mixing_matrix,
@@ -37,9 +36,17 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         Graph(3, ((0, 0),))
     with pytest.raises(ValueError):
-        Graph(3, ((0, 1), (1, 0)))
-    with pytest.raises(ValueError):
         Graph(2, ((0, 5),))
+
+
+@pytest.mark.parametrize("n, edges", [
+    (2, ((0, 1), (0, 1))), (2, ((1, 0), (0, 1))), (3, ((0, 1), (1, 2), (1, 0), (0, 1))),
+    (6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (3, 2)))],
+    ids=["same-orientation", "either-orientation", "triple", "inside-a-cycle"])
+def test_duplicate_edges_are_rejected(n, edges):
+    # each copy of an edge adds -1 to its off-diagonal entry of L
+    with pytest.raises(ValueError, match="duplicate edge"):
+        Graph(n, edges)
 
 
 def test_path_laplacian_matches_definition():
@@ -82,7 +89,7 @@ def test_numpy_integer_endpoints_give_the_same_graph():
         cast_edges = tuple((cast(i), j) for i, j in edges)  # uint64 beside int
         graph = Graph(4, cast_edges)
         assert graph.edges == cast_edges
-        assert (graph_incidence(graph) != graph_incidence(Graph(4, edges))).nnz == 0
+        assert (graph.incidence != Graph(4, edges).incidence).nnz == 0
 
 
 def test_a_graph_converts_its_edges_once(monkeypatch):
@@ -96,13 +103,17 @@ def test_a_graph_converts_its_edges_once(monkeypatch):
     monkeypatch.setattr(ddo, "_edge_array", counting)
     graph = cycle_graph(5)
     assert calls == [5]
-    np.testing.assert_array_equal(graph.ends, np.array(graph.edges))
-    graph_incidence(graph)
-    graph_laplacian(graph)
-    assert calls == [5]  # both read graph.ends
-    # the array is no part of a graph's identity
+    # row e of B holds +1 and -1 at the two ends of edge e, in edge order
+    signed = np.zeros((5, 5))
+    for e, (i, j) in enumerate(graph.edges):
+        signed[e, i], signed[e, j] = 1.0, -1.0
+    np.testing.assert_array_equal(graph.incidence.toarray(), signed)
+    np.testing.assert_array_equal(graph.incidence_t.toarray(), signed.T)
+    assert graph_laplacian(graph) is graph.laplacian
+    assert calls == [5]
+    # the operators are no part of a graph's identity
     assert graph == cycle_graph(5) and hash(graph) == hash(cycle_graph(5))
-    assert "ends" not in repr(graph)
+    assert "incidence" not in repr(graph) and "laplacian" not in repr(graph)
 
 
 def graph_mixing(graph):
@@ -134,7 +145,7 @@ def test_laplacian_is_the_incidence_product_bit_for_bit(seed):
     # mixing_matrix reads the held Laplacian in place of forming B'B, with
     # the same CSR arrays, so Extra takes the same iterates
     graph = random_geometric_graph(400, 0.11, seed)
-    incidence = graph_incidence(graph)
+    incidence = graph.incidence
     product, held = (incidence.T @ incidence).tocsr(), graph_laplacian(graph)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(held, part), getattr(product, part))
@@ -230,10 +241,44 @@ def test_consensus_apply_matches_laplacian():
     for graph in (path_graph(5), cycle_graph(6), grid_graph(3, 4),
                   random_geometric_graph(15, 0.5, 1), Graph(1, ())):
         prob = build_ddo_problem(graph, 3, "least_squares", seed=0)
-        assert prob.incidence.shape == (len(graph.edges), graph.n)
+        assert graph.incidence.shape == (len(graph.edges), graph.n)
         stacked = rng.standard_normal((graph.n, 3))
         np.testing.assert_allclose(prob.consensus_apply(stacked),
                                    graph_laplacian(graph) @ stacked, rtol=1e-12)
+
+
+def test_problems_and_runs_on_one_graph_share_its_operators(monkeypatch):
+    # B is assembled once, when the graph is built, and every problem on the
+    # graph and every constraint run_ddo builds reads the graph's B, B' and L
+    assembled = []
+    csr_matrix = ddo.sp.csr_matrix
+
+    def counting(*args, **kwargs):
+        assembled.append(kwargs.get("shape"))
+        return csr_matrix(*args, **kwargs)
+
+    constraints = []
+
+    class Recorded(IncidenceConstraint):
+        def __init__(self, problem):
+            super().__init__(problem)
+            constraints.append(self)
+
+    monkeypatch.setattr(ddo.sp, "csr_matrix", counting)
+    monkeypatch.setattr(ddo, "IncidenceConstraint", Recorded)
+    graph = random_geometric_graph(20, 0.4, 3)
+    problems = [build_ddo_problem(graph, 2, kind, seed=1)
+                for kind in ("least_squares", "logistic")]
+    for prob in problems:
+        for algo in ddo.ALGORITHMS:
+            run_ddo(prob, algo, 5)
+    assert assembled == [(len(graph.edges), graph.n)]
+    assert all(prob.graph is graph and prob.laplacian is graph.laplacian for prob in problems)
+    assert len(constraints) == 2
+    for constraint in constraints:
+        assert constraint.incidence is graph.incidence
+        assert constraint._incidence_t is graph.incidence_t
+        assert constraint.laplacian is graph.laplacian
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +426,9 @@ def apd_context(prob):
 
 def apd_start(prob, x, v):
     """An iterate with ``gamma0 = lip`` and ``theta lam = A x`` at ``theta = 1``."""
-    r_x = prob.incidence @ x
-    return solvers.IterateState(x, v, r_x, ScalingState(1.0, prob.lip), r_x, prob.incidence @ v)
+    r_x = prob.graph.incidence @ x
+    return solvers.IterateState(x, v, r_x, ScalingState(1.0, prob.lip), r_x,
+                                prob.graph.incidence @ v)
 
 
 def apd_alpha(prob, state):
@@ -418,7 +464,7 @@ class FlatSmooth(SmoothOracle):
 def test_apd_steps_match_semi_apdfb_on_dense_kron(graph, kind):
     m = 2
     prob = build_ddo_problem(graph, m, kind, seed=4)
-    kron = np.kron(graph_incidence(graph).toarray(), np.eye(m))
+    kron = np.kron(graph.incidence.toarray(), np.eye(m))
     dense = ProblemInstance(FlatSmooth(prob), ZeroProx(),
                             MatrixConstraint(kron, np.zeros(kron.shape[0])))
     ctx, dense_ctx = apd_context(prob), solvers.RunContext(dense)
@@ -446,7 +492,7 @@ def test_incidence_factor_drops_exactly_the_kernel_of_the_laplacian(graph):
     # with |E| > n the solve is of B'B = L off its kernel, the constants: the
     # means of the right side and of the solution are taken off; a tree's is of
     # BB', which is nonsingular, and keeps every direction
-    inc = graph_incidence(graph).toarray()
+    inc = graph.incidence.toarray()
     constraint = IncidenceConstraint(build_ddo_problem(graph, 2, "least_squares", seed=1))
     rhs = np.random.default_rng(3).standard_normal((inc.shape[len(graph.edges) > graph.n], 2))
     if len(graph.edges) > graph.n:
@@ -474,7 +520,7 @@ def test_gram_solve_matches_the_dense_kron_system(graph):
     m = 3
     prob = build_ddo_problem(graph, m, "least_squares", seed=2)
     constraint = IncidenceConstraint(prob)
-    kron = np.kron(graph_incidence(graph).toarray(), np.eye(m))
+    kron = np.kron(graph.incidence.toarray(), np.eye(m))
     rhs = np.random.default_rng(5).standard_normal((len(graph.edges), m))
     for shift, scale in ((1.0, 0.5), (0.05, 0.3), (1e-2, 2.0)):
         y, adjoint_y = constraint.gram_solve(shift, scale, rhs)
@@ -526,8 +572,8 @@ def test_lambda_max_bound_is_certified_and_tight(make):
 
 
 def _edge_bound(graph):
-    degrees = np.bincount(graph.ends.ravel(), minlength=graph.n)
-    return float(max(degrees[i] + degrees[j] for i, j in graph.ends))
+    degrees = graph.laplacian.diagonal()
+    return float(max(degrees[i] + degrees[j] for i, j in graph.edges))
 
 
 def test_lambda_max_bound_falls_back_to_the_edge_bound(monkeypatch):
@@ -578,7 +624,7 @@ def test_apd_multiplier_elimination_bookkeeping():
         for _ in range(10):
             state = apd_ddo_step(state, ctx, apd_alpha(prob, state))
             np.testing.assert_allclose(state.scaling.theta * state.lam,
-                                       prob.incidence @ state.x, rtol=1e-9, atol=1e-12)
+                                       prob.graph.incidence @ state.x, rtol=1e-9, atol=1e-12)
 
 
 def test_extra_transcript_matches_reimplementation():
@@ -813,7 +859,7 @@ def test_every_extra_record_holds_the_consensus_residual_to_rounding(monkeypatch
     run, states = run_extra_with_states(monkeypatch, prob, 5000, stop_tol)
     assert run.status == "converged" and len(states) == len(run.records)
     _, scale = mixing_matrix(prob.laplacian)
-    degree = np.bincount(prob.graph.ends.ravel()).max()
+    degree = prob.laplacian.diagonal().max()
     c = (3 * degree + prob.dim + 11) / 2
     eps = np.finfo(float).eps
     for rec, state in zip(run.records, states):

@@ -50,6 +50,20 @@ GUARDS = {
         apd.StepRule("implicit"), -1, 1.0, 1.0, 1.0), ValueError, "must be nonnegative"),
     "cycle-two-nodes": (lambda tmp_path: ddo.cycle_graph(2), ValueError,
                         "a cycle needs at least 3 nodes"),
+    "cycle-float-size": (lambda tmp_path: ddo.cycle_graph(4.0), ValueError,
+                         "a cycle needs at least 3 nodes, as an integer, got n=4.0"),
+    "cycle-string-size": (lambda tmp_path: ddo.cycle_graph("5"), ValueError,
+                          "a cycle needs at least 3 nodes, as an integer, got n='5'"),
+    "path-float-size": (lambda tmp_path: ddo.path_graph(2.5), ValueError,
+                        "a path needs an integer count of n >= 1 nodes, got n=2.5"),
+    "path-numpy-float-size": (lambda tmp_path: ddo.path_graph(np.float64(3)), ValueError,
+                              "n >= 1 nodes, got n=np.float64(3.0)"),
+    "path-zero-size": (lambda tmp_path: ddo.path_graph(0), ValueError,
+                       "a path needs an integer count of n >= 1 nodes, got n=0"),
+    "grid-float-size": (lambda tmp_path: ddo.grid_graph(2.0, 3), ValueError,
+                        "a grid needs integer sizes >= 1, got rows=2.0, cols=3"),
+    "grid-negative-sizes": (lambda tmp_path: ddo.grid_graph(-1, -2), ValueError,
+                            "a grid needs integer sizes >= 1, got rows=-1, cols=-2"),
     "graph-negative-n": (lambda tmp_path: ddo.Graph(-1, ()), ValueError,
                          "integer node count n >= 0, got n=-1"),
     "graph-fractional-n": (lambda tmp_path: ddo.Graph(2.5, ()), ValueError,

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import apd
 from apd import model
-from apd.ddo import graph_incidence, random_geometric_graph
+from apd.ddo import random_geometric_graph
 from apd.model import NoReferenceError, RangeSpaceSystem
 from conftest import planted_lasso
 
@@ -75,7 +75,7 @@ def norm_inputs(draw):
     elif kind == "incidence":
         nodes = draw(st.integers(2, 60))
         radius = draw(st.floats(0.5, 1.5))
-        return graph_incidence(random_geometric_graph(nodes, radius, draw(st.integers(0, 999))))
+        return random_geometric_graph(nodes, radius, draw(st.integers(0, 999))).incidence
     scale = 10.0 ** draw(st.integers(-8, 8))
     if kind in ("rank_deficient", "ill_conditioned"):
         k = min(rows, cols)

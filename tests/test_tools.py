@@ -1,6 +1,7 @@
 """The maintenance tools under ``tools/``."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -169,3 +170,24 @@ def test_setup_digests_cover_the_edges_and_the_node_data(monkeypatch, capsys):
         shifted = table(shift)
         assert shifted["build_ddo_problem"] != plain["build_ddo_problem"]
         assert shifted["random_geometric_graph"] == plain["random_geometric_graph"]
+
+
+def test_a_graph_digests_as_its_node_count_and_edges(monkeypatch):
+    tool = _load_hash_runs(monkeypatch)
+
+    def digest(value):
+        sha = hashlib.sha256()
+        tool.feed(sha, value)
+        return sha.hexdigest()
+
+    graph = tool.ddo.cycle_graph(5)
+    problem = tool.ddo.build_ddo_problem(graph, 2, "least_squares", seed=0)
+    plain = digest(graph), digest(problem)
+    assert plain[0] == digest((graph.n, graph.edges))
+    # what the graph builds from its edges is no part of its digest, nor of
+    # the digest of a problem on it
+    graph.incidence_t  # formed on first use
+    object.__setattr__(graph, "laplacian", 2.0 * graph.laplacian)
+    assert (digest(graph), digest(problem)) == plain
+    assert digest(tool.ddo.cycle_graph(6)) != plain[0]
+    assert digest(tool.ddo.Graph(5, graph.edges[::-1])) != plain[0]

@@ -14,14 +14,15 @@ of every workload as the benchmark does (set ``i`` from the ``i``-th child of
 ``flow.flow_records`` and ``inner.augmented_consensus_solve`` by module
 attribute, and puts them back afterwards. It prints one SHA-256 per function,
 over every call's result in call order: for the two set-up functions, each
-graph's node count and edges and each problem's sizes, kind, ``node_data``,
-``mu`` and ``lip``, so a change to the set-up shows its instances unchanged
-directly. It prints one, ``iterates``, over what each
-``run_solver`` call ends on (final ``x``, ``v`` and ``lam``, status and record
-count), and one, ``ddo_iterates``, over what each ``run_ddo`` call ends on
-(final ``x``, status and record count), both without the recorded floats;
-one, ``steps``, over the status and record count of every ``run_solver`` and
-``run_ddo`` call, with no float at all; and one over every case outcome.
+graph's node count and edges, not what is built from them, and each
+problem's sizes, kind, ``node_data``, ``mu`` and ``lip``, so a change to the
+set-up shows its instances unchanged directly. It prints one, ``iterates``,
+over what each ``run_solver`` call ends on (final ``x``, ``v`` and ``lam``,
+status and record count), and one, ``ddo_iterates``, over what each
+``run_ddo`` call ends on (final ``x``, status and record count), both
+without the recorded floats; one, ``steps``, over the status and record
+count of every ``run_solver`` and ``run_ddo`` call, with no float at all;
+and one over every case outcome.
 Wall clocks (``wall_ns``) are skipped. A change that moves only the bits of
 the records thus shows its iterates unchanged, and one that moves only the
 bits of the iterates shows its steps unchanged. To compare two checkouts,
@@ -59,8 +60,12 @@ HASHED = ((ddo, "random_geometric_graph"), (ddo, "build_ddo_problem"),
 
 
 def feed(digest, value):
-    """Add ``value`` to ``digest``: arrays by dtype, shape and bytes, floats
-    exactly, dataclasses field by field without ``wall_ns``."""
+    """Add ``value`` to ``digest``: a ``ddo.Graph`` as ``(n, edges)``, its
+    identity, and not what is built from its edges; arrays by dtype, shape and
+    bytes, floats exactly, other dataclasses field by field without
+    ``wall_ns``."""
+    if isinstance(value, ddo.Graph):
+        value = (value.n, value.edges)
     if dataclasses.is_dataclass(value):
         digest.update(type(value).__name__.encode())
         for field in dataclasses.fields(value):
