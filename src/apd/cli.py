@@ -73,6 +73,15 @@ def _load(path):
         raise SystemExit(str(exc)) from None
 
 
+def _write_csv(command, records, path):
+    """:func:`~apd.harness.emit_csv`, with a path that cannot be written
+    ending the command on one line that names it."""
+    try:
+        emit_csv(records, path)
+    except OSError as exc:
+        raise SystemExit(f"{command}: cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_solve(args):
     problem = _load(args.problem)
     cfg = SolverConfig(scheme=args.scheme, gamma0=args.gamma0, max_iter=args.max_iter,
@@ -81,7 +90,7 @@ def _cmd_solve(args):
         run = run_solver(problem, cfg)
     except (ValueError, InnerSolveError) as exc:
         raise SystemExit(f"solve: {exc}") from None
-    emit_csv(run.records, args.csv)
+    _write_csv("solve", run.records, args.csv)
     last = run.records[-1]
     print(f"{args.scheme}: status={run.status} k={last.k} "
           f"feasibility={last.feasibility:.3e} obj_gap={last.obj_gap:.3e}")
@@ -107,7 +116,7 @@ def _cmd_flow(args):
                        if not np.isfinite(row.E) or not np.isfinite(row.feasibility)), None)
     if overflowed is not None:
         raise SystemExit(f"flow: energy or feasibility overflowed at t={overflowed:.6g}")
-    emit_csv(rows, args.csv)
+    _write_csv("flow", rows, args.csv)
     print(f"flow: steps={len(rows) - 1} E(0)={rows[0].E:.6e} E(T)={rows[-1].E:.6e}")
     return 0
 
@@ -121,7 +130,7 @@ def _cmd_ddo(args):
         raise SystemExit(f"ddo: {exc}") from None
     run = ddo_mod.run_ddo(problem, args.algo, args.max_iter,
                           stop_tol=args.stop_tol, timing=args.timing)
-    emit_csv(run.records, args.csv)
+    _write_csv("ddo", run.records, args.csv)
     last = run.records[-1]
     print(f"ddo/{args.algo}: status={run.status} k={last.k} "
           f"obj_gap={last.obj_gap:.3e} consensus={last.consensus_residual:.3e}")
@@ -136,7 +145,11 @@ def _cmd_compare(args):
     configs = [SolverConfig(scheme=scheme, gamma0=args.gamma0, max_iter=args.max_iter,
                             stop_tol=args.stop_tol, alpha=args.alpha) for scheme in schemes]
     stem = os.path.splitext(os.path.basename(args.problem))[0]
-    summaries = run_experiment(problem, configs, args.out_dir, stem)
+    try:
+        summaries = run_experiment(problem, configs, args.out_dir, stem)
+    except OSError as exc:  # a run's own CSV failure is a row of the summary
+        raise SystemExit(f"compare: cannot write to {args.out_dir}: "
+                         f"{exc.strerror or exc}") from None
     for s in summaries:
         line = f"{s.scheme}: status={s.status} iters={s.iterations} violations={s.violations}"
         if s.error:

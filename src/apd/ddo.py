@@ -3,7 +3,8 @@ which is :func:`~apd.solvers.semi_apdfb_step` on the graph's
 :class:`IncidenceConstraint`, a :class:`~apd.model.LinearConstraint` whose
 exact Gram solve is a banded Cholesky factor of a sparse graph matrix, plus
 the Extra baseline. Neither algorithm takes a dense eigensolve: both read
-``lambda_max(L)`` from :func:`lambda_max_bound`."""
+the certified ``lambda_max(L)`` of :func:`lambda_max_bound` that the
+:class:`Graph` holds."""
 
 from __future__ import annotations
 
@@ -40,15 +41,18 @@ class Graph:
     on it reads: ``incidence``, the signed ``|E| x n`` incidence matrix ``B``
     with ``(B X)_e = x_i - x_j`` for the edge ``e = (i, j)``, exactly zero
     when the two rows are equal; ``laplacian``, the CSR ``L = B'B`` with null
-    space span{1}; and ``incidence_t``, a CSR ``B'`` formed on first use. None
-    is a field: none enters equality, hashing or ``repr``.
+    space span{1}; and, each formed on first use, ``incidence_t``, a CSR
+    ``B'``, ``band``, the :func:`_banded` form of ``L``, and ``lambda_max``,
+    the certified :func:`lambda_max_bound`. Neither of the last two is formed
+    when the graph is built: :func:`random_geometric_graph` builds graphs it
+    then rejects. None is a field: none enters equality, hashing or ``repr``.
     """
 
     n: int
     edges: tuple
 
     def __post_init__(self):
-        if not _is_count(self.n, least=0):
+        if not solvers.is_count(self.n, least=0):
             raise ValueError(f"a graph needs an integer node count n >= 0, got n={self.n!r}")
         ends = _edge_array(self)
         if np.any(ends[:, 0] == ends[:, 1]):
@@ -75,10 +79,15 @@ class Graph:
         # a CSR copy of B' applies about twice as fast as the CSC view B.T
         return self.incidence.T.tocsr()
 
+    @cached_property
+    def band(self):
+        """``(order, band)``: :func:`_banded` of ``L``."""
+        return _banded(self.laplacian)
 
-def _is_count(value, least=1):
-    """Whether ``value`` is an integer, Python's or numpy's, of at least ``least``."""
-    return isinstance(value, (int, np.integer)) and value >= least
+    @cached_property
+    def lambda_max(self):
+        """The certified ``s >= lambda_max(L)`` of :func:`lambda_max_bound`."""
+        return lambda_max_bound(self)
 
 
 def _edge_array(graph):
@@ -104,19 +113,19 @@ def _edge_array(graph):
 
 
 def path_graph(n):
-    if not _is_count(n):
+    if not solvers.is_count(n):
         raise ValueError(f"a path needs an integer count of n >= 1 nodes, got n={n!r}")
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n):
-    if not _is_count(n, least=3):
+    if not solvers.is_count(n, least=3):
         raise ValueError(f"a cycle needs at least 3 nodes, as an integer, got n={n!r}")
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def grid_graph(rows, cols):
-    if not (_is_count(rows) and _is_count(cols)):
+    if not (solvers.is_count(rows) and solvers.is_count(cols)):
         raise ValueError(f"a grid needs integer sizes >= 1, got rows={rows!r}, cols={cols!r}")
     edges = []
     for r in range(rows):
@@ -144,7 +153,7 @@ def random_geometric_graph(n, radius, seed):
     (``inf`` joins every pair), else ``ValueError`` before any draw. The pairs
     come from :func:`_close_pairs`, whose time and memory grow with the node
     and pair counts, not with ``n^2``."""
-    if not _is_count(n):
+    if not solvers.is_count(n):
         raise ValueError(f"a geometric graph needs an integer count of n >= 1 nodes, got {n!r}")
     if not radius >= 0:
         raise ValueError(f"a geometric graph needs a radius >= 0, got {radius}")
@@ -225,15 +234,25 @@ def _banded(matrix):
     return order, band
 
 
-def lambda_max_bound(laplacian):
-    """An upper bound ``s >= lambda_max(L)`` for the CSR Laplacian ``L`` of a
-    :class:`Graph`, within about ``1e-10 s`` of it, with no dense eigensolve.
+def _banded_cholesky(band, shift, scale):
+    """The lower banded Cholesky factor of ``shift I + scale G`` from the
+    lower band of ``G`` (:func:`_banded`), in ``G``'s order; raises
+    ``numpy.linalg.LinAlgError`` unless the matrix is positive definite."""
+    shifted = scale * band
+    shifted[0] += shift
+    return sla.cholesky_banded(shifted, lower=True, overwrite_ab=True, check_finite=False)
+
+
+def lambda_max_bound(graph):
+    """An upper bound ``s >= lambda_max(L)`` for the Laplacian ``L`` of the
+    :class:`Graph` ``graph``, within about ``1e-10 s`` of it, with no dense
+    eigensolve; the graph holds it as ``graph.lambda_max``.
 
     Lanczos (``eigsh``, ``tol=1e-10``, from a fixed start, so a run repeats
     bit for bit) estimates the largest eigenpair ``(lam, v)``. The trial
     ``t = lam + r + c``, with the residual ``r = |L v - lam v|``, is then
     certified by the banded Cholesky factor of ``t I - L`` in the reverse
-    Cuthill-McKee order of :func:`_banded`, with band ``k``. The factor exists
+    Cuthill-McKee order of ``graph.band``, with band ``k``. The factor exists
     only when ``t I - L + E`` is positive definite, where Cholesky's backward
     error has ``|E|_2 <= (2k + 1) gamma_{k+1} max_i (t - d_i)`` (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 10.1); the slack
@@ -245,7 +264,7 @@ def lambda_max_bound(laplacian):
     1.8 to 1.9 times too large on 400-node geometric graphs. One node has
     ``L = 0`` and ``s = 0``.
     """
-    size = laplacian.shape[0]
+    laplacian, size = graph.laplacian, graph.n
     if size < 2:
         return 0.0
     degrees = laplacian.diagonal()
@@ -258,35 +277,32 @@ def lambda_max_bound(laplacian):
     except ArpackNoConvergence:
         return edge_bound
     residual = float(np.linalg.norm(laplacian @ vec[:, 0] - lam * vec[:, 0]))
-    _, band = _banded(laplacian)
+    _, band = graph.band
     slack = 2.0 * band.shape[0] * (band.shape[0] + 1) * np.finfo(float).eps \
         * (abs(lam) + residual)
     trial = float(lam) + residual + slack
-    shifted = -band
-    shifted[0] += trial
     try:
-        sla.cholesky_banded(shifted, lower=True, overwrite_ab=True, check_finite=False)
+        _banded_cholesky(band, trial, -1.0)
     except np.linalg.LinAlgError:
         return edge_bound
     return trial + slack
 
 
-def mixing_matrix(laplacian):
+def mixing_matrix(graph):
     """``(W, s)``: the doubly stochastic ``W = I - L / s``, as CSR, and the
-    scale ``s >= lambda_max(L)`` it divides by, from the CSR Laplacian ``L``
-    of :func:`graph_laplacian`.
+    scale ``s >= lambda_max(L)`` it divides by, for the Laplacian ``L`` of
+    the :class:`Graph` ``graph``.
 
-    ``s`` is the certified :func:`lambda_max_bound`. The spectrum of ``W``
-    therefore sits in ``[0, 1]`` with a simple eigenvalue 1, and
-    ``L X = s (X - W X)``. One node has ``L = 0``: ``W = I`` and ``s = 0``,
-    which nothing divides by.
+    ``s`` is the graph's certified ``lambda_max`` (:func:`lambda_max_bound`).
+    The spectrum of ``W`` therefore sits in ``[0, 1]`` with a simple
+    eigenvalue 1, and ``L X = s (X - W X)``. One node has ``L = 0``:
+    ``W = I`` and ``s = 0``, which nothing divides by.
     """
-    n = laplacian.shape[0]
-    eye = sp.identity(n, format="csr")
-    if n == 1:
+    eye = sp.identity(graph.n, format="csr")
+    if graph.n == 1:
         return eye, 0.0
-    scale = lambda_max_bound(laplacian)
-    return eye - laplacian / scale, scale
+    scale = graph.lambda_max
+    return eye - graph.laplacian / scale, scale
 
 
 # lam_min((I + W)/2) >= 1/2 for every W with spectrum in [0, 1], as mixing_matrix
@@ -429,7 +445,7 @@ def build_ddo_problem(graph, block_size, kind, seed, samples=5, ridge=0.5):
     design and then its target, logistic its features and then its label.
     Least squares takes the whole stream in one call.
     """
-    if not (_is_count(block_size) and _is_count(samples)):
+    if not (solvers.is_count(block_size) and solvers.is_count(samples)):
         raise ValueError(f"block_size and samples must be at least 1, as integers, "
                          f"got {block_size!r} and {samples!r}")
     if not 0 <= ridge < np.inf:
@@ -507,17 +523,19 @@ class IncidenceConstraint(LinearConstraint):
     ``B X`` and :meth:`apply_adjoint` is ``B' Lam``; no ``kron(B, I)`` or
     dense ``B``.
 
-    ``op_norm`` is ``|B kron I|_2 = |B|_2 = lambda_max(L)^{1/2}`` from
-    :func:`lambda_max_bound`. The Gram solve of
+    It reads ``B``, ``B'`` and the spectral data from its ``graph``.
+    ``op_norm`` is ``|B kron I|_2 = |B|_2 = lambda_max(L)^{1/2}`` from the
+    graph's ``lambda_max``. The Gram solve of
     :meth:`~apd.model.LinearConstraint.gram_solve` is exact: its
     :meth:`shifted_gram_solve` factors ``shift I + scale G``, with ``G`` the
-    smaller sparse Gram matrix of ``B`` (``L = B'B`` when ``|E| > n``, ``BB'``
-    otherwise, as on a tree), by banded Cholesky in ``G``'s reverse
-    Cuthill-McKee order, one factor per ``(shift, scale)`` pair. No dense
-    ``n x n`` matrix is formed, and no eigensolve runs.
+    smaller sparse Gram matrix of ``B`` (``L = B'B`` when ``|E| > n``, whose
+    band the graph holds, ``BB'`` otherwise, as on a tree), by
+    :func:`_banded_cholesky` in ``G``'s reverse Cuthill-McKee order, one
+    factor per ``(shift, scale)`` pair. No dense ``n x n`` matrix is formed,
+    and no eigensolve runs.
 
-    :func:`run_ddo` builds one per call into its run context, so the order and
-    the factors live only as long as the run. It keeps the factors of the last
+    :func:`run_ddo` builds one per call into its run context, so the factors
+    live only as long as the run. It keeps the factors of the last
     ``_GRAM_FACTORS`` pairs, each ``(k + 1) n`` doubles for bandwidth ``k``
     (about 0.2 MB on a 400-node benchmark graph): restarted epochs with
     ``mu = 0`` repeat their pairs and reuse every factor, and a run whose pairs
@@ -526,27 +544,26 @@ class IncidenceConstraint(LinearConstraint):
     rhs = 0.0
 
     def __init__(self, problem):
-        graph = problem.graph
-        self.incidence, self._incidence_t = graph.incidence, graph.incidence_t
-        self.laplacian = graph.laplacian
-        self.rows, self.cols = len(graph.edges) * problem.block_size, problem.dim
+        self.graph = problem.graph
+        self.rows, self.cols = len(self.graph.edges) * problem.block_size, problem.dim
         self._factors = {}
 
     def apply(self, x):
-        return self.incidence @ x
+        return self.graph.incidence @ x
 
     def apply_adjoint(self, lam):
-        return self._incidence_t @ lam
+        return self.graph.incidence_t @ lam
 
     @cached_property
     def op_norm(self):
-        return float(np.sqrt(lambda_max_bound(self.laplacian)))
+        return float(np.sqrt(self.graph.lambda_max))
 
     @cached_property
     def _band(self):
-        """:func:`_banded` of ``G``."""
-        gram = self.incidence @ self._incidence_t if self.rows <= self.cols else self.laplacian
-        return _banded(gram)
+        """:func:`_banded` of ``G``: the graph's ``band`` of ``L`` when ``|E| > n``."""
+        if self.rows > self.cols:
+            return self.graph.band
+        return _banded(self.graph.incidence @ self.graph.incidence_t)
 
     def shifted_gram_solve(self, shift, scale, rhs):
         """``(shift I + scale G)^{-1} rhs`` by the banded factor of the pair.
@@ -560,10 +577,7 @@ class IncidenceConstraint(LinearConstraint):
         if factor is None:
             if len(self._factors) == _GRAM_FACTORS:
                 del self._factors[next(iter(self._factors))]  # the oldest
-            shifted = scale * band
-            shifted[0] += shift
-            factor = self._factors[shift, scale] = sla.cholesky_banded(
-                shifted, lower=True, overwrite_ab=True, check_finite=False)
+            factor = self._factors[shift, scale] = _banded_cholesky(band, shift, scale)
         deflate = self.rows > self.cols
         if deflate:
             rhs = rhs - rhs.mean(axis=0)
@@ -666,7 +680,9 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     reads. ``extra`` runs :func:`extra_step` from :meth:`ExtraState.start`
     with the :func:`mixing_matrix` ``W`` of the graph, its certified scale
     ``s >= lambda_max(L)`` and the step of :func:`extra_step_size`. Neither
-    takes a dense eigensolve.
+    takes a dense eigensolve, and both read the graph's ``band`` and
+    ``lambda_max``, so the runs on one graph band ``L`` and certify its
+    ``lambda_max`` once.
     Each :class:`DdoRecord` holds the objective gap against a centralized
     solve (``f_ref``) and ``|L X|``, and with ``timing`` the step's wall
     time. Their sum is the stop measure. ``apd`` forms both afresh every
@@ -684,8 +700,8 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
       step, and the returned ``x`` is the best iterate measured, as the
       state of :func:`~apd.solvers.run_solver` is;
     - ``max_iter`` otherwise.
-    Raises ``ValueError`` for an unknown ``algo``, and unless ``max_iter >= 0``
-    and ``0 <= stop_tol < inf``.
+    Raises ``ValueError`` for an unknown ``algo``, and unless ``max_iter`` is
+    an integer ``>= 0`` and ``0 <= stop_tol < inf``.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; pick one of {ALGORITHMS}")
@@ -711,7 +727,7 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
             return DdoRecord(k, abs(problem.value(state.x) - f_ref),
                              problem.consensus_residual(state.x), wall)
     else:
-        w, scale = mixing_matrix(problem.laplacian)
+        w, scale = mixing_matrix(problem.graph)
         state = ExtraState.start(x0, problem, w)
         alpha = extra_step_size(problem)
 

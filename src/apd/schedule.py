@@ -45,7 +45,8 @@ class StepRule:
     ``implicit`` uses a free constant step ``alpha``; the other three use
     their proven relations between the step and the scaling pair. A rule
     whose scheme cannot step with its constants raises ``ValueError`` here,
-    once, so no step size or theta bound divides by zero.
+    once, so no step size or theta bound divides by zero, and no implicit
+    step overflows ``alpha^2``.
     """
 
     variant: str
@@ -59,6 +60,11 @@ class StepRule:
         scheme = SCHEME_TABLE[self.variant]
         if not getattr(self, scheme.constant) > 0:
             raise ValueError(scheme.unusable)
+        # the implicit step forms alpha ** 2, which raises OverflowError past
+        # the square root of the largest float; the product is inf there
+        if scheme.step_size is _free_step and not float(self.alpha) * float(self.alpha) < np.inf:
+            raise ValueError(f"free step size alpha={self.alpha} is too large: "
+                             "alpha^2 overflows")
 
     @property
     def s_beta(self):

@@ -454,10 +454,16 @@ def initial_state(problem, config):
                               ScalingState(1.0, config.gamma0), problem.constraint.residual(x0))
 
 
+def is_count(value, least=1):
+    """Whether ``value`` is an integer, Python's or numpy's, of at least ``least``."""
+    return isinstance(value, (int, np.integer)) and value >= least
+
+
 def check_run_limits(max_iter, stop_tol):
-    """Raise ``ValueError`` unless ``max_iter >= 0`` and ``0 <= stop_tol < inf``."""
-    if not (max_iter >= 0 and 0 <= stop_tol < np.inf):
-        raise ValueError("need max_iter >= 0 and 0 <= stop_tol < inf, "
+    """Raise ``ValueError`` unless ``max_iter`` is an integer ``>= 0``
+    (:func:`is_count`) and ``0 <= stop_tol < inf``."""
+    if not (is_count(max_iter, least=0) and 0 <= stop_tol < np.inf):
+        raise ValueError("need an integer max_iter >= 0 and 0 <= stop_tol < inf, "
                          f"got max_iter={max_iter} and stop_tol={stop_tol}")
 
 
@@ -504,7 +510,8 @@ def run_solver(problem, config):
     (``fresh_residual`` in :data:`~apd.schedule.SCHEME_TABLE`) skips this.
     The run's :class:`RunContext`, which is not returned, builds each
     ``implicit`` step system once; ``x*``'s values are formed once.
-    Raises ``ValueError`` unless ``max_iter >= 0`` and ``0 <= stop_tol < inf``.
+    Raises ``ValueError`` unless ``max_iter`` is an integer ``>= 0`` and
+    ``0 <= stop_tol < inf``.
     """
     # looked up per run, so a kkt_residual replaced on apd.model is the one called
     from .model import kkt_residual

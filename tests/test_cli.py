@@ -344,6 +344,18 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "epoch-inf.csv: column epoch must hold whole numbers, got inf"),
     ("audit --csv {tmp}/k-fraction.csv --problem {tmp}/qp.txt --scheme implicit",
      "k-fraction.csv: column k must hold whole numbers, got 1.5"),
+    ("solve --problem {tmp}/qp.txt --scheme implicit --alpha 1e155 --csv {tmp}/out.csv",
+     "solve: free step size alpha=1e+155 is too large: alpha^2 overflows"),
+    ("audit --csv {tmp}/alpha-huge.csv --problem {tmp}/qp.txt --scheme implicit",
+     "audit: free step size alpha=1e+155 is too large: alpha^2 overflows"),
+    ("solve --problem {tmp}/qp.txt --scheme semi_apd --max-iter 2 --csv {tmp}/dir",
+     "solve: cannot write {tmp}/dir: Is a directory"),
+    ("flow --problem {tmp}/qp.txt --h 0.01 --T 0.05 --csv {tmp}/dir",
+     "flow: cannot write {tmp}/dir: Is a directory"),
+    ("ddo --graph path:4 --m 2 --model ls --algo extra --max-iter 2 --csv {tmp}/dir",
+     "ddo: cannot write {tmp}/dir: Is a directory"),
+    ("compare --problem {tmp}/qp.txt --schemes semi_apd --max-iter 2 --out-dir {tmp}/solve.csv",
+     "compare: cannot write to {tmp}/solve.csv: File exists"),
 ], ids=["graph-kind", "graph-grid", "graph-disconnected", "graph-negative", "flow-step",
         "compare-beta", "compare-missing", "solve-missing", "ddo-m-zero", "ddo-samples-zero",
         "solve-alpha-zero", "solve-gamma0-zero", "flow-gamma0-zero", "audit-csv-missing",
@@ -356,7 +368,9 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
         "compare-max-iter-negative", "compare-stop-tol-negative", "ddo-algo-aqp",
         "file-m-negative", "file-n-zero", "file-n-fraction", "file-rows-zero", "file-diag-nan",
         "file-weight-nan", "file-feature-nan", "file-rhs-inf", "file-word", "file-ridge-negative",
-        "graph-geometric-radius-negative", "audit-k-nan", "audit-epoch-inf", "audit-k-fraction"])
+        "graph-geometric-radius-negative", "audit-k-nan", "audit-epoch-inf", "audit-k-fraction",
+        "solve-alpha-overflows", "audit-alpha-overflows", "solve-csv-directory",
+        "flow-csv-directory", "ddo-csv-directory", "compare-out-dir-file"])
 def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
     qp = write_problem(tmp_path / "qp.txt", "quadratic")
     write_problem(tmp_path / "lasso.txt", "lasso")
@@ -373,11 +387,14 @@ def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
     for name, second in (("k-nan", "nan,0"), ("epoch-inf", "1,inf"), ("k-fraction", "1.5,0")):
         (tmp_path / f"{name}.csv").write_text("k,epoch,alpha,theta,gamma,lyapunov\n0,0,0,1,1,2\n"
                                               f"{second},1,0.5,1,1\n", encoding="utf-8")
+    (tmp_path / "alpha-huge.csv").write_text("k,epoch,alpha,theta,gamma,lyapunov\n0,0,0,1,1,2\n"
+                                             "1,0,1e155,1e-155,1,1\n", encoding="utf-8")
+    (tmp_path / "dir").mkdir()
     assert main(["ddo", "--graph", "path:4", "--m", "2", "--model", "ls", "--algo", "apd",
                  "--max-iter", "2", "--csv", str(tmp_path / "ddo.csv")]) == 0
     assert main(["solve", "--problem", qp, "--scheme", "implicit", "--max-iter", "2",
                  "--csv", str(tmp_path / "solve.csv")]) == 0
-    argv = argv.format(tmp=tmp_path).split()
+    argv, message = argv.format(tmp=tmp_path).split(), message.format(tmp=tmp_path)
     with pytest.raises(SystemExit) as info:
         main(argv)
     if info.value.code == 2:  # argparse's usage error

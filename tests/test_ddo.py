@@ -117,7 +117,7 @@ def test_a_graph_converts_its_edges_once(monkeypatch):
 
 
 def graph_mixing(graph):
-    w, _ = mixing_matrix(graph_laplacian(graph))
+    w, _ = mixing_matrix(graph)
     return w
 
 
@@ -249,13 +249,39 @@ def test_consensus_apply_matches_laplacian():
 
 def test_problems_and_runs_on_one_graph_share_its_operators(monkeypatch):
     # B is assembled once, when the graph is built, and every problem on the
-    # graph and every constraint run_ddo builds reads the graph's B, B' and L
-    assembled = []
-    csr_matrix = ddo.sp.csr_matrix
+    # graph and every constraint run_ddo builds reads the graph's B, B' and L;
+    # the band of L and the certified lambda_max(L) are formed once, on first
+    # use, and every run on the graph reads them; every banded Cholesky factor,
+    # the certificate's and the Gram solves', comes from one helper
+    assembled, estimated, banded, scales, helped, factored = [], [], [], [], [], []
+    csr_matrix, eigsh, banded_form, mixing = (ddo.sp.csr_matrix, ddo.eigsh, ddo._banded,
+                                              ddo.mixing_matrix)
+    helper, cholesky_banded = ddo._banded_cholesky, ddo.sla.cholesky_banded
 
     def counting(*args, **kwargs):
         assembled.append(kwargs.get("shape"))
         return csr_matrix(*args, **kwargs)
+
+    def counting_eigsh(matrix, **kwargs):
+        estimated.append(matrix)
+        return eigsh(matrix, **kwargs)
+
+    def counting_banded(matrix):
+        banded.append(matrix)
+        return banded_form(matrix)
+
+    def counting_mixing(graph):
+        w, scale = mixing(graph)
+        scales.append(scale)
+        return w, scale
+
+    def counting_helper(band, shift, scale):
+        helped.append((shift, scale))
+        return helper(band, shift, scale)
+
+    def counting_cholesky(*args, **kwargs):
+        factored.append(args)
+        return cholesky_banded(*args, **kwargs)
 
     constraints = []
 
@@ -265,8 +291,17 @@ def test_problems_and_runs_on_one_graph_share_its_operators(monkeypatch):
             constraints.append(self)
 
     monkeypatch.setattr(ddo.sp, "csr_matrix", counting)
+    monkeypatch.setattr(ddo, "eigsh", counting_eigsh)
+    monkeypatch.setattr(ddo, "_banded_cholesky", counting_helper)
+    monkeypatch.setattr(ddo.sla, "cholesky_banded", counting_cholesky)
+    monkeypatch.setattr(ddo, "_banded", counting_banded)
+    monkeypatch.setattr(ddo, "mixing_matrix", counting_mixing)
     monkeypatch.setattr(ddo, "IncidenceConstraint", Recorded)
     graph = random_geometric_graph(20, 0.4, 3)
+    assert len(graph.edges) > graph.n  # the Gram matrix of the solves is L
+    # building a graph forms neither spectral value
+    assert estimated == banded == []
+    assert "band" not in vars(graph) and "lambda_max" not in vars(graph)
     problems = [build_ddo_problem(graph, 2, kind, seed=1)
                 for kind in ("least_squares", "logistic")]
     for prob in problems:
@@ -274,11 +309,18 @@ def test_problems_and_runs_on_one_graph_share_its_operators(monkeypatch):
             run_ddo(prob, algo, 5)
     assert assembled == [(len(graph.edges), graph.n)]
     assert all(prob.graph is graph and prob.laplacian is graph.laplacian for prob in problems)
+    assert len(estimated) == 1 and estimated[0] is graph.laplacian
+    assert len(banded) == 1 and banded[0] is graph.laplacian
     assert len(constraints) == 2
     for constraint in constraints:
-        assert constraint.incidence is graph.incidence
-        assert constraint._incidence_t is graph.incidence_t
-        assert constraint.laplacian is graph.laplacian
+        assert constraint.graph is graph
+        assert not {"incidence", "_incidence_t", "laplacian"} & set(vars(constraint))
+        assert constraint._band is graph.band
+        assert constraint.op_norm == float(np.sqrt(graph.lambda_max))
+    assert len(scales) == 2 and all(scale is graph.lambda_max for scale in scales)
+    # one certificate, of t I - L, and the factors of the APD runs' Gram solves
+    assert [scale for _, scale in helped].count(-1.0) == 1 and len(helped) > 1
+    assert len(factored) == len(helped)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +610,7 @@ def _dense_lambda_max(graph):
 def test_lambda_max_bound_is_certified_and_tight(make):
     graph = make()
     dense = _dense_lambda_max(graph)
-    assert dense <= ddo.lambda_max_bound(graph_laplacian(graph)) <= (1.0 + 1e-8) * dense
+    assert dense <= ddo.lambda_max_bound(graph) <= (1.0 + 1e-8) * dense
 
 
 def _edge_bound(graph):
@@ -577,9 +619,7 @@ def _edge_bound(graph):
 
 
 def test_lambda_max_bound_falls_back_to_the_edge_bound(monkeypatch):
-    graph = random_geometric_graph(60, 0.25, 4)
-    lap = graph_laplacian(graph)
-    values, vectors = np.linalg.eigh(lap.toarray())
+    values, vectors = np.linalg.eigh(random_geometric_graph(60, 0.25, 4).laplacian.toarray())
 
     def second_largest(matrix, **kwargs):
         # an exact eigenpair, but not the largest: the certificate must fail
@@ -590,11 +630,14 @@ def test_lambda_max_bound_falls_back_to_the_edge_bound(monkeypatch):
 
     for estimate in (second_largest, no_convergence):
         monkeypatch.setattr(ddo, "eigsh", estimate)
-        bound = ddo.lambda_max_bound(lap)
+        # a fresh graph for each estimate: a bound the graph holds from an
+        # earlier one would hide the fallback
+        graph = random_geometric_graph(60, 0.25, 4)
+        bound = ddo.lambda_max_bound(graph)
         assert bound == _edge_bound(graph)
         assert bound >= values[-1]
-        _, scale = mixing_matrix(lap)
-        assert scale == bound
+        _, scale = mixing_matrix(graph)
+        assert scale == bound == graph.lambda_max
 
 
 def test_no_run_ddo_takes_a_dense_eigensolve(monkeypatch):
@@ -668,7 +711,7 @@ def test_extra_step_makes_one_product_with_w():
     # (I + W)/2 x_prev is the mean of x_prev and the W x_prev of the step
     # before; the start forms W x_0, and each step the W x of its own result
     prob, _ = shared_minimizer_problem()
-    w = CountingOperator(mixing_matrix(prob.laplacian)[0])
+    w = CountingOperator(mixing_matrix(prob.graph)[0])
     alpha = extra_step_size(prob)
     state = ExtraState.start(np.random.default_rng(7).standard_normal((4, 3)), prob, w)
     assert w.products == 1
@@ -694,7 +737,7 @@ def test_extra_identity_mixing_is_gradient_descent():
 
 def test_extra_fixed_point():
     prob, x_hat = shared_minimizer_problem()
-    w, _ = mixing_matrix(prob.laplacian)
+    w, _ = mixing_matrix(prob.graph)
     stacked = np.tile(x_hat, (4, 1))
     start = ExtraState.start(stacked.copy(), prob, w)
     state = ExtraState(start.x, start.w_x, start.value, start.grad, x_prev=stacked.copy(),
@@ -858,7 +901,7 @@ def test_every_extra_record_holds_the_consensus_residual_to_rounding(monkeypatch
     stop_tol = 1e-8
     run, states = run_extra_with_states(monkeypatch, prob, 5000, stop_tol)
     assert run.status == "converged" and len(states) == len(run.records)
-    _, scale = mixing_matrix(prob.laplacian)
+    _, scale = mixing_matrix(prob.graph)
     degree = prob.laplacian.diagonal().max()
     c = (3 * degree + prob.dim + 11) / 2
     eps = np.finfo(float).eps
@@ -891,8 +934,8 @@ def test_run_ddo_extra_multiplies_by_hand_count(monkeypatch, max_iter, stop_tol,
                                ddo.DdoProblem.consensus_residual)
     mixed, applied = [], []
 
-    def counting_mixing(laplacian):
-        w, scale = mixing(laplacian)
+    def counting_mixing(graph):
+        w, scale = mixing(graph)
         mixed.append((CountingOperator(w), scale))
         return mixed[-1]
 
@@ -921,7 +964,7 @@ def test_run_ddo_extra_multiplies_by_hand_count(monkeypatch, max_iter, stop_tol,
 def test_run_ddo_extra_on_one_node_records_a_zero_consensus_residual(kind):
     # one node has W = I and L = 0: no lambda_max(L) scales the carried |L X|
     prob = build_ddo_problem(Graph(1, ()), 3, kind, seed=2)
-    w, scale = mixing_matrix(prob.laplacian)
+    w, scale = mixing_matrix(prob.graph)
     assert scale == 0.0
     np.testing.assert_array_equal(w.toarray(), np.eye(1))
     with np.errstate(all="raise"):  # no division by zero, no NaN
@@ -997,5 +1040,11 @@ def test_run_ddo_rejects_unknown_algo(monkeypatch):
 @pytest.mark.parametrize("max_iter,stop_tol", [(-2, 0.0), (5, np.nan), (5, np.inf), (5, -1.0)])
 def test_run_ddo_rejects_a_bad_step_cap_or_tolerance(max_iter, stop_tol):
     prob = build_ddo_problem(path_graph(3), 2, "least_squares", seed=0)
-    with pytest.raises(ValueError, match="need max_iter >= 0 and 0 <= stop_tol < inf"):
+    with pytest.raises(ValueError, match="need an integer max_iter >= 0 and 0 <= stop_tol < inf"):
         run_ddo(prob, "extra", max_iter, stop_tol=stop_tol)
+
+
+def test_run_ddo_takes_a_numpy_integer_step_cap():
+    prob = build_ddo_problem(path_graph(3), 2, "least_squares", seed=0)
+    for algo in ddo.ALGORITHMS:
+        assert len(run_ddo(prob, algo, np.int64(3)).records) == 4

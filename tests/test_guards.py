@@ -2,6 +2,7 @@
 one public entry point with one bad input and checks the exception type and
 a fragment of its message."""
 
+import math
 import re
 
 import numpy as np
@@ -17,6 +18,15 @@ START = apd.IterateState.start(np.zeros(2), np.zeros(1), apd.ScalingState(), -np
 
 def _step(step):
     return lambda tmp_path: step(START, apd.RunContext(QP1), 0.0)
+
+
+def _solve(max_iter):
+    return lambda tmp_path: apd.run_solver(QP1, apd.SolverConfig("semi_apd", max_iter=max_iter))
+
+
+def _ddo_run(max_iter):
+    return lambda tmp_path: ddo.run_ddo(
+        ddo.build_ddo_problem(ddo.path_graph(3), 2, "least_squares", seed=0), "apd", max_iter)
 
 
 def _problem_file(text):
@@ -46,6 +56,14 @@ GUARDS = {
                         ValueError, "labels must be +-1"),
     "box-empty": (lambda tmp_path: apd.Box([1.0], [0.0]), ValueError,
                   "empty coordinate range"),
+    "implicit-alpha-overflows": (lambda tmp_path: apd.StepRule("implicit", alpha=1e155),
+                                 ValueError, "free step size alpha=1e+155 is too large"),
+    "implicit-alpha-inf": (lambda tmp_path: apd.StepRule("implicit", alpha=math.inf),
+                           ValueError, "free step size alpha=inf is too large"),
+    "run-solver-max-iter-fraction": (_solve(5.5), ValueError, "got max_iter=5.5"),
+    "run-solver-max-iter-inf": (_solve(math.inf), ValueError, "got max_iter=inf"),
+    "run-ddo-max-iter-fraction": (_ddo_run(5.5), ValueError, "got max_iter=5.5"),
+    "run-ddo-max-iter-inf": (_ddo_run(math.inf), ValueError, "got max_iter=inf"),
     "theta-bound-k-negative": (lambda tmp_path: apd.theta_upper_bound(
         apd.StepRule("implicit"), -1, 1.0, 1.0, 1.0), ValueError, "must be nonnegative"),
     "cycle-two-nodes": (lambda tmp_path: ddo.cycle_graph(2), ValueError,

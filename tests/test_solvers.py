@@ -593,6 +593,11 @@ def test_run_solver_rejects_a_bad_step_cap_or_tolerance(qp1, max_iter, stop_tol)
         run_solver(qp1, SolverConfig("semi_apd", max_iter=max_iter, stop_tol=stop_tol))
 
 
+def test_run_solver_takes_a_numpy_integer_step_cap(qp1):
+    run = run_solver(qp1, SolverConfig("semi_apd", max_iter=np.int32(4)))
+    assert [rec.k for rec in run.records] == list(range(5))
+
+
 def test_run_zero_iterations(qp1):
     run = run_solver(qp1, SolverConfig(scheme="implicit", max_iter=0))
     assert len(run.records) == 1
