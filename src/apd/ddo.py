@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from . import solvers
 # augmented_consensus_solve and operator_norm_estimate are unused here but
@@ -24,7 +23,7 @@ from . import solvers
 from .inner import augmented_consensus_solve  # noqa: F401
 from .model import LinearConstraint, ProblemInstance
 from .model import operator_norm_estimate  # noqa: F401
-from .oracles import ZeroProx
+from .oracles import ZeroProx, _banded_cholesky, top_eigenvalue_bound
 from .schedule import ScalingState, StepRule, step_size
 
 
@@ -234,58 +233,30 @@ def _banded(matrix):
     return order, band
 
 
-def _banded_cholesky(band, shift, scale):
-    """The lower banded Cholesky factor of ``shift I + scale G`` from the
-    lower band of ``G`` (:func:`_banded`), in ``G``'s order; raises
-    ``numpy.linalg.LinAlgError`` unless the matrix is positive definite."""
-    shifted = scale * band
-    shifted[0] += shift
-    return sla.cholesky_banded(shifted, lower=True, overwrite_ab=True, check_finite=False)
-
-
 def lambda_max_bound(graph):
     """An upper bound ``s >= lambda_max(L)`` for the Laplacian ``L`` of the
     :class:`Graph` ``graph``, within about ``1e-10 s`` of it, with no dense
     eigensolve; the graph holds it as ``graph.lambda_max``.
 
-    Lanczos (``eigsh``, ``tol=1e-10``, from a fixed start, so a run repeats
-    bit for bit) estimates the largest eigenpair ``(lam, v)``. The trial
-    ``t = lam + r + c``, with the residual ``r = |L v - lam v|``, is then
-    certified by the banded Cholesky factor of ``t I - L`` in the reverse
-    Cuthill-McKee order of ``graph.band``, with band ``k``. The factor exists
-    only when ``t I - L + E`` is positive definite, where Cholesky's backward
-    error has ``|E|_2 <= (2k + 1) gamma_{k+1} max_i (t - d_i)`` (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 10.1); the slack
-    ``c = 2 (k + 1)(k + 2) eps (|lam| + r)`` covers that and the rounding of
-    ``t - d_i``, so ``s = t + c``. When Lanczos does not converge, or the
-    factor fails because ``lam`` is not the largest eigenvalue, ``s`` is the
+    ``s`` is :func:`~apd.oracles.top_eigenvalue_bound` of ``L``, certified by
+    the banded Cholesky factor of ``t I - L`` in the reverse Cuthill-McKee
+    order of ``graph.band``. When Lanczos does not converge, or the factor
+    fails because its estimate is not the largest eigenvalue, ``s`` is the
     edge bound ``max (d_i + d_j)`` over the edges ``(i, j)`` (Anderson and
     Morley, *Linear Multilinear Algebra* 1985), which always holds but was
     1.8 to 1.9 times too large on 400-node geometric graphs. One node has
     ``L = 0`` and ``s = 0``.
     """
-    laplacian, size = graph.laplacian, graph.n
-    if size < 2:
-        return 0.0
-    degrees = laplacian.diagonal()
-    entries = laplacian.tocoo()
-    edge_bound = float(np.max(degrees[entries.row] + degrees[entries.col],
-                              where=entries.row != entries.col, initial=0.0))
-    try:
-        (lam,), vec = eigsh(laplacian, k=1, which="LA", tol=1e-10,
-                            v0=np.cos(np.arange(size)))  # not constant: not in ker L
-    except ArpackNoConvergence:
-        return edge_bound
-    residual = float(np.linalg.norm(laplacian @ vec[:, 0] - lam * vec[:, 0]))
-    _, band = graph.band
-    slack = 2.0 * band.shape[0] * (band.shape[0] + 1) * np.finfo(float).eps \
-        * (abs(lam) + residual)
-    trial = float(lam) + residual + slack
-    try:
-        _banded_cholesky(band, trial, -1.0)
-    except np.linalg.LinAlgError:
-        return edge_bound
-    return trial + slack
+    laplacian = graph.laplacian
+
+    def edge_bound():
+        degrees = laplacian.diagonal()
+        entries = laplacian.tocoo()
+        return float(np.max(degrees[entries.row] + degrees[entries.col],
+                            where=entries.row != entries.col, initial=0.0))
+
+    # the Lanczos start cos(0..n-1) is not constant, so not in the kernel of L
+    return top_eigenvalue_bound(laplacian, edge_bound, graph.band[1])
 
 
 def mixing_matrix(graph):
@@ -530,9 +501,9 @@ class IncidenceConstraint(LinearConstraint):
     :meth:`shifted_gram_solve` factors ``shift I + scale G``, with ``G`` the
     smaller sparse Gram matrix of ``B`` (``L = B'B`` when ``|E| > n``, whose
     band the graph holds, ``BB'`` otherwise, as on a tree), by
-    :func:`_banded_cholesky` in ``G``'s reverse Cuthill-McKee order, one
-    factor per ``(shift, scale)`` pair. No dense ``n x n`` matrix is formed,
-    and no eigensolve runs.
+    :func:`~apd.oracles._banded_cholesky` in ``G``'s reverse Cuthill-McKee
+    order, one factor per ``(shift, scale)`` pair. No dense ``n x n`` matrix
+    is formed, and no eigensolve runs.
 
     :func:`run_ddo` builds one per call into its run context, so the factors
     live only as long as the run. It keeps the factors of the last

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import splu
 
-from .model import _smaller_gram
+from .oracles import _smaller_gram
 
 
 class InnerSolveError(RuntimeError):
@@ -229,7 +229,7 @@ def _newton_direction(ctx, amat, slope, residual):
     ``C = A_J`` holds the active columns ``J = {j: S_jj > 0}`` of ``A``, as
     every prox Jacobian ``S`` is 0/1 (the second-order sparsity of Li, Sun
     and Toh's SSNAL). The factored matrix is the smaller side, as in
-    :func:`~apd.model._smaller_gram`: ``theta I + c C C'`` (m×m) when
+    :func:`~apd.oracles._smaller_gram`: ``theta I + c C C'`` (m×m) when
     ``|J| >= m``, else ``theta I + c C'C`` (|J|×|J|) through Woodbury,
     ``d = -(F - c C (theta I + c C'C)^{-1} C'F) / theta``. No active column
     gives ``d = -F / theta``.

@@ -7,7 +7,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .oracles import (
     L1Prox,
@@ -17,7 +16,9 @@ from .oracles import (
     SmoothOracle,
     UnsupportedOracleError,
     ZeroProx,
+    _eigvalsh_bound,
     _rounding_slack,
+    _smaller_gram,
 )
 
 
@@ -97,14 +98,6 @@ class LinearConstraint:
         s, u = self.gram_factor
         scaled = (shift + scale * s).reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
         return u @ ((u.T @ rhs) / scaled)
-
-
-def _smaller_gram(matrix):
-    """The smaller Gram matrix of a dense or sparse ``M`` as a dense array:
-    ``M M'`` when ``M`` has no more rows than columns, else ``M'M``."""
-    rows, cols = matrix.shape
-    gram = matrix @ matrix.T if rows <= cols else matrix.T @ matrix
-    return gram.toarray() if sp.issparse(gram) else gram
 
 
 class MatrixConstraint(LinearConstraint):
@@ -286,9 +279,7 @@ def operator_norm_estimate(matrix):
     cover both, where ``k + d`` is the number of rows plus columns of ``M``.
     A zero matrix gives ``0.0``.
     """
-    gram = _smaller_gram(matrix)
-    slack = _rounding_slack(matrix.shape, np.trace(gram))
-    return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0) + slack))
+    return float(np.sqrt(_eigvalsh_bound(_smaller_gram(matrix), matrix.shape)))
 
 
 def quadratic_term(smooth):

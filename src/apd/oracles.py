@@ -9,6 +9,9 @@ that ``g.prox`` is the proximal operator of ``g`` restricted to the set.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .sets import Box
 
@@ -59,12 +62,132 @@ def _rounding_slack(shape, trace):
     return 2.0 * sum(shape) * np.finfo(float).eps * trace
 
 
+def _eigvalsh_bound(gram, shape):
+    """``lambda_max(G)`` by ``eigvalsh`` plus :func:`_rounding_slack`, for the
+    smaller Gram matrix ``G`` of a matrix of ``shape``: the square of
+    :func:`~apd.model.operator_norm_estimate`."""
+    slack = _rounding_slack(shape, np.trace(gram))
+    return np.linalg.eigvalsh(gram).max(initial=0.0) + slack
+
+
+def _smaller_gram(matrix):
+    """The smaller Gram matrix of a dense or sparse ``M`` as a dense array:
+    ``M M'`` when ``M`` has no more rows than columns, else ``M'M``."""
+    rows, cols = matrix.shape
+    gram = matrix @ matrix.T if rows <= cols else matrix.T @ matrix
+    return gram.toarray() if sp.issparse(gram) else gram
+
+
+def _banded_cholesky(band, shift, scale):
+    """The lower banded Cholesky factor of ``shift I + scale G`` from the
+    lower band of ``G`` (:func:`~apd.ddo._banded`), in ``G``'s order; raises
+    ``numpy.linalg.LinAlgError`` unless the matrix is positive definite."""
+    shifted = scale * band
+    shifted[0] += shift
+    return sla.cholesky_banded(shifted, lower=True, overwrite_ab=True, check_finite=False)
+
+
+def _dense_cholesky(gram, shift, scale):
+    """The lower Cholesky factor of ``shift I + scale G`` for a dense symmetric
+    ``G``; raises ``numpy.linalg.LinAlgError`` unless the matrix is positive
+    definite."""
+    shifted = scale * gram
+    shifted.flat[::gram.shape[0] + 1] += shift
+    # its transpose, equal to it and in Fortran order, is factored in place;
+    # scipy copies a C-ordered array first, which doubles the time
+    return sla.cholesky(shifted.T, lower=True, overwrite_a=True, check_finite=False)
+
+
+def top_eigenvalue_bound(gram, fallback, band=None, error=0.0):
+    """An upper bound ``s >= lambda_max(S)`` for every symmetric ``S`` within
+    ``error`` of the positive semidefinite ``G = gram`` in the 2-norm, within
+    about ``1e-10 s`` of it, with no dense eigensolve.
+
+    Lanczos (``eigsh``, ``tol=1e-10``, from the fixed start ``cos(0..d-1)``,
+    so a run repeats bit for bit) estimates the largest eigenpair ``(lam, v)``
+    of ``G``, of order ``d``. The trial ``t = lam + r + c``, with the residual
+    ``r = |G v - lam v|``, is then certified by the Cholesky factor of
+    ``t I - G``: banded, from the lower ``band`` of ``G`` with ``k + 1`` rows
+    (:func:`~apd.ddo._banded`, in any symmetric order of ``G``), when it is
+    given; dense, a band of ``k + 1 = d`` rows, otherwise. The factor exists
+    only when ``t I - G + E`` is positive definite, where Cholesky's backward
+    error has ``|E|_2 <= (2k + 1) gamma_{k+1} max_i (t - g_ii)`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 10.1); the slack
+    ``c = 2 (k + 1)(k + 2) eps (|lam| + r)`` covers that and the rounding of
+    ``t - g_ii``, so ``s = t + c + error``. When Lanczos does not converge or
+    the factor fails, because ``lam`` is not the largest eigenvalue, ``s`` is
+    ``fallback()``. Orders 0 and 1, and a zero ``G``, take no Lanczos step:
+    ``s`` is the trace of ``G`` plus ``error``.
+    """
+    size = gram.shape[0]
+    trace = float(np.sum(gram.diagonal()))
+    if size < 2 or trace == 0.0:  # the one eigenvalue, or G = 0 (positive semidefinite)
+        return trace + error
+    try:
+        (lam,), vec = eigsh(gram, k=1, which="LA", tol=1e-10, v0=np.cos(np.arange(size)))
+    except ArpackError:  # ArpackNoConvergence among them
+        return fallback()
+    residual = float(np.linalg.norm(gram @ vec[:, 0] - lam * vec[:, 0]))
+    rows = size if band is None else band.shape[0]
+    slack = 2.0 * rows * (rows + 1) * np.finfo(float).eps * (abs(lam) + residual)
+    trial = float(lam) + residual + slack
+    try:
+        if band is None:
+            _dense_cholesky(gram, trial, -1.0)
+        else:
+            _banded_cholesky(band, trial, -1.0)
+    except np.linalg.LinAlgError:
+        return fallback()
+    return trial + slack + error
+
+
+def gram_lambda_max(matrix):
+    """An upper bound on ``|M|_2^2``, the largest eigenvalue of ``M'M``, for a
+    dense ``M`` with no SVD: :func:`top_eigenvalue_bound` of the smaller Gram
+    matrix ``G`` (``M M'`` or ``M'M``), whose forming with inner dimension
+    ``k`` errs by at most ``k eps trace(G)`` in the 2-norm. Its fallback,
+    :func:`_eigvalsh_bound`, is the square of
+    :func:`~apd.model.operator_norm_estimate`."""
+    gram = _smaller_gram(matrix)
+    return top_eigenvalue_bound(gram, lambda: _eigvalsh_bound(gram, matrix.shape),
+                                error=max(matrix.shape) * np.finfo(float).eps * np.trace(gram))
+
+
+def _bounds_hold(quad, mu, lip, slack):
+    """True when Cholesky factors certify ``mu - s <= lambda_min(Q)`` and
+    ``lambda_max(Q) <= lip + slack`` for a dense symmetric ``Q``, finite
+    nonnegative ``mu`` and ``lip`` and ``slack > 0``, with
+    ``s = min(slack, mu + 1e-10)``: ``Q`` is then positive semidefinite, and
+    the eigenvalue checks of :class:`QuadraticObjective` would pass, up to
+    Cholesky's rounding at their edges. False when an input is missing or of
+    another kind, or a factor fails: the caller then takes ``eigvalsh`` and
+    raises as it would without the factors."""
+    try:
+        mu, lip = float(mu), float(lip)
+    except (TypeError, ValueError):  # None among them
+        return False
+    if not (slack > 0.0 and 0.0 <= mu < np.inf and 0.0 <= lip < np.inf):
+        return False
+    try:
+        _dense_cholesky(quad, min(slack, mu + 1e-10) - mu, 1.0)
+        _dense_cholesky(quad, lip + slack, -1.0)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class QuadraticObjective(SmoothOracle):
     """``h(x) = x'Qx/2 + c'x``: ``Q`` kept as its diagonal ``diag`` (``dense``
     is then ``None``) or as the symmetric ``dense``, ``c`` as ``linear``.
     ``is_zero`` is read from them: true when ``Q`` and ``c`` are all zero.
-    ``mu`` and ``lip`` default to the extreme eigenvalues of ``Q``; an override
-    may cross its eigenvalue by the slack of ``operator_norm_estimate``, no more."""
+
+    ``mu`` and ``lip`` default to the extreme eigenvalues of ``Q``: exact for
+    a diagonal, and for a dense ``Q`` those of ``eigvalsh`` moved outward by
+    the slack of ``operator_norm_estimate`` (:func:`_rounding_slack`), so
+    ``lip`` bounds ``lambda_max(Q)`` from above and ``mu`` ``lambda_min(Q)``
+    from below. An override may cross its eigenvalue by that slack, no more;
+    a dense ``Q`` with both overrides is checked by two Cholesky factors
+    (:func:`_bounds_hold`), and by ``eigvalsh`` only when one fails."""
 
     is_quadratic = True
 
@@ -79,16 +202,20 @@ class QuadraticObjective(SmoothOracle):
         if self.dim == 0:
             raise ValueError("quadratic term has dimension 0: h needs at least one variable")
         if quad.ndim == 1:
-            self.diag = quad
-            self.dense = None
-            lo, hi = float(quad.min()), float(quad.max())
+            self.diag, self.dense = quad, None
             trace = float(quad.sum())
         else:
             self.diag = None
             quad = self.dense = 0.5 * (quad + quad.T)
-            eig = np.linalg.eigvalsh(self.dense)
-            lo, hi = float(eig[0]), float(eig[-1])
             trace = float(np.trace(quad))
+        slack = _rounding_slack((self.dim, self.dim), trace)
+        if self.dense is None:  # a diagonal's extremes are exact
+            lo, hi, spread = float(quad.min()), float(quad.max()), 0.0
+        elif _bounds_hold(quad, mu, lip, slack):  # certified: they pass the checks below
+            lo, hi, spread = float(mu), float(lip), 0.0
+        else:
+            eig = np.linalg.eigvalsh(quad)
+            lo, hi, spread = float(eig[0]), float(eig[-1]), slack
         if lo < -1e-10 * max(abs(hi), 1.0):
             raise ValueError("quadratic term must be positive semidefinite")
         self.linear = np.zeros(self.dim) if linear is None else np.asarray(linear, dtype=float)
@@ -98,9 +225,9 @@ class QuadraticObjective(SmoothOracle):
         if not np.isfinite(self.linear).all():
             raise ValueError("linear term c holds NaN or inf")
         self.is_zero = not (quad.any() or self.linear.any())
-        self.mu = _snap_nonnegative(lo, hi) if mu is None else _finite_nonnegative("mu", mu)
-        self.lip = max(hi, 0.0) if lip is None else _finite_nonnegative("lip", lip)
-        slack = _rounding_slack((self.dim, self.dim), trace)
+        self.mu = _snap_nonnegative(lo - spread, hi) if mu is None \
+            else _finite_nonnegative("mu", mu)
+        self.lip = max(hi + spread, 0.0) if lip is None else _finite_nonnegative("lip", lip)
         if lip is not None and self.lip < hi - slack:
             raise ValueError(f"lip {self.lip} is below the largest eigenvalue {hi} of Q")
         if mu is not None and self.mu > lo + slack:
@@ -153,7 +280,7 @@ class LogisticObjective(SmoothOracle):
         self.dim = self.features.shape[1]
         self.mu = self.ridge
         # hessian <= ridge I + T' diag(1/4) T
-        self.lip = self.ridge + 0.25 * np.linalg.norm(self.features, 2) ** 2
+        self.lip = self.ridge + 0.25 * gram_lambda_max(self.features)
 
     def value(self, x):
         margins = self.labels * (self.features @ np.asarray(x, dtype=float))

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from apd import ddo, solvers
+from apd import ddo, oracles, solvers
 from apd.ddo import (
     DdoRecord,
     ExtraState,
@@ -254,9 +255,9 @@ def test_problems_and_runs_on_one_graph_share_its_operators(monkeypatch):
     # use, and every run on the graph reads them; every banded Cholesky factor,
     # the certificate's and the Gram solves', comes from one helper
     assembled, estimated, banded, scales, helped, factored = [], [], [], [], [], []
-    csr_matrix, eigsh, banded_form, mixing = (ddo.sp.csr_matrix, ddo.eigsh, ddo._banded,
+    csr_matrix, eigsh, banded_form, mixing = (ddo.sp.csr_matrix, oracles.eigsh, ddo._banded,
                                               ddo.mixing_matrix)
-    helper, cholesky_banded = ddo._banded_cholesky, ddo.sla.cholesky_banded
+    helper, cholesky_banded = oracles._banded_cholesky, ddo.sla.cholesky_banded
 
     def counting(*args, **kwargs):
         assembled.append(kwargs.get("shape"))
@@ -291,7 +292,9 @@ def test_problems_and_runs_on_one_graph_share_its_operators(monkeypatch):
             constraints.append(self)
 
     monkeypatch.setattr(ddo.sp, "csr_matrix", counting)
-    monkeypatch.setattr(ddo, "eigsh", counting_eigsh)
+    # the certificate looks both up in oracles, the Gram solves the helper in ddo
+    monkeypatch.setattr(oracles, "eigsh", counting_eigsh)
+    monkeypatch.setattr(oracles, "_banded_cholesky", counting_helper)
     monkeypatch.setattr(ddo, "_banded_cholesky", counting_helper)
     monkeypatch.setattr(ddo.sla, "cholesky_banded", counting_cholesky)
     monkeypatch.setattr(ddo, "_banded", counting_banded)
@@ -626,10 +629,10 @@ def test_lambda_max_bound_falls_back_to_the_edge_bound(monkeypatch):
         return values[-2:-1], vectors[:, -2:-1]
 
     def no_convergence(matrix, **kwargs):
-        raise ddo.ArpackNoConvergence("no convergence on purpose", np.zeros(0), np.zeros((60, 0)))
+        raise ArpackNoConvergence("no convergence on purpose", np.zeros(0), np.zeros((60, 0)))
 
     for estimate in (second_largest, no_convergence):
-        monkeypatch.setattr(ddo, "eigsh", estimate)
+        monkeypatch.setattr(oracles, "eigsh", estimate)
         # a fresh graph for each estimate: a bound the graph holds from an
         # earlier one would hide the fallback
         graph = random_geometric_graph(60, 0.25, 4)

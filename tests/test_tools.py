@@ -30,15 +30,15 @@ def test_hash_runs_repeats_its_digests_and_restores_what_it_wraps(monkeypatch, c
         outputs.append(capsys.readouterr().out.splitlines())
     assert outputs[0] == outputs[1]
     names = [name for _, name in tool.HASHED] + ["iterates", "ddo_iterates", "steps",
-                                                 "outcomes"]
+                                                 "constants", "outcomes"]
     assert [line.split()[0] for line in outputs[0]] == names
     assert all(int(line.split()[1]) > 0 and len(line.split()[2]) == 64 for line in outputs[0])
     # one iterates entry per run_solver call, one ddo_iterates entry per run_ddo
-    # call, and one steps entry per call of either
+    # call, and one steps entry and one constants entry per call of either
     calls = {line.split()[0]: int(line.split()[1]) for line in outputs[0]}
     assert calls["iterates"] == calls["run_solver"]
     assert calls["ddo_iterates"] == calls["run_ddo"]
-    assert calls["steps"] == calls["run_solver"] + calls["run_ddo"]
+    assert calls["steps"] == calls["constants"] == calls["run_solver"] + calls["run_ddo"]
     assert [getattr(module, name) for module, name in tool.HASHED] == originals
 
 

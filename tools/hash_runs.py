@@ -22,11 +22,16 @@ status and record count), and one, ``ddo_iterates``, over what each
 ``run_ddo`` call ends on (final ``x``, status and record count), both
 without the recorded floats; one, ``steps``, over the status and record
 count of every ``run_solver`` and ``run_ddo`` call, with no float at all;
-and one over every case outcome.
+one, ``constants``, over the constants each such call sizes its steps by,
+read from its problem (``smooth.mu``, ``smooth.lip`` and
+``constraint.op_norm`` for ``run_solver``, ``mu`` and ``lip`` for
+``run_ddo``); and one over every case outcome.
 Wall clocks (``wall_ns``) are skipped. A change that moves only the bits of
-the records thus shows its iterates unchanged, and one that moves only the
-bits of the iterates shows its steps unchanged. To compare two checkouts,
-copy this file into the other one's ``tools/`` and diff the two outputs.
+the records thus shows its iterates unchanged, one that moves only the bits
+of the iterates shows its steps unchanged, and one that moves the iterates
+through a step-rule constant shows it in ``constants``, which a change to
+the schemes leaves as it was. To compare two checkouts, copy this file into
+the other one's ``tools/`` and diff the two outputs.
 
 After the digests it names on stderr each case whose outcome is not ok, and
 exits 1 if there is one: equal digests of two checkouts can then not hide a
@@ -99,12 +104,22 @@ ENDS = {
 }
 
 
+# the digest over the step-rule constants of each call's problem, its first
+# argument, read once the call has returned
+CONSTANTS = {
+    "run_solver": lambda problem: (problem.smooth.mu, problem.smooth.lip,
+                                   problem.constraint.op_norm),
+    "run_ddo": lambda problem: (problem.mu, problem.lip),
+}
+
+
 def digests(seeds, tiny=False):
     """``{name: (calls, hex digest)}`` for each wrapped function, for each of
-    :data:`ENDS` and for ``outcomes``, and a list naming each case whose outcome
-    is not ok."""
+    :data:`ENDS`, for ``constants`` and for ``outcomes``, and a list naming
+    each case whose outcome is not ok."""
     hashes = {name: hashlib.sha256() for _, name in HASHED}
     hashes.update((name, hashlib.sha256()) for name in ENDS)
+    hashes["constants"] = hashlib.sha256()
     hashes["outcomes"] = hashlib.sha256()
     calls = dict.fromkeys(hashes, 0)
     failed = []
@@ -118,6 +133,10 @@ def digests(seeds, tiny=False):
                 if name in sources:
                     feed(hashes[digest], ends(result))
                     calls[digest] += 1
+            if name in CONSTANTS:
+                problem = args[0] if args else kwargs["problem"]
+                feed(hashes["constants"], CONSTANTS[name](problem))
+                calls["constants"] += 1
             return result
         return call
 
