@@ -1,7 +1,7 @@
 """Decentralized consensus optimization on graphs: the primal-dual scheme,
 which is :func:`~apd.solvers.semi_apdfb_step` on the graph's
 :class:`IncidenceConstraint`, a :class:`~apd.model.LinearConstraint` whose
-exact Gram solve is a banded Cholesky factor of a sparse graph matrix, plus
+exact Gram solve is a banded Cholesky factor of the graph's Laplacian, plus
 the Extra baseline. Neither algorithm takes a dense eigensolve: both read
 the certified ``lambda_max(L)`` of :func:`lambda_max_bound` that the
 :class:`Graph` holds."""
@@ -213,16 +213,17 @@ def graph_laplacian(graph):
 
 
 def _banded(matrix):
-    """``(order, band)`` of a sparse symmetric ``M``: its reverse Cuthill-McKee
-    order and, in that order, its lower band in LAPACK's lower banded storage,
+    """``(order, band)`` of a sparse symmetric ``M`` of order at least 1, a
+    graph's ``L`` (:attr:`Graph.band`, the one band every certificate and
+    Gram solve on the graph reads): its reverse Cuthill-McKee order and, in
+    that order, its lower band in LAPACK's lower banded storage,
     ``band[i - j, j] = M[order[i], order[j]]`` for ``i >= j``. ``band`` has one
     row more than the bandwidth; the Cholesky factor of a banded matrix keeps
     its band, so ``scipy.linalg.cholesky_banded`` factors it in place."""
     # imported on first use: the module adds about 1 MB to every process
     from scipy.sparse.csgraph import reverse_cuthill_mckee
     size = matrix.shape[0]
-    order = reverse_cuthill_mckee(matrix.tocsr(), symmetric_mode=True) if size \
-        else np.arange(0)
+    order = reverse_cuthill_mckee(matrix.tocsr(), symmetric_mode=True)
     position = np.empty(size, dtype=np.intp)
     position[order] = np.arange(size)
     entries = matrix.tocoo()
@@ -481,12 +482,6 @@ def reference_objective(problem):
 # the consensus constraint and the algorithm steps
 # ---------------------------------------------------------------------------
 
-# the banded factors an IncidenceConstraint keeps, the oldest dropped first:
-# run_ddo's mu = 0 epochs take 20 steps from theta = 1 to the restart
-# threshold, and each restarted epoch repeats those steps' (shift, scale) pairs
-_GRAM_FACTORS = 32
-
-
 class IncidenceConstraint(LinearConstraint):
     """The consensus constraint ``A = B kron I_m``, ``b = 0``, of the signed
     incidence matrix ``B`` of a problem's graph, on its ``(n, m)`` node stacks
@@ -496,21 +491,22 @@ class IncidenceConstraint(LinearConstraint):
 
     It reads ``B``, ``B'`` and the spectral data from its ``graph``.
     ``op_norm`` is ``|B kron I|_2 = |B|_2 = lambda_max(L)^{1/2}`` from the
-    graph's ``lambda_max``. The Gram solve of
-    :meth:`~apd.model.LinearConstraint.gram_solve` is exact: its
-    :meth:`shifted_gram_solve` factors ``shift I + scale G``, with ``G`` the
-    smaller sparse Gram matrix of ``B`` (``L = B'B`` when ``|E| > n``, whose
-    band the graph holds, ``BB'`` otherwise, as on a tree), by
-    :func:`~apd.oracles._banded_cholesky` in ``G``'s reverse Cuthill-McKee
-    order, one factor per ``(shift, scale)`` pair. No dense ``n x n`` matrix
-    is formed, and no eigensolve runs.
+    graph's ``lambda_max``. Its :meth:`gram_solve` is exact and always takes
+    the ``A'A`` side, on any graph: :meth:`shifted_gram_solve` factors
+    ``shift I + scale L`` by :func:`~apd.oracles._banded_cholesky` from the
+    graph's ``band`` of ``L = B'B``, in its reverse Cuthill-McKee order. No
+    dense ``n x n`` matrix is formed, and no eigensolve runs.
 
     :func:`run_ddo` builds one per call into its run context, so the factors
-    live only as long as the run. It keeps the factors of the last
-    ``_GRAM_FACTORS`` pairs, each ``(k + 1) n`` doubles for bandwidth ``k``
-    (about 0.2 MB on a 400-node benchmark graph): restarted epochs with
-    ``mu = 0`` repeat their pairs and reuse every factor, and a run whose pairs
-    never repeat holds no more than that many."""
+    live only as long as the run. It keeps the factor of every ``(shift,
+    scale)`` pair when the problem's ``mu`` is 0, and none otherwise, as
+    :func:`~apd.schedule.restart_scaling` fixes the pairs: with ``mu = 0``
+    every restarted epoch starts again from ``gamma0`` and repeats the first
+    epoch's pairs bit for bit, so the run holds one epoch's factors, each
+    ``(k + 1) n`` doubles for bandwidth ``k``. With ``mu > 0`` ``gamma`` is
+    kept across restarts, and a pair repeats only once ``gamma`` has settled
+    to the last bit, long after a 1e-5 stop; a run that gets that far forms
+    those factors again."""
 
     rhs = 0.0
 
@@ -518,6 +514,7 @@ class IncidenceConstraint(LinearConstraint):
         self.graph = problem.graph
         self.rows, self.cols = len(self.graph.edges) * problem.block_size, problem.dim
         self._factors = {}
+        self._keep_factors = not problem.mu > 0
 
     def apply(self, x):
         return self.graph.incidence @ x
@@ -529,33 +526,32 @@ class IncidenceConstraint(LinearConstraint):
     def op_norm(self):
         return float(np.sqrt(self.graph.lambda_max))
 
-    @cached_property
-    def _band(self):
-        """:func:`_banded` of ``G``: the graph's ``band`` of ``L`` when ``|E| > n``."""
-        if self.rows > self.cols:
-            return self.graph.band
-        return _banded(self.graph.incidence @ self.graph.incidence_t)
+    def gram_solve(self, shift, scale, rhs):
+        """``(y, A'y)`` for ``y = (shift I + scale A A')^{-1} rhs`` from the
+        ``A'A`` side of :meth:`~apd.model.LinearConstraint.gram_solve`, also
+        where ``A A'`` is the smaller, as on a tree: ``A'y`` is
+        :meth:`shifted_gram_solve` of ``A' rhs``, and
+        ``y = (rhs - scale A A'y) / shift``."""
+        adjoint_y = self.shifted_gram_solve(shift, scale, self.apply_adjoint(rhs))
+        return (rhs - scale * self.apply(adjoint_y)) / shift, adjoint_y
 
     def shifted_gram_solve(self, shift, scale, rhs):
-        """``(shift I + scale G)^{-1} rhs`` by the banded factor of the pair.
+        """``(shift I + scale L)^{-1} rhs`` by the banded factor of the pair,
+        off the kernel of ``L``, the constants.
 
-        On the ``A'A`` side ``G = L``, whose kernel holds the constants, and
         ``rhs = B' r`` has zero column means but for rounding. The means of
         ``rhs`` and of the solution are taken off, so the solve never divides
         a rounding residue in ``ker A`` by a small ``shift``."""
-        order, band = self._band
+        order, band = self.graph.band
         factor = self._factors.get((shift, scale))
         if factor is None:
-            if len(self._factors) == _GRAM_FACTORS:
-                del self._factors[next(iter(self._factors))]  # the oldest
-            factor = self._factors[shift, scale] = _banded_cholesky(band, shift, scale)
-        deflate = self.rows > self.cols
-        if deflate:
-            rhs = rhs - rhs.mean(axis=0)
+            factor = _banded_cholesky(band, shift, scale)
+            if self._keep_factors:
+                self._factors[shift, scale] = factor
+        rhs = rhs - rhs.mean(axis=0)
         out = np.empty_like(rhs)
         out[order] = sla.cho_solve_banded((factor, True), rhs[order], check_finite=False)
-        if deflate:
-            out -= out.mean(axis=0)
+        out -= out.mean(axis=0)
         return out
 
 
@@ -641,8 +637,11 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     :func:`apd_ddo_step` in one :class:`~apd.solvers.RunContext` of
     ``problem`` as the smooth part and its :class:`IncidenceConstraint`,
     built once per call and dropped with the context: each step takes one
-    exact global solve with the banded factor of its ``(shift, scale)``
-    pair, a centralized operation, not a gossip round. It runs from
+    exact global solve with the banded factor of ``shift I + scale L`` for
+    its ``(shift, scale)`` pair, a centralized operation, not a gossip round;
+    the factors are kept for the restarted epochs when ``mu = 0``, which
+    repeat the first epoch's pairs, and not at all when ``mu > 0``
+    (:class:`IncidenceConstraint`). It runs from
     ``gamma0 = lip`` with step size ``sqrt(gamma / lip)``, in the epochs of
     :class:`~apd.solvers.Epochs` that :func:`~apd.solvers.run_solver` runs
     too: a step that leaves ``theta`` below the restart threshold starts a

@@ -34,9 +34,10 @@ class LinearConstraint:
     assume, comes from :attr:`gram_factor` unless an instance sets its own.
     That default, the implicit range-space route, the semi-smooth Newton
     routes and ``semi_apdfb``'s Gram solve need :meth:`matrix`, unless a
-    subclass sets ``op_norm`` and its own :meth:`shifted_gram_solve`, as
-    :class:`~apd.ddo.IncidenceConstraint` does: a constraint with neither
-    runs only ``semi_apd`` and ``ex_apdfb``, and only with ``op_norm`` set.
+    subclass sets ``op_norm`` and its own :meth:`gram_solve`, as
+    :class:`~apd.ddo.IncidenceConstraint` does, always from the ``A'A`` side
+    on its graph's band of ``L``: a constraint with neither runs only
+    ``semi_apd`` and ``ex_apdfb``, and only with ``op_norm`` set.
     """
 
     rows = 0
@@ -74,7 +75,10 @@ class LinearConstraint:
 
     @cached_property
     def op_norm(self):
-        """:func:`operator_norm_estimate` from :attr:`gram_factor`."""
+        """The square root of the largest eigenvalue of :attr:`gram_factor`
+        plus :func:`~apd.oracles._rounding_slack`, the slack of
+        :func:`operator_norm_estimate`; it agrees with that function, whose
+        ``eigvalsh`` rounds otherwise, to a few ulps, not bit for bit."""
         s, _ = self.gram_factor
         return float(np.sqrt(s.max(initial=0.0) + self._norm_slack))
 

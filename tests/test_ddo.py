@@ -253,7 +253,8 @@ def test_problems_and_runs_on_one_graph_share_its_operators(monkeypatch):
     # graph and every constraint run_ddo builds reads the graph's B, B' and L;
     # the band of L and the certified lambda_max(L) are formed once, on first
     # use, and every run on the graph reads them; every banded Cholesky factor,
-    # the certificate's and the Gram solves', comes from one helper
+    # the certificate's and the Gram solves', comes from one helper and the
+    # graph's one band of L
     assembled, estimated, banded, scales, helped, factored = [], [], [], [], [], []
     csr_matrix, eigsh, banded_form, mixing = (ddo.sp.csr_matrix, oracles.eigsh, ddo._banded,
                                               ddo.mixing_matrix)
@@ -277,7 +278,7 @@ def test_problems_and_runs_on_one_graph_share_its_operators(monkeypatch):
         return w, scale
 
     def counting_helper(band, shift, scale):
-        helped.append((shift, scale))
+        helped.append((band, shift, scale))
         return helper(band, shift, scale)
 
     def counting_cholesky(*args, **kwargs):
@@ -301,7 +302,6 @@ def test_problems_and_runs_on_one_graph_share_its_operators(monkeypatch):
     monkeypatch.setattr(ddo, "mixing_matrix", counting_mixing)
     monkeypatch.setattr(ddo, "IncidenceConstraint", Recorded)
     graph = random_geometric_graph(20, 0.4, 3)
-    assert len(graph.edges) > graph.n  # the Gram matrix of the solves is L
     # building a graph forms neither spectral value
     assert estimated == banded == []
     assert "band" not in vars(graph) and "lambda_max" not in vars(graph)
@@ -318,11 +318,11 @@ def test_problems_and_runs_on_one_graph_share_its_operators(monkeypatch):
     for constraint in constraints:
         assert constraint.graph is graph
         assert not {"incidence", "_incidence_t", "laplacian"} & set(vars(constraint))
-        assert constraint._band is graph.band
         assert constraint.op_norm == float(np.sqrt(graph.lambda_max))
     assert len(scales) == 2 and all(scale is graph.lambda_max for scale in scales)
     # one certificate, of t I - L, and the factors of the APD runs' Gram solves
-    assert [scale for _, scale in helped].count(-1.0) == 1 and len(helped) > 1
+    assert [scale for _, _, scale in helped].count(-1.0) == 1 and len(helped) > 1
+    assert all(band is graph.band[1] for band, _, _ in helped)
     assert len(factored) == len(helped)
 
 
@@ -503,7 +503,7 @@ class FlatSmooth(SmoothOracle):
 
 @pytest.mark.parametrize("graph,kind", [
     pytest.param(random_geometric_graph(12, 0.5, 3), "logistic", id="geometric"),  # |E| > n
-    pytest.param(path_graph(5), "least_squares", id="path"),  # a tree: |E| < n, dual branch
+    pytest.param(path_graph(5), "least_squares", id="path"),  # a tree: |E| < n
     pytest.param(Graph(1, ()), "least_squares", id="single"),
 ])
 def test_apd_steps_match_semi_apdfb_on_dense_kron(graph, kind):
@@ -534,30 +534,25 @@ def test_apd_steps_match_semi_apdfb_on_dense_kron(graph, kind):
                  id="complete"),
 ])
 def test_incidence_factor_drops_exactly_the_kernel_of_the_laplacian(graph):
-    # with |E| > n the solve is of B'B = L off its kernel, the constants: the
-    # means of the right side and of the solution are taken off; a tree's is of
-    # BB', which is nonsingular, and keeps every direction
+    # on every graph, a tree's too, the solve is of B'B = L off its kernel, the
+    # constants: the means of the right side and of the solution are taken off
     inc = graph.incidence.toarray()
     constraint = IncidenceConstraint(build_ddo_problem(graph, 2, "least_squares", seed=1))
-    rhs = np.random.default_rng(3).standard_normal((inc.shape[len(graph.edges) > graph.n], 2))
-    if len(graph.edges) > graph.n:
-        gram, off_kernel = inc.T @ inc, np.eye(graph.n) - 1.0 / graph.n
-    else:
-        gram, off_kernel = inc @ inc.T, np.eye(len(graph.edges))
+    rhs = np.random.default_rng(3).standard_normal((graph.n, 2))
+    gram, off_kernel = inc.T @ inc, np.eye(graph.n) - 1.0 / graph.n
     for shift, scale in ((1.0, 0.5), (1e-2, 0.3), (1e-8, 1.0)):
-        want = off_kernel @ np.linalg.solve(shift * np.eye(len(gram)) + scale * gram,
+        want = off_kernel @ np.linalg.solve(shift * np.eye(graph.n) + scale * gram,
                                             off_kernel @ rhs)
         got = constraint.shifted_gram_solve(shift, scale, rhs)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    if len(graph.edges) > graph.n:
-        # a constant right side lies in ker L: nothing of it is divided by the shift
-        ones = np.ones((graph.n, 2))
-        assert np.abs(constraint.shifted_gram_solve(1e-8, 1.0, ones)).max() <= 1e-15
+    # a constant right side lies in ker L: nothing of it is divided by the shift
+    ones = np.ones((graph.n, 2))
+    assert np.abs(constraint.shifted_gram_solve(1e-8, 1.0, ones)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("graph", [
-    pytest.param(random_geometric_graph(40, 0.3, 7), id="geometric"),  # |E| > n: A'A side
-    pytest.param(path_graph(7), id="tree"),  # AA' side
+    pytest.param(random_geometric_graph(40, 0.3, 7), id="geometric"),  # |E| > n
+    pytest.param(path_graph(7), id="tree"),  # |E| < n: still the A'A side
     pytest.param(Graph(1, ()), id="single"),  # no edge: A has no row
     pytest.param(Graph(5, tuple((i, j) for i in range(5) for j in range(i + 1, 5))), id="K5"),
 ])
@@ -574,25 +569,54 @@ def test_gram_solve_matches_the_dense_kron_system(graph):
         assert np.linalg.norm(y.ravel() - want) <= 1e-12 * np.linalg.norm(want)
         assert np.linalg.norm(adjoint_y.ravel() - kron.T @ want) \
             <= 1e-12 * max(np.linalg.norm(kron.T @ want), np.finfo(float).tiny)
-        if constraint.rows > constraint.cols:
-            # A'y = B'y has no part along the constants, to rounding
-            assert np.abs(adjoint_y.sum(axis=0)).max() <= 1e-14 * np.abs(adjoint_y).sum()
+        # A'y = B'y has no part along the constants, to rounding
+        assert np.abs(adjoint_y.sum(axis=0)).max() <= 1e-14 * np.abs(adjoint_y).sum()
 
 
-def test_gram_solve_keeps_one_factor_per_pair_and_drops_the_oldest():
-    prob = build_ddo_problem(random_geometric_graph(30, 0.4, 2), 2, "least_squares", seed=0)
-    constraint = IncidenceConstraint(prob)
-    rhs = np.ones((len(prob.graph.edges), 2))
-    pairs = [(1.0 / (k + 1), 0.5) for k in range(ddo._GRAM_FACTORS + 3)]
-    first = constraint.gram_solve(*pairs[0], rhs)
-    factor = constraint._factors[pairs[0]]
-    again = constraint.gram_solve(*pairs[0], rhs)
-    assert constraint._factors[pairs[0]] is factor and len(constraint._factors) == 1
-    for got, want in zip(again, first):
-        np.testing.assert_array_equal(got, want)
-    for pair in pairs:
-        constraint.gram_solve(*pair, rhs)
-    assert list(constraint._factors) == pairs[-ddo._GRAM_FACTORS:]
+@pytest.mark.parametrize("graph", [
+    pytest.param(random_geometric_graph(30, 0.4, 2), id="geometric"),
+    pytest.param(path_graph(30), id="tree"),
+])
+def test_gram_solve_keeps_factors_only_when_mu_is_zero(monkeypatch, graph):
+    # restart_scaling fixes a run's (shift, scale) pairs: with mu = 0 every
+    # restarted epoch starts again from gamma0 and repeats the first epoch's
+    # pairs bit for bit, so the run factors those once and reuses each in every
+    # later epoch; with mu > 0 gamma is kept across restarts, and the run forms
+    # one factor per step and keeps none. Every factor is of the graph's band of L
+    helper, factored, built = ddo._banded_cholesky, [], []
+
+    def counting_helper(band, shift, scale):
+        factored.append((band, (shift, scale)))
+        return helper(band, shift, scale)
+
+    class Recorded(IncidenceConstraint):
+        def __init__(self, problem):
+            super().__init__(problem)
+            self.pairs = []
+            built.append(self)
+
+        def gram_solve(self, shift, scale, rhs):
+            self.pairs.append((shift, scale))
+            return super().gram_solve(shift, scale, rhs)
+
+    monkeypatch.setattr(ddo, "_banded_cholesky", counting_helper)
+    monkeypatch.setattr(ddo, "IncidenceConstraint", Recorded)
+    for kind, steps in (("logistic", 16), ("least_squares", 70)):
+        factored.clear()
+        run = run_ddo(build_ddo_problem(graph, 2, kind, seed=0), "apd", steps)
+        assert run.status == "max_iter"
+        constraint = built[-1]
+        assert all(band is graph.band[1] for band, _ in factored)
+        pairs = [pair for _, pair in factored]
+        if kind == "logistic":
+            assert pairs == constraint.pairs and len(pairs) == steps
+            assert constraint._factors == {}
+        else:
+            epoch = constraint.pairs.index(constraint.pairs[0], 1)
+            first = constraint.pairs[:epoch]
+            assert len(set(first)) == epoch and steps >= 3 * epoch
+            assert constraint.pairs == (first * 4)[:steps]
+            assert pairs == first and list(constraint._factors) == first
 
 
 def _dense_lambda_max(graph):
@@ -833,14 +857,14 @@ def test_run_ddo_apd_matches_a_loop_of_semi_apdfb_steps(kind):
 
 
 @pytest.mark.parametrize("graph, applies", [
-    pytest.param(random_geometric_graph(30, 0.4, 2), 2 * 24, id="geometric"),  # A'A side
-    pytest.param(path_graph(30), 24, id="tree"),  # AA' side
+    pytest.param(random_geometric_graph(30, 0.4, 2), 2 * 24, id="geometric"),  # |E| > n
+    pytest.param(path_graph(30), 2 * 24, id="tree"),  # |E| < n: the same A'A side
 ])
 def test_run_ddo_apd_applies_the_incidence_by_hand_count(monkeypatch, graph, applies):
     # each step applies A to z (the solve's right side) and A' once in the
-    # Gram solve, which on the A'A side applies A once more to recover the
-    # multiplier; the records read |L X| through the problem, not the
-    # constraint, and a restart applies nothing
+    # Gram solve, which takes the A'A side on every graph and applies A once
+    # more to recover the multiplier; the records read |L X| through the
+    # problem, not the constraint, and a restart applies nothing
     built = []
 
     class CountingIncidence(IncidenceConstraint):
