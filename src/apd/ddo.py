@@ -24,7 +24,11 @@ from .inner import augmented_consensus_solve  # noqa: F401
 from .model import LinearConstraint, ProblemInstance
 from .model import operator_norm_estimate  # noqa: F401
 from .oracles import ZeroProx, _banded_cholesky, top_eigenvalue_bound
-from .schedule import ScalingState, StepRule, step_size
+from .schedule import ScalingState, StepRule, repeats_pairs, step_size
+
+# the scheme of decentralized APD: its step rule, its epochs and whether its
+# factors are kept
+_SCHEME = "semi_apdfb"
 
 
 @dataclass(frozen=True)
@@ -297,6 +301,14 @@ def _rowwise_matvec(mats, vecs):
     return np.matmul(mats, vecs[..., None])[..., 0]
 
 
+KINDS = ("least_squares", "logistic")
+
+
+def _check_kind(kind):
+    if kind not in KINDS:
+        raise ValueError(f"unknown model kind {kind!r}; pick one of {KINDS}")
+
+
 @dataclass(frozen=True)
 class DdoProblem:
     """Average-of-local-objectives problem over a graph.
@@ -313,15 +325,19 @@ class DdoProblem:
     ``(n, m)``, labels ``(n,)`` and ridge ``(n,)`` for logistic. ``value``
     and ``gradient`` evaluate every node at once on it;
     ``local_value``/``local_gradient`` evaluate one node, and
-    :attr:`local_data` reads it node by node.
+    :attr:`local_data` reads it node by node. A ``kind`` not in :data:`KINDS`
+    raises ``ValueError``.
     """
 
     graph: Graph
     block_size: int
-    kind: str  # least_squares | logistic
+    kind: str  # one of KINDS
     node_data: tuple
     mu: float
     lip: float
+
+    def __post_init__(self):
+        _check_kind(self.kind)
 
     @property
     def n_nodes(self):
@@ -409,14 +425,15 @@ def build_ddo_problem(graph, block_size, kind, seed, samples=5, ridge=0.5):
     strong convexity); logistic draws one unit-scale feature vector and a
     binary label per node, with ``mu_i = ridge`` and
     ``lip_i = ridge + |label|^2 |features|^2 / 4``. Raises ``ValueError``,
-    before any draw, when ``block_size`` or ``samples`` is not an integer of
-    at least 1 or ``ridge`` is not finite and nonnegative; the :class:`Graph`
-    is connected by construction.
+    before any draw, when ``kind`` is not in :data:`KINDS`, ``block_size`` or
+    ``samples`` is not an integer of at least 1 or ``ridge`` is not finite and
+    nonnegative; the :class:`Graph` is connected by construction.
 
     Both kinds draw from one stream, node by node: least squares the node's
     design and then its target, logistic its features and then its label.
     Least squares takes the whole stream in one call.
     """
+    _check_kind(kind)
     if not (solvers.is_count(block_size) and solvers.is_count(samples)):
         raise ValueError(f"block_size and samples must be at least 1, as integers, "
                          f"got {block_size!r} and {samples!r}")
@@ -431,7 +448,7 @@ def build_ddo_problem(graph, block_size, kind, seed, samples=5, ridge=0.5):
         # the square of the largest norm: squaring the array of norms first
         # can round one ulp away from the per-node scalar square
         lip = np.max(np.linalg.norm(design, 2, axis=(1, 2))) ** 2 / n
-    elif kind == "logistic":
+    else:
         features, labels = np.empty((n, block_size)), np.empty(n)
         for i in range(n):
             features[i] = rng.standard_normal(block_size) / np.sqrt(block_size)
@@ -440,8 +457,6 @@ def build_ddo_problem(graph, block_size, kind, seed, samples=5, ridge=0.5):
         data, mu = (features, labels, np.full(n, float(ridge))), ridge / n
         lip = max(ridge + label ** 2 * float(row @ row) / 4.0
                   for row, label in zip(features, labels)) / n
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
     return DdoProblem(graph, block_size, kind, data, mu, lip)
 
 
@@ -491,30 +506,35 @@ class IncidenceConstraint(LinearConstraint):
 
     It reads ``B``, ``B'`` and the spectral data from its ``graph``.
     ``op_norm`` is ``|B kron I|_2 = |B|_2 = lambda_max(L)^{1/2}`` from the
-    graph's ``lambda_max``. Its :meth:`gram_solve` is exact and always takes
-    the ``A'A`` side, on any graph: :meth:`shifted_gram_solve` factors
-    ``shift I + scale L`` by :func:`~apd.oracles._banded_cholesky` from the
-    graph's ``band`` of ``L = B'B``, in its reverse Cuthill-McKee order. No
-    dense ``n x n`` matrix is formed, and no eigensolve runs.
+    graph's ``lambda_max``. Its Gram solve is exact and always takes the
+    ``A'A`` side, on any graph, also where ``A A'`` is the smaller, as on a
+    tree: ``gram_side`` is ``"A'A"``, so the base class's
+    :meth:`~apd.model.LinearConstraint.gram_solve` forms ``A'y`` by
+    :meth:`shifted_gram_solve` of ``A' rhs`` and ``y`` by one product with
+    ``A``. :meth:`shifted_gram_solve` factors ``shift I + scale L`` by
+    :func:`~apd.oracles._banded_cholesky` from the graph's ``band`` of
+    ``L = B'B``, in its reverse Cuthill-McKee order. No dense ``n x n``
+    matrix is formed, and no eigensolve runs.
 
     :func:`run_ddo` builds one per call into its run context, so the factors
     live only as long as the run. It keeps the factor of every ``(shift,
-    scale)`` pair when the problem's ``mu`` is 0, and none otherwise, as
-    :func:`~apd.schedule.restart_scaling` fixes the pairs: with ``mu = 0``
-    every restarted epoch starts again from ``gamma0`` and repeats the first
-    epoch's pairs bit for bit, so the run holds one epoch's factors, each
-    ``(k + 1) n`` doubles for bandwidth ``k``. With ``mu > 0`` ``gamma`` is
-    kept across restarts, and a pair repeats only once ``gamma`` has settled
-    to the last bit, long after a 1e-5 stop; a run that gets that far forms
-    those factors again."""
+    scale)`` pair when the restarted epochs of its scheme
+    :func:`~apd.schedule.repeats_pairs`, as they do when the problem's ``mu``
+    is 0: then every restarted epoch starts again from ``gamma0`` and repeats
+    the first epoch's pairs bit for bit, so the run holds one epoch's
+    factors, each ``(k + 1) n`` doubles for bandwidth ``k``. With ``mu > 0``
+    ``gamma`` is kept across restarts, and a pair repeats only once ``gamma``
+    has settled to the last bit, long after a 1e-5 stop; it keeps no factor,
+    and a run that gets that far forms those factors again."""
 
     rhs = 0.0
+    gram_side = "A'A"
 
     def __init__(self, problem):
         self.graph = problem.graph
         self.rows, self.cols = len(self.graph.edges) * problem.block_size, problem.dim
         self._factors = {}
-        self._keep_factors = not problem.mu > 0
+        self._keep_factors = repeats_pairs(_SCHEME, problem.mu)
 
     def apply(self, x):
         return self.graph.incidence @ x
@@ -525,15 +545,6 @@ class IncidenceConstraint(LinearConstraint):
     @cached_property
     def op_norm(self):
         return float(np.sqrt(self.graph.lambda_max))
-
-    def gram_solve(self, shift, scale, rhs):
-        """``(y, A'y)`` for ``y = (shift I + scale A A')^{-1} rhs`` from the
-        ``A'A`` side of :meth:`~apd.model.LinearConstraint.gram_solve`, also
-        where ``A A'`` is the smaller, as on a tree: ``A'y`` is
-        :meth:`shifted_gram_solve` of ``A' rhs``, and
-        ``y = (rhs - scale A A'y) / shift``."""
-        adjoint_y = self.shifted_gram_solve(shift, scale, self.apply_adjoint(rhs))
-        return (rhs - scale * self.apply(adjoint_y)) / shift, adjoint_y
 
     def shifted_gram_solve(self, shift, scale, rhs):
         """``(shift I + scale L)^{-1} rhs`` by the banded factor of the pair,
@@ -684,10 +695,10 @@ def run_ddo(problem, algo, max_iter, stop_tol=0.0, f_ref=None, timing=False):
     if algo == "apd":
         ctx = solvers.RunContext(
             ProblemInstance(problem, ZeroProx(), IncidenceConstraint(problem)))
-        rule = StepRule("semi_apdfb", lip_beta=problem.lip)
+        rule = StepRule(_SCHEME, lip_beta=problem.lip)
         lam0 = np.zeros((len(problem.graph.edges), m))
         state = solvers.IterateState.start(x0, lam0, ScalingState(1.0, problem.lip), None)
-        epochs = solvers.Epochs("semi_apdfb", problem.mu, problem.lip, state)
+        epochs = solvers.Epochs(_SCHEME, problem.mu, problem.lip, state)
 
         def step(state):
             state = epochs.begin(state)

@@ -132,29 +132,26 @@ class DualMapContext:
         self.r = self.theta * np.asarray(lam_prev, dtype=float) - self.alpha * self.constraint.rhs
 
 
-def _dual_map(ctx, lam):
-    """``F(lam)``, the prox argument ``u = z - t A' lam`` and ``p = prox_{t g}(u)``."""
+def _prox_point(ctx, lam):
+    """The prox argument ``u = z - t A' lam`` and ``p = prox_{t g}(u)`` of ``lam``."""
     u = ctx.z - ctx.t * ctx.constraint.apply_adjoint(lam)
-    p = ctx.g.prox(ctx.t, u)
-    return ctx.theta * lam - ctx.alpha * ctx.constraint.apply(p) - ctx.r, u, p
+    return u, ctx.g.prox(ctx.t, u)
 
 
-def eval_dual_merit(ctx, lam):
-    """Smooth merit whose gradient is the dual map ``F``.
+def _dual_map(ctx, lam, p):
+    """``F(lam) = theta lam - alpha A p - r`` from the prox point ``p`` of ``lam``."""
+    return ctx.theta * lam - ctx.alpha * ctx.constraint.apply(p) - ctx.r
 
-    With ``u = z - t A' lam`` and ``p = prox_{t g}(u)`` it is
-    ``theta |lam|^2 / 2 - <r, lam> + alpha ((<u, p> - |p|^2 / 2) / t - g(p))``,
+
+def _merit(ctx, lam, u, p):
+    """Smooth merit whose gradient is the dual map ``F``, at ``lam`` from its
+    prox argument ``u`` and prox point ``p`` (:func:`_prox_point`).
+
+    It is ``theta |lam|^2 / 2 - <r, lam> + alpha ((<u, p> - |p|^2 / 2) / t - g(p))``,
     ``alpha`` times the Moreau envelope of ``g*`` at ``u / t``, written with
     ``g`` itself (Li, Sun and Toh, SSNAL). It needs only ``g.prox`` and
     ``g.value``, so it is finite for every prox function.
     """
-    lam = np.asarray(lam, dtype=float)
-    u = ctx.z - ctx.t * ctx.constraint.apply_adjoint(lam)
-    return _merit(ctx, lam, u, ctx.g.prox(ctx.t, u))
-
-
-def _merit(ctx, lam, u, p):
-    """The merit at ``lam`` from its prox argument ``u`` and prox point ``p``."""
     envelope = (float(u @ p) - 0.5 * float(p @ p)) / ctx.t - ctx.g.value(p)
     return (0.5 * ctx.theta * float(lam @ lam) - float(ctx.r @ lam)
             + ctx.alpha * envelope)
@@ -183,42 +180,41 @@ def ssn_solve(ctx, lam0, tol):
 
     Each iteration solves ``(theta I + alpha t A S A') d = -F(lam)`` exactly,
     with a diagonal Clarke element ``S`` of the prox (see
-    :func:`_newton_direction`). A full step that halves ``|F|`` is taken as
-    it is; otherwise the step backtracks with an Armijo test on the merit of
-    :func:`eval_dual_merit`,
-    ``theta |lam|^2 / 2 - <r, lam> + alpha ((<u, p> - |p|^2 / 2) / t - g(p))``
-    with ``u = z - t A' lam`` and ``p = prox_{t g}(u)``, whose gradient is ``F``.
+    :func:`_newton_direction`), and tries the steps ``lam + 2^-i d``,
+    ``i = 0..60``, in one loop. The full step is taken as it is when it
+    halves ``|F|``; a step is taken when it passes the Armijo test on the
+    :func:`_merit`, whose gradient is ``F``. Each trial forms its prox point
+    once, and ``F`` only at the full step and at the step taken.
     The constraint must have a dense form: on a matrix-free one,
     ``constraint.matrix()`` raises ``UnsupportedOracleError``.
     """
     amat = ctx.constraint.matrix()
     lam = np.asarray(lam0, dtype=float).copy()
-    residual, u, p = _dual_map(ctx, lam)
+    u, p = _prox_point(ctx, lam)
+    residual = _dual_map(ctx, lam, p)
     rnorm = float(np.linalg.norm(residual))
     for j in range(_MAX_NEWTON):
         if rnorm <= tol:
             return SsnResult(lam, j, True, rnorm, p)
         direction = _newton_direction(ctx, amat, ctx.g.prox_jacobian(ctx.t, u), residual)
-        # full steps contract the residual once the active set settles;
-        # accepting them directly avoids merit-noise stalls near the solution
-        full = lam + direction
-        full_res, full_u, full_p = _dual_map(ctx, full)
-        full_norm = float(np.linalg.norm(full_res))
-        if full_norm <= 0.5 * rnorm:
-            lam, residual, u, p, rnorm = full, full_res, full_u, full_p, full_norm
-            continue
-        merit = _merit(ctx, lam, u, p)
-        slope = float(residual @ direction)
         step = 1.0
         for _ in range(61):
             trial = lam + step * direction
-            if eval_dual_merit(ctx, trial) <= merit + _NU * step * slope:
+            trial_u, trial_p = _prox_point(ctx, trial)
+            if step == 1.0:
+                # full steps contract the residual once the active set settles;
+                # taking them directly avoids merit-noise stalls near the solution
+                trial_res = _dual_map(ctx, trial, trial_p)
+                if float(np.linalg.norm(trial_res)) <= 0.5 * rnorm:
+                    break
+                merit, slope = _merit(ctx, lam, u, p), float(residual @ direction)
+            if _merit(ctx, trial, trial_u, trial_p) <= merit + _NU * step * slope:
                 break
             step *= _DELTA
         else:
             raise InnerSolveError("Newton line search exceeded 60 halvings", rnorm)
-        lam = lam + step * direction
-        residual, u, p = _dual_map(ctx, lam)
+        lam, u, p = trial, trial_u, trial_p
+        residual = trial_res if step == 1.0 else _dual_map(ctx, lam, p)
         rnorm = float(np.linalg.norm(residual))
     return SsnResult(lam, _MAX_NEWTON, rnorm <= tol, rnorm, p)
 

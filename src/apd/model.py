@@ -34,10 +34,10 @@ class LinearConstraint:
     assume, comes from :attr:`gram_factor` unless an instance sets its own.
     That default, the implicit range-space route, the semi-smooth Newton
     routes and ``semi_apdfb``'s Gram solve need :meth:`matrix`, unless a
-    subclass sets ``op_norm`` and its own :meth:`gram_solve`, as
-    :class:`~apd.ddo.IncidenceConstraint` does, always from the ``A'A`` side
-    on its graph's band of ``L``: a constraint with neither runs only
-    ``semi_apd`` and ``ex_apdfb``, and only with ``op_norm`` set.
+    subclass sets ``op_norm`` and its own :meth:`shifted_gram_solve`, as
+    :class:`~apd.ddo.IncidenceConstraint` does on its graph's band of ``L``,
+    with :attr:`gram_side` set to ``"A'A"``: a constraint with neither runs
+    only ``semi_apd`` and ``ex_apdfb``, and only with ``op_norm`` set.
     """
 
     rows = 0
@@ -82,14 +82,23 @@ class LinearConstraint:
         s, _ = self.gram_factor
         return float(np.sqrt(s.max(initial=0.0) + self._norm_slack))
 
+    @property
+    def gram_side(self):
+        """The Gram matrix that :meth:`shifted_gram_solve` inverts: ``"AA'"``
+        when ``rows <= cols``, else ``"A'A"``, the smaller one, as
+        :attr:`gram_factor` forms it. A subclass with its own
+        :meth:`shifted_gram_solve` may set it to the side that solve takes."""
+        return "AA'" if self.rows <= self.cols else "A'A"
+
     def gram_solve(self, shift, scale, rhs):
         """``(y, A'y)`` for ``y = (shift I + scale A A')^{-1} rhs``, ``shift > 0``,
-        by :meth:`shifted_gram_solve`. On the ``A A'`` side that solve gives
-        ``y`` and ``A'y`` takes one adjoint product. On the ``A'A`` side
-        ``A'y = (shift I + scale A'A)^{-1} A' rhs``, whose solve sees only a
-        right side in the range of ``A'``, and ``y = (rhs - scale A A'y) / shift``
-        takes one product with ``A``. ``rhs`` may stack columns."""
-        if self.rows <= self.cols:
+        by :meth:`shifted_gram_solve` on the side of :attr:`gram_side`. On the
+        ``A A'`` side that solve gives ``y`` and ``A'y`` takes one adjoint
+        product. On the ``A'A`` side ``A'y = (shift I + scale A'A)^{-1} A' rhs``,
+        whose solve sees only a right side in the range of ``A'``, and
+        ``y = (rhs - scale A A'y) / shift`` takes one product with ``A``.
+        ``rhs`` may stack columns."""
+        if self.gram_side == "AA'":
             y = self.shifted_gram_solve(shift, scale, rhs)
             return y, self.apply_adjoint(y)
         adjoint_y = self.shifted_gram_solve(shift, scale, self.apply_adjoint(rhs))

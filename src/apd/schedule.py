@@ -179,13 +179,20 @@ def theta_upper_bound(rule, k, gamma0, gamma_min, gamma_max):
     return SCHEME_TABLE[rule.variant].theta_bound(rule, k, gamma0, gamma_min, gamma_max)
 
 
+def repeats_pairs(variant, mu_beta):
+    """Whether every restarted epoch of ``variant`` restarts ``gamma`` at
+    ``gamma0``, and so repeats the first epoch's scaling pairs, and with them
+    its step sizes, bit for bit.
+
+    It does unless the scheme advances ``gamma`` with ``mu_beta > 0``: then
+    ``gamma`` tends to ``mu_beta``, never decays, and is kept across restarts.
+    """
+    return not (SCHEME_TABLE[variant].uses_mu_beta and mu_beta > 0)
+
+
 def restart_scaling(variant, mu_beta, gamma, gamma0):
     """Scaling pair that starts a new epoch of ``variant`` after one that
-    ended at ``gamma``: ``theta = 1``.
-
-    ``gamma`` is kept when the scheme advances it with ``mu_beta > 0`` (it
-    then tends to ``mu_beta`` and never decays); otherwise it decays with
-    ``theta`` and restarts at ``gamma0``.
+    ended at ``gamma``: ``theta = 1``, with ``gamma0`` where
+    :func:`repeats_pairs` holds and ``gamma`` kept otherwise.
     """
-    keep = SCHEME_TABLE[variant].uses_mu_beta and mu_beta > 0
-    return ScalingState(1.0, gamma if keep else gamma0)
+    return ScalingState(1.0, gamma0 if repeats_pairs(variant, mu_beta) else gamma)

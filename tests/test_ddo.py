@@ -24,7 +24,7 @@ from apd.ddo import (
     reference_objective,
     run_ddo,
 )
-from apd.model import MatrixConstraint, ProblemInstance
+from apd.model import LinearConstraint, MatrixConstraint, ProblemInstance
 from apd.oracles import SmoothOracle, ZeroProx
 from apd.schedule import ScalingState
 
@@ -571,6 +571,38 @@ def test_gram_solve_matches_the_dense_kron_system(graph):
             <= 1e-12 * max(np.linalg.norm(kron.T @ want), np.finfo(float).tiny)
         # A'y = B'y has no part along the constants, to rounding
         assert np.abs(adjoint_y.sum(axis=0)).max() <= 1e-14 * np.abs(adjoint_y).sum()
+
+
+def test_incidence_constraint_runs_the_base_gram_solve():
+    assert IncidenceConstraint.gram_solve is LinearConstraint.gram_solve
+    assert IncidenceConstraint.gram_side == "A'A"
+
+
+def _incidence(graph, m=2):
+    constraint = IncidenceConstraint(build_ddo_problem(graph, m, "least_squares", seed=4))
+    return constraint, np.kron(graph.incidence.toarray(), np.eye(m)), (len(graph.edges), m)
+
+
+def _tall_matrix():
+    amat = np.random.default_rng(6).standard_normal((7, 4))
+    return MatrixConstraint(amat, np.zeros(7)), amat, (7,)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(_tall_matrix, id="tall-matrix"),
+    pytest.param(lambda: _incidence(path_graph(6)), id="tree"),  # |E| < n, A'A still
+    pytest.param(lambda: _incidence(cycle_graph(6)), id="cycle"),  # |E| = n
+])
+def test_gram_solve_on_the_a_t_a_side_matches_a_dense_solve(build):
+    constraint, amat, shape = build()
+    assert constraint.gram_side == "A'A"
+    rhs = np.random.default_rng(8).standard_normal(shape)
+    for shift, scale in ((1.0, 0.5), (0.05, 2.0)):
+        y, adjoint_y = constraint.gram_solve(shift, scale, rhs)
+        want = np.linalg.solve(shift * np.eye(len(amat)) + scale * amat @ amat.T, rhs.ravel())
+        assert np.linalg.norm(y.ravel() - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(adjoint_y.ravel() - amat.T @ want) \
+            <= 1e-12 * np.linalg.norm(amat.T @ want)
 
 
 @pytest.mark.parametrize("graph", [

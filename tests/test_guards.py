@@ -94,6 +94,9 @@ GUARDS = {
                               "edge endpoints must be integers, got str"),
     "ddo-kind": (lambda tmp_path: ddo.build_ddo_problem(ddo.path_graph(3), 2, "huber", seed=0),
                  ValueError, "unknown model kind 'huber'"),
+    "ddo-problem-kind": (lambda tmp_path: ddo.DdoProblem(
+        ddo.path_graph(4), 2, "least-squares", (), 0.0, 1.0), ValueError,
+        "unknown model kind 'least-squares'; pick one of ('least_squares', 'logistic')"),
     "consensus-method": (lambda tmp_path: inner.augmented_consensus_solve(
         ddo.graph_laplacian(ddo.path_graph(3)), 1e-3, np.ones(3), method="cg"),
         ValueError, "unknown method 'cg'"),

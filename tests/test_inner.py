@@ -14,10 +14,11 @@ from apd.inner import (
     InnerSolveError,
     _bordered_matrix,
     _dual_map,
+    _merit,
     _newton_direction,
+    _prox_point,
     _triangle_factors,
     augmented_consensus_solve,
-    eval_dual_merit,
     pcg_solve,
     ssn_solve,
 )
@@ -189,6 +190,14 @@ def test_gram_factor_of_a_matrix_free_constraint_raises():
 # dual map, merit, Jacobians
 # ---------------------------------------------------------------------------
 
+def dual_map(ctx, lam):
+    return _dual_map(ctx, lam, _prox_point(ctx, lam)[1])
+
+
+def merit(ctx, lam):
+    return _merit(ctx, lam, *_prox_point(ctx, lam))
+
+
 def test_dual_map_affine_when_unconstrained():
     ctx = _context(theta=0.7, alpha=0.9, t=0.4)
     rng = np.random.default_rng(1)
@@ -196,7 +205,7 @@ def test_dual_map_affine_when_unconstrained():
     h = ctx.theta * np.eye(1) + ctx.alpha * ctx.t * amat @ amat.T
     for _ in range(10):
         lam = rng.standard_normal(1)
-        lhs = _dual_map(ctx, lam)[0] - _dual_map(ctx, np.zeros(1))[0]
+        lhs = dual_map(ctx, lam) - dual_map(ctx, np.zeros(1))
         np.testing.assert_allclose(lhs, h @ lam, atol=1e-12)
 
 
@@ -211,8 +220,7 @@ def test_dual_map_monotone_lipschitz_sandwich():
         rho = ctx.theta + ctx.alpha * ctx.t * constraint.op_norm ** 2  # Lipschitz constant
         for _ in range(1000):
             lam, xi = rng.standard_normal(3), rng.standard_normal(3)
-            gap = float((_dual_map(ctx, lam)[0] - _dual_map(ctx, xi)[0])
-                        @ (lam - xi))
+            gap = float((dual_map(ctx, lam) - dual_map(ctx, xi)) @ (lam - xi))
             dist = float((lam - xi) @ (lam - xi))
             assert gap >= ctx.theta * dist - 1e-9
             assert gap <= rho * dist + 1e-9
@@ -230,12 +238,11 @@ def test_merit_gradient_matches_map():
                              rng.standard_normal(3))
         for _ in range(25):
             lam = rng.standard_normal(3)
-            grad = _dual_map(ctx, lam)[0]
+            grad = dual_map(ctx, lam)
             for i in range(3):
                 shift = np.zeros(3)
                 shift[i] = 1e-6
-                fd = (eval_dual_merit(ctx, lam + shift)
-                      - eval_dual_merit(ctx, lam - shift)) / 2e-6
+                fd = (merit(ctx, lam + shift) - merit(ctx, lam - shift)) / 2e-6
                 assert abs(fd - grad[i]) <= 1e-5 * (1 + abs(grad[i]))
 
 
@@ -249,7 +256,7 @@ def test_merit_quadratic_case_matches_expansion():
         point = ctx.z - ctx.t * (amat.T @ lam)
         direct = (0.5 * ctx.theta * float(lam @ lam) - float(ctx.r @ lam)
                   + ctx.alpha * float(point @ point) / (2 * ctx.t))
-        assert eval_dual_merit(ctx, lam) == pytest.approx(direct, rel=1e-12)
+        assert merit(ctx, lam) == pytest.approx(direct, rel=1e-12)
 
 
 def test_merit_l1_case_matches_expansion():
@@ -267,17 +274,17 @@ def test_merit_l1_case_matches_expansion():
         p = np.sign(u) * np.maximum(np.abs(u) - ctx.t * weight, 0.0)
         direct = (0.5 * ctx.theta * float(lam @ lam) - float(ctx.r @ lam)
                   + ctx.alpha * float(p @ p) / (2 * ctx.t))
-        assert eval_dual_merit(ctx, lam) == pytest.approx(direct, rel=1e-12)
+        assert merit(ctx, lam) == pytest.approx(direct, rel=1e-12)
 
 
 def test_merit_strong_convexity_at_solution():
     ctx = _context(theta=0.5, alpha=0.8, t=0.7, z=(1.0, -0.4))
     res = ssn_solve(ctx, np.zeros(1), tol=1e-12)
-    base = eval_dual_merit(ctx, res.lam)
+    base = merit(ctx, res.lam)
     rng = np.random.default_rng(8)
     for _ in range(200):
         lam = res.lam + rng.standard_normal(1) * 2
-        gap = eval_dual_merit(ctx, lam) - base
+        gap = merit(ctx, lam) - base
         assert gap >= 0.5 * ctx.theta * float((lam - res.lam) @ (lam - res.lam)) - 1e-9
 
 
@@ -306,6 +313,30 @@ def test_ssn_zero_iterations_at_solution():
     first = ssn_solve(ctx, np.zeros(1), tol=1e-12)
     again = ssn_solve(ctx, first.lam, tol=1e-10)
     assert again.iterations == 0 and again.converged
+
+
+def test_ssn_forms_each_trial_point_once():
+    # a small theta makes the full Newton step overshoot: this solve rejects
+    # some trial steps, yet it takes one A' product and one prox per point
+    class Recording(apd.MatrixConstraint):
+        def apply_adjoint(self, lam):
+            points.append(lam.tobytes())
+            return super().apply_adjoint(lam)
+
+    class CountingL1(L1Prox):
+        def prox(self, t, u):
+            proxes.append(t)
+            return super().prox(t, u)
+
+    points, proxes = [], []
+    rng = np.random.default_rng(2)
+    constraint = Recording(rng.standard_normal((3, 6)), rng.standard_normal(3))
+    ctx = DualMapContext(0.05, 1.0, 1.0, 3 * rng.standard_normal(6), constraint,
+                         CountingL1(1.0), 3 * rng.standard_normal(3))
+    res = ssn_solve(ctx, np.zeros(3), tol=1e-10)
+    assert res.converged
+    assert len(set(points)) > res.iterations + 1  # some trial was rejected
+    assert len(points) == len(proxes) == len(set(points))
 
 
 def test_ssn_matches_vectorized_grid_oracle():

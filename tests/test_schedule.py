@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from apd import ScalingState, StepRule, advance_scaling, step_size, theta_upper_bound
+from apd.schedule import SCHEMES, repeats_pairs, restart_scaling
 
 
 def test_advance_scaling_examples():
@@ -96,3 +97,13 @@ def test_theta_monotone_decreasing():
         state = advance_scaling(state, 0.5, 1.0)
         assert state.theta < prev
         prev = state.theta
+
+
+def test_restarted_epochs_repeat_their_pairs_unless_gamma_is_kept():
+    # only a scheme that advances gamma with mu_beta > 0 keeps it across restarts
+    for variant in SCHEMES:
+        for mu_beta in (0.0, 0.5):
+            repeats = repeats_pairs(variant, mu_beta)
+            assert repeats == (mu_beta == 0 or variant == "implicit")
+            assert restart_scaling(variant, mu_beta, 0.7, 2.0) \
+                == ScalingState(1.0, 2.0 if repeats else 0.7)
