@@ -258,13 +258,15 @@ def lyapunov_value(problem, saddle, x, v, lam, gamma, theta, at_x=None, at_star=
     return value if value.ndim else float(value)
 
 
-def kkt_residual(problem, x, lam, residual=None):
+def kkt_residual(problem, x, lam, residual=None, with_point=False):
     """Feasibility and stationarity residuals at ``(x, lam)``.
 
     Stationarity is the plain gradient norm for smooth unconstrained
     objectives and otherwise the prox-gradient residual at unit step:
     ``|x - prox_g(1, x - (grad h(x) + A' lam))|``. ``residual`` may pass
-    ``A x - b`` when the caller already holds it.
+    ``A x - b`` when the caller already holds it. With ``with_point`` it
+    also returns the prox-gradient point ``prox_g(1, x - (grad h(x) + A' lam))``
+    it formed, ``None`` for a smooth unconstrained objective.
     """
     x = np.asarray(x, dtype=float)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -275,10 +277,11 @@ def kkt_residual(problem, x, lam, residual=None):
     feas = float(np.linalg.norm(residual))
     grad = problem.smooth.gradient(x) + problem.constraint.apply_adjoint(lam)
     if problem.is_smooth_unconstrained:
-        stat = float(np.linalg.norm(grad))
+        stat, point = float(np.linalg.norm(grad)), None
     else:
-        stat = float(np.linalg.norm(x - problem.nonsmooth.prox(1.0, x - grad)))
-    return feas, stat
+        point = problem.nonsmooth.prox(1.0, x - grad)
+        stat = float(np.linalg.norm(x - point))
+    return (feas, stat, point) if with_point else (feas, stat)
 
 
 def operator_norm_estimate(matrix):

@@ -35,6 +35,10 @@ from .schedule import (
 # implicit scheme's derived step on its exact route (:func:`make_step_rule`)
 _RESTART_THETA = 1e-2
 _FRESH_RESIDUAL = 1e3  # C of run_solver's residual refresh
+# face solves per polish chain (:func:`polish_chain`): on the composite
+# benchmark's seed-31 sets, 5 ends every case at the step 8 ends it, while 3
+# leaves box.semi_apd at 23, 32 and 26 steps against 17, 19 and 22
+_POLISH_SOLVES = 5
 
 
 class SaddleReferenceError(RuntimeError):
@@ -356,7 +360,8 @@ def polish_face(problem, state, face):
     one Cholesky of ``A_F'A_F`` (a QR would first load LAPACK code no other
     solve uses, 0.6 MB of resident memory). Otherwise it is the
     :func:`~apd.model.kkt_system` of the face, with its ``m x m`` Schur
-    complement.
+    complement. :func:`polish_chain` calls it on a face read from an
+    iterate and then on the faces that its candidates give.
     """
     free, fixed, slope = face
     smooth, constraint, lam = problem.smooth, problem.constraint, state.lam
@@ -377,6 +382,44 @@ def polish_face(problem, state, face):
     except (np.linalg.LinAlgError, UnsupportedOracleError):
         return None
     return IterateState.start(x, lam + delta, state.scaling, constraint.residual(x))
+
+
+def polish_chain(problem, state, face, stop_tol, measured):
+    """``(candidate, record)`` of the first candidate of the polish chain
+    from ``face`` whose stop measure is within ``stop_tol``, or ``None``.
+
+    The first candidate is :func:`polish_face` of ``state`` on ``face``.
+    ``measured(candidate)`` returns its record, its stop measure and the
+    prox-gradient point ``prox_g(1, x - (grad h(x) + A' lam))`` when the
+    measure formed it, else ``None`` (then the chain forms it with
+    :func:`~apd.model.kkt_residual`, one more product with ``A'``). A
+    candidate that misses gives the next face, the face of ``g`` at that
+    point, and the next candidate is :func:`polish_face` of it on that face:
+    one step of the primal-dual active-set method, which frees a bound
+    coordinate whose gradient pulls it inside and fixes a free one that the
+    solve took past its bound. The chain stops at the first certified
+    candidate, at a face it has already tried, at a singular face and after
+    ``_POLISH_SOLVES`` solves.
+    """
+    # looked up per call, so a kkt_residual replaced on apd.model is the one called
+    from .model import kkt_residual
+
+    tried = []
+    for _ in range(_POLISH_SOLVES):
+        candidate = polish_face(problem, state, face)
+        if candidate is None:
+            return None
+        record, measure, point = measured(candidate)
+        if measure <= stop_tol:
+            return candidate, record
+        tried.append(face)
+        if point is None:
+            point = kkt_residual(problem, candidate.x, candidate.lam, candidate.r_x,
+                                 with_point=True)[2]
+        state, face = candidate, problem.nonsmooth.face(point)
+        if any(_same_face(face, seen) for seen in tried):
+            break
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +526,20 @@ def run_solver(problem, config):
     the face of ``g`` (:meth:`~apd.oracles.ProxFunction.face`) at the point
     the step's prox landed on (the scheme's ``prox_point`` in
     :data:`~apd.schedule.SCHEME_TABLE`). When the face is that of the step
-    before and not the face of the last failed attempt, it solves the KKT
-    conditions on it (:func:`polish_face`). The solution is a candidate that
-    the run records and measures as it does a step; one whose measure is
+    before and not the face of the last failed attempt, it runs a polish
+    chain (:func:`polish_chain`): it solves the KKT conditions on the face
+    (:func:`polish_face`), and each candidate that misses gives the next
+    face, that of ``g`` at the candidate's prox-gradient point, up to
+    ``_POLISH_SOLVES`` solves and until a face repeats or is singular. Each
+    candidate is recorded and measured as a step is; one whose measure is
     within ``stop_tol`` ends the run, and any other's record is dropped. The
     run ends with status
 
     - ``converged`` when the measure of a step, or of a polish, is within
       ``stop_tol``. A polish adds one closing record, at ``k`` one past the
       last step, with ``alpha = 0`` (no scheme step is zero) in an epoch of
-      its own, and the state ``(x, x, lam)`` keeps the last step's scaling pair;
+      its own, and the state ``(x, x, lam)`` keeps the last step's scaling
+      pair; its ``wall_ns`` is the chain's time up to that candidate's solve;
     - ``precision_floor`` when an epoch ends without lowering the measure
       below every earlier epoch end: rounding, not the scheme, now sets the
       accuracy. The returned state is then the best iterate measured;
@@ -533,24 +580,27 @@ def run_solver(problem, config):
     epochs = Epochs(config.scheme, problem.smooth.mu, config.gamma0, state)
 
     def measured(k, epoch, alpha, state, inner_iters=0, wall_ns=0):
-        """The record of ``state`` and its stop measure: objective gap plus feasibility
-        against the reference, else the KKT sum where it can decide the run, else ``inf``."""
+        """The record of ``state``, its stop measure (objective gap plus feasibility
+        against the reference, else the KKT sum where it can decide the run, else
+        ``inf``) and the prox-gradient point that the KKT sum formed, else ``None``."""
         at_x = PointValues(problem, state.x, state.r_x)
         obj_gap, feasibility, lagrangian_gap = residual_metrics(
             problem, state.x, state.lam, reference, at_x, at_star)
-        lyap, measure = np.nan, np.inf
+        lyap, measure, point = np.nan, np.inf, None
         if reference is not None:
             lyap = discrete_lyapunov(state, problem, reference, lagrangian_gap)
             measure = obj_gap + feasibility
         elif epochs.ends(state) or 0 < config.stop_tol and feasibility <= config.stop_tol:
             # feas + stat <= stop_tol needs feas <= stop_tol, so stationarity
             # is formed only then and at epoch ends
-            measure = sum(kkt_residual(problem, state.x, state.lam, residual=state.r_x))
+            feas, stat, point = kkt_residual(problem, state.x, state.lam, residual=state.r_x,
+                                             with_point=True)
+            measure = feas + stat
         return IterationRecord(
             k=k, epoch=epoch, alpha=alpha, theta=state.scaling.theta,
             gamma=state.scaling.gamma, obj_gap=obj_gap, feasibility=feasibility,
             lagrangian_gap=lagrangian_gap, lyapunov=lyap, inner_iters=inner_iters,
-            wall_ns=wall_ns), measure
+            wall_ns=wall_ns), measure, point
 
     records = [measured(0, 0, 0.0, state)[0]]
     status = "max_iter"
@@ -571,7 +621,7 @@ def run_solver(problem, config):
                     config.stop_tol, fresh_x * np.sqrt(state.x @ state.x) + fresh_b)):
             state = IterateState(state.x, state.v, state.lam, state.scaling,
                                  problem.constraint.residual(state.x), state.r_v)
-        rec, measure = measured(k + 1, epochs.epoch, alpha, state, ctx.inner_iters, elapsed)
+        rec, measure, _ = measured(k + 1, epochs.epoch, alpha, state, ctx.inner_iters, elapsed)
         records.append(rec)
         floor = epochs.at_floor(state, measure)
         if config.stop_tol > 0 and measure <= config.stop_tol:
@@ -580,19 +630,21 @@ def run_solver(problem, config):
         if polishing:
             face, previous = problem.nonsmooth.face(getattr(state, scheme.prox_point)), face
             if _same_face(face, previous) and not _same_face(face, failed):
+                started = time.perf_counter_ns() if config.timing else 0
+
+                def closing_measured(candidate):
+                    elapsed = time.perf_counter_ns() - started if config.timing else 0
+                    return measured(k + 2, epochs.epoch + 1, 0.0, candidate, wall_ns=elapsed)
+
                 # a nearly singular face overflows; its measure is then nan or inf
                 # and misses
                 with np.errstate(all="ignore"):
-                    started = time.perf_counter_ns() if config.timing else 0
-                    polished = polish_face(problem, state, face)
-                    elapsed = time.perf_counter_ns() - started if config.timing else 0
-                    if polished is not None:
-                        closing, measure = measured(k + 2, epochs.epoch + 1, 0.0, polished,
-                                                    wall_ns=elapsed)
-                        if measure <= config.stop_tol:
-                            state, status = polished, "converged"
-                            records.append(closing)
-                            break
+                    polished = polish_chain(problem, state, face, config.stop_tol,
+                                            closing_measured)
+                if polished is not None:
+                    (state, closing), status = polished, "converged"
+                    records.append(closing)
+                    break
                 failed = face
         if floor:
             status, state = "precision_floor", epochs.best_state

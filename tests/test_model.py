@@ -46,6 +46,14 @@ def test_kkt_residual_composite_uses_prox_residual():
     assert feas < 1e-12 and stat < 1e-12
     _, stat_off = apd.kkt_residual(p, sp.x_star, sp.lambda_star + 0.1)
     assert stat_off > 1e-3
+    # with_point hands over the prox-gradient point that stationarity measures
+    # from, and leaves both residuals as they were
+    feas_p, stat_p, point = apd.kkt_residual(p, sp.x_star, sp.lambda_star + 0.1,
+                                             with_point=True)
+    assert stat_p == stat_off == float(np.linalg.norm(sp.x_star - point))
+    grad = p.smooth.gradient(sp.x_star) + p.constraint.apply_adjoint(sp.lambda_star + 0.1)
+    assert np.array_equal(point, p.nonsmooth.prox(1.0, sp.x_star - grad))
+    assert feas_p == apd.kkt_residual(p, sp.x_star, sp.lambda_star + 0.1)[0]
 
 
 def test_operator_norm_examples():

@@ -21,6 +21,7 @@ from apd.harness import audit_records
 from apd.inner import InnerSolveError
 from apd.schedule import SCHEME_TABLE, SCHEMES, ScalingState, restart_scaling
 from apd.solvers import (
+    _POLISH_SOLVES,
     _RESTART_THETA,
     IterateState,
     IterationRecord,
@@ -890,10 +891,12 @@ def loop_by_hand(problem, config, restarts=True):
     the residual ``A x - b`` the state carries. That residual is formed
     afresh after a step that ends an epoch or whose carried ``|A x - b|`` is
     within ``max(stop_tol, 1e3 eps (|A| |x| + |b|))``. It reads the face of
-    ``g`` at every step, calls
-    :func:`~apd.solvers.polish_face` when ``run_solver`` does and ends on
-    the polished point when :func:`stop_measure` of it is within
-    ``stop_tol``. Without
+    ``g`` at every step and, when ``run_solver`` polishes, runs the chain of
+    :func:`~apd.solvers.polish_chain`: :func:`~apd.solvers.polish_face` on
+    the face, then on the face of ``g`` at each missing candidate's
+    prox-gradient point, until a face repeats, a face is singular or
+    ``_POLISH_SOLVES`` solves have run. It ends on the first candidate
+    whose :func:`stop_measure` is within ``stop_tol``. Without
     ``restarts`` it is the paper's scheme run from a single start: one
     epoch, no precision floor and no polish."""
     step = getattr(apd, SCHEME_TABLE[config.scheme].step)
@@ -954,17 +957,28 @@ def loop_by_hand(problem, config, restarts=True):
             if polishing:
                 face, previous = problem.nonsmooth.face(getattr(state, prox_point)), face
                 if same(face, previous) and not same(face, failed):
-                    polished = polish_face(problem, state, face)
-                    if (polished is not None
-                            and stop_measure(problem, polished, reference) <= config.stop_tol):
-                        obj_gap, feas, lgap = residual_metrics(problem, polished.x,
-                                                               polished.lam, reference)
-                        lyap = (discrete_lyapunov(polished, problem, reference)
-                                if reference is not None else np.nan)
-                        records.append(IterationRecord(
-                            k + 1, epoch + 1, 0.0, state.scaling.theta, state.scaling.gamma,
-                            obj_gap, feas, lgap, lyap, 0, 0))
-                        return records, polished, "converged"
+                    tried, start, chained = [], state, face
+                    for _ in range(_POLISH_SOLVES):
+                        polished = polish_face(problem, start, chained)
+                        if polished is None:
+                            break
+                        if stop_measure(problem, polished, reference) <= config.stop_tol:
+                            obj_gap, feas, lgap = residual_metrics(problem, polished.x,
+                                                                   polished.lam, reference)
+                            lyap = (discrete_lyapunov(polished, problem, reference)
+                                    if reference is not None else np.nan)
+                            records.append(IterationRecord(
+                                k + 1, epoch + 1, 0.0, state.scaling.theta,
+                                state.scaling.gamma, obj_gap, feas, lgap, lyap, 0, 0))
+                            return records, polished, "converged"
+                        tried.append(chained)
+                        grad = (problem.smooth.gradient(polished.x)
+                                + constraint.apply_adjoint(polished.lam))
+                        start = polished
+                        chained = problem.nonsmooth.face(
+                            problem.nonsmooth.prox(1.0, polished.x - grad))
+                        if any(same(chained, seen) for seen in tried):
+                            break
                     failed = face
             if epoch_end:
                 if not total < best_end:
@@ -1197,16 +1211,22 @@ def test_a_polished_run_ends_on_a_point_that_meets_its_stop_measure(kind, scheme
                          problem.smooth.mu).total == 0
 
 
-# (A, A') products of polished runs on boxed_qp(seed), seeds 0 to 5, at
-# stop_tol 1e-8. A candidate forms its A x - b once, and the certified one's
-# record is the closing record. A step takes one A product, and its record
-# none: no step of these runs ends an epoch or carries an |A x - b| within
-# the tolerance. The first step's A v - b is the start's A x - b. semi_apdfb's
-# counts include its Newton solves, which take one A' product per trial point
-# and one A product at each full step and each step taken
+# (A products, A' products, steps, polish candidates) of polished runs on
+# boxed_qp(seed), seeds 0 to 5, at stop_tol 1e-8. A candidate takes one A
+# product in its face solve (b - A_B x_B) and forms its A x - b once; the
+# certified one's record is the closing record. Every candidate's
+# feasibility is within the tolerance, so its measure is the KKT sum, whose
+# one A' product also forms the prox-gradient point that gives the chain's
+# next face. A step takes one A product, and its record none: no step of
+# these runs ends an epoch or carries an |A x - b| within the tolerance. The
+# first step's A v - b is the start's A x - b. semi_apdfb's counts include
+# its Newton solves, which take one A' product per trial point and one A
+# product at each full step and each step taken
 POLISH_PRODUCTS = {
-    "semi_apd": [(167, 153), (84, 73), (347, 330), (107, 90), (47, 41), (100, 85)],
-    "semi_apdfb": [(41, 28), (37, 26), (42, 33), (23, 17), (36, 27), (46, 33)],
+    "semi_apd": [(54, 35, 17, 18), (48, 33, 19, 14), (84, 59, 35, 24), (83, 52, 22, 30),
+                 (48, 35, 23, 12), (46, 32, 19, 13)],
+    "semi_apdfb": [(24, 17, 4, 2), (23, 16, 4, 2), (34, 26, 4, 4), (23, 17, 4, 1),
+                   (26, 20, 4, 2), (29, 21, 4, 3)],
 }
 
 
@@ -1217,10 +1237,50 @@ def test_a_polish_costs_one_product_with_a_per_candidate(scheme):
         problem = boxed_qp(seed)
         constraint = CountingConstraint(problem.constraint)
         problem = apd.ProblemInstance(problem.smooth, problem.nonsmooth, constraint)
-        run = run_solver(problem, SolverConfig(scheme, max_iter=20000, stop_tol=1e-8))
+        tries = []
+        with mock.patch.object(solvers, "polish_face",
+                               lambda *args: tries.append(args) or polish_face(*args)):
+            run = run_solver(problem, SolverConfig(scheme, max_iter=20000, stop_tol=1e-8))
         assert run.status == "converged" and run.records[-1].alpha == 0
-        counts.append((constraint.applies, constraint.adjoints))
+        counts.append((constraint.applies, constraint.adjoints, len(run.records) - 2,
+                       len(tries)))
     assert counts == POLISH_PRODUCTS[scheme]
+    if scheme == "semi_apd":  # one A and one A' product per step, no inner solve
+        for applies, adjoints, steps, candidates in counts:
+            assert (applies, adjoints) == (1 + steps + 2 * candidates, steps + candidates)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_face_one_bound_off_certifies_within_one_chain(seed):
+    # the saddle face of a boxed QP with its free coordinate nearest to a
+    # bound pinned to that bound, a face one bound off as the face read from
+    # an iterate drifts, misses; the prox-gradient point of its candidate
+    # frees that coordinate again, and a later candidate of the chain certifies
+    problem, tol = boxed_qp(seed), 1e-8
+    run = run_solver(problem, SolverConfig("semi_apdfb", max_iter=20000, stop_tol=1e-10))
+    free, fixed, slope = problem.nonsmooth.face(run.state.x)
+    assert np.any(~free) and np.count_nonzero(free) > problem.constraint.rows
+    pinned = np.flatnonzero(free)[np.argmax(np.abs(run.state.x[free]))]
+    free, fixed = free.copy(), fixed.copy()
+    free[pinned], fixed[pinned] = False, np.sign(run.state.x[pinned])
+    start = iterate(problem, run.state.x, run.state.x, run.state.lam, ScalingState(0.5, 1.0))
+
+    def measured(candidate):
+        feas, stat, point = apd.kkt_residual(problem, candidate.x, candidate.lam,
+                                             with_point=True)
+        return None, feas + stat, point
+
+    tries = []
+    with mock.patch.object(solvers, "polish_face",
+                           lambda *args: tries.append(args) or polish_face(*args)):
+        polished = solvers.polish_chain(problem, start, (free, fixed, slope[1:]), tol, measured)
+    assert polished is not None and 2 <= len(tries) <= _POLISH_SOLVES
+    assert not stop_measure(problem, polish_face(problem, start, tries[0][2]), None) <= tol
+    assert tries[1][2][0][pinned]  # the second face frees the pinned coordinate
+    candidate, _ = polished
+    assert stop_measure(problem, candidate, None) <= tol
+    assert np.array_equal(problem.nonsmooth.face(candidate.x)[0],
+                          problem.nonsmooth.face(run.state.x)[0])
 
 
 def test_audit_checks_no_certificate_on_the_closing_record_of_a_polish():

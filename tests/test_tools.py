@@ -29,13 +29,25 @@ def test_hash_runs_repeats_its_digests_and_restores_what_it_wraps(monkeypatch, c
         assert tool.main(["--seeds", "101", "--tiny"]) == 0
         outputs.append(capsys.readouterr().out.splitlines())
     assert outputs[0] == outputs[1]
+    # each digest of PER_WORKLOAD is followed by one line per workload that
+    # feeds it: ddo calls no run_solver, and qp_dense and composite no run_ddo
+    per_workload = {"run_solver": ("qp_dense", "composite"),
+                    "iterates": ("qp_dense", "composite"),
+                    "steps": ("qp_dense", "composite", "ddo"),
+                    "outcomes": ("qp_dense", "composite", "ddo")}
+    assert set(per_workload) == set(tool.PER_WORKLOAD)
     names = [name for _, name in tool.HASHED] + ["iterates", "ddo_iterates", "steps",
                                                  "constants", "outcomes"]
+    names = [key for name in names
+             for key in [name] + [f"{name}/{w}" for w in per_workload.get(name, ())]]
     assert [line.split()[0] for line in outputs[0]] == names
     assert all(int(line.split()[1]) > 0 and len(line.split()[2]) == 64 for line in outputs[0])
     # one iterates entry per run_solver call, one ddo_iterates entry per run_ddo
-    # call, and one steps entry and one constants entry per call of either
+    # call, and one steps entry and one constants entry per call of either;
+    # the per-workload lines split each count
     calls = {line.split()[0]: int(line.split()[1]) for line in outputs[0]}
+    for name, kept in per_workload.items():
+        assert sum(calls[f"{name}/{w}"] for w in kept) == calls[name]
     assert calls["iterates"] == calls["run_solver"]
     assert calls["ddo_iterates"] == calls["run_ddo"]
     assert calls["steps"] == calls["constants"] == calls["run_solver"] + calls["run_ddo"]
@@ -53,7 +65,7 @@ def test_hash_runs_exits_1_and_names_each_case_that_is_not_ok(monkeypatch, capsy
     assert tool.main(["--seeds", "101", "--tiny"]) == 1
     out, err = capsys.readouterr()
     # the digests still come first, one line each
-    assert [line.split()[0] for line in out.splitlines()][-1] == "outcomes"
+    assert [line.split()[0] for line in out.splitlines()][-2:] == ["outcomes", "outcomes/ddo"]
     # the four run_ddo cases of each of the three sets, and no consensus case
     failed = err.splitlines()
     assert len(failed) == 4 * tool.SETS
@@ -128,6 +140,33 @@ def test_steps_covers_statuses_and_record_counts_and_no_float(monkeypatch, capsy
     assert x["steps"] == plain["steps"]
     # a changed status or record count moves it
     assert status["steps"] != plain["steps"] and records["steps"] != plain["steps"]
+
+
+def test_a_change_to_one_workload_leaves_the_others_per_workload_digests(monkeypatch, capsys):
+    tool = _load_hash_runs(monkeypatch)
+    kept = {name: tool.workloads.WORKLOADS[name] for name in ("qp_dense", "composite")}
+    monkeypatch.setattr(tool.workloads, "WORKLOADS", kept)
+    run_solver = tool.solvers.run_solver
+
+    def table(shift=False):
+        def shifted(problem, config):
+            run = run_solver(problem, config)
+            # composite's polished runs only: qp_dense's QPs are smooth unconstrained
+            if shift and not problem.is_smooth_unconstrained:
+                run.state = dataclasses.replace(run.state, x=np.nextafter(run.state.x, np.inf))
+            return run
+
+        monkeypatch.setattr(tool.solvers, "run_solver", shifted)
+        tool.main(["--seeds", "101", "--tiny"])
+        return {line.split()[0]: line.split()[2] for line in capsys.readouterr().out.splitlines()}
+
+    plain, shifted = table(), table(shift=True)
+    for name in ("run_solver", "iterates"):
+        assert shifted[name] != plain[name]
+        assert shifted[f"{name}/composite"] != plain[f"{name}/composite"]
+        assert shifted[f"{name}/qp_dense"] == plain[f"{name}/qp_dense"]
+    for name in ("steps", "outcomes"):  # no status or record count moved
+        assert shifted[name] == plain[name]
 
 
 def test_setup_digests_cover_the_edges_and_the_node_data(monkeypatch, capsys):

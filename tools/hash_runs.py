@@ -26,6 +26,10 @@ one, ``constants``, over the constants each such call sizes its steps by,
 read from its problem (``smooth.mu``, ``smooth.lip`` and
 ``constraint.op_norm`` for ``run_solver``, ``mu`` and ``lip`` for
 ``run_ddo``); and one over every case outcome.
+Each of the digests ``run_solver``, ``iterates``, ``steps`` and
+``outcomes`` is followed by one line per workload that feeds it, named
+``run_solver/qp_dense`` and so on, over that workload's calls and cases
+alone: a change confined to one workload shows the others' digests equal.
 Wall clocks (``wall_ns``) are skipped. A change that moves only the bits of
 the records thus shows its iterates unchanged, one that moves only the bits
 of the iterates shows its steps unchanged, and one that moves the iterates
@@ -104,6 +108,10 @@ ENDS = {
 }
 
 
+# the digests that are also printed per workload
+PER_WORKLOAD = ("run_solver", "iterates", "steps", "outcomes")
+
+
 # the digest over the step-rule constants of each call's problem, its first
 # argument, read once the call has returned
 CONSTANTS = {
@@ -115,28 +123,34 @@ CONSTANTS = {
 
 def digests(seeds, tiny=False):
     """``{name: (calls, hex digest)}`` for each wrapped function, for each of
-    :data:`ENDS`, for ``constants`` and for ``outcomes``, and a list naming
-    each case whose outcome is not ok."""
-    hashes = {name: hashlib.sha256() for _, name in HASHED}
-    hashes.update((name, hashlib.sha256()) for name in ENDS)
-    hashes["constants"] = hashlib.sha256()
-    hashes["outcomes"] = hashlib.sha256()
-    calls = dict.fromkeys(hashes, 0)
+    :data:`ENDS`, for ``constants`` and for ``outcomes``, each name of
+    :data:`PER_WORKLOAD` followed by ``name/workload`` for every workload
+    with a call, and a list naming each case whose outcome is not ok."""
+    names = []
+    for name in [name for _, name in HASHED] + list(ENDS) + ["constants", "outcomes"]:
+        names.append(name)
+        if name in PER_WORKLOAD:
+            names += [f"{name}/{workload}" for workload in workloads.WORKLOADS]
+    hashes = {name: hashlib.sha256() for name in names}
+    calls = dict.fromkeys(names, 0)
+    current = [None]  # the workload whose sets are running
     failed = []
+
+    def fed(name, value):
+        for key in (name, f"{name}/{current[0]}") if name in PER_WORKLOAD else (name,):
+            feed(hashes[key], value)
+            calls[key] += 1
 
     def wrapped(name, original):
         def call(*args, **kwargs):
             result = original(*args, **kwargs)
-            feed(hashes[name], result)
-            calls[name] += 1
+            fed(name, result)
             for digest, (sources, ends) in ENDS.items():
                 if name in sources:
-                    feed(hashes[digest], ends(result))
-                    calls[digest] += 1
+                    fed(digest, ends(result))
             if name in CONSTANTS:
                 problem = args[0] if args else kwargs["problem"]
-                feed(hashes["constants"], CONSTANTS[name](problem))
-                calls["constants"] += 1
+                fed("constants", CONSTANTS[name](problem))
             return result
         return call
 
@@ -146,19 +160,20 @@ def digests(seeds, tiny=False):
             setattr(module, name, wrapped(name, original))
         for seed in seeds:
             for workload, build in workloads.WORKLOADS.items():
+                current[0] = workload
                 size = (workloads.TINY[workload],) if tiny else ()
                 for i, child in enumerate(np.random.SeedSequence(seed).spawn(SETS)):
                     for case in build(np.random.default_rng(child), *size).cases:
                         outcome = case.run()[0]
-                        feed(hashes["outcomes"], (case.name, outcome))
-                        calls["outcomes"] += 1
+                        fed("outcomes", (case.name, outcome))
                         if not outcome.ok:
                             failed.append(f"seed {seed} {workload} set {i} {case.name}: "
                                           f"{outcome.reason}")
     finally:
         for module, name, original in saved:
             setattr(module, name, original)
-    return {name: (calls[name], digest.hexdigest()) for name, digest in hashes.items()}, failed
+    return {name: (calls[name], digest.hexdigest()) for name, digest in hashes.items()
+            if calls[name] or "/" not in name}, failed
 
 
 def main(argv=None):
