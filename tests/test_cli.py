@@ -59,13 +59,18 @@ def test_ddo_apd_without_a_tolerance_stops_at_the_precision_floor(tmp_path, caps
 
 
 def write_problem(path, kind):
-    """Tiny seeded problem file: diagonal QP (has a reference saddle) or lasso."""
+    """Tiny seeded problem file: diagonal QP (has a reference saddle), lasso,
+    or logistic (4 samples, ridge 0.1: the Newton endgame's Woodbury form)."""
     rng = np.random.default_rng(7)
     amat = rng.standard_normal((2, 6))
     constraint = apd.MatrixConstraint(amat, rng.standard_normal(2))
     if kind == "quadratic":
         problem = apd.ProblemInstance(apd.QuadraticObjective(rng.uniform(0.5, 2.0, 6)),
                                       apd.ZeroProx(), constraint)
+    elif kind == "logistic":
+        smooth = apd.LogisticObjective(rng.standard_normal((4, 6)), rng.choice([-1.0, 1.0], 4),
+                                       ridge=0.1)
+        problem = apd.ProblemInstance(smooth, apd.ZeroProx(), constraint)
     else:
         problem = apd.ProblemInstance(apd.QuadraticObjective(np.ones(6)),
                                       apd.L1Prox(0.3), constraint)
@@ -88,10 +93,14 @@ def test_solve_stops_on_the_kkt_residual(tmp_path, capsys):
     assert len(lines) == k + 2  # header plus records k = 0..k
 
 
-@pytest.mark.parametrize("scheme", ["semi_apdfb", "ex_apdfb"])
-def test_solve_ends_on_a_polish_that_audit_accepts(tmp_path, capsys, scheme):
-    # the closing record of a polish: alpha = 0 at k > 0, in an epoch of its own
-    problem = write_problem(tmp_path / "lasso.txt", "lasso")
+@pytest.mark.parametrize("case", ["semi_apdfb", "ex_apdfb",
+                                  "logistic-semi_apdfb", "logistic-ex_apdfb"])
+def test_solve_ends_on_a_polish_that_audit_accepts(tmp_path, capsys, case):
+    # the closing record of a polish, on the face of the lasso's l1 term or
+    # by the Newton endgame of the logistic h: alpha = 0 at k > 0, in an
+    # epoch of its own
+    kind, scheme = case.split("-") if "-" in case else ("lasso", case)
+    problem = write_problem(tmp_path / f"{kind}.txt", kind)
     csv = tmp_path / "solve.csv"
     assert main(["solve", "--problem", problem, "--scheme", scheme,
                  "--stop-tol", "1e-6", "--csv", str(csv)]) == 0

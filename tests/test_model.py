@@ -205,6 +205,39 @@ def test_range_space_system_matches_the_kkt_solve(dense, theta):
     assert_close_in_norm(mu, mu_ref, 1e-10)
 
 
+@pytest.mark.parametrize("samples, ridge", [(20, 0.1), (30, 0.1), (45, 0.1), (25, 0.0)],
+                         ids=["fewer-samples", "square", "more-samples", "ridge-free"])
+def test_newton_direction_matches_the_dense_kkt_solve(samples, ridge):
+    # the Newton endgame's step [H A'; A 0] (dx, dlam) = -(grad h + A' lam, A x - b)
+    # for a logistic h: Woodbury with fewer samples than columns and a ridge,
+    # the dense Hessian (plus rho A'A without a ridge) otherwise; H is formed
+    # here from its formula, not from the oracle
+    rng = np.random.default_rng(samples)
+    n, m = 30, 8
+    amat = rng.standard_normal((m, n))
+    features = rng.standard_normal((samples, n)) / np.sqrt(n)
+    labels = rng.choice([-1.0, 1.0], samples)
+    problem = apd.ProblemInstance(apd.LogisticObjective(features, labels, ridge=ridge),
+                                  apd.ZeroProx(),
+                                  apd.MatrixConstraint(amat, rng.standard_normal(m)))
+    x, lam = rng.standard_normal(n), rng.standard_normal(m)
+    s = 1.0 / (1.0 + np.exp(labels * (features @ x)))
+    hessian = ridge * np.eye(n) + features.T @ ((s * (1.0 - s))[:, None] * features)
+    grad = problem.smooth.gradient(x) + amat.T @ lam
+    residual = problem.constraint.residual(x)
+    want = np.linalg.solve(np.block([[hessian, amat.T], [amat, np.zeros((m, m))]]),
+                           -np.concatenate([grad, residual]))
+    state = apd.IterateState.start(x, lam, apd.ScalingState(0.005, 1.0), residual)
+    candidate = apd.solvers.newton_polish(problem, state)
+    assert_close_in_norm(candidate.x - x, want[:n], 1e-10)
+    assert_close_in_norm(candidate.lam - lam, want[n:], 1e-10)
+    assert candidate.v is candidate.x and candidate.scaling == state.scaling
+    assert np.array_equal(candidate.r_x, problem.constraint.residual(candidate.x))
+    system, _ = model.kkt_system(problem, slice(None), apd.MatrixConstraint(amat, -residual),
+                                 -grad, x)
+    assert isinstance(system, model.WoodburySystem) == (ridge > 0 and samples < n)
+
+
 def test_reference_saddle_on_a_benchmark_size_qp():
     rng = np.random.default_rng(3)
     amat = rng.standard_normal((250, 1000))

@@ -277,6 +277,20 @@ def test_logistic_objective_takes_no_svd_or_dense_eigensolve(monkeypatch):
         assert LogisticObjective(rng.standard_normal(shape), np.ones(shape[0])).lip >= 0.0
 
 
+def test_logistic_hessian_is_the_derivative_of_its_gradient():
+    rng = np.random.default_rng(9)
+    smooth = LogisticObjective(rng.standard_normal((12, 5)), rng.choice([-1.0, 1.0], 12),
+                               ridge=0.3)
+    x, step = rng.standard_normal(5), 1e-6
+    differences = np.array([(smooth.gradient(x + step * e) - smooth.gradient(x - step * e))
+                            / (2 * step) for e in np.eye(5)])
+    np.testing.assert_allclose(smooth.hessian_matrix(x), differences, rtol=1e-7, atol=1e-8)
+    # margins far past exp's range give a zero weight, not an overflow
+    with np.errstate(over="raise", invalid="raise"):
+        root = smooth.hessian_root(1e4 * x)
+    assert np.all(np.isfinite(root)) and np.all(root >= 0) and root.min() == 0
+
+
 def test_dense_quadratic_defaults_carry_the_rounding_slack():
     rng = np.random.default_rng(7)
     basis = _orthonormal(rng, 30, 30)

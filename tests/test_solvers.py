@@ -34,6 +34,7 @@ from apd.solvers import (
     implicit_apd_step,
     initial_state,
     make_step_rule,
+    newton_polish,
     polish_face,
     residual_metrics,
     run_solver,
@@ -54,8 +55,10 @@ def saddle_state(problem, saddle, gamma0=1.0):
 
 @contextlib.contextmanager
 def unpolished():
-    """Runs inside take the scheme's own iterates to the end: no polish ends them."""
-    with mock.patch.object(solvers, "polish_face", lambda *args, **kwargs: None):
+    """Runs inside take the scheme's own iterates to the end: no polish, on a
+    face or by the Newton endgame, ends them."""
+    with mock.patch.object(solvers, "polish_face", lambda *args, **kwargs: None), \
+            mock.patch.object(solvers, "newton_polish", lambda *args, **kwargs: None):
         yield
 
 
@@ -895,10 +898,15 @@ def loop_by_hand(problem, config, restarts=True):
     :func:`~apd.solvers.polish_chain`: :func:`~apd.solvers.polish_face` on
     the face, then on the face of ``g`` at each missing candidate's
     prox-gradient point, until a face repeats, a face is singular or
-    ``_POLISH_SOLVES`` solves have run. It ends on the first candidate
-    whose :func:`stop_measure` is within ``stop_tol``. Without
-    ``restarts`` it is the paper's scheme run from a single start: one
-    epoch, no precision floor and no polish."""
+    ``_POLISH_SOLVES`` solves have run. On a KKT-measured run with a
+    non-quadratic ``h`` and ``g`` zero over the whole space it runs the
+    Newton endgame at every epoch end instead:
+    :func:`~apd.solvers.newton_polish` of the end, then of each missing
+    candidate, until a step is singular, a measure does not fall below the
+    one before it or ``_POLISH_SOLVES`` solves have run. It ends on the
+    first candidate whose :func:`stop_measure` is within ``stop_tol``.
+    Without ``restarts`` it is the paper's scheme run from a single start:
+    one epoch, no precision floor and no polish."""
     step = getattr(apd, SCHEME_TABLE[config.scheme].step)
     prox_point = SCHEME_TABLE[config.scheme].prox_point
     polishing = (restarts and config.stop_tol > 0 and problem.smooth.is_quadratic
@@ -914,6 +922,14 @@ def loop_by_hand(problem, config, restarts=True):
             reference = apd.solve_reference_saddle(problem)
         except apd.NoReferenceError:
             reference = None
+    endgame = (restarts and config.stop_tol > 0 and reference is None
+               and problem.is_smooth_unconstrained and not problem.smooth.is_quadratic)
+
+    def closing(k, state, polished):
+        obj_gap, feas, lgap = residual_metrics(problem, polished.x, polished.lam, reference)
+        lyap = discrete_lyapunov(polished, problem, reference) if reference is not None else np.nan
+        return IterationRecord(k + 1, epoch + 1, 0.0, state.scaling.theta, state.scaling.gamma,
+                               obj_gap, feas, lgap, lyap, 0, 0)
     rule = make_step_rule(problem, config)
     constraint = problem.constraint
     eps = np.finfo(float).eps
@@ -963,13 +979,7 @@ def loop_by_hand(problem, config, restarts=True):
                         if polished is None:
                             break
                         if stop_measure(problem, polished, reference) <= config.stop_tol:
-                            obj_gap, feas, lgap = residual_metrics(problem, polished.x,
-                                                                   polished.lam, reference)
-                            lyap = (discrete_lyapunov(polished, problem, reference)
-                                    if reference is not None else np.nan)
-                            records.append(IterationRecord(
-                                k + 1, epoch + 1, 0.0, state.scaling.theta,
-                                state.scaling.gamma, obj_gap, feas, lgap, lyap, 0, 0))
+                            records.append(closing(k, state, polished))
                             return records, polished, "converged"
                         tried.append(chained)
                         grad = (problem.smooth.gradient(polished.x)
@@ -980,6 +990,19 @@ def loop_by_hand(problem, config, restarts=True):
                         if any(same(chained, seen) for seen in tried):
                             break
                     failed = face
+            elif endgame and epoch_end:
+                start, last = state, total
+                for _ in range(_POLISH_SOLVES):
+                    polished = newton_polish(problem, start)
+                    if polished is None:
+                        break
+                    reached = stop_measure(problem, polished, None)
+                    if reached <= config.stop_tol:
+                        records.append(closing(k, state, polished))
+                        return records, polished, "converged"
+                    if not reached < last:
+                        break
+                    start, last = polished, reached
             if epoch_end:
                 if not total < best_end:
                     return records, best_state, "precision_floor"
@@ -1115,7 +1138,7 @@ def test_explicit_alpha_overrides_the_derived_step(route):
 @pytest.mark.parametrize("case", ["qp1-implicit", "qp1-semi_apd", "qp1-semi_apdfb",
                                   "qp1-ex_apdfb", "lasso-semi_apdfb", "lasso-ex_apdfb",
                                   "box-semi_apd", "box-semi_apdfb", "diag-implicit",
-                                  "bp-implicit"])
+                                  "bp-implicit", "logistic-ex_apdfb"])
 def test_run_loop_matches_loop_by_hand(case, qp1):
     name, scheme = case.split("-")
     if name == "qp1":
@@ -1126,6 +1149,8 @@ def test_run_loop_matches_loop_by_hand(case, qp1):
         problem = box_qp()
     elif name == "diag":
         problem = box_qp(bounded=False)
+    elif name == "logistic":
+        problem = logistic_kkt(3)
     else:
         amat = np.random.default_rng(5).standard_normal((3, 8))
         problem = apd.ProblemInstance(
@@ -1135,7 +1160,7 @@ def test_run_loop_matches_loop_by_hand(case, qp1):
     run = run_solver(problem, config)
     records, state, status = loop_by_hand(problem, config)
     assert run.status == status == "converged"
-    assert (run.records[-1].alpha == 0) == (name in ("lasso", "box", "bp"))  # a polish
+    assert (run.records[-1].alpha == 0) == (name in ("lasso", "box", "bp", "logistic"))  # a polish
     assert [_fields(r) for r in run.records] == [_fields(r) for r in records]
     for got, want in ((run.state.x, state.x), (run.state.v, state.v),
                       (run.state.lam, state.lam)):
@@ -1173,10 +1198,23 @@ def stiff_lasso(seed, n=12, m=4):
                                apd.L1Prox(0.3), apd.MatrixConstraint(amat, rng.standard_normal(m)))
 
 
+def logistic_kkt(seed, n=30, m=8, samples=20, ridge=0.1):
+    """A logistic ``h`` with ``g = 0`` over the whole space, drawn as the
+    composite benchmark draws its logistic case: no reference saddle point,
+    so a run is measured by the KKT sum and ends on the Newton endgame."""
+    rng = np.random.default_rng(seed)
+    amat = rng.standard_normal((m, n))
+    amat /= np.linalg.norm(amat, 2)
+    return apd.ProblemInstance(
+        apd.LogisticObjective(rng.standard_normal((samples, n)) / np.sqrt(n),
+                              rng.choice([-1.0, 1.0], samples), ridge=ridge),
+        apd.ZeroProx(), apd.MatrixConstraint(amat, rng.standard_normal(m)))
+
+
 # (problem, reference) by seed. The face solves: a dense Q_FF (lasso; with
 # fewer free coordinates than rows in sparse-lasso), Q_FF plus rho A_F'A_F
 # (ridge-free), a diagonal (box) and Q = 0 with fewer free coordinates than
-# rows (bp)
+# rows (bp); and the Newton endgame's Woodbury solve (logistic)
 POLISHED = {
     "lasso": lambda seed: (planted_lasso(seed, ridge=0.5)[0], None),
     "sparse-lasso": lambda seed: (planted_lasso(seed, ridge=0.5, m=20)[0], None),
@@ -1185,13 +1223,15 @@ POLISHED = {
     "box": lambda seed: (boxed_qp(seed), None),
     "boxed-lasso": lambda seed: (boxed_qp(seed, l1=True), None),
     "bp": lambda seed: (l1_basis_pursuit(seed), None),
+    "logistic": lambda seed: (logistic_kkt(seed), None),
 }
 
 
 @pytest.mark.parametrize("kind, scheme", [
     ("lasso", "semi_apdfb"), ("lasso", "ex_apdfb"), ("sparse-lasso", "ex_apdfb"),
     ("lasso-ref", "semi_apdfb"), ("ridge-free-lasso", "ex_apdfb"), ("box", "semi_apd"),
-    ("box", "semi_apdfb"), ("boxed-lasso", "semi_apdfb"), ("bp", "implicit"), ("bp", "semi_apd")])
+    ("box", "semi_apdfb"), ("boxed-lasso", "semi_apdfb"), ("bp", "implicit"), ("bp", "semi_apd"),
+    ("logistic", "semi_apdfb"), ("logistic", "ex_apdfb")])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_a_polished_run_ends_on_a_point_that_meets_its_stop_measure(kind, scheme, seed):
     problem, reference = POLISHED[kind](seed)
@@ -1329,6 +1369,54 @@ def test_a_wrong_face_never_ends_a_run_on_an_uncertified_point(with_reference):
     assert run.status == "converged" and len(tries) == 1
     assert run.records[-1].alpha > 0
     assert stop_measure(problem, run.state, reference) <= 1e-8
+
+
+@pytest.mark.parametrize("scheme", ["semi_apdfb", "ex_apdfb"])
+def test_a_newton_candidate_that_misses_never_ends_a_run(scheme):
+    # a Newton solve that returns a point off by 1e-3 in every coordinate
+    # never certifies: each chain drops its records, and the run goes on
+    # from its own state to the steps and the iterate of a run with no endgame
+    problem, tol = logistic_kkt(4), 1e-8
+    config = SolverConfig(scheme, max_iter=20000, stop_tol=tol)
+
+    def perturbed(problem, state, blocks=None):
+        tries.append(state)
+        x = newton_polish(problem, state, blocks).x + 1e-3
+        return IterateState.start(x, state.lam, state.scaling, problem.constraint.residual(x))
+
+    tries = []
+    with mock.patch.object(solvers, "newton_polish", perturbed):
+        run = run_solver(problem, config)
+    with mock.patch.object(solvers, "newton_polish", lambda *args: None):
+        plain = run_solver(problem, config)
+    assert tries and run.status == plain.status == "converged"
+    assert run.records[-1].alpha > 0 and stop_measure(problem, run.state, None) <= tol
+    assert [_fields(r) for r in run.records] == [_fields(r) for r in plain.records]
+    for got, want in ((run.state.x, plain.state.x), (run.state.v, plain.state.v),
+                      (run.state.lam, plain.state.lam)):
+        assert np.array_equal(got, want)
+
+
+def test_a_constraint_with_no_dense_form_ends_the_endgame_for_the_run():
+    # the Newton system's constant parts need A's matrix: the run tries to
+    # form them at its first epoch end, then tries no Newton step, and takes
+    # the steps of a run with no endgame
+    class NoDenseForm(CountingConstraint):
+        matrix = model.LinearConstraint.matrix
+
+    base = logistic_kkt(5)
+    problem = apd.ProblemInstance(base.smooth, base.nonsmooth, NoDenseForm(base.constraint))
+    config = SolverConfig("ex_apdfb", max_iter=20000, stop_tol=1e-6)
+    formed = []
+    with mock.patch.object(solvers, "woodbury_blocks",
+                           lambda *args: formed.append(1) or model.woodbury_blocks(*args)), \
+            mock.patch.object(solvers, "newton_polish", mock.Mock(side_effect=AssertionError)):
+        run = run_solver(problem, config)
+    with unpolished():
+        plain = run_solver(problem, config)
+    assert formed == [1] and run.status == plain.status == "converged"
+    assert run.records[-1].epoch > 1  # epochs ended after the one that tried
+    assert [_fields(r) for r in run.records] == [_fields(r) for r in plain.records]
 
 
 def test_no_polish_is_tried_where_g_is_zero_over_the_whole_space_or_h_is_not_quadratic():

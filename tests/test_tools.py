@@ -40,14 +40,34 @@ def test_hash_runs_repeats_its_digests_and_restores_what_it_wraps(monkeypatch, c
                                                  "constants", "outcomes"]
     names = [key for name in names
              for key in [name] + [f"{name}/{w}" for w in per_workload.get(name, ())]]
-    assert [line.split()[0] for line in outputs[0]] == names
+    # each steps/<workload> line is followed by one line per case of that
+    # workload that runs a solver, in the order of the workload's cases
+    cases = {w: [case.name for case in tool.workloads.WORKLOADS[w](
+        np.random.default_rng(0), tool.workloads.TINY[w]).cases] for w in per_workload["steps"]}
+    printed = [line.split()[0] for line in outputs[0]]
+    assert [name for name in printed if name.count("/") < 2] == names
+    per_case = 0
+    for w in per_workload["steps"]:
+        at = printed.index(f"steps/{w}") + 1
+        below = [f"steps/{w}/{case}" for case in cases[w] if f"steps/{w}/{case}" in printed]
+        assert below and printed[at:at + len(below)] == below
+        per_case += len(below)
+    assert per_case == sum(name.count("/") == 2 for name in printed)
+    # the flow and the consensus solves call neither solver: no line
+    assert {"steps/composite/logistic.ex_apdfb", "steps/ddo/logistic.apd"} <= set(printed)
+    assert not any(name.startswith(("steps/composite/flow", "steps/ddo/consensus"))
+                   for name in printed)
     assert all(int(line.split()[1]) > 0 and len(line.split()[2]) == 64 for line in outputs[0])
     # one iterates entry per run_solver call, one ddo_iterates entry per run_ddo
     # call, and one steps entry and one constants entry per call of either;
-    # the per-workload lines split each count
+    # the per-workload lines split each count, and the per-case lines each
+    # workload's steps count
     calls = {line.split()[0]: int(line.split()[1]) for line in outputs[0]}
     for name, kept in per_workload.items():
         assert sum(calls[f"{name}/{w}"] for w in kept) == calls[name]
+    for w in per_workload["steps"]:
+        assert sum(n for name, n in calls.items()
+                   if name.startswith(f"steps/{w}/")) == calls[f"steps/{w}"]
     assert calls["iterates"] == calls["run_solver"]
     assert calls["ddo_iterates"] == calls["run_ddo"]
     assert calls["steps"] == calls["constants"] == calls["run_solver"] + calls["run_ddo"]

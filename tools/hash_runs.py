@@ -30,6 +30,11 @@ Each of the digests ``run_solver``, ``iterates``, ``steps`` and
 ``outcomes`` is followed by one line per workload that feeds it, named
 ``run_solver/qp_dense`` and so on, over that workload's calls and cases
 alone: a change confined to one workload shows the others' digests equal.
+Each ``steps/<workload>`` line is in turn followed by one line per case of
+that workload that calls ``run_solver`` or ``run_ddo``, named
+``steps/composite/logistic.ex_apdfb`` and so on, over that case's statuses
+and record counts in every set and seed, with no float: a change confined
+to some cases shows every other case's digest equal.
 Wall clocks (``wall_ns``) are skipped. A change that moves only the bits of
 the records thus shows its iterates unchanged, one that moves only the bits
 of the iterates shows its steps unchanged, and one that moves the iterates
@@ -108,8 +113,10 @@ ENDS = {
 }
 
 
-# the digests that are also printed per workload
+# the digests that are also printed per workload, and those of them that
+# are printed per case too, under their workload's line
 PER_WORKLOAD = ("run_solver", "iterates", "steps", "outcomes")
+PER_CASE = ("steps",)
 
 
 # the digest over the step-rule constants of each call's problem, its first
@@ -125,7 +132,9 @@ def digests(seeds, tiny=False):
     """``{name: (calls, hex digest)}`` for each wrapped function, for each of
     :data:`ENDS`, for ``constants`` and for ``outcomes``, each name of
     :data:`PER_WORKLOAD` followed by ``name/workload`` for every workload
-    with a call, and a list naming each case whose outcome is not ok."""
+    with a call, each such line of :data:`PER_CASE` followed by
+    ``name/workload/case`` for every case with a call, in the order the
+    cases first run, and a list naming each case whose outcome is not ok."""
     names = []
     for name in [name for _, name in HASHED] + list(ENDS) + ["constants", "outcomes"]:
         names.append(name)
@@ -133,11 +142,18 @@ def digests(seeds, tiny=False):
             names += [f"{name}/{workload}" for workload in workloads.WORKLOADS]
     hashes = {name: hashlib.sha256() for name in names}
     calls = dict.fromkeys(names, 0)
-    current = [None]  # the workload whose sets are running
+    current = [None, None]  # the workload whose sets are running, and the case
     failed = []
 
     def fed(name, value):
-        for key in (name, f"{name}/{current[0]}") if name in PER_WORKLOAD else (name,):
+        keys = [name]
+        if name in PER_WORKLOAD:
+            keys.append(f"{name}/{current[0]}")
+        if name in PER_CASE:
+            keys.append(f"{name}/{current[0]}/{current[1]}")
+        for key in keys:
+            if key not in hashes:  # a case's first call
+                hashes[key], calls[key] = hashlib.sha256(), 0
             feed(hashes[key], value)
             calls[key] += 1
 
@@ -164,6 +180,7 @@ def digests(seeds, tiny=False):
                 size = (workloads.TINY[workload],) if tiny else ()
                 for i, child in enumerate(np.random.SeedSequence(seed).spawn(SETS)):
                     for case in build(np.random.default_rng(child), *size).cases:
+                        current[1] = case.name
                         outcome = case.run()[0]
                         fed("outcomes", (case.name, outcome))
                         if not outcome.ok:
@@ -172,7 +189,12 @@ def digests(seeds, tiny=False):
     finally:
         for module, name, original in saved:
             setattr(module, name, original)
-    return {name: (calls[name], digest.hexdigest()) for name, digest in hashes.items()
+    order = []
+    for name in names:
+        order.append(name)
+        if "/" in name:  # a workload's line, then its cases'
+            order += [key for key in hashes if key.startswith(name + "/")]
+    return {name: (calls[name], hashes[name].hexdigest()) for name in order
             if calls[name] or "/" not in name}, failed
 
 
@@ -184,8 +206,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     seeds = [int(seed) for seed in args.seeds.split(",")]
     table, failed = digests(seeds, args.tiny)
+    width = max(map(len, table))
     for name, (calls, digest) in table.items():
-        print(f"{name:26s} {calls:5d} {digest}")
+        print(f"{name:{width}s} {calls:5d} {digest}")
     for case in failed:
         print(f"not ok: {case}", file=sys.stderr)
     return 1 if failed else 0
