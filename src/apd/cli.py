@@ -107,7 +107,7 @@ def _cmd_flow(args):
     m = problem.constraint.rows
     state0 = FlowState(np.zeros(n), np.zeros(n), np.zeros(m), 1.0, args.gamma0, 0.0)
     try:
-        trajectory = integrate_flow(state0, problem, args.h, args.T)
+        trajectory = integrate_flow(state0, problem, args.tol, args.T)
     except (ValueError, FlowDivergenceError) as exc:
         raise SystemExit(f"flow: {exc}") from None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -220,7 +220,7 @@ def build_parser():
 
     flow = sub.add_parser("flow", help="integrate the continuous flow")
     flow.add_argument("--problem", required=True)
-    flow.add_argument("--h", type=float, required=True)
+    flow.add_argument("--tol", type=float, required=True)
     flow.add_argument("--T", type=float, required=True)
     flow.add_argument("--gamma0", type=_positive_float, default=1.0)
     flow.add_argument("--csv", required=True)

@@ -8,8 +8,9 @@ import pytest
 from conftest import per_state_records
 
 import apd
+from apd import cli
 from apd.cli import build_parser, main
-from apd.flow import FlowState, flow_records, integrate_flow
+from apd.flow import FlowState, flow_records
 from apd.harness import read_csv
 from apd.schedule import SCHEMES
 
@@ -114,21 +115,24 @@ def test_solve_ends_on_a_polish_that_audit_accepts(tmp_path, capsys, case):
     assert code == 0
 
 
-def test_flow_writes_one_row_per_step(tmp_path):
+def test_flow_writes_one_row_per_step(tmp_path, capsys):
     problem = write_problem(tmp_path / "qp.txt", "quadratic")
     csv = tmp_path / "flow.csv"
-    code = main(["flow", "--problem", problem, "--h", "0.01", "--T", "0.5",
+    code = main(["flow", "--problem", problem, "--tol", "1e-6", "--T", "0.5",
                  "--csv", str(csv)])
     assert code == 0
+    steps = int(capsys.readouterr().out.split("steps=")[1].split()[0])
     lines = read_lines(csv)
     assert lines[0] == "t,E,feasibility,theta,gamma"
-    assert len(lines) == 52  # header plus t = 0, 0.01, ..., 0.5
+    assert steps > 1 and len(lines) == steps + 2  # header plus t = 0 and one row per step
+    times = read_csv(csv)["t"]
+    assert times[0] == 0 and times[-1] == 0.5 and (np.diff(times) > 0).all()
 
 
 def test_flow_without_a_reference_exits_with_one_line(tmp_path):
     problem = write_problem(tmp_path / "lasso.txt", "lasso")
     with pytest.raises(SystemExit) as info:
-        main(["flow", "--problem", problem, "--h", "0.01", "--T", "0.1",
+        main(["flow", "--problem", problem, "--tol", "0.01", "--T", "0.1",
               "--csv", str(tmp_path / "flow.csv")])
     assert info.value.code == ("flow needs a reference saddle point: "
                                "no closed-form reference for this problem")
@@ -149,37 +153,47 @@ def write_flat_problem(path):
                                          constraint), path)
 
 
-def write_stiff_problem(path):
-    """The QP of :func:`write_problem` with ``Q_11 = 1e6``: fixed RK4 steps of
-    0.01 are unstable on that coordinate, so the flow blows up."""
+def write_mu_zero_problem(path):
+    """The QP of :func:`write_problem` with ``Q_11 = 0``, so ``mu = 0``: the
+    flow's step cap ``2 sqrt(theta gamma) / |A|`` falls like ``e^-t``, and
+    the saddle point's ``|x*|^2`` is 257."""
     problem = apd.load_problem(write_problem(path, "quadratic"))
     diag = problem.smooth.diag.copy()
-    diag[0] = 1e6
+    diag[0] = 0.0
     apd.save_problem(apd.ProblemInstance(apd.QuadraticObjective(diag), apd.ZeroProx(),
                                          problem.constraint), path)
 
 
 @pytest.mark.parametrize("first", [0, 5], ids=["from-start", "mid-block"])
-def test_flow_records_mark_the_overflowing_states_the_one_point_formula_marks(tmp_path, first):
-    # the stiff flow's E overflows from the 65th state on, the first row of a
+def test_flow_records_mark_the_overflowing_states_the_one_point_formula_marks(
+        tmp_path, monkeypatch, first):
+    # a hand-built trajectory whose v is scaled by 1e160 from the 65th state
+    # on, so that gamma |v - x*|^2 in E overflows there, the first row of a
     # block of 16; from the 6th state on it is the 12th row, and the 11 rows
     # before it in that block must stay finite
-    write_stiff_problem(tmp_path / "stiff.txt")
-    problem = apd.load_problem(tmp_path / "stiff.txt")
+    problem = apd.load_problem(write_problem(tmp_path / "qp.txt", "quadratic"))
     saddle = apd.solve_reference_saddle(problem)
-    n, m = problem.constraint.cols, problem.constraint.rows
-    start = FlowState(np.zeros(n), np.zeros(n), np.zeros(m), 1.0, 1.0, 0.0)
+    rng = np.random.default_rng(5)
+    trajectory = []
+    for k in range(80):
+        x, v, lam = rng.standard_normal(6), rng.standard_normal(6), rng.standard_normal(2)
+        t = 0.01 * k
+        trajectory.append(FlowState(x, v * (1e160 if k >= 64 else 1.0), lam,
+                                    np.exp(-t), 1.0, t))
+    trajectory = trajectory[first:]
     with np.errstate(over="ignore", invalid="ignore"):
-        trajectory = integrate_flow(start, problem, 0.01, 1.0)[first:]
         rows = flow_records(trajectory, problem, saddle)
         expected = per_state_records(trajectory, problem, saddle)
     marked = [not (np.isfinite(row.E) and np.isfinite(row.feasibility)) for row in rows]
     assert marked == [not np.isfinite(pair).all() for pair in expected]
     assert marked.index(True) == 64 - first and marked == sorted(marked)
+    # the CLI names the first overflowing state of the trajectory it integrates
+    monkeypatch.setattr(cli, "integrate_flow", lambda *args: trajectory)
     with pytest.raises(SystemExit) as info:
-        main(["flow", "--problem", str(tmp_path / "stiff.txt"), "--h", "0.01", "--T", "1",
+        main(["flow", "--problem", str(tmp_path / "qp.txt"), "--tol", "0.01", "--T", "1",
               "--csv", str(tmp_path / "out.csv")])
-    assert info.value.code.endswith(f"at t={trajectory[marked.index(True)].t:.6g}")
+    assert info.value.code == f"flow: energy or feasibility overflowed at t={0.01 * 64:.6g}"
+    assert not (tmp_path / "out.csv").exists()
 
 
 # problem files the loader rejects, each with the message that names the file
@@ -244,8 +258,8 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "argument --graph: 'geometric:3:0': no connected geometric graph after 200 draws"),
     ("ddo --graph path:-1 --m 2 --model ls --algo apd --max-iter 5 --csv {tmp}/out.csv",
      "argument --graph: 'path:-1': a path needs an integer count of n >= 1 nodes, got n=-1"),
-    ("flow --problem {tmp}/qp.txt --h 0.02 --T 1 --csv {tmp}/out.csv",
-     "flow: step must lie in (0, 0.01]"),
+    ("flow --problem {tmp}/qp.txt --tol 1 --T 1 --csv {tmp}/out.csv",
+     "flow: tolerance must lie in (0, 1)"),
     ("compare --problem {tmp}/beta.txt --schemes implicit --out-dir {tmp}/out",
      "header beta must be 0 (no augmentation term)"),
     ("compare --problem {tmp}/missing.txt --schemes implicit --out-dir {tmp}/out",
@@ -261,7 +275,7 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "argument --alpha: expected a positive number, got '0'"),
     ("solve --problem {tmp}/qp.txt --scheme implicit --gamma0 0 --csv {tmp}/out.csv",
      "argument --gamma0: expected a positive number, got '0'"),
-    ("flow --problem {tmp}/qp.txt --h 0.01 --T 1 --gamma0 0 --csv {tmp}/out.csv",
+    ("flow --problem {tmp}/qp.txt --tol 0.01 --T 1 --gamma0 0 --csv {tmp}/out.csv",
      "argument --gamma0: expected a positive number, got '0'"),
     ("audit --csv {tmp}/missing.csv --problem {tmp}/qp.txt --scheme implicit",
      "No such file or directory"),
@@ -291,16 +305,16 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "solve: full-objective prox needs a quadratic smooth part or a pure prox part"),
     ("solve --problem {tmp}/flat.txt --scheme semi_apdfb --csv {tmp}/out.csv",
      "solve: semi_apdfb step needs a positive smoothness constant"),
-    ("flow --problem {tmp}/qp.txt --h 0.01 --T inf --csv {tmp}/out.csv",
+    ("flow --problem {tmp}/qp.txt --tol 0.01 --T inf --csv {tmp}/out.csv",
      "flow: horizon must be finite and nonnegative"),
-    ("flow --problem {tmp}/qp.txt --h 0.01 --T nan --csv {tmp}/out.csv",
+    ("flow --problem {tmp}/qp.txt --tol 0.01 --T nan --csv {tmp}/out.csv",
      "flow: horizon must be finite and nonnegative"),
-    ("flow --problem {tmp}/qp.txt --h nan --T 1 --csv {tmp}/out.csv",
-     "flow: step must lie in (0, 0.01]"),
-    ("flow --problem {tmp}/stiff.txt --h 0.01 --T 2 --csv {tmp}/out.csv",
-     "flow: flow diverged near t="),
-    ("flow --problem {tmp}/stiff.txt --h 0.01 --T 1 --csv {tmp}/out.csv",
-     "flow: energy or feasibility overflowed at t="),
+    ("flow --problem {tmp}/qp.txt --tol nan --T 1 --csv {tmp}/out.csv",
+     "flow: tolerance must lie in (0, 1)"),
+    ("flow --problem {tmp}/mu-zero.txt --tol 0.01 --T 20 --csv {tmp}/out.csv",
+     "flow: flow reached only t=12.3374 in 200000 trial steps"),
+    ("flow --problem {tmp}/mu-zero.txt --tol 0.01 --T 1 --gamma0 1e307 --csv {tmp}/out.csv",
+     "flow: energy or feasibility overflowed at t=0"),
     ("audit --csv {tmp}/ragged.csv --problem {tmp}/qp.txt --scheme implicit",
      "ragged.csv: line 3 has 2 cells, the header 6"),
     ("audit --csv {tmp}/cell.csv --problem {tmp}/qp.txt --scheme implicit",
@@ -327,7 +341,7 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "m-negative.txt: m must be a positive integer, got '-1'"),
     ("solve --problem {tmp}/n-zero.txt --scheme semi_apdfb --csv {tmp}/out.csv",
      "n-zero.txt: n must be a positive integer, got '0'"),
-    ("flow --problem {tmp}/n-fraction.txt --h 0.01 --T 1 --csv {tmp}/out.csv",
+    ("flow --problem {tmp}/n-fraction.txt --tol 0.01 --T 1 --csv {tmp}/out.csv",
      "n-fraction.txt: n must be a positive integer, got '2.5'"),
     ("solve --problem {tmp}/rows-zero.txt --scheme semi_apdfb --csv {tmp}/out.csv",
      "rows-zero.txt: rows must be a positive integer, got '0'"),
@@ -359,7 +373,7 @@ def test_compare_without_schemes_exits_with_one_line(tmp_path):
      "audit: free step size alpha=1e+155 is too large: alpha^2 overflows"),
     ("solve --problem {tmp}/qp.txt --scheme semi_apd --max-iter 2 --csv {tmp}/dir",
      "solve: cannot write {tmp}/dir: Is a directory"),
-    ("flow --problem {tmp}/qp.txt --h 0.01 --T 0.05 --csv {tmp}/dir",
+    ("flow --problem {tmp}/qp.txt --tol 0.01 --T 0.05 --csv {tmp}/dir",
      "flow: cannot write {tmp}/dir: Is a directory"),
     ("ddo --graph path:4 --m 2 --model ls --algo extra --max-iter 2 --csv {tmp}/dir",
      "ddo: cannot write {tmp}/dir: Is a directory"),
@@ -385,7 +399,7 @@ def test_bad_input_exits_without_a_traceback(tmp_path, capsys, argv, message):
     write_problem(tmp_path / "lasso.txt", "lasso")
     write_beta_problem(tmp_path / "beta.txt")
     write_flat_problem(tmp_path / "flat.txt")
-    write_stiff_problem(tmp_path / "stiff.txt")
+    write_mu_zero_problem(tmp_path / "mu-zero.txt")
     for name, text in BAD_PROBLEM_FILES.items():
         (tmp_path / name).write_text(text + "\n", encoding="utf-8")
     (tmp_path / "empty.csv").write_text("", encoding="utf-8")

@@ -6,6 +6,7 @@ import pytest
 from conftest import CountingConstraint, CountingQuadratic, iterate, per_state_records
 
 import apd
+from apd import flow
 from apd.flow import (
     FlowDivergenceError,
     FlowState,
@@ -66,13 +67,17 @@ def test_integrate_zero_horizon(qp1):
 
 
 def test_integrate_step_validation(qp1):
-    with pytest.raises(ValueError):
-        integrate_flow(zeros_state(), qp1, 0.02, 1.0)
+    for tol in (0.0, 1.0, np.nan):
+        with pytest.raises(ValueError, match=r"tolerance must lie in \(0, 1\)"):
+            integrate_flow(zeros_state(), qp1, tol, 1.0)
     with pytest.raises(ValueError, match="theta and gamma must be positive"):
         integrate_flow(zeros_state(gamma=0.0), qp1, 1e-3, 1.0)
-    # a horizon off the grid of h: the last step is shortened to land on it
+    # the first trial is tol^(1/4) = 0.178, so a shorter horizon is one step
+    # that lands on it, and a longer one ends on a step shortened to land
     traj = integrate_flow(zeros_state(), qp1, 1e-3, 0.0015)
-    assert [s.t for s in traj] == [0.0, 1e-3, 0.0015]
+    assert [s.t for s in traj] == [0.0, 0.0015]
+    times = [s.t for s in integrate_flow(zeros_state(), qp1, 1e-3, 1.0)]
+    assert times[-1] == 1.0 and times == sorted(set(times))
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -93,16 +98,14 @@ def test_integrate_rejects_a_bad_start(qp1, field, value, message):
 
 
 def test_theta_matches_exponential(qp1):
-    h = 1e-2
-    traj = integrate_flow(zeros_state(), qp1, h, 2.0)
+    traj = integrate_flow(zeros_state(), qp1, 1e-2, 2.0)
     assert traj[-1].theta == pytest.approx(np.exp(-2.0), rel=1e-12, abs=0)
     assert abs(traj[-1].gamma - 1.0) <= 1e-14  # gamma pinned at mu_beta here
 
 
 def test_scaling_closed_forms_order_h4(qp1):
     # gamma(t) = mu + (gamma0 - mu) e^{-t} with gamma0 != mu
-    h = 1e-2
-    traj = integrate_flow(zeros_state(gamma=3.0), qp1, h, 1.0)
+    traj = integrate_flow(zeros_state(gamma=3.0), qp1, 1e-2, 1.0)
     exact = 1.0 + 2.0 * np.exp(-1.0)
     assert traj[-1].gamma == pytest.approx(exact, rel=1e-12, abs=0)
 
@@ -118,11 +121,10 @@ def test_lyapunov_examples(qp1, qp1_saddle):
 
 
 def test_exponential_decay_and_feasibility(qp1, qp1_saddle):
-    h = 1e-3
-    traj = integrate_flow(zeros_state(), qp1, h, 2.0)
+    traj = integrate_flow(zeros_state(), qp1, 1e-3, 2.0)
     energy = [continuous_lyapunov(s, qp1, qp1_saddle) for s in traj]
-    factor = np.exp(-h) * (1 + 1e-8)
-    assert all(b <= a * factor for a, b in zip(energy, energy[1:]))
+    assert all(b <= a * np.exp(-(s.t - r.t)) * (1 + 1e-8)
+               for a, b, r, s in zip(energy, energy[1:], traj, traj[1:]))
     assert all(e >= 0 for e in energy)
     r0 = (np.sqrt(2 * 1.0 * energy[0])
           + 1.0 * np.linalg.norm(-qp1_saddle.lambda_star) + 1.0)
@@ -146,26 +148,31 @@ def capped_flow_qp():
 def test_capped_steps_keep_the_decay_certificate_past_rk4_stability():
     # Fixed steps of 0.01 leave RK4's stability interval on the imaginary axis
     # once theta gamma is small and diverged near t = 11.8; capped at
-    # 2 sqrt(theta gamma) / |A| they keep E(t) <= e^{-t} E(0) at every state
+    # 2 sqrt(theta gamma) / |A| they keep E(t) <= e^{-t} E(0) at every state.
+    # Here the cap binds from t = 2.3 on: every later step but the landing
+    # one is the cap
     p, start = capped_flow_qp()
-    rows = flow_records(integrate_flow(start, p, 0.01, 14.0), p, apd.solve_reference_saddle(p))
-    assert len(rows) > 1401 and rows[-1].t == 14.0
+    trajectory = integrate_flow(start, p, 0.01, 14.0)
+    rows = flow_records(trajectory, p, apd.solve_reference_saddle(p))
+    assert rows[-1].t == 14.0
     assert all(row.E <= np.exp(-row.t) * rows[0].E for row in rows)
+    caps = [2 * math.sqrt(s.theta * s.gamma) / p.constraint.op_norm for s in trajectory]
+    ratios = [(b.t - a.t) / cap for a, b, cap in zip(trajectory, trajectory[1:], caps)]
+    assert len(ratios) > 2000 and np.allclose(ratios[5:-1], 1.0, rtol=1e-9, atol=0)
 
 
-def textbook_rk4(state0, p, h, horizon):
-    """The flow's capped RK4 written out on separate ``x``, ``v``, ``lam``
-    arrays, each stage and the slope combination formed afresh."""
-    mu, norm, end = p.smooth.mu, p.constraint.op_norm, state0.t + horizon
+def textbook_rk4(state0, p, step_end):
+    """RK4 of the flow written out on separate ``x``, ``v``, ``lam`` arrays,
+    each stage and the slope combination formed afresh: ``step_end(state)``
+    is the time each step ends at, ``None`` to stop."""
+    mu = p.smooth.mu
 
     def rhs(x, v, lam, theta, gamma):
         force = p.smooth.gradient(x) + p.constraint.apply_adjoint(lam)
         return v - x, (mu * (x - v) - force) / gamma, p.constraint.residual(v) / theta
 
     trajectory, s = [state0], state0
-    while s.t < end:
-        step = h / max(1.0, 0.5 * h * norm / math.sqrt(s.theta * s.gamma))
-        t_end = end if end - s.t <= step * (1 + 1e-6) else s.t + step
+    while (t_end := step_end(s)) is not None:
         dt = t_end - s.t
 
         def stage(w, dx, dv, dlam, s=s):
@@ -183,44 +190,146 @@ def textbook_rk4(state0, p, h, horizon):
     return trajectory
 
 
+def replayed(trajectory):
+    """The ``step_end`` of :func:`textbook_rk4` that ends its steps at the
+    times of ``trajectory``."""
+    ends = iter([s.t for s in trajectory[1:]])
+    return lambda state: next(ends, None)
+
+
+def fixed_capped(p, h, horizon):
+    """The ``step_end`` of :func:`textbook_rk4` for steps of ``h`` capped at
+    ``2 sqrt(theta gamma) / |A|``, the last one landing on ``horizon``, from
+    ``t = 0``: the flow's steps before error control."""
+    norm = p.constraint.op_norm
+
+    def step_end(s):
+        if s.t >= horizon:
+            return None
+        step = h / max(1.0, 0.5 * h * norm / math.sqrt(s.theta * s.gamma))
+        return horizon if horizon - s.t <= step * (1 + 1e-6) else s.t + step
+    return step_end
+
+
 def test_flat_rk4_matches_the_textbook_bit_for_bit():
-    # to T = 14 the step cap binds and the last step is shortened to land on
-    # T; the flat layout reorders no operation, so nothing may differ at all
+    # to T = 14 the step cap binds, some trials are rejected and the last
+    # step is shortened to land on T; replayed through the textbook, the
+    # accepted steps give the same states, so the flat layout reorders no
+    # operation and the FSAL slope is the next step's first slope bit for bit
     p, start = capped_flow_qp()
-    flat, textbook = integrate_flow(start, p, 0.01, 14.0), textbook_rk4(start, p, 0.01, 14.0)
-    assert len(flat) == len(textbook) > 1401 and flat[-1].t == 14.0
+    flat = integrate_flow(start, p, 0.01, 14.0)
+    textbook = textbook_rk4(start, p, replayed(flat))
+    assert len(flat) == len(textbook) > 2000 and flat[-1].t == 14.0
     for mine, reference in zip(flat, textbook):
         for field in ("x", "v", "lam"):
             assert np.array_equal(getattr(mine, field), getattr(reference, field))
         assert (mine.theta, mine.gamma, mine.t) == (reference.theta, reference.gamma, reference.t)
 
 
-@pytest.mark.parametrize("steps", [1, 3])
-def test_each_flow_step_makes_four_of_each_operation(qp1, steps):
-    # one flow_rhs call per RK4 stage: A v, A' lam and the gradient at x
+def count_trials(monkeypatch):
+    """Count the trial steps of ``integrate_flow``, one ``_rk4_step`` call each."""
+    trials = []
+    step = flow._rk4_step
+
+    def counted(*args):
+        trials.append(args[3])
+        return step(*args)
+    monkeypatch.setattr(flow, "_rk4_step", counted)
+    return trials
+
+
+@pytest.mark.parametrize("steps, trials, horizon", [(1, 1, 0.1), (3, 3, 1.5), (5, 7, 2.2)],
+                         ids=["1", "3", "5"])
+def test_each_flow_step_makes_four_of_each_operation(qp1, monkeypatch, steps, trials, horizon):
+    # one flow_rhs call per RK4 stage after the first and one at the step's
+    # end, the next step's first stage, so one at the start and four per
+    # trial step, rejected or not: A v, A' lam and the gradient at x
+    tried = count_trials(monkeypatch)
     smooth = CountingQuadratic(np.ones(2))
     counting = apd.ProblemInstance(smooth, qp1.nonsmooth, CountingConstraint(qp1.constraint))
-    trajectory = integrate_flow(zeros_state(), counting, 0.01, 0.01 * steps)
-    assert len(trajectory) - 1 == steps
+    trajectory = integrate_flow(zeros_state(), counting, 0.01, horizon)
+    assert (len(trajectory) - 1, len(tried)) == (steps, trials)
     constraint = counting.constraint
-    assert (constraint.applies, constraint.adjoints, smooth.grads) == (4 * steps,) * 3
+    assert (constraint.applies, constraint.adjoints, smooth.grads) == (4 * trials + 1,) * 3
 
 
-def test_divergence_reports_last_finite_state():
-    # stiff direction with tiny damping makes RK4 blow up at h = 0.01; the
-    # error replaces numpy's overflow warnings, which the test run makes errors
+def benchmark_flow_qp(rng):
+    """The flow QP of ``perfbench.workloads.draw_composite(rng)`` (n = 400,
+    m = 100, unit-norm A) with its zero start."""
+    from perfbench import workloads
+
+    d = workloads.draw_composite(rng)["flow"]
+    m, n = d["amat"].shape
+    p = apd.ProblemInstance(apd.QuadraticObjective(d["q"]), apd.ZeroProx(),
+                            apd.MatrixConstraint(d["amat"], d["b"]))
+    return p, FlowState(np.zeros(n), np.zeros(n), np.zeros(m), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", ["31", "31-set-0"])
+def test_error_control_ends_as_close_as_fixed_steps_in_fewer(seed):
+    # defect 16's recipe (default_rng(31)) and the benchmark's first set at
+    # seed 31: at T = 10 the (x, v, theta lam) error against a tol = 1e-10
+    # run is set by the capped tail, so error control at tol = 0.01 ends
+    # about as close as fixed steps of 0.01 (measured: 1.02 and 1.03 times
+    # their error) in under half of their steps (446 and 455 against 1 091
+    # and 1 096)
+    rng = np.random.default_rng(31 if seed == "31" else np.random.SeedSequence(31).spawn(3)[0])
+    p, start = benchmark_flow_qp(rng)
+    reference = integrate_flow(start, p, 1e-10, 10.0)[-1]
+
+    def error(state):
+        return math.hypot(np.linalg.norm(state.x - reference.x),
+                          np.linalg.norm(state.v - reference.v),
+                          reference.theta * np.linalg.norm(state.lam - reference.lam))
+
+    controlled = integrate_flow(start, p, 0.01, 10.0)
+    fixed = textbook_rk4(start, p, fixed_capped(p, 0.01, 10.0))
+    assert controlled[-1].t == fixed[-1].t == 10.0
+    assert error(controlled[-1]) <= 1.1 * error(fixed[-1])
+    assert 2 * len(controlled) < len(fixed)
+
+
+def test_divergence_reports_last_finite_state(qp1):
+    # a state near the overflow threshold: the first trial step overflows, so
+    # its error ratio is not finite; the error replaces numpy's overflow
+    # warnings, which the test run makes errors
+    start = dataclasses.replace(zeros_state(), x=np.array([1e308, -1e308]))
+    with pytest.raises(FlowDivergenceError, match="flow diverged near t=0") as info:
+        integrate_flow(start, qp1, 0.01, 10.0)
+    assert info.value.last_state is start
+
+
+def test_a_stiff_gradient_ends_on_the_trial_budget(monkeypatch):
+    # Q_11 = 1e9 with tiny damping: RK4 at fixed steps of 0.01 blows up, and
+    # error control holds the steps near 1e-7, so the run would crawl; the
+    # budget ends it on the last accepted state, which is finite
+    monkeypatch.setattr(flow, "TRIAL_BUDGET", 300)
+    tried = count_trials(monkeypatch)
     p = apd.ProblemInstance(apd.QuadraticObjective(np.array([1e9, 1e-3])),
                             apd.ZeroProx(),
                             apd.MatrixConstraint([[1.0, 1.0]], [1.0]))
     start = FlowState(np.array([1e3, 0.0]), np.zeros(2), np.zeros(1),
                       1.0, 1e-6, 0.0)
-    with pytest.raises(FlowDivergenceError) as info:
+    with pytest.raises(FlowDivergenceError, match="in 300 trial steps") as info:
         integrate_flow(start, p, 0.01, 10.0)
-    assert np.all(np.isfinite(info.value.last_state.x))
+    last = info.value.last_state
+    assert len(tried) == 300 and max(tried[100:]) < 1e-6
+    assert 0 < last.t < 1e-3 and np.all(np.isfinite(last.x))
+
+
+def test_a_step_below_the_rounding_of_the_elapsed_time_ends_the_run(qp1):
+    # theta gamma = 1e-400 underflows to 0, so the cap 2 sqrt(theta gamma) / |A|
+    # is a step of 0, which does not move the time; the slope at the start is
+    # finite, as x = v = 0 and A 0 - b = -1 over 1e-200
+    start = dataclasses.replace(zeros_state(), theta=1e-200, gamma=1e-200)
+    with pytest.raises(FlowDivergenceError, match="fell below the rounding of t near t=0") as info:
+        integrate_flow(start, qp1, 0.01, 1.0)
+    assert info.value.last_state is start
 
 
 def test_flow_records_apply_the_constraint_once_per_block(qp1, qp1_saddle):
-    trajectory = integrate_flow(zeros_state(), qp1, 0.01, 0.1)
+    # fixed steps of 0.01 to t = 0.1: 11 states
+    trajectory = textbook_rk4(zeros_state(), qp1, fixed_capped(qp1, 0.01, 0.1))
     counting = dataclasses.replace(qp1, constraint=CountingConstraint(qp1.constraint))
     rows = flow_records(trajectory, counting, qp1_saddle)
     assert len(rows) == len(trajectory) == 11
@@ -232,11 +341,12 @@ def test_flow_records_apply_the_constraint_once_per_block(qp1, qp1_saddle):
 @pytest.mark.parametrize("horizon, states", [(0.0, 1), (0.15, 16), (0.16, 17), (0.36, 37),
                                              (14.0, None)])
 def test_block_records_match_the_one_point_formula(horizon, states):
-    # 16 states fill one block, 17 and 37 leave a block of one state; to T = 14
-    # the step cap binds and E falls by e^-14, so |Delta E| is held to E(0)
+    # fixed steps of 0.01: 16 states fill one block, 17 and 37 leave a block
+    # of one state; to T = 14 the step cap binds and E falls by e^-14, so
+    # |Delta E| is held to E(0)
     p, start = capped_flow_qp()
     saddle = apd.solve_reference_saddle(p)
-    trajectory = integrate_flow(start, p, 0.01, horizon)
+    trajectory = textbook_rk4(start, p, fixed_capped(p, 0.01, horizon))
     assert states is None or len(trajectory) == states
     rows = flow_records(trajectory, p, saddle)
     assert len(rows) == len(trajectory)
@@ -249,11 +359,11 @@ def test_block_records_match_the_one_point_formula(horizon, states):
 
 @pytest.mark.parametrize("t0", [1e14, 1e16])
 def test_a_large_start_time_takes_the_steps_of_a_zero_one(qp1, t0):
-    # steps are taken on the elapsed time: on the absolute time 1e14 rounds each
+    # steps are taken on the elapsed time: on the absolute time 1e14 rounds a
     # step of 0.01 up to 0.0156, and 1e16 + 1 rounds back to 1e16
-    zero = integrate_flow(zeros_state(), qp1, 0.01, 1.0)
-    late = integrate_flow(dataclasses.replace(zeros_state(), t=t0), qp1, 0.01, 1.0)
-    assert len(late) == len(zero) == 101
+    zero = integrate_flow(zeros_state(), qp1, 1e-6, 1.0)
+    late = integrate_flow(dataclasses.replace(zeros_state(), t=t0), qp1, 1e-6, 1.0)
+    assert len(late) == len(zero) > 10
     for mine, reference in zip(late, zero):
         for field in ("x", "v", "lam"):
             assert np.array_equal(getattr(mine, field), getattr(reference, field))
@@ -266,7 +376,7 @@ def test_implicit_steps_track_the_flow_to_first_order_when_mu_is_zero():
     # after k steps of size alpha follows the flow at t = k alpha with an
     # error O(alpha); the implicit step follows the flow with mu = 0, so q_0 = 0
     rng = np.random.default_rng(3)
-    n, m, horizon, h = 12, 4, 3.0, 1e-3
+    n, m, horizon, tol = 12, 4, 3.0, 1e-10
     q = rng.uniform(0.1, 2.0, n)
     q[0] = 0.0
     amat = rng.standard_normal((m, n))
@@ -276,7 +386,7 @@ def test_implicit_steps_track_the_flow_to_first_order_when_mu_is_zero():
                                   apd.MatrixConstraint(amat, b))
     assert problem.smooth.mu == 0
     end = integrate_flow(FlowState(np.zeros(n), np.zeros(n), np.zeros(m), 1.0, 1.0),
-                         problem, h, horizon)[-1]
+                         problem, tol, horizon)[-1]
     assert end.t == horizon
     alphas = np.array([0.01, 0.003, 0.001])
     x_errors, lam_errors = [], []
@@ -304,7 +414,7 @@ def test_implicit_steps_ignore_mu_and_track_the_mu_zero_flow():
     # it runs bit for bit as on the same problem with mu = 0, and follows the
     # flow of that problem, not of its own
     rng = np.random.default_rng(3)
-    n, m, horizon, h = 12, 4, 3.0, 1e-3
+    n, m, horizon, tol = 12, 4, 3.0, 1e-10
     q = rng.uniform(0.1, 2.0, n)
     q[0] = 0.5
     amat = rng.standard_normal((m, n))
@@ -328,7 +438,7 @@ def test_implicit_steps_ignore_mu_and_track_the_mu_zero_flow():
             assert np.array_equal(getattr(state, field), getattr(mine.state, field))
         assert state.scaling == mine.state.scaling
     end = integrate_flow(FlowState(np.zeros(n), np.zeros(n), np.zeros(m), 1.0, 1.0),
-                         flat, h, horizon)[-1]
+                         flat, tol, horizon)[-1]
     alphas = np.array([0.01, 0.003, 0.001])
     x_errors = []
     for alpha in alphas:

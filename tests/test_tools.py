@@ -41,7 +41,7 @@ def test_hash_runs_repeats_its_digests_and_restores_what_it_wraps(monkeypatch, c
     names = [key for name in names
              for key in [name] + [f"{name}/{w}" for w in per_workload.get(name, ())]]
     # each steps/<workload> line is followed by one line per case of that
-    # workload that runs a solver, in the order of the workload's cases
+    # workload that runs a solver or the flow, in the order of the workload's cases
     cases = {w: [case.name for case in tool.workloads.WORKLOADS[w](
         np.random.default_rng(0), tool.workloads.TINY[w]).cases] for w in per_workload["steps"]}
     printed = [line.split()[0] for line in outputs[0]]
@@ -53,13 +53,14 @@ def test_hash_runs_repeats_its_digests_and_restores_what_it_wraps(monkeypatch, c
         assert below and printed[at:at + len(below)] == below
         per_case += len(below)
     assert per_case == sum(name.count("/") == 2 for name in printed)
-    # the flow and the consensus solves call neither solver: no line
-    assert {"steps/composite/logistic.ex_apdfb", "steps/ddo/logistic.apd"} <= set(printed)
-    assert not any(name.startswith(("steps/composite/flow", "steps/ddo/consensus"))
-                   for name in printed)
+    # the consensus solves call neither solver nor the flow: no line
+    assert {"steps/composite/logistic.ex_apdfb", "steps/composite/flow",
+            "steps/ddo/logistic.apd"} <= set(printed)
+    assert not any(name.startswith("steps/ddo/consensus") for name in printed)
     assert all(int(line.split()[1]) > 0 and len(line.split()[2]) == 64 for line in outputs[0])
     # one iterates entry per run_solver call, one ddo_iterates entry per run_ddo
-    # call, and one steps entry and one constants entry per call of either;
+    # call, one constants entry per call of either, and one steps entry per
+    # call of either or of integrate_flow;
     # the per-workload lines split each count, and the per-case lines each
     # workload's steps count
     calls = {line.split()[0]: int(line.split()[1]) for line in outputs[0]}
@@ -70,7 +71,9 @@ def test_hash_runs_repeats_its_digests_and_restores_what_it_wraps(monkeypatch, c
                    if name.startswith(f"steps/{w}/")) == calls[f"steps/{w}"]
     assert calls["iterates"] == calls["run_solver"]
     assert calls["ddo_iterates"] == calls["run_ddo"]
-    assert calls["steps"] == calls["constants"] == calls["run_solver"] + calls["run_ddo"]
+    assert calls["constants"] == calls["run_solver"] + calls["run_ddo"]
+    assert calls["steps"] == calls["constants"] + calls["integrate_flow"]
+    assert calls["steps/composite/flow"] == calls["integrate_flow"]
     assert [getattr(module, name) for module, name in tool.HASHED] == originals
 
 
@@ -160,6 +163,34 @@ def test_steps_covers_statuses_and_record_counts_and_no_float(monkeypatch, capsy
     assert x["steps"] == plain["steps"]
     # a changed status or record count moves it
     assert status["steps"] != plain["steps"] and records["steps"] != plain["steps"]
+
+
+def test_steps_covers_each_flow_calls_accepted_step_count_and_no_float(monkeypatch, capsys):
+    tool = _load_hash_runs(monkeypatch)
+    monkeypatch.setattr(tool.workloads, "WORKLOADS",
+                        {"composite": tool.workloads.WORKLOADS["composite"]})
+    integrate_flow = tool.flow.integrate_flow
+
+    def table(shift=None):
+        def shifted(*args, **kwargs):
+            trajectory = integrate_flow(*args, **kwargs)
+            if shift == "x":
+                end = trajectory[-1]
+                trajectory[-1] = dataclasses.replace(end, x=np.nextafter(end.x, np.inf))
+            elif shift == "steps":
+                trajectory.insert(1, trajectory[0])
+            return trajectory
+
+        monkeypatch.setattr(tool.flow, "integrate_flow", shifted)
+        tool.main(["--seeds", "101", "--tiny"])
+        return {line.split()[0]: line.split()[2] for line in capsys.readouterr().out.splitlines()}
+
+    plain, x, steps = table(), table("x"), table("steps")
+    # one ulp in the flow's end state moves its digest, not steps
+    assert x["integrate_flow"] != plain["integrate_flow"] and x["steps"] == plain["steps"]
+    # one more accepted step moves the flow's steps line and no other case's
+    moved = {name for name in plain if name.startswith("steps") and steps[name] != plain[name]}
+    assert moved == {"steps", "steps/composite", "steps/composite/flow"}
 
 
 def test_a_change_to_one_workload_leaves_the_others_per_workload_digests(monkeypatch, capsys):

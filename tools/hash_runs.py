@@ -21,9 +21,10 @@ over what each ``run_solver`` call ends on (final ``x``, ``v`` and ``lam``,
 status and record count), and one, ``ddo_iterates``, over what each
 ``run_ddo`` call ends on (final ``x``, status and record count), both
 without the recorded floats; one, ``steps``, over the status and record
-count of every ``run_solver`` and ``run_ddo`` call, with no float at all;
-one, ``constants``, over the constants each such call sizes its steps by,
-read from its problem (``smooth.mu``, ``smooth.lip`` and
+count of every ``run_solver`` and ``run_ddo`` call and the accepted step
+count of every ``integrate_flow`` call, with no float at all;
+one, ``constants``, over the constants each ``run_solver`` and
+``run_ddo`` call sizes its steps by, read from its problem (``smooth.mu``, ``smooth.lip`` and
 ``constraint.op_norm`` for ``run_solver``, ``mu`` and ``lip`` for
 ``run_ddo``); and one over every case outcome.
 Each of the digests ``run_solver``, ``iterates``, ``steps`` and
@@ -31,10 +32,12 @@ Each of the digests ``run_solver``, ``iterates``, ``steps`` and
 ``run_solver/qp_dense`` and so on, over that workload's calls and cases
 alone: a change confined to one workload shows the others' digests equal.
 Each ``steps/<workload>`` line is in turn followed by one line per case of
-that workload that calls ``run_solver`` or ``run_ddo``, named
-``steps/composite/logistic.ex_apdfb`` and so on, over that case's statuses
-and record counts in every set and seed, with no float: a change confined
-to some cases shows every other case's digest equal.
+that workload that calls ``run_solver``, ``run_ddo`` or ``integrate_flow``,
+named ``steps/composite/logistic.ex_apdfb`` and so on, over that case's
+statuses and record counts, or accepted flow steps, in every set and seed,
+with no float: a change confined to some cases shows every other case's
+digest equal. The ``steps/composite/flow`` line shows a change that moves
+the flow's error-controlled steps.
 Wall clocks (``wall_ns``) are skipped. A change that moves only the bits of
 the records thus shows its iterates unchanged, one that moves only the bits
 of the iterates shows its steps unchanged, and one that moves the iterates
@@ -103,13 +106,15 @@ def feed(digest, value):
     digest.update(b";")
 
 
-# the digests over what a result ends on, without its recorded floats, and
-# the wrapped functions whose results each covers
+# the digests over what a result ends on, without its recorded floats: for
+# each, the wrapped functions whose results it covers and what it takes of each
 ENDS = {
-    "iterates": (("run_solver",), lambda run: (run.state.x, run.state.v, run.state.lam,
-                                               run.status, len(run.records))),
-    "ddo_iterates": (("run_ddo",), lambda run: (run.x, run.status, len(run.records))),
-    "steps": (("run_solver", "run_ddo"), lambda run: (run.status, len(run.records))),
+    "iterates": {"run_solver": lambda run: (run.state.x, run.state.v, run.state.lam,
+                                            run.status, len(run.records))},
+    "ddo_iterates": {"run_ddo": lambda run: (run.x, run.status, len(run.records))},
+    "steps": {"run_solver": lambda run: (run.status, len(run.records)),
+              "run_ddo": lambda run: (run.status, len(run.records)),
+              "integrate_flow": lambda trajectory: len(trajectory) - 1},
 }
 
 
@@ -161,9 +166,9 @@ def digests(seeds, tiny=False):
         def call(*args, **kwargs):
             result = original(*args, **kwargs)
             fed(name, result)
-            for digest, (sources, ends) in ENDS.items():
-                if name in sources:
-                    fed(digest, ends(result))
+            for digest, ends in ENDS.items():
+                if name in ends:
+                    fed(digest, ends[name](result))
             if name in CONSTANTS:
                 problem = args[0] if args else kwargs["problem"]
                 fed("constants", CONSTANTS[name](problem))
